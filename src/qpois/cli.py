@@ -5,12 +5,13 @@ Subcommands
   bracket                                 invariant-trace brackets at solved points
   sample                                  relator samples as matrix literals
 
-Every command takes --config/--seed/--out (plus --jobs); reports are canonical
-JSON (sorted keys, floats at 17 significant digits, no timestamps) so a rerun
-with the same config and seed is byte-identical.  A check that cannot run
-because the input refuses it (degenerate pairing, missing 2-form) is reported
-as skipped with the reason; a numerical violation or an unexpected error is a
-failure.  Exit status is zero exactly when no check failed.
+Every command takes --config/--seed/--out, and verify also --jobs; reports are
+canonical JSON (sorted keys, floats at 17 significant digits, no timestamps) so
+a rerun with the same config and seed is byte-identical at any job count.  A
+check that cannot run because the input refuses it (degenerate pairing,
+missing 2-form) is reported as skipped with the reason; a numerical violation
+or an unexpected error is a failure.  Exit status is zero exactly when no
+check failed.
 """
 
 from __future__ import annotations
@@ -273,6 +274,11 @@ def build_setup(raw, seed=None):
         if lit == "identity":
             targets.append(("identity", np.eye(model.n, dtype=complex)))
         elif lit == "minus_identity":
+            # SL(n) holds -I only for even n; an unreachable target stalls
+            # every relator solve
+            _expect(not model.is_traceless() or model.n % 2 == 0,
+                    f"targets[{i}]", f"minus_identity has determinant -1, "
+                    f"outside SL({model.n})")
             targets.append(("minus_identity", -np.eye(model.n, dtype=complex)))
         else:
             mat = _parse_matrix(lit, f"targets[{i}]")
@@ -965,8 +971,6 @@ def _common(fn):
                       help="override the config seed")(fn)
     fn = click.option("--out", "out_path", required=True, type=click.Path(),
                       help="report output path")(fn)
-    fn = click.option("--jobs", type=click.IntRange(min=1), default=None,
-                      help="worker count (results are job-count independent)")(fn)
     return fn
 
 
@@ -979,6 +983,8 @@ def main():
 @main.command()
 @click.argument("suite", type=click.Choice(_SUITES))
 @_common
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="worker count (results are job-count independent)")
 def verify(suite, config_path, seed, out_path, jobs):
     """Run a verification suite and write its report."""
     try:
@@ -991,9 +997,8 @@ def verify(suite, config_path, seed, out_path, jobs):
 
 @main.command()
 @_common
-def bracket(config_path, seed, out_path, jobs):
+def bracket(config_path, seed, out_path):
     """Evaluate invariant trace brackets at relator-solved points."""
-    del jobs
     try:
         report = compute_brackets(config_path, seed=seed)
     except (ConfigError, IoError) as exc:
@@ -1004,9 +1009,8 @@ def bracket(config_path, seed, out_path, jobs):
 
 @main.command()
 @_common
-def sample(config_path, seed, out_path, jobs):
+def sample(config_path, seed, out_path):
     """Solve the relator constraint and emit the sampled points."""
-    del jobs
     try:
         report = sample_points(config_path, seed=seed)
     except (ConfigError, IoError) as exc:

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import BadSignature, RankDeficient
 from .fields import op_apply
+from .groupgeom import word_differentials
 from .liealg import adjoint_matrix
-from .quasi import _dphi_matrix, momentum_residual
+from .quasi import momentum_residual
 
 __all__ = [
     "SplitVector",
@@ -120,7 +121,7 @@ def graph_subspace(mat, kind):
 def _word_site_data(site, point, word):
     """dphi (d x N), adjoint matrices and the frame at a word's value."""
     frame = point.frame()
-    dw, g0 = _dphi_matrix(site, point, frame, word)
+    dw, _, g0 = word_differentials(frame, word)
     model = site.model
     a_mat = adjoint_matrix(model, g0)
     a_inv = adjoint_matrix(model, np.linalg.inv(g0))
@@ -288,7 +289,7 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
     frame = point.frame()
     nfr = frame.dim
     comp = qh.momentum[component]
-    dw, g0 = _dphi_matrix(site, point, frame, comp.word)
+    dw, _, g0 = word_differentials(frame, comp.word)
     dphi = dw.T
     smat = qh.form.frame_matrix(point, frame)
     sflat = smat.T
@@ -337,7 +338,7 @@ def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
     model = site.model
     frame = point.frame()
     comp = qh.momentum[component]
-    dw, g0 = _dphi_matrix(site, point, frame, comp.word)
+    dw, _, g0 = word_differentials(frame, comp.word)
     dphi = dw.T
     smat = qh.form.frame_matrix(point, frame)
     sflat = smat.T

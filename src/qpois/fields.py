@@ -1,26 +1,23 @@
 """Pointwise tensor calculus on sites.
 
-Tensor fields are kept in structured form -- sums of terms built from left/right
-translations and conjugation directions contracted through the invariant
-2-tensor (bivectors), or pullback pairings of trivialization forms plus class
-terms (2-forms).  Structured terms evaluate transparently at Dual-perturbed
-points, which is what makes exact exterior derivatives and Jacobiators cheap.
+Tensor fields are kept in structured form.  A bivector is one coefficient
+matrix K over the atoms -- the left and right translations L_f, R_f of every
+factor f -- contracted through the invariant 2-tensor H, so that
+P = sum K[alpha, beta] (op_alpha (x) op_beta)(H) and fusion only updates K.
+A 2-form is a list of pullback pairings of trivialization forms plus class
+terms.  Both evaluate transparently at Dual-perturbed points, which is what
+makes exact exterior derivatives and Jacobiators cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .duals import Dual, dinv, apply_linear
-from .errors import BadSignature, LiftFailed, NotTangent
-from .groupgeom import (
-    Tangent,
-    fund_tangent,
-    word_eval,
-    word_tangent,
-)
+from .errors import BadSignature, LiftFailed
+from .groupgeom import Tangent, word_differentials, word_eval, word_tangent
 
 __all__ = [
     "VecOp",
@@ -37,8 +34,6 @@ __all__ = [
     "section_bracket",
     "exterior_d3",
     "eval_lambda",
-    "lambda_pullback",
-    "eval_phiM",
     "two_chain_form",
     "bracket_funcs",
     "jacobiator",
@@ -83,96 +78,80 @@ def op_apply(op, mats, x):
     return comps
 
 
-def op_factors(op):
-    return sorted({f for _, _, f in op})
-
-
 # ---------------------------------------------------------------------------
 # bivector fields
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BivTerm:
-    coef: complex
-    op1: VecOp
-    op2: VecOp
+def _atom_vector(site, op):
+    """Coefficients of a VecOp over the atoms L_0, R_0, L_1, R_1, ..."""
+    vec = np.zeros(2 * site.nfac, dtype=complex)
+    for coef, side, f in op:
+        vec[2 * f + (side == "R")] += coef
+    return vec
+
+
+def _atom_dirs(site, f, x):
+    """op_alpha(e_j) on factor f at factor value x, for every atom alpha and
+    basis index j (alpha-major rows, matching kron(K, H)).
+
+    x may carry leading batch axes: the result has shape (2 nfac d, ..., n, n)
+    and is zero on the rows of the other factors' atoms.  Linear in x.
+    """
+    basis = np.stack(site.model.basis)
+    d = len(basis)
+    basis = basis.reshape((d,) + (1,) * (np.ndim(x) - 2) + basis.shape[1:])
+    out = np.zeros((2 * site.nfac * d,) + np.shape(x), dtype=complex)
+    out[2 * f * d:(2 * f + 1) * d] = x @ basis
+    out[(2 * f + 1) * d:(2 * f + 2) * d] = basis @ x
+    return out
 
 
 class Bivector:
-    """Sum of terms coef * (op1 (x) op2)(H), H the invariant 2-tensor."""
+    """sum K[alpha, beta] (op_alpha (x) op_beta)(H), H the invariant 2-tensor.
+
+    terms are (coef, op1, op2) triples over VecOps; each adds
+    coef * outer(op1, op2) to the atom coefficient matrix K (no
+    antisymmetrization), whose shape (2 nfac, 2 nfac) is fixed by the site.
+    """
 
     def __init__(self, site, terms):
         self.site = site
-        self.terms = [BivTerm(complex(c), tuple(o1), tuple(o2)) for c, o1, o2 in terms]
+        self.kmat = np.zeros((2 * site.nfac, 2 * site.nfac), dtype=complex)
+        for c, op1, op2 in terms:
+            self.kmat += complex(c) * np.outer(_atom_vector(site, op1),
+                                               _atom_vector(site, op2))
+
+    def _with_kmat(self, kmat):
+        out = Bivector(self.site, ())
+        out.kmat = kmat
+        return out
 
     def __add__(self, other):
         if other.site is not self.site:
             raise BadSignature("bivectors live on different sites")
-        return Bivector(self.site, [(t.coef, t.op1, t.op2)
-                                    for t in self.terms + other.terms])
+        return self._with_kmat(self.kmat + other.kmat)
 
     def scaled(self, c):
-        return Bivector(self.site, [(c * t.coef, t.op1, t.op2) for t in self.terms])
+        return self._with_kmat(c * self.kmat)
+
+    def _atom_tensor(self):
+        """kron(K, H): the tensor on the atom directions op_alpha(e_j)."""
+        return np.kron(self.kmat, self.site.pairing.require_upper())
 
     def frame_matrix(self, point, frame=None):
         """Antisymmetric coefficient matrix P^{ab} in the frame at the point."""
         frame = frame or point.frame()
-        model = self.site.model
-        h = self.site.pairing.require_upper()
-        mats = point.mats
-        pmat = np.zeros((frame.dim, frame.dim), dtype=complex)
-        comp_cache = {}
+        # rows: frame components of every atom direction, (2 nfac d, N)
+        b = frame.components([_atom_dirs(self.site, f, q)
+                              for f, q in enumerate(point.mats)])
+        return b.T @ self._atom_tensor() @ b
 
-        def comps_of(op):
-            if op not in comp_cache:
-                cols = [frame.components(op_apply(op, mats, b)) for b in model.basis]
-                comp_cache[op] = np.stack(cols, axis=1)  # (N, d)
-            return comp_cache[op]
-
-        for t in self.terms:
-            c1 = comps_of(t.op1)
-            c2 = comps_of(t.op2)
-            pmat += t.coef * (c1 @ h @ c2.T)
-        return pmat
-
-    def sharp(self, point, alpha):
-        """P-sharp of a covector given as a callable on Tangents; ambient result."""
-        model = self.site.model
-        h = self.site.pairing.require_upper()
-        mats = point.mats
-        out = [None] * self.site.nfac
-        for t in self.terms:
-            avals = np.array([alpha(Tangent(op_apply(t.op1, mats, b)))
-                              for b in model.basis])
-            w = h.T @ avals  # symmetric h; contraction over the first tensor slot
-            x = model.from_coeffs(w)
-            comps = op_apply(t.op2, mats, x)
-            for i, cmp in enumerate(comps):
-                if cmp is None:
-                    continue
-                add = t.coef * cmp
-                out[i] = add if out[i] is None else out[i] + add
-        return Tangent(out)
-
-    def ambient_blocks(self, point):
-        """Per-term vec'd columns: list of (coef, V1, V2) with Vi of shape
-        (nfac*n*n, d); the full ambient 2-tensor is sum coef * V1 H V2^T."""
-        model = self.site.model
-        n = model.n
-        mats = point.mats
-        out = []
-        for t in self.terms:
-            vs = []
-            for op in (t.op1, t.op2):
-                v = np.zeros((self.site.nfac * n * n, model.d), dtype=complex)
-                for j, b in enumerate(model.basis):
-                    comps = op_apply(op, mats, b)
-                    for i, cmp in enumerate(comps):
-                        if cmp is not None:
-                            v[i * n * n:(i + 1) * n * n, j] = cmp.reshape(-1)
-                vs.append(v)
-            out.append((t.coef, vs[0], vs[1]))
-        return out
+    def ambient_matrix(self, point):
+        """The 2-tensor on vec'd ambient tangents, (nfac n^2, nfac n^2)."""
+        nrows = 2 * self.site.nfac * self.site.model.d
+        v = np.concatenate([_atom_dirs(self.site, f, q).reshape(nrows, -1)
+                            for f, q in enumerate(point.mats)], axis=1)
+        return v.T @ self._atom_tensor() @ v
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +266,40 @@ class FormField:
         return 0.5 * dual_vdot(smat, x, wl + wr)
 
     def frame_matrix(self, point, frame=None):
+        """Antisymmetric coefficient matrix sigma_{ab} in the frame at the
+        point, from the trivialized word differentials of all frame vectors."""
         frame = frame or point.frame()
-        vecs = frame.vectors()
-        smat = np.zeros((frame.dim, frame.dim), dtype=complex)
-        for a in range(frame.dim):
-            for b in range(a + 1, frame.dim):
-                val = self.evaluate(point.mats, vecs[a], vecs[b])
-                smat[a, b] = val
-                smat[b, a] = -val
-        return smat
+        model = self.site.model
+        smat = self.site.pairing.eta_lower
+        diffs = {}
+
+        def theta(word, side):
+            if word not in diffs:
+                diffs[word] = word_differentials(frame, word)
+            left, right, _ = diffs[word]
+            return left if side == "omega" else right
+
+        full = np.zeros((frame.dim, frame.dim), dtype=complex)
+        for term in self.pair_terms:
+            tu = theta(term.word_u, term.side_u)
+            cross = tu @ smat @ theta(term.word_v, term.side_v).T
+            full += term.coef * (cross - cross.T)
+        for term in self.tau_terms:
+            f = term.factor
+            vecs = frame.per_factor[f]
+            if not vecs:
+                continue
+            q = point.mats[f]
+            lifts = frame.lifts[f] or [_lift_plain(model, q, v) for v in vecs]
+            qi = np.linalg.inv(q)
+            stack = np.stack(vecs)
+            # both trivializations of every class frame vector, summed
+            w = apply_linear(model.basis_pinv, qi @ stack + stack @ qi)
+            rows = slice(frame.offsets[f], frame.offsets[f] + len(vecs))
+            full[rows, rows] += term.coef * 0.5 * (np.stack(lifts) @ smat @ w.T)
+        # the pairs a < b, as a pairwise evaluation would visit them
+        upper = np.triu(full, 1)
+        return upper - upper.T
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +399,6 @@ def eval_lambda(model, pairing, g, v1, v2, v3):
     return val / 6.0
 
 
-def lambda_pullback(site, word, point, tangents):
-    """Pullback of the trilinear form along a word map, on three Tangents."""
-    mats = point.mats
-    g = word_eval(word, mats)
-    dv = [word_tangent(word, mats, t) for t in tangents]
-    return eval_lambda(site.model, site.pairing, g, *dv)
-
-
-def eval_phiM(site, point, phi, alpha, beta, gamma, frame=None):
-    """Half-contraction of the cubic tensor pushed along conjugation directions.
-
-    alpha/beta/gamma are covectors as frame-component vectors.
-    """
-    frame = frame or point.frame()
-    model = site.model
-    cols = [frame.components(fund_tangent(site, point, np.eye(model.d)[j]))
-            for j in range(model.d)]
-    fund = np.stack(cols, axis=1)          # (N, d)
-    a = np.asarray(alpha) @ fund
-    b = np.asarray(beta) @ fund
-    c = np.asarray(gamma) @ fund
-    return 0.5 * np.einsum("jks,j,k,s->", phi, a, b, c)
-
-
 def two_chain_form(site, chain):
     """2-form of a formal chain: list of (coef, word_text_u, word_text_v)."""
     from .groupgeom import parse_word
@@ -434,76 +414,39 @@ def two_chain_form(site, chain):
 # brackets and the Jacobiator (batched nested duals)
 # ---------------------------------------------------------------------------
 
-def _zeros_like_mat(n):
-    return np.zeros((n, n), dtype=complex)
-
-
-def _batched_l1(fn, mats, dirs, nfac, n):
-    """fn at mats perturbed along a batch of ambient directions; returns (B,)."""
-    bsz = len(dirs)
-    lifted = []
-    for i in range(nfac):
-        col = [d.comps[i] for d in dirs]
-        if all(c is None for c in col):
-            lifted.append(mats[i])
-            continue
-        eps = np.stack([np.asarray(c, dtype=complex) if c is not None
-                        else _zeros_like_mat(n) for c in col])
-        lifted.append(Dual(mats[i], eps))
+def _atom_gradient(site, mats, fn):
+    """fn's derivative along every atom direction at the point: (2 nfac d,)."""
+    lifted = [Dual(q, _atom_dirs(site, f, q)) for f, q in enumerate(mats)]
     out = fn(lifted)
-    if isinstance(out, Dual):
-        return np.broadcast_to(np.asarray(out.eps), (bsz,)).copy()
-    return np.zeros(bsz, dtype=complex)
+    nrows = 2 * site.nfac * site.model.d
+    if not isinstance(out, Dual):
+        return np.zeros(nrows, dtype=complex)
+    return np.broadcast_to(np.asarray(out.eps), (nrows,)).copy()
 
 
-def _batched_l2(fn, mats, out_eps, in_dirs, nfac, n, b_out):
-    """fn at a two-level perturbation.
+def _atom_hessian(site, mats, fn):
+    """fn's gradient g along the atom direction fields and its derivative
+    W[r, s] along the atom direction s, by one nested-dual evaluation.
 
-    out_eps: per-factor (b_out, n, n) arrays or None (the outer batch);
-    in_dirs: list (inner batch) of component lists whose entries are Duals in
-    the outer perturbation (or plain, or None).
-    Returns (inner_at_base (b_in,), mixed (b_in, b_out)).
+    W includes the change of the direction field r itself (q e_j moves with
+    q), so D_s {fa, fb} = 2 (W_a^T M g_b + W_b^T M^T g_a)[s] for M the atom
+    tensor.  Returns (g (B,), W (B, B)), B = 2 nfac d.
     """
-    b_in = len(in_dirs)
-    z_out = np.zeros((1, n, n), dtype=complex)
+    nrows = 2 * site.nfac * site.model.d
     lifted = []
-    for i in range(nfac):
-        base = Dual(mats[i], out_eps[i] if out_eps[i] is not None else z_out)
-        res, eps = [], []
-        for d in in_dirs:
-            c = d.comps[i]
-            if c is None:
-                res.append(_zeros_like_mat(n))
-                eps.append(np.zeros((b_out, n, n), dtype=complex))
-            elif isinstance(c, Dual):
-                res.append(np.broadcast_to(np.asarray(c.re, dtype=complex), (n, n)))
-                eps.append(np.broadcast_to(np.asarray(c.eps, dtype=complex),
-                                           (b_out, n, n)))
-            else:
-                res.append(np.asarray(c, dtype=complex))
-                eps.append(np.zeros((b_out, n, n), dtype=complex))
-        inner = Dual(np.stack(res)[:, None, :, :], np.stack(eps))
-        lifted.append(Dual(base, inner))
+    for f, q in enumerate(mats):
+        e = _atom_dirs(site, f, q)          # outer batch (s)
+        # inner batch (r) at the outer-perturbed point: axes (r, s, n, n)
+        lifted.append(Dual(Dual(q, e), Dual(e[:, None], _atom_dirs(site, f, e))))
     out = fn(lifted)
     if not isinstance(out, Dual):
-        return np.zeros(b_in, dtype=complex), np.zeros((b_in, b_out), dtype=complex)
+        return np.zeros(nrows, dtype=complex), np.zeros((nrows, nrows), dtype=complex)
     grad = out.eps
     if not isinstance(grad, Dual):
         raise AssertionError("nested dual structure was lost")
-    at_base = np.broadcast_to(np.asarray(grad.re), (b_in, 1))[:, 0].copy()
-    mixed = np.broadcast_to(np.asarray(grad.eps), (b_in, b_out)).copy()
+    at_base = np.broadcast_to(np.asarray(grad.re), (nrows, 1))[:, 0].copy()
+    mixed = np.broadcast_to(np.asarray(grad.eps), (nrows, nrows)).copy()
     return at_base, mixed
-
-
-def _slot_dirs(biv, mats, slot):
-    """All op(e_j) directions of the given slot, flattened over terms."""
-    model = biv.site.model
-    dirs = []
-    for t in biv.terms:
-        op = t.op1 if slot == 1 else t.op2
-        for b in model.basis:
-            dirs.append(Tangent(op_apply(op, mats, b)))
-    return dirs
 
 
 # The bracket of two functions pairs the bivector's antisymmetric tensor with
@@ -516,64 +459,23 @@ PAIR_WEIGHT = 2.0
 
 def bracket_funcs(biv, point, f1, f2):
     """Bracket {f1, f2} of two scalar functions at a point (full pairing)."""
-    model = biv.site.model
-    h = biv.site.pairing.require_upper()
-    mats = point.mats
-    d = model.d
-    g1 = _batched_l1(f1, mats, _slot_dirs(biv, mats, 1), biv.site.nfac, model.n)
-    g2 = _batched_l1(f2, mats, _slot_dirs(biv, mats, 2), biv.site.nfac, model.n)
-    val = 0.0
-    for t_idx, term in enumerate(biv.terms):
-        a = g1[t_idx * d:(t_idx + 1) * d]
-        b = g2[t_idx * d:(t_idx + 1) * d]
-        val = val + term.coef * (a @ h @ b)
-    return PAIR_WEIGHT * val
-
-
-def _double_bracket(biv, mats, fa, fb, fc):
-    """{{fa, fb}, fc} with the outer derivative taken exactly (nested duals)."""
-    model = biv.site.model
-    nfac, n, d = biv.site.nfac, model.n, model.d
-    h = biv.site.pairing.require_upper()
-
-    out_dirs = _slot_dirs(biv, mats, 1)        # outer differentiation directions
-    b_out = len(out_dirs)
-    out_eps = []
-    for i in range(nfac):
-        col = [t.comps[i] for t in out_dirs]
-        if all(c is None for c in col):
-            out_eps.append(None)
-        else:
-            out_eps.append(np.stack([np.asarray(c, dtype=complex) if c is not None
-                                     else _zeros_like_mat(n) for c in col]))
-    dual_mats = [mats[i] if out_eps[i] is None else Dual(mats[i], out_eps[i])
-                 for i in range(nfac)]
-
-    in1 = _slot_dirs(biv, dual_mats, 1)
-    in2 = _slot_dirs(biv, dual_mats, 2)
-    a_base, a_mix = _batched_l2(fa, mats, out_eps, in1, nfac, n, b_out)
-    b_base, b_mix = _batched_l2(fb, mats, out_eps, in2, nfac, n, b_out)
-
-    # derivative of the inner bracket along each outer direction
-    db = np.zeros(b_out, dtype=complex)
-    for t_idx, term in enumerate(biv.terms):
-        sl = slice(t_idx * d, (t_idx + 1) * d)
-        db += term.coef * (np.einsum("j,jk,ks->s", a_base[sl], h, b_mix[sl])
-                           + np.einsum("js,jk,k->s", a_mix[sl], h, b_base[sl]))
-
-    g3 = _batched_l1(fc, mats, _slot_dirs(biv, mats, 2), nfac, n)
-    val = 0.0
-    for t_idx, term in enumerate(biv.terms):
-        sl = slice(t_idx * d, (t_idx + 1) * d)
-        val = val + term.coef * (db[sl] @ h @ g3[sl])
-    # inner and outer bracket each carry the full-pairing weight
-    return PAIR_WEIGHT * PAIR_WEIGHT * val
+    m = biv._atom_tensor()
+    g1 = _atom_gradient(biv.site, point.mats, f1)
+    g2 = _atom_gradient(biv.site, point.mats, f2)
+    return PAIR_WEIGHT * (g1 @ m @ g2)
 
 
 def jacobiator(biv, point, f1, f2, f3):
-    """Cyclic sum {{f1,f2},f3} + {{f2,f3},f1} + {{f3,f1},f2}."""
-    mats = point.mats
+    """Cyclic sum {{f1,f2},f3} + {{f2,f3},f1} + {{f3,f1},f2}.
+
+    Each function is differentiated once, to second order along the atom
+    directions; the outer derivative of each inner bracket is exact.
+    """
+    m = biv._atom_tensor()
+    grads, mixed = zip(*(_atom_hessian(biv.site, point.mats, fn) for fn in (f1, f2, f3)))
     total = 0.0
-    for fa, fb, fc in ((f1, f2, f3), (f2, f3, f1), (f3, f1, f2)):
-        total = total + _double_bracket(biv, mats, fa, fb, fc)
-    return total
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        d_inner = mixed[a].T @ m @ grads[b] + mixed[b].T @ m.T @ grads[a]
+        total = total + d_inner @ m @ grads[c]
+    # inner and outer bracket each carry the full-pairing weight
+    return PAIR_WEIGHT * PAIR_WEIGHT * total

@@ -23,9 +23,9 @@ __all__ = [
     "Tangent",
     "TangentFrame",
     "parse_word",
-    "word_letters",
     "word_eval",
     "word_tangent",
+    "word_differentials",
     "maurer_cartan",
     "fund_tangent",
     "class_tangent_frame",
@@ -90,9 +90,6 @@ class Tangent:
     comps: list
     lifts: dict = field(default_factory=dict)   # factor index -> coeff vector
 
-    def component(self, i):
-        return self.comps[i]
-
 
 def parse_word(site, text):
     """Word string over factor letters; uppercase letters are inverses."""
@@ -104,10 +101,6 @@ def parse_word(site, text):
             raise BadSignature(f"letter {ch!r} outside this site")
         word.append((idx, 1 if ch == lower else -1))
     return tuple(word)
-
-
-def word_letters(word):
-    return sorted({f for f, _ in word})
 
 
 def word_eval(word, mats):
@@ -155,6 +148,22 @@ def word_tangent(word, mats, tangent):
         size = value(mats[0]).shape[-1]
         return np.zeros((size, size), dtype=complex)
     return out
+
+
+def word_differentials(frame, word):
+    """Trivialized differentials of a word on every frame vector at once.
+
+    Returns (left, right, g): g is the word value at the frame's point, and
+    left / right are the (frame.dim, d) algebra coefficients of g^{-1} dW(v_a)
+    and dW(v_a) g^{-1}.  NotInSpan when a row leaves the algebra.
+    """
+    model = frame.site.model
+    mats = frame.point.mats
+    g = word_eval(word, mats)
+    gi = np.linalg.inv(g)
+    dv = np.broadcast_to(word_tangent(word, mats, frame.stacked),
+                         (frame.dim, model.n, model.n))
+    return model.coeffs(gi @ dv), model.coeffs(dv @ gi), g
 
 
 def maurer_cartan(model, q, v, side="left", check=True):
@@ -242,6 +251,15 @@ class TangentFrame:
                     self._extract.append(umat.conj().T)
                 else:
                     self._extract.append(np.zeros((0, site.model.n ** 2)))
+        # all frame vectors as one batched tangent: per factor a (dim, n, n)
+        # stack, zero on the rows of the other factors' vectors
+        n = site.model.n
+        self.stacked = []
+        for i, vecs in enumerate(per_factor):
+            block = np.zeros((self.dim, n, n), dtype=complex)
+            if vecs:
+                block[self.offsets[i]:self.offsets[i] + len(vecs)] = vecs
+            self.stacked.append(block)
 
     def vector(self, a):
         """Frame vector a as a Tangent (with lift metadata on class factors)."""
@@ -260,22 +278,28 @@ class TangentFrame:
         return [self.vector(a) for a in range(self.dim)]
 
     def components(self, tangent, check=False, tol=1e-8):
-        """Frame components of an ambient tangent (list or Tangent)."""
+        """Frame components of an ambient tangent (list or Tangent).
+
+        Factor matrices may carry leading batch axes, the same on every
+        factor; the result keeps them, shape (..., dim).
+        """
         comps = tangent.comps if isinstance(tangent, Tangent) else tangent
-        out = np.zeros(self.dim, dtype=complex)
+        batch = next((np.shape(v)[:-2] for v in comps if v is not None), ())
+        out = np.zeros(batch + (self.dim,), dtype=complex)
         for i, vecs in enumerate(self.per_factor):
             v = comps[i]
             if v is None or not vecs:
                 continue
-            flat = np.asarray(v, dtype=complex).reshape(-1)
-            c = self._extract[i] @ flat
+            v = np.asarray(v, dtype=complex)
+            flat = v.reshape(v.shape[:-2] + (-1,))
+            c = (self._extract[i] @ flat[..., None])[..., 0]
             if check and self.site.factors[i].kind == "class":
                 umat = np.stack([w.reshape(-1) for w in vecs], axis=1)
-                resid = np.linalg.norm(umat @ c - flat)
-                if resid > tol * (1 + np.linalg.norm(flat)):
-                    raise NotTangent(
-                        f"vector not tangent to class factor {i} (residual {resid:.3e})")
-            out[self.offsets[i]:self.offsets[i] + len(vecs)] += c
+                resid = np.linalg.norm((umat @ c[..., None])[..., 0] - flat, axis=-1)
+                if np.any(resid > tol * (1 + np.linalg.norm(flat, axis=-1))):
+                    raise NotTangent(f"vector not tangent to class factor {i} "
+                                     f"(residual {np.max(resid):.3e})")
+            out[..., self.offsets[i]:self.offsets[i] + len(vecs)] += c
         return out
 
     def assemble(self, coeffs):
@@ -291,20 +315,6 @@ class TangentFrame:
                 acc = term if acc is None else acc + term
             comps[i] = acc
         return Tangent(comps)
-
-    def lift_of(self, tangent, i, tol=1e-8):
-        """Algebra lift X with q X - X q equal to the tangent's factor-i part."""
-        if isinstance(tangent, Tangent) and i in tangent.lifts:
-            return tangent.lifts[i]
-        q = self.point.mats[i]
-        model = self.site.model
-        cols = [(q @ b - b @ q).reshape(-1) for b in model.basis]
-        fmat = np.stack(cols, axis=1)
-        flat = np.asarray(tangent.comps[i], dtype=complex).reshape(-1)
-        c, *_ = np.linalg.lstsq(fmat, flat, rcond=None)
-        if np.linalg.norm(fmat @ c - flat) > tol * (1 + np.linalg.norm(flat)):
-            raise LiftFailed("tangent is not a conjugation direction")
-        return c
 
 
 def site_frame(site, point):

@@ -26,7 +26,6 @@ __all__ = [
     "build_lie_algebra",
     "trace_pairing",
     "pairing_from_lower",
-    "pairing_from_upper",
     "adjoint_coeffs",
     "adjoint_matrix",
     "ad_invariance_residual",
@@ -52,19 +51,25 @@ class LieAlgebraModel:
         self.d = len(basis)
 
     def coeffs(self, mat, check=True, tol=_SPAN_TOL):
-        """Expand an n-by-n matrix in the basis; guard the span residual."""
-        flat = np.asarray(mat, dtype=complex).reshape(-1)
-        c = self.basis_pinv @ flat
+        """Expand n-by-n matrices (leading batch axes allowed) in the basis;
+        guard the span residual."""
+        mat = np.asarray(mat, dtype=complex)
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        # a stack of matrix-vector products rounds like the unbatched one
+        c = (self.basis_pinv @ flat[..., None])[..., 0]
         if check:
-            resid = np.linalg.norm(self.basis_mat @ c - flat)
-            scale = 1.0 + np.linalg.norm(flat)
-            if resid > tol * scale:
-                raise NotInSpan(f"matrix outside algebra span (residual {resid:.3e})")
+            resid = np.linalg.norm((self.basis_mat @ c[..., None])[..., 0] - flat,
+                                   axis=-1)
+            scale = 1.0 + np.linalg.norm(flat, axis=-1)
+            if np.any(resid > tol * scale):
+                raise NotInSpan(f"matrix outside algebra span "
+                                f"(residual {np.max(resid):.3e})")
         return c
 
     def from_coeffs(self, c):
+        """Matrix of a coefficient vector; leading batch axes are kept."""
         c = np.asarray(c, dtype=complex)
-        return np.einsum("j,jab->ab", c, np.stack(self.basis))
+        return np.einsum("...j,jab->...ab", c, np.stack(self.basis))
 
     def bracket_coeffs(self, x, y):
         """Structure-constant bracket of two coefficient vectors."""
@@ -152,16 +157,6 @@ class PairingData:
                 "eta_lower / eta_upper)")
         return self.eta_lower, self.eta_upper
 
-    def pair(self, x, y):
-        """x • y on coefficient vectors (requires eta_lower)."""
-        return x @ self.eta_lower @ y
-
-    def psi_lower(self, x):
-        return self.eta_lower @ x
-
-    def psi_upper(self, alpha):
-        return self.eta_upper @ alpha
-
     def lower_inverse(self):
         """Inverse of eta_lower; DegeneratePairing when singular."""
         if self.eta_lower is None:
@@ -185,9 +180,7 @@ def trace_pairing(model, scale=1.0):
     for j in range(d):
         for k in range(d):
             s[j, k] = scale * np.trace(model.basis[j] @ model.basis[k])
-    sv = np.linalg.svd(s, compute_uv=False)
-    upper = np.linalg.inv(s) if sv[-1] > 1e-10 * sv[0] else None
-    return PairingData(eta_lower=s, eta_upper=upper)
+    return pairing_from_lower(s)
 
 
 def pairing_from_lower(eta_lower):
@@ -195,13 +188,6 @@ def pairing_from_lower(eta_lower):
     sv = np.linalg.svd(s, compute_uv=False)
     upper = np.linalg.inv(s) if sv[-1] > 1e-10 * sv[0] else None
     return PairingData(eta_lower=s, eta_upper=upper)
-
-
-def pairing_from_upper(eta_upper):
-    h = np.asarray(eta_upper, dtype=complex)
-    sv = np.linalg.svd(h, compute_uv=False)
-    lower = np.linalg.inv(h) if sv[-1] > 1e-10 * sv[0] else None
-    return PairingData(eta_lower=lower, eta_upper=h)
 
 
 def adjoint_coeffs(model, q, x_coeffs):
@@ -262,13 +248,6 @@ class ChiBlocks:
 
     block_12: np.ndarray   # coefficient of e1_j (x) e2_k
     block_21: np.ndarray   # coefficient of e2_k (x) e1_j
-
-    def full(self):
-        d = self.block_12.shape[0]
-        m = np.zeros((2 * d, 2 * d), dtype=complex)
-        m[:d, d:] = self.block_12
-        m[d:, :d] = self.block_21
-        return m
 
 
 def chi2(model, pairing):

@@ -97,13 +97,6 @@ def sl2_abelian():
     return model, PairingData(eta_lower=lower, eta_upper=upper)
 
 
-_FAMILIES = {
-    "SL": {2: sl2, 3: sl3},
-    "GL": {2: gl2},
-    "abelian": {1: lambda: abelian(1), 2: lambda: abelian(2)},
-}
-
-
 def model_from_config(spec):
     """Build (model, pairing) from a config mapping.
 

@@ -9,14 +9,13 @@ quasi-closedness, and equivariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .duals import Dual, dtrace
 from .errors import (
     BadSignature,
-    DegeneratePairing,
     IncompatibleActions,
     NotEpimorphism,
     NotTangent,
@@ -39,13 +38,11 @@ from .fields import (
 from .groupgeom import (
     Factor,
     Site,
-    SitePoint,
     Tangent,
     conjugate_point,
     dual_lift,
-    fund_tangent,
     parse_word,
-    random_point,
+    word_differentials,
     word_eval,
     word_tangent,
 )
@@ -176,7 +173,6 @@ def _word_concat(w1, w2):
 
 def fuse_bivector(site, biv, comp1, comp2):
     """Fuse two action components: subtract chi and multiply the words."""
-    shared = set(f for _, _, f in comp1.action) & set(f for _, _, f in comp2.action)
     if comp1 is comp2:
         raise IncompatibleActions("cannot fuse a component with itself")
     fused = biv + _chi_bivector(site, comp1.action, comp2.action).scaled(-1.0)
@@ -275,24 +271,10 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
 # frame-level data shared by the residual computations
 # ---------------------------------------------------------------------------
 
-def _dphi_matrix(site, point, frame, word):
-    """Rows: left-trivialized components of the word-derivative of frame
-    vectors; shape (frame.dim, d)."""
-    model = site.model
-    g0 = word_eval(word, point.mats)
-    gi = np.linalg.inv(g0)
-    rows = []
-    for a in range(frame.dim):
-        dv = word_tangent(word, point.mats, frame.vector(a))
-        rows.append(model.coeffs(gi @ dv))
-    return np.stack(rows), g0
-
-
 def _action_columns(site, point, frame, action):
     """Frame components of the action on each basis element; (frame.dim, d)."""
-    cols = [frame.components(op_apply(action, point.mats, b))
-            for b in site.model.basis]
-    return np.stack(cols, axis=1)
+    basis = np.stack(site.model.basis)
+    return frame.components(op_apply(action, point.mats, basis)).T
 
 
 def _fund_lift_tangent(site, point, comp, x_coeffs):
@@ -320,7 +302,7 @@ def momentum_residual(desc, point, mode):
         h = site.pairing.require_upper()
         pmat = desc.bivector.frame_matrix(point, frame)
         for comp in desc.momentum:
-            dw, g0 = _dphi_matrix(site, point, frame, comp.word)
+            dw, _, g0 = word_differentials(frame, comp.word)
             ainv = adjoint_matrix(model, np.linalg.inv(g0))
             fund_cols = _action_columns(site, point, frame, comp.action)
             for j in range(model.d):
@@ -332,15 +314,12 @@ def momentum_residual(desc, point, mode):
         smat = site.pairing.eta_lower
         vecs = frame.vectors()
         for comp in desc.momentum:
-            g0 = word_eval(comp.word, point.mats)
-            gi = np.linalg.inv(g0)
+            left, right, _ = word_differentials(frame, comp.word)
             for j in range(model.d):
                 xc = np.eye(model.d)[j]
                 ft = _fund_lift_tangent(site, point, comp, xc)
-                for v in vecs:
+                for v, wsum in zip(vecs, left + right):
                     lhs = desc.form.evaluate(point.mats, ft, v)
-                    dv = word_tangent(comp.word, point.mats, v)
-                    wsum = model.coeffs(gi @ dv) + model.coeffs(dv @ gi)
                     rhs = 0.5 * (xc @ smat @ wsum)
                     worst = max(worst, float(abs(lhs - rhs)))
     else:
@@ -386,18 +365,13 @@ def momentum_pullback_residual(desc, point, fn):
 
 def rho_matrix(desc, point, frame=None):
     """Frame matrix of the composite action((L^-1 - R^-1) dPhi)."""
-    site = desc.site
-    model = site.model
+    model = desc.site.model
     frame = frame or point.frame()
     out = np.zeros((frame.dim, frame.dim), dtype=complex)
     for comp in desc.momentum:
-        g0 = word_eval(comp.word, point.mats)
-        gi = np.linalg.inv(g0)
-        for a in range(frame.dim):
-            dv = word_tangent(comp.word, point.mats, frame.vector(a))
-            x = model.coeffs(gi @ dv) - model.coeffs(dv @ gi)
-            img = op_apply(comp.action, point.mats, model.from_coeffs(x))
-            out[:, a] += frame.components(img)
+        left, right, _ = word_differentials(frame, comp.word)
+        img = op_apply(comp.action, point.mats, model.from_coeffs(left - right))
+        out += frame.components(img).T
     return out
 
 
@@ -440,7 +414,7 @@ def reconstruct_dual(desc, point, direction):
 
     dws, ainvs, ads, funds = [], [], [], []
     for comp in comps:
-        dw, g0 = _dphi_matrix(site, point, frame, comp.word)
+        dw, _, g0 = word_differentials(frame, comp.word)
         dws.append(dw)
         ainvs.append(adjoint_matrix(model, np.linalg.inv(g0)))
         ads.append(adjoint_matrix(model, g0))
@@ -495,7 +469,7 @@ def nondegeneracy_check(desc, point, mode):
     nfr = frame.dim
     dws = []
     for comp in desc.momentum:
-        dw, _ = _dphi_matrix(site, point, frame, comp.word)
+        dw, _, _ = word_differentials(frame, comp.word)
         dws.append(dw)
     dphi_stack = np.concatenate([dw.T for dw in dws], axis=0)  # (md, N)
 
@@ -686,11 +660,7 @@ def restrict_to_class(biv, point, factor, tol=1e-8):
         raise BadSignature("restriction target must be a class factor")
     frame = point.frame()
     n = site.model.n
-    blocks = biv.ambient_blocks(point)
-    nn = site.nfac * n * n
-    pamb = np.zeros((nn, nn), dtype=complex)
-    for coef, v1, v2 in blocks:
-        pamb += coef * (v1 @ site.pairing.require_upper() @ v2.T)
+    pamb = biv.ambient_matrix(point)
     # sharp image lives in the row space of pamb^T; project factor block
     vecs = frame.per_factor[factor]
     if vecs:

@@ -1,6 +1,8 @@
 """Batch driver: config handling, report determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,34 @@ def test_invalid_json_names_position(tmp_path):
                      "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
     assert "line" in result.stderr
+
+
+def test_minus_identity_refused_outside_group(tmp_path):
+    sl3 = {"group": {"family": "SL", "n": 3}, "targets": ["minus_identity"]}
+    cfg = write_cfg(tmp_path, sl3)
+    result = invoke(["sample", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert "targets[0]" in result.stderr
+    setup = build_setup(torus_cfg(targets=["identity", "minus_identity"]))
+    assert np.allclose(setup.targets[1][1], -np.eye(2))
+
+
+def test_readme_config_and_class_rep_literal_accepted():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    build_setup(cfg)
+    literal = json.loads(re.search(r"`(\[\[\[.*?\]\]\])`", text).group(1))
+    setup = build_setup(dict(cfg, site={"genus": 1, "class_reps": [literal]}))
+    assert np.allclose(setup.class_reps[0], np.diag([2.0, 0.5]))
+
+
+def test_jobs_is_a_verify_option_only(tmp_path):
+    cfg = write_cfg(tmp_path, torus_cfg(samples=1))
+    result = invoke(["bracket", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json"), "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "--jobs" in result.stderr
 
 
 def test_unknown_check_id_rejected():

@@ -13,7 +13,6 @@ from qpois.fields import (
     bracket_funcs,
     dual_vdot,
     eval_lambda,
-    eval_phiM,
     exterior_d3,
     jacobiator,
     op_L,
@@ -34,6 +33,7 @@ from qpois.groupgeom import (
     random_point,
     word_eval,
 )
+from qpois.quasi import assemble_surface_site
 
 
 def rand_mat(rng, n=2):
@@ -220,6 +220,72 @@ def test_bivector_frame_matrix_antisymmetric():
     assert np.abs(biv.frame_matrix(ip)).max() < 1e-13
 
 
+def _random_op(rng, nfac):
+    """Random combination of one to three translation atoms."""
+    picks = rng.choice(2 * nfac, size=int(rng.integers(1, 4)), replace=False)
+    return tuple((complex(*rng.standard_normal(2)), "LR"[k % 2], int(k // 2))
+                 for k in picks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bivector_frame_matrix_matches_term_contraction(seed):
+    """K-based frame matrix equals sum coef * C1 H C2^T over the given terms,
+    antisymmetric or not, on a site with group and class factors."""
+    model, pairing = models.sl2()
+    site = Site(model, pairing, [Factor("group"), Factor("group"),
+                                 Factor("class", np.diag([2.0, 0.5]))])
+    rng = np.random.default_rng(seed)
+    terms = [(complex(*rng.standard_normal(2)), _random_op(rng, site.nfac),
+              _random_op(rng, site.nfac)) for _ in range(5)]
+    p = random_point(site, rng)
+    frame = p.frame()
+    h = pairing.eta_upper
+
+    def cols(op):
+        return np.stack([frame.components(op_apply(op, p.mats, b))
+                         for b in model.basis], axis=1)
+
+    ref = sum(c * (cols(o1) @ h @ cols(o2).T) for c, o1, o2 in terms)
+    got = Bivector(site, terms).frame_matrix(p)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+SURFACES = {
+    "sl2-g1": (models.sl2, 1, []),
+    "sl2-g2": (models.sl2, 2, []),
+    "sl2-g3": (models.sl2, 3, []),
+    "sl2-g1-2punct": (models.sl2, 1, [np.diag([2.0, 0.5]),
+                                      np.diag([3.0, 1.0 / 3.0])]),
+    "sl3-g1": (models.sl3, 1, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_form_frame_matrix_matches_pairwise_evaluate(name):
+    build, genus, reps = SURFACES[name]
+    model, pairing = build()
+    site, _, qh = assemble_surface_site(model, pairing, genus, reps)
+    p = random_point(site, np.random.default_rng(13))
+    frame = p.frame()
+    vecs = frame.vectors()
+    ref = np.zeros((frame.dim, frame.dim), dtype=complex)
+    for a in range(frame.dim):
+        for b in range(a + 1, frame.dim):
+            ref[a, b] = qh.form.evaluate(p.mats, vecs[a], vecs[b])
+            ref[b, a] = -ref[a, b]
+    got = qh.form.frame_matrix(p, frame)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_bivector_storage_fixed_by_site():
+    """Fusion updates the atom matrix in place of growing a term list."""
+    model, pairing = models.sl2()
+    for genus in (1, 2, 3):
+        site, qp, _ = assemble_surface_site(model, pairing, genus, [])
+        assert qp.bivector.kmat.shape == (2 * site.nfac, 2 * site.nfac)
+        assert site.nfac == 2 * genus
+
+
 def test_op_apply_and_fund():
     site = sl2_two_group()
     rng = np.random.default_rng(9)
@@ -233,8 +299,9 @@ def test_op_apply_and_fund():
 def test_bracket_funcs_against_componentwise():
     site = sl2_two_group()
     model = site.model
-    biv = Bivector(site, [(0.5, op_R(0), op_L(0)), (-0.5, op_L(0), op_R(0)),
-                          (0.25, op_L(1), op_R(0))])
+    terms = [(0.5, op_R(0), op_L(0)), (-0.5, op_L(0), op_R(0)),
+             (0.25, op_L(1), op_R(0))]
+    biv = Bivector(site, terms)
     rng = np.random.default_rng(10)
     p = random_point(site, rng)
 
@@ -249,14 +316,14 @@ def test_bracket_funcs_against_componentwise():
     from qpois.groupgeom import dual_lift
     h = site.pairing.eta_upper
     slow = 0.0
-    for term in biv.terms:
+    for coef, op1, op2 in terms:
         for j, bj in enumerate(model.basis):
-            d1 = dual_lift(f1, p, Tangent(op_apply(term.op1, p.mats, bj)))
+            d1 = dual_lift(f1, p, Tangent(op_apply(op1, p.mats, bj)))
             for k, bk in enumerate(model.basis):
                 if h[j, k] == 0:
                     continue
-                d2 = dual_lift(f2, p, Tangent(op_apply(term.op2, p.mats, bk)))
-                slow += term.coef * h[j, k] * d1 * d2
+                d2 = dual_lift(f2, p, Tangent(op_apply(op2, p.mats, bk)))
+                slow += coef * h[j, k] * d1 * d2
     # the function bracket pairs the tensor with both slot orders of df1, df2
     assert abs(fast - 2.0 * slow) < 1e-10
 
@@ -264,7 +331,8 @@ def test_bracket_funcs_against_componentwise():
 def test_jacobiator_against_finite_differences():
     site = sl2_two_group()
     model = site.model
-    biv = Bivector(site, [(0.5, op_R(0), op_L(1)), (-0.5, op_L(1), op_R(0))])
+    terms = [(0.5, op_R(0), op_L(1)), (-0.5, op_L(1), op_R(0))]
+    biv = Bivector(site, terms)
     rng = np.random.default_rng(11)
     p = random_point(site, rng)
 
@@ -283,9 +351,9 @@ def test_jacobiator_against_finite_differences():
 
     def double(fa, fb, fc):
         dirs = []
-        for term in biv.terms:
+        for _, op1, _ in terms:
             for bj in model.basis:
-                dirs.append(op_apply(term.op1, p.mats, bj))
+                dirs.append(op_apply(op1, p.mats, bj))
         dbr = []
         for comps in dirs:
             plus = [q + step * (c if c is not None else 0) for q, c in zip(p.mats, comps)]
@@ -293,31 +361,16 @@ def test_jacobiator_against_finite_differences():
             dbr.append((bracket_at(plus, fa, fb) - bracket_at(minus, fa, fb)) / (2 * step))
         from qpois.groupgeom import dual_lift
         val = 0.0
-        for t_idx, term in enumerate(biv.terms):
+        for t_idx, (coef, _, op2) in enumerate(terms):
             for j in range(d):
                 for k in range(d):
                     if h[j, k] == 0:
                         continue
-                    d2 = dual_lift(fc, p, Tangent(op_apply(term.op2, p.mats, model.basis[k])))
-                    val += term.coef * h[j, k] * dbr[t_idx * d + j] * d2
+                    d2 = dual_lift(fc, p, Tangent(op_apply(op2, p.mats, model.basis[k])))
+                    val += coef * h[j, k] * dbr[t_idx * d + j] * d2
         # outer bracket layer carries the same both-orders pairing weight
         return 2.0 * val
 
     fd = (double(fns[0], fns[1], fns[2]) + double(fns[1], fns[2], fns[0])
           + double(fns[2], fns[0], fns[1]))
     assert abs(exact - fd) < 1e-4 * (1 + abs(exact))
-
-
-def test_eval_phiM_identity_zero_and_linear():
-    model, pairing = models.sl2()
-    site = Site(model, pairing, [Factor("group")])
-    from qpois.liealg import cartan3
-    phi = cartan3(model, pairing)
-    ip = SitePoint(site, [np.eye(2)])
-    rng = np.random.default_rng(12)
-    a, b, c = (rng.standard_normal(3) for _ in range(3))
-    assert abs(eval_phiM(site, ip, phi, a, b, c)) < 1e-13
-    p = random_point(site, rng)
-    v = eval_phiM(site, p, phi, a, b, c)
-    v2 = eval_phiM(site, p, phi, 2 * a, b, c)
-    assert abs(v2 - 2 * v) < 1e-12

@@ -21,6 +21,7 @@ from qpois.quasi import (
     class_descriptors,
     double_descriptors,
     equivariance_residual,
+    eval_phi_actions,
     fuse_bivector,
     internally_fused,
     jacobiator_vs_phi,
@@ -90,6 +91,20 @@ def test_pg_jacobiator_vs_phi():
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
         assert jacobiator_vs_phi(desc, p, fns) <= 1e-9
+
+
+def test_eval_phi_actions_identity_zero_and_linear():
+    site = group_site(1)
+    desc = pg_descriptor(site)
+    phi = cartan3(site.model, site.pairing)
+    ip = SitePoint(site, [np.eye(2)])
+    rng = np.random.default_rng(12)
+    a, b, c = (rng.standard_normal(3) for _ in range(3))
+    assert abs(eval_phi_actions(desc, ip, phi, a, b, c)) < 1e-13
+    p = random_point(site, rng)
+    v = eval_phi_actions(desc, p, phi, a, b, c)
+    v2 = eval_phi_actions(desc, p, phi, 2 * a, b, c)
+    assert abs(v2 - 2 * v) < 1e-12
 
 
 def test_double_momentum_both_components():
