@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import dexpm, dtrace
+from .duals import Dual, dexpm, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, jacobiator
 from .groupgeom import (
     SitePoint,
     conjugate_point,
-    dual_lift,
     parse_word,
     random_point,
     word_eval,
@@ -73,12 +72,13 @@ def invariance_residual(fn, point, rng, probes=4, scale=0.35):
 
 
 def differential(point, fn, frame=None):
-    """Frame components of df at the point."""
+    """Frame components of df at the point, from one Dual evaluation that
+    carries every frame vector as a batch of perturbations."""
     frame = frame or point.frame()
-    out = np.zeros(frame.dim, dtype=complex)
-    for a in range(frame.dim):
-        out[a] = dual_lift(fn, point, frame.vector(a))
-    return out
+    out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
+    if not isinstance(out, Dual):
+        return np.zeros(frame.dim, dtype=complex)
+    return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)
 
 
 def bracket(biv, f, h, point):

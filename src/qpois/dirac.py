@@ -13,10 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSignature, RankDeficient
-from .fields import op_apply
-from .groupgeom import word_differentials
+from .groupgeom import word_eval
 from .liealg import adjoint_matrix
-from .quasi import momentum_residual
+from .quasi import (
+    _RANK_TOL,
+    component_linear,
+    intersection_dim,
+    momentum_residual,
+    nullspace,
+)
 
 __all__ = [
     "SplitVector",
@@ -35,7 +40,6 @@ __all__ = [
     "prop_tech_chain",
 ]
 
-_RANK_TOL = 1e-8
 _ISO_TOL = 1e-10
 
 
@@ -118,21 +122,18 @@ def graph_subspace(mat, kind):
     return LagrangianSubspace.from_columns(cols, n)
 
 
-def _word_site_data(site, point, word):
-    """dphi (d x N), adjoint matrices and the frame at a word's value."""
-    frame = point.frame()
-    dw, _, g0 = word_differentials(frame, word)
-    model = site.model
-    a_mat = adjoint_matrix(model, g0)
-    a_inv = adjoint_matrix(model, np.linalg.inv(g0))
-    return frame, dw.T, a_mat, a_inv, g0
+def _word_adjoints(site, point, word):
+    """Ad and Ad^-1 at a word's value."""
+    g = word_eval(word, point.mats)
+    return (adjoint_matrix(site.model, g),
+            adjoint_matrix(site.model, np.linalg.inv(g)))
 
 
 def cartan_dirac_fibers(site, point, word):
     """The two generating fibers of the canonical splitting pulled back
     through a word, in left-trivialized coordinates at the word value."""
     s_low, _ = site.pairing.require_invertible()
-    _, _, a_mat, a_inv, _ = _word_site_data(site, point, word)
+    a_mat, a_inv = _word_adjoints(site, point, word)
     d = site.model.d
     eye = np.eye(d)
     e_cols = np.concatenate([eye - a_inv, 0.5 * (eye + a_mat.T) @ s_low],
@@ -148,7 +149,7 @@ def projections_pq(site, point, word):
     """The complementary block projections onto the two canonical fibers,
     in left-trivialized coordinates at the word value (2d x 2d each)."""
     s_low, h_up = site.pairing.require_invertible()
-    _, _, a_mat, a_inv, _ = _word_site_data(site, point, word)
+    a_mat, a_inv = _word_adjoints(site, point, word)
     d = site.model.d
     eye = np.eye(d)
     lm, lp = eye - a_inv, eye + a_inv        # (L - R), (L + R)
@@ -164,17 +165,6 @@ def projections_pq(site, point, word):
         [0.125 * lmi @ s_low @ lpv, 0.25 * lmi @ lms],
     ])
     return p, q
-
-
-def _nullspace(mat, tol=_RANK_TOL):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    u, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    if sv.size == 0:
-        return vh.conj().T
-    r = int(np.sum(sv > tol * max(sv[0], 1e-300)))
-    return vh[r:].conj().T
 
 
 def transport_image(subspace, dphi, smat, direction, half_target=None):
@@ -200,7 +190,7 @@ def transport_image(subspace, dphi, smat, direction, half_target=None):
             [np.eye(n1), np.zeros((n1, n2)), -basis[:n1, :]],
             [-sflat, dphi.T, -basis[n1:, :]],
         ])
-        sols = _nullspace(sys)
+        sols = nullspace(sys)
         vs = sols[:n1, :]
         als = sols[n1:n1 + n2, :]
         cols = np.concatenate([dphi @ vs, als], axis=0)
@@ -213,7 +203,7 @@ def transport_image(subspace, dphi, smat, direction, half_target=None):
             [dphi, np.zeros((n2, n2)), -basis[:n2, :]],
             [np.zeros((n2, n1)), np.eye(n2), -basis[n2:, :]],
         ])
-        sols = _nullspace(sys)
+        sols = nullspace(sys)
         vs = sols[:n1, :]
         bes = sols[n1:n1 + n2, :]
         cols = np.concatenate([vs, dphi.T @ bes - sflat @ vs], axis=0)
@@ -229,20 +219,9 @@ def kernel_phi_sigma(dphi, smat):
     n1 = dphi.shape[1]
     sflat = (np.zeros((n1, n1), dtype=complex) if smat is None
              else np.asarray(smat, dtype=complex).T)
-    null = _nullspace(dphi)
+    null = nullspace(dphi)
     cols = np.concatenate([null, -sflat @ null], axis=0)
     return orthonormal_columns(cols)
-
-
-def intersection_dim(cols_a, cols_b, tol=_RANK_TOL):
-    """dim of the intersection of two spans given by orthonormal columns."""
-    ra, rb = cols_a.shape[1], cols_b.shape[1]
-    if ra == 0 or rb == 0:
-        return 0
-    stacked = np.concatenate([cols_a, cols_b], axis=1)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(sv > tol * max(sv[0], 1e-300)))
-    return ra + rb - rank
 
 
 def subspace_equal(sub_a, sub_b, tol=_RANK_TOL):
@@ -289,16 +268,15 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
     frame = point.frame()
     nfr = frame.dim
     comp = qh.momentum[component]
-    dw, _, g0 = word_differentials(frame, comp.word)
-    dphi = dw.T
+    dphi = component_linear(site, point, frame, comp).left.T
     smat = qh.form.frame_matrix(point, frame)
     sflat = smat.T
     e_fib, f_fib = cartan_dirac_fibers(site, point, comp.word)
 
     # (a) momentum law + ker(sigma-flat) cap ker(dphi) = 0
     resid = momentum_residual(qh, point, "twoform")
-    ker_s = _nullspace(sflat)
-    ker_d = _nullspace(dphi)
+    ker_s = nullspace(sflat)
+    ker_d = nullspace(dphi)
     a_bool = bool(resid <= mom_tol
                   and intersection_dim(ker_s, ker_d, tol) == 0)
 
@@ -334,27 +312,17 @@ def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
     """Rank certificates for the kernel chain of one momentum component:
     the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and the word
     differential maps ker(sigma-flat) onto ker(Id + Ad)."""
-    site = qh.site
-    model = site.model
     frame = point.frame()
-    comp = qh.momentum[component]
-    dw, _, g0 = word_differentials(frame, comp.word)
-    dphi = dw.T
-    smat = qh.form.frame_matrix(point, frame)
-    sflat = smat.T
-    a_mat = adjoint_matrix(model, g0)
-    a_inv = adjoint_matrix(model, np.linalg.inv(g0))
-    d = model.d
+    lin = component_linear(qh.site, point, frame, qh.momentum[component])
+    dphi = lin.left.T
+    sflat = qh.form.frame_matrix(point, frame).T
+    d = qh.site.model.d
 
-    k1 = _nullspace(np.eye(d) + a_inv)          # algebra-side kernel
-    fund_cols = np.zeros((frame.dim, k1.shape[1]), dtype=complex)
-    for j in range(k1.shape[1]):
-        x = model.from_coeffs(k1[:, j])
-        img = op_apply(comp.action, point.mats, x)
-        fund_cols[:, j] = frame.components(img)
+    k1 = nullspace(np.eye(d) + lin.ad_inv)      # algebra-side kernel
+    fund_cols = lin.action @ k1
 
-    ker_sigma = _nullspace(sflat)
-    ker_target = _nullspace(np.eye(d) + a_mat)  # ker(L^-1 + R^-1)
+    ker_sigma = nullspace(sflat)
+    ker_target = nullspace(np.eye(d) + lin.ad)  # ker(L^-1 + R^-1)
 
     # monomorphism into ker(sigma-flat)
     mono_rank = int(np.linalg.matrix_rank(fund_cols, tol)) \

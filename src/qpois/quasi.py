@@ -5,6 +5,15 @@ internal fusion, conjugacy-class pairs, and genus-(l)/puncture-(n) surface
 sites; and it measures the residuals of the defining laws: momentum
 conditions in both modes, duality, reconstruction, non-degeneracy ranks,
 quasi-closedness, and equivariance.
+
+At a point, each momentum component is linearized once
+(`component_linear`): its word value g, the (N, d) left and right
+trivialized word differentials L and R over the N frame vectors, Ad_g and
+Ad_g^-1, and the (N, d) action columns A.  Together with the bivector and
+2-form frame matrices P and Sigma, the frame-level laws are matrix
+identities on this data: 2 P^T L = A H (I + Ad^-T) and
+A^T Sigma = (1/2) S (L + R)^T for the momentum laws, rho = sum A (L - R)^T,
+and reconstruction as (M pinv)^T for one matrix M of the same blocks.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charvar import differential
 from .duals import Dual, dtrace
 from .errors import (
     BadSignature,
@@ -40,7 +50,6 @@ from .groupgeom import (
     Site,
     Tangent,
     conjugate_point,
-    dual_lift,
     parse_word,
     word_differentials,
     word_eval,
@@ -50,6 +59,10 @@ from .liealg import adjoint_matrix, cartan3
 
 __all__ = [
     "MomentumComponent",
+    "ComponentLinear",
+    "component_linear",
+    "nullspace",
+    "intersection_dim",
     "QuasiPoissonDescriptor",
     "QuasiHamiltonianDescriptor",
     "pg_descriptor",
@@ -271,60 +284,90 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
 # frame-level data shared by the residual computations
 # ---------------------------------------------------------------------------
 
-def _action_columns(site, point, frame, action):
-    """Frame components of the action on each basis element; (frame.dim, d)."""
-    basis = np.stack(site.model.basis)
-    return frame.components(op_apply(action, point.mats, basis)).T
+_RANK_TOL = 1e-8
 
 
-def _fund_lift_tangent(site, point, comp, x_coeffs):
-    """Tangent of an action component with class lifts where applicable."""
-    x = site.model.from_coeffs(x_coeffs)
-    comps = op_apply(comp.action, point.mats, x)
-    lifts = {f: np.asarray(x_coeffs, dtype=complex) for f in comp.lift_factors
-             if site.factors[f].kind == "class"}
-    return Tangent(comps, lifts)
+def nullspace(mat, tol=_RANK_TOL):
+    """Orthonormal columns spanning the kernel, rank cut at tol * largest sv."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape[0] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, sv, vh = np.linalg.svd(mat, full_matrices=True)
+    r = int(np.sum(sv > tol * max(sv[0], 1e-300))) if sv.size else 0
+    return vh[r:].conj().T
+
+
+def intersection_dim(cols_a, cols_b, tol=_RANK_TOL):
+    """dim of the intersection of two spans given by orthonormal columns."""
+    ra, rb = cols_a.shape[1], cols_b.shape[1]
+    if ra == 0 or rb == 0:
+        return 0
+    sv = np.linalg.svd(np.concatenate([cols_a, cols_b], axis=1), compute_uv=False)
+    return ra + rb - int(np.sum(sv > tol * max(sv[0], 1e-300)))
+
+
+@dataclass
+class ComponentLinear:
+    """Linear data of one momentum component at a point, in frame coordinates.
+
+    left / right are the (N, d) coefficients of g^-1 dW(v_a) and dW(v_a) g^-1
+    over the frame vectors v_a; action is the (N, d) matrix whose column j is
+    the frame components of the action of the basis element e_j.
+    """
+
+    g: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    ad: np.ndarray
+    ad_inv: np.ndarray
+    action: np.ndarray
+
+
+def component_linear(site, point, frame, comp):
+    """The word value, word differentials, Ad, Ad^-1 and action columns of one
+    momentum component at a point."""
+    model = site.model
+    left, right, g = word_differentials(frame, comp.word)
+    action = frame.components(op_apply(comp.action, point.mats,
+                                       np.stack(model.basis))).T
+    return ComponentLinear(g, left, right, adjoint_matrix(model, g),
+                           adjoint_matrix(model, np.linalg.inv(g)), action)
+
+
+def _linears(desc, point, frame):
+    return [component_linear(desc.site, point, frame, c) for c in desc.momentum]
+
+
+def _bivector_momentum_rhs(lin, h_up):
+    """A H (I + Ad^-T): the action side of the bivector momentum law."""
+    return lin.action @ h_up @ (np.eye(len(h_up)) + lin.ad_inv.T)
 
 
 def momentum_residual(desc, point, mode):
-    """Deviation from the momentum law, by mode.
+    """Deviation from the momentum law, by mode, as a matrix identity per
+    component over the frame (N) and the algebra basis (d).
 
-    bivector: max over components and basis covectors of
-      || 2 P#((dPhi)* beta) - action(psi_H((L* + R*) beta)) ||;
-    twoform: max over components, basis X, and frame vectors of
-      | sigma(action(X), v) - (1/2) X . ((omega + omegabar)(dPhi v)) |.
+    bivector: max | 2 P^T L - A H (I + Ad^-T) |, the covector form of
+      2 P#((dPhi)* beta) = action(psi_H((L* + R*) beta));
+    twoform: max | A^T Sigma - (1/2) S (L + R)^T |, the frame form of
+      sigma(action(X), v) = (1/2) X . ((omega + omegabar)(dPhi v)).
     """
     site = desc.site
-    model = site.model
     frame = point.frame()
-    worst = 0.0
+    lins = _linears(desc, point, frame)
     if mode == "bivector":
         h = site.pairing.require_upper()
         pmat = desc.bivector.frame_matrix(point, frame)
-        for comp in desc.momentum:
-            dw, _, g0 = word_differentials(frame, comp.word)
-            ainv = adjoint_matrix(model, np.linalg.inv(g0))
-            fund_cols = _action_columns(site, point, frame, comp.action)
-            for j in range(model.d):
-                lhs = 2.0 * (pmat.T @ dw[:, j])
-                cov = np.eye(model.d)[j] + ainv.T @ np.eye(model.d)[j]
-                rhs = fund_cols @ (h @ cov)
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
+        gaps = [2.0 * pmat.T @ lin.left - _bivector_momentum_rhs(lin, h)
+                for lin in lins]
     elif mode == "twoform":
         smat = site.pairing.eta_lower
-        vecs = frame.vectors()
-        for comp in desc.momentum:
-            left, right, _ = word_differentials(frame, comp.word)
-            for j in range(model.d):
-                xc = np.eye(model.d)[j]
-                ft = _fund_lift_tangent(site, point, comp, xc)
-                for v, wsum in zip(vecs, left + right):
-                    lhs = desc.form.evaluate(point.mats, ft, v)
-                    rhs = 0.5 * (xc @ smat @ wsum)
-                    worst = max(worst, float(abs(lhs - rhs)))
+        sigma = desc.form.frame_matrix(point, frame)
+        gaps = [lin.action.T @ sigma - 0.5 * smat @ (lin.left + lin.right).T
+                for lin in lins]
     else:
         raise BadSignature(f"unknown mode {mode!r}")
-    return worst
+    return max((float(np.abs(gap).max()) for gap in gaps), default=0.0)
 
 
 def momentum_pullback_residual(desc, point, fn):
@@ -337,42 +380,31 @@ def momentum_pullback_residual(desc, point, fn):
     model = site.model
     frame = point.frame()
     comp = desc.momentum[0]
-    g0 = word_eval(comp.word, point.mats)
+    lin = component_linear(site, point, frame, comp)
 
     def f_pull(mats):
         return fn(word_eval(comp.word, mats))
 
-    alpha = np.array([dual_lift(f_pull, point, frame.vector(a))
-                      for a in range(frame.dim)])
-    pmat = desc.bivector.frame_matrix(point, frame)
-    lhs = pmat.T @ alpha
+    alpha = differential(point, f_pull, frame)
+    lhs = desc.bivector.frame_matrix(point, frame).T @ alpha
+    # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g,
+    # pushed through the action
+    g, basis = lin.g, np.stack(model.basis)
+    grad = fn(Dual(g, g @ basis)).eps + fn(Dual(g, basis @ g)).eps
+    x_alg = 0.5 * (site.pairing.require_upper() @ grad)
+    return float(np.abs(lhs - lin.action @ x_alg).max())
 
-    # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g0
-    h = site.pairing.require_upper()
-    d = model.d
-    grad = np.zeros(d, dtype=complex)
-    for j in range(d):
-        ej = model.from_coeffs(np.eye(d)[j])
-        left = fn(Dual(g0, g0 @ ej)).eps
-        right = fn(Dual(g0, ej @ g0)).eps
-        grad[j] = left + right
-    x_alg = 0.5 * (h @ grad)
-    # push through the action: the fundamental tangent of that algebra element
-    rhs_t = _fund_lift_tangent(site, point, comp, x_alg)
-    rhs = frame.components(rhs_t)
-    return float(np.abs(lhs - rhs).max())
+
+def _rho(lins, nfr):
+    return sum((lin.action @ (lin.left - lin.right).T for lin in lins),
+               np.zeros((nfr, nfr), dtype=complex))
 
 
 def rho_matrix(desc, point, frame=None):
-    """Frame matrix of the composite action((L^-1 - R^-1) dPhi)."""
-    model = desc.site.model
+    """Frame matrix of the composite action((L^-1 - R^-1) dPhi): the sum over
+    components of A (L - R)^T."""
     frame = frame or point.frame()
-    out = np.zeros((frame.dim, frame.dim), dtype=complex)
-    for comp in desc.momentum:
-        left, right, _ = word_differentials(frame, comp.word)
-        img = op_apply(comp.action, point.mats, model.from_coeffs(left - right))
-        out += frame.components(img).T
-    return out
+    return _rho(_linears(desc, point, frame), frame.dim)
 
 
 def duality_residual(qp, qh, point):
@@ -389,112 +421,66 @@ def duality_residual(qp, qh, point):
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
 
-def _stacked_kernel(mat, tol=1e-8):
-    u, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
-    return vh[rank:].conj().T, s
-
-
 def reconstruct_dual(desc, point, direction):
     """Rebuild the dual tensor at a point from the momentum identities.
 
     direction "P-from-sigma" consumes a QuasiHamiltonianDescriptor; direction
-    "sigma-from-P" consumes a QuasiPoissonDescriptor.  Returns (frame matrix,
-    kernel residual).
+    "sigma-from-P" consumes a QuasiPoissonDescriptor.  The momentum laws say
+    that a matrix M vanishes on the kernel of the stacked momentum map and
+    that the dual tensor is (M pinv(stacked))^T.  Returns (frame matrix,
+    kernel residual: the largest column norm of M on that kernel).
     """
     site = desc.site
-    model = site.model
     s_low, h_up = site.pairing.require_invertible()
     frame = point.frame()
     nfr = frame.dim
-    rho = rho_matrix(desc, point, frame)
+    lins = _linears(desc, point, frame)
+    rho = _rho(lins, nfr)
     eye = np.eye(nfr)
-    comps = desc.momentum
-    d = model.d
-
-    dws, ainvs, ads, funds = [], [], [], []
-    for comp in comps:
-        dw, _, g0 = word_differentials(frame, comp.word)
-        dws.append(dw)
-        ainvs.append(adjoint_matrix(model, np.linalg.inv(g0)))
-        ads.append(adjoint_matrix(model, g0))
-        funds.append(_action_columns(site, point, frame, comp.action))
 
     if direction == "P-from-sigma":
         smat = desc.form.frame_matrix(point, frame)
-        stacked = np.concatenate([*(dw for dw in dws), smat.T], axis=1)
-
-        def rhs_of(z):
-            val = np.zeros(nfr, dtype=complex)
-            for i in range(len(comps)):
-                alpha = z[i * d:(i + 1) * d]
-                val += 0.5 * funds[i] @ (h_up @ (alpha + ainvs[i].T @ alpha))
-            v = z[len(comps) * d:]
-            return val + (eye - 0.25 * rho) @ v
+        stacked = np.concatenate([*(lin.left for lin in lins), smat.T], axis=1)
+        m = np.concatenate([*(0.5 * _bivector_momentum_rhs(lin, h_up) for lin in lins),
+                            eye - 0.25 * rho], axis=1)
     elif direction == "sigma-from-P":
         pmat = desc.bivector.frame_matrix(point, frame)
-        stacked = np.concatenate([*(f for f in funds), pmat.T], axis=1)
-
-        def rhs_of(z):
-            val = np.zeros(nfr, dtype=complex)
-            for i in range(len(comps)):
-                x = z[i * d:(i + 1) * d]
-                val += 0.5 * dws[i] @ ((np.eye(d) + ads[i].T) @ (s_low @ x))
-            beta = z[len(comps) * d:]
-            return val + (eye - 0.25 * rho.T) @ beta
+        stacked = np.concatenate([*(lin.action for lin in lins), pmat.T], axis=1)
+        m = np.concatenate([*(0.5 * lin.left @ (np.eye(len(s_low)) + lin.ad.T) @ s_low
+                              for lin in lins),
+                            eye - 0.25 * rho.T], axis=1)
     else:
         raise BadSignature(f"unknown direction {direction!r}")
 
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv.size == 0 or sv.min() <= 1e-10 * sv.max() or stacked.shape[1] < nfr:
         raise NotEpimorphism("stacked momentum map is rank-deficient at this point")
-    pinv = np.linalg.pinv(stacked)
-    cols = []
-    for b in range(nfr):
-        z = pinv @ np.eye(nfr)[b]
-        cols.append(rhs_of(z))
-    out = np.stack(cols, axis=1).T     # row/column convention: transpose map
-
-    kernel, _ = _stacked_kernel(stacked)
-    kresid = 0.0
-    for k in range(kernel.shape[1]):
-        kresid = max(kresid, float(np.linalg.norm(rhs_of(kernel[:, k]))))
+    out = (m @ np.linalg.pinv(stacked)).T     # row/column convention: transpose map
+    kernel = nullspace(stacked)
+    kresid = float(np.linalg.norm(m @ kernel, axis=0).max(initial=0.0))
     return out, kresid
 
 
 def nondegeneracy_check(desc, point, mode):
     """Rank certificates for the momentum-relative non-degeneracy notions."""
-    site = desc.site
     frame = point.frame()
     nfr = frame.dim
-    dws = []
-    for comp in desc.momentum:
-        dw, _, _ = word_differentials(frame, comp.word)
-        dws.append(dw)
-    dphi_stack = np.concatenate([dw.T for dw in dws], axis=0)  # (md, N)
+    lins = _linears(desc, point, frame)
 
     if mode == "twoform":
         smat = desc.form.frame_matrix(point, frame)
+        dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
         stacked = np.concatenate([smat.T, dphi_stack], axis=0)
         sv = np.linalg.svd(stacked, compute_uv=False)
         min_sv = float(sv[min(nfr - 1, sv.size - 1)]) if nfr else 0.0
-        ker_s, _ = _stacked_kernel(smat.T)
-        ker_d, _ = _stacked_kernel(dphi_stack)
-        if ker_s.shape[1] and ker_d.shape[1]:
-            both = np.concatenate([ker_s, ker_d], axis=1)
-            svb = np.linalg.svd(both, compute_uv=False)
-            rb = int(np.sum(svb > 1e-8 * svb[0]))
-            inter = ker_s.shape[1] + ker_d.shape[1] - rb
-        else:
-            inter = 0
-        return {"min_singular": min_sv, "rank": int(np.sum(sv > 1e-8 * (sv[0] if sv.size else 1))),
+        inter = intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
+        return {"min_singular": min_sv, "rank": int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1))),
                 "dim": nfr, "intersection_dim": int(inter)}
     if mode == "bivector":
         pmat = desc.bivector.frame_matrix(point, frame)
-        funds = [_action_columns(site, point, frame, c.action) for c in desc.momentum]
-        stacked = np.concatenate([pmat.T, *funds], axis=1)
+        stacked = np.concatenate([pmat.T, *(lin.action for lin in lins)], axis=1)
         sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.sum(sv > 1e-8 * (sv[0] if sv.size else 1)))
+        rank = int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1)))
         min_sv = float(sv[nfr - 1]) if sv.size >= nfr else 0.0
         return {"min_singular": min_sv, "rank": rank, "dim": nfr,
                 "deficit": nfr - rank}
@@ -573,14 +559,10 @@ def cn1_residual(site, points, seed=0, triples=8):
 
 def eval_phi_actions(desc, point, phi, alpha, beta, gamma, frame=None):
     """Half-contraction of the cubic tensor through every action component."""
-    site = desc.site
     frame = frame or point.frame()
     total = 0.0
-    for comp in desc.momentum:
-        cols = _action_columns(site, point, frame, comp.action)
-        a = np.asarray(alpha) @ cols
-        b = np.asarray(beta) @ cols
-        c = np.asarray(gamma) @ cols
+    for lin in _linears(desc, point, frame):
+        a, b, c = (np.asarray(cov) @ lin.action for cov in (alpha, beta, gamma))
         total = total + 0.5 * np.einsum("jks,j,k,s->", phi, a, b, c)
     return total
 
@@ -592,10 +574,7 @@ def jacobiator_vs_phi(desc, point, fns, phi=None):
         phi = cartan3(site.model, site.pairing)
     frame = point.frame()
     jac = jacobiator(desc.bivector, point, *fns)
-    covs = []
-    for fn in fns:
-        covs.append(np.array([dual_lift(fn, point, frame.vector(a))
-                              for a in range(frame.dim)]))
+    covs = [differential(point, fn, frame) for fn in fns]
     rhs = 2.0 * eval_phi_actions(desc, point, phi, *covs, frame=frame)
     return float(abs(jac - rhs))
 

@@ -1,0 +1,226 @@
+"""The matrix-form residuals against entrywise and column-loop references.
+
+The references evaluate the laws one entry at a time, the slow way: the
+2-form through FormField.evaluate on action tangents that carry their class
+lifts, word differentials through one word_tangent call per frame vector,
+action columns through one op_apply per basis element, and reconstruction
+through one right-hand side per column.  On deliberately wrong descriptors
+(a bivector or 2-form scaled by 1.5) the residuals are O(1), so agreement to
+1e-12 relative shows that the matrix identities detect a violation exactly
+as the entrywise laws do.
+"""
+
+import numpy as np
+import pytest
+
+from qpois import models
+from qpois.charvar import TraceFunction, differential
+from qpois.fields import FormField, op_apply
+from qpois.groupgeom import Tangent, dual_lift, random_point, word_eval, word_tangent
+from qpois.liealg import adjoint_matrix
+from qpois.quasi import (
+    QuasiHamiltonianDescriptor,
+    QuasiPoissonDescriptor,
+    assemble_surface_site,
+    momentum_residual,
+    nullspace,
+    reconstruct_dual,
+    rho_matrix,
+)
+
+SITES = {
+    "sl2-g1": (models.sl2, 1, []),
+    "sl2-g1-2punct": (models.sl2, 1, [np.diag([2.0, 0.5]),
+                                      np.diag([3.0, 1.0 / 3.0])]),
+    "sl3-g1": (models.sl3, 1, []),
+    "sl2ab-g2": (models.sl2_abelian, 2, []),
+}
+INVERTIBLE = sorted(name for name in SITES if not name.startswith("sl2ab"))
+
+
+def _setup(name, seed=21):
+    build, genus, reps = SITES[name]
+    model, pairing = build()
+    site, qp, qh = assemble_surface_site(model, pairing, genus, reps)
+    return site, qp, qh, random_point(site, np.random.default_rng(seed))
+
+
+def _wrong(qp, qh):
+    return (QuasiPoissonDescriptor(qp.site, qp.bivector.scaled(1.5), qp.momentum),
+            QuasiHamiltonianDescriptor(qh.site, qh.form.scaled(1.5), qh.momentum))
+
+
+# ---------------------------------------------------------------------------
+# entrywise references
+# ---------------------------------------------------------------------------
+
+def _word_diffs(frame, word):
+    """Left/right trivialized word differentials, one frame vector at a time."""
+    model = frame.site.model
+    mats = frame.point.mats
+    gi = np.linalg.inv(word_eval(word, mats))
+    dvs = [word_tangent(word, mats, v) for v in frame.vectors()]
+    return (np.array([model.coeffs(gi @ dv) for dv in dvs]),
+            np.array([model.coeffs(dv @ gi) for dv in dvs]))
+
+
+def _action_tangent(site, point, comp, x):
+    lifts = {f: np.asarray(x, dtype=complex) for f in comp.lift_factors
+             if site.factors[f].kind == "class"}
+    return Tangent(op_apply(comp.action, point.mats, site.model.from_coeffs(x)),
+                   lifts)
+
+
+def _action_cols(site, point, frame, comp):
+    eye = np.eye(site.model.d)
+    return np.stack([frame.components(_action_tangent(site, point, comp, eye[j]))
+                     for j in range(site.model.d)], axis=1)
+
+
+def _ref_momentum(desc, point, mode):
+    site = desc.site
+    model = site.model
+    frame = point.frame()
+    eye = np.eye(model.d)
+    worst = 0.0
+    for comp in desc.momentum:
+        left, right = _word_diffs(frame, comp.word)
+        if mode == "bivector":
+            h = site.pairing.require_upper()
+            pmat = desc.bivector.frame_matrix(point, frame)
+            ainv = adjoint_matrix(model, np.linalg.inv(word_eval(comp.word, point.mats)))
+            cols = _action_cols(site, point, frame, comp)
+            for j in range(model.d):
+                lhs = 2.0 * (pmat.T @ left[:, j])
+                rhs = cols @ (h @ (eye[j] + ainv.T @ eye[j]))
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+        else:
+            smat = site.pairing.eta_lower
+            for j in range(model.d):
+                ft = _action_tangent(site, point, comp, eye[j])
+                for v, wsum in zip(frame.vectors(), left + right):
+                    lhs = desc.form.evaluate(point.mats, ft, v)
+                    worst = max(worst, float(abs(lhs - 0.5 * (eye[j] @ smat @ wsum))))
+    return worst
+
+
+def _ref_rho(desc, point, frame):
+    site = desc.site
+    out = np.zeros((frame.dim, frame.dim), dtype=complex)
+    for comp in desc.momentum:
+        left, right = _word_diffs(frame, comp.word)
+        for a in range(frame.dim):
+            x = site.model.from_coeffs(left[a] - right[a])
+            out[:, a] += frame.components(op_apply(comp.action, point.mats, x))
+    return out
+
+
+def _ref_reconstruct(desc, point, direction):
+    """Reconstruction by one right-hand side per column, as a closure."""
+    site = desc.site
+    model = site.model
+    d = model.d
+    s_low, h_up = site.pairing.require_invertible()
+    frame = point.frame()
+    nfr = frame.dim
+    eye = np.eye(nfr)
+    rho = _ref_rho(desc, point, frame)
+    comps = desc.momentum
+    dws, ainvs, ads, funds = [], [], [], []
+    for comp in comps:
+        g = word_eval(comp.word, point.mats)
+        dws.append(_word_diffs(frame, comp.word)[0])
+        ainvs.append(adjoint_matrix(model, np.linalg.inv(g)))
+        ads.append(adjoint_matrix(model, g))
+        funds.append(_action_cols(site, point, frame, comp))
+    if direction == "P-from-sigma":
+        stacked = np.concatenate([*dws, desc.form.frame_matrix(point, frame).T], axis=1)
+
+        def rhs_of(z):
+            val = (eye - 0.25 * rho) @ z[len(comps) * d:]
+            for i in range(len(comps)):
+                alpha = z[i * d:(i + 1) * d]
+                val = val + 0.5 * funds[i] @ (h_up @ (alpha + ainvs[i].T @ alpha))
+            return val
+    else:
+        stacked = np.concatenate([*funds, desc.bivector.frame_matrix(point, frame).T],
+                                 axis=1)
+
+        def rhs_of(z):
+            val = (eye - 0.25 * rho.T) @ z[len(comps) * d:]
+            for i in range(len(comps)):
+                x = z[i * d:(i + 1) * d]
+                val = val + 0.5 * dws[i] @ ((np.eye(d) + ads[i].T) @ (s_low @ x))
+            return val
+
+    pinv = np.linalg.pinv(stacked)
+    out = np.stack([rhs_of(pinv @ eye[b]) for b in range(nfr)], axis=1).T
+    kernel = nullspace(stacked)
+    kresid = max((float(np.linalg.norm(rhs_of(kernel[:, k])))
+                  for k in range(kernel.shape[1])), default=0.0)
+    return out, kresid
+
+
+def _close(got, ref, tol=1e-12):
+    return abs(got - ref) <= tol * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_momentum_residuals_match_entrywise_laws(name):
+    site, qp, qh, p = _setup(name)
+    bad_qp, bad_qh = _wrong(qp, qh)
+    for desc, mode in ((bad_qp, "bivector"), (bad_qh, "twoform")):
+        ref = _ref_momentum(desc, p, mode)
+        assert ref > 0.1, (mode, ref)
+        assert _close(momentum_residual(desc, p, mode), ref), mode
+    assert momentum_residual(qp, p, "bivector") <= 1e-9
+    assert momentum_residual(qh, p, "twoform") <= 1e-9
+
+
+@pytest.mark.parametrize("name", INVERTIBLE)
+def test_rho_matches_column_loop(name):
+    _, qp, _, p = _setup(name)
+    frame = p.frame()
+    ref = _ref_rho(qp, p, frame)
+    got = rho_matrix(qp, p, frame)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", INVERTIBLE)
+def test_reconstruction_matches_column_loop(name):
+    _, qp, qh, p = _setup(name)
+    bad_qp, bad_qh = _wrong(qp, qh)
+    for desc, direction in ((bad_qh, "P-from-sigma"), (bad_qp, "sigma-from-P")):
+        ref, ref_k = _ref_reconstruct(desc, p, direction)
+        got, got_k = reconstruct_dual(desc, p, direction)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), direction
+        assert ref_k > 0.1, (direction, ref_k)
+        assert _close(got_k, ref_k), direction
+
+
+def test_twoform_momentum_law_makes_no_pointwise_form_evaluations(monkeypatch):
+    _, _, qh, p = _setup("sl2-g1-2punct")
+    calls = []
+    evaluate = FormField.evaluate
+
+    def counted(self, *args):
+        calls.append(1)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(FormField, "evaluate", counted)
+    assert momentum_residual(qh, p, "twoform") <= 1e-9
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["sl2-g1-2punct", "sl3-g1"])
+def test_differential_matches_per_vector_dual_lift(name):
+    site, _, _, p = _setup(name)
+    frame = p.frame()
+    fn = TraceFunction(site, "abAc" if site.nfac > 2 else "abA")
+    ref = np.array([dual_lift(fn, p, v) for v in frame.vectors()])
+    got = differential(p, fn, frame)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
