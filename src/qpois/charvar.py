@@ -71,10 +71,10 @@ def invariance_residual(fn, point, rng, probes=4, scale=0.35):
     return worst
 
 
-def differential(point, fn, frame=None):
+def differential(point, fn):
     """Frame components of df at the point, from one Dual evaluation that
     carries every frame vector as a batch of perturbations."""
-    frame = frame or point.frame()
+    frame = point.frame()
     out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
     if not isinstance(out, Dual):
         return np.zeros(frame.dim, dtype=complex)
@@ -97,10 +97,8 @@ def hamiltonian_field(biv, f, point, seed=0, probes=4, check=True, tol=1e-8):
         if resid > tol:
             raise NotInvariant(
                 f"function varies under conjugation (residual {resid:.3e})")
-    frame = point.frame()
-    df = differential(point, f, frame)
-    pmat = biv.frame_matrix(point, frame)
-    return frame.assemble(pmat.T @ df)
+    df = differential(point, f)
+    return point.frame().assemble(biv.frame_matrix(point).T @ df)
 
 
 def level_tangency_residual(desc, f, point, seed=0):
@@ -124,11 +122,10 @@ def dual_pair_residuals(qp, qh, f, h, point):
     the single-contraction (matrix) level; against the full-pairing function
     bracket this reads  form(X_f, X_h) = {h, f} / 2.
     """
-    frame = point.frame()
-    pmat = qp.bivector.frame_matrix(point, frame)
-    smat = qh.form.frame_matrix(point, frame)
-    df = differential(point, f, frame)
-    dh = differential(point, h, frame)
+    pmat = qp.bivector.frame_matrix(point)
+    smat = qh.form.frame_matrix(point)
+    df = differential(point, f)
+    dh = differential(point, h)
     xf = pmat.T @ df
     xh = pmat.T @ dh
     grad = float(np.abs(smat.T @ xf - df).max())

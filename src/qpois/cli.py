@@ -24,7 +24,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -47,7 +47,6 @@ from .dirac import (
 )
 from .duals import dexpm
 from .errors import (
-    BadSignature,
     ConfigError,
     DegeneratePairing,
     IoError,
@@ -55,8 +54,13 @@ from .errors import (
     QpoisError,
     Stalled,
 )
-from .groupgeom import conjugate_point, parse_word, random_point
-from .liealg import ad_invariance_residual, cartan3, verify_chi_identity
+from .groupgeom import parse_word, random_point
+from .liealg import (
+    ad_invariance_residual,
+    cartan3,
+    cubic_alternation,
+    verify_chi_identity,
+)
 from .models import model_from_config
 from .quasi import (
     assemble_surface_site,
@@ -173,7 +177,6 @@ class Setup:
     tols: dict
     check_filter: list | None
     invariance_gate: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _build_pairing(model, base_pairing, spec):
@@ -372,12 +375,8 @@ def _chk_ad_invariance(s, rng):
 
 
 def _chk_cubic_antisym(s, rng):
-    h = s.pairing.require_upper()
-    phi = np.einsum("ju,kuv,vs->jks", h, s.model.struct, h)
-    worst = 0.0
-    for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
-        worst = max(worst, float(np.abs(phi + np.transpose(phi, perm)).max()))
-    return worst, 1
+    _, resid = cubic_alternation(s.model, s.pairing)
+    return resid, 1
 
 
 def _chk_chi_identity(s, rng):
@@ -484,9 +483,8 @@ def _chk_reconstruction(s, rng):
     count = min(s.samples, 4)
     for _ in range(count):
         p = random_point(s.site, rng)
-        frame = p.frame()
-        pmat = s.qp.bivector.frame_matrix(p, frame)
-        smat = s.qh.form.frame_matrix(p, frame)
+        pmat = s.qp.bivector.frame_matrix(p)
+        smat = s.qh.form.frame_matrix(p)
         got_p, _ = reconstruct_dual(s.qh, p, "P-from-sigma")
         got_s, _ = reconstruct_dual(s.qp, p, "sigma-from-P")
         worst = max(worst, float(np.abs(got_p - pmat).max()),
@@ -611,21 +609,14 @@ def _chk_jacobi_level(s, rng):
 def _chk_poisson_ideal(s, rng):
     word = relator_word(s.site, s.genus, len(s.class_reps))
     f = TraceFunction(s.site, s.words[0])
+    per = min(s.samples, 3)
+    rows = _solved_points(s, rng, per_target=per)
     worst = 0.0
-    total = 0
-    for label, target in s.targets:
-        rows = []
-        for k in range(min(s.samples, 3)):
-            sub = int(rng.integers(2 ** 31))
-            try:
-                rows.append(solve_relator(s.site, word, target, seed=sub).point)
-            except (MaxIters, Stalled) as exc:
-                raise _Fail(
-                    f"solver failed for target {label}: {exc}") from exc
+    for i, (_, target) in enumerate(s.targets):
+        pts = [out.point for _, out in rows[i * per:(i + 1) * per]]
         worst = max(worst, poisson_ideal_residual(s.qp.bivector, word, target,
-                                                  f, rows))
-        total += len(rows)
-    return worst, total
+                                                  f, pts))
+    return worst, len(rows)
 
 
 def _chk_level_tangency(s, rng):
@@ -796,6 +787,23 @@ def run_suite(config, suite, seed=None, jobs=None):
     }
 
 
+def _solve_row(site, word, target_mat, sub, **row):
+    """One relator solve as a report row (the given fields plus the
+    solver's); returns (row, solution), the solution None on a solver stop."""
+    row.update(solver_seed=sub, solver_failed=False, residual=None, iters=None,
+               reason=None)
+    try:
+        out = solve_relator(site, word, target_mat, seed=sub)
+    except (MaxIters, Stalled) as exc:
+        row.update(solver_failed=True, reason=f"{type(exc).__name__}: {exc}",
+                   residual=(float(exc.best_residual)
+                             if exc.best_residual is not None else None),
+                   iters=exc.iters)
+        return row, None
+    row.update(residual=out.residual, iters=out.iters)
+    return row, out
+
+
 def compute_brackets(config, seed=None):
     """Bracket table of invariant trace pairs at relator-solved points."""
     raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
@@ -804,31 +812,18 @@ def compute_brackets(config, seed=None):
     label, target = setup.targets[0]
     rng = np.random.default_rng([setup.seed, 0x6272])
     rows = []
-    any_failed = False
     for k in range(setup.samples):
         sub = int(rng.integers(2 ** 31))
-        row = {"sample": k, "solver_seed": sub, "solver_failed": False,
-               "residual": None, "iters": None, "reason": None, "values": None}
-        try:
-            out = solve_relator(setup.site, word, target, seed=sub)
-        except (MaxIters, Stalled) as exc:
-            row["solver_failed"] = True
-            row["reason"] = f"{type(exc).__name__}: {exc}"
-            row["residual"] = (float(exc.best_residual)
-                               if exc.best_residual is not None else None)
-            row["iters"] = exc.iters
-            any_failed = True
-            rows.append(row)
-            continue
-        row["residual"] = out.residual
-        row["iters"] = out.iters
-        values = {}
-        for u, v in setup.pairs:
-            fu = TraceFunction(setup.site, u)
-            fv = TraceFunction(setup.site, v)
-            val = complex(bracket_value(setup.qp.bivector, fu, fv, out.point))
-            values[f"tr[{u}],tr[{v}]"] = [float(val.real), float(val.imag)]
-        row["values"] = values
+        row, out = _solve_row(setup.site, word, target, sub, sample=k,
+                              values=None)
+        if out is not None:
+            values = {}
+            for u, v in setup.pairs:
+                fu = TraceFunction(setup.site, u)
+                fv = TraceFunction(setup.site, v)
+                val = complex(bracket_value(setup.qp.bivector, fu, fv, out.point))
+                values[f"tr[{u}],tr[{v}]"] = [float(val.real), float(val.imag)]
+            row["values"] = values
         rows.append(row)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -841,7 +836,7 @@ def compute_brackets(config, seed=None):
             setup.site.letter(f) if p == 1 else setup.site.letter(f).upper()
             for f, p in word),
         "rows": rows,
-        "overall_pass": not any_failed,
+        "overall_pass": not any(r["solver_failed"] for r in rows),
     }
 
 
@@ -852,25 +847,13 @@ def sample_points(config, seed=None):
     word = relator_word(setup.site, setup.genus, len(setup.class_reps))
     rng = np.random.default_rng([setup.seed, 0x736d])
     rows = []
-    any_failed = False
     for label, target in setup.targets:
         for k in range(setup.samples):
             sub = int(rng.integers(2 ** 31))
-            row = {"target": label, "sample": k, "solver_seed": sub,
-                   "solver_failed": False, "residual": None, "iters": None,
-                   "reason": None, "mats": None}
-            try:
-                out = solve_relator(setup.site, word, target, seed=sub)
-                row["residual"] = out.residual
-                row["iters"] = out.iters
+            row, out = _solve_row(setup.site, word, target, sub, target=label,
+                                  sample=k, mats=None)
+            if out is not None:
                 row["mats"] = [_matrix_literal(m) for m in out.point.mats]
-            except (MaxIters, Stalled) as exc:
-                row["solver_failed"] = True
-                row["reason"] = f"{type(exc).__name__}: {exc}"
-                row["residual"] = (float(exc.best_residual)
-                                   if exc.best_residual is not None else None)
-                row["iters"] = exc.iters
-                any_failed = True
             rows.append(row)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -879,7 +862,7 @@ def sample_points(config, seed=None):
         "environment": _environment(),
         "config": setup.raw,
         "rows": rows,
-        "overall_pass": not any_failed,
+        "overall_pass": not any(r["solver_failed"] for r in rows),
     }
 
 

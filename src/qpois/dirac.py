@@ -265,11 +265,10 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
        the graph of the form.
     """
     site = qh.site
-    frame = point.frame()
-    nfr = frame.dim
+    nfr = point.frame().dim
     comp = qh.momentum[component]
-    dphi = component_linear(site, point, frame, comp).left.T
-    smat = qh.form.frame_matrix(point, frame)
+    dphi = component_linear(point, comp).left.T
+    smat = qh.form.frame_matrix(point)
     sflat = smat.T
     e_fib, f_fib = cartan_dirac_fibers(site, point, comp.word)
 
@@ -312,10 +311,9 @@ def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
     """Rank certificates for the kernel chain of one momentum component:
     the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and the word
     differential maps ker(sigma-flat) onto ker(Id + Ad)."""
-    frame = point.frame()
-    lin = component_linear(qh.site, point, frame, qh.momentum[component])
+    lin = component_linear(point, qh.momentum[component])
     dphi = lin.left.T
-    sflat = qh.form.frame_matrix(point, frame).T
+    sflat = qh.form.frame_matrix(point).T
     d = qh.site.model.d
 
     k1 = nullspace(np.eye(d) + lin.ad_inv)      # algebra-side kernel

@@ -138,12 +138,15 @@ class Bivector:
         """kron(K, H): the tensor on the atom directions op_alpha(e_j)."""
         return np.kron(self.kmat, self.site.pairing.require_upper())
 
-    def frame_matrix(self, point, frame=None):
-        """Antisymmetric coefficient matrix P^{ab} in the frame at the point."""
-        frame = frame or point.frame()
+    def frame_matrix(self, point):
+        """Antisymmetric coefficient matrix P^{ab} in the frame at the point,
+        built once per point (read-only)."""
+        return point.memo(self, lambda: self._frame_matrix(point))
+
+    def _frame_matrix(self, point):
         # rows: frame components of every atom direction, (2 nfac d, N)
-        b = frame.components([_atom_dirs(self.site, f, q)
-                              for f, q in enumerate(point.mats)])
+        b = point.frame().components([_atom_dirs(self.site, f, q)
+                                      for f, q in enumerate(point.mats)])
         return b.T @ self._atom_tensor() @ b
 
     def ambient_matrix(self, point):
@@ -265,10 +268,14 @@ class FormField:
         wr = apply_linear(model.basis_pinv, w @ qi)
         return 0.5 * dual_vdot(smat, x, wl + wr)
 
-    def frame_matrix(self, point, frame=None):
+    def frame_matrix(self, point):
         """Antisymmetric coefficient matrix sigma_{ab} in the frame at the
-        point, from the trivialized word differentials of all frame vectors."""
-        frame = frame or point.frame()
+        point, from the trivialized word differentials of all frame vectors;
+        built once per point (read-only)."""
+        return point.memo(self, lambda: self._frame_matrix(point))
+
+    def _frame_matrix(self, point):
+        frame = point.frame()
         model = self.site.model
         smat = self.site.pairing.eta_lower
         diffs = {}

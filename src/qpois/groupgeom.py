@@ -5,6 +5,10 @@ Factor i is addressed by the letter chr(ord('a')+i) in word strings; uppercase
 means inverse.  Points carry one invertible matrix per factor plus, for class
 factors, the conjugator used to reach the point from the class representative.
 All tangent data is "ambient": one n-by-n matrix per factor (None = zero).
+
+Data that depends only on a point is built once and kept behind it:
+`SitePoint.memo` holds the frame, each tensor's frame matrix and each
+momentum component's linearization, and hands arrays out read-only.
 """
 
 from __future__ import annotations
@@ -75,12 +79,20 @@ class SitePoint:
         self.site = site
         self.mats = [np.asarray(m, dtype=complex) for m in mats]
         self.conjs = list(conjs) if conjs is not None else [None] * site.nfac
-        self._frame = None
+        self._memo = {}
+
+    def memo(self, key, build):
+        """build(), computed on the first request for key at this point and
+        shared afterwards; an array result is handed out read-only."""
+        if key not in self._memo:
+            out = build()
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            self._memo[key] = out
+        return self._memo[key]
 
     def frame(self):
-        if self._frame is None:
-            self._frame = site_frame(self.site, self)
-        return self._frame
+        return self.memo("frame", lambda: site_frame(self.site, self))
 
 
 @dataclass

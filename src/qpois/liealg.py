@@ -29,6 +29,7 @@ __all__ = [
     "adjoint_coeffs",
     "adjoint_matrix",
     "ad_invariance_residual",
+    "cubic_alternation",
     "cartan3",
     "chi2",
     "verify_chi_identity",
@@ -230,15 +231,21 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
     return worst
 
 
-def cartan3(model, pairing, tol=1e-10):
-    """Cubic tensor phi[j,k,s] = eta^{j,u} c^k_{u,v} eta^{v,s}; must alternate."""
+def cubic_alternation(model, pairing):
+    """The cubic tensor phi[j,k,s] = eta^{j,u} c^k_{u,v} eta^{v,s} and its
+    alternation residual, max |phi + phi^t| over the slot transpositions t."""
     h = pairing.require_upper()
     phi = np.einsum("ju,kuv,vs->jks", h, model.struct, h)
-    scale = 1.0 + float(np.abs(phi).max())
-    for perm, sign in (((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        if np.abs(phi - sign * np.transpose(phi, perm)).max() > tol * scale:
-            raise NotConvenient("cubic tensor is not alternating; "
-                                "pairing is not invariant for this model")
+    return phi, max(float(np.abs(phi + np.transpose(phi, t)).max())
+                    for t in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
+
+
+def cartan3(model, pairing, tol=1e-10):
+    """Cubic tensor phi[j,k,s] = eta^{j,u} c^k_{u,v} eta^{v,s}; must alternate."""
+    phi, resid = cubic_alternation(model, pairing)
+    if resid > tol * (1.0 + float(np.abs(phi).max())):
+        raise NotConvenient("cubic tensor is not alternating; "
+                            "pairing is not invariant for this model")
     return phi
 
 

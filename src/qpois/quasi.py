@@ -14,6 +14,9 @@ Ad_g^-1, and the (N, d) action columns A.  Together with the bivector and
 identities on this data: 2 P^T L = A H (I + Ad^-T) and
 A^T Sigma = (1/2) S (L + R)^T for the momentum laws, rho = sum A (L - R)^T,
 and reconstruction as (M pinv)^T for one matrix M of the same blocks.
+The linearizations, P and Sigma are built once per point, in the point's
+memo keyed by the component and the tensor; components are frozen
+(word, action) values, so equal components of a dual pair share one.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentumComponent:
-    """One group-valued momentum component with its infinitesimal action."""
+    """One group-valued momentum component with its infinitesimal action; a
+    value, so equal components share their linearization at a point."""
 
     word: tuple                 # parsed word over the site letters
     action: tuple               # VecOp of the matching action
-    lift_factors: tuple = ()    # factors where the action is plain conjugation
 
 
 @dataclass
@@ -119,8 +122,7 @@ class QuasiHamiltonianDescriptor:
 # ---------------------------------------------------------------------------
 
 def _conj_component(site, word_text, factors):
-    return MomentumComponent(parse_word(site, word_text), op_fund(factors),
-                             tuple(sorted(factors)))
+    return MomentumComponent(parse_word(site, word_text), op_fund(factors))
 
 
 def _pg_terms(i):
@@ -180,8 +182,10 @@ def _chi_bivector(site, act1, act2):
     return Bivector(site, [(0.5, act1, act2), (-0.5, act2, act1)])
 
 
-def _word_concat(w1, w2):
-    return tuple(w1) + tuple(w2)
+def _merged_component(comp1, comp2):
+    """The fused component: product word, sum of the two actions."""
+    return MomentumComponent(tuple(comp1.word) + tuple(comp2.word),
+                             tuple(comp1.action) + tuple(comp2.action))
 
 
 def fuse_bivector(site, biv, comp1, comp2):
@@ -189,22 +193,14 @@ def fuse_bivector(site, biv, comp1, comp2):
     if comp1 is comp2:
         raise IncompatibleActions("cannot fuse a component with itself")
     fused = biv + _chi_bivector(site, comp1.action, comp2.action).scaled(-1.0)
-    action = tuple(comp1.action) + tuple(comp2.action)
-    merged = MomentumComponent(
-        _word_concat(comp1.word, comp2.word), action,
-        tuple(sorted(set(comp1.lift_factors) | set(comp2.lift_factors))))
-    return fused, merged
+    return fused, _merged_component(comp1, comp2)
 
 
 def fuse_form(site, form, comp1, comp2):
     """Form-mode fusion: subtract half the pulled-back mixed pairing."""
     corr = FormField(site, pair_terms=[
         PairTerm(-0.5, comp1.word, "omega", comp2.word, "omegabar")])
-    merged = MomentumComponent(
-        _word_concat(comp1.word, comp2.word),
-        tuple(comp1.action) + tuple(comp2.action),
-        tuple(sorted(set(comp1.lift_factors) | set(comp2.lift_factors))))
-    return form + corr, merged
+    return form + corr, _merged_component(comp1, comp2)
 
 
 def internally_fused(site, i=0, j=1):
@@ -212,9 +208,6 @@ def internally_fused(site, i=0, j=1):
     qp, qh = double_descriptors(site, i, j)
     biv, merged = fuse_bivector(site, qp.bivector, qp.momentum[0], qp.momentum[1])
     form, merged_f = fuse_form(site, qh.form, qh.momentum[0], qh.momentum[1])
-    # the two twisted actions add up to plain conjugation on both factors
-    merged = MomentumComponent(merged.word, merged.action, (i, j))
-    merged_f = MomentumComponent(merged_f.word, merged_f.action, (i, j))
     return (QuasiPoissonDescriptor(site, biv, [merged], "internally-fused"),
             QuasiHamiltonianDescriptor(site, form, [merged_f], "internally-fused"))
 
@@ -306,7 +299,7 @@ def intersection_dim(cols_a, cols_b, tol=_RANK_TOL):
     return ra + rb - int(np.sum(sv > tol * max(sv[0], 1e-300)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentLinear:
     """Linear data of one momentum component at a point, in frame coordinates.
 
@@ -323,19 +316,28 @@ class ComponentLinear:
     action: np.ndarray
 
 
-def component_linear(site, point, frame, comp):
+def component_linear(point, comp):
     """The word value, word differentials, Ad, Ad^-1 and action columns of one
-    momentum component at a point."""
-    model = site.model
+    momentum component at a point; built once per point and component, with
+    read-only arrays."""
+    return point.memo(comp, lambda: _component_linear(point, comp))
+
+
+def _component_linear(point, comp):
+    model = point.site.model
+    frame = point.frame()
     left, right, g = word_differentials(frame, comp.word)
     action = frame.components(op_apply(comp.action, point.mats,
                                        np.stack(model.basis))).T
-    return ComponentLinear(g, left, right, adjoint_matrix(model, g),
-                           adjoint_matrix(model, np.linalg.inv(g)), action)
+    lin = ComponentLinear(g, left, right, adjoint_matrix(model, g),
+                          adjoint_matrix(model, np.linalg.inv(g)), action)
+    for arr in vars(lin).values():
+        arr.setflags(write=False)
+    return lin
 
 
-def _linears(desc, point, frame):
-    return [component_linear(desc.site, point, frame, c) for c in desc.momentum]
+def _linears(desc, point):
+    return [component_linear(point, c) for c in desc.momentum]
 
 
 def _bivector_momentum_rhs(lin, h_up):
@@ -353,16 +355,15 @@ def momentum_residual(desc, point, mode):
       sigma(action(X), v) = (1/2) X . ((omega + omegabar)(dPhi v)).
     """
     site = desc.site
-    frame = point.frame()
-    lins = _linears(desc, point, frame)
+    lins = _linears(desc, point)
     if mode == "bivector":
         h = site.pairing.require_upper()
-        pmat = desc.bivector.frame_matrix(point, frame)
+        pmat = desc.bivector.frame_matrix(point)
         gaps = [2.0 * pmat.T @ lin.left - _bivector_momentum_rhs(lin, h)
                 for lin in lins]
     elif mode == "twoform":
         smat = site.pairing.eta_lower
-        sigma = desc.form.frame_matrix(point, frame)
+        sigma = desc.form.frame_matrix(point)
         gaps = [lin.action.T @ sigma - 0.5 * smat @ (lin.left + lin.right).T
                 for lin in lins]
     else:
@@ -378,15 +379,14 @@ def momentum_pullback_residual(desc, point, fn):
     """
     site = desc.site
     model = site.model
-    frame = point.frame()
     comp = desc.momentum[0]
-    lin = component_linear(site, point, frame, comp)
+    lin = component_linear(point, comp)
 
     def f_pull(mats):
         return fn(word_eval(comp.word, mats))
 
-    alpha = differential(point, f_pull, frame)
-    lhs = desc.bivector.frame_matrix(point, frame).T @ alpha
+    alpha = differential(point, f_pull)
+    lhs = desc.bivector.frame_matrix(point).T @ alpha
     # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g,
     # pushed through the action
     g, basis = lin.g, np.stack(model.basis)
@@ -400,22 +400,20 @@ def _rho(lins, nfr):
                np.zeros((nfr, nfr), dtype=complex))
 
 
-def rho_matrix(desc, point, frame=None):
+def rho_matrix(desc, point):
     """Frame matrix of the composite action((L^-1 - R^-1) dPhi): the sum over
     components of A (L - R)^T."""
-    frame = frame or point.frame()
-    return _rho(_linears(desc, point, frame), frame.dim)
+    return _rho(_linears(desc, point), point.frame().dim)
 
 
 def duality_residual(qp, qh, point):
     """max of || P# sigma_b - (Id - rho/4) || and the transposed identity."""
     site = qp.site
     site.pairing.require_invertible()
-    frame = point.frame()
-    pmat = qp.bivector.frame_matrix(point, frame)
-    smat = qh.form.frame_matrix(point, frame)
-    rho = rho_matrix(qp, point, frame)
-    eye = np.eye(frame.dim)
+    pmat = qp.bivector.frame_matrix(point)
+    smat = qh.form.frame_matrix(point)
+    rho = rho_matrix(qp, point)
+    eye = np.eye(len(rho))
     r1 = pmat.T @ smat.T - (eye - 0.25 * rho)
     r2 = smat.T @ pmat.T - (eye - 0.25 * rho.T)
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
@@ -432,19 +430,18 @@ def reconstruct_dual(desc, point, direction):
     """
     site = desc.site
     s_low, h_up = site.pairing.require_invertible()
-    frame = point.frame()
-    nfr = frame.dim
-    lins = _linears(desc, point, frame)
+    nfr = point.frame().dim
+    lins = _linears(desc, point)
     rho = _rho(lins, nfr)
     eye = np.eye(nfr)
 
     if direction == "P-from-sigma":
-        smat = desc.form.frame_matrix(point, frame)
+        smat = desc.form.frame_matrix(point)
         stacked = np.concatenate([*(lin.left for lin in lins), smat.T], axis=1)
         m = np.concatenate([*(0.5 * _bivector_momentum_rhs(lin, h_up) for lin in lins),
                             eye - 0.25 * rho], axis=1)
     elif direction == "sigma-from-P":
-        pmat = desc.bivector.frame_matrix(point, frame)
+        pmat = desc.bivector.frame_matrix(point)
         stacked = np.concatenate([*(lin.action for lin in lins), pmat.T], axis=1)
         m = np.concatenate([*(0.5 * lin.left @ (np.eye(len(s_low)) + lin.ad.T) @ s_low
                               for lin in lins),
@@ -463,12 +460,11 @@ def reconstruct_dual(desc, point, direction):
 
 def nondegeneracy_check(desc, point, mode):
     """Rank certificates for the momentum-relative non-degeneracy notions."""
-    frame = point.frame()
-    nfr = frame.dim
-    lins = _linears(desc, point, frame)
+    nfr = point.frame().dim
+    lins = _linears(desc, point)
 
     if mode == "twoform":
-        smat = desc.form.frame_matrix(point, frame)
+        smat = desc.form.frame_matrix(point)
         dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
         stacked = np.concatenate([smat.T, dphi_stack], axis=0)
         sv = np.linalg.svd(stacked, compute_uv=False)
@@ -477,7 +473,7 @@ def nondegeneracy_check(desc, point, mode):
         return {"min_singular": min_sv, "rank": int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1))),
                 "dim": nfr, "intersection_dim": int(inter)}
     if mode == "bivector":
-        pmat = desc.bivector.frame_matrix(point, frame)
+        pmat = desc.bivector.frame_matrix(point)
         stacked = np.concatenate([pmat.T, *(lin.action for lin in lins)], axis=1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1)))
@@ -557,11 +553,10 @@ def cn1_residual(site, points, seed=0, triples=8):
 # the quasi-Poisson law and equivariance
 # ---------------------------------------------------------------------------
 
-def eval_phi_actions(desc, point, phi, alpha, beta, gamma, frame=None):
+def eval_phi_actions(desc, point, phi, alpha, beta, gamma):
     """Half-contraction of the cubic tensor through every action component."""
-    frame = frame or point.frame()
     total = 0.0
-    for lin in _linears(desc, point, frame):
+    for lin in _linears(desc, point):
         a, b, c = (np.asarray(cov) @ lin.action for cov in (alpha, beta, gamma))
         total = total + 0.5 * np.einsum("jks,j,k,s->", phi, a, b, c)
     return total
@@ -572,10 +567,9 @@ def jacobiator_vs_phi(desc, point, fns, phi=None):
     site = desc.site
     if phi is None:
         phi = cartan3(site.model, site.pairing)
-    frame = point.frame()
     jac = jacobiator(desc.bivector, point, *fns)
-    covs = [differential(point, fn, frame) for fn in fns]
-    rhs = 2.0 * eval_phi_actions(desc, point, phi, *covs, frame=frame)
+    covs = [differential(point, fn) for fn in fns]
+    rhs = 2.0 * eval_phi_actions(desc, point, phi, *covs)
     return float(abs(jac - rhs))
 
 
@@ -653,4 +647,4 @@ def restrict_to_class(biv, point, factor, tol=1e-8):
     if resid > tol * (1 + float(np.abs(pamb).max())):
         raise NotTangent(f"bivector image leaves the class tangents "
                          f"(residual {resid:.3e})")
-    return biv.frame_matrix(point, frame), resid
+    return biv.frame_matrix(point), resid

@@ -261,13 +261,12 @@ def test_07_reconstruction_round_trip():
     pairs = [c for c in _shipped_pairs() if c[0] != "class"]
     for k, (label, site, qp, qh) in enumerate(pairs):
         for p in _points(site, [70, k], 8):
-            frame = p.frame()
             pmat, ker_p = reconstruct_dual(qh, p, "P-from-sigma")
             smat, ker_s = reconstruct_dual(qp, p, "sigma-from-P")
             worst = max(
                 worst,
-                float(np.abs(pmat - qp.bivector.frame_matrix(p, frame)).max()),
-                float(np.abs(smat - qh.form.frame_matrix(p, frame)).max()),
+                float(np.abs(pmat - qp.bivector.frame_matrix(p)).max()),
+                float(np.abs(smat - qh.form.frame_matrix(p)).max()),
                 float(ker_p),
                 float(ker_s),
             )

@@ -259,7 +259,7 @@ def test_differential_matches_finite_difference():
     p = random_point(site, np.random.default_rng(17))
     f = TraceFunction(site, "abA")
     frame = p.frame()
-    df = differential(p, f, frame)
+    df = differential(p, f)
     eps = 1e-7
     for a in range(0, frame.dim, 2):
         t = frame.vector(a)

@@ -1,0 +1,81 @@
+"""Per-point data is built once and shared read-only.
+
+Frame matrices and component linearizations live in the point's memo, so
+residuals that read the same data at one point -- directly, through another
+residual, or through both tensors of a dual pair -- differentiate each word
+once, and no caller can change what another caller reads.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import qpois.fields as fields
+import qpois.quasi as quasi
+from qpois import models
+from qpois.dirac import dirac_booleans
+from qpois.groupgeom import Factor, Site, random_point
+from qpois.quasi import (
+    assemble_surface_site,
+    component_linear,
+    duality_residual,
+    internally_fused,
+    momentum_residual,
+    reconstruct_dual,
+)
+
+
+def _two_puncture(seed=15):
+    model, pairing = models.sl2()
+    reps = [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]
+    site, qp, qh = assemble_surface_site(model, pairing, 1, reps)
+    return site, qp, qh, random_point(site, np.random.default_rng(seed))
+
+
+def test_each_word_is_differentiated_once_per_point(monkeypatch):
+    _, qp, qh, p = _two_puncture()
+    counts = Counter()
+    orig = fields.word_differentials
+
+    def counted(frame, word):
+        counts[word] += 1
+        return orig(frame, word)
+
+    monkeypatch.setattr(quasi, "word_differentials", counted)
+    monkeypatch.setattr(fields, "word_differentials", counted)
+    momentum_residual(qh, p, "twoform")
+    duality_residual(qp, qh, p)
+    reconstruct_dual(qh, p, "P-from-sigma")
+    reconstruct_dual(qp, p, "sigma-from-P")
+    dirac_booleans(qh, p)
+    assert qh.momentum[0].word in counts
+    assert counts and set(counts.values()) == {1}, counts
+
+
+def test_shared_arrays_are_read_only():
+    _, qp, qh, p = _two_puncture()
+    pmat = qp.bivector.frame_matrix(p)
+    smat = qh.form.frame_matrix(p)
+    lin = component_linear(p, qh.momentum[0])
+    assert qp.bivector.frame_matrix(p) is pmat
+    assert qh.form.frame_matrix(p) is smat
+    for arr in (pmat, smat, lin.left, lin.right, lin.action, lin.ad, lin.ad_inv):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pmat += 1.0
+
+
+def test_dual_descriptors_share_one_linearization():
+    _, qp, qh, p = _two_puncture()
+    assert component_linear(p, qp.momentum[0]) is component_linear(p, qh.momentum[0])
+    # the internally fused pair builds its components separately; they are
+    # equal values, so they key the same linearization
+    model, pairing = models.sl2()
+    site = Site(model, pairing, [Factor("group"), Factor("group")])
+    fqp, fqh = internally_fused(site)
+    assert fqp.momentum[0] is not fqh.momentum[0]
+    assert fqp.momentum[0] == fqh.momentum[0]
+    q = random_point(site, np.random.default_rng(3))
+    assert component_linear(q, fqp.momentum[0]) is component_linear(q, fqh.momentum[0])

@@ -78,7 +78,7 @@ def test_pg_momentum_wrong_word_fails():
     desc = pg_descriptor(site)
     bad = QuasiPoissonDescriptor(
         site, desc.bivector,
-        [MomentumComponent(parse_word(site, "aa"), op_fund([0]), (0,))])
+        [MomentumComponent(parse_word(site, "aa"), op_fund([0]))])
     p = random_point(site, np.random.default_rng(5))
     assert momentum_residual(bad, p, "bivector") > 1e-3
 
@@ -155,14 +155,14 @@ def test_fuse_zero_translations_gives_conjugation_structure():
     zero = Bivector(site, [])
     act_lt = ((-1.0, "R", 0),)   # x.q = xq, generator -Xq
     act_rt = ((1.0, "L", 0),)    # y.q = q y^-1, generator qX
-    c1 = MomentumComponent(parse_word(site, "a"), act_lt, ())
-    c2 = MomentumComponent(parse_word(site, ""), act_rt, ())
+    c1 = MomentumComponent(parse_word(site, "a"), act_lt)
+    c2 = MomentumComponent(parse_word(site, ""), act_rt)
     fused, merged = fuse_bivector(site, zero, c1, c2)
     assert merged.word == parse_word(site, "a")
     ref = pg_descriptor(site)
     desc = QuasiPoissonDescriptor(
         site, fused,
-        [MomentumComponent(parse_word(site, "a"), op_fund([0]), ())],
+        [MomentumComponent(parse_word(site, "a"), op_fund([0]))],
         "fused-zero")
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
@@ -177,8 +177,8 @@ def test_fusion_with_zero_tensor_pairing():
                                eta_upper=np.zeros((3, 3)))
     site = Site(model, zero_pairing, [Factor("group"), Factor("group")])
     zero = Bivector(site, [])
-    c1 = MomentumComponent(parse_word(site, "a"), op_fund([0]), (0,))
-    c2 = MomentumComponent(parse_word(site, "b"), op_fund([1]), (1,))
+    c1 = MomentumComponent(parse_word(site, "a"), op_fund([0]))
+    c2 = MomentumComponent(parse_word(site, "b"), op_fund([1]))
     fused, _ = fuse_bivector(site, zero, c1, c2)
     p = random_point(site, np.random.default_rng(0))
     assert np.abs(fused.frame_matrix(p)).max() < 1e-13
@@ -190,7 +190,7 @@ def test_fusion_associative_values():
     for i in range(3):
         units.append((Bivector(site, []),
                       MomentumComponent(parse_word(site, site.letter(i)),
-                                        op_fund([i]), (i,))))
+                                        op_fund([i]))))
     b0 = units[0][0] + units[1][0] + units[2][0]
     left1, m12 = fuse_bivector(site, b0, units[0][1], units[1][1])
     left, mall = fuse_bivector(site, left1, m12, units[2][1])

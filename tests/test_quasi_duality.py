@@ -109,7 +109,7 @@ def test_reconstruct_form_from_bivector():
     qp, qh = double_descriptors(site)
     for p in _points(site, 3):
         rec, kr = reconstruct_dual(qp, p, "sigma-from-P")
-        ref = qh.form.frame_matrix(p, p.frame())
+        ref = qh.form.frame_matrix(p)
         assert np.abs(rec - ref).max() <= 1e-8
         assert kr <= 1e-8
 
@@ -123,7 +123,7 @@ def test_reconstruct_surface_11():
         assert np.abs(rec - ref).max() <= 1e-8
         assert kr <= 1e-8
         rec2, kr2 = reconstruct_dual(qp, p, "sigma-from-P")
-        ref2 = qh.form.frame_matrix(p, p.frame())
+        ref2 = qh.form.frame_matrix(p)
         assert np.abs(rec2 - ref2).max() <= 1e-8
         assert kr2 <= 1e-8
 
@@ -216,9 +216,8 @@ def test_torus_chain_reproduces_fused_form():
     cform = two_chain_form(site, chain)
     rng = np.random.default_rng(16)
     for p in _points(site, 3):
-        frame = p.frame()
-        ref = qh.form.frame_matrix(p, frame)
-        got = cform.frame_matrix(p, frame)
+        ref = qh.form.frame_matrix(p)
+        got = cform.frame_matrix(p)
         assert np.abs(ref - got).max() <= 1e-10
 
 
@@ -229,7 +228,7 @@ def test_inverse_pair_chains_vanish():
     for u, v in (("a", "A"), ("b", "B"), ("ab", "BA")):
         cform = two_chain_form(site, [(1.0, u, v)])
         for p in _points(site, 2):
-            assert np.abs(cform.frame_matrix(p, p.frame())).max() <= 1e-12
+            assert np.abs(cform.frame_matrix(p)).max() <= 1e-12
 
 
 def test_degenerate_model_momentum_still_holds():

@@ -1,12 +1,16 @@
 """The benchmark's per-layer tracer still finds the functions it wraps.
 
-`perfbench/tracing.py` wraps functions by module and qualified name; a
-rename in the package would make `--trace 1` fail only when the benchmark
-runs.  This installs the tracer, runs one check and restores the package.
+`perfbench/tracing.py` wraps functions by module and qualified name, methods
+through the class dictionary; a rename in the package would make
+`--trace 1` fail only when the benchmark runs.  These install the tracer,
+run checks and restore the package, and resolve every exported name.
 """
 
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import qpois.cli as cli
 import qpois.quasi as quasi
@@ -38,3 +42,35 @@ def test_tracer_wraps_and_restores_package_functions():
     assert quasi.momentum_residual is originals["quasi"]
     assert cli.momentum_residual is originals["cli"]
     assert cli.run_suite is originals["run_suite"]
+
+
+def test_tracer_counts_the_memoized_methods():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = cli.run_suite({
+            "group": {"family": "SL", "n": 2},
+            "site": {"genus": 1, "class_reps": [
+                [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+                [[[3, 0], [0, 0]], [[0, 0], [1 / 3, 0]]]]},
+            "seed": 3,
+            "samples": 2,
+            "checks": ["strongness_agreement", "reconstruction_round_trip"],
+        }, "all", jobs=1)
+    finally:
+        tracer.uninstall()
+    assert len(report["checks"]) == 2
+    for name in ("groupgeom.SitePoint.frame", "fields.FormField.frame_matrix",
+                 "fields.Bivector.frame_matrix"):
+        assert tracer.calls[name] > 0, name
+
+
+MODULES = ["charvar", "cli", "dirac", "duals", "fields", "groupgeom", "liealg",
+           "models", "quasi"]
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_every_exported_name_resolves(modname):
+    mod = importlib.import_module(f"qpois.{modname}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
