@@ -212,8 +212,27 @@ def _apply_step(site, point, step):
     return SitePoint(site, mats, conjs)
 
 
+def _relator_jacobian(site, word, mats, target_inv):
+    """Real Jacobian of the stacked relator gap in the step parameters, from
+    one word_tangent call laid out as TangentFrame.stacked: factor i holds its
+    d step directions (q e_j on a group factor, e_j q - q e_j on a class
+    factor) in rows i*d..(i+1)*d.  Each direction fills a real and an
+    imaginary column."""
+    d, n, nfac = site.model.d, site.model.n, site.nfac
+    basis = np.stack(site.model.basis)
+    comps = [np.zeros((nfac * d, n, n), dtype=complex) for _ in mats]
+    for i, (fac, q) in enumerate(zip(site.factors, mats)):
+        comps[i][i * d:(i + 1) * d] = (q @ basis if fac.kind == "group"
+                                       else basis @ q - q @ basis)
+    delta = (word_tangent(word, mats, comps) @ target_inv).reshape(nfac * d, -1)
+    jmat = np.empty((2 * n * n, 2 * nfac * d))
+    jmat[:, 0::2] = np.concatenate([delta.real, delta.imag], axis=1).T
+    jmat[:, 1::2] = np.concatenate([-delta.imag, delta.real], axis=1).T
+    return jmat
+
+
 def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
-                  scale=0.35, start=None):
+                  start=None):
     """Sample a site point solving  word(p) = target  by damped Gauss-Newton.
 
     Parameters are per-factor algebra coefficients treated as independent
@@ -225,37 +244,21 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
         word = parse_word(site, word)
     target = np.asarray(target, dtype=complex)
     target_inv = np.linalg.inv(target)
-    model = site.model
-    d, n, nfac = model.d, model.n, site.nfac
+    npar = 2 * site.model.d * site.nfac
 
     point = start if start is not None else random_point(
-        site, np.random.default_rng(seed), scale)
+        site, np.random.default_rng(seed))
 
     def sup_norm(p):
         return float(np.abs(_relator_gap(word, p.mats, target_inv)).max())
 
     current = sup_norm(point)
     mu = 1e-3
-    npar = 2 * d * nfac
     for it in range(max_iters):
         if current <= tol:
             return RepSample(point, current, target, it)
         rvec = _real_stack(_relator_gap(word, point.mats, target_inv))
-        cols = []
-        for i, fac in enumerate(site.factors):
-            q = point.mats[i]
-            for b in model.basis:
-                if fac.kind == "group":
-                    v = q @ b
-                else:
-                    v = b @ q - q @ b
-                comps = [None] * nfac
-                comps[i] = v
-                delta = (word_tangent(word, point.mats, comps)
-                         @ target_inv).reshape(-1)
-                cols.append(np.concatenate([delta.real, delta.imag]))
-                cols.append(np.concatenate([-delta.imag, delta.real]))
-        jmat = np.stack(cols, axis=1)
+        jmat = _relator_jacobian(site, word, point.mats, target_inv)
         accepted = False
         while mu < 1e14:
             lhs = np.vstack([jmat, np.sqrt(mu) * np.eye(npar)])

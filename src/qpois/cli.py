@@ -23,14 +23,16 @@ import math
 import os
 import platform
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import click
 import numpy as np
 
 from . import __version__
 from .charvar import (
+    RepSample,
     TraceFunction,
     bracket as bracket_value,
     jacobi_invariants,
@@ -177,6 +179,8 @@ class Setup:
     tols: dict
     check_filter: list | None
     invariance_gate: float | None = None
+    solved: list | None = None       # see _solved_set
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _build_pairing(model, base_pairing, spec):
@@ -187,7 +191,7 @@ def _build_pairing(model, base_pairing, spec):
     _expect(isinstance(scale, (int, float)) and not isinstance(scale, bool),
             "pairing.trace_scale", "must be a number")
     mask = spec.get("mask")
-    from .liealg import PairingData, trace_pairing
+    from .liealg import PairingData, pairing_from_lower, trace_pairing
 
     if mask is None:
         return trace_pairing(model, scale=float(scale))
@@ -197,13 +201,11 @@ def _build_pairing(model, base_pairing, spec):
             "pairing.mask", f"must be a list of {model.d} numbers")
     base = trace_pairing(model, scale=float(scale)).eta_lower
     m = np.asarray(mask, dtype=float)
-    lower = base * np.outer(m, m)
-    sv = np.linalg.svd(lower, compute_uv=False)
-    if sv.size and sv[-1] > 1e-10 * sv[0]:
-        upper = np.linalg.inv(lower)
-    else:
-        upper = np.linalg.pinv(lower)
-    return PairingData(eta_lower=lower, eta_upper=upper)
+    out = pairing_from_lower(base * np.outer(m, m))
+    if out.eta_upper is None:
+        out = PairingData(eta_lower=out.eta_lower,
+                          eta_upper=np.linalg.pinv(out.eta_lower))
+    return out
 
 
 def build_setup(raw, seed=None):
@@ -344,6 +346,7 @@ class Check:
     fn: object
     needs_invariant: bool = True
     needs_invertible: bool = False
+    needs_form: bool = False
 
 
 def _check_rng(setup, check_id):
@@ -406,8 +409,6 @@ def _chk_momentum_bivector(s, rng):
 
 
 def _chk_momentum_form(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     pts = _sample_points(s, rng)
     worst = max(momentum_residual(s.qh, p, "twoform") for p in pts)
     return float(worst), len(pts)
@@ -453,8 +454,6 @@ def _chk_class_tangency(s, rng):
 
 
 def _chk_quasi_closed(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     pts = _sample_points(s, rng, count=min(s.samples, 4))
     sub = int(rng.integers(2 ** 31))
     return float(quasi_closed_residual(s.qh, pts, seed=sub, triples=4)), len(pts)
@@ -469,16 +468,12 @@ def _chk_cn1(s, rng):
 
 
 def _chk_duality(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     pts = _sample_points(s, rng)
     worst = max(duality_residual(s.qp, s.qh, p) for p in pts)
     return float(worst), len(pts)
 
 
 def _chk_reconstruction(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     worst = 0.0
     count = min(s.samples, 4)
     for _ in range(count):
@@ -493,8 +488,6 @@ def _chk_reconstruction(s, rng):
 
 
 def _chk_reconstruction_kernel(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     worst = 0.0
     count = min(s.samples, 4)
     for _ in range(count):
@@ -506,10 +499,6 @@ def _chk_reconstruction_kernel(s, rng):
 
 
 def _chk_nondegeneracy(s, rng):
-    if s.qh is None:
-        # the rank statement belongs to sites that ship a 2-form; without one
-        # free class-less puncture factors keep an uncovered radial direction
-        raise _Skip("site variant ships no 2-form; rank statement not claimed")
     worst = 0
     count = min(s.samples, 4)
     for _ in range(count):
@@ -548,8 +537,6 @@ def _chk_fibers(s, rng):
 
 
 def _chk_boolean_agreement(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     disagreements = 0
     pts = _sample_points(s, rng)
     for p in pts:
@@ -562,8 +549,6 @@ def _chk_boolean_agreement(s, rng):
 
 
 def _chk_rank_chain(s, rng):
-    if s.qh is None:
-        raise _Skip("site variant ships no 2-form")
     worst = 0.0
     count = min(s.samples, 6)
     for _ in range(count):
@@ -575,31 +560,53 @@ def _chk_rank_chain(s, rng):
     return worst, count
 
 
-def _solved_points(s, rng, per_target):
-    word = relator_word(s.site, s.genus, len(s.class_reps))
-    rows = []
-    for label, target in s.targets:
-        for k in range(per_target):
-            sub = int(rng.integers(2 ** 31))
-            try:
-                out = solve_relator(s.site, word, target, seed=sub)
-            except (MaxIters, Stalled) as exc:
-                raise _Fail(
-                    f"solver failed for target {label} (sample {k}): {exc}; "
-                    f"best residual {exc.best_residual:.3e}") from exc
-            rows.append((label, out))
-    return rows
+def _solve_or_stop(site, word, target, sub):
+    """A relator solve's RepSample, or the MaxIters / Stalled stop."""
+    try:
+        return solve_relator(site, word, target, seed=sub)
+    except (MaxIters, Stalled) as exc:
+        return exc
+
+
+def _solved_set(s):
+    """Relator solves shared by the moduli checks and made once per run: per
+    target, the outcomes of min(samples, 4) solves."""
+    with s.lock:
+        if s.solved is None:
+            rng = _check_rng(s, "relator_solver")
+            word = relator_word(s.site, s.genus, len(s.class_reps))
+            solved = [[_solve_or_stop(s.site, word, target,
+                                      int(rng.integers(2 ** 31)))
+                       for _ in range(min(s.samples, 4))]
+                      for _, target in s.targets]
+            s.solved = solved
+    return s.solved
+
+
+def _converged_points(s):
+    """Per target, the converged points among its first min(samples, 3)
+    solves; a solver stop is reported once, by relator_solver."""
+    per = min(s.samples, 3)
+    points = [[out.point for out in outs[:per] if isinstance(out, RepSample)]
+              for outs in _solved_set(s)]
+    if not any(points):
+        raise _Skip("no relator solve converged; see relator_solver")
+    return points
 
 
 def _chk_solver(s, rng):
-    rows = _solved_points(s, rng, per_target=min(s.samples, 4))
-    worst = max(out.residual for _, out in rows)
-    return float(worst), len(rows)
+    solved = _solved_set(s)
+    for (label, _), outs in zip(s.targets, solved):
+        for k, out in enumerate(outs):
+            if not isinstance(out, RepSample):
+                raise _Fail(f"solver failed for target {label} (sample {k}): "
+                            f"{out}; best residual {out.best_residual:.3e}")
+    residuals = [out.residual for outs in solved for out in outs]
+    return float(max(residuals)), len(residuals)
 
 
 def _chk_jacobi_level(s, rng):
-    rows = _solved_points(s, rng, per_target=min(s.samples, 3))
-    pts = [out.point for _, out in rows]
+    pts = [p for per_target in _converged_points(s) for p in per_target]
     fns = [TraceFunction(s.site, w) for w in s.words[:3]]
     while len(fns) < 3:
         fns.append(fns[-1])
@@ -609,14 +616,10 @@ def _chk_jacobi_level(s, rng):
 def _chk_poisson_ideal(s, rng):
     word = relator_word(s.site, s.genus, len(s.class_reps))
     f = TraceFunction(s.site, s.words[0])
-    per = min(s.samples, 3)
-    rows = _solved_points(s, rng, per_target=per)
-    worst = 0.0
-    for i, (_, target) in enumerate(s.targets):
-        pts = [out.point for _, out in rows[i * per:(i + 1) * per]]
-        worst = max(worst, poisson_ideal_residual(s.qp.bivector, word, target,
-                                                  f, pts))
-    return worst, len(rows)
+    points = _converged_points(s)
+    worst = max(poisson_ideal_residual(s.qp.bivector, word, target, f, pts)
+                for (_, target), pts in zip(s.targets, points))
+    return worst, sum(map(len, points))
 
 
 def _chk_level_tangency(s, rng):
@@ -645,28 +648,32 @@ _ALL_CHECKS = [
     Check("momentum_bivector_law", "bivector momentum law", "core", "momentum",
           _chk_momentum_bivector),
     Check("momentum_form_law", "2-form momentum law", "core", "momentum",
-          _chk_momentum_form),
+          _chk_momentum_form, needs_form=True),
     Check("equivariance", "tensor invariance under simultaneous conjugation",
           "core", "momentum", _chk_equivariance),
     Check("class_restriction_tangency",
           "bivector restricts tangentially to conjugacy classes", "core",
           "rank", _chk_class_tangency, needs_invariant=False),
     Check("quasi_closedness", "exterior derivative matches the pulled-back "
-          "trivector", "core", "derivative", _chk_quasi_closed),
+          "trivector", "core", "derivative", _chk_quasi_closed,
+          needs_form=True),
     Check("mixed_closure_calibration",
           "mixed-pairing differential calibration on two factors", "core",
           "derivative", _chk_cn1),
     Check("duality_identity", "sharp-flat composition equals identity minus "
           "quarter twist", "duality", "duality", _chk_duality,
-          needs_invertible=True),
+          needs_invertible=True, needs_form=True),
     Check("reconstruction_round_trip", "dual tensor rebuilt from the momentum "
           "identities", "duality", "duality", _chk_reconstruction,
-          needs_invertible=True),
+          needs_invertible=True, needs_form=True),
     Check("reconstruction_kernel", "reconstruction is well defined on the "
           "stacked kernel", "duality", "duality", _chk_reconstruction_kernel,
-          needs_invertible=True),
+          needs_invertible=True, needs_form=True),
+    # the rank statement belongs to sites that ship a 2-form; without one
+    # free class-less puncture factors keep an uncovered radial direction
     Check("quasi_nondegeneracy", "stacked sharp/fundamental map has full rank",
-          "duality", "rank", _chk_nondegeneracy, needs_invertible=True),
+          "duality", "rank", _chk_nondegeneracy, needs_invertible=True,
+          needs_form=True),
     Check("projection_idempotency", "split projections are idempotent and "
           "complementary", "dirac", "linear", _chk_projections,
           needs_invertible=True),
@@ -674,9 +681,11 @@ _ALL_CHECKS = [
           "complementary", "dirac", "linear", _chk_fibers,
           needs_invertible=True),
     Check("strongness_agreement", "four non-degeneracy criteria agree",
-          "dirac", "rank", _chk_boolean_agreement, needs_invertible=True),
+          "dirac", "rank", _chk_boolean_agreement, needs_invertible=True,
+          needs_form=True),
     Check("rank_certificate_chain", "kernel-to-kernel rank certificates",
-          "dirac", "rank", _chk_rank_chain, needs_invertible=True),
+          "dirac", "rank", _chk_rank_chain, needs_invertible=True,
+          needs_form=True),
     Check("relator_solver", "relator sampler converges", "moduli", "solver",
           _chk_solver),
     Check("jacobi_at_level", "Jacobi identity of invariant brackets at solved "
@@ -722,6 +731,8 @@ def _run_one(setup, chk):
             if gate > setup.tols["linear"]:
                 raise _Skip(f"pairing is not ad-invariant "
                             f"(residual {gate:.3e}); see pairing_ad_invariance")
+        if chk.needs_form and setup.qh is None:
+            raise _Skip("site variant ships no 2-form")
         residual, nsamp = chk.fn(setup, _check_rng(setup, chk.check_id))
         record["max_residual"] = float(residual)
         record["samples"] = int(nsamp)
@@ -792,13 +803,12 @@ def _solve_row(site, word, target_mat, sub, **row):
     solver's); returns (row, solution), the solution None on a solver stop."""
     row.update(solver_seed=sub, solver_failed=False, residual=None, iters=None,
                reason=None)
-    try:
-        out = solve_relator(site, word, target_mat, seed=sub)
-    except (MaxIters, Stalled) as exc:
-        row.update(solver_failed=True, reason=f"{type(exc).__name__}: {exc}",
-                   residual=(float(exc.best_residual)
-                             if exc.best_residual is not None else None),
-                   iters=exc.iters)
+    out = _solve_or_stop(site, word, target_mat, sub)
+    if not isinstance(out, RepSample):
+        row.update(solver_failed=True, reason=f"{type(out).__name__}: {out}",
+                   residual=(float(out.best_residual)
+                             if out.best_residual is not None else None),
+                   iters=out.iters)
         return row, None
     row.update(residual=out.residual, iters=out.iters)
     return row, out

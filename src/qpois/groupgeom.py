@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duals import Dual, dexpm, dinv
+from .duals import dexpm, dinv
 from .errors import BadSignature, LiftFailed, NotInSpan, NotTangent
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "site_frame",
     "random_point",
     "conjugate_point",
-    "dual_lift",
 ]
 
 
@@ -170,7 +169,7 @@ def word_differentials(frame, word):
     and dW(v_a) g^{-1}.  NotInSpan when a row leaves the algebra.
     """
     model = frame.site.model
-    mats = frame.point.mats
+    mats = frame.mats
     g = word_eval(word, mats)
     gi = np.linalg.inv(g)
     dv = np.broadcast_to(word_tangent(word, mats, frame.stacked),
@@ -238,7 +237,7 @@ class TangentFrame:
 
     def __init__(self, site, point, per_factor, lifts):
         self.site = site
-        self.point = point
+        self.mats = point.mats          # not the point, whose memo holds us
         self.per_factor = per_factor    # list of lists of ambient matrices
         self.lifts = lifts              # list of (list of coeff vectors | None)
         self.offsets = []
@@ -382,17 +381,3 @@ def conjugate_point(point, g):
         conjs.append(None if c is None else g @ c)
     return SitePoint(point.site, mats, conjs)
 
-
-def dual_lift(fn, point, tangent):
-    """Directional derivative of a scalar function of the factor matrices."""
-    comps = tangent.comps if isinstance(tangent, Tangent) else tangent
-    mats = []
-    for q, v in zip(point.mats, comps):
-        if v is None:
-            mats.append(q)
-        else:
-            mats.append(Dual(q, np.asarray(v, dtype=complex)))
-    out = fn(mats)
-    if isinstance(out, Dual):
-        return out.eps
-    return 0.0 * out

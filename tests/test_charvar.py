@@ -5,6 +5,7 @@ from qpois import models
 from qpois.charvar import (
     RepSample,
     TraceFunction,
+    _relator_jacobian,
     bracket,
     differential,
     dual_pair_residuals,
@@ -18,8 +19,13 @@ from qpois.charvar import (
 from qpois.duals import Dual
 from qpois.errors import MaxIters, NotInvariant, Stalled
 from qpois.fields import Bivector
-from qpois.groupgeom import Factor, Site, SitePoint, random_point
-from qpois.quasi import assemble_surface_site, internally_fused, pg_descriptor
+from qpois.groupgeom import Factor, Site, SitePoint, random_point, word_tangent
+from qpois.quasi import (
+    assemble_surface_site,
+    internally_fused,
+    pg_descriptor,
+    relator_word,
+)
 
 REP = np.diag([2.0, 0.5]).astype(complex)
 
@@ -237,6 +243,42 @@ def test_solver_class_factor_preserves_spectrum():
     assert out.residual <= 1e-10
     ev = np.sort_complex(np.linalg.eigvals(out.point.mats[2]))
     assert np.abs(ev - np.array([0.5, 2.0])).max() <= 1e-10
+
+
+def _jacobian_loop(site, word, mats, target_inv):
+    """The Jacobian one step direction at a time: one word_tangent call and
+    a real and an imaginary column per direction."""
+    cols = []
+    for i, fac in enumerate(site.factors):
+        q = mats[i]
+        for b in site.model.basis:
+            v = q @ b if fac.kind == "group" else b @ q - q @ b
+            comps = [None] * site.nfac
+            comps[i] = v
+            delta = (word_tangent(word, mats, comps) @ target_inv).reshape(-1)
+            cols.append(np.concatenate([delta.real, delta.imag]))
+            cols.append(np.concatenate([-delta.imag, delta.real]))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("build,genus,reps", [
+    (models.sl2, 2, []),
+    (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
+    (models.sl3, 1, []),
+    (models.sl2_abelian, 2, []),
+], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2"])
+def test_batched_jacobian_matches_direction_loop(build, genus, reps):
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    word = relator_word(site, genus, len(reps))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        mats = random_point(site, rng).mats
+        target_inv = np.linalg.inv(random_point(site, rng).mats[0])
+        got = _relator_jacobian(site, word, mats, target_inv)
+        ref = _jacobian_loop(site, word, mats, target_inv)
+        assert got.shape == ref.shape == (2 * model.n ** 2, 2 * model.d * site.nfac)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_solver_failure_modes():

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,9 @@ def test_fullgroups_with_punctures_skips_form_checks():
     }, "all", seed=2)
     checks = by_id(report)
     for cid in ("momentum_form_law", "quasi_closedness", "duality_identity",
-                "strongness_agreement"):
+                "reconstruction_round_trip", "reconstruction_kernel",
+                "quasi_nondegeneracy", "strongness_agreement",
+                "rank_certificate_chain"):
         assert checks[cid]["status"] == "skipped"
         assert "2-form" in checks[cid]["reason"]
     assert checks["momentum_bivector_law"]["status"] == "passed"
@@ -237,6 +240,56 @@ def test_readme_config_and_class_rep_literal_accepted():
     literal = json.loads(re.search(r"`(\[\[\[.*?\]\]\])`", text).group(1))
     setup = build_setup(dict(cfg, site={"genus": 1, "class_reps": [literal]}))
     assert np.allclose(setup.class_reps[0], np.diag([2.0, 0.5]))
+
+
+def _readme_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def test_readme_config_stall_is_reported_once():
+    checks = by_id(run_suite(_readme_config(), "moduli"))
+    solver = checks["relator_solver"]
+    assert solver["status"] == "failed"
+    assert solver["reason"] == (
+        "solver failed for target minus_identity (sample 0): no descent "
+        "direction (residual 1.947e+00); best residual 1.947e+00")
+    # the moduli checks read the converged points of the same solves
+    for cid in ("jacobi_at_level", "poisson_ideal"):
+        assert checks[cid]["status"] == "passed", checks[cid]
+        assert 0 < checks[cid]["samples"] < 6
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_moduli_checks_share_one_solved_set(monkeypatch, jobs):
+    import qpois.cli as cli
+
+    calls = []
+    solve = cli.solve_relator
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_relator", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # frequent thread switches expose races
+    try:
+        report = run_suite(torus_cfg(
+            samples=8, site={"genus": 1, "class_reps": []},
+            targets=["identity", [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
+            "moduli", jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["overall_pass"], report["checks"]
+    # min(samples, 4) solves per target, read by relator_solver,
+    # jacobi_at_level and poisson_ideal alike
+    assert len(calls) == 8
+    assert len(set(calls)) == 8
+    checks = by_id(report)
+    assert checks["relator_solver"]["samples"] == 8
+    assert checks["jacobi_at_level"]["samples"] == 6
+    assert checks["poisson_ideal"]["samples"] == 6
 
 
 def test_jobs_is_a_verify_option_only(tmp_path):

@@ -16,7 +16,9 @@ import pytest
 from qpois import models
 from qpois.charvar import TraceFunction, differential
 from qpois.fields import FormField, op_apply
-from qpois.groupgeom import Tangent, dual_lift, random_point, word_eval, word_tangent
+from qpois.groupgeom import Tangent, random_point, word_eval, word_tangent
+
+from dual_reference import dual_lift
 from qpois.liealg import adjoint_matrix
 from qpois.quasi import (
     QuasiHamiltonianDescriptor,
@@ -57,7 +59,7 @@ def _wrong(qp, qh):
 def _word_diffs(frame, word):
     """Left/right trivialized word differentials, one frame vector at a time."""
     model = frame.site.model
-    mats = frame.point.mats
+    mats = frame.mats
     gi = np.linalg.inv(word_eval(word, mats))
     dvs = [word_tangent(word, mats, v) for v in frame.vectors()]
     return (np.array([model.coeffs(gi @ dv) for dv in dvs]),

@@ -313,7 +313,7 @@ def test_bracket_funcs_against_componentwise():
 
     fast = bracket_funcs(biv, p, f1, f2)
 
-    from qpois.groupgeom import dual_lift
+    from dual_reference import dual_lift
     h = site.pairing.eta_upper
     slow = 0.0
     for coef, op1, op2 in terms:
@@ -359,7 +359,7 @@ def test_jacobiator_against_finite_differences():
             plus = [q + step * (c if c is not None else 0) for q, c in zip(p.mats, comps)]
             minus = [q - step * (c if c is not None else 0) for q, c in zip(p.mats, comps)]
             dbr.append((bracket_at(plus, fa, fb) - bracket_at(minus, fa, fb)) / (2 * step))
-        from qpois.groupgeom import dual_lift
+        from dual_reference import dual_lift
         val = 0.0
         for t_idx, (coef, _, op2) in enumerate(terms):
             for j in range(d):

@@ -11,7 +11,6 @@ from qpois.groupgeom import (
     Tangent,
     class_tangent_frame,
     conjugate_point,
-    dual_lift,
     fund_tangent,
     maurer_cartan,
     parse_word,
@@ -20,6 +19,8 @@ from qpois.groupgeom import (
     word_eval,
     word_tangent,
 )
+
+from dual_reference import dual_lift
 
 
 def sl2_site(factors):

@@ -6,6 +6,8 @@ residual, or through both tensors of a dual pair -- differentiate each word
 once, and no caller can change what another caller reads.
 """
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -79,3 +81,21 @@ def test_dual_descriptors_share_one_linearization():
     assert fqp.momentum[0] == fqh.momentum[0]
     q = random_point(site, np.random.default_rng(3))
     assert component_linear(q, fqp.momentum[0]) is component_linear(q, fqh.momentum[0])
+
+
+def test_point_with_built_memo_is_freed_without_the_collector():
+    _, qp, qh, p = _two_puncture()
+    qp.bivector.frame_matrix(p)
+    qh.form.frame_matrix(p)
+    component_linear(p, qh.momentum[0])
+    assert p.frame().dim > 0
+    ref = weakref.ref(p)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p
+        # no reference cycle through the memo: freed by reference counting
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -65,6 +65,26 @@ def test_tracer_counts_the_memoized_methods():
         assert tracer.calls[name] > 0, name
 
 
+def test_solver_makes_one_jacobian_per_iteration():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = cli.sample_points({
+            "group": {"family": "SL", "n": 2},
+            "site": {"genus": 2, "class_reps": []},
+            "targets": ["identity", "minus_identity"],
+            "seed": 1,
+            "samples": 3,
+        })
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    assert snap["charvar.solve_relator.calls"] == len(report["rows"]) == 6
+    assert snap["charvar.solve_relator.iters"] > 0
+    assert (snap["groupgeom.word_tangent.calls"]
+            == snap["charvar.solve_relator.iters"])
+
+
 MODULES = ["charvar", "cli", "dirac", "duals", "fields", "groupgeom", "liealg",
            "models", "quasi"]
 
