@@ -896,7 +896,8 @@ def canonical_json(obj):
             return '"NaN"'
         if math.isinf(x):
             return '"Infinity"' if x > 0 else '"-Infinity"'
-        return format(x, ".17g")
+        # -0.0 as "0": the text "-0" parses back as the integer 0
+        return format(x + 0.0, ".17g")
     if isinstance(obj, complex):
         return canonical_json([obj.real, obj.imag])
     if isinstance(obj, str):

@@ -193,13 +193,16 @@ def dual_vdot(smat, a, b):
 
 
 def _lift_plain(model, q, v, tol=1e-8):
+    """Least-squares lifts X with qX - Xq = v; v may carry leading batch axes."""
     cols = [(q @ b - b @ q).reshape(-1) for b in model.basis]
     fmat = np.stack(cols, axis=1)
-    flat = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex)
+    flat = v.reshape(-1, v.shape[-2] * v.shape[-1]).T    # one column per entry
     c, *_ = np.linalg.lstsq(fmat, flat, rcond=None)
-    if np.linalg.norm(fmat @ c - flat) > tol * (1 + np.linalg.norm(flat)):
+    resid = np.linalg.norm(fmat @ c - flat, axis=0)
+    if np.any(resid > tol * (1 + np.linalg.norm(flat, axis=0))):
         raise LiftFailed("tangent is not a conjugation direction on this factor")
-    return c
+    return c.T.reshape(v.shape[:-2] + (-1,))
 
 
 class FormField:
@@ -223,26 +226,40 @@ class FormField:
              for t in self.pair_terms],
             [TauTerm(t.factor, c * t.coef) for t in self.tau_terms])
 
-    def _theta(self, word, side, mats, tangent):
-        """Trivialized coefficients of the word-derivative of a tangent."""
-        model = self.site.model
-        g = word_eval(word, mats)
-        dv = word_tangent(word, mats, tangent)
-        gi = dinv(g)
-        m = gi @ dv if side == "omega" else dv @ gi
-        return apply_linear(model.basis_pinv, m)
-
     def evaluate(self, mats, t1, t2):
         """Value on two Tangents; Dual-transparent (class lifts must be known
-        on Dual inputs, and are solved least-squares on plain ones)."""
+        on Dual inputs, and are solved least-squares on plain ones).
+
+        Tangent components and lifts may carry one leading batch axis, the
+        same on both tangents (Dual factor matrices may carry it in their
+        perturbation); the value then has one entry per batch entry.  Each
+        distinct word is evaluated, inverted and differentiated along each
+        tangent once per call.
+        """
         model = self.site.model
         smat = self.site.pairing.eta_lower
+        tangents = (t1, t2)
+        inverses, derivs, thetas = {}, {}, {}
+
+        def theta(word, side, i):
+            """Trivialized coefficients of the word-derivative of tangent i."""
+            key = (word, side, i)
+            if key not in thetas:
+                if word not in inverses:
+                    inverses[word] = dinv(word_eval(word, mats))
+                if (word, i) not in derivs:
+                    derivs[word, i] = word_tangent(word, mats, tangents[i])
+                gi, dv = inverses[word], derivs[word, i]
+                m = gi @ dv if side == "omega" else dv @ gi
+                thetas[key] = apply_linear(model.basis_pinv, m)
+            return thetas[key]
+
         total = 0.0
         for term in self.pair_terms:
-            a1 = self._theta(term.word_u, term.side_u, mats, t1)
-            b2 = self._theta(term.word_v, term.side_v, mats, t2)
-            a2 = self._theta(term.word_u, term.side_u, mats, t2)
-            b1 = self._theta(term.word_v, term.side_v, mats, t1)
+            a1 = theta(term.word_u, term.side_u, 0)
+            b2 = theta(term.word_v, term.side_v, 1)
+            a2 = theta(term.word_u, term.side_u, 1)
+            b1 = theta(term.word_v, term.side_v, 0)
             total = total + term.coef * (dual_vdot(smat, a1, b2) - dual_vdot(smat, a2, b1))
         for term in self.tau_terms:
             f = term.factor
@@ -327,16 +344,37 @@ class Section:
         self.x = np.asarray(self.x, dtype=complex)
 
 
-def section_value(site, sec, mats):
-    """Tangent of the section at the (possibly Dual) factor matrices."""
-    x = site.model.from_coeffs(sec.x)
+def section_value(site, secs, mats):
+    """Tangent of a section, or of a sequence of sections as one batched
+    Tangent (entry k zero on the factors section k does not touch), at the
+    (possibly Dual) factor matrices.  Conjugation directions carry their
+    lifts, stacked per factor when every section there has one."""
+    single = isinstance(secs, Section)
+    batch = [secs] if single else list(secs)
+    model = site.model
+    shape = () if single else (len(batch),)
     comps = [None] * site.nfac
-    q = mats[sec.factor]
-    if sec.kind == "left":
-        comps[sec.factor] = q @ x
-        return Tangent(comps)
-    comps[sec.factor] = q @ x - x @ q
-    return Tangent(comps, lifts={sec.factor: sec.x})
+    lifts = {}
+    for f in sorted({s.factor for s in batch}):
+        left = np.zeros(shape + (model.n, model.n), dtype=complex)
+        right = np.zeros_like(left)
+        lift = np.zeros(shape + (model.d,), dtype=complex)
+        lifted = True
+        for k, s in enumerate(batch):
+            if s.factor != f:
+                continue
+            entry = () if single else k
+            left[entry] = model.from_coeffs(s.x)
+            if s.kind == "fund":
+                right[entry] = left[entry]
+                lift[entry] = s.x
+            else:
+                lifted = False
+        q = mats[f]
+        comps[f] = q @ left - right @ q
+        if lifted:
+            lifts[f] = lift
+    return Tangent(comps, lifts)
 
 
 def section_bracket(site, s1, s2):
@@ -349,43 +387,39 @@ def section_bracket(site, s1, s2):
     return Section(s1.factor, s1.kind, x)
 
 
-def _section_derivative(site, form, point, dsec, s1, s2):
-    """Derivative along dsec of the scalar p -> form_p(s1(p), s2(p))."""
-    base = section_value(site, dsec, point.mats)
-    mats = []
-    for i, q in enumerate(point.mats):
-        v = base.comps[i]
-        mats.append(q if v is None else Dual(q, v))
-    t1 = section_value(site, s1, mats)
-    t2 = section_value(site, s2, mats)
-    out = form.evaluate(mats, t1, t2)
-    return out.eps if isinstance(out, Dual) else 0.0
+def exterior_d3(site, form, point, triples):
+    """Pointwise d(form) on triples (X, Y, Z) of constant sections:
 
+    X s(Y,Z) - Y s(X,Z) + Z s(X,Y) - s([X,Y],Z) + s([X,Z],Y) - s([Y,Z],X),
 
-def exterior_d3(site, form, point, s1, s2, s3):
-    """Pointwise d(form) on three constant sections.
-
-    X s(Y,Z) - Y s(X,Z) + Z s(X,Y) - s([X,Y],Z) + s([X,Z],Y) - s([Y,Z],X).
+    one value per triple.  All derivative terms come from one Dual
+    evaluation, whose entry k perturbs the point along its own derivative
+    section only; all bracket terms come from one plain evaluation.
     """
-    d1 = _section_derivative(site, form, point, s1, s2, s3)
-    d2 = _section_derivative(site, form, point, s2, s1, s3)
-    d3 = _section_derivative(site, form, point, s3, s1, s2)
-    total = d1 - d2 + d3
+    derivs = [term for s1, s2, s3 in triples
+              for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
+    dsecs, firsts, seconds = ([term[i] for term in derivs] for i in range(3))
+    base = section_value(site, dsecs, point.mats)
+    mats = [q if v is None else Dual(q, v) for q, v in zip(point.mats, base.comps)]
+    out = form.evaluate(mats, section_value(site, firsts, mats),
+                        section_value(site, seconds, mats))
+    d = np.broadcast_to(out.eps if isinstance(out, Dual) else 0.0,
+                        (len(derivs),)).reshape(-1, 3)
+    total = np.array(d[:, 0] - d[:, 1] + d[:, 2], dtype=complex)
 
-    def ev(sa, sb):
-        ta = section_value(site, sa, point.mats)
-        tb = section_value(site, sb, point.mats)
-        return form.evaluate(point.mats, ta, tb)
-
-    b12 = section_bracket(site, s1, s2)
-    b13 = section_bracket(site, s1, s3)
-    b23 = section_bracket(site, s2, s3)
-    if b12 is not None:
-        total = total - ev(b12, s3)
-    if b13 is not None:
-        total = total + ev(b13, s2)
-    if b23 is not None:
-        total = total - ev(b23, s1)
+    brackets = []               # (triple, sign, bracket section, other section)
+    for t, (s1, s2, s3) in enumerate(triples):
+        for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2), (-1, s2, s3, s1)):
+            br = section_bracket(site, sa, sb)
+            if br is not None:
+                brackets.append((t, sign, br, other))
+    if brackets:
+        rows, signs, brs, others = zip(*brackets)
+        vals = np.broadcast_to(form.evaluate(point.mats, section_value(site, brs, point.mats),
+                                             section_value(site, others, point.mats)),
+                               (len(brackets),))
+        # in order per triple, as the terms are written above
+        np.add.at(total, list(rows), np.where(np.array(signs) < 0, -vals, vals))
     return total
 
 
@@ -394,15 +428,19 @@ def exterior_d3(site, form, point, s1, s2, s3):
 # ---------------------------------------------------------------------------
 
 def eval_lambda(model, pairing, g, v1, v2, v3):
-    """Trilinear trivialized form at a group matrix on three ambient tangents."""
+    """Trilinear trivialized form at a group matrix on three ambient tangents
+    (leading batch axes allowed, one value per entry)."""
     gi = np.linalg.inv(g)
     w1 = model.coeffs(gi @ v1)
     w2 = model.coeffs(gi @ v2)
     w3 = model.coeffs(gi @ v3)
     smat = pairing.eta_lower
-    val = (np.einsum("j,jk,k->", model.bracket_coeffs(w1, w2), smat, w3)
-           + np.einsum("j,jk,k->", model.bracket_coeffs(w2, w3), smat, w1)
-           + np.einsum("j,jk,k->", model.bracket_coeffs(w3, w1), smat, w2))
+
+    def cyclic(x, y, z):
+        br = np.einsum("kuv,...u,...v->...k", model.struct, x, y)
+        return np.einsum("...j,jk,...k->...", br, smat, z)
+
+    val = cyclic(w1, w2, w3) + cyclic(w2, w3, w1) + cyclic(w3, w1, w2)
     return val / 6.0
 
 
@@ -431,20 +469,27 @@ def _atom_gradient(site, mats, fn):
     return np.broadcast_to(np.asarray(out.eps), (nrows,)).copy()
 
 
-def _atom_hessian(site, mats, fn):
+def _atom_lift(site, mats):
+    """The factor matrices as nested Duals: the outer perturbation runs over
+    the atom directions s, the inner over the atom direction fields r, moved
+    along s (axes (r, s, n, n))."""
+    lifted = []
+    for f, q in enumerate(mats):
+        e = _atom_dirs(site, f, q)
+        lifted.append(Dual(Dual(q, e), Dual(e[:, None], _atom_dirs(site, f, e))))
+    return lifted
+
+
+def _atom_hessian(site, lifted, fn):
     """fn's gradient g along the atom direction fields and its derivative
-    W[r, s] along the atom direction s, by one nested-dual evaluation.
+    W[r, s] along the atom direction s, by one nested-dual evaluation at the
+    lift from `_atom_lift`.
 
     W includes the change of the direction field r itself (q e_j moves with
     q), so D_s {fa, fb} = 2 (W_a^T M g_b + W_b^T M^T g_a)[s] for M the atom
     tensor.  Returns (g (B,), W (B, B)), B = 2 nfac d.
     """
     nrows = 2 * site.nfac * site.model.d
-    lifted = []
-    for f, q in enumerate(mats):
-        e = _atom_dirs(site, f, q)          # outer batch (s)
-        # inner batch (r) at the outer-perturbed point: axes (r, s, n, n)
-        lifted.append(Dual(Dual(q, e), Dual(e[:, None], _atom_dirs(site, f, e))))
     out = fn(lifted)
     if not isinstance(out, Dual):
         return np.zeros(nrows, dtype=complex), np.zeros((nrows, nrows), dtype=complex)
@@ -479,7 +524,8 @@ def jacobiator(biv, point, f1, f2, f3):
     directions; the outer derivative of each inner bracket is exact.
     """
     m = biv._atom_tensor()
-    grads, mixed = zip(*(_atom_hessian(biv.site, point.mats, fn) for fn in (f1, f2, f3)))
+    lifted = _atom_lift(biv.site, point.mats)
+    grads, mixed = zip(*(_atom_hessian(biv.site, lifted, fn) for fn in (f1, f2, f3)))
     total = 0.0
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         d_inner = mixed[a].T @ m @ grads[b] + mixed[b].T @ m.T @ grads[a]

@@ -55,7 +55,7 @@ class LieAlgebraModel:
         """Expand n-by-n matrices (leading batch axes allowed) in the basis;
         guard the span residual."""
         mat = np.asarray(mat, dtype=complex)
-        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
         # a stack of matrix-vector products rounds like the unbatched one
         c = (self.basis_pinv @ flat[..., None])[..., 0]
         if check:

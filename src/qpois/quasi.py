@@ -497,25 +497,40 @@ def _random_sections(site, rng, count=3):
     return secs
 
 
+def _worst(worst, values):
+    """Running max of |value|, with the scalar modulus of each entry: numpy's
+    vectorized complex modulus can round differently in the last bit."""
+    for v in np.ravel(values):
+        worst = max(worst, float(abs(v)))
+    return worst
+
+
+def _by_slot(v, count, shape):
+    """The three slots of `count` triples from a (3 count, ...) stack of
+    section-wise values (None or an unbatched zero broadcasts)."""
+    v = np.broadcast_to(np.zeros(shape, dtype=complex) if v is None else v,
+                        (3 * count,) + shape)
+    return v[0::3], v[1::3], v[2::3]
+
+
 def quasi_closed_residual(desc, points, seed=0, triples=8):
     """max |d sigma (S1,S2,S3) - sum_i lambda(dPhi_i S1, dPhi_i S2, dPhi_i S3)|."""
     site = desc.site
     model = site.model
+    shape = (model.n, model.n)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for point in points:
-        for _ in range(triples):
-            s1, s2, s3 = _random_sections(site, rng)
-            lhs = exterior_d3(site, desc.form, point, s1, s2, s3)
-            rhs = 0.0
-            t1 = section_value(site, s1, point.mats)
-            t2 = section_value(site, s2, point.mats)
-            t3 = section_value(site, s3, point.mats)
-            for comp in desc.momentum:
-                g0 = word_eval(comp.word, point.mats)
-                dv = [word_tangent(comp.word, point.mats, t) for t in (t1, t2, t3)]
-                rhs = rhs + eval_lambda(model, site.pairing, g0, *dv)
-            worst = max(worst, float(abs(lhs - rhs)))
+        drawn = [_random_sections(site, rng) for _ in range(triples)]
+        lhs = exterior_d3(site, desc.form, point, drawn)
+        # triple t in entries 3t, 3t + 1, 3t + 2
+        ts = section_value(site, [s for t in drawn for s in t], point.mats)
+        rhs = 0.0
+        for comp in desc.momentum:
+            g0 = word_eval(comp.word, point.mats)
+            dv = _by_slot(word_tangent(comp.word, point.mats, ts), triples, shape)
+            rhs = rhs + eval_lambda(model, site.pairing, g0, *dv)
+        worst = _worst(worst, lhs - rhs)
     return worst
 
 
@@ -525,6 +540,7 @@ def cn1_residual(site, points, seed=0, triples=8):
     if site.nfac < 2:
         raise BadSignature("needs two group factors")
     model = site.model
+    shape = (model.n, model.n)
     wa = parse_word(site, "a")
     wb = parse_word(site, "b")
     wab = parse_word(site, "ab")
@@ -533,19 +549,16 @@ def cn1_residual(site, points, seed=0, triples=8):
     worst = 0.0
     for point in points:
         q1, q2 = point.mats[0], point.mats[1]
-        for _ in range(triples):
-            s1, s2, s3 = _random_sections(site, rng)
-            lhs = exterior_d3(site, form, point, s1, s2, s3)
-            ts = [section_value(site, s, point.mats) for s in (s1, s2, s3)]
-            v1 = [t.comps[0] if t.comps[0] is not None else np.zeros_like(q1)
-                  for t in ts]
-            v2 = [t.comps[1] if t.comps[1] is not None else np.zeros_like(q2)
-                  for t in ts]
-            vm = [word_tangent(wab, point.mats, t) for t in ts]
-            rhs = (eval_lambda(model, site.pairing, q1, *v1)
-                   + eval_lambda(model, site.pairing, q2, *v2)
-                   - eval_lambda(model, site.pairing, word_eval(wab, point.mats), *vm))
-            worst = max(worst, float(abs(lhs - rhs)))
+        drawn = [_random_sections(site, rng) for _ in range(triples)]
+        lhs = exterior_d3(site, form, point, drawn)
+        ts = section_value(site, [s for t in drawn for s in t], point.mats)
+        v1 = _by_slot(ts.comps[0], triples, shape)
+        v2 = _by_slot(ts.comps[1], triples, shape)
+        vm = _by_slot(word_tangent(wab, point.mats, ts), triples, shape)
+        rhs = (eval_lambda(model, site.pairing, q1, *v1)
+               + eval_lambda(model, site.pairing, q2, *v2)
+               - eval_lambda(model, site.pairing, word_eval(wab, point.mats), *vm))
+        worst = _worst(worst, lhs - rhs)
     return worst
 
 
@@ -608,22 +621,40 @@ def equivariance_residual(desc, point, g, seed=0, probes=6, mode="bivector"):
     if mode == "twoform":
         model = site.model
         frame = point.frame()
-        for _ in range(probes):
-            a = int(rng.integers(frame.dim))
-            b = int(rng.integers(frame.dim))
-            va, vb = frame.vector(a), frame.vector(b)
-            base = desc.form.evaluate(point.mats, va, vb)
+        pairs = [(int(rng.integers(frame.dim)), int(rng.integers(frame.dim)))
+                 for _ in range(probes)]
+        va = _frame_probes(frame, [a for a, _ in pairs])
+        vb = _frame_probes(frame, [b for _, b in pairs])
 
-            def move(t):
-                comps = [None if c is None else g @ c @ gi for c in t.comps]
-                lifts = {f: model.coeffs(g @ model.from_coeffs(x) @ gi)
-                         for f, x in t.lifts.items()}
-                return Tangent(comps, lifts)
+        def move(t):
+            comps = [None if c is None else g @ c @ gi for c in t.comps]
+            lifts = {f: model.coeffs(g @ model.from_coeffs(x) @ gi)
+                     for f, x in t.lifts.items()}
+            return Tangent(comps, lifts)
 
-            moved = desc.form.evaluate(cpoint.mats, move(va), move(vb))
-            worst = max(worst, float(abs(base - moved)))
-        return worst
+        base = desc.form.evaluate(point.mats, va, vb)
+        moved = desc.form.evaluate(cpoint.mats, move(va), move(vb))
+        return _worst(0.0, base - moved)
     raise BadSignature(f"unknown mode {mode!r}")
+
+
+def _frame_probes(frame, idx):
+    """Frame vectors idx as one batched Tangent, zero on the factors a vector
+    does not touch, with the class lifts stacked."""
+    idx = np.asarray(idx, dtype=int)
+    comps = [None] * frame.site.nfac
+    lifts = {}
+    for f, vecs in enumerate(frame.per_factor):
+        k = idx - frame.offsets[f]
+        on = (k >= 0) & (k < len(vecs))
+        if not on.any():
+            continue
+        comps[f] = frame.stacked[f][idx]
+        if frame.lifts[f] is not None:
+            lift = np.zeros((len(idx), frame.site.model.d), dtype=complex)
+            lift[on] = np.asarray(frame.lifts[f])[k[on]]
+            lifts[f] = lift
+    return Tangent(comps, lifts)
 
 
 def restrict_to_class(biv, point, factor, tol=1e-8):

@@ -187,7 +187,7 @@ def test_exterior_d3_fd_oracle():
     secs = [Section(0, "left", np.array([1.0, 0, 0])),
             Section(0, "left", np.array([0, 1.0, 0])),
             Section(1, "left", np.array([0, 0, 1.0]))]
-    exact = exterior_d3(site, form, p, *secs)
+    exact = exterior_d3(site, form, p, [secs])[0]
 
     def ev(mats, sa, sb):
         return form.evaluate(mats, section_value(site, sa, mats),
@@ -374,3 +374,131 @@ def test_jacobiator_against_finite_differences():
     fd = (double(fns[0], fns[1], fns[2]) + double(fns[1], fns[2], fns[0])
           + double(fns[2], fns[0], fns[1]))
     assert abs(exact - fd) < 1e-4 * (1 + abs(exact))
+
+
+# ---------------------------------------------------------------------------
+# batched 2-form probes against one probe per call
+# ---------------------------------------------------------------------------
+
+BATCH_SITES = {
+    "sl2-g2": (models.sl2, 2, []),
+    "sl2-g1-2punct": SURFACES["sl2-g1-2punct"],
+    "sl2ab-g3": (models.sl2_abelian, 3, []),
+}
+
+
+def _batch_setup(name, seed):
+    build, genus, reps = BATCH_SITES[name]
+    model, pairing = build()
+    site, _, qh = assemble_surface_site(model, pairing, genus, reps)
+    rng = np.random.default_rng(seed)
+    return site, qh.form, random_point(site, rng), rng
+
+
+def _section(site, rng, f):
+    """Random constant section on factor f: left-invariant on a group factor,
+    a conjugation direction on a class factor."""
+    kind = "left" if site.factors[f].kind == "group" else "fund"
+    return Section(f, kind, rng.standard_normal(site.model.d)
+                   + 1j * rng.standard_normal(site.model.d))
+
+
+def _spread_sections(site, rng, count):
+    """count sections over every factor, in random order."""
+    factors = rng.permutation([k % site.nfac for k in range(count)])
+    return [_section(site, rng, int(f)) for f in factors]
+
+
+def _dual_mats(site, mats, rng, count):
+    """Dual factor matrices whose batch entry k moves every factor along its
+    own random direction."""
+    n = site.model.n
+    return [Dual(q, rng.standard_normal((count, n, n))
+                 + 1j * rng.standard_normal((count, n, n))) for q in mats]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SITES))
+def test_batched_evaluate_matches_unbatched_plain(name):
+    site, form, p, rng = _batch_setup(name, 21)
+    count = 2 * site.nfac + 1
+    s1, s2 = _spread_sections(site, rng, count), _spread_sections(site, rng, count)
+    got = form.evaluate(p.mats, section_value(site, s1, p.mats),
+                        section_value(site, s2, p.mats))
+    ref = [form.evaluate(p.mats, section_value(site, a, p.mats),
+                         section_value(site, b, p.mats)) for a, b in zip(s1, s2)]
+    assert got.shape == (count,)
+    assert np.abs(ref).max() > 1e-3
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SITES))
+def test_batched_evaluate_matches_unbatched_dual(name):
+    site, form, p, rng = _batch_setup(name, 22)
+    count = 2 * site.nfac + 1
+    s1, s2 = _spread_sections(site, rng, count), _spread_sections(site, rng, count)
+    dmats = _dual_mats(site, p.mats, rng, count)
+    got = form.evaluate(dmats, section_value(site, s1, dmats),
+                        section_value(site, s2, dmats))
+    assert got.re.shape == got.eps.shape == (count,)
+    for k in range(count):
+        mats = [Dual(q.re, q.eps[k]) for q in dmats]
+        one = form.evaluate(mats, section_value(site, s1[k], mats),
+                            section_value(site, s2[k], mats))
+        np.testing.assert_allclose(got.re[k], one.re, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got.eps[k], one.eps, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SITES))
+def test_exterior_d3_on_triples_matches_one_call_per_triple(name):
+    site, form, p, rng = _batch_setup(name, 23)
+    last = site.nfac - 1
+    picks = [rng.integers(site.nfac, size=3) for _ in range(4)]
+    # two triples on one factor each, so that every bracket term is present
+    picks += [[0, 0, 0], [last, last, 0]]
+    triples = [[_section(site, rng, int(f)) for f in fs] for fs in picks]
+    got = exterior_d3(site, form, p, triples)
+    ref = [exterior_d3(site, form, p, [t])[0] for t in triples]
+    assert got.shape == (len(triples),)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
+def test_batched_tau_requires_lift_on_dual():
+    site, form, p, rng = _batch_setup("sl2-g1-2punct", 24)
+    f = site.class_indices()[0]
+    secs = [_section(site, rng, f), _section(site, rng, f)]
+    dmats = _dual_mats(site, p.mats, rng, 2)
+    lifted = section_value(site, secs, dmats)
+    assert f in lifted.lifts
+    bare = Tangent(lifted.comps)
+    with pytest.raises(LiftFailed):
+        form.evaluate(dmats, bare, lifted)
+
+
+def test_exterior_d3_fd_oracle_with_class_factors():
+    """The finite-difference build on the two-puncture site's 2-form, with
+    conjugation sections on the class factors (tau terms and brackets)."""
+    site, form, p, rng = _batch_setup("sl2-g1-2punct", 25)
+    assert form.tau_terms and site.class_indices() == [2, 3]
+    picks = [[2, 2, 3], [0, 2, 2], [1, 3, 0], [3, 3, 3], [0, 0, 2]]
+    triples = [[_section(site, rng, f) for f in fs] for fs in picks]
+    exact = exterior_d3(site, form, p, triples)
+
+    def ev(mats, sa, sb):
+        return form.evaluate(mats, section_value(site, sa, mats),
+                             section_value(site, sb, mats))
+
+    h = 1e-6
+
+    def deriv(dsec, sa, sb):
+        base = section_value(site, dsec, p.mats)
+        plus = [q + h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        minus = [q - h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
+
+    for value, (s1, s2, s3) in zip(exact, triples):
+        fd = deriv(s1, s2, s3) - deriv(s2, s1, s3) + deriv(s3, s1, s2)
+        for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2), (-1, s2, s3, s1)):
+            br = section_bracket(site, sa, sb)
+            if br is not None:
+                fd += sign * ev(p.mats, br, other)
+        assert abs(value - fd) < 1e-7 * (1 + abs(fd))

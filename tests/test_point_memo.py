@@ -99,3 +99,54 @@ def test_point_with_built_memo_is_freed_without_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_closedness_residuals_make_two_evaluations_per_point(monkeypatch):
+    """All derivative terms of a point's triples share one Dual evaluation and
+    all bracket terms one plain evaluation (one call per term before)."""
+    calls = Counter()
+    orig = fields.FormField.evaluate
+
+    def counted(self, mats, t1, t2):
+        calls["evaluate"] += 1
+        return orig(self, mats, t1, t2)
+
+    monkeypatch.setattr(fields.FormField, "evaluate", counted)
+    site, _, qh, _ = _two_puncture()
+    pts = [random_point(site, np.random.default_rng(s)) for s in range(3)]
+    quasi.quasi_closed_residual(qh, pts, seed=4, triples=4)
+    assert 0 < calls["evaluate"] <= 2 * len(pts)
+
+    calls.clear()
+    model, pairing = models.sl2()
+    site, _, _ = assemble_surface_site(model, pairing, 2, [])
+    pts = [random_point(site, np.random.default_rng(s)) for s in range(3)]
+    quasi.cn1_residual(site, pts, seed=5, triples=4)
+    assert 0 < calls["evaluate"] <= 2 * len(pts)
+
+
+def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
+    model, pairing = models.sl2_abelian()
+    site, _, qh = assemble_surface_site(model, pairing, 3, [])
+    words = ({t.word_u for t in qh.form.pair_terms}
+             | {t.word_v for t in qh.form.pair_terms})
+    values, tangents = Counter(), Counter()
+    orig_eval, orig_tangent = fields.word_eval, fields.word_tangent
+
+    def counted_eval(word, mats):
+        values[word] += 1
+        return orig_eval(word, mats)
+
+    def counted_tangent(word, mats, tangent):
+        tangents[word] += 1
+        return orig_tangent(word, mats, tangent)
+
+    monkeypatch.setattr(fields, "word_eval", counted_eval)
+    monkeypatch.setattr(fields, "word_tangent", counted_tangent)
+    p = random_point(site, np.random.default_rng(6))
+    frame = p.frame()
+    probes = quasi._frame_probes(frame, np.arange(frame.dim))
+    qh.form.evaluate(p.mats, probes, probes)
+    assert set(values) == set(tangents) == words
+    assert set(values.values()) == {1}
+    assert set(tangents.values()) == {2}
