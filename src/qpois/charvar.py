@@ -107,11 +107,8 @@ def level_tangency_residual(desc, f, point, seed=0):
     The field of an invariant function is tangent to every momentum level.
     """
     xf = hamiltonian_field(desc.bivector, f, point, seed=seed)
-    worst = 0.0
-    for comp in desc.momentum:
-        dphi = word_tangent(comp.word, point.mats, xf)
-        worst = max(worst, float(np.abs(dphi).max()))
-    return worst
+    return float(np.max([np.abs(word_tangent(comp.word, point.mats, xf)).max()
+                         for comp in desc.momentum], initial=0.0))
 
 
 def dual_pair_residuals(qp, qh, f, h, point):
@@ -135,10 +132,8 @@ def dual_pair_residuals(qp, qh, f, h, point):
 
 def jacobi_invariants(biv, f, h, k, points):
     """Max |Jacobiator(f, h, k)| over the points; zero on invariants."""
-    worst = 0.0
-    for p in points:
-        worst = max(worst, abs(jacobiator(biv, p, f, h, k)))
-    return float(worst)
+    return float(np.max([abs(jacobiator(biv, p, f, h, k)) for p in points],
+                        initial=0.0))
 
 
 def poisson_ideal_residual(biv, phi_word, target, f, points):
@@ -152,7 +147,7 @@ def poisson_ideal_residual(biv, phi_word, target, f, points):
     if isinstance(phi_word, str):
         phi_word = parse_word(site, phi_word)
     target = np.asarray(target, dtype=complex)
-    worst = 0.0
+    resid = []
     for m in range(1, site.model.n + 1):
         cval = complex(np.trace(np.linalg.matrix_power(target, m)))
 
@@ -163,9 +158,8 @@ def poisson_ideal_residual(biv, phi_word, target, f, points):
                 acc = acc @ w
             return dtrace(acc) - _c
 
-        for pt in points:
-            worst = max(worst, abs(bracket_funcs(biv, pt, f, vanishing)))
-    return float(worst)
+        resid += [abs(bracket_funcs(biv, pt, f, vanishing)) for pt in points]
+    return float(np.max(resid, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ left-trivialized algebra coordinates of length 2d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadSignature, RankDeficient
@@ -24,9 +22,7 @@ from .quasi import (
 )
 
 __all__ = [
-    "SplitVector",
     "LagrangianSubspace",
-    "split_pairing",
     "orthonormal_columns",
     "graph_subspace",
     "cartan_dirac_fibers",
@@ -41,24 +37,6 @@ __all__ = [
 ]
 
 _ISO_TOL = 1e-10
-
-
-@dataclass
-class SplitVector:
-    """A tangent/cotangent pair in frame coordinates at one point."""
-
-    v: np.ndarray
-    alpha: np.ndarray
-
-    def stacked(self):
-        return np.concatenate([np.asarray(self.v, dtype=complex),
-                               np.asarray(self.alpha, dtype=complex)])
-
-
-def split_pairing(a, b):
-    """Bilinear pairing alpha(w) + beta(v) of two split vectors."""
-    return complex(np.asarray(a.alpha) @ np.asarray(b.v)
-                   + np.asarray(b.alpha) @ np.asarray(a.v))
 
 
 def _pairing_gram(cols_a, cols_b, half):

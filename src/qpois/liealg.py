@@ -26,12 +26,10 @@ __all__ = [
     "build_lie_algebra",
     "trace_pairing",
     "pairing_from_lower",
-    "adjoint_coeffs",
     "adjoint_matrix",
     "ad_invariance_residual",
     "cubic_alternation",
     "cartan3",
-    "chi2",
     "verify_chi_identity",
     "ideal_of_H",
 ]
@@ -191,12 +189,6 @@ def pairing_from_lower(eta_lower):
     return PairingData(eta_lower=s, eta_upper=upper)
 
 
-def adjoint_coeffs(model, q, x_coeffs):
-    """Coefficients of q X q^{-1} for X given by coefficients."""
-    x = model.from_coeffs(x_coeffs)
-    return model.coeffs(q @ x @ np.linalg.inv(q))
-
-
 def adjoint_matrix(model, q):
     """d-by-d matrix of Ad_q in the model basis."""
     qi = np.linalg.inv(q)
@@ -247,19 +239,6 @@ def cartan3(model, pairing, tol=1e-10):
         raise NotConvenient("cubic tensor is not alternating; "
                             "pairing is not invariant for this model")
     return phi
-
-
-@dataclass
-class ChiBlocks:
-    """Mixed-block data of the canonical 2-tensor on the doubled algebra."""
-
-    block_12: np.ndarray   # coefficient of e1_j (x) e2_k
-    block_21: np.ndarray   # coefficient of e2_k (x) e1_j
-
-
-def chi2(model, pairing):
-    h = pairing.require_upper()
-    return ChiBlocks(block_12=0.5 * h, block_21=-0.5 * h.T)
 
 
 def _add_wedge3(arr, idx, coeff):

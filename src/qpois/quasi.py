@@ -368,7 +368,7 @@ def momentum_residual(desc, point, mode):
                 for lin in lins]
     else:
         raise BadSignature(f"unknown mode {mode!r}")
-    return max((float(np.abs(gap).max()) for gap in gaps), default=0.0)
+    return float(np.max([np.abs(gap).max() for gap in gaps], initial=0.0))
 
 
 def momentum_pullback_residual(desc, point, fn):
@@ -498,11 +498,10 @@ def _random_sections(site, rng, count=3):
 
 
 def _worst(worst, values):
-    """Running max of |value|, with the scalar modulus of each entry: numpy's
-    vectorized complex modulus can round differently in the last bit."""
-    for v in np.ravel(values):
-        worst = max(worst, float(abs(v)))
-    return worst
+    """Max of worst and every |value|, NaN if any is NaN, with the scalar
+    modulus of each entry: numpy's vectorized complex modulus can round
+    differently in the last bit."""
+    return float(np.max([worst] + [abs(v) for v in np.ravel(values)]))
 
 
 def _by_slot(v, count, shape):
@@ -592,11 +591,11 @@ def equivariance_residual(desc, point, g, seed=0, probes=6, mode="bivector"):
     cpoint = conjugate_point(point, g)
     gi = np.linalg.inv(g)
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
     if mode == "bivector":
         biv = desc.bivector
         from .fields import bracket_funcs
 
+        gaps = []
         for _ in range(probes):
             i1, i2 = int(rng.integers(site.nfac)), int(rng.integers(site.nfac))
             c1 = rng.standard_normal((site.model.n, site.model.n))
@@ -616,8 +615,8 @@ def equivariance_residual(desc, point, g, seed=0, probes=6, mode="bivector"):
 
             base = bracket_funcs(biv, point, f1, f2)
             moved = bracket_funcs(biv, cpoint, f1c, f2c)
-            worst = max(worst, float(abs(base - moved)))
-        return worst
+            gaps.append(abs(base - moved))
+        return float(np.max(gaps, initial=0.0))
     if mode == "twoform":
         model = site.model
         frame = point.frame()

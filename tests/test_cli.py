@@ -2,7 +2,7 @@
 
 import json
 import re
-import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +73,13 @@ def test_all_suites_via_cli(tmp_path):
 def test_reports_byte_identical_across_runs_and_jobs(tmp_path):
     cfg = write_cfg(tmp_path, torus_cfg())
     outs = []
-    for name, jobs in (("r1.json", "1"), ("r2.json", "1"), ("r3.json", "4")):
+    for name in ("r1.json", "r2.json"):
         out = str(tmp_path / name)
         result = invoke(["verify", "core", "--config", cfg, "--seed", "7",
-                         "--out", out, "--jobs", jobs])
+                         "--out", out])
         assert result.exit_code == 0
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1]
-    assert outs[0] == outs[2]
 
 
 def test_seed_changes_samples_not_outcome(tmp_path):
@@ -195,6 +194,76 @@ def test_check_filter_selects_subset():
         "basis_closure", "momentum_bivector_law"]
 
 
+# -- runner ------------------------------------------------------------------
+
+TWO_PUNCTURES = [[[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+                 [[[3, 0], [0, 0]], [[0, 0], [1 / 3, 0]]]]
+
+
+def test_run_suite_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("run_suite started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = run_suite(torus_cfg(site={"genus": 1, "class_reps": []}), "all")
+    assert len(report["checks"]) == 23
+    assert report["overall_pass"], report["checks"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"group": {"family": "SL", "n": 2},
+     "site": {"genus": 1, "class_reps": TWO_PUNCTURES}},
+    {"group": {"family": "sl2_abelian"},
+     "site": {"genus": 2, "class_reps": []}},
+], ids=["two-punctures", "sl2_abelian-g2"])
+def test_per_point_records_alone_match_suite(cfg):
+    import qpois.cli as cli
+
+    cfg = dict(cfg, seed=3, samples=3)
+    together = by_id(run_suite(cfg, "all"))
+    per_point = [c.check_id for c in cli._ALL_CHECKS if c.points is not None]
+    assert len(per_point) == 12
+    for cid in per_point:
+        alone = run_suite(dict(cfg, checks=[cid]), "all")["checks"]
+        assert canonical_json(alone) == canonical_json([together[cid]]), cid
+
+
+@pytest.mark.parametrize("module, name, check_id, poison", [
+    ("cli", "momentum_residual", "momentum_bivector_law",
+     lambda out: float("nan")),
+    ("cli", "restrict_to_class", "class_restriction_tangency",
+     lambda out: (out[0], float("nan"))),
+    ("quasi", "exterior_d3", "quasi_closedness",
+     lambda out: np.full_like(out, np.nan)),
+    ("charvar", "word_tangent", "invariant_level_tangency",
+     lambda out: np.full_like(out, np.nan)),
+    ("charvar", "jacobiator", "jacobi_at_level", lambda out: complex("nan")),
+    ("charvar", "bracket_funcs", "poisson_ideal", lambda out: complex("nan")),
+], ids=["runner", "class_tangency", "quasi_worst", "level_tangency",
+        "jacobi_invariants", "poisson_ideal"])
+def test_nan_at_a_later_sample_fails_the_check(monkeypatch, module, name,
+                                               check_id, poison):
+    import importlib
+
+    mod = importlib.import_module(f"qpois.{module}")
+    real = getattr(mod, name)
+    calls = []
+
+    def second_call_nan(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(name)
+        return poison(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(mod, name, second_call_nan)
+    report = run_suite(torus_cfg(site={"genus": 1, "class_reps": []},
+                                 checks=[check_id]), "all")
+    (record,) = report["checks"]
+    assert len(calls) > 2
+    assert record["status"] == "failed", record
+    assert np.isnan(record["max_residual"])
+    assert not report["overall_pass"]
+
+
 # -- config validation -------------------------------------------------------
 
 def test_unknown_family_exit_2(tmp_path):
@@ -211,6 +280,28 @@ def test_matrix_literal_error_names_location(tmp_path):
                      "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
     assert "site.class_reps[0][0][0]" in result.stderr
+
+
+@pytest.mark.parametrize("over, loc", [
+    ({"site": {"genus": 1, "class_reps": [
+        [[[2, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]]}},
+     "site.class_reps[0][1][1]"),
+    ({"targets": [[[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     "targets[0][0][0]"),
+    ({"pairing": {"trace_scale": float("nan")}}, "pairing.trace_scale"),
+    ({"pairing": {"trace_scale": 10 ** 400}}, "pairing.trace_scale"),
+    ({"pairing": {"mask": [1, float("-inf"), 1]}}, "pairing.mask"),
+    ({"tolerances": {"linear": float("inf")}}, "tolerances.linear"),
+], ids=["class_rep", "target", "trace_scale", "trace_scale_overflow", "mask",
+        "tolerance"])
+def test_non_finite_config_numbers_exit_2(tmp_path, over, loc):
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    cfg = write_cfg(tmp_path, torus_cfg(**over))
+    result = invoke(["verify", "all", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert loc in result.stderr
+    assert "finite" in result.stderr
 
 
 def test_invalid_json_names_position(tmp_path):
@@ -260,8 +351,7 @@ def test_readme_config_stall_is_reported_once():
         assert 0 < checks[cid]["samples"] < 6
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_moduli_checks_share_one_solved_set(monkeypatch, jobs):
+def test_moduli_checks_share_one_solved_set(monkeypatch):
     import qpois.cli as cli
 
     calls = []
@@ -272,15 +362,10 @@ def test_moduli_checks_share_one_solved_set(monkeypatch, jobs):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_relator", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)     # frequent thread switches expose races
-    try:
-        report = run_suite(torus_cfg(
-            samples=8, site={"genus": 1, "class_reps": []},
-            targets=["identity", [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
-            "moduli", jobs=jobs)
-    finally:
-        sys.setswitchinterval(interval)
+    report = run_suite(torus_cfg(
+        samples=8, site={"genus": 1, "class_reps": []},
+        targets=["identity", [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
+        "moduli")
     assert report["overall_pass"], report["checks"]
     # min(samples, 4) solves per target, read by relator_solver,
     # jacobi_at_level and poisson_ideal alike
@@ -292,12 +377,15 @@ def test_moduli_checks_share_one_solved_set(monkeypatch, jobs):
     assert checks["poisson_ideal"]["samples"] == 6
 
 
-def test_jobs_is_a_verify_option_only(tmp_path):
+def test_every_command_refuses_jobs(tmp_path):
     cfg = write_cfg(tmp_path, torus_cfg(samples=1))
-    result = invoke(["bracket", "--config", cfg, "--seed", "0",
-                     "--out", str(tmp_path / "x.json"), "--jobs", "2"])
-    assert result.exit_code == 2
-    assert "--jobs" in result.stderr
+    for command in (["verify", "core"], ["bracket"], ["sample"]):
+        result = invoke(command + ["--config", cfg, "--seed", "0",
+                                   "--out", str(tmp_path / "x.json"),
+                                   "--jobs", "2"])
+        assert result.exit_code == 2, command
+        assert "--jobs" in result.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_unknown_check_id_rejected():

@@ -4,7 +4,6 @@ import pytest
 from qpois import models
 from qpois.dirac import (
     LagrangianSubspace,
-    SplitVector,
     cartan_dirac_fibers,
     dirac_booleans,
     graph_subspace,
@@ -12,7 +11,6 @@ from qpois.dirac import (
     kernel_phi_sigma,
     projections_pq,
     prop_tech_chain,
-    split_pairing,
     strongness_check,
     subspace_equal,
     transport_image,
@@ -33,18 +31,6 @@ REP = np.diag([2.0, 0.5]).astype(complex)
 def sl2_site(nfac=1):
     model, pairing = models.sl2()
     return Site(model, pairing, [Factor("group") for _ in range(nfac)])
-
-
-def test_split_pairing_values():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(3)
-    w = rng.standard_normal(3)
-    al = rng.standard_normal(3)
-    be = rng.standard_normal(3)
-    assert split_pairing(SplitVector(v, 0 * al), SplitVector(w, 0 * be)) == 0
-    assert split_pairing(SplitVector(0 * v, al), SplitVector(0 * w, be)) == 0
-    a = SplitVector(v, al)
-    assert abs(split_pairing(a, a) - 2 * al @ v) < 1e-12
 
 
 def test_graph_subspaces_trivial():

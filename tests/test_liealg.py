@@ -6,11 +6,9 @@ from qpois.errors import DegeneratePairing, NotClosed, NotConvenient, NotInSpan,
 from qpois.liealg import (
     PairingData,
     ad_invariance_residual,
-    adjoint_coeffs,
     adjoint_matrix,
     build_lie_algebra,
     cartan3,
-    chi2,
     ideal_of_H,
     pairing_from_lower,
     trace_pairing,
@@ -70,8 +68,6 @@ def test_adjoint_diag_action():
     model, _ = models.sl2()
     t = 1.7
     q = np.diag([t, 1 / t]).astype(complex)
-    out = adjoint_coeffs(model, q, np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(out, [0, t * t, 0])
     amat = adjoint_matrix(model, q)
     assert np.allclose(amat @ np.array([0, 1.0, 0]), [0, t * t, 0])
 
@@ -80,7 +76,7 @@ def test_abelian_adjoint_trivial():
     model, _ = models.abelian(2)
     q = np.diag([2.0, 5.0]).astype(complex)
     x = np.array([0.3, -1.2])
-    assert np.allclose(adjoint_coeffs(model, q, x), x)
+    assert np.allclose(adjoint_matrix(model, q) @ x, x)
 
 
 def test_trace_pairing_sl2():
@@ -137,18 +133,6 @@ def test_cartan3_noninvariant_rejected():
     bad = PairingData(eta_upper=np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(NotConvenient):
         cartan3(model, bad)
-
-
-def test_chi2_blocks():
-    model, pairing = models.sl2()
-    blocks = chi2(model, pairing)
-    assert np.allclose(blocks.block_12, 0.5 * pairing.eta_upper)
-    assert np.allclose(blocks.block_21, -0.5 * pairing.eta_upper.T)
-    scalar_model, scalar_pairing = models.abelian(1)
-    c = 3.0
-    blocks = chi2(scalar_model, PairingData(eta_upper=np.array([[c]])))
-    assert np.allclose(blocks.block_12, [[c / 2]])
-    assert np.allclose(blocks.block_21, [[-c / 2]])
 
 
 def test_chi_identity_all_models():

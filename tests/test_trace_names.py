@@ -32,7 +32,7 @@ def test_tracer_wraps_and_restores_package_functions():
             "seed": 3,
             "samples": 2,
             "checks": ["momentum_form_law"],
-        }, "all", jobs=1)
+        }, "all")
     finally:
         tracer.uninstall()
     assert [r["status"] for r in report["checks"]] == ["passed"]
@@ -56,7 +56,7 @@ def test_tracer_counts_the_memoized_methods():
             "seed": 3,
             "samples": 2,
             "checks": ["strongness_agreement", "reconstruction_round_trip"],
-        }, "all", jobs=1)
+        }, "all")
     finally:
         tracer.uninstall()
     assert len(report["checks"]) == 2
