@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, dexpm, dtrace
+from .duals import dexpm, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
-from .fields import bracket_funcs, jacobiator
+from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
     SitePoint,
     conjugate_point,
@@ -31,7 +31,6 @@ __all__ = [
     "TraceFunction",
     "RepSample",
     "invariance_residual",
-    "differential",
     "bracket",
     "hamiltonian_field",
     "level_tangency_residual",
@@ -60,25 +59,16 @@ class TraceFunction:
 
 
 def invariance_residual(fn, point, rng, probes=4, scale=0.35):
-    """Max |f(g p g^-1) - f(p)| over sampled group elements g."""
+    """Max |f(g p g^-1) - f(p)| over sampled group elements g; NaN if any
+    probe is NaN."""
     site = point.site
     base = complex(fn(point.mats))
-    worst = 0.0
+    gaps = []
     for _ in range(probes):
         xi = site.model.from_coeffs(random_algebra_element(site.model, rng, scale))
         moved = conjugate_point(point, dexpm(xi))
-        worst = max(worst, abs(complex(fn(moved.mats)) - base))
-    return worst
-
-
-def differential(point, fn):
-    """Frame components of df at the point, from one Dual evaluation that
-    carries every frame vector as a batch of perturbations."""
-    frame = point.frame()
-    out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
-    if not isinstance(out, Dual):
-        return np.zeros(frame.dim, dtype=complex)
-    return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)
+        gaps.append(abs(complex(fn(moved.mats)) - base))
+    return float(np.max(gaps, initial=0.0))
 
 
 def bracket(biv, f, h, point):
@@ -86,17 +76,19 @@ def bracket(biv, f, h, point):
     return bracket_funcs(biv, point, f, h)
 
 
-def hamiltonian_field(biv, f, point, seed=0, probes=4, check=True, tol=1e-8):
+_INVARIANCE_TOL = 1e-8
+
+
+def hamiltonian_field(biv, f, point, seed=0):
     """Tangent P-sharp(df) of an invariant function.
 
     The invariance precondition is sampled; a function that visibly varies
-    under simultaneous conjugation is refused.
+    under simultaneous conjugation, or gives NaN, is refused.
     """
-    if check:
-        resid = invariance_residual(f, point, np.random.default_rng(seed), probes)
-        if resid > tol:
-            raise NotInvariant(
-                f"function varies under conjugation (residual {resid:.3e})")
+    resid = invariance_residual(f, point, np.random.default_rng(seed))
+    if not resid <= _INVARIANCE_TOL:
+        raise NotInvariant(
+            f"function varies under conjugation (residual {resid:.3e})")
     df = differential(point, f)
     return point.frame().assemble(biv.frame_matrix(point).T @ df)
 

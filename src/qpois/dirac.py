@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _ISO_TOL = 1e-10
+_MOM_TOL = 1e-9             # momentum tier of clause (a)
 
 
 def _pairing_gram(cols_a, cols_b, half):
@@ -145,7 +146,7 @@ def projections_pq(site, point, word):
     return p, q
 
 
-def transport_image(subspace, dphi, smat, direction, half_target=None):
+def transport_image(subspace, dphi, smat, direction):
     """Forward or backward image of a Lagrangian subspace along a linear map
     with a correcting 2-form on the source of the map.
 
@@ -172,7 +173,7 @@ def transport_image(subspace, dphi, smat, direction, half_target=None):
         vs = sols[:n1, :]
         als = sols[n1:n1 + n2, :]
         cols = np.concatenate([dphi @ vs, als], axis=0)
-        half = n2 if half_target is None else half_target
+        half = n2
     elif direction == "backward":
         if subspace.basis.shape[0] != 2 * n2:
             raise BadSignature("backward image needs a target-side subspace")
@@ -185,7 +186,7 @@ def transport_image(subspace, dphi, smat, direction, half_target=None):
         vs = sols[:n1, :]
         bes = sols[n1:n1 + n2, :]
         cols = np.concatenate([vs, dphi.T @ bes - sflat @ vs], axis=0)
-        half = n1 if half_target is None else half_target
+        half = n1
     else:
         raise BadSignature(f"unknown direction {direction!r}")
     return LagrangianSubspace.from_columns(cols, half)
@@ -230,7 +231,7 @@ def _tm_subspace(nfr):
     return LagrangianSubspace.from_columns(cols, nfr)
 
 
-def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
+def dirac_booleans(qh, point, component=0):
     """The four independently computed equivalence clauses for one momentum
     component of a 2-form descriptor.
 
@@ -254,22 +255,22 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
     resid = momentum_residual(qh, point, "twoform")
     ker_s = nullspace(sflat)
     ker_d = nullspace(dphi)
-    a_bool = bool(resid <= mom_tol
-                  and intersection_dim(ker_s, ker_d, tol) == 0)
+    a_bool = bool(resid <= _MOM_TOL
+                  and intersection_dim(ker_s, ker_d) == 0)
 
     # (b) forward image of TM equals the canonical fiber, and strongness
     tm = _tm_subspace(nfr)
     strong, _, _ = strongness_check(tm.basis, dphi, smat)
     try:
         fwd = transport_image(tm, dphi, smat, "forward")
-        b_bool = bool(subspace_equal(fwd, e_fib, tol) and strong)
+        b_bool = bool(subspace_equal(fwd, e_fib) and strong)
     except RankDeficient:
         b_bool = False
 
     # (c) backward image of the complementary fiber transverse to TM
     try:
         back_s = transport_image(f_fib, dphi, smat, "backward")
-        c_bool = bool(intersection_dim(back_s.basis, tm.basis, tol) == 0)
+        c_bool = bool(intersection_dim(back_s.basis, tm.basis) == 0)
     except RankDeficient:
         c_bool = False
 
@@ -277,7 +278,7 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
     try:
         back_0 = transport_image(f_fib, dphi, None, "backward")
         gr = graph_subspace(smat, "form")
-        d_bool = bool(intersection_dim(back_0.basis, gr.basis, tol) == 0)
+        d_bool = bool(intersection_dim(back_0.basis, gr.basis) == 0)
     except RankDeficient:
         d_bool = False
 
@@ -285,7 +286,7 @@ def dirac_booleans(qh, point, component=0, tol=_RANK_TOL, mom_tol=1e-9):
             "momentum_residual": float(resid)}
 
 
-def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
+def prop_tech_chain(qh, point, component=0):
     """Rank certificates for the kernel chain of one momentum component:
     the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and the word
     differential maps ker(sigma-flat) onto ker(Id + Ad)."""
@@ -301,7 +302,7 @@ def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
     ker_target = nullspace(np.eye(d) + lin.ad)  # ker(L^-1 + R^-1)
 
     # monomorphism into ker(sigma-flat)
-    mono_rank = int(np.linalg.matrix_rank(fund_cols, tol)) \
+    mono_rank = int(np.linalg.matrix_rank(fund_cols, _RANK_TOL)) \
         if fund_cols.size else 0
     inclusion_resid = 0.0
     if fund_cols.size:
@@ -313,7 +314,7 @@ def prop_tech_chain(qh, point, component=0, tol=_RANK_TOL):
     if image_cols.size and ker_target.shape[1] < d:
         proj = ker_target @ (ker_target.conj().T @ image_cols)
         containment_resid = float(np.abs(image_cols - proj).max())
-    onto = (intersection_dim(orthonormal_columns(image_cols), ker_target, tol)
+    onto = (intersection_dim(orthonormal_columns(image_cols), ker_target)
             == ker_target.shape[1]) if ker_target.shape[1] else True
 
     return {

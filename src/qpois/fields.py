@@ -35,6 +35,7 @@ __all__ = [
     "exterior_d3",
     "eval_lambda",
     "two_chain_form",
+    "differential",
     "bracket_funcs",
     "jacobiator",
     "dual_vdot",
@@ -456,17 +457,17 @@ def two_chain_form(site, chain):
 
 
 # ---------------------------------------------------------------------------
-# brackets and the Jacobiator (batched nested duals)
+# differentials, brackets and the Jacobiator
 # ---------------------------------------------------------------------------
 
-def _atom_gradient(site, mats, fn):
-    """fn's derivative along every atom direction at the point: (2 nfac d,)."""
-    lifted = [Dual(q, _atom_dirs(site, f, q)) for f, q in enumerate(mats)]
-    out = fn(lifted)
-    nrows = 2 * site.nfac * site.model.d
+def differential(point, fn):
+    """Frame components of df at the point, from one Dual evaluation that
+    carries every frame vector as a batch of perturbations."""
+    frame = point.frame()
+    out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
     if not isinstance(out, Dual):
-        return np.zeros(nrows, dtype=complex)
-    return np.broadcast_to(np.asarray(out.eps), (nrows,)).copy()
+        return np.zeros(frame.dim, dtype=complex)
+    return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)
 
 
 def _atom_lift(site, mats):
@@ -510,18 +511,24 @@ PAIR_WEIGHT = 2.0
 
 
 def bracket_funcs(biv, point, f1, f2):
-    """Bracket {f1, f2} of two scalar functions at a point (full pairing)."""
-    m = biv._atom_tensor()
-    g1 = _atom_gradient(biv.site, point.mats, f1)
-    g2 = _atom_gradient(biv.site, point.mats, f2)
-    return PAIR_WEIGHT * (g1 @ m @ g2)
+    """Bracket {f1, f2} of two scalar functions at a point (full pairing):
+    2 df1 . P . df2 with P the bivector's frame matrix.
+
+    On class factors the frame spans the class tangents only, so this is the
+    bracket of the tensor as restricted to the class; the shipped bivectors
+    are tangent to the classes (`restrict_to_class` measures it).
+    """
+    pmat = biv.frame_matrix(point)
+    return PAIR_WEIGHT * (differential(point, f1) @ pmat @ differential(point, f2))
 
 
 def jacobiator(biv, point, f1, f2, f3):
     """Cyclic sum {{f1,f2},f3} + {{f2,f3},f1} + {{f3,f1},f2}.
 
     Each function is differentiated once, to second order along the atom
-    directions; the outer derivative of each inner bracket is exact.
+    directions; the outer derivative of each inner bracket is exact.  It reads
+    the atom tensor, not the frame matrix P, since it needs the derivative of
+    the atom direction fields, and so stays independent of P.
     """
     m = biv._atom_tensor()
     lifted = _atom_lift(biv.site, point.mats)

@@ -351,7 +351,7 @@ def _retract(site, q):
     return q
 
 
-def random_point(site, rng, scale=0.35, prior=None):
+def random_point(site, rng, scale=0.35):
     """Random site point: exponentials over group factors, conjugated reps on
     class factors; SL-like models are retracted by a principal determinant root."""
     from .liealg import random_algebra_element
@@ -362,8 +362,7 @@ def random_point(site, rng, scale=0.35, prior=None):
         xi = site.model.from_coeffs(random_algebra_element(site.model, rng, scale))
         g = dexpm(xi)
         if fac.kind == "group":
-            base = prior.mats[i] if prior is not None else np.eye(site.model.n)
-            mats.append(_retract(site, g @ base))
+            mats.append(_retract(site, g))
             conjs.append(None)
         else:
             k = g

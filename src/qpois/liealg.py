@@ -205,22 +205,23 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
     """Max deviation of eta_lower / eta_upper under sampled adjoint actions.
 
     Group elements are exponentials of random algebra elements; the seed is the
-    caller's to record.
+    caller's to record.  NaN if any deviation is NaN.
     """
     from .duals import dexpm
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
+    gaps = []
     for _ in range(samples):
         g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
         a = adjoint_matrix(model, g)
         if pairing.eta_lower is not None:
             s = pairing.eta_lower
-            worst = max(worst, float(np.abs(a.T @ s @ a - s).max()))
+            gaps.append(np.abs(a.T @ s @ a - s).max())
         if pairing.eta_upper is not None:
             h = pairing.eta_upper
-            worst = max(worst, float(np.abs(a @ h @ a.T - h).max()))
-    return worst
+            gaps.append(np.abs(a @ h @ a.T - h).max())
+    # np.max, not max(): a NaN at any sample must show
+    return float(np.max(gaps, initial=0.0))
 
 
 def cubic_alternation(model, pairing):

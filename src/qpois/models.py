@@ -103,7 +103,7 @@ def model_from_config(spec):
     Keys: family in {SL, GL, abelian, sl2_abelian}; n; trace_scale (optional).
     """
     family = spec.get("family")
-    if family == "sl2_abelian" or spec.get("degenerate_block"):
+    if family == "sl2_abelian":
         return sl2_abelian()
     n = int(spec.get("n", 2))
     if family == "SL":

@@ -14,6 +14,8 @@ Ad_g^-1, and the (N, d) action columns A.  Together with the bivector and
 identities on this data: 2 P^T L = A H (I + Ad^-T) and
 A^T Sigma = (1/2) S (L + R)^T for the momentum laws, rho = sum A (L - R)^T,
 and reconstruction as (M pinv)^T for one matrix M of the same blocks.
+Equivariance compares P and Sigma with their values at the conjugated point
+through the frame matrix T of the conjugation map.
 The linearizations, P and Sigma are built once per point, in the point's
 memo keyed by the component and the tensor; components are frozen
 (word, action) values, so equal components of a dual pair share one.
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charvar import differential
-from .duals import Dual, dtrace
+from .duals import Dual
 from .errors import (
     BadSignature,
     IncompatibleActions,
@@ -39,6 +40,7 @@ from .fields import (
     PairTerm,
     Section,
     TauTerm,
+    differential,
     eval_lambda,
     exterior_d3,
     jacobiator,
@@ -51,7 +53,6 @@ from .fields import (
 from .groupgeom import (
     Factor,
     Site,
-    Tangent,
     conjugate_point,
     parse_word,
     word_differentials,
@@ -585,75 +586,24 @@ def jacobiator_vs_phi(desc, point, fns, phi=None):
     return float(abs(jac - rhs))
 
 
-def equivariance_residual(desc, point, g, seed=0, probes=6, mode="bivector"):
-    """Tensor invariance under simultaneous conjugation, probed pointwise."""
-    site = desc.site
+def equivariance_residual(qp, qh, point, g):
+    """Invariance of the tensors under simultaneous conjugation by g, as
+    matrix identities on the frame matrices.
+
+    With c the conjugated point and T the (N, N) matrix whose row a holds the
+    frame components at c of g v_a g^-1, this is the max of
+    |P(c) - T^T P(p) T| and |Sigma(p) - T Sigma(c) T^T|; the Sigma term is
+    left out when qh is None.
+    """
     cpoint = conjugate_point(point, g)
     gi = np.linalg.inv(g)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if mode == "bivector":
-        biv = desc.bivector
-        from .fields import bracket_funcs
-
-        gaps = []
-        for _ in range(probes):
-            i1, i2 = int(rng.integers(site.nfac)), int(rng.integers(site.nfac))
-            c1 = rng.standard_normal((site.model.n, site.model.n))
-            c2 = rng.standard_normal((site.model.n, site.model.n))
-
-            def f1(mats, i=i1, c=c1):
-                return dtrace(c @ mats[i])
-
-            def f2(mats, i=i2, c=c2):
-                return dtrace(c @ mats[i])
-
-            def f1c(mats, i=i1, c=c1):
-                return dtrace(c @ (gi @ mats[i] @ g))
-
-            def f2c(mats, i=i2, c=c2):
-                return dtrace(c @ (gi @ mats[i] @ g))
-
-            base = bracket_funcs(biv, point, f1, f2)
-            moved = bracket_funcs(biv, cpoint, f1c, f2c)
-            gaps.append(abs(base - moved))
-        return float(np.max(gaps, initial=0.0))
-    if mode == "twoform":
-        model = site.model
-        frame = point.frame()
-        pairs = [(int(rng.integers(frame.dim)), int(rng.integers(frame.dim)))
-                 for _ in range(probes)]
-        va = _frame_probes(frame, [a for a, _ in pairs])
-        vb = _frame_probes(frame, [b for _, b in pairs])
-
-        def move(t):
-            comps = [None if c is None else g @ c @ gi for c in t.comps]
-            lifts = {f: model.coeffs(g @ model.from_coeffs(x) @ gi)
-                     for f, x in t.lifts.items()}
-            return Tangent(comps, lifts)
-
-        base = desc.form.evaluate(point.mats, va, vb)
-        moved = desc.form.evaluate(cpoint.mats, move(va), move(vb))
-        return _worst(0.0, base - moved)
-    raise BadSignature(f"unknown mode {mode!r}")
-
-
-def _frame_probes(frame, idx):
-    """Frame vectors idx as one batched Tangent, zero on the factors a vector
-    does not touch, with the class lifts stacked."""
-    idx = np.asarray(idx, dtype=int)
-    comps = [None] * frame.site.nfac
-    lifts = {}
-    for f, vecs in enumerate(frame.per_factor):
-        k = idx - frame.offsets[f]
-        on = (k >= 0) & (k < len(vecs))
-        if not on.any():
-            continue
-        comps[f] = frame.stacked[f][idx]
-        if frame.lifts[f] is not None:
-            lift = np.zeros((len(idx), frame.site.model.d), dtype=complex)
-            lift[on] = np.asarray(frame.lifts[f])[k[on]]
-            lifts[f] = lift
-    return Tangent(comps, lifts)
+    tmat = cpoint.frame().components([g @ v @ gi for v in point.frame().stacked])
+    pmat = qp.bivector.frame_matrix
+    gaps = [np.abs(pmat(cpoint) - tmat.T @ pmat(point) @ tmat).max()]
+    if qh is not None:
+        smat = qh.form.frame_matrix
+        gaps.append(np.abs(smat(point) - tmat @ smat(cpoint) @ tmat.T).max())
+    return float(np.max(gaps))
 
 
 def restrict_to_class(biv, point, factor, tol=1e-8):

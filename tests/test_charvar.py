@@ -7,7 +7,6 @@ from qpois.charvar import (
     TraceFunction,
     _relator_jacobian,
     bracket,
-    differential,
     dual_pair_residuals,
     hamiltonian_field,
     invariance_residual,
@@ -18,7 +17,7 @@ from qpois.charvar import (
 )
 from qpois.duals import Dual
 from qpois.errors import MaxIters, NotInvariant, Stalled
-from qpois.fields import Bivector
+from qpois.fields import Bivector, differential
 from qpois.groupgeom import Factor, Site, SitePoint, random_point, word_tangent
 from qpois.quasi import (
     assemble_surface_site,
@@ -61,6 +60,22 @@ def test_entry_function_not_invariant():
     assert invariance_residual(g, p, np.random.default_rng(1)) > 1e-3
     with pytest.raises(NotInvariant):
         hamiltonian_field(qp.bivector, g, p)
+
+
+def test_nan_probe_fails_invariance_and_hamiltonian_field():
+    site, qp, _ = fused_sl2()
+    p = random_point(site, np.random.default_rng(0))
+    f = TraceFunction(site, "ab")
+    calls = []
+
+    def third_call_nan(mats):
+        calls.append(1)
+        return complex("nan") if len(calls) == 3 else f(mats)
+
+    assert np.isnan(invariance_residual(third_call_nan, p, np.random.default_rng(1)))
+    calls.clear()
+    with pytest.raises(NotInvariant):
+        hamiltonian_field(qp.bivector, third_call_nan, p)
 
 
 def test_bracket_antisymmetry_and_zero_field():

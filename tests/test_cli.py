@@ -264,6 +264,17 @@ def test_nan_at_a_later_sample_fails_the_check(monkeypatch, module, name,
     assert not report["overall_pass"]
 
 
+def test_nan_invariance_gate_skips_invariant_checks(monkeypatch):
+    import qpois.cli as cli
+
+    monkeypatch.setattr(cli, "ad_invariance_residual",
+                        lambda *args, **kwargs: float("nan"))
+    checks = by_id(run_suite(torus_cfg(), "core"))
+    assert checks["pairing_ad_invariance"]["status"] == "failed"
+    assert checks["cubic_antisymmetry"]["status"] == "skipped"
+    assert "not ad-invariant" in checks["cubic_antisymmetry"]["reason"]
+
+
 # -- config validation -------------------------------------------------------
 
 def test_unknown_family_exit_2(tmp_path):
@@ -302,6 +313,27 @@ def test_non_finite_config_numbers_exit_2(tmp_path, over, loc):
     assert result.exit_code == 2, result.output + result.stderr
     assert loc in result.stderr
     assert "finite" in result.stderr
+
+
+@pytest.mark.parametrize("group, loc", [
+    ({"family": "SL", "n": 1}, "group.n"),
+    ({"family": "GL", "n": 0}, "group.n"),
+    ({"family": "SL", "n": 1.5}, "group.n"),
+    ({"family": "SL", "n": True}, "group.n"),
+    ({"family": "abelian", "n": "x"}, "group.n"),
+    ({"family": "SL", "n": 2, "trace_scale": float("nan")}, "group.trace_scale"),
+], ids=["sl_n1", "gl_n0", "n_float", "n_bool", "n_string", "trace_scale_nan"])
+def test_invalid_group_exit_2(tmp_path, group, loc):
+    cfg = write_cfg(tmp_path, torus_cfg(group=group))
+    result = invoke(["verify", "core", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert loc in result.stderr
+
+
+def test_smallest_group_sizes_accepted():
+    for family in ("GL", "abelian"):
+        assert build_setup(torus_cfg(group={"family": family, "n": 1})).model.n == 1
 
 
 def test_invalid_json_names_position(tmp_path):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from qpois import models
-from qpois.charvar import TraceFunction, differential
-from qpois.fields import FormField, op_apply
+from qpois.charvar import TraceFunction
+from qpois.fields import FormField, differential, op_apply
 from qpois.groupgeom import Tangent, random_point, word_eval, word_tangent
 
 from dual_reference import dual_lift

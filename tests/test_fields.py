@@ -328,6 +328,38 @@ def test_bracket_funcs_against_componentwise():
     assert abs(fast - 2.0 * slow) < 1e-10
 
 
+def test_bracket_funcs_on_class_factors_matches_ambient_reference():
+    # the shipped two-puncture bivector is tangent to the classes, so the
+    # frame bracket equals the ambient one over every atom direction
+    model, pairing = models.sl2()
+    reps = [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]
+    site, qp, _ = assemble_surface_site(model, pairing, 1, reps)
+    biv = qp.bivector
+    p = random_point(site, np.random.default_rng(12))
+
+    def f1(mats):
+        return dtrace(word_eval(parse_word(site, "abc"), mats))
+
+    def f2(mats):
+        return dtrace(word_eval(parse_word(site, "cAd"), mats))
+
+    fast = bracket_funcs(biv, p, f1, f2)
+
+    from dual_reference import dual_lift
+
+    def atom_grad(fn):
+        out = []
+        for f in range(site.nfac):
+            for side in ("L", "R"):
+                out += [dual_lift(fn, p, Tangent(op_apply(((1.0, side, f),), p.mats, b)))
+                        for b in model.basis]
+        return np.array(out)
+
+    slow = atom_grad(f1) @ np.kron(biv.kmat, pairing.eta_upper) @ atom_grad(f2)
+    assert abs(fast) > 1e-3
+    assert abs(fast - 2.0 * slow) <= 1e-12 * abs(fast)
+
+
 def test_jacobiator_against_finite_differences():
     site = sl2_two_group()
     model = site.model

@@ -104,6 +104,22 @@ def test_ad_invariance_detects_perturbation():
     assert 1e-5 < r < 1e-1
 
 
+def test_ad_invariance_nan_at_a_later_sample_shows(monkeypatch):
+    import qpois.liealg as liealg
+
+    model, pairing = models.sl2()
+    real, calls = liealg.adjoint_matrix, []
+
+    def third_call_nan(*args):
+        calls.append(1)
+        out = real(*args)
+        return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+    monkeypatch.setattr(liealg, "adjoint_matrix", third_call_nan)
+    assert np.isnan(ad_invariance_residual(model, pairing, samples=8, seed=3))
+    assert len(calls) == 8
+
+
 def test_cartan3_sl2_oracle():
     model, pairing = models.sl2()
     phi = cartan3(model, pairing)

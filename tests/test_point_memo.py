@@ -17,7 +17,7 @@ import qpois.fields as fields
 import qpois.quasi as quasi
 from qpois import models
 from qpois.dirac import dirac_booleans
-from qpois.groupgeom import Factor, Site, random_point
+from qpois.groupgeom import Factor, Site, Tangent, random_point
 from qpois.quasi import (
     assemble_surface_site,
     component_linear,
@@ -145,7 +145,7 @@ def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
     monkeypatch.setattr(fields, "word_tangent", counted_tangent)
     p = random_point(site, np.random.default_rng(6))
     frame = p.frame()
-    probes = quasi._frame_probes(frame, np.arange(frame.dim))
+    probes = Tangent(frame.stacked)
     qh.form.evaluate(p.mats, probes, probes)
     assert set(values) == set(tangents) == words
     assert set(values.values()) == {1}

@@ -294,8 +294,23 @@ def test_equivariance_bivector_and_form():
     p = random_point(site, np.random.default_rng(10))
     from qpois.duals import dexpm
     g = dexpm(model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
-    assert equivariance_residual(qp, p, g, mode="bivector") <= 1e-9
-    assert equivariance_residual(qh, p, g, mode="twoform") <= 1e-9
+    assert equivariance_residual(qp, None, p, g) <= 1e-9
+    assert equivariance_residual(qp, qh, p, g) <= 1e-9
+
+
+def test_equivariance_detects_noninvariant_pairing():
+    model, _ = models.sl2()
+    lower = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    pairing = PairingData(eta_lower=lower, eta_upper=np.linalg.inv(lower))
+    site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
+    p = random_point(site, np.random.default_rng(10))
+    from qpois.duals import dexpm
+    g = dexpm(model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
+    assert equivariance_residual(qp, None, p, g) > 1e-3
+    # a zero bivector leaves the 2-form term alone
+    zero = QuasiPoissonDescriptor(site, qp.bivector.scaled(0.0), qp.momentum)
+    assert equivariance_residual(zero, None, p, g) == 0.0
+    assert equivariance_residual(zero, qh, p, g) > 1e-3
 
 
 def test_momentum_pullback_consistency():
