@@ -598,11 +598,13 @@ def equivariance_residual(qp, qh, point, g):
     cpoint = conjugate_point(point, g)
     gi = np.linalg.inv(g)
     tmat = cpoint.frame().components([g @ v @ gi for v in point.frame().stacked])
-    pmat = qp.bivector.frame_matrix
-    gaps = [np.abs(pmat(cpoint) - tmat.T @ pmat(point) @ tmat).max()]
+    biv = qp.bivector
+    gaps = [np.abs(biv.frame_matrix(cpoint)
+                   - tmat.T @ biv.frame_matrix(point) @ tmat).max()]
     if qh is not None:
-        smat = qh.form.frame_matrix
-        gaps.append(np.abs(smat(point) - tmat @ smat(cpoint) @ tmat.T).max())
+        form = qh.form
+        gaps.append(np.abs(form.frame_matrix(point)
+                           - tmat @ form.frame_matrix(cpoint) @ tmat.T).max())
     return float(np.max(gaps))
 
 
