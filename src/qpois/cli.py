@@ -54,6 +54,8 @@ from .errors import (
     MaxIters,
     QpoisError,
     Stalled,
+    expect,
+    is_finite_number,
 )
 from .groupgeom import parse_word, random_point
 from .liealg import (
@@ -62,7 +64,7 @@ from .liealg import (
     cubic_alternation,
     verify_chi_identity,
 )
-from .models import model_from_config
+from .models import DEFAULT_GROUP, model_from_config
 from .quasi import (
     assemble_surface_site,
     class_descriptors,
@@ -109,41 +111,25 @@ _DEFAULT_TOLS = {
 # configuration
 # ---------------------------------------------------------------------------
 
-def _expect(cond, loc, msg):
-    if not cond:
-        raise ConfigError(f"{loc}: {msg}")
-
-
-def _is_finite_number(x):
-    """A JSON number that is a finite float; json.loads also reads NaN,
-    Infinity and integers too large for a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(float(x))
-    except OverflowError:
-        return False
-
-
 def _parse_matrix(lit, loc):
     """Row-major nested arrays of [re, im] pairs -> complex ndarray."""
-    _expect(isinstance(lit, list) and lit, loc, "matrix literal must be a "
-            "non-empty list of rows")
+    expect(isinstance(lit, list) and lit, loc, "matrix literal must be a "
+           "non-empty list of rows")
     rows = []
     width = None
     for r, row in enumerate(lit):
-        _expect(isinstance(row, list) and row, f"{loc}[{r}]",
-                "row must be a non-empty list of [re, im] pairs")
+        expect(isinstance(row, list) and row, f"{loc}[{r}]",
+               "row must be a non-empty list of [re, im] pairs")
         if width is None:
             width = len(row)
-        _expect(len(row) == width, f"{loc}[{r}]",
-                f"row length {len(row)} differs from {width}")
+        expect(len(row) == width, f"{loc}[{r}]",
+               f"row length {len(row)} differs from {width}")
         out_row = []
         for c, entry in enumerate(row):
-            _expect(isinstance(entry, list) and len(entry) == 2
-                    and all(map(_is_finite_number, entry)),
-                    f"{loc}[{r}][{c}]",
-                    "entry must be a [re, im] pair of finite numbers")
+            expect(isinstance(entry, list) and len(entry) == 2
+                   and all(map(is_finite_number, entry)),
+                   f"{loc}[{r}][{c}]",
+                   "entry must be a [re, im] pair of finite numbers")
             out_row.append(complex(entry[0], entry[1]))
         rows.append(out_row)
     return np.array(rows, dtype=complex)
@@ -166,7 +152,7 @@ def load_config(path):
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    _expect(isinstance(raw, dict), path, "top level must be an object")
+    expect(isinstance(raw, dict), path, "top level must be an object")
     return raw
 
 
@@ -180,6 +166,7 @@ class Setup:
     qh: object
     genus: int
     class_reps: list
+    relator: tuple           # the parsed relator word of the site
     variant: str
     words: list
     pairs: list
@@ -197,65 +184,26 @@ class Setup:
         return cartan3(self.model, self.pairing)
 
 
-def _build_pairing(model, base_pairing, spec):
-    if not spec:
-        return base_pairing
-    _expect(isinstance(spec, dict), "pairing", "must be an object")
-    scale = spec.get("trace_scale", 1.0)
-    _expect(_is_finite_number(scale), "pairing.trace_scale",
-            "must be a finite number")
-    mask = spec.get("mask")
-    from .liealg import PairingData, pairing_from_lower, trace_pairing
-
-    if mask is None:
-        return trace_pairing(model, scale=float(scale))
-    _expect(isinstance(mask, list) and len(mask) == model.d
-            and all(map(_is_finite_number, mask)),
-            "pairing.mask", f"must be a list of {model.d} finite numbers")
-    base = trace_pairing(model, scale=float(scale)).eta_lower
-    m = np.asarray(mask, dtype=float)
-    out = pairing_from_lower(base * np.outer(m, m))
-    if out.eta_upper is None:
-        out = PairingData(eta_lower=out.eta_lower,
-                          eta_upper=np.linalg.pinv(out.eta_lower))
-    return out
-
-
 def build_setup(raw, seed=None):
     """Construct the models, the site, and the shipped descriptor pair."""
-    group = raw.get("group", {"family": "SL", "n": 2})
-    _expect(isinstance(group, dict), "group", "must be an object")
-    family = group.get("family", "SL")
-    if family == "product":
-        group = dict(group, family="sl2_abelian")
-    least = 2 if family == "SL" else 1
-    n = group.get("n", 2)
-    _expect(isinstance(n, int) and not isinstance(n, bool) and n >= least,
-            "group.n", f"must be an integer of at least {least} for {family}")
-    _expect(_is_finite_number(group.get("trace_scale", 1.0)),
-            "group.trace_scale", "must be a finite number")
-    try:
-        model, pairing = model_from_config(group)
-    except QpoisError as exc:
-        raise ConfigError(f"group: {exc}") from exc
-
-    pairing = _build_pairing(model, pairing, raw.get("pairing"))
+    model, pairing = model_from_config(raw.get("group", DEFAULT_GROUP),
+                                       raw.get("pairing"))
 
     site_spec = raw.get("site", {})
-    _expect(isinstance(site_spec, dict), "site", "must be an object")
+    expect(isinstance(site_spec, dict), "site", "must be an object")
     genus = site_spec.get("genus", 1)
-    _expect(isinstance(genus, int) and not isinstance(genus, bool) and genus >= 0,
-            "site.genus", "must be a non-negative integer")
+    expect(isinstance(genus, int) and not isinstance(genus, bool) and genus >= 0,
+           "site.genus", "must be a non-negative integer")
     reps_lit = site_spec.get("class_reps", [])
-    _expect(isinstance(reps_lit, list), "site.class_reps", "must be a list")
+    expect(isinstance(reps_lit, list), "site.class_reps", "must be a list")
     class_reps = [_parse_matrix(lit, f"site.class_reps[{i}]")
                   for i, lit in enumerate(reps_lit)]
     for i, rep in enumerate(class_reps):
-        _expect(rep.shape == (model.n, model.n), f"site.class_reps[{i}]",
-                f"expected shape {(model.n, model.n)}, got {rep.shape}")
+        expect(rep.shape == (model.n, model.n), f"site.class_reps[{i}]",
+               f"expected shape {(model.n, model.n)}, got {rep.shape}")
     variant = site_spec.get("variant", "classes")
-    _expect(variant in ("classes", "fullgroups"), "site.variant",
-            "must be 'classes' or 'fullgroups'")
+    expect(variant in ("classes", "fullgroups"), "site.variant",
+           "must be 'classes' or 'fullgroups'")
     try:
         site, qp, qh = assemble_surface_site(model, pairing, genus, class_reps,
                                              variant=variant)
@@ -265,9 +213,9 @@ def build_setup(raw, seed=None):
     words = raw.get("words")
     if words is None:
         words = ["a", "b", "ab"] if site.nfac >= 2 else ["a"]
-    _expect(isinstance(words, list) and words
-            and all(isinstance(w, str) for w in words),
-            "words", "must be a non-empty list of word strings")
+    expect(isinstance(words, list) and words
+           and all(isinstance(w, str) for w in words),
+           "words", "must be a non-empty list of word strings")
     for i, w in enumerate(words):
         try:
             parse_word(site, w)
@@ -279,11 +227,11 @@ def build_setup(raw, seed=None):
         pairs = [[words[0], words[0]]]
         if len(words) > 1:
             pairs.append([words[0], words[1]])
-    _expect(isinstance(pairs, list), "bracket_pairs", "must be a list")
+    expect(isinstance(pairs, list), "bracket_pairs", "must be a list")
     for i, pair in enumerate(pairs):
-        _expect(isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(w, str) for w in pair),
-                f"bracket_pairs[{i}]", "must be a [word, word] pair")
+        expect(isinstance(pair, list) and len(pair) == 2
+               and all(isinstance(w, str) for w in pair),
+               f"bracket_pairs[{i}]", "must be a [word, word] pair")
         for w in pair:
             try:
                 parse_word(site, w)
@@ -291,8 +239,8 @@ def build_setup(raw, seed=None):
                 raise ConfigError(f"bracket_pairs[{i}]: {exc}") from exc
 
     targets_lit = raw.get("targets", ["identity"])
-    _expect(isinstance(targets_lit, list) and targets_lit,
-            "targets", "must be a non-empty list")
+    expect(isinstance(targets_lit, list) and targets_lit,
+           "targets", "must be a non-empty list")
     targets = []
     for i, lit in enumerate(targets_lit):
         if lit == "identity":
@@ -300,44 +248,46 @@ def build_setup(raw, seed=None):
         elif lit == "minus_identity":
             # SL(n) holds -I only for even n; an unreachable target stalls
             # every relator solve
-            _expect(not model.is_traceless() or model.n % 2 == 0,
-                    f"targets[{i}]", f"minus_identity has determinant -1, "
-                    f"outside SL({model.n})")
+            expect(not model.is_traceless() or model.n % 2 == 0,
+                   f"targets[{i}]", f"minus_identity has determinant -1, "
+                   f"outside SL({model.n})")
             targets.append(("minus_identity", -np.eye(model.n, dtype=complex)))
         else:
             mat = _parse_matrix(lit, f"targets[{i}]")
-            _expect(mat.shape == (model.n, model.n), f"targets[{i}]",
-                    f"expected shape {(model.n, model.n)}, got {mat.shape}")
+            expect(mat.shape == (model.n, model.n), f"targets[{i}]",
+                   f"expected shape {(model.n, model.n)}, got {mat.shape}")
             targets.append((f"matrix_{i}", mat))
 
     cfg_seed = raw.get("seed", 0)
-    _expect(isinstance(cfg_seed, int) and not isinstance(cfg_seed, bool)
-            and cfg_seed >= 0, "seed", "must be a non-negative integer")
+    expect(isinstance(cfg_seed, int) and not isinstance(cfg_seed, bool)
+           and cfg_seed >= 0, "seed", "must be a non-negative integer")
     samples = raw.get("samples", 8)
-    _expect(isinstance(samples, int) and not isinstance(samples, bool)
-            and samples >= 1, "samples", "must be a positive integer")
+    expect(isinstance(samples, int) and not isinstance(samples, bool)
+           and samples >= 1, "samples", "must be a positive integer")
 
     tols = dict(_DEFAULT_TOLS)
     user_tols = raw.get("tolerances", {})
-    _expect(isinstance(user_tols, dict), "tolerances", "must be an object")
+    expect(isinstance(user_tols, dict), "tolerances", "must be an object")
     for key, val in user_tols.items():
-        _expect(key in _DEFAULT_TOLS, f"tolerances.{key}",
-                f"unknown tier (known: {sorted(_DEFAULT_TOLS)})")
-        _expect(_is_finite_number(val) and val > 0, f"tolerances.{key}",
-                "must be a positive finite number")
+        expect(key in _DEFAULT_TOLS, f"tolerances.{key}",
+               f"unknown tier (known: {sorted(_DEFAULT_TOLS)})")
+        expect(is_finite_number(val) and val > 0, f"tolerances.{key}",
+               "must be a positive finite number")
         tols[key] = float(val)
 
     check_filter = raw.get("checks")
     if check_filter is not None:
-        _expect(isinstance(check_filter, list)
-                and all(isinstance(c, str) for c in check_filter),
-                "checks", "must be a list of check ids")
+        expect(isinstance(check_filter, list)
+               and all(isinstance(c, str) for c in check_filter),
+               "checks", "must be a list of check ids")
         known = {c.check_id for c in _ALL_CHECKS}
         for c in check_filter:
-            _expect(c in known, "checks", f"unknown check id {c!r}")
+            expect(c in known, "checks", f"unknown check id {c!r}")
 
     return Setup(raw=raw, model=model, pairing=pairing, site=site, qp=qp, qh=qh,
-                 genus=genus, class_reps=class_reps, variant=variant,
+                 genus=genus, class_reps=class_reps,
+                 relator=relator_word(site, genus, len(class_reps)),
+                 variant=variant,
                  words=list(words), pairs=[list(p) for p in pairs],
                  targets=targets,
                  seed=int(seed if seed is not None else cfg_seed),
@@ -495,14 +445,14 @@ def _chk_nondegeneracy(s, p, rng):
 
 
 def _chk_projections(s, p, rng):
-    pp, qq = projections_pq(s.site, p, s.qp.momentum[0].word)
+    pp, qq = projections_pq(p, s.qp.momentum[0])
     eye = np.eye(pp.shape[0])
     return np.max([np.abs(pp @ pp - pp).max(), np.abs(qq @ qq - qq).max(),
                    np.abs(pp + qq - eye).max()])
 
 
 def _chk_fibers(s, p, rng):
-    e_sub, f_sub = cartan_dirac_fibers(s.site, p, s.qp.momentum[0].word)
+    e_sub, f_sub = cartan_dirac_fibers(p, s.qp.momentum[0])
     if intersection_dim(e_sub.basis, f_sub.basis):
         raise _Fail("canonical fibers are not complementary at a sample")
     return np.max([e_sub.isotropy_residual, f_sub.isotropy_residual])
@@ -540,8 +490,7 @@ def _solved_set(s):
     target, the outcomes of min(samples, 4) solves."""
     if s.solved is None:
         rng = _check_rng(s, "relator_solver")
-        word = relator_word(s.site, s.genus, len(s.class_reps))
-        s.solved = [[_solve_or_stop(s.site, word, target,
+        s.solved = [[_solve_or_stop(s.site, s.relator, target,
                                     int(rng.integers(2 ** 31)))
                      for _ in range(min(s.samples, 4))]
                     for _, target in s.targets]
@@ -579,10 +528,10 @@ def _chk_jacobi_level(s, rng):
 
 
 def _chk_poisson_ideal(s, rng):
-    word = relator_word(s.site, s.genus, len(s.class_reps))
     f = TraceFunction(s.site, s.words[0])
     points = _converged_points(s)
-    worst = np.max([poisson_ideal_residual(s.qp.bivector, word, target, f, pts)
+    worst = np.max([poisson_ideal_residual(s.qp.bivector, s.relator, target, f,
+                                           pts)
                     for (_, target), pts in zip(s.targets, points)])
     return float(worst), sum(map(len, points))
 
@@ -782,14 +731,13 @@ def compute_brackets(config, seed=None):
     """Bracket table of invariant trace pairs at relator-solved points."""
     raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
     setup = build_setup(raw, seed=seed)
-    word = relator_word(setup.site, setup.genus, len(setup.class_reps))
     label, target = setup.targets[0]
     rng = np.random.default_rng([setup.seed, 0x6272])
     rows = []
     for k in range(setup.samples):
         sub = int(rng.integers(2 ** 31))
-        row, out = _solve_row(setup.site, word, target, sub, sample=k,
-                              values=None)
+        row, out = _solve_row(setup.site, setup.relator, target, sub,
+                              sample=k, values=None)
         if out is not None:
             values = {}
             for u, v in setup.pairs:
@@ -808,7 +756,7 @@ def compute_brackets(config, seed=None):
         "target": label,
         "relator": "".join(
             setup.site.letter(f) if p == 1 else setup.site.letter(f).upper()
-            for f, p in word),
+            for f, p in setup.relator),
         "rows": rows,
         "overall_pass": not any(r["solver_failed"] for r in rows),
     }
@@ -818,14 +766,13 @@ def sample_points(config, seed=None):
     """Relator samples serialized as matrix literals."""
     raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
     setup = build_setup(raw, seed=seed)
-    word = relator_word(setup.site, setup.genus, len(setup.class_reps))
     rng = np.random.default_rng([setup.seed, 0x736d])
     rows = []
     for label, target in setup.targets:
         for k in range(setup.samples):
             sub = int(rng.integers(2 ** 31))
-            row, out = _solve_row(setup.site, word, target, sub, target=label,
-                                  sample=k, mats=None)
+            row, out = _solve_row(setup.site, setup.relator, target, sub,
+                                  target=label, sample=k, mats=None)
             if out is not None:
                 row["mats"] = [_matrix_literal(m) for m in out.point.mats]
             rows.append(row)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadSignature, RankDeficient
-from .groupgeom import word_eval
-from .liealg import adjoint_matrix
 from .quasi import (
     _RANK_TOL,
     component_linear,
@@ -101,19 +99,14 @@ def graph_subspace(mat, kind):
     return LagrangianSubspace.from_columns(cols, n)
 
 
-def _word_adjoints(site, point, word):
-    """Ad and Ad^-1 at a word's value."""
-    g = word_eval(word, point.mats)
-    return (adjoint_matrix(site.model, g),
-            adjoint_matrix(site.model, np.linalg.inv(g)))
-
-
-def cartan_dirac_fibers(site, point, word):
+def cartan_dirac_fibers(point, comp):
     """The two generating fibers of the canonical splitting pulled back
-    through a word, in left-trivialized coordinates at the word value."""
-    s_low, _ = site.pairing.require_invertible()
-    a_mat, a_inv = _word_adjoints(site, point, word)
-    d = site.model.d
+    through a momentum component's word, in left-trivialized coordinates at
+    the word value."""
+    s_low, _ = point.site.pairing.require_invertible()
+    lin = component_linear(point, comp)
+    a_mat, a_inv = lin.ad, lin.ad_inv
+    d = point.site.model.d
     eye = np.eye(d)
     e_cols = np.concatenate([eye - a_inv, 0.5 * (eye + a_mat.T) @ s_low],
                             axis=0)
@@ -124,12 +117,14 @@ def cartan_dirac_fibers(site, point, word):
     return e_sub, f_sub
 
 
-def projections_pq(site, point, word):
-    """The complementary block projections onto the two canonical fibers,
-    in left-trivialized coordinates at the word value (2d x 2d each)."""
-    s_low, h_up = site.pairing.require_invertible()
-    a_mat, a_inv = _word_adjoints(site, point, word)
-    d = site.model.d
+def projections_pq(point, comp):
+    """The complementary block projections onto the two canonical fibers of
+    a momentum component, in left-trivialized coordinates at its word value
+    (2d x 2d each)."""
+    s_low, h_up = point.site.pairing.require_invertible()
+    lin = component_linear(point, comp)
+    a_mat, a_inv = lin.ad, lin.ad_inv
+    d = point.site.model.d
     eye = np.eye(d)
     lm, lp = eye - a_inv, eye + a_inv        # (L - R), (L + R)
     lmv, lpv = eye - a_mat, eye + a_mat      # (L^-1 - R^-1), (L^-1 + R^-1)
@@ -243,13 +238,12 @@ def dirac_booleans(qh, point, component=0):
     d: the plain backward image of the complementary fiber is transverse to
        the graph of the form.
     """
-    site = qh.site
     nfr = point.frame().dim
     comp = qh.momentum[component]
     dphi = component_linear(point, comp).left.T
     smat = qh.form.frame_matrix(point)
     sflat = smat.T
-    e_fib, f_fib = cartan_dirac_fibers(site, point, comp.word)
+    e_fib, f_fib = cartan_dirac_fibers(point, comp)
 
     # (a) momentum law + ker(sigma-flat) cap ker(dphi) = 0
     resid = momentum_residual(qh, point, "twoform")

@@ -2,7 +2,10 @@
 
 Every guarded numerical refusal gets its own class so callers (and the CLI)
 can distinguish "the input is outside the contract" from genuine bugs.
+The two config helpers at the end are shared by every config reader.
 """
+
+import math
 
 
 class QpoisError(Exception):
@@ -73,3 +76,20 @@ class ConfigError(QpoisError):
 
 class IoError(QpoisError):
     """Report/config file could not be read or written."""
+
+
+def expect(cond, loc, msg):
+    """ConfigError naming the config location unless cond holds."""
+    if not cond:
+        raise ConfigError(f"{loc}: {msg}")
+
+
+def is_finite_number(x):
+    """A JSON number that is a finite float; json.loads also reads NaN,
+    Infinity and integers too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False

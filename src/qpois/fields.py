@@ -34,7 +34,6 @@ __all__ = [
     "section_bracket",
     "exterior_d3",
     "eval_lambda",
-    "two_chain_form",
     "differential",
     "bracket_funcs",
     "jacobiator",
@@ -443,17 +442,6 @@ def eval_lambda(model, pairing, g, v1, v2, v3):
 
     val = cyclic(w1, w2, w3) + cyclic(w2, w3, w1) + cyclic(w3, w1, w2)
     return val / 6.0
-
-
-def two_chain_form(site, chain):
-    """2-form of a formal chain: list of (coef, word_text_u, word_text_v)."""
-    from .groupgeom import parse_word
-
-    terms = []
-    for coef, u, v in chain:
-        terms.append(PairTerm(0.5 * coef, parse_word(site, u), "omega",
-                              parse_word(site, v), "omegabar"))
-    return FormField(site, pair_terms=terms)
 
 
 # ---------------------------------------------------------------------------

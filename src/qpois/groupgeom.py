@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duals import dexpm, dinv
-from .errors import BadSignature, LiftFailed, NotInSpan, NotTangent
+from .errors import BadSignature, LiftFailed, NotTangent
 
 __all__ = [
     "Factor",
@@ -30,8 +30,6 @@ __all__ = [
     "word_eval",
     "word_tangent",
     "word_differentials",
-    "maurer_cartan",
-    "fund_tangent",
     "class_tangent_frame",
     "site_frame",
     "random_point",
@@ -65,9 +63,6 @@ class Site:
 
     def letter(self, i):
         return chr(ord("a") + i)
-
-    def group_indices(self):
-        return [i for i, f in enumerate(self.factors) if f.kind == "group"]
 
     def class_indices(self):
         return [i for i, f in enumerate(self.factors) if f.kind == "class"]
@@ -177,30 +172,6 @@ def word_differentials(frame, word):
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi), g
 
 
-def maurer_cartan(model, q, v, side="left", check=True):
-    """Algebra coefficients of q^{-1} v (left) or v q^{-1} (right)."""
-    qi = np.linalg.inv(q)
-    m = qi @ v if side == "left" else v @ qi
-    try:
-        return model.coeffs(m, check=check)
-    except NotInSpan as exc:
-        raise NotInSpan(f"tangent does not trivialize into the algebra: {exc}") from exc
-
-
-def fund_tangent(site, point, x_coeffs, factors=None):
-    """Fundamental tangent of the conjugation action: q X - X q per factor.
-
-    factors limits the action to a subset (used when fusing); default all.
-    """
-    x = site.model.from_coeffs(x_coeffs)
-    idx = range(site.nfac) if factors is None else factors
-    comps = [None] * site.nfac
-    for i in idx:
-        q = point.mats[i]
-        comps[i] = q @ x - x @ q
-    return Tangent(comps)
-
-
 def class_tangent_frame(model, q, tol=1e-10):
     """Orthonormal ambient basis of {qX - Xq}, with algebra lifts.
 
@@ -271,22 +242,6 @@ class TangentFrame:
             if vecs:
                 block[self.offsets[i]:self.offsets[i] + len(vecs)] = vecs
             self.stacked.append(block)
-
-    def vector(self, a):
-        """Frame vector a as a Tangent (with lift metadata on class factors)."""
-        for i, vecs in enumerate(self.per_factor):
-            k = a - self.offsets[i]
-            if 0 <= k < len(vecs):
-                comps = [None] * self.site.nfac
-                comps[i] = vecs[k]
-                lifts = {}
-                if self.lifts[i] is not None:
-                    lifts[i] = self.lifts[i][k]
-                return Tangent(comps, lifts)
-        raise IndexError(a)
-
-    def vectors(self):
-        return [self.vector(a) for a in range(self.dim)]
 
     def components(self, tangent, check=False, tol=1e-8):
         """Frame components of an ambient tangent (list or Tangent).

@@ -25,13 +25,11 @@ __all__ = [
     "PairingData",
     "build_lie_algebra",
     "trace_pairing",
-    "pairing_from_lower",
     "adjoint_matrix",
     "ad_invariance_residual",
     "cubic_alternation",
     "cartan3",
     "verify_chi_identity",
-    "ideal_of_H",
 ]
 
 _SPAN_TOL = 1e-8
@@ -156,36 +154,26 @@ class PairingData:
                 "eta_lower / eta_upper)")
         return self.eta_lower, self.eta_upper
 
-    def lower_inverse(self):
-        """Inverse of eta_lower; DegeneratePairing when singular."""
-        if self.eta_lower is None:
-            raise DegeneratePairing("no eta_lower supplied")
-        sv = np.linalg.svd(self.eta_lower, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise DegeneratePairing(
-                f"eta_lower singular (sv ratio {sv[-1] / sv[0]:.3e})")
-        return np.linalg.inv(self.eta_lower)
-
     def require_upper(self):
         if self.eta_upper is None:
             raise DegeneratePairing("no eta_upper supplied")
         return self.eta_upper
 
 
-def trace_pairing(model, scale=1.0):
-    """eta_lower[j,k] = scale * tr(e_j e_k), eta_upper its inverse when it exists."""
+def trace_pairing(model, scale=1.0, mask=None):
+    """eta_lower[j,k] = scale * tr(e_j e_k) * m_j * m_k, with m the mask (all
+    ones when None); eta_upper is its inverse, or its pseudo-inverse when
+    eta_lower is singular."""
     d = model.d
     s = np.empty((d, d), dtype=complex)
     for j in range(d):
         for k in range(d):
             s[j, k] = scale * np.trace(model.basis[j] @ model.basis[k])
-    return pairing_from_lower(s)
-
-
-def pairing_from_lower(eta_lower):
-    s = np.asarray(eta_lower, dtype=complex)
+    if mask is not None:
+        m = np.asarray(mask, dtype=float)
+        s = s * np.outer(m, m)
     sv = np.linalg.svd(s, compute_uv=False)
-    upper = np.linalg.inv(s) if sv[-1] > 1e-10 * sv[0] else None
+    upper = np.linalg.inv(s) if sv[-1] > 1e-10 * sv[0] else np.linalg.pinv(s)
     return PairingData(eta_lower=s, eta_upper=upper)
 
 
@@ -283,33 +271,3 @@ def verify_chi_identity(model, pairing):
                     continue  # pure blocks cancel against the two copies
                 rhs[oa:oa + d, ob:ob + d, oc:oc + d] += half_phi
     return float(np.abs(lhs - rhs).max())
-
-
-@dataclass
-class IdealData:
-    basis: np.ndarray            # (d, r) coefficient columns spanning the image
-    restricted_form: np.ndarray  # (r, r) induced pairing on the image
-    min_singular: float          # non-degeneracy certificate of restricted_form
-    ideal_residual: float        # bracket of algebra with image stays in image
-    membership_residual: float   # 2-tensor lies in image (x) image
-
-
-def ideal_of_H(model, pairing, tol=1e-10):
-    """Image of the 2-tensor's musical map, with its induced pairing."""
-    h = pairing.require_upper()
-    d = model.d
-    u, s, _ = np.linalg.svd(h)
-    r = int(np.sum(s > tol * (s[0] if s.size else 1.0)))
-    b = u[:, :r]
-    hp = np.linalg.pinv(h)
-    restricted = b.T @ hp @ b
-    sv = np.linalg.svd(restricted, compute_uv=False)
-    min_sing = float(sv[-1]) if sv.size else 0.0
-    proj = b @ b.conj().T
-    ideal_res = 0.0
-    for uu in range(d):
-        for col in range(r):
-            br = np.einsum("kv,v->k", model.struct[:, uu, :], b[:, col])
-            ideal_res = max(ideal_res, float(np.linalg.norm(br - proj @ br)))
-    mem = max(float(np.abs(h - proj @ h @ proj.T).max()), 0.0)
-    return IdealData(b, restricted, min_sing, ideal_res, mem)

@@ -87,6 +87,10 @@ def _points(site, seed, count):
     return [random_point(site, rng) for _ in range(count)]
 
 
+def _sl3():
+    return models.model_from_config({"family": "SL", "n": 3})
+
+
 def _group_site(maker, nfac):
     model, pairing = maker()
     return Site(model, pairing, [Factor("group")] * nfac)
@@ -99,7 +103,7 @@ def _group_site(maker, nfac):
 def test_01_cubic_tensor_antisymmetry():
     t0 = time.perf_counter()
     worst = 0.0
-    for maker in (models.sl2, models.sl3, models.sl2_abelian):
+    for maker in (models.sl2, _sl3, models.sl2_abelian):
         model, pairing = maker()
         h = pairing.require_upper()
         phi = np.einsum("ju,kuv,vs->jks", h, model.struct, h)
@@ -116,7 +120,8 @@ def test_01_cubic_tensor_antisymmetry():
 def test_02_quadratic_element_bracket():
     t0 = time.perf_counter()
     worst = 0.0
-    for maker in (models.sl2, models.gl2, models.sl3, models.sl2_abelian):
+    for maker in (models.sl2, _sl3, models.sl2_abelian,
+                  lambda: models.model_from_config({"family": "GL", "n": 2})):
         model, pairing = maker()
         worst = max(worst, float(verify_chi_identity(model, pairing)))
     _report(2, "quadratic element bracket identity", worst, 1e-10, t0, 1.0)
@@ -131,7 +136,7 @@ def test_03_jacobiator_vs_cubic_tensor():
     m2, p2 = models.sl2()
     cases = []
 
-    s_one3 = _group_site(models.sl3, 1)
+    s_one3 = _group_site(_sl3, 1)
     cases.append(("one-factor (3x3)", s_one3, pg_descriptor(s_one3), ["a"]))
 
     s_two = _group_site(models.sl2, 2)
@@ -168,7 +173,7 @@ def test_04_momentum_laws():
     m2, p2 = models.sl2()
     biv_cases, form_cases = [], []
 
-    for maker in (models.sl2, models.sl3):
+    for maker in (models.sl2, _sl3):
         s = _group_site(maker, 1)
         biv_cases.append(("one-factor", s, pg_descriptor(s)))
 
@@ -286,14 +291,14 @@ def test_08_dirac_geometry():
         eye = np.eye(2 * d)
         for p in _points(site, [80, k], 16):
             for ci, comp in enumerate(qh.momentum):
-                pp, qq = projections_pq(site, p, comp.word)
+                pp, qq = projections_pq(p, comp)
                 worst = max(
                     worst,
                     float(np.abs(pp @ pp - pp).max()),
                     float(np.abs(qq @ qq - qq).max()),
                     float(np.abs(pp + qq - eye).max()),
                 )
-                e_fib, f_fib = cartan_dirac_fibers(site, p, comp.word)
+                e_fib, f_fib = cartan_dirac_fibers(p, comp)
                 worst = max(worst, float(e_fib.isotropy_residual),
                             float(f_fib.isotropy_residual))
                 if (e_fib.dim + f_fib.dim != 2 * d
@@ -418,7 +423,7 @@ def test_10_degenerate_pairing_regression():
     with pytest.raises(DegeneratePairing):
         reconstruct_dual(qh_two, p_two, "P-from-sigma")
     with pytest.raises(DegeneratePairing):
-        cartan_dirac_fibers(s_two, p_two, qh_two.momentum[0].word)
+        cartan_dirac_fibers(p_two, qh_two.momentum[0])
     cfg = {"group": {"family": "sl2_abelian"},
            "site": {"genus": 1, "class_reps": []}, "seed": 2, "samples": 2}
     refused = True

@@ -26,6 +26,8 @@ from qpois.quasi import (
     relator_word,
 )
 
+from site_reference import frame_vector
+
 REP = np.diag([2.0, 0.5]).astype(complex)
 
 
@@ -279,7 +281,7 @@ def _jacobian_loop(site, word, mats, target_inv):
 @pytest.mark.parametrize("build,genus,reps", [
     (models.sl2, 2, []),
     (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
-    (models.sl3, 1, []),
+    (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, []),
     (models.sl2_abelian, 2, []),
 ], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2"])
 def test_batched_jacobian_matches_direction_loop(build, genus, reps):
@@ -319,7 +321,7 @@ def test_differential_matches_finite_difference():
     df = differential(p, f)
     eps = 1e-7
     for a in range(0, frame.dim, 2):
-        t = frame.vector(a)
+        t = frame_vector(frame, a)
         moved = [m + eps * (c if c is not None else 0)
                  for m, c in zip(p.mats, t.comps)]
         fd = (f(moved) - f(p.mats)) / eps

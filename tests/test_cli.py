@@ -299,8 +299,10 @@ def test_matrix_literal_error_names_location(tmp_path):
      "site.class_reps[0][1][1]"),
     ({"targets": [[[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]]},
      "targets[0][0][0]"),
-    ({"pairing": {"trace_scale": float("nan")}}, "pairing.trace_scale"),
-    ({"pairing": {"trace_scale": 10 ** 400}}, "pairing.trace_scale"),
+    ({"group": {"family": "SL", "n": 2, "trace_scale": float("nan")}},
+     "group.trace_scale"),
+    ({"group": {"family": "SL", "n": 2, "trace_scale": 10 ** 400}},
+     "group.trace_scale"),
     ({"pairing": {"mask": [1, float("-inf"), 1]}}, "pairing.mask"),
     ({"tolerances": {"linear": float("inf")}}, "tolerances.linear"),
 ], ids=["class_rep", "target", "trace_scale", "trace_scale_overflow", "mask",
@@ -329,6 +331,38 @@ def test_invalid_group_exit_2(tmp_path, group, loc):
                      "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2, result.output + result.stderr
     assert loc in result.stderr
+
+
+def test_pairing_trace_scale_refused_exit_2(tmp_path):
+    cfg = write_cfg(tmp_path, torus_cfg(pairing={"trace_scale": 3.0}))
+    result = invoke(["verify", "core", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "group.trace_scale" in result.stderr
+
+
+def test_group_trace_scale_applies_with_a_mask():
+    setup = build_setup(torus_cfg(
+        group={"family": "SL", "n": 2, "trace_scale": 3.0},
+        pairing={"mask": [1, 1, 2]}))
+    want = 3.0 * np.array([[2, 0, 0], [0, 0, 2], [0, 2, 0]])
+    assert np.array_equal(setup.pairing.eta_lower, want)
+
+
+def test_sl2_abelian_trace_scale_keeps_the_skip_set():
+    plain = {"group": {"family": "sl2_abelian"},
+             "site": {"genus": 1, "class_reps": []}, "seed": 2, "samples": 2}
+    scaled = dict(plain, group={"family": "sl2_abelian", "trace_scale": 3.0})
+    assert np.array_equal(build_setup(scaled).pairing.eta_lower,
+                          3.0 * build_setup(plain).pairing.eta_lower)
+    assert not build_setup(scaled).pairing.invertible
+    skips = []
+    for cfg in (plain, scaled):
+        report = run_suite(cfg, "all")
+        assert report["overall_pass"], report["checks"]
+        skips.append({c["check_id"] for c in report["checks"]
+                      if c["status"] == "skipped"})
+    assert skips[0] == skips[1] and len(skips[0]) == 8
 
 
 def test_smallest_group_sizes_accepted():

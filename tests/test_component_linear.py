@@ -18,7 +18,6 @@ from qpois.charvar import TraceFunction
 from qpois.fields import FormField, differential, op_apply
 from qpois.groupgeom import Tangent, random_point, word_eval, word_tangent
 
-from dual_reference import dual_lift
 from qpois.liealg import adjoint_matrix
 from qpois.quasi import (
     QuasiHamiltonianDescriptor,
@@ -30,11 +29,15 @@ from qpois.quasi import (
     rho_matrix,
 )
 
+from dual_reference import dual_lift
+from site_reference import frame_vectors
+
 SITES = {
     "sl2-g1": (models.sl2, 1, []),
     "sl2-g1-2punct": (models.sl2, 1, [np.diag([2.0, 0.5]),
                                       np.diag([3.0, 1.0 / 3.0])]),
-    "sl3-g1": (models.sl3, 1, []),
+    "sl3-g1": (lambda: models.model_from_config({"family": "SL", "n": 3}),
+               1, []),
     "sl2ab-g2": (models.sl2_abelian, 2, []),
 }
 INVERTIBLE = sorted(name for name in SITES if not name.startswith("sl2ab"))
@@ -61,7 +64,7 @@ def _word_diffs(frame, word):
     model = frame.site.model
     mats = frame.mats
     gi = np.linalg.inv(word_eval(word, mats))
-    dvs = [word_tangent(word, mats, v) for v in frame.vectors()]
+    dvs = [word_tangent(word, mats, v) for v in frame_vectors(frame)]
     return (np.array([model.coeffs(gi @ dv) for dv in dvs]),
             np.array([model.coeffs(dv @ gi) for dv in dvs]))
 
@@ -104,7 +107,7 @@ def _ref_momentum(desc, point, mode):
             smat = site.pairing.eta_lower
             for j in range(model.d):
                 ft = _action_tangent(site, point, comp, eye[j])
-                for v, wsum in zip(frame.vectors(), left + right):
+                for v, wsum in zip(frame_vectors(frame), left + right):
                     lhs = desc.form.evaluate(point.mats, ft, v)
                     worst = max(worst, float(abs(lhs - 0.5 * (eye[j] @ smat @ wsum))))
     return worst
@@ -227,6 +230,6 @@ def test_differential_matches_per_vector_dual_lift(name):
     site, _, _, p = _setup(name)
     frame = p.frame()
     fn = TraceFunction(site, "abAc" if site.nfac > 2 else "abA")
-    ref = np.array([dual_lift(fn, p, v) for v in frame.vectors()])
+    ref = np.array([dual_lift(fn, p, v) for v in frame_vectors(frame)])
     got = differential(p, fn)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -16,8 +16,10 @@ from qpois.dirac import (
     transport_image,
 )
 from qpois.errors import BadSignature, DegeneratePairing, RankDeficient
+from qpois.fields import op_fund
 from qpois.groupgeom import Factor, Site, SitePoint, parse_word, random_point
 from qpois.quasi import (
+    MomentumComponent,
     assemble_surface_site,
     class_descriptors,
     double_descriptors,
@@ -31,6 +33,11 @@ REP = np.diag([2.0, 0.5]).astype(complex)
 def sl2_site(nfac=1):
     model, pairing = models.sl2()
     return Site(model, pairing, [Factor("group") for _ in range(nfac)])
+
+
+def component_a(site):
+    """The momentum component with word "a" and the conjugation of factor a."""
+    return MomentumComponent(parse_word(site, "a"), op_fund([0]))
 
 
 def test_graph_subspaces_trivial():
@@ -70,7 +77,7 @@ def test_lagrangian_guards():
 def test_cartan_fibers_identity_point():
     site = sl2_site(1)
     p = SitePoint(site, [np.eye(2)])
-    e_sub, f_sub = cartan_dirac_fibers(site, p, parse_word(site, "a"))
+    e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
     # tangent part of E vanishes, covector part of F vanishes
     assert np.abs(e_sub.basis[:3, :]).max() < 1e-12
     assert np.abs(f_sub.basis[3:, :]).max() < 1e-12
@@ -81,7 +88,7 @@ def test_cartan_fibers_complementary():
     site = sl2_site(1)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        e_sub, f_sub = cartan_dirac_fibers(site, p, parse_word(site, "a"))
+        e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
         assert e_sub.dim == f_sub.dim == 3
         assert intersection_dim(e_sub.basis, f_sub.basis) == 0
 
@@ -91,22 +98,22 @@ def test_cartan_fibers_refuse_degenerate():
     site = Site(model, pairing, [Factor("group")])
     p = random_point(site, np.random.default_rng(0))
     with pytest.raises(DegeneratePairing):
-        cartan_dirac_fibers(site, p, parse_word(site, "a"))
+        cartan_dirac_fibers(p, component_a(site))
     with pytest.raises(DegeneratePairing):
-        projections_pq(site, p, parse_word(site, "a"))
+        projections_pq(p, component_a(site))
 
 
 def test_projections_block_identities():
     site = sl2_site(1)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        pp, qq = projections_pq(site, p, parse_word(site, "a"))
+        pp, qq = projections_pq(p, component_a(site))
         eye = np.eye(6)
         assert np.abs(pp + qq - eye).max() <= 1e-10
         assert np.abs(pp @ pp - pp).max() <= 1e-10
         assert np.abs(qq @ qq - qq).max() <= 1e-10
         # images are the canonical fibers
-        e_sub, f_sub = cartan_dirac_fibers(site, p, parse_word(site, "a"))
+        e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
         pe = LagrangianSubspace.from_columns(pp, 3, require_rank=False)
         qf = LagrangianSubspace.from_columns(qq, 3, require_rank=False)
         assert subspace_equal(pe, e_sub)
@@ -119,7 +126,7 @@ def test_projections_block_identities():
 def test_projection_p11_zero_at_identity():
     site = sl2_site(1)
     p = SitePoint(site, [np.eye(2)])
-    pp, _ = projections_pq(site, p, parse_word(site, "a"))
+    pp, _ = projections_pq(p, component_a(site))
     assert np.abs(pp[:3, :3]).max() < 1e-14
 
 
@@ -130,7 +137,7 @@ def test_projection_offdiagonal_matches_bivector():
     desc = pg_descriptor(site)
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
-        pp, _ = projections_pq(site, p, parse_word(site, "a"))
+        pp, _ = projections_pq(p, component_a(site))
         pmat = desc.bivector.frame_matrix(p)
         assert np.abs(pp[:3, 3:] - pmat.T).max() <= 1e-10
 

@@ -21,19 +21,19 @@ from qpois.fields import (
     op_fund,
     section_bracket,
     section_value,
-    two_chain_form,
 )
 from qpois.groupgeom import (
     Factor,
     Site,
     SitePoint,
     Tangent,
-    fund_tangent,
     parse_word,
     random_point,
     word_eval,
 )
 from qpois.quasi import assemble_surface_site
+
+from site_reference import frame_vector, frame_vectors, fund_tangent
 
 
 def rand_mat(rng, n=2):
@@ -55,7 +55,7 @@ def test_eval_lambda_sl2_oracle():
 
 
 def test_eval_lambda_abelian_zero():
-    model, pairing = models.abelian(2)
+    model, pairing = models.model_from_config({"family": "abelian", "n": 2})
     rng = np.random.default_rng(0)
     g = np.diag([2.0, 3.0]).astype(complex)
     vals = [g @ model.from_coeffs(rng.standard_normal(2)) for _ in range(3)]
@@ -117,8 +117,8 @@ def test_tau_alternating_and_lift_independent():
     rng = np.random.default_rng(4)
     p = random_point(site, rng)
     frame = p.frame()
-    v = frame.vector(0)
-    w = frame.vector(1)
+    v = frame_vector(frame, 0)
+    w = frame_vector(frame, 1)
     assert abs(form.evaluate(p.mats, v, v)) < 1e-10
     base = form.evaluate(p.mats, v, w)
     assert abs(base) > 1e-6  # nonzero on a regular class
@@ -141,19 +141,11 @@ def test_tau_requires_lift_on_dual():
     rng = np.random.default_rng(5)
     p = random_point(site, rng)
     frame = p.frame()
-    v, w = frame.vector(0), frame.vector(1)
+    v, w = frame_vector(frame, 0), frame_vector(frame, 1)
     dmats = [Dual(p.mats[0], rand_mat(rng))]
     dual_w = Tangent([Dual(w.comps[0], rand_mat(rng))])
     with pytest.raises(LiftFailed):
         form.evaluate(dmats, dual_w, v)
-
-
-def test_two_chain_form_shape():
-    site = sl2_two_group()
-    form = two_chain_form(site, [(1.0, "a", "b"), (-1.0, "ab", "AB")])
-    assert len(form.pair_terms) == 2
-    assert form.pair_terms[0].coef == 0.5
-    assert form.pair_terms[1].coef == -0.5
 
 
 def test_section_bracket_and_value():
@@ -256,7 +248,8 @@ SURFACES = {
     "sl2-g3": (models.sl2, 3, []),
     "sl2-g1-2punct": (models.sl2, 1, [np.diag([2.0, 0.5]),
                                       np.diag([3.0, 1.0 / 3.0])]),
-    "sl3-g1": (models.sl3, 1, []),
+    "sl3-g1": (lambda: models.model_from_config({"family": "SL", "n": 3}),
+               1, []),
 }
 
 
@@ -267,7 +260,7 @@ def test_form_frame_matrix_matches_pairwise_evaluate(name):
     site, _, qh = assemble_surface_site(model, pairing, genus, reps)
     p = random_point(site, np.random.default_rng(13))
     frame = p.frame()
-    vecs = frame.vectors()
+    vecs = frame_vectors(frame)
     ref = np.zeros((frame.dim, frame.dim), dtype=complex)
     for a in range(frame.dim):
         for b in range(a + 1, frame.dim):

@@ -4,6 +4,7 @@ import pytest
 from qpois import models
 from qpois.duals import Dual, value
 from qpois.errors import BadSignature, LiftFailed, NotTangent
+from qpois.fields import op_apply, op_fund
 from qpois.groupgeom import (
     Factor,
     Site,
@@ -11,8 +12,6 @@ from qpois.groupgeom import (
     Tangent,
     class_tangent_frame,
     conjugate_point,
-    fund_tangent,
-    maurer_cartan,
     parse_word,
     random_point,
     site_frame,
@@ -78,25 +77,13 @@ def test_word_tangent_product_rule_fd():
     assert np.abs(word_tangent(w, p.mats, v) - fd).max() < 1e-5
 
 
-def test_maurer_cartan_roundtrip():
-    model, _ = models.sl2()
-    site = two_group_site()
-    rng = np.random.default_rng(3)
-    p = random_point(site, rng)
-    q = p.mats[0]
-    x = np.array([0.2, -0.7, 1.1 + 0.3j])
-    v = q @ model.from_coeffs(x)
-    assert np.allclose(maurer_cartan(model, q, v, side="left"), x)
-    v = model.from_coeffs(x) @ q
-    assert np.allclose(maurer_cartan(model, q, v, side="right"), x)
-
-
 def test_fund_tangent_example():
     site = sl2_site([Factor("group")])
     q = np.diag([2.0, 0.5]).astype(complex)
     p = SitePoint(site, [q])
-    out = fund_tangent(site, p, np.array([0.0, 1.0, 0.0]))
-    assert np.allclose(out.comps[0], [[0.0, 1.5], [0.0, 0.0]])
+    e = site.model.from_coeffs(np.array([0.0, 1.0, 0.0]))
+    out = op_apply(op_fund([0]), p.mats, e)
+    assert np.allclose(out[0], [[0.0, 1.5], [0.0, 0.0]])
 
 
 def test_fund_central_factor_zero():
@@ -104,9 +91,9 @@ def test_fund_central_factor_zero():
     site = Site(model, pairing, [Factor("group")])
     rng = np.random.default_rng(4)
     p = random_point(site, rng)
-    central = np.array([0.0, 0, 0, 1.0])
-    out = fund_tangent(site, p, central)
-    assert np.abs(out.comps[0]).max() < 1e-12
+    central = model.from_coeffs(np.array([0.0, 0, 0, 1.0]))
+    out = op_apply(op_fund([0]), p.mats, central)
+    assert np.abs(out[0]).max() < 1e-12
 
 
 def test_class_frame_regular_and_unipotent():

@@ -32,6 +32,8 @@ from qpois.quasi import (
     surface_letters,
 )
 
+from site_reference import frame_vector
+
 REP = np.diag([2.0, 0.5]).astype(complex)
 
 
@@ -58,7 +60,7 @@ def test_pg_zero_at_identity():
 
 
 def test_pg_abelian_zero():
-    model, pairing = models.abelian(2)
+    model, pairing = models.model_from_config({"family": "abelian", "n": 2})
     site = Site(model, pairing, [Factor("group")])
     desc = pg_descriptor(site)
     p = random_point(site, np.random.default_rng(0))
@@ -254,7 +256,7 @@ def test_surface_10_matches_internally_fused():
     assert np.abs(qp.bivector.frame_matrix(p)
                   - ref_qp.bivector.frame_matrix(ref_p)).max() < 1e-12
     assert qh is not None
-    v, w = p.frame().vector(0), p.frame().vector(4)
+    v, w = frame_vector(p.frame(), 0), frame_vector(p.frame(), 4)
     assert abs(qh.form.evaluate(p.mats, v, w)
                - ref_qh.form.evaluate(ref_p.mats, v, w)) < 1e-12
 

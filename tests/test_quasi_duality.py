@@ -3,7 +3,6 @@ import pytest
 
 from qpois import models
 from qpois.errors import DegeneratePairing, NotEpimorphism
-from qpois.fields import FormField, two_chain_form
 from qpois.groupgeom import Factor, Site, parse_word, random_point, word_eval
 from qpois.quasi import (
     assemble_surface_site,
@@ -19,6 +18,8 @@ from qpois.quasi import (
     reconstruct_dual,
     rho_matrix,
 )
+
+from site_reference import two_chain_form
 
 REP = np.diag([2.0, 0.5]).astype(complex)
 
@@ -75,8 +76,8 @@ def test_duality_surface(sig):
 
 
 def test_duality_gl2_and_sl3():
-    for build in (models.gl2, models.sl3):
-        model, pairing = build()
+    for group in ({"family": "GL", "n": 2}, {"family": "SL", "n": 3}):
+        model, pairing = models.model_from_config(group)
         site = Site(model, pairing, [Factor("group"), Factor("group")])
         qp, qh = internally_fused(site)
         for p in _points(site, 2):
@@ -194,7 +195,7 @@ def test_cn1_calibration():
 
 
 def test_cn1_gl2():
-    model, pairing = models.gl2()
+    model, pairing = models.model_from_config({"family": "GL", "n": 2})
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     pts = _points(site, 2)
     assert cn1_residual(site, pts, seed=15) <= 1e-7
