@@ -34,7 +34,6 @@ __all__ = [
     "bracket",
     "hamiltonian_field",
     "level_tangency_residual",
-    "dual_pair_residuals",
     "jacobi_invariants",
     "poisson_ideal_residual",
     "solve_relator",
@@ -103,25 +102,6 @@ def level_tangency_residual(desc, f, point, seed=0):
                          for comp in desc.momentum], initial=0.0))
 
 
-def dual_pair_residuals(qp, qh, f, h, point):
-    """Consistency of a dual bivector/2-form pair on invariant functions.
-
-    Returns residuals of the gradient identity (flat of the field recovers
-    df) and of the bracket tie  form(X_f, X_h) = dh . Pmat . df, stated at
-    the single-contraction (matrix) level; against the full-pairing function
-    bracket this reads  form(X_f, X_h) = {h, f} / 2.
-    """
-    pmat = qp.bivector.frame_matrix(point)
-    smat = qh.form.frame_matrix(point)
-    df = differential(point, f)
-    dh = differential(point, h)
-    xf = pmat.T @ df
-    xh = pmat.T @ dh
-    grad = float(np.abs(smat.T @ xf - df).max())
-    tie = abs((xf @ smat @ xh) - (dh @ pmat @ df))
-    return {"gradient": grad, "tie": float(tie)}
-
-
 def jacobi_invariants(biv, f, h, k, points):
     """Max |Jacobiator(f, h, k)| over the points; zero on invariants."""
     return float(np.max([abs(jacobiator(biv, p, f, h, k)) for p in points],
@@ -178,24 +158,19 @@ def _real_stack(m):
 
 def _apply_step(site, point, step):
     """One retraction per factor: right-translate group factors by exp(xi),
-    conjugate class factors (and their conjugators) by exp(theta)."""
+    conjugate class factors by exp(theta)."""
     model = site.model
     d = model.d
     mats = []
-    conjs = []
     for i, fac in enumerate(site.factors):
         seg = step[2 * d * i:2 * d * (i + 1)]
         xi = model.from_coeffs(seg[0::2] + 1j * seg[1::2])
         g = dexpm(xi)
         if fac.kind == "group":
             mats.append(point.mats[i] @ g)
-            conjs.append(None)
         else:
-            gi = np.linalg.inv(g)
-            mats.append(g @ point.mats[i] @ gi)
-            k = point.conjs[i]
-            conjs.append(g @ k if k is not None else g)
-    return SitePoint(site, mats, conjs)
+            mats.append(g @ point.mats[i] @ np.linalg.inv(g))
+    return SitePoint(site, mats)
 
 
 def _relator_jacobian(site, word, mats, target_inv):

@@ -440,8 +440,8 @@ def _chk_reconstruction_kernel(s, p, rng):
 
 
 def _chk_nondegeneracy(s, p, rng):
-    return max(nondegeneracy_check(s.qp, p, "bivector")["deficit"],
-               nondegeneracy_check(s.qh, p, "twoform")["intersection_dim"])
+    return max(nondegeneracy_check(s.qp, p, "bivector"),
+               nondegeneracy_check(s.qh, p, "twoform"))
 
 
 def _chk_projections(s, p, rng):

@@ -102,10 +102,9 @@ def graph_subspace(mat, kind):
 def cartan_dirac_fibers(point, comp):
     """The two generating fibers of the canonical splitting pulled back
     through a momentum component's word, in left-trivialized coordinates at
-    the word value."""
+    the word value; reads only the word's Ad entry, no frame."""
     s_low, _ = point.site.pairing.require_invertible()
-    lin = component_linear(point, comp)
-    a_mat, a_inv = lin.ad, lin.ad_inv
+    a_mat, a_inv = point.word_ad(comp.word)
     d = point.site.model.d
     eye = np.eye(d)
     e_cols = np.concatenate([eye - a_inv, 0.5 * (eye + a_mat.T) @ s_low],
@@ -120,10 +119,9 @@ def cartan_dirac_fibers(point, comp):
 def projections_pq(point, comp):
     """The complementary block projections onto the two canonical fibers of
     a momentum component, in left-trivialized coordinates at its word value
-    (2d x 2d each)."""
+    (2d x 2d each); reads only the word's Ad entry, no frame."""
     s_low, h_up = point.site.pairing.require_invertible()
-    lin = component_linear(point, comp)
-    a_mat, a_inv = lin.ad, lin.ad_inv
+    a_mat, a_inv = point.word_ad(comp.word)
     d = point.site.model.d
     eye = np.eye(d)
     lm, lp = eye - a_inv, eye + a_inv        # (L - R), (L + R)

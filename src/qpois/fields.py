@@ -17,7 +17,7 @@ import numpy as np
 
 from .duals import Dual, dinv, apply_linear
 from .errors import BadSignature, LiftFailed
-from .groupgeom import Tangent, word_differentials, word_eval, word_tangent
+from .groupgeom import Tangent, word_eval, word_tangent
 
 __all__ = [
     "VecOp",
@@ -161,6 +161,9 @@ class Bivector:
 # 2-form fields
 # ---------------------------------------------------------------------------
 
+_SIDE = {"omega": 0, "omegabar": 1}     # index into a word's (L, R)
+
+
 @dataclass
 class PairTerm:
     """coef * (u, v)-pullback of (omega_1 . omegabar_2) style pairings."""
@@ -287,26 +290,19 @@ class FormField:
 
     def frame_matrix(self, point):
         """Antisymmetric coefficient matrix sigma_{ab} in the frame at the
-        point, from the trivialized word differentials of all frame vectors;
-        built once per point (read-only)."""
+        point, from the point's trivialized word differentials of all frame
+        vectors; built once per point (read-only)."""
         return point.memo(self, lambda: self._frame_matrix(point))
 
     def _frame_matrix(self, point):
         frame = point.frame()
         model = self.site.model
         smat = self.site.pairing.eta_lower
-        diffs = {}
-
-        def theta(word, side):
-            if word not in diffs:
-                diffs[word] = word_differentials(frame, word)
-            left, right, _ = diffs[word]
-            return left if side == "omega" else right
-
         full = np.zeros((frame.dim, frame.dim), dtype=complex)
         for term in self.pair_terms:
-            tu = theta(term.word_u, term.side_u)
-            cross = tu @ smat @ theta(term.word_v, term.side_v).T
+            tu = point.word_differentials(term.word_u)[_SIDE[term.side_u]]
+            tv = point.word_differentials(term.word_v)[_SIDE[term.side_v]]
+            cross = tu @ smat @ tv.T
             full += term.coef * (cross - cross.T)
         for term in self.tau_terms:
             f = term.factor

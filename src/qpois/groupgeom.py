@@ -2,13 +2,18 @@
 
 A site fixes the algebra model, the pairing, and an ordered list of factors.
 Factor i is addressed by the letter chr(ord('a')+i) in word strings; uppercase
-means inverse.  Points carry one invertible matrix per factor plus, for class
-factors, the conjugator used to reach the point from the class representative.
+means inverse.  Points carry one invertible matrix per factor.
 All tangent data is "ambient": one n-by-n matrix per factor (None = zero).
 
-Data that depends only on a point is built once and kept behind it:
-`SitePoint.memo` holds the frame, each tensor's frame matrix and each
-momentum component's linearization, and hands arrays out read-only.
+Data that depends only on a point is built once and kept behind it, and
+`SitePoint.memo` hands its arrays out read-only.  Besides the frame, each
+tensor's frame matrix and each momentum component's linearization, it keeps
+three entries per word, keyed by the word and built on first request:
+
+- the value g and its inverse, evaluated and inverted once (no frame);
+- Ad_g and Ad_g^-1, from that entry (no frame);
+- the trivialized differentials L, R over the frame vectors, which read
+  g^-1 from the first entry.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 
 from .duals import dexpm, dinv
 from .errors import BadSignature, LiftFailed, NotTangent
+from .liealg import adjoint_matrix, random_algebra_element
 
 __all__ = [
     "Factor",
@@ -29,7 +35,6 @@ __all__ = [
     "parse_word",
     "word_eval",
     "word_tangent",
-    "word_differentials",
     "class_tangent_frame",
     "site_frame",
     "random_point",
@@ -69,24 +74,41 @@ class Site:
 
 
 class SitePoint:
-    def __init__(self, site, mats, conjs=None):
+    def __init__(self, site, mats):
         self.site = site
         self.mats = [np.asarray(m, dtype=complex) for m in mats]
-        self.conjs = list(conjs) if conjs is not None else [None] * site.nfac
         self._memo = {}
 
     def memo(self, key, build):
         """build(), computed on the first request for key at this point and
-        shared afterwards; an array result is handed out read-only."""
+        shared afterwards; an array result, or each array of a tuple result,
+        is handed out read-only."""
         if key not in self._memo:
             out = build()
-            if isinstance(out, np.ndarray):
-                out.setflags(write=False)
+            for arr in out if isinstance(out, tuple) else (out,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             self._memo[key] = out
         return self._memo[key]
 
     def frame(self):
         return self.memo("frame", lambda: site_frame(self.site, self))
+
+    def word_value(self, word):
+        """(g, g^-1): the word's value at the point and its inverse."""
+        return self.memo(("value", word), lambda: _word_value(word, self.mats))
+
+    def word_ad(self, word):
+        """(Ad_g, Ad_g^-1) for g the word's value."""
+        return self.memo(("ad", word), lambda: tuple(
+            adjoint_matrix(self.site.model, m) for m in self.word_value(word)))
+
+    def word_differentials(self, word):
+        """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
+        dW(v_a) g^-1 over the frame vectors v_a.  NotInSpan when a row leaves
+        the algebra."""
+        return self.memo(("differentials", word),
+                         lambda: _word_differentials(self, word))
 
 
 @dataclass
@@ -156,20 +178,19 @@ def word_tangent(word, mats, tangent):
     return out
 
 
-def word_differentials(frame, word):
-    """Trivialized differentials of a word on every frame vector at once.
-
-    Returns (left, right, g): g is the word value at the frame's point, and
-    left / right are the (frame.dim, d) algebra coefficients of g^{-1} dW(v_a)
-    and dW(v_a) g^{-1}.  NotInSpan when a row leaves the algebra.
-    """
-    model = frame.site.model
-    mats = frame.mats
+def _word_value(word, mats):
     g = word_eval(word, mats)
-    gi = np.linalg.inv(g)
-    dv = np.broadcast_to(word_tangent(word, mats, frame.stacked),
+    return g, np.linalg.inv(g)
+
+
+def _word_differentials(point, word):
+    """Every frame vector's word derivative, one word_tangent call."""
+    model = point.site.model
+    frame = point.frame()
+    _, gi = point.word_value(word)
+    dv = np.broadcast_to(word_tangent(word, point.mats, frame.stacked),
                          (frame.dim, model.n, model.n))
-    return model.coeffs(gi @ dv), model.coeffs(dv @ gi), g
+    return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 
 def class_tangent_frame(model, q, tol=1e-10):
@@ -309,29 +330,19 @@ def _retract(site, q):
 def random_point(site, rng, scale=0.35):
     """Random site point: exponentials over group factors, conjugated reps on
     class factors; SL-like models are retracted by a principal determinant root."""
-    from .liealg import random_algebra_element
-
     mats = []
-    conjs = []
-    for i, fac in enumerate(site.factors):
+    for fac in site.factors:
         xi = site.model.from_coeffs(random_algebra_element(site.model, rng, scale))
         g = dexpm(xi)
         if fac.kind == "group":
             mats.append(_retract(site, g))
-            conjs.append(None)
         else:
-            k = g
-            mats.append(k @ fac.class_rep @ np.linalg.inv(k))
-            conjs.append(k)
-    return SitePoint(site, mats, conjs)
+            mats.append(g @ fac.class_rep @ np.linalg.inv(g))
+    return SitePoint(site, mats)
 
 
 def conjugate_point(point, g):
     """Simultaneous conjugation of every factor by one group element."""
     gi = np.linalg.inv(g)
-    mats = [g @ m @ gi for m in point.mats]
-    conjs = []
-    for c in point.conjs:
-        conjs.append(None if c is None else g @ c)
-    return SitePoint(point.site, mats, conjs)
+    return SitePoint(point.site, [g @ m @ gi for m in point.mats])
 

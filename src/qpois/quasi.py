@@ -7,27 +7,28 @@ conditions in both modes, duality, reconstruction, non-degeneracy ranks,
 quasi-closedness, and equivariance.
 
 At a point, each momentum component is linearized once
-(`component_linear`): its word value g, the (N, d) left and right
-trivialized word differentials L and R over the N frame vectors, Ad_g and
-Ad_g^-1, and the (N, d) action columns A.  Together with the bivector and
-2-form frame matrices P and Sigma, the frame-level laws are matrix
-identities on this data: 2 P^T L = A H (I + Ad^-T) and
-A^T Sigma = (1/2) S (L + R)^T for the momentum laws, rho = sum A (L - R)^T,
-and reconstruction as (M pinv)^T for one matrix M of the same blocks.
-Equivariance compares P and Sigma with their values at the conjugated point
-through the frame matrix T of the conjugation map.
-The linearizations, P and Sigma are built once per point, in the point's
-memo keyed by the component and the tensor; components are frozen
-(word, action) values, so equal components of a dual pair share one.
+(`component_linear`): the (N, d) left and right trivialized word
+differentials L and R over the N frame vectors and Ad_g, Ad_g^-1 come from
+the point's per-word entries (`SitePoint.word_differentials`, `word_ad`),
+shared with the 2-form frame matrix and the Dirac layer; the component adds
+only its (N, d) action columns A.  Together with the bivector and 2-form
+frame matrices P and Sigma, the frame-level laws are matrix identities on
+this data: 2 P^T L = A H (I + Ad^-T) and A^T Sigma = (1/2) S (L + R)^T for
+the momentum laws, rho = sum A (L - R)^T, and reconstruction as (M pinv)^T
+for one matrix M of the same blocks.  Equivariance compares P and Sigma with
+their values at the conjugated point through the frame matrix T of the
+conjugation map.  The linearizations, P and Sigma are built once per point,
+in the point's memo keyed by the component and the tensor; components are
+frozen (word, action) values, so equal components of a dual pair share one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .duals import Dual
 from .errors import (
     BadSignature,
     IncompatibleActions,
@@ -55,11 +56,10 @@ from .groupgeom import (
     Site,
     conjugate_point,
     parse_word,
-    word_differentials,
     word_eval,
     word_tangent,
 )
-from .liealg import adjoint_matrix, cartan3
+from .liealg import cartan3
 
 __all__ = [
     "MomentumComponent",
@@ -89,7 +89,6 @@ __all__ = [
     "eval_phi_actions",
     "equivariance_residual",
     "restrict_to_class",
-    "momentum_pullback_residual",
 ]
 
 
@@ -300,16 +299,16 @@ def intersection_dim(cols_a, cols_b, tol=_RANK_TOL):
     return ra + rb - int(np.sum(sv > tol * max(sv[0], 1e-300)))
 
 
-@dataclass(frozen=True)
-class ComponentLinear:
+class ComponentLinear(NamedTuple):
     """Linear data of one momentum component at a point, in frame coordinates.
 
     left / right are the (N, d) coefficients of g^-1 dW(v_a) and dW(v_a) g^-1
-    over the frame vectors v_a; action is the (N, d) matrix whose column j is
-    the frame components of the action of the basis element e_j.
+    over the frame vectors v_a, and ad / ad_inv are Ad_g and Ad_g^-1: the
+    arrays of the word's entries at the point.  action is the (N, d) matrix
+    whose column j is the frame components of the action of the basis
+    element e_j.
     """
 
-    g: np.ndarray
     left: np.ndarray
     right: np.ndarray
     ad: np.ndarray
@@ -318,23 +317,17 @@ class ComponentLinear:
 
 
 def component_linear(point, comp):
-    """The word value, word differentials, Ad, Ad^-1 and action columns of one
-    momentum component at a point; built once per point and component, with
-    read-only arrays."""
+    """The word's differentials and adjoints at a point plus the component's
+    action columns; built once per point and component, with read-only
+    arrays."""
     return point.memo(comp, lambda: _component_linear(point, comp))
 
 
 def _component_linear(point, comp):
-    model = point.site.model
-    frame = point.frame()
-    left, right, g = word_differentials(frame, comp.word)
-    action = frame.components(op_apply(comp.action, point.mats,
-                                       np.stack(model.basis))).T
-    lin = ComponentLinear(g, left, right, adjoint_matrix(model, g),
-                          adjoint_matrix(model, np.linalg.inv(g)), action)
-    for arr in vars(lin).values():
-        arr.setflags(write=False)
-    return lin
+    basis = np.stack(point.site.model.basis)
+    action = point.frame().components(op_apply(comp.action, point.mats, basis)).T
+    return ComponentLinear(*point.word_differentials(comp.word),
+                           *point.word_ad(comp.word), action)
 
 
 def _linears(desc, point):
@@ -370,30 +363,6 @@ def momentum_residual(desc, point, mode):
     else:
         raise BadSignature(f"unknown mode {mode!r}")
     return float(np.max([np.abs(gap).max() for gap in gaps], initial=0.0))
-
-
-def momentum_pullback_residual(desc, point, fn):
-    """Residual of P#(d(f o Phi)) against the push of the one-factor field.
-
-    fn is a scalar function of a single group matrix; only meaningful for a
-    single-component conjugation momentum.
-    """
-    site = desc.site
-    model = site.model
-    comp = desc.momentum[0]
-    lin = component_linear(point, comp)
-
-    def f_pull(mats):
-        return fn(word_eval(comp.word, mats))
-
-    alpha = differential(point, f_pull)
-    lhs = desc.bivector.frame_matrix(point).T @ alpha
-    # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g,
-    # pushed through the action
-    g, basis = lin.g, np.stack(model.basis)
-    grad = fn(Dual(g, g @ basis)).eps + fn(Dual(g, basis @ g)).eps
-    x_alg = 0.5 * (site.pairing.require_upper() @ grad)
-    return float(np.abs(lhs - lin.action @ x_alg).max())
 
 
 def _rho(lins, nfr):
@@ -460,27 +429,25 @@ def reconstruct_dual(desc, point, direction):
 
 
 def nondegeneracy_check(desc, point, mode):
-    """Rank certificates for the momentum-relative non-degeneracy notions."""
-    nfr = point.frame().dim
-    lins = _linears(desc, point)
+    """Rank certificate of the momentum-relative non-degeneracy notions, zero
+    when non-degenerate.
 
+    bivector: the rank deficit of the stacked map (P#, action) onto the
+      tangent space;
+    twoform: dim (ker sigma-flat  cap  ker dPhi), dPhi the stacked left
+      differentials.
+    """
+    lins = _linears(desc, point)
     if mode == "twoform":
         smat = desc.form.frame_matrix(point)
         dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
-        stacked = np.concatenate([smat.T, dphi_stack], axis=0)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        min_sv = float(sv[min(nfr - 1, sv.size - 1)]) if nfr else 0.0
-        inter = intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
-        return {"min_singular": min_sv, "rank": int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1))),
-                "dim": nfr, "intersection_dim": int(inter)}
+        return intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
     if mode == "bivector":
         pmat = desc.bivector.frame_matrix(point)
         stacked = np.concatenate([pmat.T, *(lin.action for lin in lins)], axis=1)
         sv = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1)))
-        min_sv = float(sv[nfr - 1]) if sv.size >= nfr else 0.0
-        return {"min_singular": min_sv, "rank": rank, "dim": nfr,
-                "deficit": nfr - rank}
+        return point.frame().dim - rank
     raise BadSignature(f"unknown mode {mode!r}")
 
 

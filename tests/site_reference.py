@@ -1,11 +1,14 @@
 """Test-only references for site data: frame vectors one at a time, the
-fundamental tangent of the conjugation action, and the 2-form of a chain of
-word pairs."""
+fundamental tangent of the conjugation action, the 2-form of a chain of
+word pairs, and two consistency residuals of a momentum word and of a dual
+bivector/2-form pair."""
 
 import numpy as np
 
-from qpois.fields import FormField, PairTerm
-from qpois.groupgeom import Tangent, parse_word
+from qpois.duals import Dual
+from qpois.fields import FormField, PairTerm, differential
+from qpois.groupgeom import Tangent, parse_word, word_eval
+from qpois.quasi import component_linear
 
 
 def frame_vector(frame, a):
@@ -41,3 +44,47 @@ def two_chain_form(site, chain):
         PairTerm(0.5 * coef, parse_word(site, u), "omega",
                  parse_word(site, v), "omegabar")
         for coef, u, v in chain])
+
+
+def momentum_pullback_residual(desc, point, fn):
+    """Residual of P#(d(f o Phi)) against the push of the one-factor field.
+
+    fn is a scalar function of a single group matrix; only meaningful for a
+    single-component conjugation momentum.
+    """
+    site = desc.site
+    model = site.model
+    comp = desc.momentum[0]
+    lin = component_linear(point, comp)
+
+    def f_pull(mats):
+        return fn(word_eval(comp.word, mats))
+
+    alpha = differential(point, f_pull)
+    lhs = desc.bivector.frame_matrix(point).T @ alpha
+    # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g,
+    # pushed through the action
+    g, _ = point.word_value(comp.word)
+    basis = np.stack(model.basis)
+    grad = fn(Dual(g, g @ basis)).eps + fn(Dual(g, basis @ g)).eps
+    x_alg = 0.5 * (site.pairing.require_upper() @ grad)
+    return float(np.abs(lhs - lin.action @ x_alg).max())
+
+
+def dual_pair_residuals(qp, qh, f, h, point):
+    """Consistency of a dual bivector/2-form pair on invariant functions.
+
+    Returns residuals of the gradient identity (flat of the field recovers
+    df) and of the bracket tie  form(X_f, X_h) = dh . Pmat . df, stated at
+    the single-contraction (matrix) level; against the full-pairing function
+    bracket this reads  form(X_f, X_h) = {h, f} / 2.
+    """
+    pmat = qp.bivector.frame_matrix(point)
+    smat = qh.form.frame_matrix(point)
+    df = differential(point, f)
+    dh = differential(point, h)
+    xf = pmat.T @ df
+    xh = pmat.T @ dh
+    grad = float(np.abs(smat.T @ xf - df).max())
+    tie = abs((xf @ smat @ xh) - (dh @ pmat @ df))
+    return {"gradient": grad, "tie": float(tie)}

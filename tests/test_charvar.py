@@ -7,7 +7,6 @@ from qpois.charvar import (
     TraceFunction,
     _relator_jacobian,
     bracket,
-    dual_pair_residuals,
     hamiltonian_field,
     invariance_residual,
     jacobi_invariants,
@@ -26,7 +25,7 @@ from qpois.quasi import (
     relator_word,
 )
 
-from site_reference import frame_vector
+from site_reference import dual_pair_residuals, frame_vector
 
 REP = np.diag([2.0, 0.5]).astype(complex)
 

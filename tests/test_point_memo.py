@@ -1,6 +1,7 @@
 """Per-point data is built once and shared read-only.
 
-Frame matrices and component linearizations live in the point's memo, so
+Frame matrices, component linearizations and the per-word entries (value
+and inverse, adjoints, frame differentials) live in the point's memo, so
 residuals that read the same data at one point -- directly, through another
 residual, or through both tensors of a dual pair -- differentiate each word
 once, and no caller can change what another caller reads.
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import qpois.fields as fields
+import qpois.groupgeom as groupgeom
 import qpois.quasi as quasi
 from qpois import models
-from qpois.dirac import dirac_booleans
+from qpois.dirac import cartan_dirac_fibers, dirac_booleans, projections_pq
 from qpois.groupgeom import Factor, Site, Tangent, random_point
 from qpois.quasi import (
     assemble_surface_site,
@@ -38,14 +40,13 @@ def _two_puncture(seed=15):
 def test_each_word_is_differentiated_once_per_point(monkeypatch):
     _, qp, qh, p = _two_puncture()
     counts = Counter()
-    orig = fields.word_differentials
+    orig = groupgeom._word_differentials
 
-    def counted(frame, word):
+    def counted(point, word):
         counts[word] += 1
-        return orig(frame, word)
+        return orig(point, word)
 
-    monkeypatch.setattr(quasi, "word_differentials", counted)
-    monkeypatch.setattr(fields, "word_differentials", counted)
+    monkeypatch.setattr(groupgeom, "_word_differentials", counted)
     momentum_residual(qh, p, "twoform")
     duality_residual(qp, qh, p)
     reconstruct_dual(qh, p, "P-from-sigma")
@@ -53,6 +54,26 @@ def test_each_word_is_differentiated_once_per_point(monkeypatch):
     dirac_booleans(qh, p)
     assert qh.momentum[0].word in counts
     assert counts and set(counts.values()) == {1}, counts
+
+
+def test_dirac_fibers_read_word_entries_without_a_frame():
+    """The canonical projections and fibers need only Ad of the word; the
+    component's linearization reads the same word entries."""
+    _, qp, _, p = _two_puncture()
+    comp = qp.momentum[0]
+    projections_pq(p, comp)
+    cartan_dirac_fibers(p, comp)
+    assert "frame" not in p._memo
+    assert comp not in p._memo
+    lin = component_linear(p, comp)
+    ad, ad_inv = p.word_ad(comp.word)
+    assert lin.ad is ad and lin.ad_inv is ad_inv
+    assert lin.left is p.word_differentials(comp.word)[0]
+    arrays = [*p.word_value(comp.word), ad, ad_inv,
+              *p.word_differentials(comp.word)]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_shared_arrays_are_read_only():

@@ -25,14 +25,13 @@ from qpois.quasi import (
     fuse_bivector,
     internally_fused,
     jacobiator_vs_phi,
-    momentum_pullback_residual,
     momentum_residual,
     pg_descriptor,
     restrict_to_class,
     surface_letters,
 )
 
-from site_reference import frame_vector
+from site_reference import frame_vector, momentum_pullback_residual
 
 REP = np.diag([2.0, 0.5]).astype(complex)
 
