@@ -57,14 +57,17 @@ class TraceFunction:
         return f"TraceFunction({letters!r})"
 
 
-def invariance_residual(fn, point, rng, probes=4, scale=0.35):
+_INVARIANCE_PROBES = 4
+
+
+def invariance_residual(fn, point, rng):
     """Max |f(g p g^-1) - f(p)| over sampled group elements g; NaN if any
     probe is NaN."""
     site = point.site
     base = complex(fn(point.mats))
     gaps = []
-    for _ in range(probes):
-        xi = site.model.from_coeffs(random_algebra_element(site.model, rng, scale))
+    for _ in range(_INVARIANCE_PROBES):
+        xi = site.model.from_coeffs(random_algebra_element(site.model, rng))
         moved = conjugate_point(point, dexpm(xi))
         gaps.append(abs(complex(fn(moved.mats)) - base))
     return float(np.max(gaps, initial=0.0))

@@ -42,7 +42,6 @@ from .charvar import (
 from .dirac import (
     cartan_dirac_fibers,
     dirac_booleans,
-    intersection_dim,
     projections_pq,
     prop_tech_chain,
 )
@@ -71,6 +70,7 @@ from .quasi import (
     cn1_residual,
     duality_residual,
     equivariance_residual,
+    intersection_dim,
     jacobiator_vs_phi,
     momentum_residual,
     nondegeneracy_check,
@@ -135,6 +135,25 @@ def _parse_matrix(lit, loc):
     return np.array(rows, dtype=complex)
 
 
+_GROUP_TOL = 1e-10
+
+
+def _group_element(mat, loc, model):
+    """mat, refused unless it is an element of the model's group: of the
+    model's shape, invertible, and of determinant 1 on a traceless model.
+    Both tests are relative to Hadamard's bound on |det|, the product of the
+    row norms, so diag(3, 1/3) and omega I pass as written in floats."""
+    n = model.n
+    expect(mat.shape == (n, n), loc, f"expected shape {(n, n)}, got {mat.shape}")
+    det = complex(np.linalg.det(mat))
+    bound = float(np.prod(np.linalg.norm(mat, axis=1)))
+    expect(abs(det) > _GROUP_TOL * bound, loc,
+           "singular matrix, not a group element")
+    expect(not model.is_traceless() or abs(det - 1) <= _GROUP_TOL * bound, loc,
+           f"determinant {det:.6g} is not 1, outside SL({n})")
+    return mat
+
+
 def _matrix_literal(mat):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
 
@@ -167,7 +186,6 @@ class Setup:
     genus: int
     class_reps: list
     relator: tuple           # the parsed relator word of the site
-    variant: str
     words: list
     pairs: list
     targets: list            # (label, matrix)
@@ -196,11 +214,9 @@ def build_setup(raw, seed=None):
            "site.genus", "must be a non-negative integer")
     reps_lit = site_spec.get("class_reps", [])
     expect(isinstance(reps_lit, list), "site.class_reps", "must be a list")
-    class_reps = [_parse_matrix(lit, f"site.class_reps[{i}]")
+    class_reps = [_group_element(_parse_matrix(lit, f"site.class_reps[{i}]"),
+                                 f"site.class_reps[{i}]", model)
                   for i, lit in enumerate(reps_lit)]
-    for i, rep in enumerate(class_reps):
-        expect(rep.shape == (model.n, model.n), f"site.class_reps[{i}]",
-               f"expected shape {(model.n, model.n)}, got {rep.shape}")
     variant = site_spec.get("variant", "classes")
     expect(variant in ("classes", "fullgroups"), "site.variant",
            "must be 'classes' or 'fullgroups'")
@@ -241,22 +257,16 @@ def build_setup(raw, seed=None):
     targets_lit = raw.get("targets", ["identity"])
     expect(isinstance(targets_lit, list) and targets_lit,
            "targets", "must be a non-empty list")
+    # a target outside the group stalls every relator solve
     targets = []
     for i, lit in enumerate(targets_lit):
         if lit == "identity":
-            targets.append(("identity", np.eye(model.n, dtype=complex)))
+            label, mat = "identity", np.eye(model.n, dtype=complex)
         elif lit == "minus_identity":
-            # SL(n) holds -I only for even n; an unreachable target stalls
-            # every relator solve
-            expect(not model.is_traceless() or model.n % 2 == 0,
-                   f"targets[{i}]", f"minus_identity has determinant -1, "
-                   f"outside SL({model.n})")
-            targets.append(("minus_identity", -np.eye(model.n, dtype=complex)))
+            label, mat = "minus_identity", -np.eye(model.n, dtype=complex)
         else:
-            mat = _parse_matrix(lit, f"targets[{i}]")
-            expect(mat.shape == (model.n, model.n), f"targets[{i}]",
-                   f"expected shape {(model.n, model.n)}, got {mat.shape}")
-            targets.append((f"matrix_{i}", mat))
+            label, mat = f"matrix_{i}", _parse_matrix(lit, f"targets[{i}]")
+        targets.append((label, _group_element(mat, f"targets[{i}]", model)))
 
     cfg_seed = raw.get("seed", 0)
     expect(isinstance(cfg_seed, int) and not isinstance(cfg_seed, bool)
@@ -287,7 +297,6 @@ def build_setup(raw, seed=None):
     return Setup(raw=raw, model=model, pairing=pairing, site=site, qp=qp, qh=qh,
                  genus=genus, class_reps=class_reps,
                  relator=relator_word(site, genus, len(class_reps)),
-                 variant=variant,
                  words=list(words), pairs=[list(p) for p in pairs],
                  targets=targets,
                  seed=int(seed if seed is not None else cfg_seed),
@@ -373,11 +382,11 @@ def _chk_jacobiator(s, p, rng):
 
 
 def _chk_momentum_bivector(s, p, rng):
-    return momentum_residual(s.qp, p, "bivector")
+    return momentum_residual(s.qp, p)
 
 
 def _chk_momentum_form(s, p, rng):
-    return momentum_residual(s.qh, p, "twoform")
+    return momentum_residual(s.qh, p)
 
 
 def _chk_equivariance(s, p, rng):
@@ -427,21 +436,20 @@ def _chk_duality(s, p, rng):
 
 
 def _chk_reconstruction(s, p, rng):
-    got_p, _ = reconstruct_dual(s.qh, p, "P-from-sigma")
-    got_s, _ = reconstruct_dual(s.qp, p, "sigma-from-P")
+    got_p, _ = reconstruct_dual(s.qh, p)
+    got_s, _ = reconstruct_dual(s.qp, p)
     return np.max([np.abs(got_p - s.qp.bivector.frame_matrix(p)).max(),
                    np.abs(got_s - s.qh.form.frame_matrix(p)).max()])
 
 
 def _chk_reconstruction_kernel(s, p, rng):
-    _, k1 = reconstruct_dual(s.qh, p, "P-from-sigma")
-    _, k2 = reconstruct_dual(s.qp, p, "sigma-from-P")
+    _, k1 = reconstruct_dual(s.qh, p)
+    _, k2 = reconstruct_dual(s.qp, p)
     return np.max([k1, k2])
 
 
 def _chk_nondegeneracy(s, p, rng):
-    return max(nondegeneracy_check(s.qp, p, "bivector"),
-               nondegeneracy_check(s.qh, p, "twoform"))
+    return max(nondegeneracy_check(s.qp, p), nondegeneracy_check(s.qh, p))
 
 
 def _chk_projections(s, p, rng):
@@ -471,7 +479,7 @@ def _chk_boolean_agreement(s, rng):
 
 
 def _chk_rank_chain(s, p, rng):
-    rep = prop_tech_chain(s.qh, p, component=0)
+    rep = prop_tech_chain(s.qh, p)
     if not (rep["mono_ok"] and rep["onto_ok"]):
         raise _Fail(f"rank certificates failed: {rep}")
     return np.max([rep["inclusion_residual"], rep["containment_residual"]])
@@ -681,6 +689,25 @@ def _environment():
     }
 
 
+def _load_setup(config, seed):
+    """The Setup of a config path or an already-loaded mapping; the seed
+    argument, unless None, overrides the config seed."""
+    raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
+    return build_setup(raw, seed=seed)
+
+
+def _report(kind, setup, **fields):
+    """A report: the header every kind carries plus the kind's own fields."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "seed": setup.seed,
+        "environment": _environment(),
+        "config": setup.raw,
+        **fields,
+    }
+
+
 def run_suite(config, suite, seed=None, jobs=None):
     """Run one verification suite; returns the report mapping.
 
@@ -690,25 +717,15 @@ def run_suite(config, suite, seed=None, jobs=None):
     """
     if suite not in _SUITES:
         raise ConfigError(f"suite: unknown suite {suite!r} (known: {_SUITES})")
-    raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
-    setup = build_setup(raw, seed=seed)
+    setup = _load_setup(config, seed)
     wanted = [c for c in _ALL_CHECKS if suite == "all" or c.suite == suite]
     if setup.check_filter is not None:
         wanted = [c for c in wanted if c.check_id in setup.check_filter]
     records = sorted((_run_one(setup, c) for c in wanted),
                      key=lambda r: r["check_id"])
-    failures = [r for r in records if r["status"] == "failed"]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify",
-        "suite": suite,
-        "seed": setup.seed,
-        "environment": _environment(),
-        "config": setup.raw,
-        "empty": len(records) == 0,
-        "checks": records,
-        "overall_pass": len(failures) == 0,
-    }
+    return _report("verify", setup, suite=suite, empty=len(records) == 0,
+                   checks=records,
+                   overall_pass=all(r["status"] != "failed" for r in records))
 
 
 def _solve_row(site, word, target_mat, sub, **row):
@@ -729,8 +746,7 @@ def _solve_row(site, word, target_mat, sub, **row):
 
 def compute_brackets(config, seed=None):
     """Bracket table of invariant trace pairs at relator-solved points."""
-    raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
-    setup = build_setup(raw, seed=seed)
+    setup = _load_setup(config, seed)
     label, target = setup.targets[0]
     rng = np.random.default_rng([setup.seed, 0x6272])
     rows = []
@@ -747,25 +763,15 @@ def compute_brackets(config, seed=None):
                 values[f"tr[{u}],tr[{v}]"] = [float(val.real), float(val.imag)]
             row["values"] = values
         rows.append(row)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bracket",
-        "seed": setup.seed,
-        "environment": _environment(),
-        "config": setup.raw,
-        "target": label,
-        "relator": "".join(
-            setup.site.letter(f) if p == 1 else setup.site.letter(f).upper()
-            for f, p in setup.relator),
-        "rows": rows,
-        "overall_pass": not any(r["solver_failed"] for r in rows),
-    }
+    relator = "".join(setup.site.letter(f) if p == 1 else setup.site.letter(f).upper()
+                      for f, p in setup.relator)
+    return _report("bracket", setup, target=label, relator=relator, rows=rows,
+                   overall_pass=not any(r["solver_failed"] for r in rows))
 
 
 def sample_points(config, seed=None):
     """Relator samples serialized as matrix literals."""
-    raw = load_config(config) if isinstance(config, (str, os.PathLike)) else config
-    setup = build_setup(raw, seed=seed)
+    setup = _load_setup(config, seed)
     rng = np.random.default_rng([setup.seed, 0x736d])
     rows = []
     for label, target in setup.targets:
@@ -776,15 +782,8 @@ def sample_points(config, seed=None):
             if out is not None:
                 row["mats"] = [_matrix_literal(m) for m in out.point.mats]
             rows.append(row)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sample",
-        "seed": setup.seed,
-        "environment": _environment(),
-        "config": setup.raw,
-        "rows": rows,
-        "overall_pass": not any(r["solver_failed"] for r in rows),
-    }
+    return _report("sample", setup, rows=rows,
+                   overall_pass=not any(r["solver_failed"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +853,15 @@ def _setup_logging():
         logging.basicConfig(level=level)
 
 
-def _finish(report, out):
-    write_report(report, out)
+def _finish(make_report, out):
+    """Make and write the report, print its summary, and exit: 2 when the
+    config or a file refuses the run, else 0 exactly when nothing failed."""
+    try:
+        report = make_report()
+        write_report(report, out)
+    except (ConfigError, IoError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     checks = report.get("checks", report.get("rows", []))
     failed = [c for c in checks
               if c.get("status") == "failed" or c.get("solver_failed")]
@@ -890,36 +896,21 @@ def main():
 @_common
 def verify(suite, config_path, seed, out_path):
     """Run a verification suite and write its report."""
-    try:
-        report = run_suite(config_path, suite, seed=seed)
-    except (ConfigError, IoError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _finish(report, out_path)
+    _finish(lambda: run_suite(config_path, suite, seed=seed), out_path)
 
 
 @main.command()
 @_common
 def bracket(config_path, seed, out_path):
     """Evaluate invariant trace brackets at relator-solved points."""
-    try:
-        report = compute_brackets(config_path, seed=seed)
-    except (ConfigError, IoError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _finish(report, out_path)
+    _finish(lambda: compute_brackets(config_path, seed=seed), out_path)
 
 
 @main.command()
 @_common
 def sample(config_path, seed, out_path):
     """Solve the relator constraint and emit the sampled points."""
-    try:
-        report = sample_points(config_path, seed=seed)
-    except (ConfigError, IoError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _finish(report, out_path)
+    _finish(lambda: sample_points(config_path, seed=seed), out_path)
 
 
 if __name__ == "__main__":

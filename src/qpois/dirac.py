@@ -12,23 +12,21 @@ import numpy as np
 
 from .errors import BadSignature, RankDeficient
 from .quasi import (
-    _RANK_TOL,
     component_linear,
     intersection_dim,
     momentum_residual,
     nullspace,
+    orthonormal_columns,
 )
 
 __all__ = [
     "LagrangianSubspace",
-    "orthonormal_columns",
     "graph_subspace",
     "cartan_dirac_fibers",
     "projections_pq",
     "transport_image",
     "kernel_phi_sigma",
     "strongness_check",
-    "intersection_dim",
     "subspace_equal",
     "dirac_booleans",
     "prop_tech_chain",
@@ -45,18 +43,6 @@ def _pairing_gram(cols_a, cols_b, half):
     return cols_a[:half, :].T @ j_top + cols_a[half:, :].T @ j_bot
 
 
-def orthonormal_columns(cols, tol=_RANK_TOL):
-    """Orthonormal basis of the column span, rank cut at tol * largest sv."""
-    cols = np.asarray(cols, dtype=complex)
-    if cols.size == 0 or cols.shape[1] == 0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=complex)
-    r = int(np.sum(sv > tol * sv[0]))
-    return u[:, :r]
-
-
 class LagrangianSubspace:
     """Orthonormalized column basis of a Lagrangian subspace of the split
     2N-space; construction verifies isotropy and half-dimension rank."""
@@ -66,9 +52,9 @@ class LagrangianSubspace:
         self.half = half
 
     @classmethod
-    def from_columns(cls, cols, half, require_rank=True):
-        basis = orthonormal_columns(np.asarray(cols, dtype=complex))
-        if require_rank and basis.shape[1] != half:
+    def from_columns(cls, cols, half):
+        basis = orthonormal_columns(cols)
+        if basis.shape[1] != half:
             raise RankDeficient(
                 f"subspace rank {basis.shape[1]} != half-dimension {half}")
         gram = _pairing_gram(basis, basis, half)
@@ -84,19 +70,13 @@ class LagrangianSubspace:
         return self.basis.shape[1]
 
 
-def graph_subspace(mat, kind):
-    """Graph of a 2-form ("form": {(v, sigma-flat v)}) or of a 2-tensor
-    ("bivector": {(P-sharp alpha, alpha)}) as a Lagrangian subspace."""
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    eye = np.eye(n)
-    if kind == "form":
-        cols = np.concatenate([eye, mat.T], axis=0)
-    elif kind == "bivector":
-        cols = np.concatenate([mat.T, eye], axis=0)
-    else:
-        raise BadSignature(f"unknown graph kind {kind!r}")
-    return LagrangianSubspace.from_columns(cols, n)
+def graph_subspace(smat):
+    """Graph {(v, sigma-flat v)} of a 2-form, given by its frame matrix, as a
+    Lagrangian subspace."""
+    smat = np.asarray(smat, dtype=complex)
+    n = smat.shape[0]
+    return LagrangianSubspace.from_columns(
+        np.concatenate([np.eye(n), smat.T], axis=0), n)
 
 
 def cartan_dirac_fibers(point, comp):
@@ -196,27 +176,16 @@ def kernel_phi_sigma(dphi, smat):
     return orthonormal_columns(cols)
 
 
-def subspace_equal(sub_a, sub_b, tol=_RANK_TOL):
+def subspace_equal(sub_a, sub_b):
     ba, bb = sub_a.basis, sub_b.basis
     if ba.shape[1] != bb.shape[1]:
         return False
-    return intersection_dim(ba, bb, tol) == ba.shape[1]
+    return intersection_dim(ba, bb) == ba.shape[1]
 
 
 def strongness_check(e_cols, dphi, smat):
-    """Whether ker(map, form) meets the given isotropic subspace trivially.
-
-    Returns (strong, margin, intersection dimension); margin is the smallest
-    principal angle between the kernel and the subspace (pi/2 when either is
-    zero)."""
-    kern = kernel_phi_sigma(dphi, smat)
-    if kern.shape[1] == 0 or e_cols.shape[1] == 0:
-        return True, float(np.pi / 2), 0
-    idim = intersection_dim(kern, e_cols)
-    overlap = np.linalg.svd(kern.conj().T @ e_cols, compute_uv=False)
-    cosang = min(1.0, float(overlap.max())) if overlap.size else 0.0
-    margin = float(np.arccos(cosang))
-    return idim == 0, margin, idim
+    """Whether ker(map, form) meets the given isotropic subspace trivially."""
+    return intersection_dim(kernel_phi_sigma(dphi, smat), e_cols) == 0
 
 
 def _tm_subspace(nfr):
@@ -244,7 +213,7 @@ def dirac_booleans(qh, point, component=0):
     e_fib, f_fib = cartan_dirac_fibers(point, comp)
 
     # (a) momentum law + ker(sigma-flat) cap ker(dphi) = 0
-    resid = momentum_residual(qh, point, "twoform")
+    resid = momentum_residual(qh, point)
     ker_s = nullspace(sflat)
     ker_d = nullspace(dphi)
     a_bool = bool(resid <= _MOM_TOL
@@ -252,7 +221,7 @@ def dirac_booleans(qh, point, component=0):
 
     # (b) forward image of TM equals the canonical fiber, and strongness
     tm = _tm_subspace(nfr)
-    strong, _, _ = strongness_check(tm.basis, dphi, smat)
+    strong = strongness_check(tm.basis, dphi, smat)
     try:
         fwd = transport_image(tm, dphi, smat, "forward")
         b_bool = bool(subspace_equal(fwd, e_fib) and strong)
@@ -269,20 +238,19 @@ def dirac_booleans(qh, point, component=0):
     # (d) plain backward image transverse to the graph of the form
     try:
         back_0 = transport_image(f_fib, dphi, None, "backward")
-        gr = graph_subspace(smat, "form")
+        gr = graph_subspace(smat)
         d_bool = bool(intersection_dim(back_0.basis, gr.basis) == 0)
     except RankDeficient:
         d_bool = False
 
-    return {"a": a_bool, "b": b_bool, "c": c_bool, "d": d_bool,
-            "momentum_residual": float(resid)}
+    return {"a": a_bool, "b": b_bool, "c": c_bool, "d": d_bool}
 
 
-def prop_tech_chain(qh, point, component=0):
-    """Rank certificates for the kernel chain of one momentum component:
-    the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and the word
-    differential maps ker(sigma-flat) onto ker(Id + Ad)."""
-    lin = component_linear(point, qh.momentum[component])
+def prop_tech_chain(qh, point):
+    """Rank certificates for the kernel chain of the first momentum
+    component: the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and
+    the word differential maps ker(sigma-flat) onto ker(Id + Ad)."""
+    lin = component_linear(point, qh.momentum[0])
     dphi = lin.left.T
     sflat = qh.form.frame_matrix(point).T
     d = qh.site.model.d
@@ -294,8 +262,7 @@ def prop_tech_chain(qh, point, component=0):
     ker_target = nullspace(np.eye(d) + lin.ad)  # ker(L^-1 + R^-1)
 
     # monomorphism into ker(sigma-flat)
-    mono_rank = int(np.linalg.matrix_rank(fund_cols, _RANK_TOL)) \
-        if fund_cols.size else 0
+    mono_rank = orthonormal_columns(fund_cols).shape[1]
     inclusion_resid = 0.0
     if fund_cols.size:
         inclusion_resid = float(np.abs(sflat @ fund_cols).max())
@@ -310,10 +277,6 @@ def prop_tech_chain(qh, point, component=0):
             == ker_target.shape[1]) if ker_target.shape[1] else True
 
     return {
-        "dim_algebra_kernel": int(k1.shape[1]),
-        "dim_form_kernel": int(ker_sigma.shape[1]),
-        "dim_target_kernel": int(ker_target.shape[1]),
-        "mono_rank": mono_rank,
         "mono_ok": mono_rank == k1.shape[1],
         "inclusion_residual": inclusion_resid,
         "containment_residual": containment_resid,

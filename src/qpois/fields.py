@@ -48,12 +48,12 @@ __all__ = [
 VecOp = tuple  # of (coef, "L"|"R", factor)
 
 
-def op_L(factor, coef=1.0):
-    return ((coef, "L", factor),)
+def op_L(factor):
+    return ((1.0, "L", factor),)
 
 
-def op_R(factor, coef=1.0):
-    return ((coef, "R", factor),)
+def op_R(factor):
+    return ((1.0, "R", factor),)
 
 
 def op_fund(factors):
@@ -195,7 +195,10 @@ def dual_vdot(smat, a, b):
     return np.einsum("...j,jk,...k->...", a, smat, b)
 
 
-def _lift_plain(model, q, v, tol=1e-8):
+_LIFT_TOL = 1e-8
+
+
+def _lift_plain(model, q, v):
     """Least-squares lifts X with qX - Xq = v; v may carry leading batch axes."""
     cols = [(q @ b - b @ q).reshape(-1) for b in model.basis]
     fmat = np.stack(cols, axis=1)
@@ -203,7 +206,7 @@ def _lift_plain(model, q, v, tol=1e-8):
     flat = v.reshape(-1, v.shape[-2] * v.shape[-1]).T    # one column per entry
     c, *_ = np.linalg.lstsq(fmat, flat, rcond=None)
     resid = np.linalg.norm(fmat @ c - flat, axis=0)
-    if np.any(resid > tol * (1 + np.linalg.norm(flat, axis=0))):
+    if np.any(resid > _LIFT_TOL * (1 + np.linalg.norm(flat, axis=0))):
         raise LiftFailed("tangent is not a conjugation direction on this factor")
     return c.T.reshape(v.shape[:-2] + (-1,))
 

@@ -32,7 +32,11 @@ __all__ = [
     "verify_chi_identity",
 ]
 
-_SPAN_TOL = 1e-8
+_SPAN_TOL = 1e-8            # coefficient expansion: span residual, relative
+_TRACE_TOL = 1e-12          # a basis matrix counts as traceless below this
+_CLOSURE_TOL = 1e-10        # commutators leave the span above this, relative
+_SYMMETRY_TOL = 1e-10       # pairing tensors and cubic tensor alternation
+_SAMPLE_SCALE = 0.35        # std of the real and imaginary part of a random coefficient
 
 
 class LieAlgebraModel:
@@ -47,20 +51,18 @@ class LieAlgebraModel:
         self.n = basis[0].shape[0]
         self.d = len(basis)
 
-    def coeffs(self, mat, check=True, tol=_SPAN_TOL):
+    def coeffs(self, mat):
         """Expand n-by-n matrices (leading batch axes allowed) in the basis;
-        guard the span residual."""
+        NotInSpan when the span residual exceeds _SPAN_TOL (relative)."""
         mat = np.asarray(mat, dtype=complex)
         flat = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
         # a stack of matrix-vector products rounds like the unbatched one
         c = (self.basis_pinv @ flat[..., None])[..., 0]
-        if check:
-            resid = np.linalg.norm((self.basis_mat @ c[..., None])[..., 0] - flat,
-                                   axis=-1)
-            scale = 1.0 + np.linalg.norm(flat, axis=-1)
-            if np.any(resid > tol * scale):
-                raise NotInSpan(f"matrix outside algebra span "
-                                f"(residual {np.max(resid):.3e})")
+        resid = np.linalg.norm((self.basis_mat @ c[..., None])[..., 0] - flat,
+                               axis=-1)
+        if np.any(resid > _SPAN_TOL * (1.0 + np.linalg.norm(flat, axis=-1))):
+            raise NotInSpan(f"matrix outside algebra span "
+                            f"(residual {np.max(resid):.3e})")
         return c
 
     def from_coeffs(self, c):
@@ -72,15 +74,16 @@ class LieAlgebraModel:
         """Structure-constant bracket of two coefficient vectors."""
         return np.einsum("kuv,u,v->k", self.struct, x, y)
 
-    def is_traceless(self, tol=1e-12):
-        return all(abs(np.trace(b)) <= tol * (1 + np.abs(b).max()) for b in self.basis)
+    def is_traceless(self):
+        return all(abs(np.trace(b)) <= _TRACE_TOL * (1 + np.abs(b).max())
+                   for b in self.basis)
 
 
-def build_lie_algebra(basis, closure_tol=1e-10):
+def build_lie_algebra(basis):
     """Structure constants by least squares against the flattened basis.
 
     Raises RankDeficient for dependent bases and NotClosed when some commutator
-    leaves the span by more than closure_tol (relative to its size).
+    leaves the span by more than _CLOSURE_TOL (relative to its size).
     """
     basis = [np.asarray(b, dtype=complex) for b in basis]
     n = basis[0].shape[0]
@@ -103,7 +106,7 @@ def build_lie_algebra(basis, closure_tol=1e-10):
             worst = max(worst, resid / (1.0 + np.linalg.norm(flat)))
             struct[:, u, v] = c
             struct[:, v, u] = -c
-    if worst > closure_tol:
+    if worst > _CLOSURE_TOL:
         raise NotClosed(f"commutators leave the span (residual {worst:.3e})")
     return LieAlgebraModel(basis, struct, bmat, pinv, worst)
 
@@ -115,14 +118,14 @@ class PairingData:
     eta_lower: np.ndarray | None = None
     eta_upper: np.ndarray | None = None
 
-    def __post_init__(self, tol=1e-10):
+    def __post_init__(self):
         for name in ("eta_lower", "eta_upper"):
             m = getattr(self, name)
             if m is None:
                 continue
             m = np.asarray(m, dtype=complex)
             setattr(self, name, m)
-            if np.abs(m - m.T).max() > tol * (1 + np.abs(m).max()):
+            if np.abs(m - m.T).max() > _SYMMETRY_TOL * (1 + np.abs(m).max()):
                 raise NotConvenient(f"{name} is not symmetric")
         self._invertible = False
         if self.eta_lower is not None and self.eta_upper is not None:
@@ -184,9 +187,10 @@ def adjoint_matrix(model, q):
     return np.stack(cols, axis=1)
 
 
-def random_algebra_element(model, rng, scale=0.35):
-    c = scale * (rng.standard_normal(model.d) + 1j * rng.standard_normal(model.d))
-    return c
+def random_algebra_element(model, rng):
+    """Coefficients with real and imaginary parts drawn at _SAMPLE_SCALE."""
+    return _SAMPLE_SCALE * (rng.standard_normal(model.d)
+                           + 1j * rng.standard_normal(model.d))
 
 
 def ad_invariance_residual(model, pairing, samples=32, seed=0):
@@ -221,10 +225,10 @@ def cubic_alternation(model, pairing):
                     for t in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))
 
 
-def cartan3(model, pairing, tol=1e-10):
+def cartan3(model, pairing):
     """Cubic tensor phi[j,k,s] = eta^{j,u} c^k_{u,v} eta^{v,s}; must alternate."""
     phi, resid = cubic_alternation(model, pairing)
-    if resid > tol * (1.0 + float(np.abs(phi).max())):
+    if resid > _SYMMETRY_TOL * (1.0 + float(np.abs(phi).max())):
         raise NotConvenient("cubic tensor is not alternating; "
                             "pairing is not invariant for this model")
     return phi

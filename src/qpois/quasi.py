@@ -3,8 +3,12 @@
 This module assembles the standard one-factor structure, the double and its
 internal fusion, conjugacy-class pairs, and genus-(l)/puncture-(n) surface
 sites; and it measures the residuals of the defining laws: momentum
-conditions in both modes, duality, reconstruction, non-degeneracy ranks,
-quasi-closedness, and equivariance.
+conditions, duality, reconstruction, non-degeneracy ranks, quasi-closedness,
+and equivariance.  Each of these reads the descriptor's type: the bivector
+side of a QuasiPoissonDescriptor, the 2-form side of a
+QuasiHamiltonianDescriptor.  One rank rule, singular values above _RANK_TOL
+times the largest, serves every kernel, span and rank count here and in the
+Dirac layer.
 
 At a point, each momentum component is linearized once
 (`component_linear`): the (N, d) left and right trivialized word
@@ -66,6 +70,7 @@ __all__ = [
     "ComponentLinear",
     "component_linear",
     "nullspace",
+    "orthonormal_columns",
     "intersection_dim",
     "QuasiPoissonDescriptor",
     "QuasiHamiltonianDescriptor",
@@ -130,22 +135,21 @@ def _pg_terms(i):
     return [(0.5, op_R(i), op_L(i)), (-0.5, op_L(i), op_R(i))]
 
 
-def pg_descriptor(site, factor=0, name="standard"):
-    """The one-factor bivector with the factor's letter as momentum word."""
-    biv = Bivector(site, _pg_terms(factor))
-    mom = [_conj_component(site, site.letter(factor), [factor])]
-    return QuasiPoissonDescriptor(site, biv, mom, name)
+def pg_descriptor(site):
+    """The bivector of the first factor with its letter as momentum word."""
+    biv = Bivector(site, _pg_terms(0))
+    mom = [_conj_component(site, site.letter(0), [0])]
+    return QuasiPoissonDescriptor(site, biv, mom, "standard")
 
 
-def class_descriptors(site, factor=0):
-    """Conjugacy-class pair: restricted bivector and the tau 2-form, momentum
-    the inclusion letter."""
-    if site.factors[factor].kind != "class":
+def class_descriptors(site):
+    """Conjugacy-class pair on the first factor: restricted bivector and the
+    tau 2-form, momentum the inclusion letter."""
+    if site.factors[0].kind != "class":
         raise BadSignature("class pair needs a class factor")
-    mom = [_conj_component(site, site.letter(factor), [factor])]
-    qp = QuasiPoissonDescriptor(site, Bivector(site, _pg_terms(factor)), mom,
-                                "class")
-    qh = QuasiHamiltonianDescriptor(site, FormField(site, tau_terms=[TauTerm(factor)]),
+    mom = [_conj_component(site, site.letter(0), [0])]
+    qp = QuasiPoissonDescriptor(site, Bivector(site, _pg_terms(0)), mom, "class")
+    qh = QuasiHamiltonianDescriptor(site, FormField(site, tau_terms=[TauTerm(0)]),
                                     mom, "class")
     return qp, qh
 
@@ -280,23 +284,37 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
 _RANK_TOL = 1e-8
 
 
-def nullspace(mat, tol=_RANK_TOL):
-    """Orthonormal columns spanning the kernel, rank cut at tol * largest sv."""
+def _rank(sv):
+    """The rank rule: the number of singular values (in descending order)
+    above _RANK_TOL times the largest; 0 for a zero or empty matrix."""
+    return int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def nullspace(mat):
+    """Orthonormal columns spanning the kernel."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
     _, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    r = int(np.sum(sv > tol * max(sv[0], 1e-300))) if sv.size else 0
-    return vh[r:].conj().T
+    return vh[_rank(sv):].conj().T
 
 
-def intersection_dim(cols_a, cols_b, tol=_RANK_TOL):
+def orthonormal_columns(cols):
+    """Orthonormal columns spanning the column span."""
+    cols = np.asarray(cols, dtype=complex)
+    if cols.size == 0:
+        return np.zeros((cols.shape[0], 0), dtype=complex)
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, :_rank(sv)]
+
+
+def intersection_dim(cols_a, cols_b):
     """dim of the intersection of two spans given by orthonormal columns."""
     ra, rb = cols_a.shape[1], cols_b.shape[1]
     if ra == 0 or rb == 0:
         return 0
     sv = np.linalg.svd(np.concatenate([cols_a, cols_b], axis=1), compute_uv=False)
-    return ra + rb - int(np.sum(sv > tol * max(sv[0], 1e-300)))
+    return ra + rb - _rank(sv)
 
 
 class ComponentLinear(NamedTuple):
@@ -339,29 +357,27 @@ def _bivector_momentum_rhs(lin, h_up):
     return lin.action @ h_up @ (np.eye(len(h_up)) + lin.ad_inv.T)
 
 
-def momentum_residual(desc, point, mode):
-    """Deviation from the momentum law, by mode, as a matrix identity per
+def momentum_residual(desc, point):
+    """Deviation from the descriptor's momentum law, as a matrix identity per
     component over the frame (N) and the algebra basis (d).
 
-    bivector: max | 2 P^T L - A H (I + Ad^-T) |, the covector form of
-      2 P#((dPhi)* beta) = action(psi_H((L* + R*) beta));
-    twoform: max | A^T Sigma - (1/2) S (L + R)^T |, the frame form of
-      sigma(action(X), v) = (1/2) X . ((omega + omegabar)(dPhi v)).
+    QuasiPoissonDescriptor: max | 2 P^T L - A H (I + Ad^-T) |, the covector
+      form of 2 P#((dPhi)* beta) = action(psi_H((L* + R*) beta));
+    QuasiHamiltonianDescriptor: max | A^T Sigma - (1/2) S (L + R)^T |, the
+      frame form of sigma(action(X), v) = (1/2) X . ((omega + omegabar)(dPhi v)).
     """
     site = desc.site
     lins = _linears(desc, point)
-    if mode == "bivector":
+    if isinstance(desc, QuasiPoissonDescriptor):
         h = site.pairing.require_upper()
         pmat = desc.bivector.frame_matrix(point)
         gaps = [2.0 * pmat.T @ lin.left - _bivector_momentum_rhs(lin, h)
                 for lin in lins]
-    elif mode == "twoform":
+    else:
         smat = site.pairing.eta_lower
         sigma = desc.form.frame_matrix(point)
         gaps = [lin.action.T @ sigma - 0.5 * smat @ (lin.left + lin.right).T
                 for lin in lins]
-    else:
-        raise BadSignature(f"unknown mode {mode!r}")
     return float(np.max([np.abs(gap).max() for gap in gaps], initial=0.0))
 
 
@@ -389,14 +405,15 @@ def duality_residual(qp, qh, point):
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
 
-def reconstruct_dual(desc, point, direction):
-    """Rebuild the dual tensor at a point from the momentum identities.
+def reconstruct_dual(desc, point):
+    """Rebuild the dual tensor at a point from the momentum identities: P
+    from a QuasiHamiltonianDescriptor's Sigma, Sigma from a
+    QuasiPoissonDescriptor's P.
 
-    direction "P-from-sigma" consumes a QuasiHamiltonianDescriptor; direction
-    "sigma-from-P" consumes a QuasiPoissonDescriptor.  The momentum laws say
-    that a matrix M vanishes on the kernel of the stacked momentum map and
-    that the dual tensor is (M pinv(stacked))^T.  Returns (frame matrix,
-    kernel residual: the largest column norm of M on that kernel).
+    The momentum laws say that a matrix M vanishes on the kernel of the
+    stacked momentum map and that the dual tensor is (M pinv(stacked))^T.
+    Returns (frame matrix, kernel residual: the largest column norm of M on
+    that kernel).
     """
     site = desc.site
     s_low, h_up = site.pairing.require_invertible()
@@ -405,19 +422,17 @@ def reconstruct_dual(desc, point, direction):
     rho = _rho(lins, nfr)
     eye = np.eye(nfr)
 
-    if direction == "P-from-sigma":
+    if isinstance(desc, QuasiHamiltonianDescriptor):
         smat = desc.form.frame_matrix(point)
         stacked = np.concatenate([*(lin.left for lin in lins), smat.T], axis=1)
         m = np.concatenate([*(0.5 * _bivector_momentum_rhs(lin, h_up) for lin in lins),
                             eye - 0.25 * rho], axis=1)
-    elif direction == "sigma-from-P":
+    else:
         pmat = desc.bivector.frame_matrix(point)
         stacked = np.concatenate([*(lin.action for lin in lins), pmat.T], axis=1)
         m = np.concatenate([*(0.5 * lin.left @ (np.eye(len(s_low)) + lin.ad.T) @ s_low
                               for lin in lins),
                             eye - 0.25 * rho.T], axis=1)
-    else:
-        raise BadSignature(f"unknown direction {direction!r}")
 
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv.size == 0 or sv.min() <= 1e-10 * sv.max() or stacked.shape[1] < nfr:
@@ -428,36 +443,33 @@ def reconstruct_dual(desc, point, direction):
     return out, kresid
 
 
-def nondegeneracy_check(desc, point, mode):
-    """Rank certificate of the momentum-relative non-degeneracy notions, zero
-    when non-degenerate.
+def nondegeneracy_check(desc, point):
+    """Rank certificate of the momentum-relative non-degeneracy notion of the
+    descriptor, zero when non-degenerate.
 
-    bivector: the rank deficit of the stacked map (P#, action) onto the
-      tangent space;
-    twoform: dim (ker sigma-flat  cap  ker dPhi), dPhi the stacked left
-      differentials.
+    QuasiPoissonDescriptor: the rank deficit of the stacked map (P#, action)
+      onto the tangent space;
+    QuasiHamiltonianDescriptor: dim (ker sigma-flat  cap  ker dPhi), dPhi the
+      stacked left differentials.
     """
     lins = _linears(desc, point)
-    if mode == "twoform":
-        smat = desc.form.frame_matrix(point)
-        dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
-        return intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
-    if mode == "bivector":
+    if isinstance(desc, QuasiPoissonDescriptor):
         pmat = desc.bivector.frame_matrix(point)
         stacked = np.concatenate([pmat.T, *(lin.action for lin in lins)], axis=1)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1)))
-        return point.frame().dim - rank
-    raise BadSignature(f"unknown mode {mode!r}")
+        return point.frame().dim - _rank(np.linalg.svd(stacked, compute_uv=False))
+    smat = desc.form.frame_matrix(point)
+    dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
+    return intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
 
 
 # ---------------------------------------------------------------------------
 # quasi-closedness and the structural calibration identity
 # ---------------------------------------------------------------------------
 
-def _random_sections(site, rng, count=3):
+def _random_sections(site, rng):
+    """One random triple of constant sections."""
     secs = []
-    for _ in range(count):
+    for _ in range(3):
         f = int(rng.integers(site.nfac))
         kind = "left" if site.factors[f].kind == "group" else "fund"
         x = rng.standard_normal(site.model.d) + 1j * rng.standard_normal(site.model.d)
@@ -575,7 +587,10 @@ def equivariance_residual(qp, qh, point, g):
     return float(np.max(gaps))
 
 
-def restrict_to_class(biv, point, factor, tol=1e-8):
+_TANGENCY_TOL = 1e-8
+
+
+def restrict_to_class(biv, point, factor):
     """Class-frame matrix of an ambient bivector plus the tangency residual."""
     site = biv.site
     if site.factors[factor].kind != "class":
@@ -593,7 +608,7 @@ def restrict_to_class(biv, point, factor, tol=1e-8):
     rows = slice(factor * n * n, (factor + 1) * n * n)
     image_rows = pamb.T[rows, :]
     resid = float(np.abs(image_rows - proj @ image_rows).max())
-    if resid > tol * (1 + float(np.abs(pamb).max())):
+    if resid > _TANGENCY_TOL * (1 + float(np.abs(pamb).max())):
         raise NotTangent(f"bivector image leaves the class tangents "
                          f"(residual {resid:.3e})")
     return biv.frame_matrix(point), resid

@@ -20,12 +20,7 @@ from qpois.charvar import (
     solve_relator,
 )
 from qpois.cli import canonical_json, compute_brackets, run_suite
-from qpois.dirac import (
-    cartan_dirac_fibers,
-    dirac_booleans,
-    intersection_dim,
-    projections_pq,
-)
+from qpois.dirac import cartan_dirac_fibers, dirac_booleans, projections_pq
 from qpois.duals import dtrace
 from qpois.errors import DegeneratePairing
 from qpois.groupgeom import Factor, Site, random_point
@@ -36,6 +31,7 @@ from qpois.quasi import (
     cn1_residual,
     double_descriptors,
     duality_residual,
+    intersection_dim,
     jacobiator_vs_phi,
     momentum_residual,
     pg_descriptor,
@@ -195,10 +191,10 @@ def test_04_momentum_laws():
     worst = 0.0
     for k, (label, site, desc) in enumerate(biv_cases):
         for p in _points(site, [40, k], 4):
-            worst = max(worst, float(momentum_residual(desc, p, "bivector")))
+            worst = max(worst, float(momentum_residual(desc, p)))
     for k, (label, site, desc) in enumerate(form_cases):
         for p in _points(site, [41, k], 4):
-            worst = max(worst, float(momentum_residual(desc, p, "twoform")))
+            worst = max(worst, float(momentum_residual(desc, p)))
     _report(4, "momentum laws", worst, 1e-9, t0, 30.0)
 
 
@@ -266,8 +262,8 @@ def test_07_reconstruction_round_trip():
     pairs = [c for c in _shipped_pairs() if c[0] != "class"]
     for k, (label, site, qp, qh) in enumerate(pairs):
         for p in _points(site, [70, k], 8):
-            pmat, ker_p = reconstruct_dual(qh, p, "P-from-sigma")
-            smat, ker_s = reconstruct_dual(qp, p, "sigma-from-P")
+            pmat, ker_p = reconstruct_dual(qh, p)
+            smat, ker_s = reconstruct_dual(qp, p)
             worst = max(
                 worst,
                 float(np.abs(pmat - qp.bivector.frame_matrix(p)).max()),
@@ -385,17 +381,17 @@ def test_10_degenerate_pairing_regression():
                             float(jacobiator_vs_phi(qp, p, fns, phi=phi)))
     ok = ok and jac_worst <= 1e-7
 
-    # criterion 4: momentum laws in both modes
+    # criterion 4: momentum laws of both descriptor types
     mom_worst = 0.0
-    for k, (site, desc, mode) in enumerate((
-            (s_one, pg_descriptor(s_one), "bivector"),
-            (s_two, qp_two, "bivector"),
-            (s_f, qp_f, "bivector"),
-            (s_two, qh_two, "twoform"),
-            (s_f, qh_f, "twoform"),
-            (s_cls, qh_cls, "twoform"))):
+    for k, (site, desc) in enumerate((
+            (s_one, pg_descriptor(s_one)),
+            (s_two, qp_two),
+            (s_f, qp_f),
+            (s_two, qh_two),
+            (s_f, qh_f),
+            (s_cls, qh_cls))):
         for p in _points(site, [102, k], 3):
-            mom_worst = max(mom_worst, float(momentum_residual(desc, p, mode)))
+            mom_worst = max(mom_worst, float(momentum_residual(desc, p)))
     ok = ok and mom_worst <= 1e-9
 
     # criterion 9: reduction at relator-solved points (identity target and
@@ -421,7 +417,7 @@ def test_10_degenerate_pairing_regression():
     with pytest.raises(DegeneratePairing):
         duality_residual(qp_two, qh_two, p_two)
     with pytest.raises(DegeneratePairing):
-        reconstruct_dual(qh_two, p_two, "P-from-sigma")
+        reconstruct_dual(qh_two, p_two)
     with pytest.raises(DegeneratePairing):
         cartan_dirac_fibers(p_two, qh_two.momentum[0])
     cfg = {"group": {"family": "sl2_abelian"},

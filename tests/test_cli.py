@@ -20,7 +20,7 @@ from qpois.cli import (
     sample_points,
     write_report,
 )
-from qpois.errors import ConfigError, IoError
+from qpois.errors import ConfigError, IoError, Stalled
 from qpois.groupgeom import SitePoint, conjugate_point, parse_word, word_eval
 
 
@@ -370,6 +370,14 @@ def test_smallest_group_sizes_accepted():
         assert build_setup(torus_cfg(group={"family": family, "n": 1})).model.n == 1
 
 
+def test_unwritable_report_exit_2(tmp_path):
+    cfg = write_cfg(tmp_path, torus_cfg(samples=1))
+    out = str(tmp_path / "missing" / "x.json")
+    result = invoke(["sample", "--config", cfg, "--seed", "0", "--out", out])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "cannot write report" in result.stderr
+
+
 def test_invalid_json_names_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -388,6 +396,58 @@ def test_minus_identity_refused_outside_group(tmp_path):
     assert "targets[0]" in result.stderr
     setup = build_setup(torus_cfg(targets=["identity", "minus_identity"]))
     assert np.allclose(setup.targets[1][1], -np.eye(2))
+
+
+def _literal(mat):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+
+
+@pytest.mark.parametrize("command", ["sample", "bracket"])
+def test_singular_target_refused(tmp_path, command):
+    cfg = write_cfg(tmp_path, torus_cfg(targets=[_literal(np.zeros((2, 2)))]))
+    result = invoke([command, "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "targets[0]: singular matrix" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_singular_class_rep_refused(tmp_path):
+    cfg = write_cfg(tmp_path, torus_cfg(site={"genus": 1, "class_reps": [
+        _literal(np.diag([1.0, 0.0]))]}))
+    result = invoke(["verify", "all", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "site.class_reps[0]: singular matrix" in result.stderr
+
+
+@pytest.mark.parametrize("over, loc", [
+    ({"targets": [_literal(2 * np.eye(2))]}, "targets[0]"),
+    ({"site": {"genus": 1, "class_reps": [_literal(np.diag([2.0, 1.0]))]}},
+     "site.class_reps[0]"),
+])
+def test_determinant_outside_sl_refused(tmp_path, over, loc):
+    cfg = write_cfg(tmp_path, torus_cfg(**over))
+    result = invoke(["sample", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert f"{loc}: determinant" in result.stderr
+    assert "outside SL(2)" in result.stderr
+
+
+def test_group_elements_accepted_as_written_in_floats():
+    omega = np.exp(2j * np.pi / 3)
+    sl3 = build_setup({"group": {"family": "SL", "n": 3},
+                       "targets": [_literal(omega * np.eye(3))]})
+    assert np.allclose(sl3.targets[0][1], omega * np.eye(3))
+    setup = build_setup(torus_cfg(
+        site={"genus": 1, "class_reps": [_literal(np.diag([3.0, 1.0 / 3.0]))]},
+        targets=[_literal(np.diag([3.0, 1.0 / 3.0]))]))
+    assert np.allclose(setup.class_reps[0], np.diag([3.0, 1.0 / 3.0]))
+    # off the traceless models only invertibility is required
+    gl = build_setup({"group": {"family": "GL", "n": 2},
+                      "targets": [_literal(2 * np.eye(2))]})
+    assert np.allclose(gl.targets[0][1], 2 * np.eye(2))
 
 
 def test_readme_config_and_class_rep_literal_accepted():
@@ -502,9 +562,15 @@ def test_bracket_values_conjugation_invariant():
         assert abs(complex(base) - complex(moved)) <= 1e-8
 
 
-def test_bracket_solver_failures_flagged_not_dropped(tmp_path):
-    bad_target = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    cfg = write_cfg(tmp_path, torus_cfg(targets=[bad_target], samples=2))
+def test_bracket_solver_failures_flagged_not_dropped(tmp_path, monkeypatch):
+    import qpois.cli as cli
+
+    def stalled(*args, **kwargs):
+        raise Stalled("no descent direction (residual 5.000e-01)",
+                      best_residual=0.5, iters=3)
+
+    monkeypatch.setattr(cli, "solve_relator", stalled)
+    cfg = write_cfg(tmp_path, torus_cfg(samples=2))
     out = str(tmp_path / "rep.json")
     result = invoke(["bracket", "--config", cfg, "--seed", "1", "--out", out])
     assert result.exit_code == 1

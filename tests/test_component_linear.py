@@ -15,7 +15,7 @@ import pytest
 
 from qpois import models
 from qpois.charvar import TraceFunction
-from qpois.fields import FormField, differential, op_apply
+from qpois.fields import Bivector, FormField, differential, op_apply
 from qpois.groupgeom import Tangent, random_point, word_eval, word_tangent
 
 from qpois.liealg import adjoint_matrix
@@ -24,6 +24,7 @@ from qpois.quasi import (
     QuasiPoissonDescriptor,
     assemble_surface_site,
     momentum_residual,
+    nondegeneracy_check,
     nullspace,
     reconstruct_dual,
     rho_matrix,
@@ -59,10 +60,9 @@ def _wrong(qp, qh):
 # entrywise references
 # ---------------------------------------------------------------------------
 
-def _word_diffs(frame, word):
+def _word_diffs(point, word):
     """Left/right trivialized word differentials, one frame vector at a time."""
-    model = frame.site.model
-    mats = frame.mats
+    model, frame, mats = point.site.model, point.frame(), point.mats
     gi = np.linalg.inv(word_eval(word, mats))
     dvs = [word_tangent(word, mats, v) for v in frame_vectors(frame)]
     return (np.array([model.coeffs(gi @ dv) for dv in dvs]),
@@ -93,7 +93,7 @@ def _ref_momentum(desc, point, mode):
     eye = np.eye(model.d)
     worst = 0.0
     for comp in desc.momentum:
-        left, right = _word_diffs(frame, comp.word)
+        left, right = _word_diffs(point, comp.word)
         if mode == "bivector":
             h = site.pairing.require_upper()
             pmat = desc.bivector.frame_matrix(point)
@@ -117,7 +117,7 @@ def _ref_rho(desc, point, frame):
     site = desc.site
     out = np.zeros((frame.dim, frame.dim), dtype=complex)
     for comp in desc.momentum:
-        left, right = _word_diffs(frame, comp.word)
+        left, right = _word_diffs(point, comp.word)
         for a in range(frame.dim):
             x = site.model.from_coeffs(left[a] - right[a])
             out[:, a] += frame.components(op_apply(comp.action, point.mats, x))
@@ -138,7 +138,7 @@ def _ref_reconstruct(desc, point, direction):
     dws, ainvs, ads, funds = [], [], [], []
     for comp in comps:
         g = word_eval(comp.word, point.mats)
-        dws.append(_word_diffs(frame, comp.word)[0])
+        dws.append(_word_diffs(point, comp.word)[0])
         ainvs.append(adjoint_matrix(model, np.linalg.inv(g)))
         ads.append(adjoint_matrix(model, g))
         funds.append(_action_cols(site, point, frame, comp))
@@ -185,9 +185,9 @@ def test_momentum_residuals_match_entrywise_laws(name):
     for desc, mode in ((bad_qp, "bivector"), (bad_qh, "twoform")):
         ref = _ref_momentum(desc, p, mode)
         assert ref > 0.1, (mode, ref)
-        assert _close(momentum_residual(desc, p, mode), ref), mode
-    assert momentum_residual(qp, p, "bivector") <= 1e-9
-    assert momentum_residual(qh, p, "twoform") <= 1e-9
+        assert _close(momentum_residual(desc, p), ref), mode
+    assert momentum_residual(qp, p) <= 1e-9
+    assert momentum_residual(qh, p) <= 1e-9
 
 
 @pytest.mark.parametrize("name", INVERTIBLE)
@@ -205,10 +205,45 @@ def test_reconstruction_matches_column_loop(name):
     bad_qp, bad_qh = _wrong(qp, qh)
     for desc, direction in ((bad_qh, "P-from-sigma"), (bad_qp, "sigma-from-P")):
         ref, ref_k = _ref_reconstruct(desc, p, direction)
-        got, got_k = reconstruct_dual(desc, p, direction)
+        got, got_k = reconstruct_dual(desc, p)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), direction
         assert ref_k > 0.1, (direction, ref_k)
         assert _close(got_k, ref_k), direction
+
+
+def _ref_nondegeneracy(desc, point):
+    """The rank deficit of (P#, actions), or dim(ker sigma-flat cap ker dPhi)
+    as the corank of the stacked rows, by numpy's rank."""
+    frame = point.frame()
+    if isinstance(desc, QuasiPoissonDescriptor):
+        cols = [desc.bivector.frame_matrix(point).T]
+        cols += [_action_cols(desc.site, point, frame, c) for c in desc.momentum]
+        return frame.dim - np.linalg.matrix_rank(np.concatenate(cols, axis=1))
+    rows = [desc.form.frame_matrix(point).T]
+    rows += [_word_diffs(point, c.word)[0].T for c in desc.momentum]
+    return frame.dim - np.linalg.matrix_rank(np.concatenate(rows, axis=0))
+
+
+def test_residuals_read_their_mode_from_the_descriptor():
+    """Called with a descriptor and a point only, each residual applies the
+    law of the descriptor's type: the bivector law, Sigma from P and the
+    (P#, action) rank for a QuasiPoissonDescriptor; the 2-form law, P from
+    Sigma and the kernel intersection for a QuasiHamiltonianDescriptor."""
+    site, qp, qh, p = _setup("sl2-g1-2punct")
+    bad_qp, bad_qh = _wrong(qp, qh)
+    assert _close(momentum_residual(bad_qp, p), _ref_momentum(bad_qp, p, "bivector"))
+    assert _close(momentum_residual(bad_qh, p), _ref_momentum(bad_qh, p, "twoform"))
+    for desc, direction in ((bad_qp, "sigma-from-P"), (bad_qh, "P-from-sigma")):
+        got, got_k = reconstruct_dual(desc, p)
+        ref, ref_k = _ref_reconstruct(desc, p, direction)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), direction
+        assert _close(got_k, ref_k), direction
+    zero_qp = QuasiPoissonDescriptor(site, Bivector(site, []), qp.momentum)
+    zero_qh = QuasiHamiltonianDescriptor(site, FormField(site), qh.momentum)
+    for desc in (qp, qh, zero_qp, zero_qh):
+        assert nondegeneracy_check(desc, p) == _ref_nondegeneracy(desc, p)
+    assert nondegeneracy_check(qp, p) == nondegeneracy_check(qh, p) == 0
+    assert nondegeneracy_check(zero_qh, p) > 0
 
 
 def test_twoform_momentum_law_makes_no_pointwise_form_evaluations(monkeypatch):
@@ -221,7 +256,7 @@ def test_twoform_momentum_law_makes_no_pointwise_form_evaluations(monkeypatch):
         return evaluate(self, *args)
 
     monkeypatch.setattr(FormField, "evaluate", counted)
-    assert momentum_residual(qh, p, "twoform") <= 1e-9
+    assert momentum_residual(qh, p) <= 1e-9
     assert calls == []
 
 

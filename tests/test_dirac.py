@@ -7,7 +7,6 @@ from qpois.dirac import (
     cartan_dirac_fibers,
     dirac_booleans,
     graph_subspace,
-    intersection_dim,
     kernel_phi_sigma,
     projections_pq,
     prop_tech_chain,
@@ -17,13 +16,16 @@ from qpois.dirac import (
 )
 from qpois.errors import BadSignature, DegeneratePairing, RankDeficient
 from qpois.fields import op_fund
-from qpois.groupgeom import Factor, Site, SitePoint, parse_word, random_point
+from qpois.groupgeom import Factor, Site, SitePoint, parse_word, random_point, word_eval
+from qpois.liealg import adjoint_matrix
 from qpois.quasi import (
     MomentumComponent,
     assemble_surface_site,
     class_descriptors,
     double_descriptors,
+    intersection_dim,
     internally_fused,
+    orthonormal_columns,
     pg_descriptor,
 )
 
@@ -40,36 +42,41 @@ def component_a(site):
     return MomentumComponent(parse_word(site, "a"), op_fund([0]))
 
 
+def _bivector_graph(pmat):
+    """Graph {(P-sharp alpha, alpha)} of a 2-tensor's frame matrix."""
+    n = len(pmat)
+    return LagrangianSubspace.from_columns(
+        np.concatenate([np.asarray(pmat).T, np.eye(n)], axis=0), n)
+
+
 def test_graph_subspaces_trivial():
     z = np.zeros((3, 3))
-    gs = graph_subspace(z, "form")
+    gs = graph_subspace(z)
     assert gs.dim == 3
     assert np.abs(gs.basis[3:, :]).max() < 1e-14
-    gp = graph_subspace(z, "bivector")
+    gp = _bivector_graph(z)
     assert np.abs(gp.basis[:3, :]).max() < 1e-14
-    with pytest.raises(BadSignature):
-        graph_subspace(z, "volume")
 
 
 def test_graph_form_equals_graph_of_inverse_bivector():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 4))
     smat = m - m.T
-    gs = graph_subspace(smat, "form")
+    gs = graph_subspace(smat)
     # P-sharp = inverse of sigma-flat: frame matrices are related by
     # pmat.T = inv(smat.T)
     pmat = np.linalg.inv(smat.T).T
-    gp = graph_subspace(pmat, "bivector")
-    assert subspace_equal(gs, gp)
+    assert subspace_equal(gs, _bivector_graph(pmat))
 
 
 def test_lagrangian_guards():
-    # non-isotropic columns: (e1, e1*) alone pairs to 2 with itself
-    col = np.zeros((4, 1))
-    col[0, 0] = 1.0
-    col[2, 0] = 1.0
+    # non-isotropic columns of full rank: (e1, e1*) pairs to 2 with itself
+    cols = np.zeros((4, 2))
+    cols[0, 0] = 1.0
+    cols[2, 0] = 1.0
+    cols[1, 1] = 1.0
     with pytest.raises(BadSignature):
-        LagrangianSubspace.from_columns(col, 2, require_rank=False)
+        LagrangianSubspace.from_columns(cols, 2)
     with pytest.raises(RankDeficient):
         LagrangianSubspace.from_columns(np.zeros((4, 1)), 2)
 
@@ -114,8 +121,8 @@ def test_projections_block_identities():
         assert np.abs(qq @ qq - qq).max() <= 1e-10
         # images are the canonical fibers
         e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
-        pe = LagrangianSubspace.from_columns(pp, 3, require_rank=False)
-        qf = LagrangianSubspace.from_columns(qq, 3, require_rank=False)
+        pe = LagrangianSubspace(orthonormal_columns(pp), 3)
+        qf = LagrangianSubspace(orthonormal_columns(qq), 3)
         assert subspace_equal(pe, e_sub)
         assert subspace_equal(qf, f_sub)
         # p fixes E, q fixes F
@@ -149,14 +156,14 @@ def test_forward_image_of_tangent_is_graph():
     tm_cols = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=0)
     tm = LagrangianSubspace.from_columns(tm_cols, 4)
     img = transport_image(tm, np.eye(4), smat, "forward")
-    assert subspace_equal(img, graph_subspace(smat, "form"))
+    assert subspace_equal(img, graph_subspace(smat))
 
 
 def test_backward_image_identity_unchanged():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 4))
     smat = m - m.T
-    gr = graph_subspace(smat, "form")
+    gr = graph_subspace(smat)
     back = transport_image(gr, np.eye(4), None, "backward")
     assert subspace_equal(back, gr)
 
@@ -179,11 +186,15 @@ def test_strongness_trivial_group():
     smat = m - m.T          # generically non-degenerate (even dimension)
     dphi = np.zeros((0, 4))
     tm_cols = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=0)
-    strong, margin, idim = strongness_check(tm_cols, dphi, smat)
-    assert strong and idim == 0 and margin > 0.1
+    assert strongness_check(tm_cols, dphi, smat)
+    assert intersection_dim(kernel_phi_sigma(dphi, smat), tm_cols) == 0
+    # the principal angles between the kernel and TM stay away from zero
+    overlap = np.linalg.svd(kernel_phi_sigma(dphi, smat).conj().T @ tm_cols,
+                            compute_uv=False)
+    assert np.arccos(min(1.0, overlap.max())) > 0.1
 
-    strong0, _, idim0 = strongness_check(tm_cols, dphi, None)
-    assert not strong0 and idim0 == 4
+    assert not strongness_check(tm_cols, dphi, None)
+    assert intersection_dim(kernel_phi_sigma(dphi, None), tm_cols) == 4
 
 
 @pytest.mark.parametrize("make", ["class", "double", "fused", "surface11"])
@@ -208,15 +219,27 @@ def test_dirac_booleans_agree_and_hold(make):
             assert out["a"] is True
 
 
+def _kernel_dims(qh, p):
+    """dim ker(Id + Ad^-1), dim ker(Id + Ad) and dim ker(sigma-flat) for the
+    first momentum component, by numpy's rank of each matrix."""
+    model = qh.site.model
+    g = word_eval(qh.momentum[0].word, p.mats)
+    ad, ad_inv = adjoint_matrix(model, g), adjoint_matrix(model, np.linalg.inv(g))
+    eye = np.eye(model.d)
+    smat = qh.form.frame_matrix(p)
+    return (model.d - np.linalg.matrix_rank(eye + ad_inv, tol=1e-8),
+            model.d - np.linalg.matrix_rank(eye + ad, tol=1e-8),
+            len(smat) - np.linalg.matrix_rank(smat, tol=1e-8))
+
+
 def test_prop_tech_generic_point():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     _, qh = double_descriptors(site)
     p = random_point(site, np.random.default_rng(7))
-    rep = prop_tech_chain(qh, p, component=0)
+    rep = prop_tech_chain(qh, p)
     assert rep["mono_ok"] and rep["onto_ok"]
-    assert rep["dim_algebra_kernel"] == 0
-    assert rep["dim_target_kernel"] == 0
+    assert _kernel_dims(qh, p)[:2] == (0, 0)
 
 
 def test_prop_tech_traceless_word_value():
@@ -238,10 +261,10 @@ def test_prop_tech_traceless_word_value():
     prod = q1 @ q2p
     assert abs(np.trace(prod)) < 1e-12
     p = SitePoint(site, [q1, q2p])
-    rep = prop_tech_chain(qh, p, component=0)
-    assert rep["dim_algebra_kernel"] == 2
-    assert rep["dim_target_kernel"] == 2
+    rep = prop_tech_chain(qh, p)
+    algebra_kernel, target_kernel, form_kernel = _kernel_dims(qh, p)
+    assert algebra_kernel == target_kernel == 2
     assert rep["mono_ok"] and rep["onto_ok"]
     assert rep["inclusion_residual"] <= 1e-9
     assert rep["containment_residual"] <= 1e-9
-    assert rep["dim_form_kernel"] >= 2
+    assert form_kernel >= 2

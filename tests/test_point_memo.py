@@ -47,10 +47,10 @@ def test_each_word_is_differentiated_once_per_point(monkeypatch):
         return orig(point, word)
 
     monkeypatch.setattr(groupgeom, "_word_differentials", counted)
-    momentum_residual(qh, p, "twoform")
+    momentum_residual(qh, p)
     duality_residual(qp, qh, p)
-    reconstruct_dual(qh, p, "P-from-sigma")
-    reconstruct_dual(qp, p, "sigma-from-P")
+    reconstruct_dual(qh, p)
+    reconstruct_dual(qp, p)
     dirac_booleans(qh, p)
     assert qh.momentum[0].word in counts
     assert counts and set(counts.values()) == {1}, counts

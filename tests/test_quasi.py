@@ -71,7 +71,7 @@ def test_pg_momentum_identity_word():
     desc = pg_descriptor(site)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        assert momentum_residual(desc, p, "bivector") <= 1e-10
+        assert momentum_residual(desc, p) <= 1e-10
 
 
 def test_pg_momentum_wrong_word_fails():
@@ -81,7 +81,7 @@ def test_pg_momentum_wrong_word_fails():
         site, desc.bivector,
         [MomentumComponent(parse_word(site, "aa"), op_fund([0]))])
     p = random_point(site, np.random.default_rng(5))
-    assert momentum_residual(bad, p, "bivector") > 1e-3
+    assert momentum_residual(bad, p) > 1e-3
 
 
 def test_pg_jacobiator_vs_phi():
@@ -113,8 +113,8 @@ def test_double_momentum_both_components():
     qp, qh = double_descriptors(site)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        assert momentum_residual(qp, p, "bivector") <= 1e-10
-        assert momentum_residual(qh, p, "twoform") <= 1e-10
+        assert momentum_residual(qp, p) <= 1e-10
+        assert momentum_residual(qh, p) <= 1e-10
 
 
 def test_double_jacobiator():
@@ -133,8 +133,8 @@ def test_internally_fused_word_and_momentum():
     assert qp.momentum[0].word == parse_word(site, "abAB")
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        assert momentum_residual(qp, p, "bivector") <= 1e-10
-        assert momentum_residual(qh, p, "twoform") <= 1e-10
+        assert momentum_residual(qp, p) <= 1e-10
+        assert momentum_residual(qh, p) <= 1e-10
 
 
 def test_internally_fused_jacobiator():
@@ -169,7 +169,7 @@ def test_fuse_zero_translations_gives_conjugation_structure():
         p = random_point(site, np.random.default_rng(seed))
         assert np.abs(fused.frame_matrix(p)
                       - ref.bivector.frame_matrix(p)).max() <= 1e-12
-        assert momentum_residual(desc, p, "bivector") <= 1e-10
+        assert momentum_residual(desc, p) <= 1e-10
 
 
 def test_fusion_with_zero_tensor_pairing():
@@ -208,8 +208,8 @@ def test_class_pair_momentum_and_tau():
     qp, qh = class_descriptors(site)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        assert momentum_residual(qp, p, "bivector") <= 1e-10
-        assert momentum_residual(qh, p, "twoform") <= 1e-10
+        assert momentum_residual(qp, p) <= 1e-10
+        assert momentum_residual(qh, p) <= 1e-10
 
 
 def test_restrict_to_class_tangent():
@@ -268,9 +268,9 @@ def test_surface_momentum_residuals(sig):
     site, qp, qh = assemble_surface_site(model, pairing, genus, reps)
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
-        assert momentum_residual(qp, p, "bivector") <= 1e-9
+        assert momentum_residual(qp, p) <= 1e-9
         assert qh is not None
-        assert momentum_residual(qh, p, "twoform") <= 1e-9
+        assert momentum_residual(qh, p) <= 1e-9
 
 
 @pytest.mark.parametrize("sig", [(1, 1), (2, 2)])

@@ -98,7 +98,7 @@ def test_reconstruct_bivector_from_form():
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     qp, qh = double_descriptors(site)
     for p in _points(site, 3):
-        rec, kr = reconstruct_dual(qh, p, "P-from-sigma")
+        rec, kr = reconstruct_dual(qh, p)
         ref = qp.bivector.frame_matrix(p)
         assert np.abs(rec - ref).max() <= 1e-8
         assert kr <= 1e-8
@@ -109,7 +109,7 @@ def test_reconstruct_form_from_bivector():
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     qp, qh = double_descriptors(site)
     for p in _points(site, 3):
-        rec, kr = reconstruct_dual(qp, p, "sigma-from-P")
+        rec, kr = reconstruct_dual(qp, p)
         ref = qh.form.frame_matrix(p)
         assert np.abs(rec - ref).max() <= 1e-8
         assert kr <= 1e-8
@@ -119,11 +119,11 @@ def test_reconstruct_surface_11():
     model, pairing = models.sl2()
     site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
     for p in _points(site, 2):
-        rec, kr = reconstruct_dual(qh, p, "P-from-sigma")
+        rec, kr = reconstruct_dual(qh, p)
         ref = qp.bivector.frame_matrix(p)
         assert np.abs(rec - ref).max() <= 1e-8
         assert kr <= 1e-8
-        rec2, kr2 = reconstruct_dual(qp, p, "sigma-from-P")
+        rec2, kr2 = reconstruct_dual(qp, p)
         ref2 = qh.form.frame_matrix(p)
         assert np.abs(rec2 - ref2).max() <= 1e-8
         assert kr2 <= 1e-8
@@ -137,7 +137,7 @@ def test_reconstruct_not_epimorphism_guard():
     from qpois.groupgeom import SitePoint
     p = SitePoint(site, [np.eye(2)])  # everything degenerates at the identity
     with pytest.raises(NotEpimorphism):
-        reconstruct_dual(desc, p, "sigma-from-P")
+        reconstruct_dual(desc, p)
 
 
 def test_nondegeneracy_double_full_rank():
@@ -145,8 +145,8 @@ def test_nondegeneracy_double_full_rank():
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     qp, qh = double_descriptors(site)
     p = random_point(site, np.random.default_rng(3))
-    assert nondegeneracy_check(qp, p, "bivector") == 0
-    assert nondegeneracy_check(qh, p, "twoform") == 0
+    assert nondegeneracy_check(qp, p) == 0
+    assert nondegeneracy_check(qh, p) == 0
 
 
 def test_nondegeneracy_degenerate_double_deficit():
@@ -158,7 +158,7 @@ def test_nondegeneracy_degenerate_double_deficit():
     qp, _ = double_descriptors(site)
     for seed in (4, 5):
         p = random_point(site, np.random.default_rng(seed))
-        assert nondegeneracy_check(qp, p, "bivector") == 1
+        assert nondegeneracy_check(qp, p) == 1
 
 
 def test_quasi_closed_double():
@@ -234,5 +234,5 @@ def test_degenerate_model_momentum_still_holds():
     site = Site(model, pairing, [Factor("group"), Factor("group")])
     qp, qh = double_descriptors(site)
     for p in _points(site, 2):
-        assert momentum_residual(qp, p, "bivector") <= 1e-9
-        assert momentum_residual(qh, p, "twoform") <= 1e-9
+        assert momentum_residual(qp, p) <= 1e-9
+        assert momentum_residual(qh, p) <= 1e-9
