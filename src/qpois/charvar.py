@@ -5,7 +5,10 @@ the dual-number lifts used for differentiation.  Trace words generate enough
 invariants at desk scale; sums and products of them are plain Python
 compositions.  The sampler solves the relator constraint by damped
 Gauss-Newton over per-factor retractions, so class factors keep their
-spectrum exactly.
+spectrum exactly.  Each iteration sweeps the relator once for its Jacobian
+(prefix and suffix products, each inverse letter inverted once), takes one
+SVD of it for the steps of all damping trials, and retracts every factor of
+a trial in one batched matrix exponential.
 """
 
 from __future__ import annotations
@@ -160,39 +163,63 @@ def _real_stack(m):
 
 
 def _apply_step(site, point, step):
-    """One retraction per factor: right-translate group factors by exp(xi),
+    """One batched retraction: right-translate group factors by exp(xi),
     conjugate class factors by exp(theta)."""
     model = site.model
-    d = model.d
-    mats = []
-    for i, fac in enumerate(site.factors):
-        seg = step[2 * d * i:2 * d * (i + 1)]
-        xi = model.from_coeffs(seg[0::2] + 1j * seg[1::2])
-        g = dexpm(xi)
-        if fac.kind == "group":
-            mats.append(point.mats[i] @ g)
-        else:
-            mats.append(g @ point.mats[i] @ np.linalg.inv(g))
-    return SitePoint(site, mats)
+    seg = step.reshape(site.nfac, model.d, 2)
+    g = dexpm(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
+    mats = np.stack(point.mats)
+    moved = mats @ g
+    cls = site.class_indices()
+    if cls:
+        moved[cls] = g[cls] @ mats[cls] @ np.linalg.inv(g[cls])
+    return SitePoint(site, list(moved))
 
 
 def _relator_jacobian(site, word, mats, target_inv):
     """Real Jacobian of the stacked relator gap in the step parameters, from
-    one word_tangent call laid out as TangentFrame.stacked: factor i holds its
-    d step directions (q e_j on a group factor, e_j q - q e_j on a class
-    factor) in rows i*d..(i+1)*d.  Each direction fills a real and an
-    imaginary column."""
+    one sweep over the relator.
+
+    With prefix products P_i of the first i letters and suffix products S_i
+    of the letters from i on, target_inv folded in, letter i of factor f
+    moves the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the letter is
+    inverted, for each of f's d step directions V (q e_j on a group factor,
+    e_j q - q e_j on a class factor).  Rows f*d..(f+1)*d hold factor f's
+    directions, as in TangentFrame.stacked, and each direction fills a real
+    and an imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
     basis = np.stack(site.model.basis)
-    comps = [np.zeros((nfac * d, n, n), dtype=complex) for _ in mats]
-    for i, (fac, q) in enumerate(zip(site.factors, mats)):
-        comps[i][i * d:(i + 1) * d] = (q @ basis if fac.kind == "group"
-                                       else basis @ q - q @ basis)
-    delta = (word_tangent(word, mats, comps) @ target_inv).reshape(nfac * d, -1)
+    inverses = {f: np.linalg.inv(mats[f]) for f, p in word if p == -1}
+    terms = [mats[f] if p == 1 else inverses[f] for f, p in word]
+    prefix = [np.eye(n, dtype=complex)]
+    for t in terms:
+        prefix.append(prefix[-1] @ t)
+    suffix = [target_inv]
+    for t in reversed(terms):
+        suffix.append(t @ suffix[-1])
+    suffix.reverse()
+    directions = [q @ basis if fac.kind == "group" else basis @ q - q @ basis
+                  for fac, q in zip(site.factors, mats)]
+    delta = np.zeros((nfac, d, n, n), dtype=complex)
+    for i, (f, p) in enumerate(word):
+        if p == 1:
+            delta[f] += prefix[i] @ directions[f] @ suffix[i + 1]
+        else:
+            delta[f] -= prefix[i + 1] @ directions[f] @ suffix[i]
+    delta = delta.reshape(nfac * d, -1)
     jmat = np.empty((2 * n * n, 2 * nfac * d))
     jmat[:, 0::2] = np.concatenate([delta.real, delta.imag], axis=1).T
     jmat[:, 1::2] = np.concatenate([-delta.imag, delta.real], axis=1).T
     return jmat
+
+
+def _damped_steps(jmat, rvec):
+    """mu -> the damped Gauss-Newton step x, (J^T J + mu I) x = -J^T r, for
+    every damping mu from one SVD J = U diag(s) V^T:
+    x = -V diag(s / (s^2 + mu)) U^T r."""
+    u, s, vt = np.linalg.svd(jmat, full_matrices=False)
+    ur = u.T @ rvec
+    return lambda mu: -(vt.T @ (s / (s * s + mu) * ur))
 
 
 def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
@@ -201,37 +228,36 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
 
     Parameters are per-factor algebra coefficients treated as independent
     real pairs; the residual is the stacked real/imaginary part of
-    word(p) target^-1 - I.  Damping is multiplied by ten on a rejected step
-    and divided by ten on an accepted one.
+    word(p) target^-1 - I.  Each iteration takes the Jacobian from one sweep
+    over the relator and one SVD of it, which gives the step for every
+    damping trial; a trial is accepted when the sup-norm of the gap drops,
+    and its gap is the next iteration's residual.  Damping is multiplied by
+    ten on a rejected step and divided by ten on an accepted one.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
     target = np.asarray(target, dtype=complex)
     target_inv = np.linalg.inv(target)
-    npar = 2 * site.model.d * site.nfac
 
     point = start if start is not None else random_point(
         site, np.random.default_rng(seed))
 
-    def sup_norm(p):
-        return float(np.abs(_relator_gap(word, p.mats, target_inv)).max())
-
-    current = sup_norm(point)
+    gap = _relator_gap(word, point.mats, target_inv)
+    current = float(np.abs(gap).max())
     mu = 1e-3
     for it in range(max_iters):
         if current <= tol:
             return RepSample(point, current, target, it)
-        rvec = _real_stack(_relator_gap(word, point.mats, target_inv))
-        jmat = _relator_jacobian(site, word, point.mats, target_inv)
+        step = _damped_steps(
+            _relator_jacobian(site, word, point.mats, target_inv),
+            _real_stack(gap))
         accepted = False
         while mu < 1e14:
-            lhs = np.vstack([jmat, np.sqrt(mu) * np.eye(npar)])
-            rhs = np.concatenate([-rvec, np.zeros(npar)])
-            step, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            trial = _apply_step(site, point, step)
-            trial_res = sup_norm(trial)
+            trial = _apply_step(site, point, step(mu))
+            trial_gap = _relator_gap(word, trial.mats, target_inv)
+            trial_res = float(np.abs(trial_gap).max())
             if trial_res < current:
-                point, current = trial, trial_res
+                point, gap, current = trial, trial_gap, trial_res
                 mu = max(mu / 10.0, 1e-14)
                 accepted = True
                 break

@@ -140,11 +140,20 @@ _GROUP_TOL = 1e-10
 
 def _group_element(mat, loc, model):
     """mat, refused unless it is an element of the model's group: of the
-    model's shape, invertible, and of determinant 1 on a traceless model.
-    Both tests are relative to Hadamard's bound on |det|, the product of the
-    row norms, so diag(3, 1/3) and omega I pass as written in floats."""
+    model's shape, in the matrix span of the identity and the model's basis
+    (all matrices for SL and GL, the diagonal for abelian, the block diagonal
+    for sl2_abelian), invertible, and of determinant 1 on a traceless model.
+    The span test is relative to the matrix's norm, and the determinant
+    tests to Hadamard's bound on |det|, the product of the row norms, so
+    diag(3, 1/3) and omega I pass as written in floats."""
     n = model.n
     expect(mat.shape == (n, n), loc, f"expected shape {(n, n)}, got {mat.shape}")
+    span = np.column_stack([np.eye(n).reshape(-1), model.basis_mat])
+    coef, *_ = np.linalg.lstsq(span, mat.reshape(-1), rcond=None)
+    expect(np.linalg.norm(span @ coef - mat.reshape(-1))
+           <= _GROUP_TOL * np.linalg.norm(mat), loc,
+           "outside the span of the identity and the model's basis, "
+           "not a group element")
     det = complex(np.linalg.det(mat))
     bound = float(np.prod(np.linalg.norm(mat, axis=1)))
     expect(abs(det) > _GROUP_TOL * bound, loc,

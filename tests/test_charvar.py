@@ -5,6 +5,9 @@ from qpois import models
 from qpois.charvar import (
     RepSample,
     TraceFunction,
+    _damped_steps,
+    _real_stack,
+    _relator_gap,
     _relator_jacobian,
     bracket,
     hamiltonian_field,
@@ -277,12 +280,15 @@ def _jacobian_loop(site, word, mats, target_inv):
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("build,genus,reps", [
+JACOBIAN_SITES = pytest.mark.parametrize("build,genus,reps", [
     (models.sl2, 2, []),
     (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
     (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, []),
     (models.sl2_abelian, 2, []),
 ], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2"])
+
+
+@JACOBIAN_SITES
 def test_batched_jacobian_matches_direction_loop(build, genus, reps):
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
@@ -296,6 +302,29 @@ def test_batched_jacobian_matches_direction_loop(build, genus, reps):
         assert got.shape == ref.shape == (2 * model.n ** 2, 2 * model.d * site.nfac)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
+
+@JACOBIAN_SITES
+def test_damped_step_solves_the_normal_equations(build, genus, reps):
+    """The solver's step x at damping mu solves (J^T J + mu I) x = -J^T r
+    with a relative backward error near roundoff, over the whole damping
+    range the solver walks."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    word = relator_word(site, genus, len(reps))
+    rng = np.random.default_rng(5)
+    mats = random_point(site, rng).mats
+    target_inv = np.linalg.inv(random_point(site, rng).mats[0])
+    jmat = _relator_jacobian(site, word, mats, target_inv)
+    rvec = _real_stack(_relator_gap(word, mats, target_inv))
+    step = _damped_steps(jmat, rvec)
+    gram, rhs = jmat.T @ jmat, -jmat.T @ rvec
+    for mu in 10.0 ** np.arange(-14, 14):
+        x = step(mu)
+        lhs = gram + mu * np.eye(len(x))
+        err = (np.linalg.norm(lhs @ x - rhs)
+               / (np.linalg.norm(lhs, 2) * np.linalg.norm(x)
+                  + np.linalg.norm(rhs)))
+        assert err <= 1e-14, mu
 
 def test_solver_failure_modes():
     site, _, _ = fused_sl2()

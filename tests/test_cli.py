@@ -435,6 +435,22 @@ def test_determinant_outside_sl_refused(tmp_path, over, loc):
     assert "outside SL(2)" in result.stderr
 
 
+@pytest.mark.parametrize("cfg, loc", [
+    # abelian is diagonal matrices: this target stalled every sample row
+    ({"group": {"family": "abelian", "n": 2}, "site": {"genus": 1},
+      "targets": [_literal([[1, 1], [0, 1]])]}, "targets[0]"),
+    # sl2_abelian is block diagonal: sl(2) plus a central line
+    ({"group": {"family": "sl2_abelian"}, "site": {"genus": 1, "class_reps": [
+        _literal([[1, 0, 1], [0, 1, 0], [0, 0, 1]])]}}, "site.class_reps[0]"),
+])
+def test_matrix_outside_model_span_refused(tmp_path, cfg, loc):
+    cfg = write_cfg(tmp_path, cfg)
+    result = invoke(["sample", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert f"{loc}: outside the span" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
 def test_group_elements_accepted_as_written_in_floats():
     omega = np.exp(2j * np.pi / 3)
     sl3 = build_setup({"group": {"family": "SL", "n": 3},
@@ -448,6 +464,10 @@ def test_group_elements_accepted_as_written_in_floats():
     gl = build_setup({"group": {"family": "GL", "n": 2},
                       "targets": [_literal(2 * np.eye(2))]})
     assert np.allclose(gl.targets[0][1], 2 * np.eye(2))
+    # in the span of the identity and the basis, though not in the basis span
+    ab = build_setup({"group": {"family": "sl2_abelian"}, "site": {
+        "genus": 1, "class_reps": [_literal(np.diag([2.0, 0.5, 1.0]))]}})
+    assert np.allclose(ab.class_reps[0], np.diag([2.0, 0.5, 1.0]))
 
 
 def test_readme_config_and_class_rep_literal_accepted():

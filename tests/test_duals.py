@@ -72,6 +72,19 @@ def test_dexpm_matches_scipy():
         assert np.abs(dexpm(a) - scipy.linalg.expm(a)).max() < 1e-11 * np.exp(scale)
 
 
+def test_dexpm_batch_shares_one_scaling_power():
+    """A stack whose members need no scaling (1-norm 0.01) and three
+    squarings (1-norm 40) is squared alike, and each member still matches
+    scipy."""
+    rng = np.random.default_rng(8)
+    a = rand(rng, 2, 3, 3)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)      # induced 1-norms
+    a *= (np.array([0.01, 40.0]) / norms)[:, None, None]
+    got = dexpm(a)
+    for k in range(2):
+        ref = scipy.linalg.expm(a[k])
+        assert np.abs(got[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+
 def test_dexpm_derivative_fd():
     rng = np.random.default_rng(5)
     a, u = rand(rng, 3, 3), rand(rng, 3, 3)

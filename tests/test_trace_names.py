@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import qpois.charvar as charvar
 import qpois.cli as cli
 import qpois.quasi as quasi
 
@@ -65,24 +66,42 @@ def test_tracer_counts_the_memoized_methods():
         assert tracer.calls[name] > 0, name
 
 
-def test_solver_makes_one_jacobian_per_iteration():
+def test_solver_makes_one_jacobian_per_iteration(monkeypatch):
+    """One relator sweep and one SVD per Gauss-Newton iteration, and no
+    least-squares call: the SVD gives every damping trial's step."""
+    config = {
+        "group": {"family": "SL", "n": 2},
+        "site": {"genus": 2, "class_reps": []},
+        "targets": ["identity", "minus_identity"],
+        "seed": 1,
+        "samples": 3,
+    }
+    jacobians = []
+    sweep = charvar._relator_jacobian
+
+    def counted(*args):
+        jacobians.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(charvar, "_relator_jacobian", counted)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        report = cli.sample_points({
-            "group": {"family": "SL", "n": 2},
-            "site": {"genus": 2, "class_reps": []},
-            "targets": ["identity", "minus_identity"],
-            "seed": 1,
-            "samples": 3,
-        })
+        cli.build_setup(config)
+        setup = tracer.snapshot()
+        tracer.reset()
+        report = cli.sample_points(config)
     finally:
         tracer.uninstall()
     snap = tracer.snapshot()
+    iters = snap["charvar.solve_relator.iters"]
     assert snap["charvar.solve_relator.calls"] == len(report["rows"]) == 6
-    assert snap["charvar.solve_relator.iters"] > 0
-    assert (snap["groupgeom.word_tangent.calls"]
-            == snap["charvar.solve_relator.iters"])
+    assert iters > 0
+    assert len(jacobians) == iters
+    # building the setup takes the same SVDs and least squares before solving
+    svd, lstsq = "numpy.linalg.svd.calls", "numpy.linalg.lstsq.calls"
+    assert snap[svd] - setup[svd] == iters
+    assert snap[lstsq] == setup[lstsq]
 
 
 MODULES = ["charvar", "cli", "dirac", "duals", "fields", "groupgeom", "liealg",
