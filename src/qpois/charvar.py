@@ -5,15 +5,17 @@ the dual-number lifts used for differentiation.  Trace words generate enough
 invariants at desk scale; sums and products of them are plain Python
 compositions.  The sampler solves the relator constraint by damped
 Gauss-Newton over per-factor retractions, so class factors keep their
-spectrum exactly.  Each iteration sweeps the relator once for its Jacobian
-(prefix and suffix products, each inverse letter inverted once), takes one
-SVD of it for the steps of all damping trials, and retracts every factor of
-a trial in one batched matrix exponential.
+spectrum exactly.  The solver carries every factor's inverse along with the
+factor, so no letter is inverted again: each iteration sweeps the relator
+once for its Jacobian (prefix and suffix products), takes one SVD of it for
+the steps of all damping trials, and retracts every factor of a trial, and
+its inverse, from one batched matrix exponential and one batched inversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
     SitePoint,
+    _letters,
     conjugate_point,
     parse_word,
     random_point,
@@ -152,9 +155,10 @@ class RepSample:
     iters: int
 
 
-def _relator_gap(word, mats, target_inv):
+def _relator_gap(word, mats, invs, target_inv):
     n = target_inv.shape[0]
-    return word_eval(word, mats) @ target_inv - np.eye(n)
+    return (reduce(np.matmul, _letters(word, mats, invs)) @ target_inv
+            - np.eye(n))
 
 
 def _real_stack(m):
@@ -162,23 +166,28 @@ def _real_stack(m):
     return np.concatenate([flat.real, flat.imag])
 
 
-def _apply_step(site, point, step):
-    """One batched retraction: right-translate group factors by exp(xi),
-    conjugate class factors by exp(theta)."""
+def _apply_step(site, point, invs, step):
+    """One batched retraction, (moved point, its factor inverses):
+    right-translate group factors by g = exp(xi), so (q g)^-1 = g^-1 q^-1,
+    and conjugate class factors by g = exp(theta), so (g q g^-1)^-1 =
+    g q^-1 g^-1."""
     model = site.model
     seg = step.reshape(site.nfac, model.d, 2)
     g = dexpm(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
+    g_inv = np.linalg.inv(g)
     mats = np.stack(point.mats)
-    moved = mats @ g
+    moved, moved_inv = mats @ g, g_inv @ invs
     cls = site.class_indices()
     if cls:
-        moved[cls] = g[cls] @ mats[cls] @ np.linalg.inv(g[cls])
-    return SitePoint(site, list(moved))
+        moved[cls] = g[cls] @ mats[cls] @ g_inv[cls]
+        moved_inv[cls] = g[cls] @ invs[cls] @ g_inv[cls]
+    return SitePoint(site, list(moved)), moved_inv
 
 
-def _relator_jacobian(site, word, mats, target_inv):
+def _relator_jacobian(site, word, mats, invs, target_inv):
     """Real Jacobian of the stacked relator gap in the step parameters, from
-    one sweep over the relator.
+    one sweep over the relator; an inverse letter reads invs, the factor
+    inverses.
 
     With prefix products P_i of the first i letters and suffix products S_i
     of the letters from i on, target_inv folded in, letter i of factor f
@@ -189,8 +198,7 @@ def _relator_jacobian(site, word, mats, target_inv):
     and an imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
     basis = np.stack(site.model.basis)
-    inverses = {f: np.linalg.inv(mats[f]) for f, p in word if p == -1}
-    terms = [mats[f] if p == 1 else inverses[f] for f, p in word]
+    terms = _letters(word, mats, invs)
     prefix = [np.eye(n, dtype=complex)]
     for t in terms:
         prefix.append(prefix[-1] @ t)
@@ -228,11 +236,13 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
 
     Parameters are per-factor algebra coefficients treated as independent
     real pairs; the residual is the stacked real/imaginary part of
-    word(p) target^-1 - I.  Each iteration takes the Jacobian from one sweep
-    over the relator and one SVD of it, which gives the step for every
-    damping trial; a trial is accepted when the sup-norm of the gap drops,
-    and its gap is the next iteration's residual.  Damping is multiplied by
-    ten on a rejected step and divided by ten on an accepted one.
+    word(p) target^-1 - I.  The factor inverses are inverted once at the
+    start and then carried along with the point.  Each iteration takes the
+    Jacobian from one sweep over the relator and one SVD of it, which gives
+    the step for every damping trial; a trial is accepted when the sup-norm
+    of the gap drops, and its gap is the next iteration's residual.  Damping
+    is multiplied by ten on a rejected step and divided by ten on an
+    accepted one.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
@@ -242,22 +252,24 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
     point = start if start is not None else random_point(
         site, np.random.default_rng(seed))
 
-    gap = _relator_gap(word, point.mats, target_inv)
+    invs = point.inverses()
+    gap = _relator_gap(word, point.mats, invs, target_inv)
     current = float(np.abs(gap).max())
     mu = 1e-3
     for it in range(max_iters):
         if current <= tol:
             return RepSample(point, current, target, it)
         step = _damped_steps(
-            _relator_jacobian(site, word, point.mats, target_inv),
+            _relator_jacobian(site, word, point.mats, invs, target_inv),
             _real_stack(gap))
         accepted = False
         while mu < 1e14:
-            trial = _apply_step(site, point, step(mu))
-            trial_gap = _relator_gap(word, trial.mats, target_inv)
+            trial, trial_invs = _apply_step(site, point, invs, step(mu))
+            trial_gap = _relator_gap(word, trial.mats, trial_invs, target_inv)
             trial_res = float(np.abs(trial_gap).max())
             if trial_res < current:
-                point, gap, current = trial, trial_gap, trial_res
+                point, invs = trial, trial_invs
+                gap, current = trial_gap, trial_res
                 mu = max(mu / 10.0, 1e-14)
                 accepted = True
                 break

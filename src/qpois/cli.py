@@ -138,14 +138,30 @@ def _parse_matrix(lit, loc):
 _GROUP_TOL = 1e-10
 
 
+def _traceless_blocks(model):
+    """Slices of the diagonal blocks on which every basis matrix is
+    traceless: the whole matrix for SL, the sl(2) block of sl2_abelian, none
+    for GL and abelian.  A block ends where no basis matrix couples the rows
+    before it with the rows after it."""
+    n, basis = model.n, np.stack(model.basis)
+    support = np.any(basis != 0, axis=0)
+    cuts = [0] + [k for k in range(1, n) if not (support[:k, k:].any()
+                                                 or support[k:, :k].any())]
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
+    scale = _GROUP_TOL * (1 + np.abs(basis).max(axis=(1, 2)))
+    return [blk for blk in blocks if np.all(
+        np.abs(np.trace(basis[:, blk, blk], axis1=1, axis2=2)) <= scale)]
+
+
 def _group_element(mat, loc, model):
     """mat, refused unless it is an element of the model's group: of the
     model's shape, in the matrix span of the identity and the model's basis
     (all matrices for SL and GL, the diagonal for abelian, the block diagonal
-    for sl2_abelian), invertible, and of determinant 1 on a traceless model.
-    The span test is relative to the matrix's norm, and the determinant
-    tests to Hadamard's bound on |det|, the product of the row norms, so
-    diag(3, 1/3) and omega I pass as written in floats."""
+    for sl2_abelian), invertible, and of determinant 1 on every diagonal
+    block where the model is traceless (the whole matrix for SL, the sl(2)
+    block of sl2_abelian).  The span test is relative to the matrix's norm,
+    and the determinant tests to Hadamard's bound on |det|, the product of
+    the row norms, so diag(3, 1/3) and omega I pass as written in floats."""
     n = model.n
     expect(mat.shape == (n, n), loc, f"expected shape {(n, n)}, got {mat.shape}")
     span = np.column_stack([np.eye(n).reshape(-1), model.basis_mat])
@@ -158,8 +174,13 @@ def _group_element(mat, loc, model):
     bound = float(np.prod(np.linalg.norm(mat, axis=1)))
     expect(abs(det) > _GROUP_TOL * bound, loc,
            "singular matrix, not a group element")
-    expect(not model.is_traceless() or abs(det - 1) <= _GROUP_TOL * bound, loc,
-           f"determinant {det:.6g} is not 1, outside SL({n})")
+    for blk in _traceless_blocks(model):
+        size = blk.stop - blk.start
+        det = complex(np.linalg.det(mat[blk, blk]))
+        bound = float(np.prod(np.linalg.norm(mat[blk, blk], axis=1)))
+        where = "" if size == n else f" on rows {blk.start}..{blk.stop - 1}"
+        expect(abs(det - 1) <= _GROUP_TOL * bound, loc,
+               f"determinant {det:.6g}{where} is not 1, outside SL({size})")
     return mat
 
 

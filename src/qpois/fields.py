@@ -314,7 +314,7 @@ class FormField:
                 continue
             q = point.mats[f]
             lifts = frame.lifts[f] or [_lift_plain(model, q, v) for v in vecs]
-            qi = np.linalg.inv(q)
+            qi = point.inverses()[f]
             stack = np.stack(vecs)
             # both trivializations of every class frame vector, summed
             w = apply_linear(model.basis_pinv, qi @ stack + stack @ qi)

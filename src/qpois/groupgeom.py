@@ -8,17 +8,23 @@ All tangent data is "ambient": one n-by-n matrix per factor (None = zero).
 Data that depends only on a point is built once and kept behind it, and
 `SitePoint.memo` hands its arrays out read-only.  Besides the frame, each
 tensor's frame matrix and each momentum component's linearization, it keeps
-three entries per word, keyed by the word and built on first request:
+the factor inverses, one batched inversion that every inverse letter, the
+frame's coefficient extractors and the 2-form's class terms read, and three
+entries per word, keyed by the word and built on first request:
 
-- the value g and its inverse, evaluated and inverted once (no frame);
+- the value g and its inverse, evaluated from the letters and inverted
+  once (no frame);
 - Ad_g and Ad_g^-1, from that entry (no frame);
 - the trivialized differentials L, R over the frame vectors, which read
-  g^-1 from the first entry.
+  g^-1 from the first entry.  Each letter's derivative lives on its own
+  factor's frame rows, and all letters are carried through the rest of the
+  word at once, one matrix product per letter of the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -94,9 +100,14 @@ class SitePoint:
     def frame(self):
         return self.memo("frame", lambda: site_frame(self.site, self))
 
+    def inverses(self):
+        """(nfac, n, n): every factor's inverse, from one batched inversion."""
+        return self.memo("inverses", lambda: np.linalg.inv(np.stack(self.mats)))
+
     def word_value(self, word):
-        """(g, g^-1): the word's value at the point and its inverse."""
-        return self.memo(("value", word), lambda: _word_value(word, self.mats))
+        """(g, g^-1): the word's value at the point, its inverse letters
+        read from `inverses()`, and the inverse of that value."""
+        return self.memo(("value", word), lambda: _word_value(self, word))
 
     def word_ad(self, word):
         """(Ad_g, Ad_g^-1) for g the word's value."""
@@ -105,8 +116,9 @@ class SitePoint:
 
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
-        dW(v_a) g^-1 over the frame vectors v_a.  NotInSpan when a row leaves
-        the algebra."""
+        dW(v_a) g^-1 over the frame vectors v_a, each letter's derivative
+        taken on its own factor's frame rows and carried through the word
+        with the other letters'.  NotInSpan when a row leaves the algebra."""
         return self.memo(("differentials", word),
                          lambda: _word_differentials(self, word))
 
@@ -178,18 +190,42 @@ def word_tangent(word, mats, tangent):
     return out
 
 
-def _word_value(word, mats):
-    g = word_eval(word, mats)
+def _letters(word, mats, inverses):
+    """The word's letters as matrices: a factor's, or its given inverse."""
+    return [mats[f] if p == 1 else inverses[f] for f, p in word]
+
+
+def _word_value(point, word):
+    letters = _letters(word, point.mats, point.inverses())
+    g = (reduce(np.matmul, letters) if letters
+         else np.eye(point.site.model.n, dtype=complex))
     return g, np.linalg.inv(g)
 
 
 def _word_differentials(point, word):
-    """Every frame vector's word derivative, one word_tangent call."""
-    model = point.site.model
+    """Every frame vector's word derivative, the products taken in
+    word_tangent's order: letter i's derivative, a (d_f, n, n) block on its
+    factor's frame rows, is multiplied on the left by letters i-1, ..., 0 and
+    then on the right by letters i+1, ..., L-1; the blocks of all letters
+    move through each letter together."""
+    model, n = point.site.model, point.site.model.n
     frame = point.frame()
     _, gi = point.word_value(word)
-    dv = np.broadcast_to(word_tangent(word, point.mats, frame.stacked),
-                         (frame.dim, model.n, model.n))
+    letters = _letters(word, point.mats, point.inverses())
+    rows = [slice(frame.offsets[f], frame.offsets[f] + len(frame.per_factor[f]))
+            for f, _ in word]
+    pieces = np.zeros((len(word), max((r.stop - r.start for r in rows),
+                                      default=0), n, n), dtype=complex)
+    for i, (f, p) in enumerate(word):
+        v = frame.stacked[f][rows[i]]
+        pieces[i, :len(v)] = v if p == 1 else -(letters[i] @ v @ letters[i])
+    for j in range(len(word) - 2, -1, -1):
+        pieces[j + 1:] = letters[j] @ pieces[j + 1:]
+    for j in range(1, len(word)):
+        pieces[:j] = pieces[:j] @ letters[j]
+    dv = np.zeros((frame.dim, n, n), dtype=complex)
+    for i, r in enumerate(rows):
+        dv[r] += pieces[i, :r.stop - r.start]
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 
@@ -244,7 +280,7 @@ class TangentFrame:
         self._extract = []
         for i, fac in enumerate(site.factors):
             if fac.kind == "group":
-                qi = np.linalg.inv(point.mats[i])
+                qi = point.inverses()[i]
                 n = site.model.n
                 # v -> coeffs(q^{-1} v): linear map composed with left mult by q^{-1}
                 left = np.kron(qi, np.eye(n))
@@ -325,15 +361,17 @@ def _retract(site, q):
 
 def random_point(site, rng):
     """Random site point: exponentials over group factors, conjugated reps on
-    class factors; SL-like models are retracted by a principal determinant root."""
-    mats = []
-    for fac in site.factors:
-        xi = site.model.from_coeffs(random_algebra_element(site.model, rng))
-        g = dexpm(xi)
-        if fac.kind == "group":
-            mats.append(_retract(site, g))
-        else:
-            mats.append(g @ fac.class_rep @ np.linalg.inv(g))
+    class factors; SL-like models are retracted by a principal determinant root.
+    The factors' coefficients are drawn in factor order and exponentiated as
+    one batch."""
+    model = site.model
+    g = dexpm(model.from_coeffs(np.stack(
+        [random_algebra_element(model, rng) for _ in site.factors])))
+    cls = site.class_indices()
+    g_inv = dict(zip(cls, np.linalg.inv(g[cls]))) if cls else {}
+    mats = [_retract(site, g[i]) if fac.kind == "group"
+            else g[i] @ fac.class_rep @ g_inv[i]
+            for i, fac in enumerate(site.factors)]
     return SitePoint(site, mats)
 
 

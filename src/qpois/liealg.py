@@ -183,8 +183,7 @@ def trace_pairing(model, scale=1.0, mask=None):
 def adjoint_matrix(model, q):
     """d-by-d matrix of Ad_q in the model basis."""
     qi = np.linalg.inv(q)
-    cols = [model.coeffs(q @ b @ qi) for b in model.basis]
-    return np.stack(cols, axis=1)
+    return model.coeffs(q @ np.stack(model.basis) @ qi).T
 
 
 def random_algebra_element(model, rng):

@@ -5,6 +5,7 @@ from qpois import models
 from qpois.charvar import (
     RepSample,
     TraceFunction,
+    _apply_step,
     _damped_steps,
     _real_stack,
     _relator_gap,
@@ -297,10 +298,46 @@ def test_batched_jacobian_matches_direction_loop(build, genus, reps):
     for _ in range(3):
         mats = random_point(site, rng).mats
         target_inv = np.linalg.inv(random_point(site, rng).mats[0])
-        got = _relator_jacobian(site, word, mats, target_inv)
+        invs = np.linalg.inv(np.stack(mats))
+        got = _relator_jacobian(site, word, mats, invs, target_inv)
         ref = _jacobian_loop(site, word, mats, target_inv)
         assert got.shape == ref.shape == (2 * model.n ** 2, 2 * model.d * site.nfac)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@JACOBIAN_SITES
+def test_retraction_carries_the_factor_inverses(build, genus, reps):
+    """The carried inverses stay inverses, to roundoff, over many steps."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    rng = np.random.default_rng(6)
+    point = random_point(site, rng)
+    invs = point.inverses()
+    for _ in range(20):
+        step = 0.1 * rng.standard_normal(2 * site.nfac * model.d)
+        point, invs = _apply_step(site, point, invs, step)
+    eye = np.eye(model.n)
+    assert np.abs(np.stack(point.mats) @ invs - eye).max() <= 1e-13
+
+
+@JACOBIAN_SITES
+def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
+    """Besides the target, every inversion in a solve is of a stack of
+    factors: the start point's, and each trial's step exponentials."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    word = relator_word(site, genus, len(reps))
+    shapes = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    solve_relator(site, word, np.eye(model.n), seed=1)
+    assert shapes.count((model.n, model.n)) == 1
+    assert all(len(s) == 3 for s in shapes if s != (model.n, model.n))
 
 
 @JACOBIAN_SITES
@@ -314,8 +351,9 @@ def test_damped_step_solves_the_normal_equations(build, genus, reps):
     rng = np.random.default_rng(5)
     mats = random_point(site, rng).mats
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
-    jmat = _relator_jacobian(site, word, mats, target_inv)
-    rvec = _real_stack(_relator_gap(word, mats, target_inv))
+    invs = np.linalg.inv(np.stack(mats))
+    jmat = _relator_jacobian(site, word, mats, invs, target_inv)
+    rvec = _real_stack(_relator_gap(word, mats, invs, target_inv))
     step = _damped_steps(jmat, rvec)
     gram, rhs = jmat.T @ jmat, -jmat.T @ rvec
     for mu in 10.0 ** np.arange(-14, 14):

@@ -425,6 +425,13 @@ def test_singular_class_rep_refused(tmp_path):
     ({"targets": [_literal(2 * np.eye(2))]}, "targets[0]"),
     ({"site": {"genus": 1, "class_reps": [_literal(np.diag([2.0, 1.0]))]}},
      "site.class_reps[0]"),
+    # sl2_abelian: determinant 1 on the sl(2) block; the relator keeps it
+    # there, so this target stalled every sample row
+    ({"group": {"family": "sl2_abelian"},
+      "targets": [_literal(np.diag([2.0, 1.0, 1.0]))]}, "targets[0]"),
+    ({"group": {"family": "sl2_abelian"}, "site": {
+        "genus": 1, "class_reps": [_literal(np.diag([2.0, 1.0, 1.0]))]}},
+     "site.class_reps[0]"),
 ])
 def test_determinant_outside_sl_refused(tmp_path, over, loc):
     cfg = write_cfg(tmp_path, torus_cfg(**over))
@@ -521,6 +528,38 @@ def test_moduli_checks_share_one_solved_set(monkeypatch):
     assert checks["relator_solver"]["samples"] == 8
     assert checks["jacobi_at_level"]["samples"] == 6
     assert checks["poisson_ideal"]["samples"] == 6
+
+
+def test_one_stalled_solve_is_reported_once(monkeypatch):
+    """A solver stop fails relator_solver alone; jacobi_at_level and
+    poisson_ideal read the converged solves of the same set."""
+    import qpois.cli as cli
+
+    solve = cli.solve_relator
+    seeds = []
+
+    def stall_first(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        if kwargs["seed"] == seeds[0]:
+            raise Stalled("no descent direction (residual 5.000e-01)",
+                          best_residual=0.5, iters=3)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_relator", stall_first)
+    checks = by_id(run_suite(torus_cfg(
+        samples=8, site={"genus": 1, "class_reps": []}, targets=["identity"]),
+        "moduli"))
+    assert len(seeds) == len(set(seeds)) == 4
+    solver = checks["relator_solver"]
+    assert solver["status"] == "failed"
+    assert solver["reason"] == (
+        "solver failed for target identity (sample 0): no descent direction "
+        "(residual 5.000e-01); best residual 5.000e-01")
+    # min(samples, 3) = 3 solves per target, one of them stalled
+    for cid in ("jacobi_at_level", "poisson_ideal"):
+        assert checks[cid]["status"] == "passed", checks[cid]
+        assert checks[cid]["samples"] == 2
+        assert checks[cid]["reason"] is None
 
 
 def test_every_command_refuses_jobs(tmp_path):
