@@ -230,9 +230,13 @@ def _damped_steps(jmat, rvec):
     return lambda mu: -(vt.T @ (s / (s * s + mu) * ur))
 
 
-def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
-                  start=None):
-    """Sample a site point solving  word(p) = target  by damped Gauss-Newton.
+_MAX_ITERS = 200
+_TOL = 1e-10                # sup-norm of the relator gap that counts as solved
+
+
+def solve_relator(site, word, target, seed=0):
+    """Sample a site point solving  word(p) = target  by damped Gauss-Newton
+    from the random point of the seed.
 
     Parameters are per-factor algebra coefficients treated as independent
     real pairs; the residual is the stacked real/imaginary part of
@@ -249,15 +253,13 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
     target = np.asarray(target, dtype=complex)
     target_inv = np.linalg.inv(target)
 
-    point = start if start is not None else random_point(
-        site, np.random.default_rng(seed))
-
+    point = random_point(site, np.random.default_rng(seed))
     invs = point.inverses()
     gap = _relator_gap(word, point.mats, invs, target_inv)
     current = float(np.abs(gap).max())
     mu = 1e-3
-    for it in range(max_iters):
-        if current <= tol:
+    for it in range(_MAX_ITERS):
+        if current <= _TOL:
             return RepSample(point, current, target, it)
         step = _damped_steps(
             _relator_jacobian(site, word, point.mats, invs, target_inv),
@@ -275,13 +277,13 @@ def solve_relator(site, word, target, seed=0, max_iters=200, tol=1e-10,
                 break
             mu *= 10.0
         if not accepted:
-            if current <= tol:
+            if current <= _TOL:
                 return RepSample(point, current, target, it + 1)
             raise Stalled(
                 f"no descent direction (residual {current:.3e})",
                 best_residual=current, iters=it + 1)
-    if current <= tol:
-        return RepSample(point, current, target, max_iters)
+    if current <= _TOL:
+        return RepSample(point, current, target, _MAX_ITERS)
     raise MaxIters(
-        f"no convergence in {max_iters} iterations (residual {current:.3e})",
-        best_residual=current, iters=max_iters)
+        f"no convergence in {_MAX_ITERS} iterations (residual {current:.3e})",
+        best_residual=current, iters=_MAX_ITERS)

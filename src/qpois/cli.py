@@ -223,13 +223,28 @@ class Setup:
     samples: int
     tols: dict
     check_filter: list | None
-    invariance_gate: float | None = None
-    solved: list | None = None       # see _solved_set
 
     @cached_property
     def phi(self):
         """The cubic tensor, made once per run for the Jacobiator check."""
         return cartan3(self.model, self.pairing)
+
+    @cached_property
+    def invariance_gate(self):
+        """The sampled ad-invariance residual of the pairing that checks
+        needing an invariant pairing are gated on, made once per run."""
+        return float(ad_invariance_residual(self.model, self.pairing,
+                                            samples=8, seed=self.seed))
+
+    @cached_property
+    def solved(self):
+        """Relator solves shared by the moduli checks and made once per run:
+        per target, the outcomes of min(samples, 4) solves."""
+        rng = _check_rng(self, "relator_solver")
+        return [[_solve_or_stop(self.site, self.relator, target,
+                                int(rng.integers(2 ** 31)))
+                 for _ in range(min(self.samples, 4))]
+                for _, target in self.targets]
 
 
 def build_setup(raw, seed=None):
@@ -523,37 +538,24 @@ def _solve_or_stop(site, word, target, sub):
         return exc
 
 
-def _solved_set(s):
-    """Relator solves shared by the moduli checks and made once per run: per
-    target, the outcomes of min(samples, 4) solves."""
-    if s.solved is None:
-        rng = _check_rng(s, "relator_solver")
-        s.solved = [[_solve_or_stop(s.site, s.relator, target,
-                                    int(rng.integers(2 ** 31)))
-                     for _ in range(min(s.samples, 4))]
-                    for _, target in s.targets]
-    return s.solved
-
-
 def _converged_points(s):
     """Per target, the converged points among its first min(samples, 3)
     solves; a solver stop is reported once, by relator_solver."""
     per = min(s.samples, 3)
     points = [[out.point for out in outs[:per] if isinstance(out, RepSample)]
-              for outs in _solved_set(s)]
+              for outs in s.solved]
     if not any(points):
         raise _Skip("no relator solve converged; see relator_solver")
     return points
 
 
 def _chk_solver(s, rng):
-    solved = _solved_set(s)
-    for (label, _), outs in zip(s.targets, solved):
+    for (label, _), outs in zip(s.targets, s.solved):
         for k, out in enumerate(outs):
             if not isinstance(out, RepSample):
                 raise _Fail(f"solver failed for target {label} (sample {k}): "
                             f"{out}; best residual {out.best_residual:.3e}")
-    residuals = [out.residual for outs in solved for out in outs]
+    residuals = [out.residual for outs in s.solved for out in outs]
     return float(np.max(residuals)), len(residuals)
 
 
@@ -649,13 +651,6 @@ _ALL_CHECKS = [
 # runner
 # ---------------------------------------------------------------------------
 
-def _invariance_gate(setup):
-    if setup.invariance_gate is None:
-        setup.invariance_gate = float(ad_invariance_residual(
-            setup.model, setup.pairing, samples=8, seed=setup.seed))
-    return setup.invariance_gate
-
-
 def _run_one(setup, chk):
     tol = setup.tols[chk.tier]
     record = {
@@ -674,7 +669,7 @@ def _run_one(setup, chk):
             raise _Skip("DegeneratePairing: pairing has no inverse 2-form on "
                         "this model")
         if chk.needs_invariant:
-            gate = _invariance_gate(setup)
+            gate = setup.invariance_gate
             if not gate <= setup.tols["linear"]:      # a NaN gate refuses too
                 raise _Skip(f"pairing is not ad-invariant "
                             f"(residual {gate:.3e}); see pairing_ad_invariance")
@@ -704,6 +699,7 @@ def _run_one(setup, chk):
         record["status"] = "skipped"
         record["reason"] = f"DegeneratePairing: {exc}"
     except Exception as exc:   # surface as failed check, never crash
+        log.debug("check %s raised", chk.check_id, exc_info=True)
         record["status"] = "failed"
         record["reason"] = f"{type(exc).__name__}: {exc}"
     log.info("check %s: %s (residual %s)", chk.check_id, record["status"],

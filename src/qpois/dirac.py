@@ -65,10 +65,6 @@ class LagrangianSubspace:
         obj.isotropy_residual = resid
         return obj
 
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
 
 def graph_subspace(smat):
     """Graph {(v, sigma-flat v)} of a 2-form, given by its frame matrix, as a

@@ -58,9 +58,6 @@ class Dual:
             return Dual(self.re - other.re, self.eps - other.eps)
         return Dual(self.re - other, self.eps)
 
-    def __rsub__(self, other):
-        return Dual(other - self.re, -self.eps)
-
     def __neg__(self):
         return Dual(-self.re, -self.eps)
 
@@ -80,11 +77,6 @@ class Dual:
 
     def __rmatmul__(self, other):
         return Dual(other @ self.re, other @ self.eps)
-
-    def __truediv__(self, other):
-        if _is_dual(other):
-            raise TypeError("division by a Dual is not supported")
-        return Dual(self.re / other, self.eps / other)
 
     def __repr__(self):
         return f"Dual(re={self.re!r}, eps={self.eps!r})"

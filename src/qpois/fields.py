@@ -161,18 +161,14 @@ class Bivector:
 # 2-form fields
 # ---------------------------------------------------------------------------
 
-_SIDE = {"omega": 0, "omegabar": 1}     # index into a word's (L, R)
-
-
 @dataclass
 class PairTerm:
-    """coef * (u, v)-pullback of (omega_1 . omegabar_2) style pairings."""
+    """coef * (omega_u . omegabar_v): the left-trivialized form pulled back
+    through word_u paired with the right-trivialized form through word_v."""
 
     coef: complex
     word_u: tuple
-    side_u: str          # "omega" | "omegabar"
     word_v: tuple
-    side_v: str
 
 
 @dataclass
@@ -195,22 +191,6 @@ def dual_vdot(smat, a, b):
     return np.einsum("...j,jk,...k->...", a, smat, b)
 
 
-_LIFT_TOL = 1e-8
-
-
-def _lift_plain(model, q, v):
-    """Least-squares lifts X with qX - Xq = v; v may carry leading batch axes."""
-    cols = [(q @ b - b @ q).reshape(-1) for b in model.basis]
-    fmat = np.stack(cols, axis=1)
-    v = np.asarray(v, dtype=complex)
-    flat = v.reshape(-1, v.shape[-2] * v.shape[-1]).T    # one column per entry
-    c, *_ = np.linalg.lstsq(fmat, flat, rcond=None)
-    resid = np.linalg.norm(fmat @ c - flat, axis=0)
-    if np.any(resid > _LIFT_TOL * (1 + np.linalg.norm(flat, axis=0))):
-        raise LiftFailed("tangent is not a conjugation direction on this factor")
-    return c.T.reshape(v.shape[:-2] + (-1,))
-
-
 class FormField:
     """2-form as pullback-pairing terms plus class-factor terms."""
 
@@ -228,13 +208,12 @@ class FormField:
     def scaled(self, c):
         return FormField(
             self.site,
-            [PairTerm(c * t.coef, t.word_u, t.side_u, t.word_v, t.side_v)
-             for t in self.pair_terms],
+            [PairTerm(c * t.coef, t.word_u, t.word_v) for t in self.pair_terms],
             [TauTerm(t.factor, c * t.coef) for t in self.tau_terms])
 
     def evaluate(self, mats, t1, t2):
-        """Value on two Tangents; Dual-transparent (class lifts must be known
-        on Dual inputs, and are solved least-squares on plain ones).
+        """Value on two Tangents; Dual-transparent.  A class term reads the
+        first tangent's lift on its factor (LiftFailed when it has none).
 
         Tangent components and lifts may carry one leading batch axis, the
         same on both tangents (Dual factor matrices may carry it in their
@@ -248,7 +227,8 @@ class FormField:
         inverses, derivs, thetas = {}, {}, {}
 
         def theta(word, side, i):
-            """Trivialized coefficients of the word-derivative of tangent i."""
+            """Trivialized coefficients of the word-derivative of tangent i,
+            left (side 0, omega) or right (side 1, omegabar)."""
             key = (word, side, i)
             if key not in thetas:
                 if word not in inverses:
@@ -256,16 +236,16 @@ class FormField:
                 if (word, i) not in derivs:
                     derivs[word, i] = word_tangent(word, mats, tangents[i])
                 gi, dv = inverses[word], derivs[word, i]
-                m = gi @ dv if side == "omega" else dv @ gi
+                m = gi @ dv if side == 0 else dv @ gi
                 thetas[key] = apply_linear(model.basis_pinv, m)
             return thetas[key]
 
         total = 0.0
         for term in self.pair_terms:
-            a1 = theta(term.word_u, term.side_u, 0)
-            b2 = theta(term.word_v, term.side_v, 1)
-            a2 = theta(term.word_u, term.side_u, 1)
-            b1 = theta(term.word_v, term.side_v, 0)
+            a1 = theta(term.word_u, 0, 0)
+            b2 = theta(term.word_v, 1, 1)
+            a2 = theta(term.word_u, 0, 1)
+            b1 = theta(term.word_v, 1, 0)
             total = total + term.coef * (dual_vdot(smat, a1, b2) - dual_vdot(smat, a2, b1))
         for term in self.tau_terms:
             f = term.factor
@@ -275,16 +255,12 @@ class FormField:
     def _tau_value(self, f, mats, t1, t2):
         model = self.site.model
         smat = self.site.pairing.eta_lower
-        v = t1.comps[f] if isinstance(t1, Tangent) else t1[f]
-        w = t2.comps[f] if isinstance(t2, Tangent) else t2[f]
-        if v is None or w is None:
+        w = t2.comps[f]
+        if t1.comps[f] is None or w is None:
             return 0.0
-        if isinstance(t1, Tangent) and f in t1.lifts:
-            x = t1.lifts[f]
-        elif isinstance(v, Dual):
-            raise LiftFailed("class lift required for Dual tangents")
-        else:
-            x = _lift_plain(model, np.asarray(mats[f]), v)
+        if f not in t1.lifts:
+            raise LiftFailed("a class term needs the tangent's lift")
+        x = t1.lifts[f]
         q = mats[f]
         qi = dinv(q)
         wl = apply_linear(model.basis_pinv, qi @ w)
@@ -303,8 +279,8 @@ class FormField:
         smat = self.site.pairing.eta_lower
         full = np.zeros((frame.dim, frame.dim), dtype=complex)
         for term in self.pair_terms:
-            tu = point.word_differentials(term.word_u)[_SIDE[term.side_u]]
-            tv = point.word_differentials(term.word_v)[_SIDE[term.side_v]]
+            tu = point.word_differentials(term.word_u)[0]
+            tv = point.word_differentials(term.word_v)[1]
             cross = tu @ smat @ tv.T
             full += term.coef * (cross - cross.T)
         for term in self.tau_terms:
@@ -312,14 +288,12 @@ class FormField:
             vecs = frame.per_factor[f]
             if not vecs:
                 continue
-            q = point.mats[f]
-            lifts = frame.lifts[f] or [_lift_plain(model, q, v) for v in vecs]
             qi = point.inverses()[f]
-            stack = np.stack(vecs)
+            stack, lifts = np.stack(vecs), np.stack(frame.lifts[f])
             # both trivializations of every class frame vector, summed
             w = apply_linear(model.basis_pinv, qi @ stack + stack @ qi)
             rows = slice(frame.offsets[f], frame.offsets[f] + len(vecs))
-            full[rows, rows] += term.coef * 0.5 * (np.stack(lifts) @ smat @ w.T)
+            full[rows, rows] += term.coef * 0.5 * (lifts @ smat @ w.T)
         # the pairs a < b, as a pairwise evaluation would visit them
         upper = np.triu(full, 1)
         return upper - upper.T

@@ -30,7 +30,7 @@ import numpy as np
 
 from .duals import dexpm, dinv
 from .errors import BadSignature, LiftFailed
-from .liealg import adjoint_matrix, random_algebra_element
+from .liealg import _rank, adjoint_matrix, random_algebra_element
 
 __all__ = [
     "Factor",
@@ -71,6 +71,13 @@ class Site:
         self.factors = list(factors)
         self.nfac = len(self.factors)
         self.sl_like = model.is_traceless()
+        # a class is the orbit of its representative, so its dimension, the
+        # size of its frame at every point, is the rank of the conjugation
+        # map at the representative: 0 for a central one
+        self.class_dims = {
+            i: _rank(np.linalg.svd(_conjugation_map(model, f.class_rep),
+                                   compute_uv=False))
+            for i, f in enumerate(self.factors) if f.kind == "class"}
 
     def letter(self, i):
         return chr(ord("a") + i)
@@ -110,9 +117,9 @@ class SitePoint:
         return self.memo(("value", word), lambda: _word_value(self, word))
 
     def word_ad(self, word):
-        """(Ad_g, Ad_g^-1) for g the word's value."""
-        return self.memo(("ad", word), lambda: tuple(
-            adjoint_matrix(self.site.model, m) for m in self.word_value(word)))
+        """(Ad_g, Ad_g^-1) for g the word's value; Ad_g reads the g^-1 of
+        `word_value`."""
+        return self.memo(("ad", word), lambda: _word_ad(self, word))
 
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
@@ -202,6 +209,14 @@ def _word_value(point, word):
     return g, np.linalg.inv(g)
 
 
+def _word_ad(point, word):
+    g, gi = point.word_value(word)
+    model = point.site.model
+    # the inverse of g^-1 is recomputed, not read as g: keeps the last bits
+    return (adjoint_matrix(model, g, gi),
+            adjoint_matrix(model, gi, np.linalg.inv(gi)))
+
+
 def _word_differentials(point, word):
     """Every frame vector's word derivative, the products taken in
     word_tangent's order: letter i's derivative, a (d_f, n, n) block on its
@@ -229,24 +244,24 @@ def _word_differentials(point, word):
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 
-_CLASS_FRAME_TOL = 1e-10     # relative cut on the conjugation map's singular values
+def _conjugation_map(model, q):
+    """(n^2, d): the columns qX - Xq over the basis elements X."""
+    return np.stack([(q @ b - b @ q).reshape(-1) for b in model.basis], axis=1)
 
 
-def class_tangent_frame(model, q):
-    """Orthonormal ambient basis of {qX - Xq}, with algebra lifts.
+def class_tangent_frame(model, q, r):
+    """Orthonormal ambient basis of {qX - Xq}, the class of dimension r
+    through q, with algebra lifts.
 
-    Returns (vectors, lifts): vectors is a list of n-by-n matrices, lifts the
+    Returns (vectors, lifts): vectors is a list of r n-by-n matrices, the
+    leading left singular vectors of the conjugation map at q, and lifts the
     matching coefficient vectors X (least-squares, one valid choice).
     """
-    n = model.n
-    cols = []
-    for b in model.basis:
-        cols.append((q @ b - b @ q).reshape(-1))
-    fmat = np.stack(cols, axis=1) if cols else np.zeros((n * n, 0))
-    if fmat.shape[1] == 0 or not np.abs(fmat).max():
+    if not r:
         return [], []
-    u, s, _ = np.linalg.svd(fmat, full_matrices=False)
-    r = int(np.sum(s > _CLASS_FRAME_TOL * s[0]))
+    n = model.n
+    fmat = _conjugation_map(model, q)
+    u, _, _ = np.linalg.svd(fmat, full_matrices=False)
     vecs = []
     lifts = []
     lift_mat, *_ = np.linalg.lstsq(fmat, u[:, :r], rcond=None)
@@ -345,7 +360,8 @@ def site_frame(site, point):
             per_factor.append([q @ b for b in site.model.basis])
             lifts.append(None)
         else:
-            vecs, lf = class_tangent_frame(site.model, point.mats[i])
+            vecs, lf = class_tangent_frame(site.model, point.mats[i],
+                                           site.class_dims[i])
             per_factor.append(vecs)
             lifts.append(lf)
     return TangentFrame(site, point, per_factor, lifts)

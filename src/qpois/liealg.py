@@ -37,6 +37,7 @@ _TRACE_TOL = 1e-12          # a basis matrix counts as traceless below this
 _CLOSURE_TOL = 1e-10        # commutators leave the span above this, relative
 _SYMMETRY_TOL = 1e-10       # pairing tensors and cubic tensor alternation
 _SAMPLE_SCALE = 0.35        # std of the real and imaginary part of a random coefficient
+_RANK_TOL = 1e-8            # the rank rule's cut, relative to the largest singular value
 
 
 class LieAlgebraModel:
@@ -180,10 +181,17 @@ def trace_pairing(model, scale=1.0, mask=None):
     return PairingData(eta_lower=s, eta_upper=upper)
 
 
-def adjoint_matrix(model, q):
-    """d-by-d matrix of Ad_q in the model basis."""
-    qi = np.linalg.inv(q)
-    return model.coeffs(q @ np.stack(model.basis) @ qi).T
+def _rank(sv):
+    """The rank rule: the number of singular values (in descending order)
+    above _RANK_TOL times the largest; 0 for a zero or empty matrix.  It
+    serves every kernel, span and rank count of the package and sizes the
+    conjugacy-class frames."""
+    return int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def adjoint_matrix(model, q, q_inv):
+    """d-by-d matrix of Ad_q in the model basis, given q's inverse."""
+    return model.coeffs(q @ np.stack(model.basis) @ q_inv).T
 
 
 def random_algebra_element(model, rng):
@@ -204,7 +212,7 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
     gaps = []
     for _ in range(samples):
         g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
-        a = adjoint_matrix(model, g)
+        a = adjoint_matrix(model, g, np.linalg.inv(g))
         if pairing.eta_lower is not None:
             s = pairing.eta_lower
             gaps.append(np.abs(a.T @ s @ a - s).max())

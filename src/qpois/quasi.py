@@ -6,9 +6,8 @@ sites; and it measures the residuals of the defining laws: momentum
 conditions, duality, reconstruction, non-degeneracy ranks, quasi-closedness,
 and equivariance.  Each of these reads the descriptor's type: the bivector
 side of a QuasiPoissonDescriptor, the 2-form side of a
-QuasiHamiltonianDescriptor.  One rank rule, singular values above _RANK_TOL
-times the largest, serves every kernel, span and rank count here and in the
-Dirac layer.
+QuasiHamiltonianDescriptor.  One rank rule, `liealg._rank`, serves every
+kernel, span and rank count here and in the Dirac layer.
 
 At a point, each momentum component is linearized once
 (`component_linear`): the (N, d) left and right trivialized word
@@ -63,7 +62,7 @@ from .groupgeom import (
     word_eval,
     word_tangent,
 )
-from .liealg import cartan3
+from .liealg import _rank
 
 __all__ = [
     "MomentumComponent",
@@ -173,8 +172,8 @@ def double_descriptors(site, i=0, j=1):
     wa = parse_word(site, site.letter(i))
     wb = parse_word(site, site.letter(j))
     form = FormField(site, pair_terms=[
-        PairTerm(-0.5, wa, "omega", wb, "omegabar"),
-        PairTerm(0.5, wb, "omega", wa, "omegabar"),
+        PairTerm(-0.5, wa, wb),
+        PairTerm(0.5, wb, wa),
     ])
     mom = _double_momentum(site, i, j)
     return (QuasiPoissonDescriptor(site, biv, mom, "double"),
@@ -203,7 +202,7 @@ def fuse_bivector(site, biv, comp1, comp2):
 def fuse_form(site, form, comp1, comp2):
     """Form-mode fusion: subtract half the pulled-back mixed pairing."""
     corr = FormField(site, pair_terms=[
-        PairTerm(-0.5, comp1.word, "omega", comp2.word, "omegabar")])
+        PairTerm(-0.5, comp1.word, comp2.word)])
     return form + corr, _merged_component(comp1, comp2)
 
 
@@ -280,15 +279,6 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
 # ---------------------------------------------------------------------------
 # frame-level data shared by the residual computations
 # ---------------------------------------------------------------------------
-
-_RANK_TOL = 1e-8
-
-
-def _rank(sv):
-    """The rank rule: the number of singular values (in descending order)
-    above _RANK_TOL times the largest; 0 for a zero or empty matrix."""
-    return int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-
 
 def nullspace(mat):
     """Orthonormal columns spanning the kernel."""
@@ -486,31 +476,38 @@ def _worst(worst, values):
 
 def _by_slot(v, count, shape):
     """The three slots of `count` triples from a (3 count, ...) stack of
-    section-wise values (None or an unbatched zero broadcasts)."""
-    v = np.broadcast_to(np.zeros(shape, dtype=complex) if v is None else v,
-                        (3 * count,) + shape)
+    section-wise values (an unbatched zero broadcasts)."""
+    v = np.broadcast_to(v, (3 * count,) + shape)
     return v[0::3], v[1::3], v[2::3]
 
 
-def quasi_closed_residual(desc, points, seed=0, triples=8):
-    """max |d sigma (S1,S2,S3) - sum_i lambda(dPhi_i S1, dPhi_i S2, dPhi_i S3)|."""
-    site = desc.site
+def _closure_residual(site, form, pullbacks, points, seed, triples):
+    """max |d form (S1,S2,S3) - sum_c c lambda(dW S1, dW S2, dW S3)| over
+    random section triples at the points, the sum over the (coefficient c,
+    word W) pullbacks of the cubic form."""
     model = site.model
     shape = (model.n, model.n)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for point in points:
         drawn = [_random_sections(site, rng) for _ in range(triples)]
-        lhs = exterior_d3(site, desc.form, point, drawn)
+        lhs = exterior_d3(site, form, point, drawn)
         # triple t in entries 3t, 3t + 1, 3t + 2
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
-        for comp in desc.momentum:
-            g0 = word_eval(comp.word, point.mats)
-            dv = _by_slot(word_tangent(comp.word, point.mats, ts), triples, shape)
-            rhs = rhs + eval_lambda(model, site.pairing, g0, *dv)
+        for coef, word in pullbacks:
+            dv = _by_slot(word_tangent(word, point.mats, ts), triples, shape)
+            rhs = rhs + coef * eval_lambda(model, site.pairing,
+                                           word_eval(word, point.mats), *dv)
         worst = _worst(worst, lhs - rhs)
     return worst
+
+
+def quasi_closed_residual(desc, points, seed=0, triples=8):
+    """max |d sigma (S1,S2,S3) - sum_i lambda(dPhi_i S1, dPhi_i S2, dPhi_i S3)|."""
+    return _closure_residual(desc.site, desc.form,
+                             [(1.0, comp.word) for comp in desc.momentum],
+                             points, seed, triples)
 
 
 def cn1_residual(site, points, seed=0, triples=8):
@@ -518,27 +515,10 @@ def cn1_residual(site, points, seed=0, triples=8):
     the two factor pullbacks of the cubic form minus its product pullback."""
     if site.nfac < 2:
         raise BadSignature("needs two group factors")
-    model = site.model
-    shape = (model.n, model.n)
-    wa = parse_word(site, "a")
-    wb = parse_word(site, "b")
-    wab = parse_word(site, "ab")
-    form = FormField(site, pair_terms=[PairTerm(0.5, wa, "omega", wb, "omegabar")])
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for point in points:
-        q1, q2 = point.mats[0], point.mats[1]
-        drawn = [_random_sections(site, rng) for _ in range(triples)]
-        lhs = exterior_d3(site, form, point, drawn)
-        ts = section_value(site, [s for t in drawn for s in t], point.mats)
-        v1 = _by_slot(ts.comps[0], triples, shape)
-        v2 = _by_slot(ts.comps[1], triples, shape)
-        vm = _by_slot(word_tangent(wab, point.mats, ts), triples, shape)
-        rhs = (eval_lambda(model, site.pairing, q1, *v1)
-               + eval_lambda(model, site.pairing, q2, *v2)
-               - eval_lambda(model, site.pairing, word_eval(wab, point.mats), *vm))
-        worst = _worst(worst, lhs - rhs)
-    return worst
+    wa, wb, wab = (parse_word(site, w) for w in ("a", "b", "ab"))
+    form = FormField(site, pair_terms=[PairTerm(0.5, wa, wb)])
+    return _closure_residual(site, form, [(1.0, wa), (1.0, wb), (-1.0, wab)],
+                             points, seed, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +534,9 @@ def eval_phi_actions(desc, point, phi, alpha, beta, gamma):
     return total
 
 
-def jacobiator_vs_phi(desc, point, fns, phi=None):
-    """|Jacobiator(f1,f2,f3) - 2 phi_M(df1,df2,df3)| at the point."""
-    site = desc.site
-    if phi is None:
-        phi = cartan3(site.model, site.pairing)
+def jacobiator_vs_phi(desc, point, fns, phi):
+    """|Jacobiator(f1,f2,f3) - 2 phi_M(df1,df2,df3)| at the point, phi the
+    cubic tensor (`liealg.cartan3`)."""
     jac = jacobiator(desc.bivector, point, *fns)
     covs = [differential(point, fn) for fn in fns]
     rhs = 2.0 * eval_phi_actions(desc, point, phi, *covs)

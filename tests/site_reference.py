@@ -41,8 +41,7 @@ def fund_tangent(site, point, x_coeffs, factors=None):
 def two_chain_form(site, chain):
     """2-form of a formal chain: list of (coef, word_text_u, word_text_v)."""
     return FormField(site, pair_terms=[
-        PairTerm(0.5 * coef, parse_word(site, u), "omega",
-                 parse_word(site, v), "omegabar")
+        PairTerm(0.5 * coef, parse_word(site, u), parse_word(site, v))
         for coef, u, v in chain])
 
 

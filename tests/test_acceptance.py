@@ -297,7 +297,7 @@ def test_08_dirac_geometry():
                 e_fib, f_fib = cartan_dirac_fibers(p, comp)
                 worst = max(worst, float(e_fib.isotropy_residual),
                             float(f_fib.isotropy_residual))
-                if (e_fib.dim + f_fib.dim != 2 * d
+                if (e_fib.basis.shape[1] + f_fib.basis.shape[1] != 2 * d
                         or intersection_dim(e_fib.basis, f_fib.basis) != 0):
                     agree = False
                 flags = dirac_booleans(qh, p, component=ci)

@@ -16,10 +16,7 @@ DEFAULTED = {
     "charvar.level_tangency_residual(seed)",
     "charvar.poisson_ideal_residual.vanishing(_c)",
     "charvar.poisson_ideal_residual.vanishing(_m)",
-    "charvar.solve_relator(max_iters)",
     "charvar.solve_relator(seed)",
-    "charvar.solve_relator(start)",
-    "charvar.solve_relator(tol)",
     "cli.build_setup(seed)",
     "cli.compute_brackets(seed)",
     "cli.run_suite(jobs)",
@@ -44,7 +41,6 @@ DEFAULTED = {
     "quasi.double_descriptors(j)",
     "quasi.internally_fused(i)",
     "quasi.internally_fused(j)",
-    "quasi.jacobiator_vs_phi(phi)",
     "quasi.quasi_closed_residual(seed)",
     "quasi.quasi_closed_residual(triples)",
 }

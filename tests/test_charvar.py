@@ -217,12 +217,15 @@ def test_poisson_ideal_detects_noninvariance():
     assert poisson_ideal_residual(qp.bivector, "abAB", target, g, [p]) > 1e-4
 
 
-def test_solver_commuting_start_already_solved():
+def test_solver_commuting_start_already_solved(monkeypatch):
+    import qpois.charvar as charvar
+
     site, _, _ = fused_sl2()
     a = np.diag([2.0, 0.5]).astype(complex)
     b = np.diag([3.0, 1 / 3.0]).astype(complex)
     start = SitePoint(site, [a, b])
-    out = solve_relator(site, "abAB", np.eye(2), start=start)
+    monkeypatch.setattr(charvar, "random_point", lambda site, rng: start)
+    out = solve_relator(site, "abAB", np.eye(2))
     assert isinstance(out, RepSample)
     assert out.iters == 0
     assert out.residual <= 1e-12
@@ -364,10 +367,14 @@ def test_damped_step_solves_the_normal_equations(build, genus, reps):
                   + np.linalg.norm(rhs)))
         assert err <= 1e-14, mu
 
-def test_solver_failure_modes():
+def test_solver_failure_modes(monkeypatch):
+    import qpois.charvar as charvar
+
     site, _, _ = fused_sl2()
-    with pytest.raises(MaxIters) as exc:
-        solve_relator(site, "abAB", -np.eye(2), seed=0, max_iters=1)
+    with monkeypatch.context() as m:
+        m.setattr(charvar, "_MAX_ITERS", 1)
+        with pytest.raises(MaxIters) as exc:
+            solve_relator(site, "abAB", -np.eye(2), seed=0)
     assert exc.value.best_residual > 0
     assert exc.value.iters == 1
 

@@ -504,6 +504,57 @@ def test_readme_config_stall_is_reported_once():
         assert 0 < checks[cid]["samples"] < 6
 
 
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    residual, value = capsys.readouterr().out.split()
+    assert float(residual) <= 1e-9
+    assert np.isfinite(complex(value))
+
+
+_CENTRAL = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_DIAG = [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("reps", [[_CENTRAL], [_DIAG, _CENTRAL]],
+                         ids=["I", "diag-and-I"])
+def test_central_class_rep_is_a_point(reps, seed):
+    """A central rep is a zero-dimensional class: its factor has no frame
+    vectors, and every check passes or skips."""
+    report = run_suite({"site": {"genus": 1, "class_reps": reps},
+                        "seed": seed}, "all")
+    assert [c for c in report["checks"] if c["status"] == "failed"] == []
+    assert report["overall_pass"]
+
+
+def test_check_exception_traceback_logged_at_debug(monkeypatch, caplog):
+    import logging
+
+    import qpois.cli as cli
+
+    cfg = torus_cfg(checks=["doubled_bracket_identity"])
+    quiet = canonical_json(run_suite(cfg, "core"))
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "verify_chi_identity", boom)
+    with caplog.at_level(logging.DEBUG, logger="qpois.cli"):
+        (record,) = run_suite(cfg, "core")["checks"]
+    assert record["status"] == "failed"
+    assert record["reason"] == "RuntimeError: boom"
+    (logged,) = [r for r in caplog.records if r.exc_info]
+    assert logged.levelno == logging.DEBUG
+    assert "doubled_bracket_identity" in logged.getMessage()
+    assert "RuntimeError: boom" in caplog.text and "Traceback" in caplog.text
+    # the log leaves the report alone
+    monkeypatch.undo()
+    with caplog.at_level(logging.DEBUG, logger="qpois.cli"):
+        assert canonical_json(run_suite(cfg, "core")) == quiet
+
+
 def test_moduli_checks_share_one_solved_set(monkeypatch):
     import qpois.cli as cli
 

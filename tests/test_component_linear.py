@@ -97,7 +97,8 @@ def _ref_momentum(desc, point, mode):
         if mode == "bivector":
             h = site.pairing.require_upper()
             pmat = desc.bivector.frame_matrix(point)
-            ainv = adjoint_matrix(model, np.linalg.inv(word_eval(comp.word, point.mats)))
+            gi = np.linalg.inv(word_eval(comp.word, point.mats))
+            ainv = adjoint_matrix(model, gi, np.linalg.inv(gi))
             cols = _action_cols(site, point, frame, comp)
             for j in range(model.d):
                 lhs = 2.0 * (pmat.T @ left[:, j])
@@ -139,8 +140,9 @@ def _ref_reconstruct(desc, point, direction):
     for comp in comps:
         g = word_eval(comp.word, point.mats)
         dws.append(_word_diffs(point, comp.word)[0])
-        ainvs.append(adjoint_matrix(model, np.linalg.inv(g)))
-        ads.append(adjoint_matrix(model, g))
+        gi = np.linalg.inv(g)
+        ainvs.append(adjoint_matrix(model, gi, np.linalg.inv(gi)))
+        ads.append(adjoint_matrix(model, g, gi))
         funds.append(_action_cols(site, point, frame, comp))
     if direction == "P-from-sigma":
         stacked = np.concatenate([*dws, desc.form.frame_matrix(point).T], axis=1)

@@ -88,8 +88,9 @@ def test_dual_vdot_mixed():
 def test_pair_form_antisymmetric_and_fd():
     site = sl2_two_group()
     form = FormField(site, pair_terms=[
-        PairTerm(-0.5, parse_word(site, "a"), "omega", parse_word(site, "b"), "omegabar"),
-        PairTerm(-0.5, parse_word(site, "a"), "omegabar", parse_word(site, "b"), "omega"),
+        PairTerm(-0.5, parse_word(site, "a"), parse_word(site, "b")),
+        # -1/2 (omegabar_a . omega_b), written as a pullback of (omega . omegabar)
+        PairTerm(0.5, parse_word(site, "b"), parse_word(site, "a")),
     ])
     rng = np.random.default_rng(3)
     p = random_point(site, rng)
@@ -146,6 +147,9 @@ def test_tau_requires_lift_on_dual():
     dual_w = Tangent([Dual(w.comps[0], rand_mat(rng))])
     with pytest.raises(LiftFailed):
         form.evaluate(dmats, dual_w, v)
+    # a plain tangent without its lift is refused too
+    with pytest.raises(LiftFailed):
+        form.evaluate(p.mats, Tangent(v.comps), w)
 
 
 def test_section_bracket_and_value():
@@ -171,8 +175,9 @@ def test_exterior_d3_fd_oracle():
     """d(form) from the structured engine equals a finite-difference build."""
     site = sl2_two_group()
     form = FormField(site, pair_terms=[
-        PairTerm(-0.5, parse_word(site, "a"), "omega", parse_word(site, "b"), "omegabar"),
-        PairTerm(-0.5, parse_word(site, "a"), "omegabar", parse_word(site, "b"), "omega"),
+        PairTerm(-0.5, parse_word(site, "a"), parse_word(site, "b")),
+        # -1/2 (omegabar_a . omega_b), written as a pullback of (omega . omegabar)
+        PairTerm(0.5, parse_word(site, "b"), parse_word(site, "a")),
     ])
     rng = np.random.default_rng(7)
     p = random_point(site, rng)

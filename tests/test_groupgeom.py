@@ -97,11 +97,15 @@ def test_fund_central_factor_zero():
 
 
 def test_class_frame_regular_and_unipotent():
-    model, _ = models.sl2()
-    for q in (np.diag([2.0, 0.5]).astype(complex),
-              np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)):
-        vecs, lifts = class_tangent_frame(model, q)
-        assert len(vecs) == 2
+    """Frames of a regular, a unipotent and a central (zero-dimensional)
+    class, sized by the rank of the conjugation map at the rep."""
+    model, pairing = models.sl2()
+    for q, dim in ((np.diag([2.0, 0.5]).astype(complex), 2),
+                   (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 2),
+                   (np.eye(2, dtype=complex), 0)):
+        assert Site(model, pairing, [Factor("class", q)]).class_dims == {0: dim}
+        vecs, lifts = class_tangent_frame(model, q, dim)
+        assert len(vecs) == len(lifts) == dim
         for v, x in zip(vecs, lifts):
             rebuilt = q @ model.from_coeffs(x) - model.from_coeffs(x) @ q
             assert np.abs(rebuilt - v).max() < 1e-10

@@ -73,7 +73,7 @@ def test_adjoint_diag_action():
     model, _ = models.sl2()
     t = 1.7
     q = np.diag([t, 1 / t]).astype(complex)
-    amat = adjoint_matrix(model, q)
+    amat = adjoint_matrix(model, q, np.linalg.inv(q))
     assert np.allclose(amat @ np.array([0, 1.0, 0]), [0, t * t, 0])
 
 
@@ -81,7 +81,7 @@ def test_abelian_adjoint_trivial():
     model, _ = abelian2()
     q = np.diag([2.0, 5.0]).astype(complex)
     x = np.array([0.3, -1.2])
-    assert np.allclose(adjoint_matrix(model, q) @ x, x)
+    assert np.allclose(adjoint_matrix(model, q, np.linalg.inv(q)) @ x, x)
 
 
 def test_trace_pairing_sl2():

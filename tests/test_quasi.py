@@ -89,9 +89,10 @@ def test_pg_jacobiator_vs_phi():
     desc = pg_descriptor(site)
     rng = np.random.default_rng(1)
     fns = [entry_fn(rng, 0), entry_fn(rng, 0), trace_fn(site, "aa")]
+    phi = cartan3(site.model, site.pairing)
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
-        assert jacobiator_vs_phi(desc, p, fns) <= 1e-9
+        assert jacobiator_vs_phi(desc, p, fns, phi) <= 1e-9
 
 
 def test_eval_phi_actions_identity_zero_and_linear():
@@ -122,9 +123,10 @@ def test_double_jacobiator():
     qp, _ = double_descriptors(site)
     rng = np.random.default_rng(2)
     fns = [entry_fn(rng, 0), entry_fn(rng, 1), trace_fn(site, "ab")]
+    phi = cartan3(site.model, site.pairing)
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
-        assert jacobiator_vs_phi(qp, p, fns) <= 1e-9
+        assert jacobiator_vs_phi(qp, p, fns, phi) <= 1e-9
 
 
 def test_internally_fused_word_and_momentum():
@@ -142,9 +144,10 @@ def test_internally_fused_jacobiator():
     qp, _ = internally_fused(site)
     rng = np.random.default_rng(3)
     fns = [entry_fn(rng, 0), entry_fn(rng, 1), trace_fn(site, "aB")]
+    phi = cartan3(site.model, site.pairing)
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
-        assert jacobiator_vs_phi(qp, p, fns) <= 1e-9
+        assert jacobiator_vs_phi(qp, p, fns, phi) <= 1e-9
 
 
 def test_fuse_zero_translations_gives_conjugation_structure():
@@ -284,9 +287,10 @@ def test_surface_fullgroups_jacobiator(sig):
     rng = np.random.default_rng(9)
     fns = [entry_fn(rng, 0), trace_fn(site, "ab"),
            trace_fn(site, "".join(surface_letters(genus, npunct)[1]))]
+    phi = cartan3(site.model, site.pairing)
     for seed in range(2):
         p = random_point(site, np.random.default_rng(seed))
-        assert jacobiator_vs_phi(qp, p, fns) <= 1e-8
+        assert jacobiator_vs_phi(qp, p, fns, phi) <= 1e-8
 
 
 def test_equivariance_bivector_and_form():

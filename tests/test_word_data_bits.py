@@ -104,7 +104,7 @@ def test_adjoint_matrix_equals_its_column_loop(build, genus, reps):
     for q in qs:
         qi = np.linalg.inv(q)
         ref = np.stack([model.coeffs(q @ b @ qi) for b in model.basis], axis=1)
-        assert np.array_equal(adjoint_matrix(model, q), ref)
+        assert np.array_equal(adjoint_matrix(model, q, qi), ref)
 
 
 @SITES
