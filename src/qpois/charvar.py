@@ -5,11 +5,13 @@ the dual-number lifts used for differentiation.  Trace words generate enough
 invariants at desk scale; sums and products of them are plain Python
 compositions.  The sampler solves the relator constraint by damped
 Gauss-Newton over per-factor retractions, so class factors keep their
-spectrum exactly.  The solver carries every factor's inverse along with the
-factor, so no letter is inverted again: each iteration sweeps the relator
-once for its Jacobian (prefix and suffix products), takes one SVD of it for
-the steps of all damping trials, and retracts every factor of a trial, and
-its inverse, from one batched matrix exponential and one batched inversion.
+spectrum exactly; it accepts a step when the 2-norm of the gap drops, and
+sets the damping from the gain ratio.  The solver carries every factor's
+inverse along with the factor, so no letter is inverted again: each
+iteration sweeps the relator once for its Jacobian (prefix and suffix
+products), takes one SVD of it for the steps of all damping trials, and
+retracts every factor of a trial, and its inverse, from one batched matrix
+exponential and one batched inversion.
 """
 
 from __future__ import annotations
@@ -239,14 +241,18 @@ def solve_relator(site, word, target, seed=0):
     from the random point of the seed.
 
     Parameters are per-factor algebra coefficients treated as independent
-    real pairs; the residual is the stacked real/imaginary part of
+    real pairs; the residual r is the stacked real/imaginary part of
     word(p) target^-1 - I.  The factor inverses are inverted once at the
     start and then carried along with the point.  Each iteration takes the
-    Jacobian from one sweep over the relator and one SVD of it, which gives
-    the step for every damping trial; a trial is accepted when the sup-norm
-    of the gap drops, and its gap is the next iteration's residual.  Damping
-    is multiplied by ten on a rejected step and divided by ten on an
-    accepted one.
+    Jacobian J from one sweep over the relator and one SVD of it, which
+    gives the step x for every damping trial; a trial is accepted when
+    |r|^2 drops, and its gap is the next iteration's residual.  The damping
+    mu follows the gain ratio rho, the actual drop of |r|^2 over the drop
+    |r|^2 - |r + J x|^2 the linear model predicts (Nielsen's rule, as in
+    Madsen-Nielsen-Tingleff 2004): an accepted step scales mu by
+    max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2, and a rejected one
+    scales mu by nu and doubles nu.  The returned residual is the sup-norm
+    of the gap.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
@@ -256,26 +262,33 @@ def solve_relator(site, word, target, seed=0):
     point = random_point(site, np.random.default_rng(seed))
     invs = point.inverses()
     gap = _relator_gap(word, point.mats, invs, target_inv)
+    rvec = _real_stack(gap)
     current = float(np.abs(gap).max())
-    mu = 1e-3
+    mu, nu = 1e-3, 2.0
     for it in range(_MAX_ITERS):
         if current <= _TOL:
             return RepSample(point, current, target, it)
-        step = _damped_steps(
-            _relator_jacobian(site, word, point.mats, invs, target_inv),
-            _real_stack(gap))
+        jmat = _relator_jacobian(site, word, point.mats, invs, target_inv)
+        step = _damped_steps(jmat, rvec)
+        cost = float(rvec @ rvec)
         accepted = False
         while mu < 1e14:
-            trial, trial_invs = _apply_step(site, point, invs, step(mu))
+            x = step(mu)
+            trial, trial_invs = _apply_step(site, point, invs, x)
             trial_gap = _relator_gap(word, trial.mats, trial_invs, target_inv)
-            trial_res = float(np.abs(trial_gap).max())
-            if trial_res < current:
-                point, invs = trial, trial_invs
-                gap, current = trial_gap, trial_res
-                mu = max(mu / 10.0, 1e-14)
+            trial_rvec = _real_stack(trial_gap)
+            trial_cost = float(trial_rvec @ trial_rvec)
+            if trial_cost < cost:
+                linear = rvec + jmat @ x
+                rho = (cost - trial_cost) / (cost - float(linear @ linear))
+                point, invs, gap, rvec = trial, trial_invs, trial_gap, trial_rvec
+                current = float(np.abs(gap).max())
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
                 accepted = True
                 break
-            mu *= 10.0
+            mu *= nu
+            nu *= 2.0
         if not accepted:
             if current <= _TOL:
                 return RepSample(point, current, target, it + 1)

@@ -7,6 +7,15 @@ the matrix axes; any leading axes are broadcast batch axes, so a single
 evaluation can push many directions (or direction pairs, when nested) through a
 word at once.
 
+A nested Dual over direction pairs carries parts with two batch axes, and a
+product of such a part has as many tiny matrix slices as direction pairs.
+:func:`matmul` runs the products of those parts that have one GEMM form as
+one GEMM: a plain matrix times a two-axis stack, with the stack folded into
+the GEMM's rows or columns, and the outer product of two one-axis stacks,
+(K, n, k) @ (M, 1, k, m), or its mirror.  Products whose broadcast batch has
+at most one axis, which every first-order evaluation makes, stay on
+``np.matmul`` and keep its bits.
+
 All derivative evaluation in this package is exact forward-mode differentiation
 of polynomial/inverse matrix expressions; finite differences appear only in
 tests as cross-checks.
@@ -24,12 +33,55 @@ __all__ = [
     "dinv",
     "dexpm",
     "apply_linear",
+    "matmul",
     "value",
 ]
 
 
 def _is_dual(x):
     return isinstance(x, Dual)
+
+
+def _gemm_rows(a, b):
+    """(..., n, k) @ (k, m) with the leading axes of a folded into the rows."""
+    n, k = a.shape[-2:]
+    return (a.reshape(-1, k) @ b).reshape(a.shape[:-2] + (n, b.shape[-1]))
+
+
+def _as_columns(b):
+    """(..., k, m) -> (k, prod(...) m): the stack laid side by side."""
+    k, m = b.shape[-2:]
+    return np.moveaxis(b, -2, 0).reshape(k, math.prod(b.shape[:-2]) * m)
+
+
+def matmul(a, b):
+    """a @ b.  For plain arrays whose broadcast batch has two or more axes,
+    one GEMM when a is a single matrix (b's batch folded into the columns),
+    when b is one (a's batch folded into the rows), or for the outer product
+    (K, n, k) @ (M, 1, k, m) -> (M, K, n, m) and its mirror
+    (M, 1, n, k) @ (K, k, m); anything else, Duals included, is ``@``.
+    A folded product agrees with ``np.matmul`` to roundoff, not to the
+    bit."""
+    if _is_dual(a) or _is_dual(b) or max(np.ndim(a), np.ndim(b)) < 4:
+        return a @ b
+    if a.ndim == 2:
+        # (n, k) @ (k, P m)
+        out = (a @ _as_columns(b)).reshape(a.shape[:1] + b.shape[:-2]
+                                           + b.shape[-1:])
+        return np.moveaxis(out, 0, -2)
+    if b.ndim == 2:
+        return _gemm_rows(a, b)
+    if a.ndim == 3 and b.ndim == 4 and b.shape[1] == 1:
+        # out[i, j] = a[j] @ b[i, 0], from (K n, k) @ (k, M m)
+        out = _gemm_rows(a, _as_columns(b)).reshape(
+            a.shape[:2] + (len(b), b.shape[-1]))
+        return out.transpose(2, 0, 1, 3)
+    if a.ndim == 4 and a.shape[1] == 1 and b.ndim == 3:
+        # out[i, j] = a[i, 0] @ b[j], from (M n, k) @ (k, K m)
+        out = _gemm_rows(a[:, 0], _as_columns(b)).reshape(
+            a.shape[:1] + a.shape[2:3] + (len(b), b.shape[-1]))
+        return out.transpose(0, 2, 1, 3)
+    return a @ b
 
 
 class Dual:
@@ -72,11 +124,12 @@ class Dual:
 
     def __matmul__(self, other):
         if _is_dual(other):
-            return Dual(self.re @ other.re, self.re @ other.eps + self.eps @ other.re)
-        return Dual(self.re @ other, self.eps @ other)
+            return Dual(matmul(self.re, other.re),
+                        matmul(self.re, other.eps) + matmul(self.eps, other.re))
+        return Dual(matmul(self.re, other), matmul(self.eps, other))
 
     def __rmatmul__(self, other):
-        return Dual(other @ self.re, other @ self.eps)
+        return Dual(matmul(other, self.re), matmul(other, self.eps))
 
     def __repr__(self):
         return f"Dual(re={self.re!r}, eps={self.eps!r})"
@@ -90,9 +143,12 @@ def value(x):
 
 
 def dtrace(x):
-    """Matrix trace over the last two axes, Dual-transparent."""
+    """Matrix trace over the last two axes, Dual-transparent; one einsum on a
+    part with two or more batch axes."""
     if _is_dual(x):
         return Dual(dtrace(x.re), dtrace(x.eps))
+    if np.ndim(x) >= 4:
+        return np.einsum("...ii->...", x)
     return np.trace(x, axis1=-2, axis2=-1)
 
 

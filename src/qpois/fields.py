@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, dinv, apply_linear
+from .duals import Dual, apply_linear, dinv, matmul
 from .errors import BadSignature, LiftFailed
 from .groupgeom import Tangent, word_eval, word_tangent
 
@@ -95,14 +95,15 @@ def _atom_dirs(site, f, x):
     basis index j (alpha-major rows, matching kron(K, H)).
 
     x may carry leading batch axes: the result has shape (2 nfac d, ..., n, n)
-    and is zero on the rows of the other factors' atoms.  Linear in x.
+    and is zero on the rows of the other factors' atoms.  Linear in x.  On a
+    stack of matrices x each side is one GEMM (`duals.matmul`).
     """
     basis = np.stack(site.model.basis)
     d = len(basis)
     basis = basis.reshape((d,) + (1,) * (np.ndim(x) - 2) + basis.shape[1:])
     out = np.zeros((2 * site.nfac * d,) + np.shape(x), dtype=complex)
-    out[2 * f * d:(2 * f + 1) * d] = x @ basis
-    out[(2 * f + 1) * d:(2 * f + 2) * d] = basis @ x
+    out[2 * f * d:(2 * f + 1) * d] = matmul(x, basis)
+    out[(2 * f + 1) * d:(2 * f + 2) * d] = matmul(basis, x)
     return out
 
 

@@ -491,17 +491,40 @@ def _readme_config():
     return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
 
 
-def test_readme_config_stall_is_reported_once():
-    checks = by_id(run_suite(_readme_config(), "moduli"))
-    solver = checks["relator_solver"]
-    assert solver["status"] == "failed"
-    assert solver["reason"] == (
-        "solver failed for target minus_identity (sample 0): no descent "
-        "direction (residual 1.947e+00); best residual 1.947e+00")
-    # the moduli checks read the converged points of the same solves
+def test_readme_config_passes(tmp_path):
+    """The README config exits 0 under `verify all` and `sample`: every
+    relator solve converges, the minus_identity target's included."""
+    cfg = write_cfg(tmp_path, _readme_config())
+    out = str(tmp_path / "rep.json")
+    result = invoke(["verify", "all", "--config", cfg, "--out", out])
+    assert result.exit_code == 0, result.output
+    checks = by_id(json.loads(open(out).read()))
+    assert [c for c, r in checks.items() if r["status"] == "failed"] == []
+    assert checks["relator_solver"]["samples"] == 8
+    # the moduli checks read min(samples, 3) converged solves per target
     for cid in ("jacobi_at_level", "poisson_ideal"):
         assert checks[cid]["status"] == "passed", checks[cid]
-        assert 0 < checks[cid]["samples"] < 6
+        assert checks[cid]["samples"] == 6
+    result = invoke(["sample", "--config", cfg, "--out", out])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(open(out).read())["rows"]
+    assert len(rows) == 16 and not any(r["solver_failed"] for r in rows)
+
+
+def test_twisted_sl3_target_converges_on_every_row():
+    """SL(3) genus 1 with the central target omega I, omega = e^(2 pi i/3),
+    a twisted representation space: every sample row converges."""
+    omega = np.exp(2j * np.pi / 3)
+    target = [[[omega.real, omega.imag] if i == j else [0.0, 0.0]
+               for j in range(3)] for i in range(3)]
+    report = sample_points({"group": {"family": "SL", "n": 3},
+                            "site": {"genus": 1}, "targets": [target],
+                            "seed": 0})
+    assert len(report["rows"]) == 8
+    for row in report["rows"]:
+        assert not row["solver_failed"], row
+        assert row["residual"] <= 1e-10
+    assert report["overall_pass"]
 
 
 def test_readme_library_example_runs(capsys):
@@ -514,15 +537,17 @@ def test_readme_library_example_runs(capsys):
 
 
 _CENTRAL = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_MINUS = [[[-1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 _DIAG = [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("reps", [[_CENTRAL], [_DIAG, _CENTRAL]],
-                         ids=["I", "diag-and-I"])
+@pytest.mark.parametrize("reps", [[_CENTRAL], [_DIAG, _CENTRAL], [_MINUS]],
+                         ids=["I", "diag-and-I", "minus-I"])
 def test_central_class_rep_is_a_point(reps, seed):
     """A central rep is a zero-dimensional class: its factor has no frame
-    vectors, and every check passes or skips."""
+    vectors, and every check passes or skips.  With the class of -I the
+    relator is twisted, and every solve converges."""
     report = run_suite({"site": {"genus": 1, "class_reps": reps},
                         "seed": seed}, "all")
     assert [c for c in report["checks"] if c["status"] == "failed"] == []

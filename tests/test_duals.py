@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpois.duals import Dual, apply_linear, dexpm, dinv, dtrace, value
+from qpois.duals import Dual, apply_linear, dexpm, dinv, dtrace, matmul, value
 
 
 def rand(rng, *shape):
@@ -126,3 +126,134 @@ def test_division_by_dual_rejected():
     d = Dual(a, a)
     with pytest.raises(TypeError):
         _ = 1.0 / d
+
+
+# ---------------------------------------------------------------------------
+# products over two-axis batches as single GEMMs
+# ---------------------------------------------------------------------------
+
+def _slice_norm(x):
+    """Largest Frobenius norm over the matrix slices of x."""
+    return float(np.linalg.norm(x, axis=(-2, -1)).max())
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 3), (48, 48, 3, 3)),          # single matrix times a two-axis stack
+    ((3, 3), (48, 1, 3, 3)),
+    ((4, 3), (5, 6, 3, 2)),
+    ((48, 48, 3, 3), (3, 3)),          # two-axis stack times a single matrix
+    ((5, 6, 2, 3), (3, 4)),
+    ((48, 3, 3), (48, 1, 3, 3)),       # outer product of two stacks
+    ((7, 2, 3), (5, 1, 3, 4)),
+    ((48, 1, 3, 3), (48, 3, 3)),       # its mirror
+    ((5, 1, 2, 3), (7, 3, 4)),
+])
+def test_folded_products_match_matmul(a_shape, b_shape):
+    rng = np.random.default_rng(20)
+    a, b = rand(rng, *a_shape), rand(rng, *b_shape)
+    ref = np.matmul(a, b)
+    got = matmul(a, b)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-15 * _slice_norm(a) * _slice_norm(b)
+    # mixed real and complex operands, as a coordinate function's matrix
+    assert np.abs(matmul(a.real, b) - np.matmul(a.real, b)).max() <= (
+        1e-15 * _slice_norm(a.real) * _slice_norm(b))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 3), (3, 3)),
+    ((48, 3, 3), (3, 3)),
+    ((3, 3), (48, 3, 3)),
+    ((48, 3, 3), (48, 3, 3)),
+    ((48, 48, 3, 3), (48, 48, 3, 3)),   # no GEMM form: np.matmul as before
+    ((48, 1, 3, 3), (48, 48, 3, 3)),
+])
+def test_other_products_are_bit_identical(a_shape, b_shape):
+    rng = np.random.default_rng(21)
+    a, b = rand(rng, *a_shape), rand(rng, *b_shape)
+    assert np.array_equal(matmul(a, b), np.matmul(a, b))
+
+
+def test_first_order_dual_products_keep_matmul_bits():
+    rng = np.random.default_rng(22)
+    a, b, c = rand(rng, 3, 3), rand(rng, 3, 3), rand(rng, 3, 3)
+    us, vs = rand(rng, 24, 3, 3), rand(rng, 24, 3, 3)
+    z = c @ (Dual(a, us) @ Dual(b, vs))
+    assert np.array_equal(z.re, c @ (a @ b))
+    assert np.array_equal(z.eps, np.matmul(c, np.matmul(a, vs) + np.matmul(us, b)))
+    assert np.array_equal(dtrace(Dual(a, us)).eps, np.trace(us, axis1=-2, axis2=-1))
+
+
+def test_nested_dual_product_matches_per_slice_matmul():
+    """A product of two nested Duals over (s, r) direction pairs, the
+    shapes the Jacobiator lifts carry, agrees part by part with the product
+    taken slice by slice."""
+    rng = np.random.default_rng(23)
+
+    def nested():
+        return Dual(Dual(rand(rng, 3, 3), rand(rng, 12, 3, 3)),
+                    Dual(rand(rng, 12, 1, 3, 3), rand(rng, 12, 12, 3, 3)))
+
+    x, y = nested(), nested()
+    z = x @ y
+    ref_re = Dual(x.re.re @ y.re.re,
+                  np.matmul(x.re.re, y.re.eps) + np.matmul(x.re.eps, y.re.re))
+    ref_eps = (Dual(np.matmul(x.re.re, y.eps.re),
+                    np.matmul(x.re.re, y.eps.eps) + np.matmul(x.re.eps, y.eps.re))
+               + Dual(np.matmul(x.eps.re, y.re.re),
+                      np.matmul(x.eps.re, y.re.eps) + np.matmul(x.eps.eps, y.re.re)))
+    for got, ref in ((z.re.re, ref_re.re), (z.re.eps, ref_re.eps),
+                     (z.eps.re, ref_eps.re), (z.eps.eps, ref_eps.eps)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the trace of a two-axis part is one einsum, equal to np.trace
+    assert np.array_equal(dtrace(z).eps.eps,
+                          np.trace(z.eps.eps, axis1=-2, axis2=-1))
+
+
+def _watched_jacobiator_batches(monkeypatch, fold):
+    """Broadcast batch shapes of every matmul a Jacobiator on sl2_abelian
+    genus 3 makes on its lifted data: the point's matrices and the atom
+    directions are watched arrays, and so is everything computed from them.
+    Without fold every Dual product is a plain ``@``, slice by slice."""
+    from qpois import duals, fields, models
+    from qpois.charvar import TraceFunction
+    from qpois.groupgeom import random_point
+    from qpois.quasi import assemble_surface_site
+
+    batches = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [np.asarray(x) if isinstance(x, Watched) else x
+                     for x in inputs]
+            if ufunc is np.matmul:
+                batches.append(np.broadcast_shapes(
+                    *(np.shape(x)[:-2] for x in plain)))
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Watched) if isinstance(out, np.ndarray) else out
+
+    atom_dirs = fields._atom_dirs
+    monkeypatch.setattr(fields, "_atom_dirs",
+                        lambda site, f, x: atom_dirs(site, f, x).view(Watched))
+    if not fold:
+        monkeypatch.setattr(duals, "matmul", lambda a, b: a @ b)
+    model, pairing = models.sl2_abelian()
+    site, qp, _ = assemble_surface_site(model, pairing, 3, [])
+    rng = np.random.default_rng(24)
+    point = random_point(site, rng)
+    point.mats = [q.view(Watched) for q in point.mats]
+    coord = rand(rng, 3, 3)
+    fns = [TraceFunction(site, "ab"), TraceFunction(site, "cDe"),
+           lambda mats: dtrace(coord @ mats[4])]
+    fields.jacobiator(qp.bivector, point, *fns)
+    return batches
+
+
+def test_jacobiator_makes_no_per_slice_product_over_two_axes(monkeypatch):
+    folded = _watched_jacobiator_batches(monkeypatch, fold=True)
+    assert folded and max(len(b) for b in folded) <= 1
+    # the watch sees the per-slice products when nothing is folded
+    monkeypatch.undo()
+    plain = _watched_jacobiator_batches(monkeypatch, fold=False)
+    assert sum(len(b) >= 2 for b in plain) >= 10

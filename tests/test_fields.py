@@ -406,6 +406,37 @@ def test_jacobiator_against_finite_differences():
     assert abs(exact - fd) < 1e-4 * (1 + abs(exact))
 
 
+JACOBIATOR_SITES = {
+    "sl2ab-g3": ((models.sl2_abelian, 3, []), ("aB", "cdE", "Fa")),
+    "sl2-g1-2punct": (SURFACES["sl2-g1-2punct"], ("aB", "bcA", "dab")),
+    "sl3-g1": (SURFACES["sl3-g1"], ("aB", "ab", "bA")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIATOR_SITES))
+def test_jacobiator_matches_per_slice_products(name, monkeypatch):
+    """The Jacobiator with its two-axis Dual products folded into GEMMs
+    agrees with the same evaluation made slice by slice by np.matmul."""
+    import qpois.duals
+    import qpois.fields
+
+    (build, genus, reps), words = JACOBIATOR_SITES[name]
+    model, pairing = build()
+    site, qp, _ = assemble_surface_site(model, pairing, genus, reps)
+    rng = np.random.default_rng(31)
+    p = random_point(site, rng)
+    n = model.n
+    # words with inverse letters, behind a plain matrix (not invariant)
+    fns = [lambda mats, w=parse_word(site, w), c=rand_mat(rng, n):
+           dtrace(c @ word_eval(w, mats)) for w in words]
+    folded = jacobiator(qp.bivector, p, *fns)
+    for module in (qpois.duals, qpois.fields):
+        monkeypatch.setattr(module, "matmul", lambda a, b: a @ b)
+    per_slice = jacobiator(qp.bivector, p, *fns)
+    assert abs(per_slice) > 1e-3
+    assert abs(folded - per_slice) <= 1e-13 * abs(per_slice)
+
+
 # ---------------------------------------------------------------------------
 # batched 2-form probes against one probe per call
 # ---------------------------------------------------------------------------

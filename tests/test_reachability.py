@@ -31,6 +31,8 @@ NOT_REACHED = {
     "charvar.TraceFunction.__repr__": "debugging aid",
     "errors.MaxIters.__init__": "the solver's iteration cap, which no "
                                 "config here reaches",
+    "errors.Stalled.__init__": "the solver's stop when no damping gives "
+                               "descent, which no config here reaches",
     "cli._common": "decorator applied at import, before the scan",
 }
 
