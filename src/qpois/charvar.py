@@ -251,8 +251,11 @@ def solve_relator(site, word, target, seed=0):
     |r|^2 - |r + J x|^2 the linear model predicts (Nielsen's rule, as in
     Madsen-Nielsen-Tingleff 2004): an accepted step scales mu by
     max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2, and a rejected one
-    scales mu by nu and doubles nu.  The returned residual is the sup-norm
-    of the gap.
+    scales mu by nu and doubles nu.  The predicted drop is taken as
+    |J x|^2 + 2 mu |x|^2, which equals it by the normal equations and,
+    unlike the difference, does not cancel for tiny steps.  Every iteration
+    tries at least one step; it stalls when mu reaches 1e14 without a drop.
+    The returned residual is the sup-norm of the gap.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
@@ -271,30 +274,26 @@ def solve_relator(site, word, target, seed=0):
         jmat = _relator_jacobian(site, word, point.mats, invs, target_inv)
         step = _damped_steps(jmat, rvec)
         cost = float(rvec @ rvec)
-        accepted = False
-        while mu < 1e14:
+        while True:
             x = step(mu)
             trial, trial_invs = _apply_step(site, point, invs, x)
             trial_gap = _relator_gap(word, trial.mats, trial_invs, target_inv)
             trial_rvec = _real_stack(trial_gap)
             trial_cost = float(trial_rvec @ trial_rvec)
             if trial_cost < cost:
-                linear = rvec + jmat @ x
-                rho = (cost - trial_cost) / (cost - float(linear @ linear))
+                jx = jmat @ x
+                rho = (cost - trial_cost) / float(jx @ jx + 2.0 * mu * (x @ x))
                 point, invs, gap, rvec = trial, trial_invs, trial_gap, trial_rvec
                 current = float(np.abs(gap).max())
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                accepted = True
                 break
             mu *= nu
             nu *= 2.0
-        if not accepted:
-            if current <= _TOL:
-                return RepSample(point, current, target, it + 1)
-            raise Stalled(
-                f"no descent direction (residual {current:.3e})",
-                best_residual=current, iters=it + 1)
+            if mu >= 1e14:
+                raise Stalled(
+                    f"no descent direction (residual {current:.3e})",
+                    best_residual=current, iters=it + 1)
     if current <= _TOL:
         return RepSample(point, current, target, _MAX_ITERS)
     raise MaxIters(

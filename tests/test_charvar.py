@@ -378,12 +378,33 @@ def test_solver_failure_modes(monkeypatch):
     assert exc.value.best_residual > 0
     assert exc.value.iters == 1
 
-    # one conjugacy-class factor can never reach the identity
+    # one conjugacy-class factor can never reach these targets: the solve
+    # ends at a stationary point of |r|^2, where the steps are tiny and the
+    # predicted drop as a difference |r|^2 - |r + J x|^2 would cancel to
+    # zero; it must still stop with Stalled, after a step tried in every
+    # iteration
+    trials = []
+    damped_steps = charvar._damped_steps
+
+    def counted(jmat, rvec):
+        step = damped_steps(jmat, rvec)
+        trials.append(0)
+
+        def counted_step(mu):
+            trials[-1] += 1
+            return step(mu)
+        return counted_step
+
+    monkeypatch.setattr(charvar, "_damped_steps", counted)
     model, pairing = models.sl2()
     csite = Site(model, pairing, [Factor("class", REP)])
-    with pytest.raises((Stalled, MaxIters)) as exc2:
-        solve_relator(csite, "a", np.eye(2), seed=0)
-    assert exc2.value.best_residual > 0.1
+    for target in (np.eye(2), np.diag([3.0, 1.0 / 3.0])):
+        for seed in range(6):
+            trials.clear()
+            with pytest.raises(Stalled) as exc2:
+                solve_relator(csite, "a", target, seed=seed)
+            assert exc2.value.best_residual > 0.1
+            assert len(trials) == exc2.value.iters and min(trials) >= 1
 
 
 def test_differential_matches_finite_difference():
