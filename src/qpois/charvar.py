@@ -153,7 +153,6 @@ def poisson_ideal_residual(biv, phi_word, target, f, points):
 class RepSample:
     point: SitePoint
     residual: float
-    target: np.ndarray
     iters: int
 
 
@@ -177,13 +176,13 @@ def _apply_step(site, point, invs, step):
     seg = step.reshape(site.nfac, model.d, 2)
     g = dexpm(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
     g_inv = np.linalg.inv(g)
-    mats = np.stack(point.mats)
+    mats = point.mats
     moved, moved_inv = mats @ g, g_inv @ invs
     cls = site.class_indices()
     if cls:
         moved[cls] = g[cls] @ mats[cls] @ g_inv[cls]
         moved_inv[cls] = g[cls] @ invs[cls] @ g_inv[cls]
-    return SitePoint(site, list(moved)), moved_inv
+    return SitePoint(site, moved), moved_inv
 
 
 def _relator_jacobian(site, word, mats, invs, target_inv):
@@ -199,7 +198,7 @@ def _relator_jacobian(site, word, mats, invs, target_inv):
     directions, as in TangentFrame.stacked, and each direction fills a real
     and an imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
-    basis = np.stack(site.model.basis)
+    basis = site.model.basis
     terms = _letters(word, mats, invs)
     prefix = [np.eye(n, dtype=complex)]
     for t in terms:
@@ -270,7 +269,7 @@ def solve_relator(site, word, target, seed=0):
     mu, nu = 1e-3, 2.0
     for it in range(_MAX_ITERS):
         if current <= _TOL:
-            return RepSample(point, current, target, it)
+            return RepSample(point, current, it)
         jmat = _relator_jacobian(site, word, point.mats, invs, target_inv)
         step = _damped_steps(jmat, rvec)
         cost = float(rvec @ rvec)
@@ -295,7 +294,7 @@ def solve_relator(site, word, target, seed=0):
                     f"no descent direction (residual {current:.3e})",
                     best_residual=current, iters=it + 1)
     if current <= _TOL:
-        return RepSample(point, current, target, _MAX_ITERS)
+        return RepSample(point, current, _MAX_ITERS)
     raise MaxIters(
         f"no convergence in {_MAX_ITERS} iterations (residual {current:.3e})",
         best_residual=current, iters=_MAX_ITERS)

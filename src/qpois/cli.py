@@ -50,9 +50,8 @@ from .errors import (
     ConfigError,
     DegeneratePairing,
     IoError,
-    MaxIters,
     QpoisError,
-    Stalled,
+    SolverStopped,
     expect,
     is_finite_number,
 )
@@ -143,7 +142,7 @@ def _traceless_blocks(model):
     traceless: the whole matrix for SL, the sl(2) block of sl2_abelian, none
     for GL and abelian.  A block ends where no basis matrix couples the rows
     before it with the rows after it."""
-    n, basis = model.n, np.stack(model.basis)
+    n, basis = model.n, model.basis
     support = np.any(basis != 0, axis=0)
     cuts = [0] + [k for k in range(1, n) if not (support[:k, k:].any()
                                                  or support[k:, :k].any())]
@@ -465,7 +464,7 @@ def _chk_class_tangency(s, rng):
 def _chk_quasi_closed(s, rng):
     pts = [random_point(s.site, rng) for _ in range(min(s.samples, 4))]
     sub = int(rng.integers(2 ** 31))
-    return float(quasi_closed_residual(s.qh, pts, seed=sub, triples=4)), len(pts)
+    return float(quasi_closed_residual(s.qh, pts, seed=sub)), len(pts)
 
 
 def _chk_cn1(s, rng):
@@ -473,7 +472,7 @@ def _chk_cn1(s, rng):
         raise _Skip("needs at least two factors")
     pts = [random_point(s.site, rng) for _ in range(min(s.samples, 4))]
     sub = int(rng.integers(2 ** 31))
-    return float(cn1_residual(s.site, pts, seed=sub, triples=4)), len(pts)
+    return float(cn1_residual(s.site, pts, seed=sub)), len(pts)
 
 
 def _chk_duality(s, p, rng):
@@ -531,10 +530,10 @@ def _chk_rank_chain(s, p, rng):
 
 
 def _solve_or_stop(site, word, target, sub):
-    """A relator solve's RepSample, or the MaxIters / Stalled stop."""
+    """A relator solve's RepSample, or the solver's stop."""
     try:
         return solve_relator(site, word, target, seed=sub)
-    except (MaxIters, Stalled) as exc:
+    except SolverStopped as exc:
         return exc
 
 
@@ -762,9 +761,7 @@ def _solve_row(site, word, target_mat, sub, **row):
     out = _solve_or_stop(site, word, target_mat, sub)
     if not isinstance(out, RepSample):
         row.update(solver_failed=True, reason=f"{type(out).__name__}: {out}",
-                   residual=(float(out.best_residual)
-                             if out.best_residual is not None else None),
-                   iters=out.iters)
+                   residual=float(out.best_residual), iters=out.iters)
         return row, None
     row.update(residual=out.residual, iters=out.iters)
     return row, out

@@ -56,18 +56,22 @@ class NotEpimorphism(QpoisError):
     """A map contractually surjective is rank deficient at this point."""
 
 
-class MaxIters(QpoisError):
-    def __init__(self, msg, best_residual=None, iters=None):
+class SolverStopped(QpoisError):
+    """The relator solver stopped short of its tolerance, with the best
+    residual it reached and the iterations it took."""
+
+    def __init__(self, msg, best_residual, iters):
         super().__init__(msg)
         self.best_residual = best_residual
         self.iters = iters
 
 
-class Stalled(QpoisError):
-    def __init__(self, msg, best_residual=None, iters=None):
-        super().__init__(msg)
-        self.best_residual = best_residual
-        self.iters = iters
+class MaxIters(SolverStopped):
+    """The solver used up its iterations."""
+
+
+class Stalled(SolverStopped):
+    """No damping of the solver's step gave descent."""
 
 
 class ConfigError(QpoisError):

@@ -98,7 +98,7 @@ def _atom_dirs(site, f, x):
     and is zero on the rows of the other factors' atoms.  Linear in x.  On a
     stack of matrices x each side is one GEMM (`duals.matmul`).
     """
-    basis = np.stack(site.model.basis)
+    basis = site.model.basis
     d = len(basis)
     basis = basis.reshape((d,) + (1,) * (np.ndim(x) - 2) + basis.shape[1:])
     out = np.zeros((2 * site.nfac * d,) + np.shape(x), dtype=complex)
@@ -137,7 +137,7 @@ class Bivector:
 
     def _atom_tensor(self):
         """kron(K, H): the tensor on the atom directions op_alpha(e_j)."""
-        return np.kron(self.kmat, self.site.pairing.require_upper())
+        return np.kron(self.kmat, self.site.pairing.eta_upper)
 
     def frame_matrix(self, point):
         """Antisymmetric coefficient matrix P^{ab} in the frame at the point,
@@ -286,15 +286,11 @@ class FormField:
             full += term.coef * (cross - cross.T)
         for term in self.tau_terms:
             f = term.factor
-            vecs = frame.per_factor[f]
-            if not vecs:
-                continue
+            vecs, rows = frame.per_factor[f], frame.rows[f]
             qi = point.inverses()[f]
-            stack, lifts = np.stack(vecs), np.stack(frame.lifts[f])
             # both trivializations of every class frame vector, summed
-            w = apply_linear(model.basis_pinv, qi @ stack + stack @ qi)
-            rows = slice(frame.offsets[f], frame.offsets[f] + len(vecs))
-            full[rows, rows] += term.coef * 0.5 * (lifts @ smat @ w.T)
+            w = apply_linear(model.basis_pinv, qi @ vecs + vecs @ qi)
+            full[rows, rows] += term.coef * 0.5 * (frame.lifts[f] @ smat @ w.T)
         # the pairs a < b, as a pairwise evaluation would visit them
         upper = np.triu(full, 1)
         return upper - upper.T

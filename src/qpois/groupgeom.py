@@ -2,8 +2,12 @@
 
 A site fixes the algebra model, the pairing, and an ordered list of factors.
 Factor i is addressed by the letter chr(ord('a')+i) in word strings; uppercase
-means inverse.  Points carry one invertible matrix per factor.
-All tangent data is "ambient": one n-by-n matrix per factor (None = zero).
+means inverse.  A point carries its factor matrices as one read-only
+(nfac, n, n) array.  All tangent data is "ambient": one n-by-n matrix per
+factor (None = zero).  A frame holds per factor an array of its k_f frame
+vectors, (k_f, n, n), their algebra lifts on class factors, (k_f, d), and
+the slice of its rows in the frame; a central class has k_f = 0, and its
+empty arrays pass through every frame computation.
 
 Data that depends only on a point is built once and kept behind it, and
 `SitePoint.memo` hands its arrays out read-only.  Besides the frame, each
@@ -89,7 +93,8 @@ class Site:
 class SitePoint:
     def __init__(self, site, mats):
         self.site = site
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
+        self.mats = np.array(mats, dtype=complex)      # (nfac, n, n)
+        self.mats.setflags(write=False)
         self._memo = {}
 
     def memo(self, key, build):
@@ -109,7 +114,7 @@ class SitePoint:
 
     def inverses(self):
         """(nfac, n, n): every factor's inverse, from one batched inversion."""
-        return self.memo("inverses", lambda: np.linalg.inv(np.stack(self.mats)))
+        return self.memo("inverses", lambda: np.linalg.inv(self.mats))
 
     def word_value(self, word):
         """(g, g^-1): the word's value at the point, its inverse letters
@@ -227,12 +232,11 @@ def _word_differentials(point, word):
     frame = point.frame()
     _, gi = point.word_value(word)
     letters = _letters(word, point.mats, point.inverses())
-    rows = [slice(frame.offsets[f], frame.offsets[f] + len(frame.per_factor[f]))
-            for f, _ in word]
+    rows = [frame.rows[f] for f, _ in word]
     pieces = np.zeros((len(word), max((r.stop - r.start for r in rows),
                                       default=0), n, n), dtype=complex)
     for i, (f, p) in enumerate(word):
-        v = frame.stacked[f][rows[i]]
+        v = frame.per_factor[f]
         pieces[i, :len(v)] = v if p == 1 else -(letters[i] @ v @ letters[i])
     for j in range(len(word) - 2, -1, -1):
         pieces[j + 1:] = letters[j] @ pieces[j + 1:]
@@ -246,32 +250,26 @@ def _word_differentials(point, word):
 
 def _conjugation_map(model, q):
     """(n^2, d): the columns qX - Xq over the basis elements X."""
-    return np.stack([(q @ b - b @ q).reshape(-1) for b in model.basis], axis=1)
+    return (q @ model.basis - model.basis @ q).reshape(model.d, -1).T
 
 
 def class_tangent_frame(model, q, r):
     """Orthonormal ambient basis of {qX - Xq}, the class of dimension r
     through q, with algebra lifts.
 
-    Returns (vectors, lifts): vectors is a list of r n-by-n matrices, the
-    leading left singular vectors of the conjugation map at q, and lifts the
-    matching coefficient vectors X (least-squares, one valid choice).
+    Returns (vectors, lifts): vectors is the (r, n, n) array of the leading
+    left singular vectors of the conjugation map at q, and lifts the (r, d)
+    array of matching coefficient vectors X (least-squares, one valid
+    choice).
     """
-    if not r:
-        return [], []
-    n = model.n
     fmat = _conjugation_map(model, q)
-    u, _, _ = np.linalg.svd(fmat, full_matrices=False)
-    vecs = []
-    lifts = []
-    lift_mat, *_ = np.linalg.lstsq(fmat, u[:, :r], rcond=None)
-    for i in range(r):
-        vecs.append(u[:, i].reshape(n, n))
-        resid = np.linalg.norm(fmat @ lift_mat[:, i] - u[:, i])
-        if resid > 1e-8:
-            raise LiftFailed(f"no algebra lift for frame vector (residual {resid:.3e})")
-        lifts.append(lift_mat[:, i])
-    return vecs, lifts
+    u = np.linalg.svd(fmat, full_matrices=False)[0][:, :r]
+    lift_mat, *_ = np.linalg.lstsq(fmat, u, rcond=None)
+    resid = np.linalg.norm(fmat @ lift_mat - u, axis=0)
+    if np.any(resid > 1e-8):
+        raise LiftFailed(f"no algebra lift for frame vector "
+                         f"(residual {resid.max():.3e})")
+    return u.T.reshape(r, model.n, model.n), lift_mat.T
 
 
 class TangentFrame:
@@ -283,39 +281,27 @@ class TangentFrame:
 
     def __init__(self, site, point, per_factor, lifts):
         self.site = site
-        self.per_factor = per_factor    # list of lists of ambient matrices
-        self.lifts = lifts              # list of (list of coeff vectors | None)
-        self.offsets = []
+        self.per_factor = per_factor    # per factor a (k_f, n, n) array
+        self.lifts = lifts              # per factor a (k_f, d) array, None on groups
+        self.rows = []                  # per factor its slice of frame rows
         off = 0
         for vecs in per_factor:
-            self.offsets.append(off)
+            self.rows.append(slice(off, off + len(vecs)))
             off += len(vecs)
         self.dim = off
-        # per-factor coefficient extractors (rows act on vec'd ambient tangents)
-        self._extract = []
-        for i, fac in enumerate(site.factors):
-            if fac.kind == "group":
-                qi = point.inverses()[i]
-                n = site.model.n
-                # v -> coeffs(q^{-1} v): linear map composed with left mult by q^{-1}
-                left = np.kron(qi, np.eye(n))
-                self._extract.append(site.model.basis_pinv @ left)
-            else:
-                vecs = per_factor[i]
-                if vecs:
-                    umat = np.stack([v.reshape(-1) for v in vecs], axis=1)
-                    self._extract.append(umat.conj().T)
-                else:
-                    self._extract.append(np.zeros((0, site.model.n ** 2)))
-        # all frame vectors as one batched tangent: per factor a (dim, n, n)
-        # stack, zero on the rows of the other factors' vectors
         n = site.model.n
-        self.stacked = []
-        for i, vecs in enumerate(per_factor):
-            block = np.zeros((self.dim, n, n), dtype=complex)
-            if vecs:
-                block[self.offsets[i]:self.offsets[i] + len(vecs)] = vecs
-            self.stacked.append(block)
+        # per-factor coefficient extractors (rows act on vec'd ambient
+        # tangents): v -> coeffs(q^-1 v) on a group factor, the conjugate
+        # frame vectors on a class factor
+        self._extract = [
+            site.model.basis_pinv @ np.kron(qi, np.eye(n))
+            if fac.kind == "group" else vecs.reshape(-1, n * n).conj()
+            for fac, qi, vecs in zip(site.factors, point.inverses(), per_factor)]
+        # all frame vectors as one batched tangent, (nfac, dim, n, n): factor
+        # f's entry is zero on the rows of the other factors' vectors
+        self.stacked = np.zeros((site.nfac, self.dim, n, n), dtype=complex)
+        for f, vecs in enumerate(per_factor):
+            self.stacked[f, self.rows[f]] = vecs
 
     def components(self, tangent):
         """Frame components of an ambient tangent (list or Tangent).
@@ -326,42 +312,34 @@ class TangentFrame:
         comps = tangent.comps if isinstance(tangent, Tangent) else tangent
         batch = next((np.shape(v)[:-2] for v in comps if v is not None), ())
         out = np.zeros(batch + (self.dim,), dtype=complex)
-        for i, vecs in enumerate(self.per_factor):
-            v = comps[i]
-            if v is None or not vecs:
+        for v, extract, rows in zip(comps, self._extract, self.rows):
+            if v is None:
                 continue
             v = np.asarray(v, dtype=complex)
             flat = v.reshape(v.shape[:-2] + (-1,))
-            c = (self._extract[i] @ flat[..., None])[..., 0]
-            out[..., self.offsets[i]:self.offsets[i] + len(vecs)] += c
+            out[..., rows] += (extract @ flat[..., None])[..., 0]
         return out
 
     def assemble(self, coeffs):
         """Ambient Tangent from frame components."""
         comps = [None] * self.site.nfac
-        for i, vecs in enumerate(self.per_factor):
-            if not vecs:
-                continue
-            seg = coeffs[self.offsets[i]:self.offsets[i] + len(vecs)]
+        for f, (vecs, rows) in enumerate(zip(self.per_factor, self.rows)):
             acc = None
-            for c, v in zip(seg, vecs):
+            for c, v in zip(coeffs[rows], vecs):
                 term = c * v
                 acc = term if acc is None else acc + term
-            comps[i] = acc
+            comps[f] = acc
         return Tangent(comps)
 
 
 def site_frame(site, point):
-    per_factor = []
-    lifts = []
-    for i, fac in enumerate(site.factors):
+    per_factor, lifts = [], []
+    for i, (fac, q) in enumerate(zip(site.factors, point.mats)):
         if fac.kind == "group":
-            q = point.mats[i]
-            per_factor.append([q @ b for b in site.model.basis])
+            per_factor.append(q @ site.model.basis)
             lifts.append(None)
         else:
-            vecs, lf = class_tangent_frame(site.model, point.mats[i],
-                                           site.class_dims[i])
+            vecs, lf = class_tangent_frame(site.model, q, site.class_dims[i])
             per_factor.append(vecs)
             lifts.append(lf)
     return TangentFrame(site, point, per_factor, lifts)
@@ -393,6 +371,5 @@ def random_point(site, rng):
 
 def conjugate_point(point, g):
     """Simultaneous conjugation of every factor by one group element."""
-    gi = np.linalg.inv(g)
-    return SitePoint(point.site, [g @ m @ gi for m in point.mats])
+    return SitePoint(point.site, g @ point.mats @ np.linalg.inv(g))
 

@@ -44,13 +44,12 @@ class LieAlgebraModel:
     """Basis, structure constants and coefficient extraction for one algebra."""
 
     def __init__(self, basis, struct, basis_mat, basis_pinv, closure_residual):
-        self.basis = basis                      # list of (n, n) complex arrays
+        self.basis = basis                      # (d, n, n) complex, read-only
         self.struct = struct                    # (d, d, d): [e_u, e_v] = struct[k,u,v] e_k
         self.basis_mat = basis_mat              # (n*n, d) flattened basis columns
         self.basis_pinv = basis_pinv            # (d, n*n) least-squares extractor
         self.closure_residual = closure_residual
-        self.n = basis[0].shape[0]
-        self.d = len(basis)
+        self.d, self.n = basis.shape[:2]
 
     def coeffs(self, mat):
         """Expand n-by-n matrices (leading batch axes allowed) in the basis;
@@ -69,7 +68,7 @@ class LieAlgebraModel:
     def from_coeffs(self, c):
         """Matrix of a coefficient vector; leading batch axes are kept."""
         c = np.asarray(c, dtype=complex)
-        return np.einsum("...j,jab->...ab", c, np.stack(self.basis))
+        return np.einsum("...j,jab->...ab", c, self.basis)
 
     def bracket_coeffs(self, x, y):
         """Structure-constant bracket of two coefficient vectors."""
@@ -86,12 +85,14 @@ def build_lie_algebra(basis):
     Raises RankDeficient for dependent bases and NotClosed when some commutator
     leaves the span by more than _CLOSURE_TOL (relative to its size).
     """
-    basis = [np.asarray(b, dtype=complex) for b in basis]
-    n = basis[0].shape[0]
-    if any(b.shape != (n, n) for b in basis):
+    mats = [np.asarray(b, dtype=complex) for b in basis]
+    n = mats[0].shape[0]
+    if any(b.shape != (n, n) for b in mats):
         raise RankDeficient("basis matrices must share one square shape")
+    basis = np.stack(mats)
+    basis.setflags(write=False)
     d = len(basis)
-    bmat = np.stack([b.reshape(-1) for b in basis], axis=1)
+    bmat = np.ascontiguousarray(basis.reshape(d, n * n).T)
     sv = np.linalg.svd(bmat, compute_uv=False)
     if d > n * n or sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("basis matrices are linearly dependent")
@@ -114,54 +115,40 @@ def build_lie_algebra(basis):
 
 @dataclass
 class PairingData:
-    """Coefficient matrices of the invariant form (lower) and 2-tensor (upper)."""
+    """Coefficient matrices of the invariant form (lower) and 2-tensor (upper),
+    mutually inverse or, for a degenerate form, mutual pseudo-inverses."""
 
-    eta_lower: np.ndarray | None = None
-    eta_upper: np.ndarray | None = None
+    eta_lower: np.ndarray
+    eta_upper: np.ndarray
 
     def __post_init__(self):
         for name in ("eta_lower", "eta_upper"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = np.asarray(m, dtype=complex)
+            m = np.asarray(getattr(self, name), dtype=complex)
             setattr(self, name, m)
             if np.abs(m - m.T).max() > _SYMMETRY_TOL * (1 + np.abs(m).max()):
                 raise NotConvenient(f"{name} is not symmetric")
-        self._invertible = False
-        if self.eta_lower is not None and self.eta_upper is not None:
-            s, h = self.eta_lower, self.eta_upper
-            eye = np.eye(s.shape[0])
-            self._invertible = bool(np.abs(s @ h - eye).max() <= 1e-10)
-            if not self._invertible:
-                # degenerate pair: still require pseudo-inverse consistency
-                scale = 1 + np.abs(s).max() + np.abs(h).max()
-                bad = max(np.abs(s @ h @ s - s).max(), np.abs(h @ s @ h - h).max())
-                if bad > 1e-10 * scale:
-                    raise NotConvenient(
-                        f"eta_upper is not a (pseudo-)inverse of eta_lower "
-                        f"(residual {bad:.3e})")
-        elif self.eta_upper is not None and self.eta_lower is None:
-            h = self.eta_upper
-            sv = np.linalg.svd(h, compute_uv=False)
-            self._invertible = bool(sv.size and sv[-1] > 1e-10 * sv[0])
+        s, h = self.eta_lower, self.eta_upper
+        self._invertible = bool(np.abs(s @ h - np.eye(s.shape[0])).max() <= 1e-10)
+        if not self._invertible:
+            # degenerate pair: still require pseudo-inverse consistency
+            scale = 1 + np.abs(s).max() + np.abs(h).max()
+            bad = max(np.abs(s @ h @ s - s).max(), np.abs(h @ s @ h - h).max())
+            if bad > 1e-10 * scale:
+                raise NotConvenient(
+                    f"eta_upper is not a (pseudo-)inverse of eta_lower "
+                    f"(residual {bad:.3e})")
 
     @property
     def invertible(self):
         return self._invertible
 
     def require_invertible(self):
-        """Both tensors present and mutually inverse; DegeneratePairing otherwise."""
-        if self.eta_lower is None or self.eta_upper is None or not self._invertible:
+        """The two tensors when mutually inverse; DegeneratePairing otherwise."""
+        if not self._invertible:
             raise DegeneratePairing(
                 "operation needs a non-degenerate pairing (mutually inverse "
                 "eta_lower / eta_upper)")
         return self.eta_lower, self.eta_upper
-
-    def require_upper(self):
-        if self.eta_upper is None:
-            raise DegeneratePairing("no eta_upper supplied")
-        return self.eta_upper
 
 
 def trace_pairing(model, scale=1.0, mask=None):
@@ -191,7 +178,7 @@ def _rank(sv):
 
 def adjoint_matrix(model, q, q_inv):
     """d-by-d matrix of Ad_q in the model basis, given q's inverse."""
-    return model.coeffs(q @ np.stack(model.basis) @ q_inv).T
+    return model.coeffs(q @ model.basis @ q_inv).T
 
 
 def random_algebra_element(model, rng):
@@ -213,12 +200,8 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
     for _ in range(samples):
         g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
         a = adjoint_matrix(model, g, np.linalg.inv(g))
-        if pairing.eta_lower is not None:
-            s = pairing.eta_lower
-            gaps.append(np.abs(a.T @ s @ a - s).max())
-        if pairing.eta_upper is not None:
-            h = pairing.eta_upper
-            gaps.append(np.abs(a @ h @ a.T - h).max())
+        s, h = pairing.eta_lower, pairing.eta_upper
+        gaps += [np.abs(a.T @ s @ a - s).max(), np.abs(a @ h @ a.T - h).max()]
     # np.max, not max(): a NaN at any sample must show
     return float(np.max(gaps, initial=0.0))
 
@@ -226,7 +209,7 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
 def cubic_alternation(model, pairing):
     """The cubic tensor phi[j,k,s] = eta^{j,u} c^k_{u,v} eta^{v,s} and its
     alternation residual, max |phi + phi^t| over the slot transpositions t."""
-    h = pairing.require_upper()
+    h = pairing.eta_upper
     phi = np.einsum("ju,kuv,vs->jks", h, model.struct, h)
     return phi, max(float(np.abs(phi + np.transpose(phi, t)).max())
                     for t in ((1, 0, 2), (0, 2, 1), (2, 1, 0)))

@@ -110,7 +110,6 @@ class QuasiPoissonDescriptor:
     site: Site
     bivector: Bivector
     momentum: list
-    name: str = ""
 
 
 @dataclass
@@ -118,7 +117,6 @@ class QuasiHamiltonianDescriptor:
     site: Site
     form: FormField
     momentum: list
-    name: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def pg_descriptor(site):
     """The bivector of the first factor with its letter as momentum word."""
     biv = Bivector(site, _pg_terms(0))
     mom = [_conj_component(site, site.letter(0), [0])]
-    return QuasiPoissonDescriptor(site, biv, mom, "standard")
+    return QuasiPoissonDescriptor(site, biv, mom)
 
 
 def class_descriptors(site):
@@ -147,9 +145,9 @@ def class_descriptors(site):
     if site.factors[0].kind != "class":
         raise BadSignature("class pair needs a class factor")
     mom = [_conj_component(site, site.letter(0), [0])]
-    qp = QuasiPoissonDescriptor(site, Bivector(site, _pg_terms(0)), mom, "class")
-    qh = QuasiHamiltonianDescriptor(site, FormField(site, tau_terms=[TauTerm(0)]),
-                                    mom, "class")
+    qp = QuasiPoissonDescriptor(site, Bivector(site, _pg_terms(0)), mom)
+    qh = QuasiHamiltonianDescriptor(
+        site, FormField(site, tau_terms=[TauTerm(0)]), mom)
     return qp, qh
 
 
@@ -176,8 +174,8 @@ def double_descriptors(site, i=0, j=1):
         PairTerm(0.5, wb, wa),
     ])
     mom = _double_momentum(site, i, j)
-    return (QuasiPoissonDescriptor(site, biv, mom, "double"),
-            QuasiHamiltonianDescriptor(site, form, mom, "double"))
+    return (QuasiPoissonDescriptor(site, biv, mom),
+            QuasiHamiltonianDescriptor(site, form, mom))
 
 
 def _chi_bivector(site, act1, act2):
@@ -211,8 +209,8 @@ def internally_fused(site, i=0, j=1):
     qp, qh = double_descriptors(site, i, j)
     biv, merged = fuse_bivector(site, qp.bivector, qp.momentum[0], qp.momentum[1])
     form, merged_f = fuse_form(site, qh.form, qh.momentum[0], qh.momentum[1])
-    return (QuasiPoissonDescriptor(site, biv, [merged], "internally-fused"),
-            QuasiHamiltonianDescriptor(site, form, [merged_f], "internally-fused"))
+    return (QuasiPoissonDescriptor(site, biv, [merged]),
+            QuasiHamiltonianDescriptor(site, form, [merged_f]))
 
 
 def surface_letters(genus, npunct):
@@ -268,11 +266,10 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
         else:
             form = None
         biv, comp = fuse_bivector(site, biv + nbiv, comp, ncomp)
-    name = f"surface-{genus}-{npunct}-{variant}"
-    qp = QuasiPoissonDescriptor(site, biv, [comp], name)
+    qp = QuasiPoissonDescriptor(site, biv, [comp])
     qh = None
     if form is not None:
-        qh = QuasiHamiltonianDescriptor(site, form, [comp], name)
+        qh = QuasiHamiltonianDescriptor(site, form, [comp])
     return site, qp, qh
 
 
@@ -332,8 +329,8 @@ def component_linear(point, comp):
 
 
 def _component_linear(point, comp):
-    basis = np.stack(point.site.model.basis)
-    action = point.frame().components(op_apply(comp.action, point.mats, basis)).T
+    action = point.frame().components(
+        op_apply(comp.action, point.mats, point.site.model.basis)).T
     return ComponentLinear(*point.word_differentials(comp.word),
                            *point.word_ad(comp.word), action)
 
@@ -359,7 +356,7 @@ def momentum_residual(desc, point):
     site = desc.site
     lins = _linears(desc, point)
     if isinstance(desc, QuasiPoissonDescriptor):
-        h = site.pairing.require_upper()
+        h = site.pairing.eta_upper
         pmat = desc.bivector.frame_matrix(point)
         gaps = [2.0 * pmat.T @ lin.left - _bivector_momentum_rhs(lin, h)
                 for lin in lins]
@@ -481,36 +478,39 @@ def _by_slot(v, count, shape):
     return v[0::3], v[1::3], v[2::3]
 
 
-def _closure_residual(site, form, pullbacks, points, seed, triples):
+_TRIPLES = 4                # random section triples drawn per point
+
+
+def _closure_residual(site, form, pullbacks, points, seed):
     """max |d form (S1,S2,S3) - sum_c c lambda(dW S1, dW S2, dW S3)| over
-    random section triples at the points, the sum over the (coefficient c,
-    word W) pullbacks of the cubic form."""
+    _TRIPLES random section triples at each point, the sum over the
+    (coefficient c, word W) pullbacks of the cubic form."""
     model = site.model
     shape = (model.n, model.n)
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for point in points:
-        drawn = [_random_sections(site, rng) for _ in range(triples)]
+        drawn = [_random_sections(site, rng) for _ in range(_TRIPLES)]
         lhs = exterior_d3(site, form, point, drawn)
         # triple t in entries 3t, 3t + 1, 3t + 2
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
-            dv = _by_slot(word_tangent(word, point.mats, ts), triples, shape)
+            dv = _by_slot(word_tangent(word, point.mats, ts), _TRIPLES, shape)
             rhs = rhs + coef * eval_lambda(model, site.pairing,
                                            word_eval(word, point.mats), *dv)
         worst = _worst(worst, lhs - rhs)
     return worst
 
 
-def quasi_closed_residual(desc, points, seed=0, triples=8):
+def quasi_closed_residual(desc, points, seed=0):
     """max |d sigma (S1,S2,S3) - sum_i lambda(dPhi_i S1, dPhi_i S2, dPhi_i S3)|."""
     return _closure_residual(desc.site, desc.form,
                              [(1.0, comp.word) for comp in desc.momentum],
-                             points, seed, triples)
+                             points, seed)
 
 
-def cn1_residual(site, points, seed=0, triples=8):
+def cn1_residual(site, points, seed=0):
     """Calibration: half the exterior derivative of the mixed pairing equals
     the two factor pullbacks of the cubic form minus its product pullback."""
     if site.nfac < 2:
@@ -518,7 +518,7 @@ def cn1_residual(site, points, seed=0, triples=8):
     wa, wb, wab = (parse_word(site, w) for w in ("a", "b", "ab"))
     form = FormField(site, pair_terms=[PairTerm(0.5, wa, wb)])
     return _closure_residual(site, form, [(1.0, wa), (1.0, wb), (-1.0, wab)],
-                             points, seed, triples)
+                             points, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +553,7 @@ def equivariance_residual(qp, qh, point, g):
     left out when qh is None.
     """
     cpoint = conjugate_point(point, g)
-    gi = np.linalg.inv(g)
-    tmat = cpoint.frame().components([g @ v @ gi for v in point.frame().stacked])
+    tmat = cpoint.frame().components(g @ point.frame().stacked @ np.linalg.inv(g))
     biv = qp.bivector
     gaps = [np.abs(biv.frame_matrix(cpoint)
                    - tmat.T @ biv.frame_matrix(point) @ tmat).max()]
@@ -573,16 +572,11 @@ def restrict_to_class(biv, point, factor):
     site = biv.site
     if site.factors[factor].kind != "class":
         raise BadSignature("restriction target must be a class factor")
-    frame = point.frame()
     n = site.model.n
     pamb = biv.ambient_matrix(point)
     # sharp image lives in the row space of pamb^T; project factor block
-    vecs = frame.per_factor[factor]
-    if vecs:
-        umat = np.stack([v.reshape(-1) for v in vecs], axis=1)
-        proj = umat @ umat.conj().T
-    else:
-        proj = np.zeros((n * n, n * n), dtype=complex)
+    umat = point.frame().per_factor[factor].reshape(-1, n * n).T
+    proj = umat @ umat.conj().T
     rows = slice(factor * n * n, (factor + 1) * n * n)
     image_rows = pamb.T[rows, :]
     resid = float(np.abs(image_rows - proj @ image_rows).max())

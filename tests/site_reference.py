@@ -13,8 +13,8 @@ from qpois.quasi import component_linear
 
 def frame_vector(frame, a):
     """Frame vector a as a Tangent, with its lift on a class factor."""
-    for i, vecs in enumerate(frame.per_factor):
-        k = a - frame.offsets[i]
+    for i, (vecs, rows) in enumerate(zip(frame.per_factor, frame.rows)):
+        k = a - rows.start
         if 0 <= k < len(vecs):
             comps = [None] * frame.site.nfac
             comps[i] = vecs[k]
@@ -64,9 +64,9 @@ def momentum_pullback_residual(desc, point, fn):
     # algebra-valued target field: (1/2) eta (grad_L f + grad_R f) at g,
     # pushed through the action
     g, _ = point.word_value(comp.word)
-    basis = np.stack(model.basis)
+    basis = model.basis
     grad = fn(Dual(g, g @ basis)).eps + fn(Dual(g, basis @ g)).eps
-    x_alg = 0.5 * (site.pairing.require_upper() @ grad)
+    x_alg = 0.5 * (site.pairing.eta_upper @ grad)
     return float(np.abs(lhs - lin.action @ x_alg).max())
 
 

@@ -101,7 +101,7 @@ def test_01_cubic_tensor_antisymmetry():
     worst = 0.0
     for maker in (models.sl2, _sl3, models.sl2_abelian):
         model, pairing = maker()
-        h = pairing.require_upper()
+        h = pairing.eta_upper
         phi = np.einsum("ju,kuv,vs->jks", h, model.struct, h)
         for perm in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
             worst = max(
@@ -207,8 +207,7 @@ def test_05_quasi_closedness():
     m2, p2 = models.sl2()
 
     s_two = _group_site(models.sl2, 2)
-    calib = float(cn1_residual(s_two, _points(s_two, 50, 16), seed=5,
-                               triples=4))
+    calib = float(cn1_residual(s_two, _points(s_two, 50, 16), seed=5))
 
     _, qh_two = double_descriptors(s_two)
     s_cls = Site(m2, p2, [Factor("class", REP2)])
@@ -219,8 +218,7 @@ def test_05_quasi_closedness():
     for k, (site, qh) in enumerate(
             ((s_two, qh_two), (s_cls, qh_cls), (s_11, qh_11))):
         pts = _points(site, [51, k], 6)
-        worst = max(worst, float(quasi_closed_residual(qh, pts, seed=5,
-                                                       triples=4)))
+        worst = max(worst, float(quasi_closed_residual(qh, pts, seed=5)))
     _report(5, "quasi-closedness", worst, 1e-7, t0, 60.0,
             note=f"mixed-pairing calibration {calib:.1e}")
 
@@ -350,7 +348,7 @@ def test_10_degenerate_pairing_regression():
     model, pairing = models.sl2_abelian()
 
     # criterion 1: antisymmetry
-    h = pairing.require_upper()
+    h = pairing.eta_upper
     phi_t = np.einsum("ju,kuv,vs->jks", h, model.struct, h)
     worst = max(
         float(np.abs(phi_t + np.transpose(phi_t, perm)).max())

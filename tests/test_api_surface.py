@@ -23,10 +23,6 @@ DEFAULTED = {
     "cli.run_suite(seed)",
     "cli.sample_points(seed)",
     "dirac.dirac_booleans(component)",
-    "errors.MaxIters.__init__(best_residual)",
-    "errors.MaxIters.__init__(iters)",
-    "errors.Stalled.__init__(best_residual)",
-    "errors.Stalled.__init__(iters)",
     "fields.FormField.__init__(pair_terms)",
     "fields.FormField.__init__(tau_terms)",
     "liealg.ad_invariance_residual(samples)",
@@ -36,13 +32,11 @@ DEFAULTED = {
     "models.model_from_config(pairing)",
     "quasi.assemble_surface_site(variant)",
     "quasi.cn1_residual(seed)",
-    "quasi.cn1_residual(triples)",
     "quasi.double_descriptors(i)",
     "quasi.double_descriptors(j)",
     "quasi.internally_fused(i)",
     "quasi.internally_fused(j)",
     "quasi.quasi_closed_residual(seed)",
-    "quasi.quasi_closed_residual(triples)",
 }
 
 

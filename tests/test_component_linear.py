@@ -95,7 +95,7 @@ def _ref_momentum(desc, point, mode):
     for comp in desc.momentum:
         left, right = _word_diffs(point, comp.word)
         if mode == "bivector":
-            h = site.pairing.require_upper()
+            h = site.pairing.eta_upper
             pmat = desc.bivector.frame_matrix(point)
             gi = np.linalg.inv(word_eval(comp.word, point.mats))
             ainv = adjoint_matrix(model, gi, np.linalg.inv(gi))

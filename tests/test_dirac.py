@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qpois import models
+from qpois.charvar import solve_relator
+from qpois.cli import build_setup
 from qpois.dirac import (
     LagrangianSubspace,
     cartan_dirac_fibers,
@@ -269,3 +271,19 @@ def test_prop_tech_traceless_word_value():
     assert rep["inclusion_residual"] <= 1e-9
     assert rep["containment_residual"] <= 1e-9
     assert form_kernel >= 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_prop_tech_chain_at_a_solved_traceless_level(seed):
+    """SL(2) genus 1 with the relator solved to diag(i, -i): the commutator
+    is traceless there, so ker(Id + Ad^-1) is 2-dimensional and the chain
+    certifies a nonzero inclusion and image."""
+    setup = build_setup({"site": {"genus": 1}, "targets": [
+        [[[0, 1], [0, 0]], [[0, 0], [0, -1]]]]})
+    p = solve_relator(setup.site, setup.relator, setup.targets[0][1],
+                      seed=seed).point
+    rep = prop_tech_chain(setup.qh, p)
+    assert _kernel_dims(setup.qh, p)[0] == 2
+    assert rep["mono_ok"] and rep["onto_ok"]
+    assert rep["inclusion_residual"] <= 1e-8
+    assert rep["containment_residual"] <= 1e-8

@@ -104,7 +104,7 @@ def test_ad_invariance_detects_perturbation():
     bad = np.array(pairing.eta_lower)
     bad[0, 1] += 1e-3
     bad[1, 0] += 1e-3
-    broken = PairingData(eta_lower=bad)
+    broken = PairingData(bad, np.linalg.inv(bad))
     r = ad_invariance_residual(model, broken, samples=16, seed=3)
     assert 1e-5 < r < 1e-1
 
@@ -151,7 +151,8 @@ def test_cartan3_degenerate_supported_on_block():
 
 def test_cartan3_noninvariant_rejected():
     model, _ = models.sl2()
-    bad = PairingData(eta_upper=np.diag([1.0, 1.0, 2.0]))
+    upper = np.diag([1.0, 1.0, 2.0])
+    bad = PairingData(np.linalg.inv(upper), upper)
     with pytest.raises(NotConvenient):
         cartan3(model, bad)
 
@@ -174,7 +175,7 @@ def test_pairing_from_lower_degenerate():
     model, _ = abelian2()
     p = trace_pairing(model, scale=3.0, mask=[1.0, 0.0])
     assert np.array_equal(p.eta_lower, np.diag([3.0, 0.0]))
-    assert np.allclose(p.require_upper(), np.diag([1 / 3, 0.0]))
+    assert np.allclose(p.eta_upper, np.diag([1 / 3, 0.0]))
     assert not p.invertible
     with pytest.raises(DegeneratePairing):
         p.require_invertible()

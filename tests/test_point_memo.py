@@ -135,14 +135,14 @@ def test_closedness_residuals_make_two_evaluations_per_point(monkeypatch):
     monkeypatch.setattr(fields.FormField, "evaluate", counted)
     site, _, qh, _ = _two_puncture()
     pts = [random_point(site, np.random.default_rng(s)) for s in range(3)]
-    quasi.quasi_closed_residual(qh, pts, seed=4, triples=4)
+    quasi.quasi_closed_residual(qh, pts, seed=4)
     assert 0 < calls["evaluate"] <= 2 * len(pts)
 
     calls.clear()
     model, pairing = models.sl2()
     site, _, _ = assemble_surface_site(model, pairing, 2, [])
     pts = [random_point(site, np.random.default_rng(s)) for s in range(3)]
-    quasi.cn1_residual(site, pts, seed=5, triples=4)
+    quasi.cn1_residual(site, pts, seed=5)
     assert 0 < calls["evaluate"] <= 2 * len(pts)
 
 

@@ -166,8 +166,7 @@ def test_fuse_zero_translations_gives_conjugation_structure():
     ref = pg_descriptor(site)
     desc = QuasiPoissonDescriptor(
         site, fused,
-        [MomentumComponent(parse_word(site, "a"), op_fund([0]))],
-        "fused-zero")
+        [MomentumComponent(parse_word(site, "a"), op_fund([0]))])
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
         assert np.abs(fused.frame_matrix(p)
@@ -228,7 +227,8 @@ def test_restrict_to_class_tangent():
 
 def test_restrict_broken_pairing_not_tangent():
     model, pairing = models.sl2()
-    bad = PairingData(eta_upper=np.diag([1.0, 1.0, 2.0]))
+    upper = np.diag([1.0, 1.0, 2.0])
+    bad = PairingData(np.linalg.inv(upper), upper)
     site = Site(model, bad, [Factor("class", REP)])
     qp, _ = class_descriptors(site)
     p = random_point(site, np.random.default_rng(7))

@@ -29,10 +29,9 @@ NOT_REACHED = {
     "duals.Dual.__mul__": "the scaling step of dexpm on Dual input",
     "duals.Dual.__repr__": "debugging aid",
     "charvar.TraceFunction.__repr__": "debugging aid",
-    "errors.MaxIters.__init__": "the solver's iteration cap, which no "
-                                "config here reaches",
-    "errors.Stalled.__init__": "the solver's stop when no damping gives "
-                               "descent, which no config here reaches",
+    "errors.SolverStopped.__init__": "the solver's stops, its iteration cap "
+                                     "and a stall, which no config here "
+                                     "reaches",
     "cli._common": "decorator applied at import, before the scan",
 }
 
