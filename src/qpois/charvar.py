@@ -90,7 +90,8 @@ _INVARIANCE_TOL = 1e-8
 
 
 def hamiltonian_field(biv, f, point, seed=0):
-    """Tangent P-sharp(df) of an invariant function.
+    """Tangent P-sharp(df) of an invariant function, as one (nfac, n, n)
+    array of factor components.
 
     The invariance precondition is sampled; a function that visibly varies
     under simultaneous conjugation, or gives NaN, is refused.
@@ -100,7 +101,8 @@ def hamiltonian_field(biv, f, point, seed=0):
         raise NotInvariant(
             f"function varies under conjugation (residual {resid:.3e})")
     df = differential(point, f)
-    return point.frame().assemble(biv.frame_matrix(point).T @ df)
+    return np.tensordot(biv.frame_matrix(point).T @ df,
+                        point.frame().stacked, axes=(0, 1))
 
 
 def level_tangency_residual(desc, f, point, seed=0):

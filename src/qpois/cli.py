@@ -57,6 +57,7 @@ from .errors import (
 )
 from .groupgeom import parse_word, random_point
 from .liealg import (
+    _AD_SAMPLES,
     ad_invariance_residual,
     cartan3,
     cubic_alternation,
@@ -230,10 +231,12 @@ class Setup:
 
     @cached_property
     def invariance_gate(self):
-        """The sampled ad-invariance residual of the pairing that checks
-        needing an invariant pairing are gated on, made once per run."""
-        return float(ad_invariance_residual(self.model, self.pairing,
-                                            samples=8, seed=self.seed))
+        """The sampled ad-invariance residual of the pairing, made once per
+        run from the first draw of the pairing_ad_invariance check's stream:
+        that check reports it, and the checks needing an invariant pairing
+        are gated on it."""
+        sub = int(_check_rng(self, "pairing_ad_invariance").integers(2 ** 31))
+        return float(ad_invariance_residual(self.model, self.pairing, seed=sub))
 
     @cached_property
     def solved(self):
@@ -400,9 +403,7 @@ def _chk_basis_closure(s, rng):
 
 
 def _chk_ad_invariance(s, rng):
-    sub = int(rng.integers(2 ** 31))
-    return float(ad_invariance_residual(s.model, s.pairing, samples=16,
-                                        seed=sub)), 16
+    return s.invariance_gate, _AD_SAMPLES
 
 
 def _chk_cubic_antisym(s, rng):
@@ -455,7 +456,7 @@ def _chk_class_tangency(s, rng):
     for _ in range(min(s.samples, 4)):
         p = random_point(site, rng)
         try:
-            resid.append(restrict_to_class(qp.bivector, p, factor)[1])
+            resid.append(restrict_to_class(qp.bivector, p, factor))
         except NotTangent as exc:
             raise _Fail(str(exc)) from exc
     return float(np.max(resid)), len(resid)

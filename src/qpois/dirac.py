@@ -47,9 +47,9 @@ class LagrangianSubspace:
     """Orthonormalized column basis of a Lagrangian subspace of the split
     2N-space; construction verifies isotropy and half-dimension rank."""
 
-    def __init__(self, basis, half):
+    def __init__(self, basis, isotropy_residual):
         self.basis = basis
-        self.half = half
+        self.isotropy_residual = isotropy_residual
 
     @classmethod
     def from_columns(cls, cols, half):
@@ -61,9 +61,7 @@ class LagrangianSubspace:
         resid = float(np.abs(gram).max()) if gram.size else 0.0
         if resid > _ISO_TOL * max(1.0, float(np.abs(basis).max())):
             raise BadSignature(f"subspace not isotropic (residual {resid:.3e})")
-        obj = cls(basis, half)
-        obj.isotropy_residual = resid
-        return obj
+        return cls(basis, resid)
 
 
 def graph_subspace(smat):

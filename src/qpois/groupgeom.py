@@ -32,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import dexpm, dinv
+from .duals import dexpm, dinv, value
 from .errors import BadSignature, LiftFailed
 from .liealg import _rank, adjoint_matrix, random_algebra_element
 
@@ -163,7 +163,6 @@ def word_eval(word, mats):
         out = term if out is None else out @ term
     if out is None:
         # empty word: identity of the right size
-        from .duals import value
         size = value(mats[0]).shape[-1]
         return np.eye(size, dtype=complex)
     return out
@@ -172,31 +171,25 @@ def word_eval(word, mats):
 def word_tangent(word, mats, tangent):
     """Derivative of word_eval in the direction of an ambient tangent.
 
-    tangent may be a Tangent or a plain list; None components contribute zero.
-    Exact product rule with d(A^{-1}) = -A^{-1} dA A^{-1}; Dual-transparent.
+    tangent may be a Tangent, a plain list or an (nfac, ...) array; None
+    components contribute zero.  One pass over the letters carries the
+    running product W and its derivative D: a letter t with derivative dt,
+    which is -t v t for an inverse letter, gives D <- D t + W dt, the
+    recurrence a Dual evaluation of word_eval performs.  Dual-transparent.
     """
     comps = tangent.comps if isinstance(tangent, Tangent) else tangent
-    terms = []
+    prod = out = None
     for f, p in word:
-        terms.append(mats[f] if p == 1 else dinv(mats[f]))
-    out = None
-    for i, (f, p) in enumerate(word):
+        t = mats[f] if p == 1 else dinv(mats[f])
         v = comps[f]
-        if v is None:
-            continue
-        if p == 1:
-            dterm = v
-        else:
-            ti = terms[i]
-            dterm = -(ti @ v @ ti)
-        piece = dterm
-        for j in range(i - 1, -1, -1):
-            piece = terms[j] @ piece
-        for j in range(i + 1, len(terms)):
-            piece = piece @ terms[j]
-        out = piece if out is None else out + piece
+        if out is not None:
+            out = out @ t
+        if v is not None:
+            dt = v if p == 1 else -(t @ v @ t)
+            piece = dt if prod is None else prod @ dt
+            out = piece if out is None else piece + out
+        prod = t if prod is None else prod @ t
     if out is None:
-        from .duals import value
         size = value(mats[0]).shape[-1]
         return np.zeros((size, size), dtype=complex)
     return out
@@ -223,11 +216,13 @@ def _word_ad(point, word):
 
 
 def _word_differentials(point, word):
-    """Every frame vector's word derivative, the products taken in
-    word_tangent's order: letter i's derivative, a (d_f, n, n) block on its
-    factor's frame rows, is multiplied on the left by letters i-1, ..., 0 and
-    then on the right by letters i+1, ..., L-1; the blocks of all letters
-    move through each letter together."""
+    """Every frame vector's word derivative by the product rule: letter i's
+    derivative, a (d_f, n, n) block on its factor's frame rows, is
+    multiplied on the left by letters i-1, ..., 0 and then on the right by
+    letters i+1, ..., L-1, and the blocks are summed in letter order; the
+    blocks of all letters move through each letter together.  This order
+    differs from word_tangent's recurrence in the last bits on words of
+    three or more letters."""
     model, n = point.site.model, point.site.model.n
     frame = point.frame()
     _, gi = point.word_value(word)
@@ -304,7 +299,7 @@ class TangentFrame:
             self.stacked[f, self.rows[f]] = vecs
 
     def components(self, tangent):
-        """Frame components of an ambient tangent (list or Tangent).
+        """Frame components of an ambient tangent (list, array or Tangent).
 
         Factor matrices may carry leading batch axes, the same on every
         factor; the result keeps them, shape (..., dim).
@@ -319,17 +314,6 @@ class TangentFrame:
             flat = v.reshape(v.shape[:-2] + (-1,))
             out[..., rows] += (extract @ flat[..., None])[..., 0]
         return out
-
-    def assemble(self, coeffs):
-        """Ambient Tangent from frame components."""
-        comps = [None] * self.site.nfac
-        for f, (vecs, rows) in enumerate(zip(self.per_factor, self.rows)):
-            acc = None
-            for c, v in zip(coeffs[rows], vecs):
-                term = c * v
-                acc = term if acc is None else acc + term
-            comps[f] = acc
-        return Tangent(comps)
 
 
 def site_frame(site, point):

@@ -38,6 +38,7 @@ _CLOSURE_TOL = 1e-10        # commutators leave the span above this, relative
 _SYMMETRY_TOL = 1e-10       # pairing tensors and cubic tensor alternation
 _SAMPLE_SCALE = 0.35        # std of the real and imaginary part of a random coefficient
 _RANK_TOL = 1e-8            # the rank rule's cut, relative to the largest singular value
+_AD_SAMPLES = 16            # adjoint actions sampled by ad_invariance_residual
 
 
 class LieAlgebraModel:
@@ -97,17 +98,17 @@ def build_lie_algebra(basis):
     if d > n * n or sv[-1] <= 1e-12 * sv[0]:
         raise RankDeficient("basis matrices are linearly dependent")
     pinv = np.linalg.pinv(bmat)
+    # [e_u, e_v] for u < v, expanded as one stack of matrix-vector products
+    # (which rounds like the unbatched one)
+    u, v = np.triu_indices(d, 1)
+    flat = (basis[u] @ basis[v] - basis[v] @ basis[u]).reshape(len(u), n * n)
+    c = (pinv @ flat[..., None])[..., 0]
+    resid = np.linalg.norm((bmat @ c[..., None])[..., 0] - flat, axis=-1)
+    worst = float(np.max(resid / (1.0 + np.linalg.norm(flat, axis=-1)),
+                         initial=0.0))
     struct = np.zeros((d, d, d), dtype=complex)
-    worst = 0.0
-    for u in range(d):
-        for v in range(u + 1, d):
-            br = basis[u] @ basis[v] - basis[v] @ basis[u]
-            flat = br.reshape(-1)
-            c = pinv @ flat
-            resid = np.linalg.norm(bmat @ c - flat)
-            worst = max(worst, resid / (1.0 + np.linalg.norm(flat)))
-            struct[:, u, v] = c
-            struct[:, v, u] = -c
+    struct[:, u, v] = c.T
+    struct[:, v, u] = -c.T
     if worst > _CLOSURE_TOL:
         raise NotClosed(f"commutators leave the span (residual {worst:.3e})")
     return LieAlgebraModel(basis, struct, bmat, pinv, worst)
@@ -155,11 +156,8 @@ def trace_pairing(model, scale=1.0, mask=None):
     """eta_lower[j,k] = scale * tr(e_j e_k) * m_j * m_k, with m the mask (all
     ones when None); eta_upper is its inverse, or its pseudo-inverse when
     eta_lower is singular."""
-    d = model.d
-    s = np.empty((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            s[j, k] = scale * np.trace(model.basis[j] @ model.basis[k])
+    basis = model.basis
+    s = scale * np.trace(basis[:, None] @ basis[None], axis1=2, axis2=3)
     if mask is not None:
         m = np.asarray(mask, dtype=float)
         s = s * np.outer(m, m)
@@ -187,8 +185,9 @@ def random_algebra_element(model, rng):
                            + 1j * rng.standard_normal(model.d))
 
 
-def ad_invariance_residual(model, pairing, samples=32, seed=0):
-    """Max deviation of eta_lower / eta_upper under sampled adjoint actions.
+def ad_invariance_residual(model, pairing, seed=0):
+    """Max deviation of eta_lower / eta_upper under _AD_SAMPLES sampled
+    adjoint actions.
 
     Group elements are exponentials of random algebra elements; the seed is the
     caller's to record.  NaN if any deviation is NaN.
@@ -197,7 +196,7 @@ def ad_invariance_residual(model, pairing, samples=32, seed=0):
 
     rng = np.random.Generator(np.random.PCG64(seed))
     gaps = []
-    for _ in range(samples):
+    for _ in range(_AD_SAMPLES):
         g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
         a = adjoint_matrix(model, g, np.linalg.inv(g))
         s, h = pairing.eta_lower, pairing.eta_upper
@@ -224,44 +223,31 @@ def cartan3(model, pairing):
     return phi
 
 
-def _add_wedge3(arr, idx, coeff):
-    """Accumulate coeff * e_a ^ e_b ^ e_c as a full antisymmetrized 3-tensor."""
-    a, b, c = idx
-    arr[a, b, c] += coeff
-    arr[b, c, a] += coeff
-    arr[c, a, b] += coeff
-    arr[a, c, b] -= coeff
-    arr[c, b, a] -= coeff
-    arr[b, a, c] -= coeff
+# the six permutations of three tensor slots, with their signs
+_SLOT_PERMUTATIONS = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                      ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
 def verify_chi_identity(model, pairing):
     """Residual of the doubled-algebra trivector identity.
 
-    Left side: 4 [chi, chi] expanded over mixed wedges of the doubled basis;
-    right side: diagonal push of the cubic tensor minus its two pure-block
-    copies.  Both sides are (2d)^3 coefficient arrays; returns the max
-    difference.
+    Left side: 4 [chi, chi], the wedges e_j ^ f_k ^ f_s and f_j ^ e_k ^ e_s
+    of the doubled basis with coefficient phi[j,k,s]: phi on the two mixed
+    blocks of one array, antisymmetrized by the signed sum of its six slot
+    permutations.  Right side: diagonal push of the cubic tensor minus its
+    two pure-block copies.  Both sides are (2d)^3 coefficient arrays;
+    returns the max difference.
     """
     phi = cartan3(model, pairing)
     d = model.d
-    lhs = np.zeros((2 * d,) * 3, dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            for s in range(d):
-                c = phi[j, k, s]
-                if c == 0:
-                    continue
-                _add_wedge3(lhs, (j, d + k, d + s), c)
-                _add_wedge3(lhs, (d + j, k, s), c)
-    lhs *= 0.25
+    mixed = np.zeros((2 * d,) * 3, dtype=complex)
+    mixed[:d, d:, d:] = phi
+    mixed[d:, :d, :d] = phi
+    lhs = 0.25 * sum(sign * np.transpose(mixed, perm)
+                     for perm, sign in _SLOT_PERMUTATIONS)
 
-    rhs = np.zeros((2 * d,) * 3, dtype=complex)
-    half_phi = 0.5 * phi
-    for oa in (0, d):
-        for ob in (0, d):
-            for oc in (0, d):
-                if oa == ob == oc:
-                    continue  # pure blocks cancel against the two copies
-                rhs[oa:oa + d, ob:ob + d, oc:oc + d] += half_phi
+    # pure blocks cancel against the two copies
+    rhs = np.tile(0.5 * phi, (2, 2, 2))
+    rhs[:d, :d, :d] = 0.0
+    rhs[d:, d:, d:] = 0.0
     return float(np.abs(lhs - rhs).max())

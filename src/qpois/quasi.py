@@ -568,7 +568,9 @@ _TANGENCY_TOL = 1e-8
 
 
 def restrict_to_class(biv, point, factor):
-    """Class-frame matrix of an ambient bivector plus the tangency residual."""
+    """Tangency residual of an ambient bivector's image to a class factor:
+    the largest part of its sharp image on the factor's block that leaves
+    the factor's frame vectors."""
     site = biv.site
     if site.factors[factor].kind != "class":
         raise BadSignature("restriction target must be a class factor")
@@ -583,4 +585,4 @@ def restrict_to_class(biv, point, factor):
     if resid > _TANGENCY_TOL * (1 + float(np.abs(pamb).max())):
         raise NotTangent(f"bivector image leaves the class tangents "
                          f"(residual {resid:.3e})")
-    return biv.frame_matrix(point), resid
+    return resid

@@ -1,7 +1,8 @@
 """Test-only references for site data: frame vectors one at a time, the
-fundamental tangent of the conjugation action, the 2-form of a chain of
-word pairs, and two consistency residuals of a momentum word and of a dual
-bivector/2-form pair."""
+word derivative by the product rule, the fundamental tangent of the
+conjugation action, the 2-form of a chain of word pairs, and two
+consistency residuals of a momentum word and of a dual bivector/2-form
+pair."""
 
 import numpy as np
 
@@ -25,6 +26,28 @@ def frame_vector(frame, a):
 
 def frame_vectors(frame):
     return [frame_vector(frame, a) for a in range(frame.dim)]
+
+
+def product_rule_tangent(word, mats, tangent):
+    """Derivative of word_eval along an ambient tangent (list or array of
+    factor components, None for zero) by the product rule: letter i's
+    derivative, -t v t for an inverse letter t, multiplied on the left by
+    letters i-1, ..., 0, then on the right by letters i+1, ..., L-1, and the
+    pieces summed in letter order.  These are the products, in the order,
+    that `SitePoint.word_differentials` takes."""
+    terms = [mats[f] if p == 1 else np.linalg.inv(mats[f]) for f, p in word]
+    out = np.zeros(np.shape(mats[0])[-2:], dtype=complex)
+    for i, (f, p) in enumerate(word):
+        v = tangent[f]
+        if v is None:
+            continue
+        piece = v if p == 1 else -(terms[i] @ v @ terms[i])
+        for j in range(i - 1, -1, -1):
+            piece = terms[j] @ piece
+        for j in range(i + 1, len(terms)):
+            piece = piece @ terms[j]
+        out = out + piece
+    return out
 
 
 def fund_tangent(site, point, x_coeffs, factors=None):

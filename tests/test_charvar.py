@@ -121,7 +121,8 @@ def test_single_factor_invariant_field_vanishes():
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
         xf = hamiltonian_field(qp.bivector, f, p)
-        assert max(np.abs(c).max() for c in xf.comps if c is not None) <= 1e-10
+        assert xf.shape == (1, 2, 2)
+        assert np.abs(xf).max() <= 1e-10
         h = TraceFunction(site, "aa")
         assert abs(bracket(qp.bivector, f, h, p)) <= 1e-10
 
@@ -130,7 +131,8 @@ def test_constant_function_zero_field():
     site, qp, _ = fused_sl2()
     p = random_point(site, np.random.default_rng(5))
     xf = hamiltonian_field(qp.bivector, lambda mats: 3.5, p)
-    assert max(np.abs(c).max() for c in xf.comps if c is not None) <= 1e-14
+    assert xf.shape == (site.nfac, 2, 2)
+    assert np.abs(xf).max() <= 1e-14
 
 
 def test_level_tangency_fused():

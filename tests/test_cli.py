@@ -232,7 +232,7 @@ def test_per_point_records_alone_match_suite(cfg):
     ("cli", "momentum_residual", "momentum_bivector_law",
      lambda out: float("nan")),
     ("cli", "restrict_to_class", "class_restriction_tangency",
-     lambda out: (out[0], float("nan"))),
+     lambda out: float("nan")),
     ("quasi", "exterior_d3", "quasi_closedness",
      lambda out: np.full_like(out, np.nan)),
     ("charvar", "word_tangent", "invariant_level_tangency",
@@ -273,6 +273,18 @@ def test_nan_invariance_gate_skips_invariant_checks(monkeypatch):
     assert checks["pairing_ad_invariance"]["status"] == "failed"
     assert checks["cubic_antisymmetry"]["status"] == "skipped"
     assert "not ad-invariant" in checks["cubic_antisymmetry"]["reason"]
+
+
+def test_invariance_skip_quotes_the_recorded_residual():
+    """The gate is the pairing_ad_invariance check's own measurement, so a
+    skip reason quotes the residual that check's record reports."""
+    checks = by_id(run_suite(torus_cfg(pairing={"mask": [1, 0, 1]}), "core"))
+    record = checks["pairing_ad_invariance"]
+    assert record["status"] == "failed"
+    assert record["samples"] == 16
+    skip = checks["cubic_antisymmetry"]
+    assert skip["status"] == "skipped"
+    assert f"(residual {record['max_residual']:.3e})" in skip["reason"]
 
 
 # -- config validation -------------------------------------------------------

@@ -27,7 +27,6 @@ from qpois.quasi import (
     double_descriptors,
     intersection_dim,
     internally_fused,
-    orthonormal_columns,
     pg_descriptor,
 )
 
@@ -123,8 +122,8 @@ def test_projections_block_identities():
         assert np.abs(qq @ qq - qq).max() <= 1e-10
         # images are the canonical fibers
         e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
-        pe = LagrangianSubspace(orthonormal_columns(pp), 3)
-        qf = LagrangianSubspace(orthonormal_columns(qq), 3)
+        pe = LagrangianSubspace.from_columns(pp, 3)
+        qf = LagrangianSubspace.from_columns(qq, 3)
         assert subspace_equal(pe, e_sub)
         assert subspace_equal(qf, f_sub)
         # p fixes E, q fixes F
@@ -174,7 +173,7 @@ def test_backward_image_zero_map_gives_kernel():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((4, 4))
     smat = m - m.T
-    zero_target = LagrangianSubspace(np.zeros((0, 0)), 0)
+    zero_target = LagrangianSubspace(np.zeros((0, 0)), 0.0)
     dphi = np.zeros((0, 4))
     back = transport_image(zero_target, dphi, smat, "backward")
     ker = kernel_phi_sigma(dphi, smat)

@@ -52,17 +52,37 @@ def test_word_eval_commutator():
     assert np.allclose(empty, np.eye(2))
 
 
+def _cmat(rng):
+    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+
 def test_word_tangent_matches_dual():
-    site = two_group_site()
+    """word_tangent performs the recurrence of a Dual evaluation of
+    word_eval, bit for bit: at plain factors against a first-order Dual
+    evaluation, and at Dual-perturbed factors (moved by u) against a nested
+    one, whose perturbation part is the mixed second derivative.  Inputs:
+    the commutator on two factors, and words of 8 and 10 letters with
+    inverse letters on three factors, where u moves a and b and the tangent
+    v moves b and c."""
     rng = np.random.default_rng(1)
-    p = random_point(site, rng)
-    w = parse_word(site, "abAB")
-    v = Tangent([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-                 rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))])
-    direct = word_tangent(w, p.mats, v)
-    mats = [Dual(q, c) for q, c in zip(p.mats, v.comps)]
-    via_dual = word_eval(w, mats).eps
-    assert np.abs(direct - via_dual).max() < 1e-11
+    zero = np.zeros((2, 2), dtype=complex)
+    for text, by_u, by_v in (("abAB", "ab", "ab"), ("abCaBcAb", "ab", "bc"),
+                             ("cAbbCaBacA", "ab", "bc")):
+        nfac = 2 if text == "abAB" else 3
+        site = sl2_site([Factor("group")] * nfac)
+        p = random_point(site, rng)
+        w = parse_word(site, text)
+        u = [_cmat(rng) if site.letter(f) in by_u else zero for f in range(nfac)]
+        v = [_cmat(rng) if site.letter(f) in by_v else None for f in range(nfac)]
+        vz = [zero if c is None else c for c in v]
+        first = word_eval(w, [Dual(q, c) for q, c in zip(p.mats, vz)]).eps
+        assert np.array_equal(word_tangent(w, p.mats, Tangent(v)), first), text
+        direct = word_tangent(w, [Dual(q, a) for q, a in zip(p.mats, u)],
+                              Tangent(v))
+        nested = word_eval(w, [Dual(Dual(q, a), Dual(c, zero))
+                               for q, a, c in zip(p.mats, u, vz)]).eps
+        assert np.array_equal(direct.re, nested.re), text
+        assert np.array_equal(direct.eps, nested.eps), text
 
 
 def test_word_tangent_product_rule_fd():
@@ -121,7 +141,8 @@ def test_site_frame_components_roundtrip():
     assert frame.dim == 5  # 3 group + 2 class
     rng2 = np.random.default_rng(6)
     coeffs = rng2.standard_normal(frame.dim) + 1j * rng2.standard_normal(frame.dim)
-    t = frame.assemble(coeffs)
+    t = np.tensordot(coeffs, frame.stacked, axes=(0, 1))
+    assert t.shape == (site.nfac, 2, 2)
     back = frame.components(t)
     assert np.abs(back - coeffs).max() < 1e-10
 

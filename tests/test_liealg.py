@@ -96,7 +96,7 @@ def test_trace_pairing_sl2():
 def test_ad_invariance():
     for group in GROUPS:
         model, pairing = models.model_from_config(group)
-        assert ad_invariance_residual(model, pairing, samples=16, seed=3) <= 1e-10
+        assert ad_invariance_residual(model, pairing, seed=3) <= 1e-10
 
 
 def test_ad_invariance_detects_perturbation():
@@ -105,7 +105,7 @@ def test_ad_invariance_detects_perturbation():
     bad[0, 1] += 1e-3
     bad[1, 0] += 1e-3
     broken = PairingData(bad, np.linalg.inv(bad))
-    r = ad_invariance_residual(model, broken, samples=16, seed=3)
+    r = ad_invariance_residual(model, broken, seed=3)
     assert 1e-5 < r < 1e-1
 
 
@@ -121,8 +121,8 @@ def test_ad_invariance_nan_at_a_later_sample_shows(monkeypatch):
         return np.full_like(out, np.nan) if len(calls) == 3 else out
 
     monkeypatch.setattr(liealg, "adjoint_matrix", third_call_nan)
-    assert np.isnan(ad_invariance_residual(model, pairing, samples=8, seed=3))
-    assert len(calls) == 8
+    assert np.isnan(ad_invariance_residual(model, pairing, seed=3))
+    assert len(calls) == 16
 
 
 def test_cartan3_sl2_oracle():

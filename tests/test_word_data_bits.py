@@ -4,9 +4,10 @@
 word at once, `SitePoint.inverses` inverts the factors in one batch,
 `adjoint_matrix` expands the whole conjugated basis in one call, and
 `random_point` exponentiates the factors as one batch.  Each is compared with
-`np.array_equal` against the construction it replaced, written out here: one
-`word_tangent` call over the stacked frame, per-factor inversion, a column
-loop and a per-factor loop.  Reports therefore keep every byte.
+`np.array_equal` against the construction it replaced, written out here or
+in `site_reference`: the product rule over the stacked frame, per-factor
+inversion, a column loop and a per-factor loop.  Reports therefore keep every
+byte.
 """
 
 import numpy as np
@@ -15,9 +16,11 @@ import pytest
 import qpois.groupgeom as groupgeom
 from qpois import models
 from qpois.duals import dexpm
-from qpois.groupgeom import random_point, word_eval, word_tangent
+from qpois.groupgeom import random_point, word_eval
 from qpois.liealg import adjoint_matrix, random_algebra_element
 from qpois.quasi import assemble_surface_site, relator_word
+
+from site_reference import product_rule_tangent
 
 SITES = pytest.mark.parametrize("build,genus,reps", [
     (models.sl2, 2, []),
@@ -42,11 +45,11 @@ def _words(word, qh):
 
 
 def _reference_differentials(point, word):
-    """One word_tangent call over frame.stacked, then both trivializations."""
+    """The product rule over frame.stacked, then both trivializations."""
     model = point.site.model
     frame = point.frame()
     gi = np.linalg.inv(word_eval(word, point.mats))
-    dv = np.broadcast_to(word_tangent(word, point.mats, frame.stacked),
+    dv = np.broadcast_to(product_rule_tangent(word, point.mats, frame.stacked),
                          (frame.dim, model.n, model.n))
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
