@@ -11,7 +11,9 @@ inverse along with the factor, so no letter is inverted again: each
 iteration sweeps the relator once for its Jacobian (prefix and suffix
 products), takes one SVD of it for the steps of all damping trials, and
 retracts every factor of a trial, and its inverse, from one batched matrix
-exponential and one batched inversion.
+exponential and one batched inversion.  The solves of a batch of seeds run
+in lockstep, with the (B, ...) stacks of all rows in each of these steps,
+and each row gets the bits of its one-row solve.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import dexpm, dtrace
+from .duals import _one_norm, _squarings, dexpm, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
@@ -45,6 +47,7 @@ __all__ = [
     "jacobi_invariants",
     "poisson_ideal_residual",
     "solve_relator",
+    "solve_relators",
 ]
 
 
@@ -159,49 +162,60 @@ class RepSample:
 
 
 def _relator_gap(word, mats, invs, target_inv):
+    """(B, n, n): every row's gap word(p) target^-1 - I, from the rows'
+    (B, nfac, n, n) factors and factor inverses."""
     n = target_inv.shape[0]
-    return (reduce(np.matmul, _letters(word, mats, invs)) @ target_inv
-            - np.eye(n))
+    letters = _letters(word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
+    return reduce(np.matmul, letters) @ target_inv - np.eye(n)
 
 
 def _real_stack(m):
-    flat = np.asarray(m).reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
+    """(B, 2 n n): each row's matrix flattened, real parts then imaginary."""
+    flat = m.reshape(len(m), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _apply_step(site, point, invs, step):
-    """One batched retraction, (moved point, its factor inverses):
-    right-translate group factors by g = exp(xi), so (q g)^-1 = g^-1 q^-1,
-    and conjugate class factors by g = exp(theta), so (g q g^-1)^-1 =
-    g q^-1 g^-1."""
+def _apply_step(site, mats, invs, steps):
+    """Every row's retraction by its step, as (moved factors, their
+    inverses): right-translate group factors by g = exp(xi), so
+    (q g)^-1 = g^-1 q^-1, and conjugate class factors by g = exp(theta), so
+    (g q g^-1)^-1 = g q^-1 g^-1.  A row's factors are exponentiated with the
+    scaling power of their own largest norm, as in a one-row batch: the rows
+    that share a power go through one dexpm call."""
     model = site.model
-    seg = step.reshape(site.nfac, model.d, 2)
-    g = dexpm(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
+    seg = steps.reshape(len(steps), site.nfac, model.d, 2)
+    xi = model.from_coeffs(seg[..., 0] + 1j * seg[..., 1])
+    powers = [_squarings(_one_norm(row)) for row in xi]
+    g = np.empty_like(xi)
+    for s in set(powers):
+        rows = [b for b, p in enumerate(powers) if p == s]
+        g[rows] = dexpm(xi[rows])
     g_inv = np.linalg.inv(g)
-    mats = point.mats
     moved, moved_inv = mats @ g, g_inv @ invs
     cls = site.class_indices()
     if cls:
-        moved[cls] = g[cls] @ mats[cls] @ g_inv[cls]
-        moved_inv[cls] = g[cls] @ invs[cls] @ g_inv[cls]
-    return SitePoint(site, moved), moved_inv
+        moved[:, cls] = g[:, cls] @ mats[:, cls] @ g_inv[:, cls]
+        moved_inv[:, cls] = g[:, cls] @ invs[:, cls] @ g_inv[:, cls]
+    return moved, moved_inv
 
 
 def _relator_jacobian(site, word, mats, invs, target_inv):
-    """Real Jacobian of the stacked relator gap in the step parameters, from
-    one sweep over the relator; an inverse letter reads invs, the factor
-    inverses.
+    """(B, 2 n n, 2 nfac d): every row's real Jacobian of the stacked
+    relator gap in the step parameters, from one sweep over the relator; an
+    inverse letter reads invs, the factor inverses.
 
     With prefix products P_i of the first i letters and suffix products S_i
     of the letters from i on, target_inv folded in, letter i of factor f
     moves the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the letter is
     inverted, for each of f's d step directions V (q e_j on a group factor,
-    e_j q - q e_j on a class factor).  Rows f*d..(f+1)*d hold factor f's
-    directions, as in TangentFrame.stacked, and each direction fills a real
-    and an imaginary column."""
+    e_j q - q e_j on a class factor).  Columns f*d..(f+1)*d hold factor f's
+    directions, as the rows of TangentFrame.stacked, and each direction
+    fills a real and an imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
+    rows = len(mats)
     basis = site.model.basis
-    terms = _letters(word, mats, invs)
+    terms = [t[:, None] for t in _letters(word, mats.swapaxes(0, 1),
+                                          invs.swapaxes(0, 1))]
     prefix = [np.eye(n, dtype=complex)]
     for t in terms:
         prefix.append(prefix[-1] @ t)
@@ -209,37 +223,46 @@ def _relator_jacobian(site, word, mats, invs, target_inv):
     for t in reversed(terms):
         suffix.append(t @ suffix[-1])
     suffix.reverse()
-    directions = [q @ basis if fac.kind == "group" else basis @ q - q @ basis
-                  for fac, q in zip(site.factors, mats)]
-    delta = np.zeros((nfac, d, n, n), dtype=complex)
+    qs = mats[:, :, None]
+    directions = [qs[:, f] @ basis if fac.kind == "group"
+                  else basis @ qs[:, f] - qs[:, f] @ basis
+                  for f, fac in enumerate(site.factors)]
+    delta = np.zeros((rows, nfac, d, n, n), dtype=complex)
     for i, (f, p) in enumerate(word):
         if p == 1:
-            delta[f] += prefix[i] @ directions[f] @ suffix[i + 1]
+            delta[:, f] += prefix[i] @ directions[f] @ suffix[i + 1]
         else:
-            delta[f] -= prefix[i + 1] @ directions[f] @ suffix[i]
-    delta = delta.reshape(nfac * d, -1)
-    jmat = np.empty((2 * n * n, 2 * nfac * d))
-    jmat[:, 0::2] = np.concatenate([delta.real, delta.imag], axis=1).T
-    jmat[:, 1::2] = np.concatenate([-delta.imag, delta.real], axis=1).T
+            delta[:, f] -= prefix[i + 1] @ directions[f] @ suffix[i]
+    delta = delta.reshape(rows, nfac * d, -1)
+    jmat = np.empty((rows, 2 * n * n, 2 * nfac * d))
+    jmat[..., 0::2] = np.concatenate([delta.real, delta.imag], axis=2).swapaxes(1, 2)
+    jmat[..., 1::2] = np.concatenate([-delta.imag, delta.real], axis=2).swapaxes(1, 2)
     return jmat
 
 
-def _damped_steps(jmat, rvec):
-    """mu -> the damped Gauss-Newton step x, (J^T J + mu I) x = -J^T r, for
-    every damping mu from one SVD J = U diag(s) V^T:
-    x = -V diag(s / (s^2 + mu)) U^T r."""
+def _step_parts(jmat, rvec):
+    """(s, V^T, U^T r) of every row's SVD J = U diag(s) V^T: the parts its
+    damped steps at every damping are made of."""
     u, s, vt = np.linalg.svd(jmat, full_matrices=False)
-    ur = u.T @ rvec
-    return lambda mu: -(vt.T @ (s / (s * s + mu) * ur))
+    return s, vt, (u.swapaxes(1, 2) @ rvec[..., None])[..., 0]
+
+
+def _damped_steps(s, vt, ur, mu):
+    """Every row's damped Gauss-Newton step x at its damping mu,
+    (J^T J + mu I) x = -J^T r, from the parts of its SVD:
+    x = -V diag(s / (s^2 + mu)) U^T r."""
+    scaled = s / (s * s + mu[:, None]) * ur
+    return -(vt.swapaxes(1, 2) @ scaled[..., None])[..., 0]
 
 
 _MAX_ITERS = 200
 _TOL = 1e-10                # sup-norm of the relator gap that counts as solved
 
 
-def solve_relator(site, word, target, seed=0):
-    """Sample a site point solving  word(p) = target  by damped Gauss-Newton
-    from the random point of the seed.
+def solve_relators(site, word, target, seeds):
+    """Per seed, a site point solving  word(p) = target  by damped
+    Gauss-Newton from the random point of the seed: its RepSample, or the
+    SolverStopped that ended it, in seed order.
 
     Parameters are per-factor algebra coefficients treated as independent
     real pairs; the residual r is the stacked real/imaginary part of
@@ -257,46 +280,87 @@ def solve_relator(site, word, target, seed=0):
     unlike the difference, does not cancel for tiny steps.  Every iteration
     tries at least one step; it stalls when mu reaches 1e14 without a drop.
     The returned residual is the sup-norm of the gap.
+
+    The rows solve in lockstep: each sweep tries one step for every row
+    still solving, as (B, ...) stacks of factors, gaps, Jacobians, SVDs,
+    steps and retractions, and rebuilds the Jacobian and SVD only of the
+    rows that accepted their last trial.  Each row keeps its own mu, nu,
+    iteration count and outcome, and its result equals its one-row solve
+    bit for bit.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
     target = np.asarray(target, dtype=complex)
     target_inv = np.linalg.inv(target)
 
-    point = random_point(site, np.random.default_rng(seed))
-    invs = point.inverses()
-    gap = _relator_gap(word, point.mats, invs, target_inv)
+    mats = np.stack([random_point(site, np.random.default_rng(seed)).mats
+                     for seed in seeds])
+    invs = np.linalg.inv(mats)
+    gap = _relator_gap(word, mats, invs, target_inv)
     rvec = _real_stack(gap)
-    current = float(np.abs(gap).max())
-    mu, nu = 1e-3, 2.0
-    for it in range(_MAX_ITERS):
-        if current <= _TOL:
-            return RepSample(point, current, it)
-        jmat = _relator_jacobian(site, word, point.mats, invs, target_inv)
-        step = _damped_steps(jmat, rvec)
-        cost = float(rvec @ rvec)
-        while True:
-            x = step(mu)
-            trial, trial_invs = _apply_step(site, point, invs, x)
-            trial_gap = _relator_gap(word, trial.mats, trial_invs, target_inv)
-            trial_rvec = _real_stack(trial_gap)
-            trial_cost = float(trial_rvec @ trial_rvec)
-            if trial_cost < cost:
-                jx = jmat @ x
-                rho = (cost - trial_cost) / float(jx @ jx + 2.0 * mu * (x @ x))
-                point, invs, gap, rvec = trial, trial_invs, trial_gap, trial_rvec
-                current = float(np.abs(gap).max())
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
-                break
-            mu *= nu
-            nu *= 2.0
-            if mu >= 1e14:
-                raise Stalled(
-                    f"no descent direction (residual {current:.3e})",
-                    best_residual=current, iters=it + 1)
-    if current <= _TOL:
-        return RepSample(point, current, _MAX_ITERS)
-    raise MaxIters(
-        f"no convergence in {_MAX_ITERS} iterations (residual {current:.3e})",
-        best_residual=current, iters=_MAX_ITERS)
+    current = [float(np.abs(g).max()) for g in gap]
+    rows, m, p = len(mats), rvec.shape[1], 2 * site.nfac * site.model.d
+    k = min(m, p)
+    # per row: its last Jacobian, the SVD parts of its steps, and |r|^2
+    jmat, vt = np.empty((rows, m, p)), np.empty((rows, k, p))
+    s, ur = np.empty((rows, k)), np.empty((rows, k))
+    cost = [0.0] * rows
+    mu, nu = np.full(rows, 1e-3), np.full(rows, 2.0)
+    iters = [0] * rows
+    outs = [None] * rows
+    fresh = list(range(rows))     # the rows that start an iteration
+    while True:
+        for b in fresh:
+            if current[b] <= _TOL:
+                outs[b] = RepSample(SitePoint(site, mats[b]), current[b], iters[b])
+            elif iters[b] == _MAX_ITERS:
+                outs[b] = MaxIters(
+                    f"no convergence in {_MAX_ITERS} iterations "
+                    f"(residual {current[b]:.3e})",
+                    best_residual=current[b], iters=_MAX_ITERS)
+        fresh = [b for b in fresh if outs[b] is None]
+        if fresh:
+            jmat[fresh] = _relator_jacobian(site, word, mats[fresh],
+                                            invs[fresh], target_inv)
+            s[fresh], vt[fresh], ur[fresh] = _step_parts(jmat[fresh],
+                                                         rvec[fresh])
+            for b in fresh:
+                cost[b] = float(rvec[b] @ rvec[b])
+        active = [b for b in range(rows) if outs[b] is None]
+        if not active:
+            return outs
+        x = _damped_steps(s[active], vt[active], ur[active], mu[active])
+        trial, trial_invs = _apply_step(site, mats[active], invs[active], x)
+        trial_gap = _relator_gap(word, trial, trial_invs, target_inv)
+        trial_rvec = _real_stack(trial_gap)
+        fresh = []
+        for i, b in enumerate(active):
+            trial_cost = float(trial_rvec[i] @ trial_rvec[i])
+            if trial_cost < cost[b]:
+                jx = jmat[b] @ x[i]
+                rho = (cost[b] - trial_cost) / float(
+                    jx @ jx + 2.0 * mu[b] * (x[i] @ x[i]))
+                mats[b], invs[b], rvec[b] = trial[i], trial_invs[i], trial_rvec[i]
+                current[b] = float(np.abs(trial_gap[i]).max())
+                mu[b] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu[b] = 2.0
+                iters[b] += 1
+                fresh.append(b)
+                continue
+            mu[b] *= nu[b]
+            nu[b] *= 2.0
+            if mu[b] >= 1e14:
+                outs[b] = Stalled(
+                    f"no descent direction (residual {current[b]:.3e})",
+                    best_residual=current[b], iters=iters[b] + 1)
+
+
+def solve_relator(site, word, target, seed=0):
+    """The solve of one seed by solve_relators, a batch of one: its
+    RepSample, or its SolverStopped raised.  A command solves its rows in
+    lockstep through solve_relators, and each of those rows equals this
+    solve of its seed bit for bit."""
+    (out,) = solve_relators(site, word, target, [seed])
+    if isinstance(out, RepSample):
+        return out
+    raise out

@@ -37,7 +37,7 @@ from .charvar import (
     jacobi_invariants,
     level_tangency_residual,
     poisson_ideal_residual,
-    solve_relator,
+    solve_relators,
 )
 from .dirac import (
     cartan_dirac_fibers,
@@ -51,7 +51,6 @@ from .errors import (
     DegeneratePairing,
     IoError,
     QpoisError,
-    SolverStopped,
     expect,
     is_finite_number,
 )
@@ -243,9 +242,9 @@ class Setup:
         """Relator solves shared by the moduli checks and made once per run:
         per target, the outcomes of min(samples, 4) solves."""
         rng = _check_rng(self, "relator_solver")
-        return [[_solve_or_stop(self.site, self.relator, target,
-                                int(rng.integers(2 ** 31)))
-                 for _ in range(min(self.samples, 4))]
+        return [solve_relators(self.site, self.relator, target,
+                               [int(rng.integers(2 ** 31))
+                                for _ in range(min(self.samples, 4))])
                 for _, target in self.targets]
 
 
@@ -530,14 +529,6 @@ def _chk_rank_chain(s, p, rng):
     return np.max([rep["inclusion_residual"], rep["containment_residual"]])
 
 
-def _solve_or_stop(site, word, target, sub):
-    """A relator solve's RepSample, or the solver's stop."""
-    try:
-        return solve_relator(site, word, target, seed=sub)
-    except SolverStopped as exc:
-        return exc
-
-
 def _converged_points(s):
     """Per target, the converged points among its first min(samples, 3)
     solves; a solver stop is reported once, by relator_solver."""
@@ -754,18 +745,17 @@ def run_suite(config, suite, seed=None, jobs=None):
                    overall_pass=all(r["status"] != "failed" for r in records))
 
 
-def _solve_row(site, word, target_mat, sub, **row):
-    """One relator solve as a report row (the given fields plus the
-    solver's); returns (row, solution), the solution None on a solver stop."""
+def _solve_row(out, sub, **row):
+    """One relator solve's outcome, from solver seed sub, as a report row:
+    the given fields plus the solver's."""
     row.update(solver_seed=sub, solver_failed=False, residual=None, iters=None,
                reason=None)
-    out = _solve_or_stop(site, word, target_mat, sub)
     if not isinstance(out, RepSample):
         row.update(solver_failed=True, reason=f"{type(out).__name__}: {out}",
                    residual=float(out.best_residual), iters=out.iters)
-        return row, None
-    row.update(residual=out.residual, iters=out.iters)
-    return row, out
+    else:
+        row.update(residual=out.residual, iters=out.iters)
+    return row
 
 
 def compute_brackets(config, seed=None):
@@ -773,12 +763,12 @@ def compute_brackets(config, seed=None):
     setup = _load_setup(config, seed)
     label, target = setup.targets[0]
     rng = np.random.default_rng([setup.seed, 0x6272])
+    subs = [int(rng.integers(2 ** 31)) for _ in range(setup.samples)]
+    outs = solve_relators(setup.site, setup.relator, target, subs)
     rows = []
-    for k in range(setup.samples):
-        sub = int(rng.integers(2 ** 31))
-        row, out = _solve_row(setup.site, setup.relator, target, sub,
-                              sample=k, values=None)
-        if out is not None:
+    for k, (sub, out) in enumerate(zip(subs, outs)):
+        row = _solve_row(out, sub, sample=k, values=None)
+        if isinstance(out, RepSample):
             values = {}
             for u, v in setup.pairs:
                 fu = TraceFunction(setup.site, u)
@@ -799,11 +789,11 @@ def sample_points(config, seed=None):
     rng = np.random.default_rng([setup.seed, 0x736d])
     rows = []
     for label, target in setup.targets:
-        for k in range(setup.samples):
-            sub = int(rng.integers(2 ** 31))
-            row, out = _solve_row(setup.site, setup.relator, target, sub,
-                                  target=label, sample=k, mats=None)
-            if out is not None:
+        subs = [int(rng.integers(2 ** 31)) for _ in range(setup.samples)]
+        outs = solve_relators(setup.site, setup.relator, target, subs)
+        for k, (sub, out) in enumerate(zip(subs, outs)):
+            row = _solve_row(out, sub, target=label, sample=k, mats=None)
+            if isinstance(out, RepSample):
                 row["mats"] = [_matrix_literal(m) for m in out.point.mats]
             rows.append(row)
     return _report("sample", setup, rows=rows,

@@ -195,6 +195,14 @@ def _one_norm(a):
     return float(np.max(m)) if m.size else 0.0
 
 
+def _squarings(nrm):
+    """The scaling power s of a batch whose largest 1-norm is nrm: the least
+    s >= 0 with nrm / 2^s <= theta_13."""
+    if nrm > _THETA13:
+        return max(0, int(math.ceil(math.log2(nrm / _THETA13))))
+    return 0
+
+
 def dexpm(a):
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade step.
 
@@ -205,10 +213,8 @@ def dexpm(a):
     val = value(a)
     n = val.shape[-1]
     eye = np.eye(n, dtype=complex)
-    nrm = _one_norm(val)
-    s = 0
-    if nrm > _THETA13:
-        s = max(0, int(math.ceil(math.log2(nrm / _THETA13))))
+    s = _squarings(_one_norm(val))
+    if s:
         a = a * (0.5**s)
     b = _PADE13
     a2 = a @ a

@@ -10,6 +10,7 @@ from qpois.charvar import (
     _real_stack,
     _relator_gap,
     _relator_jacobian,
+    _step_parts,
     bracket,
     hamiltonian_field,
     invariance_residual,
@@ -17,9 +18,10 @@ from qpois.charvar import (
     level_tangency_residual,
     poisson_ideal_residual,
     solve_relator,
+    solve_relators,
 )
 from qpois.duals import Dual
-from qpois.errors import MaxIters, NotInvariant, Stalled
+from qpois.errors import MaxIters, NotInvariant, SolverStopped, Stalled
 from qpois.fields import Bivector, differential
 from qpois.groupgeom import Factor, Site, SitePoint, random_point, word_tangent
 from qpois.quasi import (
@@ -300,14 +302,13 @@ def test_batched_jacobian_matches_direction_loop(build, genus, reps):
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     word = relator_word(site, genus, len(reps))
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        mats = random_point(site, rng).mats
-        target_inv = np.linalg.inv(random_point(site, rng).mats[0])
-        invs = np.linalg.inv(np.stack(mats))
-        got = _relator_jacobian(site, word, mats, invs, target_inv)
-        ref = _jacobian_loop(site, word, mats, target_inv)
-        assert got.shape == ref.shape == (2 * model.n ** 2, 2 * model.d * site.nfac)
-        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    target_inv = np.linalg.inv(random_point(site, rng).mats[0])
+    mats = np.stack([random_point(site, rng).mats for _ in range(3)])
+    got = _relator_jacobian(site, word, mats, np.linalg.inv(mats), target_inv)
+    assert got.shape == (3, 2 * model.n ** 2, 2 * model.d * site.nfac)
+    for row, row_mats in zip(got, mats):
+        ref = _jacobian_loop(site, word, row_mats, target_inv)
+        assert np.abs(row - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @JACOBIAN_SITES
@@ -316,19 +317,20 @@ def test_retraction_carries_the_factor_inverses(build, genus, reps):
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     rng = np.random.default_rng(6)
-    point = random_point(site, rng)
-    invs = point.inverses()
+    mats = np.stack([random_point(site, rng).mats for _ in range(3)])
+    invs = np.linalg.inv(mats)
     for _ in range(20):
-        step = 0.1 * rng.standard_normal(2 * site.nfac * model.d)
-        point, invs = _apply_step(site, point, invs, step)
+        steps = 0.1 * rng.standard_normal((3, 2 * site.nfac * model.d))
+        mats, invs = _apply_step(site, mats, invs, steps)
     eye = np.eye(model.n)
-    assert np.abs(np.stack(point.mats) @ invs - eye).max() <= 1e-13
+    assert np.abs(mats @ invs - eye).max() <= 1e-13
 
 
 @JACOBIAN_SITES
 def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     """Besides the target, every inversion in a solve is of a stack of
-    factors: the start point's, and each trial's step exponentials."""
+    factors: a start point's class factors, and the rows' (B, nfac, n, n)
+    start factors and step exponentials."""
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     word = relator_word(site, genus, len(reps))
@@ -342,7 +344,7 @@ def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", recorded)
     solve_relator(site, word, np.eye(model.n), seed=1)
     assert shapes.count((model.n, model.n)) == 1
-    assert all(len(s) == 3 for s in shapes if s != (model.n, model.n))
+    assert all(len(s) in (3, 4) for s in shapes if s != (model.n, model.n))
 
 
 @JACOBIAN_SITES
@@ -354,20 +356,21 @@ def test_damped_step_solves_the_normal_equations(build, genus, reps):
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     word = relator_word(site, genus, len(reps))
     rng = np.random.default_rng(5)
-    mats = random_point(site, rng).mats
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
-    invs = np.linalg.inv(np.stack(mats))
-    jmat = _relator_jacobian(site, word, mats, invs, target_inv)
-    rvec = _real_stack(_relator_gap(word, mats, invs, target_inv))
-    step = _damped_steps(jmat, rvec)
-    gram, rhs = jmat.T @ jmat, -jmat.T @ rvec
+    mats = np.stack([random_point(site, rng).mats for _ in range(2)])
+    invs = np.linalg.inv(mats)
+    jmats = _relator_jacobian(site, word, mats, invs, target_inv)
+    rvecs = _real_stack(_relator_gap(word, mats, invs, target_inv))
+    parts = _step_parts(jmats, rvecs)
     for mu in 10.0 ** np.arange(-14, 14):
-        x = step(mu)
-        lhs = gram + mu * np.eye(len(x))
-        err = (np.linalg.norm(lhs @ x - rhs)
-               / (np.linalg.norm(lhs, 2) * np.linalg.norm(x)
-                  + np.linalg.norm(rhs)))
-        assert err <= 1e-14, mu
+        steps = _damped_steps(*parts, np.full(2, mu))
+        for jmat, rvec, x in zip(jmats, rvecs, steps):
+            lhs = jmat.T @ jmat + mu * np.eye(len(x))
+            rhs = -jmat.T @ rvec
+            err = (np.linalg.norm(lhs @ x - rhs)
+                   / (np.linalg.norm(lhs, 2) * np.linalg.norm(x)
+                      + np.linalg.norm(rhs)))
+            assert err <= 1e-14, mu
 
 def test_solver_failure_modes(monkeypatch):
     import qpois.charvar as charvar
@@ -384,20 +387,22 @@ def test_solver_failure_modes(monkeypatch):
     # ends at a stationary point of |r|^2, where the steps are tiny and the
     # predicted drop as a difference |r|^2 - |r + J x|^2 would cancel to
     # zero; it must still stop with Stalled, after a step tried in every
-    # iteration
+    # iteration.  A one-row solve makes one Jacobian per iteration and one
+    # step per trial; test_solver_batch_rows_equal_one_row_solves shows each
+    # row of a batch ends as its one-row solve does
     trials = []
-    damped_steps = charvar._damped_steps
+    jacobian, damped_steps = charvar._relator_jacobian, charvar._damped_steps
 
-    def counted(jmat, rvec):
-        step = damped_steps(jmat, rvec)
+    def counted_jacobian(*args):
         trials.append(0)
+        return jacobian(*args)
 
-        def counted_step(mu):
-            trials[-1] += 1
-            return step(mu)
-        return counted_step
+    def counted_steps(*args):
+        trials[-1] += 1
+        return damped_steps(*args)
 
-    monkeypatch.setattr(charvar, "_damped_steps", counted)
+    monkeypatch.setattr(charvar, "_relator_jacobian", counted_jacobian)
+    monkeypatch.setattr(charvar, "_damped_steps", counted_steps)
     model, pairing = models.sl2()
     csite = Site(model, pairing, [Factor("class", REP)])
     for target in (np.eye(2), np.diag([3.0, 1.0 / 3.0])):
@@ -407,6 +412,84 @@ def test_solver_failure_modes(monkeypatch):
                 solve_relator(csite, "a", target, seed=seed)
             assert exc2.value.best_residual > 0.1
             assert len(trials) == exc2.value.iters and min(trials) >= 1
+
+
+def _one_row(site, word, target, seed):
+    try:
+        return solve_relator(site, word, target, seed=seed)
+    except SolverStopped as exc:
+        return exc
+
+
+def _two_puncture():
+    model, pairing = models.sl2()
+    reps = [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]
+    site, _, _ = assemble_surface_site(model, pairing, 1, reps)
+    return site, relator_word(site, 1, 2), np.eye(2)
+
+
+def _surface(build, genus, target):
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, [])
+    return site, relator_word(site, genus, 0), target
+
+
+def _one_class_factor(target):
+    model, pairing = models.sl2()
+    return Site(model, pairing, [Factor("class", REP)]), "a", target
+
+
+OMEGA = np.exp(2j * np.pi / 3)
+
+
+@pytest.mark.parametrize("make,seeds,stops", [
+    (lambda: _surface(models.sl2, 2, -np.eye(2)), range(14, 26),
+     {17: MaxIters, 22: MaxIters}),
+    (lambda: _one_class_factor(np.eye(2)), range(6), {s: Stalled for s in range(6)}),
+    (lambda: _one_class_factor(np.diag([3.0, 1.0 / 3.0])), range(6),
+     {s: Stalled for s in range(6)}),
+    (_two_puncture, range(8), {}),
+    (lambda: _surface(models.sl2_abelian, 2, np.eye(3)), range(8), {}),
+    (lambda: _surface(lambda: models.model_from_config({"family": "SL", "n": 3}),
+                      1, OMEGA * np.eye(3)), range(8), {}),
+], ids=["sl2-g2-minus-I", "class-identity", "class-diag", "sl2-g1-2punct",
+        "sl2ab-g2", "sl3-g1-omega"])
+def test_solver_batch_rows_equal_one_row_solves(make, seeds, stops):
+    """Each row of a lockstep batch ends as the one-row solve of its seed:
+    the same factors, residual and iterations, or the same stop."""
+    site, word, target = make()
+    outs = solve_relators(site, word, target, list(seeds))
+    assert len(outs) == len(seeds)
+    for seed, out in zip(seeds, outs):
+        one = _one_row(site, word, target, seed)
+        assert type(out) is type(one) is stops.get(seed, RepSample), seed
+        if isinstance(out, RepSample):
+            assert (out.residual, out.iters) == (one.residual, one.iters)
+            assert np.array_equal(out.point.mats, one.point.mats)
+        else:
+            assert str(out) == str(one)
+            assert (out.best_residual, out.iters) == (one.best_residual, one.iters)
+    if MaxIters in stops.values():
+        assert {out.iters for out in outs if isinstance(out, MaxIters)} == {200}
+
+
+@JACOBIAN_SITES
+def test_batched_retraction_rows_equal_one_row_retractions(build, genus, reps):
+    """Rows whose steps need different scaling powers in the exponential
+    retract as they do alone."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    rng = np.random.default_rng(7)
+    mats = np.stack([random_point(site, rng).mats for _ in range(4)])
+    invs = np.linalg.inv(mats)
+    steps = (np.array([[0.1], [20.0], [0.5], [200.0]])
+             * rng.standard_normal((4, 2 * site.nfac * model.d)))
+    moved, moved_inv = _apply_step(site, mats, invs, steps)
+    for b in range(4):
+        one, one_inv = _apply_step(site, mats[b:b + 1], invs[b:b + 1],
+                                   steps[b:b + 1])
+        assert np.array_equal(moved[b], one[0])
+        assert np.array_equal(moved_inv[b], one_inv[0])
 
 
 def test_differential_matches_finite_difference():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qpois.charvar import TraceFunction, bracket as bracket_value
+from qpois.charvar import TraceFunction, bracket as bracket_value, solve_relator
 from qpois.cli import (
     build_setup,
     canonical_json,
@@ -596,22 +596,22 @@ def test_moduli_checks_share_one_solved_set(monkeypatch):
     import qpois.cli as cli
 
     calls = []
-    solve = cli.solve_relator
+    solve = cli.solve_relators
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return solve(*args, **kwargs)
+    def counted(site, word, target, seeds):
+        calls.append(list(seeds))
+        return solve(site, word, target, seeds)
 
-    monkeypatch.setattr(cli, "solve_relator", counted)
+    monkeypatch.setattr(cli, "solve_relators", counted)
     report = run_suite(torus_cfg(
         samples=8, site={"genus": 1, "class_reps": []},
         targets=["identity", [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
         "moduli")
     assert report["overall_pass"], report["checks"]
-    # min(samples, 4) solves per target, read by relator_solver,
-    # jacobi_at_level and poisson_ideal alike
-    assert len(calls) == 8
-    assert len(set(calls)) == 8
+    # one batch of min(samples, 4) solves per target, read by
+    # relator_solver, jacobi_at_level and poisson_ideal alike
+    assert [len(seeds) for seeds in calls] == [4, 4]
+    assert len({seed for seeds in calls for seed in seeds}) == 8
     checks = by_id(report)
     assert checks["relator_solver"]["samples"] == 8
     assert checks["jacobi_at_level"]["samples"] == 6
@@ -623,17 +623,17 @@ def test_one_stalled_solve_is_reported_once(monkeypatch):
     poisson_ideal read the converged solves of the same set."""
     import qpois.cli as cli
 
-    solve = cli.solve_relator
+    solve = cli.solve_relators
     seeds = []
 
-    def stall_first(*args, **kwargs):
-        seeds.append(kwargs["seed"])
-        if kwargs["seed"] == seeds[0]:
-            raise Stalled("no descent direction (residual 5.000e-01)",
+    def stall_first(site, word, target, batch):
+        seeds.extend(batch)
+        outs = solve(site, word, target, batch)
+        outs[0] = Stalled("no descent direction (residual 5.000e-01)",
                           best_residual=0.5, iters=3)
-        return solve(*args, **kwargs)
+        return outs
 
-    monkeypatch.setattr(cli, "solve_relator", stall_first)
+    monkeypatch.setattr(cli, "solve_relators", stall_first)
     checks = by_id(run_suite(torus_cfg(
         samples=8, site={"genus": 1, "class_reps": []}, targets=["identity"]),
         "moduli"))
@@ -712,11 +712,11 @@ def test_bracket_values_conjugation_invariant():
 def test_bracket_solver_failures_flagged_not_dropped(tmp_path, monkeypatch):
     import qpois.cli as cli
 
-    def stalled(*args, **kwargs):
-        raise Stalled("no descent direction (residual 5.000e-01)",
-                      best_residual=0.5, iters=3)
+    def stalled(site, word, target, seeds):
+        return [Stalled("no descent direction (residual 5.000e-01)",
+                        best_residual=0.5, iters=3) for _ in seeds]
 
-    monkeypatch.setattr(cli, "solve_relator", stalled)
+    monkeypatch.setattr(cli, "solve_relators", stalled)
     cfg = write_cfg(tmp_path, torus_cfg(samples=2))
     out = str(tmp_path / "rep.json")
     result = invoke(["bracket", "--config", cfg, "--seed", "1", "--out", out])
@@ -729,6 +729,45 @@ def test_bracket_solver_failures_flagged_not_dropped(tmp_path, monkeypatch):
         assert row["residual"] is not None and row["residual"] > 1e-3
         assert row["values"] is None
     assert not report["overall_pass"]
+
+
+def _literal_mats(row):
+    return np.array([[[complex(*e) for e in r] for r in lit]
+                     for lit in row["mats"]])
+
+
+def test_sample_rows_equal_their_one_row_solves(monkeypatch):
+    """`sample` solves each target's seeds as one batch; every row is the
+    solve of its seed alone, bit for bit, and a stop in one row leaves the
+    others as they were."""
+    import qpois.charvar as charvar
+
+    cfg = torus_cfg(samples=4, targets=["identity", "minus_identity"])
+    setup = build_setup(cfg)
+    targets = dict(setup.targets)
+    report = sample_points(cfg)
+    assert [r["target"] for r in report["rows"]] == ["identity"] * 4 + [
+        "minus_identity"] * 4
+    for row in report["rows"]:
+        out = solve_relator(setup.site, setup.relator, targets[row["target"]],
+                            seed=row["solver_seed"])
+        assert not row["solver_failed"]
+        assert (row["residual"], row["iters"]) == (out.residual, out.iters)
+        assert np.array_equal(_literal_mats(row), out.point.mats)
+
+    # one fewer iteration than the longest solve stops that row alone
+    longest = max(r["iters"] for r in report["rows"])
+    monkeypatch.setattr(charvar, "_MAX_ITERS", longest - 1)
+    capped = sample_points(cfg)
+    for row, before in zip(capped["rows"], report["rows"]):
+        assert row["solver_seed"] == before["solver_seed"]
+        if before["iters"] == longest:
+            assert row["solver_failed"] and row["mats"] is None
+            assert row["reason"].startswith("MaxIters: no convergence in ")
+            assert row["iters"] == longest - 1
+        else:
+            assert row == before
+    assert any(r["solver_failed"] for r in capped["rows"])
 
 
 def test_sample_round_trip_satisfies_relator(tmp_path):

@@ -29,6 +29,8 @@ NOT_REACHED = {
     "duals.Dual.__mul__": "the scaling step of dexpm on Dual input",
     "duals.Dual.__repr__": "debugging aid",
     "charvar.TraceFunction.__repr__": "debugging aid",
+    "charvar.solve_relator": "library shorthand, a batch of one; commands "
+                             "solve their rows as one batch",
     "errors.SolverStopped.__init__": "the solver's stops, its iteration cap "
                                      "and a stall, which no config here "
                                      "reaches",
