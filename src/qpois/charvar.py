@@ -257,6 +257,7 @@ def _damped_steps(s, vt, ur, mu):
 
 _MAX_ITERS = 200
 _TOL = 1e-10                # sup-norm of the relator gap that counts as solved
+_CHUNK_ROWS = 64            # rows solved together by one lockstep batch
 
 
 def solve_relators(site, word, target, seeds):
@@ -281,18 +282,25 @@ def solve_relators(site, word, target, seeds):
     tries at least one step; it stalls when mu reaches 1e14 without a drop.
     The returned residual is the sup-norm of the gap.
 
-    The rows solve in lockstep: each sweep tries one step for every row
-    still solving, as (B, ...) stacks of factors, gaps, Jacobians, SVDs,
-    steps and retractions, and rebuilds the Jacobian and SVD only of the
-    rows that accepted their last trial.  Each row keeps its own mu, nu,
-    iteration count and outcome, and its result equals its one-row solve
-    bit for bit.
+    The rows solve in lockstep, in chunks of at most _CHUNK_ROWS seeds so
+    that memory does not grow with the number of seeds: each sweep tries
+    one step for every row of the chunk still solving, as (B, ...) stacks
+    of factors, gaps, Jacobians, SVDs, steps and retractions, and rebuilds
+    the Jacobian and SVD only of the rows that accepted their last trial.
+    Each row keeps its own mu, nu, iteration count and outcome, and its
+    result equals its one-row solve bit for bit.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
-    target = np.asarray(target, dtype=complex)
-    target_inv = np.linalg.inv(target)
+    target_inv = np.linalg.inv(np.asarray(target, dtype=complex))
+    seeds = list(seeds)
+    return [out for start in range(0, len(seeds), _CHUNK_ROWS)
+            for out in _solve_lockstep(site, word, target_inv,
+                                       seeds[start:start + _CHUNK_ROWS])]
 
+
+def _solve_lockstep(site, word, target_inv, seeds):
+    """One chunk of solve_relators: every seed's row, solved together."""
     mats = np.stack([random_point(site, np.random.default_rng(seed)).mats
                      for seed in seeds])
     invs = np.linalg.inv(mats)

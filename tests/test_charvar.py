@@ -329,8 +329,10 @@ def test_retraction_carries_the_factor_inverses(build, genus, reps):
 @JACOBIAN_SITES
 def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     """Besides the target, every inversion in a solve is of a stack of
-    factors: a start point's class factors, and the rows' (B, nfac, n, n)
-    start factors and step exponentials."""
+    factors: the start point's (nfac, n, n) factor exponentials and its
+    class factors, and the batch of one's (1, nfac, n, n) start factors and
+    step exponentials.  A letter inverted alone, (n, n), or across the
+    batch, (1, n, n), is none of these."""
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     word = relator_word(site, genus, len(reps))
@@ -343,8 +345,12 @@ def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", recorded)
     solve_relator(site, word, np.eye(model.n), seed=1)
-    assert shapes.count((model.n, model.n)) == 1
-    assert all(len(s) in (3, 4) for s in shapes if s != (model.n, model.n))
+    n, cls = model.n, site.class_indices()
+    start = [(site.nfac, n, n)] + ([(len(cls), n, n)] if cls else [])
+    assert shapes.count((n, n)) == 1
+    assert shapes.count((1, site.nfac, n, n)) >= 2
+    assert sorted(s for s in shapes
+                  if s not in ((n, n), (1, site.nfac, n, n))) == sorted(start)
 
 
 @JACOBIAN_SITES
@@ -421,6 +427,17 @@ def _one_row(site, word, target, seed):
         return exc
 
 
+def _assert_same_outcome(out, ref):
+    """The same factors, residual and iterations, or the same stop."""
+    assert type(out) is type(ref)
+    if isinstance(out, RepSample):
+        assert (out.residual, out.iters) == (ref.residual, ref.iters)
+        assert np.array_equal(out.point.mats, ref.point.mats)
+    else:
+        assert str(out) == str(ref)
+        assert (out.best_residual, out.iters) == (ref.best_residual, ref.iters)
+
+
 def _two_puncture():
     model, pairing = models.sl2()
     reps = [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]
@@ -463,14 +480,34 @@ def test_solver_batch_rows_equal_one_row_solves(make, seeds, stops):
     for seed, out in zip(seeds, outs):
         one = _one_row(site, word, target, seed)
         assert type(out) is type(one) is stops.get(seed, RepSample), seed
-        if isinstance(out, RepSample):
-            assert (out.residual, out.iters) == (one.residual, one.iters)
-            assert np.array_equal(out.point.mats, one.point.mats)
-        else:
-            assert str(out) == str(one)
-            assert (out.best_residual, out.iters) == (one.best_residual, one.iters)
+        _assert_same_outcome(out, one)
     if MaxIters in stops.values():
         assert {out.iters for out in outs if isinstance(out, MaxIters)} == {200}
+
+
+def test_solver_chunks_keep_every_row(monkeypatch):
+    """Seeds beyond one chunk solve in further lockstep batches of at most
+    _CHUNK_ROWS rows, and every row, stops included, ends as it does in one
+    batch."""
+    import qpois.charvar as charvar
+    site, word, target = _surface(models.sl2, 2, -np.eye(2))
+    seeds = list(range(14, 22))
+    whole = solve_relators(site, word, target, seeds)
+    sizes = []
+    lockstep = charvar._solve_lockstep
+
+    def recorded(site, word, target_inv, chunk):
+        sizes.append(len(chunk))
+        return lockstep(site, word, target_inv, chunk)
+
+    monkeypatch.setattr(charvar, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(charvar, "_solve_lockstep", recorded)
+    chunked = solve_relators(site, word, target, seeds)
+    assert sizes == [3, 3, 2]
+    assert [type(out) for out in chunked] == [type(out) for out in whole]
+    assert isinstance(chunked[3], MaxIters)
+    for out, ref in zip(chunked, whole):
+        _assert_same_outcome(out, ref)
 
 
 @JACOBIAN_SITES
