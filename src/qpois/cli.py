@@ -137,21 +137,6 @@ def _parse_matrix(lit, loc):
 _GROUP_TOL = 1e-10
 
 
-def _traceless_blocks(model):
-    """Slices of the diagonal blocks on which every basis matrix is
-    traceless: the whole matrix for SL, the sl(2) block of sl2_abelian, none
-    for GL and abelian.  A block ends where no basis matrix couples the rows
-    before it with the rows after it."""
-    n, basis = model.n, model.basis
-    support = np.any(basis != 0, axis=0)
-    cuts = [0] + [k for k in range(1, n) if not (support[:k, k:].any()
-                                                 or support[k:, :k].any())]
-    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
-    scale = _GROUP_TOL * (1 + np.abs(basis).max(axis=(1, 2)))
-    return [blk for blk in blocks if np.all(
-        np.abs(np.trace(basis[:, blk, blk], axis1=1, axis2=2)) <= scale)]
-
-
 def _group_element(mat, loc, model):
     """mat, refused unless it is an element of the model's group: of the
     model's shape, in the matrix span of the identity and the model's basis
@@ -173,14 +158,21 @@ def _group_element(mat, loc, model):
     bound = float(np.prod(np.linalg.norm(mat, axis=1)))
     expect(abs(det) > _GROUP_TOL * bound, loc,
            "singular matrix, not a group element")
-    for blk in _traceless_blocks(model):
-        size = blk.stop - blk.start
-        det = complex(np.linalg.det(mat[blk, blk]))
-        bound = float(np.prod(np.linalg.norm(mat[blk, blk], axis=1)))
-        where = "" if size == n else f" on rows {blk.start}..{blk.stop - 1}"
-        expect(abs(det - 1) <= _GROUP_TOL * bound, loc,
-               f"determinant {det:.6g}{where} is not 1, outside SL({size})")
+    for blk in model.traceless_blocks:
+        _expect_det(mat, loc, blk, 1.0, f"outside SL({blk.stop - blk.start})")
     return mat
+
+
+def _expect_det(mat, loc, blk, want, why):
+    """Refuse mat unless its determinant on the diagonal block blk is want,
+    relative to the larger of |want| and Hadamard's bound on the block's
+    |det|, the product of its row norms."""
+    sub = mat[blk, blk]
+    det = complex(np.linalg.det(sub))
+    bound = float(np.prod(np.linalg.norm(sub, axis=1)))
+    where = "" if len(sub) == len(mat) else f" on rows {blk.start}..{blk.stop - 1}"
+    expect(abs(det - want) <= _GROUP_TOL * max(abs(want), bound), loc,
+           f"determinant {det:.6g}{where} is not {want:.6g}, {why}")
 
 
 def _matrix_literal(mat):
@@ -303,7 +295,8 @@ def build_setup(raw, seed=None):
     targets_lit = raw.get("targets", ["identity"])
     expect(isinstance(targets_lit, list) and targets_lit,
            "targets", "must be a non-empty list")
-    # a target outside the group stalls every relator solve
+    # a target outside the group, or one no solution reaches, stalls every
+    # relator solve; on fullgroups the punctures are free group factors
     targets = []
     for i, lit in enumerate(targets_lit):
         if lit == "identity":
@@ -312,7 +305,16 @@ def build_setup(raw, seed=None):
             label, mat = "minus_identity", -np.eye(model.n, dtype=complex)
         else:
             label, mat = f"matrix_{i}", _parse_matrix(lit, f"targets[{i}]")
-        targets.append((label, _group_element(mat, f"targets[{i}]", model)))
+        mat = _group_element(mat, f"targets[{i}]", model)
+        # commutators have determinant 1 and conjugation keeps a class's
+        # determinant: on each block a solution's target has their product
+        if variant == "classes":
+            for blk in model.blocks:
+                want = np.prod([np.linalg.det(r[blk, blk]) for r in class_reps])
+                _expect_det(mat, f"targets[{i}]", blk, complex(want),
+                            "the class representatives' product: no relator "
+                            "solution reaches it")
+        targets.append((label, mat))
 
     cfg_seed = raw.get("seed", 0)
     expect(isinstance(cfg_seed, int) and not isinstance(cfg_seed, bool)

@@ -41,7 +41,7 @@ class LiftFailed(QpoisError):
 
 
 class IncompatibleActions(QpoisError):
-    """Fusion requested across sites built over different models/pairings."""
+    """Fusion of a momentum component with itself."""
 
 
 class BadSignature(QpoisError):

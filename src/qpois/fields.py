@@ -1,9 +1,11 @@
 """Pointwise tensor calculus on sites.
 
-Tensor fields are kept in structured form.  A bivector is one coefficient
-matrix K over the atoms -- the left and right translations L_f, R_f of every
-factor f -- contracted through the invariant 2-tensor H, so that
-P = sum K[alpha, beta] (op_alpha (x) op_beta)(H) and fusion only updates K.
+Tangent operators are coefficient vectors over the atoms -- the left and
+right translations L_f, R_f of every factor f, in the order L_0, R_0, L_1,
+R_1, ... -- and one notation serves actions and bivector slots alike.  A
+bivector is one coefficient matrix K over the same atoms, contracted through
+the invariant 2-tensor H, so that P = sum K[alpha, beta] (op_alpha (x)
+op_beta)(H); `wedge` builds K from operators and fusion only updates it.
 A 2-form is a list of pullback pairings of trivialization forms plus class
 terms.  Both evaluate transparently at Dual-perturbed points, which is what
 makes exact exterior derivatives and Jacobiators cheap.
@@ -20,11 +22,11 @@ from .errors import BadSignature, LiftFailed
 from .groupgeom import Tangent, word_eval, word_tangent
 
 __all__ = [
-    "VecOp",
     "op_L",
     "op_R",
     "op_fund",
     "op_apply",
+    "wedge",
     "Bivector",
     "PairTerm",
     "TauTerm",
@@ -42,53 +44,50 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# structured tangent-vector operators: sums of (coef, side, factor)
+# tangent operators: coefficient vectors over the atoms L_0, R_0, L_1, R_1, ...
 # ---------------------------------------------------------------------------
 
-VecOp = tuple  # of (coef, "L"|"R", factor)
+def op_L(site, factor):
+    """The atom L_f: q -> q x on factor f."""
+    return np.eye(2 * site.nfac)[2 * factor]
 
 
-def op_L(factor):
-    return ((1.0, "L", factor),)
+def op_R(site, factor):
+    """The atom R_f: q -> x q on factor f."""
+    return np.eye(2 * site.nfac)[2 * factor + 1]
 
 
-def op_R(factor):
-    return ((1.0, "R", factor),)
-
-
-def op_fund(factors):
-    """Conjugation direction q X - X q over a set of factors."""
-    out = []
-    for f in sorted(factors):
-        out.append((1.0, "L", f))
-        out.append((-1.0, "R", f))
-    return tuple(out)
+def op_fund(site, factors):
+    """Conjugation direction q X - X q over a set of factors: the sum of
+    L_f - R_f."""
+    return sum(op_L(site, f) - op_R(site, f) for f in factors)
 
 
 def op_apply(op, mats, x):
-    """Apply the operator to algebra element x at the given factor matrices.
+    """Apply the operator to algebra element x at the given factor matrices:
+    c_L q x + c_R x q on every factor q, from its two atom coefficients.
 
     Returns a per-factor component list (None = zero); Dual-transparent in mats.
     """
     comps = [None] * len(mats)
-    for coef, side, f in op:
-        term = (mats[f] @ x) if side == "L" else (x @ mats[f])
-        term = coef * term
-        comps[f] = term if comps[f] is None else comps[f] + term
+    for f, q in enumerate(mats):
+        c_left, c_right = op[2 * f], op[2 * f + 1]
+        if c_left:
+            comps[f] = c_left * (q @ x)
+        if c_right:
+            term = c_right * (x @ q)
+            comps[f] = term if comps[f] is None else comps[f] + term
     return comps
+
+
+def wedge(a, b):
+    """(1/2)(a (x) b - b (x) a): the atom coefficient matrix of a ^ b."""
+    return 0.5 * (np.outer(a, b) - np.outer(b, a))
 
 
 # ---------------------------------------------------------------------------
 # bivector fields
 # ---------------------------------------------------------------------------
-
-def _atom_vector(site, op):
-    """Coefficients of a VecOp over the atoms L_0, R_0, L_1, R_1, ..."""
-    vec = np.zeros(2 * site.nfac, dtype=complex)
-    for coef, side, f in op:
-        vec[2 * f + (side == "R")] += coef
-    return vec
-
 
 def _atom_dirs(site, f, x):
     """op_alpha(e_j) on factor f at factor value x, for every atom alpha and
@@ -110,30 +109,18 @@ def _atom_dirs(site, f, x):
 class Bivector:
     """sum K[alpha, beta] (op_alpha (x) op_beta)(H), H the invariant 2-tensor.
 
-    terms are (coef, op1, op2) triples over VecOps; each adds
-    coef * outer(op1, op2) to the atom coefficient matrix K (no
-    antisymmetrization), whose shape (2 nfac, 2 nfac) is fixed by the site.
+    kmat is the atom coefficient matrix K, of the shape (2 nfac, 2 nfac)
+    fixed by the site; sums of `wedge` terms build it.
     """
 
-    def __init__(self, site, terms):
+    def __init__(self, site, kmat):
         self.site = site
-        self.kmat = np.zeros((2 * site.nfac, 2 * site.nfac), dtype=complex)
-        for c, op1, op2 in terms:
-            self.kmat += complex(c) * np.outer(_atom_vector(site, op1),
-                                               _atom_vector(site, op2))
-
-    def _with_kmat(self, kmat):
-        out = Bivector(self.site, ())
-        out.kmat = kmat
-        return out
+        self.kmat = np.asarray(kmat, dtype=complex)
 
     def __add__(self, other):
         if other.site is not self.site:
             raise BadSignature("bivectors live on different sites")
-        return self._with_kmat(self.kmat + other.kmat)
-
-    def scaled(self, c):
-        return self._with_kmat(c * self.kmat)
+        return Bivector(self.site, self.kmat + other.kmat)
 
     def _atom_tensor(self):
         """kron(K, H): the tensor on the atom directions op_alpha(e_j)."""
@@ -205,12 +192,6 @@ class FormField:
             raise BadSignature("forms live on different sites")
         return FormField(self.site, self.pair_terms + other.pair_terms,
                          self.tau_terms + other.tau_terms)
-
-    def scaled(self, c):
-        return FormField(
-            self.site,
-            [PairTerm(c * t.coef, t.word_u, t.word_v) for t in self.pair_terms],
-            [TauTerm(t.factor, c * t.coef) for t in self.tau_terms])
 
     def evaluate(self, mats, t1, t2):
         """Value on two Tangents; Dual-transparent.  A class term reads the

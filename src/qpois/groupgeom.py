@@ -74,7 +74,8 @@ class Site:
         self.pairing = pairing
         self.factors = list(factors)
         self.nfac = len(self.factors)
-        self.sl_like = model.is_traceless()
+        # one diagonal block, traceless
+        self.sl_like = model.traceless_blocks == [slice(0, model.n)]
         # a class is the orbit of its representative, so its dimension, the
         # size of its frame at every point, is the rank of the conjugation
         # map at the representative: 0 for a central one

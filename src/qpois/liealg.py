@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 _SPAN_TOL = 1e-8            # coefficient expansion: span residual, relative
-_TRACE_TOL = 1e-12          # a basis matrix counts as traceless below this
+_BLOCK_TOL = 1e-10          # a basis matrix is traceless on a block below this, relative
 _CLOSURE_TOL = 1e-10        # commutators leave the span above this, relative
 _SYMMETRY_TOL = 1e-10       # pairing tensors and cubic tensor alternation
 _SAMPLE_SCALE = 0.35        # std of the real and imaginary part of a random coefficient
@@ -51,6 +51,16 @@ class LieAlgebraModel:
         self.basis_pinv = basis_pinv            # (d, n*n) least-squares extractor
         self.closure_residual = closure_residual
         self.d, self.n = basis.shape[:2]
+        # the diagonal blocks: a block ends where no basis matrix couples the
+        # rows before it with the rows after it
+        support = np.any(basis != 0, axis=0)
+        cuts = [0] + [k for k in range(1, self.n)
+                      if not (support[:k, k:].any() or support[k:, :k].any())]
+        self.blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [self.n])]
+        # those where every basis matrix is traceless (SL, sl(2) of sl2_abelian)
+        scale = _BLOCK_TOL * (1 + np.abs(basis).max(axis=(1, 2)))
+        self.traceless_blocks = [blk for blk in self.blocks if np.all(
+            np.abs(np.trace(basis[:, blk, blk], axis1=1, axis2=2)) <= scale)]
 
     def coeffs(self, mat):
         """Expand n-by-n matrices (leading batch axes allowed) in the basis;
@@ -74,10 +84,6 @@ class LieAlgebraModel:
     def bracket_coeffs(self, x, y):
         """Structure-constant bracket of two coefficient vectors."""
         return np.einsum("kuv,u,v->k", self.struct, x, y)
-
-    def is_traceless(self):
-        return all(abs(np.trace(b)) <= _TRACE_TOL * (1 + np.abs(b).max())
-                   for b in self.basis)
 
 
 def build_lie_algebra(basis):

@@ -2,12 +2,15 @@
 
 This module assembles the standard one-factor structure, the double and its
 internal fusion, conjugacy-class pairs, and genus-(l)/puncture-(n) surface
-sites; and it measures the residuals of the defining laws: momentum
-conditions, duality, reconstruction, non-degeneracy ranks, quasi-closedness,
-and equivariance.  Each of these reads the descriptor's type: the bivector
-side of a QuasiPoissonDescriptor, the 2-form side of a
-QuasiHamiltonianDescriptor.  One rank rule, `liealg._rank`, serves every
-kernel, span and rank count here and in the Dirac layer.
+sites.  The constructors are atom arithmetic (`fields`): the one-factor
+bivector is wedge(R_f, L_f), the double's is wedge(L_i, R_j) + wedge(R_i,
+L_j), and fusing two actions a1, a2 adds -wedge(a1, a2) to the bivector and
+makes a1 + a2 the fused action.  It also measures the residuals of the
+defining laws: momentum conditions, duality, reconstruction, non-degeneracy
+ranks, quasi-closedness, and equivariance.  Each of these reads the
+descriptor's type: the bivector side of a QuasiPoissonDescriptor, the 2-form
+side of a QuasiHamiltonianDescriptor.  One rank rule, `liealg._rank`, serves
+every kernel, span and rank count here and in the Dirac layer.
 
 At a point, each momentum component is linearized once
 (`component_linear`): the (N, d) left and right trivialized word
@@ -53,6 +56,7 @@ from .fields import (
     op_apply,
     op_fund,
     section_value,
+    wedge,
 )
 from .groupgeom import (
     Factor,
@@ -102,7 +106,11 @@ class MomentumComponent:
     value, so equal components share their linearization at a point."""
 
     word: tuple                 # parsed word over the site letters
-    action: tuple               # VecOp of the matching action
+    action: tuple               # atom coefficients of the matching action
+
+    def __post_init__(self):
+        # a tuple, so that equal components hash alike
+        object.__setattr__(self, "action", tuple(self.action))
 
 
 @dataclass
@@ -124,17 +132,13 @@ class QuasiHamiltonianDescriptor:
 # ---------------------------------------------------------------------------
 
 def _conj_component(site, word_text, factors):
-    return MomentumComponent(parse_word(site, word_text), op_fund(factors))
-
-
-def _pg_terms(i):
-    # (1/2) eta^{jk} e_j^R wedge e_k^L
-    return [(0.5, op_R(i), op_L(i)), (-0.5, op_L(i), op_R(i))]
+    return MomentumComponent(parse_word(site, word_text), op_fund(site, factors))
 
 
 def pg_descriptor(site):
-    """The bivector of the first factor with its letter as momentum word."""
-    biv = Bivector(site, _pg_terms(0))
+    """The bivector (1/2) eta^{jk} e_j^R wedge e_k^L of the first factor with
+    its letter as momentum word."""
+    biv = Bivector(site, wedge(op_R(site, 0), op_L(site, 0)))
     mom = [_conj_component(site, site.letter(0), [0])]
     return QuasiPoissonDescriptor(site, biv, mom)
 
@@ -145,7 +149,8 @@ def class_descriptors(site):
     if site.factors[0].kind != "class":
         raise BadSignature("class pair needs a class factor")
     mom = [_conj_component(site, site.letter(0), [0])]
-    qp = QuasiPoissonDescriptor(site, Bivector(site, _pg_terms(0)), mom)
+    qp = QuasiPoissonDescriptor(
+        site, Bivector(site, wedge(op_R(site, 0), op_L(site, 0))), mom)
     qh = QuasiHamiltonianDescriptor(
         site, FormField(site, tau_terms=[TauTerm(0)]), mom)
     return qp, qh
@@ -153,8 +158,8 @@ def class_descriptors(site):
 
 def _double_momentum(site, i, j):
     a, b = site.letter(i), site.letter(j)
-    act1 = ((-1.0, "R", i), (1.0, "L", j))      # x . (q1,q2) = (x q1, q2 x^-1)
-    act2 = ((1.0, "L", i), (-1.0, "R", j))      # y . (q1,q2) = (q1 y^-1, y q2)
+    act1 = op_L(site, j) - op_R(site, i)      # x . (q1,q2) = (x q1, q2 x^-1)
+    act2 = op_L(site, i) - op_R(site, j)      # y . (q1,q2) = (q1 y^-1, y q2)
     return [MomentumComponent(parse_word(site, a + b), act1),
             MomentumComponent(parse_word(site, a.upper() + b.upper()), act2)]
 
@@ -163,10 +168,8 @@ def double_descriptors(site, i=0, j=1):
     """The two-factor double: bivector (1/2)(L1^R2 + R1^L2) and 2-form
     -(1/2)(omega1 . omegabar2 + omegabar1 . omega2), with the product and the
     inverse-product words as momentum pair."""
-    biv = Bivector(site, [
-        (0.5, op_L(i), op_R(j)), (-0.5, op_R(j), op_L(i)),
-        (0.5, op_R(i), op_L(j)), (-0.5, op_L(j), op_R(i)),
-    ])
+    biv = Bivector(site, wedge(op_L(site, i), op_R(site, j))
+                   + wedge(op_R(site, i), op_L(site, j)))
     wa = parse_word(site, site.letter(i))
     wb = parse_word(site, site.letter(j))
     form = FormField(site, pair_terms=[
@@ -178,22 +181,18 @@ def double_descriptors(site, i=0, j=1):
             QuasiHamiltonianDescriptor(site, form, mom))
 
 
-def _chi_bivector(site, act1, act2):
-    """(1/2) act1 wedge act2 contracted through the 2-tensor."""
-    return Bivector(site, [(0.5, act1, act2), (-0.5, act2, act1)])
-
-
 def _merged_component(comp1, comp2):
     """The fused component: product word, sum of the two actions."""
     return MomentumComponent(tuple(comp1.word) + tuple(comp2.word),
-                             tuple(comp1.action) + tuple(comp2.action))
+                             np.add(comp1.action, comp2.action))
 
 
 def fuse_bivector(site, biv, comp1, comp2):
-    """Fuse two action components: subtract chi and multiply the words."""
+    """Fuse two action components: subtract (1/2) a1 wedge a2, contracted
+    through the 2-tensor, and multiply the words."""
     if comp1 is comp2:
         raise IncompatibleActions("cannot fuse a component with itself")
-    fused = biv + _chi_bivector(site, comp1.action, comp2.action).scaled(-1.0)
+    fused = Bivector(site, biv.kmat - wedge(comp1.action, comp2.action))
     return fused, _merged_component(comp1, comp2)
 
 
@@ -255,7 +254,7 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
     for idx in range(npunct):
         f = 2 * genus + idx
         mom = _conj_component(site, site.letter(f), [f])
-        biv = Bivector(site, _pg_terms(f))
+        biv = Bivector(site, wedge(op_R(site, f), op_L(site, f)))
         form = FormField(site, tau_terms=[TauTerm(f)]) if variant == "classes" else None
         units.append((biv, form, mom))
 

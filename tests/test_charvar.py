@@ -91,7 +91,7 @@ def test_bracket_antisymmetry_and_zero_field():
     f = TraceFunction(site, "a")
     h = TraceFunction(site, "ab")
     assert abs(bracket(qp.bivector, f, f, p)) <= 1e-12
-    zero = Bivector(site, [])
+    zero = Bivector(site, np.zeros((2 * site.nfac, 2 * site.nfac)))
     assert bracket(zero, f, h, p) == 0.0
     val = bracket(qp.bivector, f, h, p)
     assert abs(val + bracket(qp.bivector, h, f, p)) <= 1e-12 * (1 + abs(val))

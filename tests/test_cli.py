@@ -470,6 +470,51 @@ def test_matrix_outside_model_span_refused(tmp_path, cfg, loc):
     assert f"{loc}: outside the span" in result.stderr
     assert not (tmp_path / "x.json").exists()
 
+EMPTY_LEVELS = {
+    "gl2-g1": {"group": {"family": "GL", "n": 2}, "site": {
+        "genus": 1, "class_reps": [_literal(np.diag([2.0, 3.0]))]}},
+    "gl2-g0": {"group": {"family": "GL", "n": 2}, "site": {
+        "genus": 0, "class_reps": [_literal(np.diag(d)) for d in
+                                   ([2.0, 3.0], [1.0, 1.5], [2.0, 2.0])]}},
+    "sl2ab-g1": {"group": {"family": "sl2_abelian"}, "site": {
+        "genus": 1, "class_reps": [_literal(np.diag([2.0, 0.5, 3.0]))]}},
+    "abelian-g1": {"group": {"family": "abelian", "n": 2},
+                   "targets": ["minus_identity"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_LEVELS))
+def test_target_no_solution_reaches_refused(tmp_path, name):
+    """On every diagonal block a solution's target has the product of the
+    class representatives' determinants; a target that has not is refused
+    before any solve."""
+    cfg = write_cfg(tmp_path, EMPTY_LEVELS[name])
+    result = invoke(["verify", "all", "--config", cfg, "--out",
+                     str(tmp_path / "x.json")])
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "targets[0]: determinant" in result.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("variant, target", [
+    ("classes", _literal(np.diag([6.0, 1.0]))),
+    ("fullgroups", "identity"),
+])
+def test_reachable_gl_targets_accepted_and_solved(tmp_path, variant, target):
+    """A target of the class representative's determinant, and any target
+    on a fullgroups site, whose punctures are free group factors, is
+    accepted, and its relator solves converge."""
+    site = {"genus": 1, "class_reps": [_literal(np.diag([2.0, 3.0]))],
+            "variant": variant}
+    cfg = write_cfg(tmp_path, {"group": {"family": "GL", "n": 2}, "site": site,
+                               "targets": [target], "samples": 2,
+                               "checks": ["relator_solver"]})
+    out = str(tmp_path / "rep.json")
+    result = invoke(["verify", "moduli", "--config", cfg, "--out", out])
+    assert result.exit_code == 0, result.output + result.stderr
+    assert by_id(json.loads(open(out).read()))["relator_solver"]["status"] == "passed"
+
+
 def test_group_elements_accepted_as_written_in_floats():
     omega = np.exp(2j * np.pi / 3)
     sl3 = build_setup({"group": {"family": "SL", "n": 3},
@@ -479,8 +524,10 @@ def test_group_elements_accepted_as_written_in_floats():
         site={"genus": 1, "class_reps": [_literal(np.diag([3.0, 1.0 / 3.0]))]},
         targets=[_literal(np.diag([3.0, 1.0 / 3.0]))]))
     assert np.allclose(setup.class_reps[0], np.diag([3.0, 1.0 / 3.0]))
-    # off the traceless models only invertibility is required
-    gl = build_setup({"group": {"family": "GL", "n": 2},
+    # off the traceless models a target need not have determinant 1; it
+    # matches the class representative's here
+    gl = build_setup({"group": {"family": "GL", "n": 2}, "site": {
+        "genus": 1, "class_reps": [_literal(np.diag([1.0, 4.0]))]},
                       "targets": [_literal(2 * np.eye(2))]})
     assert np.allclose(gl.targets[0][1], 2 * np.eye(2))
     # in the span of the identity and the basis, though not in the basis span

@@ -15,7 +15,14 @@ import pytest
 
 from qpois import models
 from qpois.charvar import TraceFunction
-from qpois.fields import Bivector, FormField, differential, op_apply
+from qpois.fields import (
+    Bivector,
+    FormField,
+    PairTerm,
+    TauTerm,
+    differential,
+    op_apply,
+)
 from qpois.groupgeom import Tangent, random_point, word_eval, word_tangent
 
 from qpois.liealg import adjoint_matrix
@@ -52,8 +59,14 @@ def _setup(name, seed=21):
 
 
 def _wrong(qp, qh):
-    return (QuasiPoissonDescriptor(qp.site, qp.bivector.scaled(1.5), qp.momentum),
-            QuasiHamiltonianDescriptor(qh.site, qh.form.scaled(1.5), qh.momentum))
+    form = qh.form
+    wrong_form = FormField(
+        qh.site,
+        [PairTerm(1.5 * t.coef, t.word_u, t.word_v) for t in form.pair_terms],
+        [TauTerm(t.factor, 1.5 * t.coef) for t in form.tau_terms])
+    return (QuasiPoissonDescriptor(qp.site, Bivector(qp.site, 1.5 * qp.bivector.kmat),
+                                   qp.momentum),
+            QuasiHamiltonianDescriptor(qh.site, wrong_form, qh.momentum))
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +83,10 @@ def _word_diffs(point, word):
 
 
 def _action_tangent(site, point, comp, x):
-    # the lift is x on class factors where the action is plain conjugation
-    sums = {}
-    for coef, side, f in comp.action:
-        sums[side, f] = sums.get((side, f), 0.0) + coef
+    # the lift is x on class factors where the action is plain conjugation,
+    # L_f - R_f
     lifts = {f: np.asarray(x, dtype=complex) for f in site.class_indices()
-             if sums.get(("L", f)) == 1.0 and sums.get(("R", f)) == -1.0}
+             if (comp.action[2 * f], comp.action[2 * f + 1]) == (1.0, -1.0)}
     return Tangent(op_apply(comp.action, point.mats, site.model.from_coeffs(x)),
                    lifts)
 
@@ -240,7 +251,7 @@ def test_residuals_read_their_mode_from_the_descriptor():
         ref, ref_k = _ref_reconstruct(desc, p, direction)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), direction
         assert _close(got_k, ref_k), direction
-    zero_qp = QuasiPoissonDescriptor(site, Bivector(site, []), qp.momentum)
+    zero_qp = QuasiPoissonDescriptor(site, Bivector(site, np.zeros((2 * site.nfac, 2 * site.nfac))), qp.momentum)
     zero_qh = QuasiHamiltonianDescriptor(site, FormField(site), qh.momentum)
     for desc in (qp, qh, zero_qp, zero_qh):
         assert nondegeneracy_check(desc, p) == _ref_nondegeneracy(desc, p)

@@ -40,7 +40,7 @@ def sl2_site(nfac=1):
 
 def component_a(site):
     """The momentum component with word "a" and the conjugation of factor a."""
-    return MomentumComponent(parse_word(site, "a"), op_fund([0]))
+    return MomentumComponent(parse_word(site, "a"), op_fund(site, [0]))
 
 
 def _bivector_graph(pmat):

@@ -21,6 +21,7 @@ from qpois.fields import (
     op_fund,
     section_bracket,
     section_value,
+    wedge,
 )
 from qpois.groupgeom import (
     Factor,
@@ -43,6 +44,11 @@ def rand_mat(rng, n=2):
 def sl2_two_group():
     model, pairing = models.sl2()
     return Site(model, pairing, [Factor("group"), Factor("group")])
+
+
+def term_kmat(terms):
+    """The atom matrix sum c * outer(op1, op2) of (c, op1, op2) terms."""
+    return sum(c * np.outer(o1, o2) for c, o1, o2 in terms)
 
 
 def test_eval_lambda_sl2_oracle():
@@ -207,7 +213,7 @@ def test_exterior_d3_fd_oracle():
 
 def test_bivector_frame_matrix_antisymmetric():
     site = sl2_two_group()
-    biv = Bivector(site, [(0.5, op_R(0), op_L(0)), (-0.5, op_L(0), op_R(0))])
+    biv = Bivector(site, wedge(op_R(site, 0), op_L(site, 0)))
     rng = np.random.default_rng(8)
     p = random_point(site, rng)
     pm = biv.frame_matrix(p)
@@ -218,10 +224,11 @@ def test_bivector_frame_matrix_antisymmetric():
 
 
 def _random_op(rng, nfac):
-    """Random combination of one to three translation atoms."""
-    picks = rng.choice(2 * nfac, size=int(rng.integers(1, 4)), replace=False)
-    return tuple((complex(*rng.standard_normal(2)), "LR"[k % 2], int(k // 2))
-                 for k in picks)
+    """Random complex combination of one to three translation atoms."""
+    op = np.zeros(2 * nfac, dtype=complex)
+    for k in rng.choice(2 * nfac, size=int(rng.integers(1, 4)), replace=False):
+        op[k] = complex(*rng.standard_normal(2))
+    return op
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -243,7 +250,7 @@ def test_bivector_frame_matrix_matches_term_contraction(seed):
                          for b in model.basis], axis=1)
 
     ref = sum(c * (cols(o1) @ h @ cols(o2).T) for c, o1, o2 in terms)
-    got = Bivector(site, terms).frame_matrix(p)
+    got = Bivector(site, term_kmat(terms)).frame_matrix(p)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -289,7 +296,7 @@ def test_op_apply_and_fund():
     rng = np.random.default_rng(9)
     p = random_point(site, rng)
     x = rand_mat(rng)
-    comps = op_apply(op_fund([0, 1]), p.mats, x)
+    comps = op_apply(op_fund(site, [0, 1]), p.mats, x)
     for i in range(2):
         assert np.abs(comps[i] - (p.mats[i] @ x - x @ p.mats[i])).max() < 1e-12
 
@@ -297,9 +304,9 @@ def test_op_apply_and_fund():
 def test_bracket_funcs_against_componentwise():
     site = sl2_two_group()
     model = site.model
-    terms = [(0.5, op_R(0), op_L(0)), (-0.5, op_L(0), op_R(0)),
-             (0.25, op_L(1), op_R(0))]
-    biv = Bivector(site, terms)
+    terms = [(0.5, op_R(site, 0), op_L(site, 0)), (-0.5, op_L(site, 0), op_R(site, 0)),
+             (0.25, op_L(site, 1), op_R(site, 0))]
+    biv = Bivector(site, term_kmat(terms))
     rng = np.random.default_rng(10)
     p = random_point(site, rng)
 
@@ -348,8 +355,8 @@ def test_bracket_funcs_on_class_factors_matches_ambient_reference():
     def atom_grad(fn):
         out = []
         for f in range(site.nfac):
-            for side in ("L", "R"):
-                out += [dual_lift(fn, p, Tangent(op_apply(((1.0, side, f),), p.mats, b)))
+            for atom in (op_L, op_R):
+                out += [dual_lift(fn, p, Tangent(op_apply(atom(site, f), p.mats, b)))
                         for b in model.basis]
         return np.array(out)
 
@@ -361,8 +368,8 @@ def test_bracket_funcs_on_class_factors_matches_ambient_reference():
 def test_jacobiator_against_finite_differences():
     site = sl2_two_group()
     model = site.model
-    terms = [(0.5, op_R(0), op_L(1)), (-0.5, op_L(1), op_R(0))]
-    biv = Bivector(site, terms)
+    terms = [(0.5, op_R(site, 0), op_L(site, 1)), (-0.5, op_L(site, 1), op_R(site, 0))]
+    biv = Bivector(site, term_kmat(terms))
     rng = np.random.default_rng(11)
     p = random_point(site, rng)
 

@@ -102,7 +102,7 @@ def test_fund_tangent_example():
     q = np.diag([2.0, 0.5]).astype(complex)
     p = SitePoint(site, [q])
     e = site.model.from_coeffs(np.array([0.0, 1.0, 0.0]))
-    out = op_apply(op_fund([0]), p.mats, e)
+    out = op_apply(op_fund(site, [0]), p.mats, e)
     assert np.allclose(out[0], [[0.0, 1.5], [0.0, 0.0]])
 
 
@@ -112,7 +112,7 @@ def test_fund_central_factor_zero():
     rng = np.random.default_rng(4)
     p = random_point(site, rng)
     central = model.from_coeffs(np.array([0.0, 0, 0, 1.0]))
-    out = op_apply(op_fund([0]), p.mats, central)
+    out = op_apply(op_fund(site, [0]), p.mats, central)
     assert np.abs(out[0]).max() < 1e-12
 
 

@@ -4,7 +4,7 @@ import pytest
 from qpois import models
 from qpois.duals import dtrace
 from qpois.errors import BadSignature, NotTangent
-from qpois.fields import Bivector, op_fund
+from qpois.fields import Bivector, op_L, op_R, op_fund
 from qpois.groupgeom import (
     Factor,
     Site,
@@ -39,6 +39,10 @@ REP = np.diag([2.0, 0.5]).astype(complex)
 def group_site(nfac, build=models.sl2):
     model, pairing = build()
     return Site(model, pairing, [Factor("group") for _ in range(nfac)])
+
+
+def zero_bivector(site):
+    return Bivector(site, np.zeros((2 * site.nfac, 2 * site.nfac)))
 
 
 def trace_fn(site, text):
@@ -79,7 +83,7 @@ def test_pg_momentum_wrong_word_fails():
     desc = pg_descriptor(site)
     bad = QuasiPoissonDescriptor(
         site, desc.bivector,
-        [MomentumComponent(parse_word(site, "aa"), op_fund([0]))])
+        [MomentumComponent(parse_word(site, "aa"), op_fund(site, [0]))])
     p = random_point(site, np.random.default_rng(5))
     assert momentum_residual(bad, p) > 1e-3
 
@@ -156,9 +160,9 @@ def test_fuse_zero_translations_gives_conjugation_structure():
     bivector: P_fus = 0 - chi equals the single-factor structure, and the
     merged component is the identity word with the conjugation action."""
     site = group_site(1)
-    zero = Bivector(site, [])
-    act_lt = ((-1.0, "R", 0),)   # x.q = xq, generator -Xq
-    act_rt = ((1.0, "L", 0),)    # y.q = q y^-1, generator qX
+    zero = zero_bivector(site)
+    act_lt = -op_R(site, 0)      # x.q = xq, generator -Xq
+    act_rt = op_L(site, 0)       # y.q = q y^-1, generator qX
     c1 = MomentumComponent(parse_word(site, "a"), act_lt)
     c2 = MomentumComponent(parse_word(site, ""), act_rt)
     fused, merged = fuse_bivector(site, zero, c1, c2)
@@ -166,7 +170,7 @@ def test_fuse_zero_translations_gives_conjugation_structure():
     ref = pg_descriptor(site)
     desc = QuasiPoissonDescriptor(
         site, fused,
-        [MomentumComponent(parse_word(site, "a"), op_fund([0]))])
+        [MomentumComponent(parse_word(site, "a"), op_fund(site, [0]))])
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
         assert np.abs(fused.frame_matrix(p)
@@ -179,9 +183,9 @@ def test_fusion_with_zero_tensor_pairing():
     zero_pairing = PairingData(eta_lower=np.zeros((3, 3)),
                                eta_upper=np.zeros((3, 3)))
     site = Site(model, zero_pairing, [Factor("group"), Factor("group")])
-    zero = Bivector(site, [])
-    c1 = MomentumComponent(parse_word(site, "a"), op_fund([0]))
-    c2 = MomentumComponent(parse_word(site, "b"), op_fund([1]))
+    zero = zero_bivector(site)
+    c1 = MomentumComponent(parse_word(site, "a"), op_fund(site, [0]))
+    c2 = MomentumComponent(parse_word(site, "b"), op_fund(site, [1]))
     fused, _ = fuse_bivector(site, zero, c1, c2)
     p = random_point(site, np.random.default_rng(0))
     assert np.abs(fused.frame_matrix(p)).max() < 1e-13
@@ -191,9 +195,9 @@ def test_fusion_associative_values():
     site = group_site(3)
     units = []
     for i in range(3):
-        units.append((Bivector(site, []),
+        units.append((zero_bivector(site),
                       MomentumComponent(parse_word(site, site.letter(i)),
-                                        op_fund([i]))))
+                                        op_fund(site, [i]))))
     b0 = units[0][0] + units[1][0] + units[2][0]
     left1, m12 = fuse_bivector(site, b0, units[0][1], units[1][1])
     left, mall = fuse_bivector(site, left1, m12, units[2][1])
@@ -313,7 +317,8 @@ def test_equivariance_detects_noninvariant_pairing():
     g = dexpm(model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
     assert equivariance_residual(qp, None, p, g) > 1e-3
     # a zero bivector leaves the 2-form term alone
-    zero = QuasiPoissonDescriptor(site, qp.bivector.scaled(0.0), qp.momentum)
+    zero = QuasiPoissonDescriptor(site, Bivector(site, 0 * qp.bivector.kmat),
+                                  qp.momentum)
     assert equivariance_residual(zero, None, p, g) == 0.0
     assert equivariance_residual(zero, qh, p, g) > 1e-3
 
@@ -327,3 +332,19 @@ def test_momentum_pullback_consistency():
         return dtrace(m @ m)
 
     assert momentum_pullback_residual(qp, p, fn) <= 1e-9
+
+
+@pytest.mark.parametrize("variant", ["classes", "fullgroups"])
+@pytest.mark.parametrize("genus, npunct",
+                         [(0, 3), (1, 0), (1, 2), (2, 0), (2, 2), (3, 0), (3, 2)])
+def test_fusion_algebra_is_exact(genus, npunct, variant):
+    """Fusing every unit of a surface leaves one component, acting by
+    conjugation on all factors, and an antisymmetric atom matrix K: both
+    exactly, as the atom arithmetic adds halves of +-1."""
+    model, pairing = models.sl2()
+    site, qp, _ = assemble_surface_site(model, pairing, genus, [REP] * npunct,
+                                        variant=variant)
+    (comp,) = qp.momentum
+    assert np.array_equal(comp.action, op_fund(site, range(site.nfac)))
+    kmat = qp.bivector.kmat
+    assert np.array_equal(kmat, -kmat.T)
