@@ -114,7 +114,8 @@ def level_tangency_residual(desc, f, point, seed=0):
     The field of an invariant function is tangent to every momentum level.
     """
     xf = hamiltonian_field(desc.bivector, f, point, seed=seed)
-    return float(np.max([np.abs(word_tangent(comp.word, point.mats, xf)).max()
+    return float(np.max([np.abs(word_tangent(comp.word, point.letters(comp.word),
+                                             xf)).max()
                          for comp in desc.momentum], initial=0.0))
 
 

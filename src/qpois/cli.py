@@ -45,21 +45,23 @@ from .dirac import (
     projections_pq,
     prop_tech_chain,
 )
-from .duals import dexpm
+from .duals import dexpm, dtrace
 from .errors import (
     ConfigError,
     DegeneratePairing,
     IoError,
+    NotTangent,
     QpoisError,
     expect,
     is_finite_number,
 )
-from .groupgeom import parse_word, random_point
+from .groupgeom import Factor, Site, parse_word, random_point
 from .liealg import (
     _AD_SAMPLES,
     ad_invariance_residual,
     cartan3,
     cubic_alternation,
+    random_algebra_element,
     verify_chi_identity,
 )
 from .models import DEFAULT_GROUP, model_from_config
@@ -78,7 +80,6 @@ from .quasi import (
     relator_word,
     restrict_to_class,
 )
-from .groupgeom import Factor, Site
 
 __all__ = [
     "load_config",
@@ -266,7 +267,7 @@ def build_setup(raw, seed=None):
 
     words = raw.get("words")
     if words is None:
-        words = ["a", "b", "ab"] if site.nfac >= 2 else ["a"]
+        words = ["a", "b", "ab"]        # every site has at least two factors
     expect(isinstance(words, list) and words
            and all(isinstance(w, str) for w in words),
            "words", "must be a non-empty list of word strings")
@@ -394,8 +395,6 @@ def _check_rng(setup, check_id):
 def _coord_fn(rng, site):
     i = int(rng.integers(site.nfac))
     c = rng.standard_normal((site.model.n, site.model.n))
-    from .duals import dtrace
-
     return lambda mats: dtrace(c @ mats[i])
 
 
@@ -436,15 +435,11 @@ def _chk_momentum_form(s, p, rng):
 
 
 def _chk_equivariance(s, p, rng):
-    from .liealg import random_algebra_element
-
     g = dexpm(s.model.from_coeffs(random_algebra_element(s.model, rng)))
     return equivariance_residual(s.qp, s.qh, p, g)
 
 
 def _chk_class_tangency(s, rng):
-    from .errors import NotTangent
-
     if s.site.class_indices():
         site, factor = s.site, s.site.class_indices()[0]
         qp = s.qp
@@ -470,8 +465,6 @@ def _chk_quasi_closed(s, rng):
 
 
 def _chk_cn1(s, rng):
-    if s.site.nfac < 2:
-        raise _Skip("needs at least two factors")
     pts = [random_point(s.site, rng) for _ in range(min(s.samples, 4))]
     sub = int(rng.integers(2 ** 31))
     return float(cn1_residual(s.site, pts, seed=sub)), len(pts)

@@ -190,7 +190,7 @@ _THETA13 = 5.371920351148152
 
 
 def _one_norm(a):
-    # max over batch of the induced 1-norm of the value part
+    # max over batch of the induced 1-norm
     m = np.abs(a).sum(axis=-2)
     return float(np.max(m)) if m.size else 0.0
 
@@ -206,14 +206,12 @@ def _squarings(nrm):
 def dexpm(a):
     """Matrix exponential by scaling-and-squaring with a degree-13 Pade step.
 
-    Works on plain complex matrices and on (nested, batched) Duals; the scaling
-    power is chosen from the innermost value part so every batch member is
-    squared the same number of times.
+    Works on a complex matrix or a stack of them; the scaling power is chosen
+    from the largest 1-norm of the stack, so every member is squared the same
+    number of times.
     """
-    val = value(a)
-    n = val.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    s = _squarings(_one_norm(val))
+    eye = np.eye(a.shape[-1], dtype=complex)
+    s = _squarings(_one_norm(a))
     if s:
         a = a * (0.5**s)
     b = _PADE13
@@ -224,7 +222,7 @@ def dexpm(a):
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = dinv(v - u) @ (v + u)
+    r = np.linalg.inv(v - u) @ (v + u)
     for _ in range(s):
         r = r @ r
     return r

@@ -13,13 +13,15 @@ makes exact exterior derivatives and Jacobiators cheap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .duals import Dual, apply_linear, dinv, matmul
 from .errors import BadSignature, LiftFailed
-from .groupgeom import Tangent, word_eval, word_tangent
+from .groupgeom import Tangent, _letters, word_tangent
 
 __all__ = [
     "op_L",
@@ -179,6 +181,19 @@ def dual_vdot(smat, a, b):
     return np.einsum("...j,jk,...k->...", a, smat, b)
 
 
+class _Inverses(dict):
+    """Factor index -> the factor's inverse at the given (possibly Dual)
+    factor matrices, from one dinv on its first request."""
+
+    def __init__(self, mats):
+        super().__init__()
+        self.mats = mats
+
+    def __missing__(self, f):
+        self[f] = inv = dinv(self.mats[f])
+        return inv
+
+
 class FormField:
     """2-form as pullback-pairing terms plus class-factor terms."""
 
@@ -199,25 +214,29 @@ class FormField:
 
         Tangent components and lifts may carry one leading batch axis, the
         same on both tangents (Dual factor matrices may carry it in their
-        perturbation); the value then has one entry per batch entry.  Each
-        distinct word is evaluated, inverted and differentiated along each
-        tangent once per call.
+        perturbation); the value then has one entry per batch entry.  Per
+        call, each factor read inverted is inverted once, and each distinct
+        word's letters are listed once, folded for its value, which is
+        inverted once, and differentiated along each tangent once.
         """
         model = self.site.model
         smat = self.site.pairing.eta_lower
         tangents = (t1, t2)
-        inverses, derivs, thetas = {}, {}, {}
+        inverses = _Inverses(mats)
+        words, derivs, thetas = {}, {}, {}
 
         def theta(word, side, i):
             """Trivialized coefficients of the word-derivative of tangent i,
             left (side 0, omega) or right (side 1, omegabar)."""
             key = (word, side, i)
             if key not in thetas:
-                if word not in inverses:
-                    inverses[word] = dinv(word_eval(word, mats))
+                if word not in words:
+                    letters = _letters(word, mats, inverses)
+                    words[word] = letters, dinv(reduce(operator.matmul, letters))
+                letters, gi = words[word]
                 if (word, i) not in derivs:
-                    derivs[word, i] = word_tangent(word, mats, tangents[i])
-                gi, dv = inverses[word], derivs[word, i]
+                    derivs[word, i] = word_tangent(word, letters, tangents[i])
+                dv = derivs[word, i]
                 m = gi @ dv if side == 0 else dv @ gi
                 thetas[key] = apply_linear(model.basis_pinv, m)
             return thetas[key]
@@ -231,10 +250,10 @@ class FormField:
             total = total + term.coef * (dual_vdot(smat, a1, b2) - dual_vdot(smat, a2, b1))
         for term in self.tau_terms:
             f = term.factor
-            total = total + term.coef * self._tau_value(f, mats, t1, t2)
+            total = total + term.coef * self._tau_value(f, inverses, t1, t2)
         return total
 
-    def _tau_value(self, f, mats, t1, t2):
+    def _tau_value(self, f, inverses, t1, t2):
         model = self.site.model
         smat = self.site.pairing.eta_lower
         w = t2.comps[f]
@@ -243,8 +262,7 @@ class FormField:
         if f not in t1.lifts:
             raise LiftFailed("a class term needs the tangent's lift")
         x = t1.lifts[f]
-        q = mats[f]
-        qi = dinv(q)
+        qi = inverses[f]
         wl = apply_linear(model.basis_pinv, qi @ w)
         wr = apply_linear(model.basis_pinv, w @ qi)
         return 0.5 * dual_vdot(smat, x, wl + wr)
@@ -378,10 +396,10 @@ def exterior_d3(site, form, point, triples):
 # the cubic form, its pullbacks, and 2-chain forms
 # ---------------------------------------------------------------------------
 
-def eval_lambda(model, pairing, g, v1, v2, v3):
-    """Trilinear trivialized form at a group matrix on three ambient tangents
-    (leading batch axes allowed, one value per entry)."""
-    gi = np.linalg.inv(g)
+def eval_lambda(model, pairing, gi, v1, v2, v3):
+    """Trilinear trivialized form at a group matrix, given by its inverse gi,
+    on three ambient tangents (leading batch axes allowed, one value per
+    entry)."""
     w1 = model.coeffs(gi @ v1)
     w2 = model.coeffs(gi @ v2)
     w3 = model.coeffs(gi @ v3)

@@ -20,9 +20,13 @@ entries per word, keyed by the word and built on first request:
   once (no frame);
 - Ad_g and Ad_g^-1, from that entry (no frame);
 - the trivialized differentials L, R over the frame vectors, which read
-  g^-1 from the first entry.  Each letter's derivative lives on its own
-  factor's frame rows, and all letters are carried through the rest of the
-  word at once, one matrix product per letter of the word.
+  g^-1 from the first entry and the derivative of g along every frame
+  vector at once from `word_tangent`.
+
+One recurrence differentiates every word outside the relator solver:
+`word_tangent` carries the running product W and its derivative D through
+the letters, D <- D t + W dt, and reads the letters from its caller, who
+holds them: a point's are its factors and `inverses()` (`SitePoint.letters`).
 """
 
 from __future__ import annotations
@@ -117,9 +121,14 @@ class SitePoint:
         """(nfac, n, n): every factor's inverse, from one batched inversion."""
         return self.memo("inverses", lambda: np.linalg.inv(self.mats))
 
+    def letters(self, word):
+        """The word's letters as matrices: a factor, or its inverse read
+        from `inverses()`."""
+        return _letters(word, self.mats, self.inverses())
+
     def word_value(self, word):
-        """(g, g^-1): the word's value at the point, its inverse letters
-        read from `inverses()`, and the inverse of that value."""
+        """(g, g^-1): the word's value at the point, folded from its
+        `letters`, and the inverse of that value."""
         return self.memo(("value", word), lambda: _word_value(self, word))
 
     def word_ad(self, word):
@@ -129,9 +138,9 @@ class SitePoint:
 
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
-        dW(v_a) g^-1 over the frame vectors v_a, each letter's derivative
-        taken on its own factor's frame rows and carried through the word
-        with the other letters'.  NotInSpan when a row leaves the algebra."""
+        dW(v_a) g^-1 over the frame vectors v_a, dW from one `word_tangent`
+        pass over the point's letters along all frame vectors at once.
+        NotInSpan when a row leaves the algebra."""
         return self.memo(("differentials", word),
                          lambda: _word_differentials(self, word))
 
@@ -169,8 +178,10 @@ def word_eval(word, mats):
     return out
 
 
-def word_tangent(word, mats, tangent):
-    """Derivative of word_eval in the direction of an ambient tangent.
+def word_tangent(word, letters, tangent):
+    """Derivative of the value of a non-empty word in the direction of an
+    ambient tangent, from the word's letters as matrices (a factor, or its
+    inverse), which the caller holds, so nothing is inverted here.
 
     tangent may be a Tangent, a plain list or an (nfac, ...) array; None
     components contribute zero.  One pass over the letters carries the
@@ -180,8 +191,7 @@ def word_tangent(word, mats, tangent):
     """
     comps = tangent.comps if isinstance(tangent, Tangent) else tangent
     prod = out = None
-    for f, p in word:
-        t = mats[f] if p == 1 else dinv(mats[f])
+    for (f, p), t in zip(word, letters):
         v = comps[f]
         if out is not None:
             out = out @ t
@@ -191,7 +201,7 @@ def word_tangent(word, mats, tangent):
             out = piece if out is None else piece + out
         prod = t if prod is None else prod @ t
     if out is None:
-        size = value(mats[0]).shape[-1]
+        size = value(letters[0]).shape[-1]
         return np.zeros((size, size), dtype=complex)
     return out
 
@@ -202,7 +212,7 @@ def _letters(word, mats, inverses):
 
 
 def _word_value(point, word):
-    letters = _letters(word, point.mats, point.inverses())
+    letters = point.letters(word)
     g = (reduce(np.matmul, letters) if letters
          else np.eye(point.site.model.n, dtype=complex))
     return g, np.linalg.inv(g)
@@ -217,30 +227,12 @@ def _word_ad(point, word):
 
 
 def _word_differentials(point, word):
-    """Every frame vector's word derivative by the product rule: letter i's
-    derivative, a (d_f, n, n) block on its factor's frame rows, is
-    multiplied on the left by letters i-1, ..., 0 and then on the right by
-    letters i+1, ..., L-1, and the blocks are summed in letter order; the
-    blocks of all letters move through each letter together.  This order
-    differs from word_tangent's recurrence in the last bits on words of
-    three or more letters."""
-    model, n = point.site.model, point.site.model.n
-    frame = point.frame()
     _, gi = point.word_value(word)
-    letters = _letters(word, point.mats, point.inverses())
-    rows = [frame.rows[f] for f, _ in word]
-    pieces = np.zeros((len(word), max((r.stop - r.start for r in rows),
-                                      default=0), n, n), dtype=complex)
-    for i, (f, p) in enumerate(word):
-        v = frame.per_factor[f]
-        pieces[i, :len(v)] = v if p == 1 else -(letters[i] @ v @ letters[i])
-    for j in range(len(word) - 2, -1, -1):
-        pieces[j + 1:] = letters[j] @ pieces[j + 1:]
-    for j in range(1, len(word)):
-        pieces[:j] = pieces[:j] @ letters[j]
-    dv = np.zeros((frame.dim, n, n), dtype=complex)
-    for i, r in enumerate(rows):
-        dv[r] += pieces[i, :r.stop - r.start]
+    stacked = point.frame().stacked
+    # the empty word is constant
+    dv = (word_tangent(word, point.letters(word), stacked) if word
+          else np.zeros_like(stacked[0]))
+    model = point.site.model
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .duals import dexpm
 from .errors import (
     DegeneratePairing,
     NotClosed,
@@ -198,8 +199,6 @@ def ad_invariance_residual(model, pairing, seed=0):
     Group elements are exponentials of random algebra elements; the seed is the
     caller's to record.  NaN if any deviation is NaN.
     """
-    from .duals import dexpm
-
     rng = np.random.Generator(np.random.PCG64(seed))
     gaps = []
     for _ in range(_AD_SAMPLES):

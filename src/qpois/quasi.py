@@ -58,14 +58,7 @@ from .fields import (
     section_value,
     wedge,
 )
-from .groupgeom import (
-    Factor,
-    Site,
-    conjugate_point,
-    parse_word,
-    word_eval,
-    word_tangent,
-)
+from .groupgeom import Factor, Site, conjugate_point, parse_word, word_tangent
 from .liealg import _rank
 
 __all__ = [
@@ -135,12 +128,19 @@ def _conj_component(site, word_text, factors):
     return MomentumComponent(parse_word(site, word_text), op_fund(site, factors))
 
 
+def _one_factor(site, f):
+    """Factor f's one-factor structure: the bivector (1/2) eta^{jk} e_j^R
+    wedge e_k^L, the conjugation component with f's letter as word, and the
+    tau term, the 2-form on a class factor."""
+    return (Bivector(site, wedge(op_R(site, f), op_L(site, f))),
+            _conj_component(site, site.letter(f), [f]), TauTerm(f))
+
+
 def pg_descriptor(site):
-    """The bivector (1/2) eta^{jk} e_j^R wedge e_k^L of the first factor with
-    its letter as momentum word."""
-    biv = Bivector(site, wedge(op_R(site, 0), op_L(site, 0)))
-    mom = [_conj_component(site, site.letter(0), [0])]
-    return QuasiPoissonDescriptor(site, biv, mom)
+    """The one-factor bivector of the first factor with its letter as
+    momentum word."""
+    biv, comp, _ = _one_factor(site, 0)
+    return QuasiPoissonDescriptor(site, biv, [comp])
 
 
 def class_descriptors(site):
@@ -148,12 +148,10 @@ def class_descriptors(site):
     tau 2-form, momentum the inclusion letter."""
     if site.factors[0].kind != "class":
         raise BadSignature("class pair needs a class factor")
-    mom = [_conj_component(site, site.letter(0), [0])]
-    qp = QuasiPoissonDescriptor(
-        site, Bivector(site, wedge(op_R(site, 0), op_L(site, 0))), mom)
-    qh = QuasiHamiltonianDescriptor(
-        site, FormField(site, tau_terms=[TauTerm(0)]), mom)
-    return qp, qh
+    biv, comp, tau = _one_factor(site, 0)
+    return (QuasiPoissonDescriptor(site, biv, [comp]),
+            QuasiHamiltonianDescriptor(site, FormField(site, tau_terms=[tau]),
+                                       [comp]))
 
 
 def _double_momentum(site, i, j):
@@ -251,12 +249,10 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
     for k in range(genus):
         qp, qh = internally_fused(site, 2 * k, 2 * k + 1)
         units.append((qp.bivector, qh.form, qp.momentum[0]))
-    for idx in range(npunct):
-        f = 2 * genus + idx
-        mom = _conj_component(site, site.letter(f), [f])
-        biv = Bivector(site, wedge(op_R(site, f), op_L(site, f)))
-        form = FormField(site, tau_terms=[TauTerm(f)]) if variant == "classes" else None
-        units.append((biv, form, mom))
+    for f in range(2 * genus, 2 * genus + npunct):
+        biv, comp, tau = _one_factor(site, f)
+        form = FormField(site, tau_terms=[tau]) if variant == "classes" else None
+        units.append((biv, form, comp))
 
     biv, form, comp = units[0]
     for nbiv, nform, ncomp in units[1:]:
@@ -421,7 +417,7 @@ def reconstruct_dual(desc, point):
                             eye - 0.25 * rho.T], axis=1)
 
     sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv.size == 0 or sv.min() <= 1e-10 * sv.max() or stacked.shape[1] < nfr:
+    if sv.size == 0 or _rank(sv) < nfr:
         raise NotEpimorphism("stacked momentum map is rank-deficient at this point")
     out = (m @ np.linalg.pinv(stacked)).T     # row/column convention: transpose map
     kernel = nullspace(stacked)
@@ -495,9 +491,10 @@ def _closure_residual(site, form, pullbacks, points, seed):
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
-            dv = _by_slot(word_tangent(word, point.mats, ts), _TRIPLES, shape)
+            dv = _by_slot(word_tangent(word, point.letters(word), ts),
+                          _TRIPLES, shape)
             rhs = rhs + coef * eval_lambda(model, site.pairing,
-                                           word_eval(word, point.mats), *dv)
+                                           point.word_value(word)[1], *dv)
         worst = _worst(worst, lhs - rhs)
     return worst
 

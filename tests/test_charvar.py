@@ -282,7 +282,10 @@ def _jacobian_loop(site, word, mats, target_inv):
             v = q @ b if fac.kind == "group" else b @ q - q @ b
             comps = [None] * site.nfac
             comps[i] = v
-            delta = (word_tangent(word, mats, comps) @ target_inv).reshape(-1)
+            letters = [mats[f] if p == 1 else np.linalg.inv(mats[f])
+                       for f, p in word]
+            delta = (word_tangent(word, letters, comps)
+                     @ target_inv).reshape(-1)
             cols.append(np.concatenate([delta.real, delta.imag]))
             cols.append(np.concatenate([-delta.imag, delta.real]))
     return np.stack(cols, axis=1)

@@ -77,7 +77,8 @@ def _word_diffs(point, word):
     """Left/right trivialized word differentials, one frame vector at a time."""
     model, frame, mats = point.site.model, point.frame(), point.mats
     gi = np.linalg.inv(word_eval(word, mats))
-    dvs = [word_tangent(word, mats, v) for v in frame_vectors(frame)]
+    letters = [mats[f] if p == 1 else np.linalg.inv(mats[f]) for f, p in word]
+    dvs = [word_tangent(word, letters, v) for v in frame_vectors(frame)]
     return (np.array([model.coeffs(gi @ dv) for dv in dvs]),
             np.array([model.coeffs(dv @ gi) for dv in dvs]))
 

@@ -85,18 +85,6 @@ def test_dexpm_batch_shares_one_scaling_power():
         ref = scipy.linalg.expm(a[k])
         assert np.abs(got[k] - ref).max() <= 1e-14 * np.abs(ref).max()
 
-def test_dexpm_derivative_fd():
-    rng = np.random.default_rng(5)
-    a, u = rand(rng, 3, 3), rand(rng, 3, 3)
-    z = dexpm(Dual(a, u))
-    t = 1e-8
-    fd = (scipy.linalg.expm(a + t * u) - scipy.linalg.expm(a)) / t
-    assert np.abs(z.eps - fd).max() < 1e-5
-    # Frechet derivative from scipy as a sharper oracle
-    _, frechet = scipy.linalg.expm_frechet(a, u)
-    assert np.abs(z.eps - frechet).max() < 1e-10
-
-
 def test_batched_broadcast():
     rng = np.random.default_rng(6)
     a = rand(rng, 3, 3)

@@ -65,7 +65,7 @@ def test_eval_lambda_abelian_zero():
     rng = np.random.default_rng(0)
     g = np.diag([2.0, 3.0]).astype(complex)
     vals = [g @ model.from_coeffs(rng.standard_normal(2)) for _ in range(3)]
-    assert abs(eval_lambda(model, pairing, g, *vals)) < 1e-14
+    assert abs(eval_lambda(model, pairing, np.linalg.inv(g), *vals)) < 1e-14
 
 
 def test_eval_lambda_alternating():
@@ -74,9 +74,10 @@ def test_eval_lambda_alternating():
     g = np.eye(2) + 0.3 * rand_mat(rng)
     v = [g @ model.from_coeffs(rng.standard_normal(3) + 1j * rng.standard_normal(3))
          for _ in range(3)]
-    a = eval_lambda(model, pairing, g, v[0], v[1], v[2])
-    b = eval_lambda(model, pairing, g, v[1], v[0], v[2])
-    c = eval_lambda(model, pairing, g, v[1], v[2], v[0])
+    gi = np.linalg.inv(g)
+    a = eval_lambda(model, pairing, gi, v[0], v[1], v[2])
+    b = eval_lambda(model, pairing, gi, v[1], v[0], v[2])
+    c = eval_lambda(model, pairing, gi, v[1], v[2], v[0])
     assert abs(a + b) < 1e-10
     assert abs(a - c) < 1e-10
 

@@ -1,0 +1,70 @@
+"""No letter is inverted twice.
+
+A point inverts its factors once (`SitePoint.inverses`), and `word_tangent`
+reads the letters its caller holds, so `verify all` on SL(2) genus 2 at seed
+0 stays within 1,170 `np.linalg.inv` calls.  `FormField.evaluate` inverts
+each factor it reads inverted with one `dinv`, so one `np.linalg.inv`, per
+call, and each word's value with one more.
+"""
+
+import numpy as np
+
+import qpois.fields as fields
+from qpois import models
+from qpois.cli import run_suite
+from qpois.fields import Section, exterior_d3
+from qpois.groupgeom import random_point
+from qpois.quasi import assemble_surface_site
+
+_VERIFY_INV_CALLS = 1170
+
+
+def test_verify_all_inverts_within_its_count(monkeypatch):
+    real = np.linalg.inv
+    calls = [0]
+
+    def counted(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    report = run_suite({"site": {"genus": 2}, "seed": 0}, "all")
+    assert report["overall_pass"]
+    assert calls[0] <= _VERIFY_INV_CALLS, calls[0]
+
+
+def test_form_evaluation_inverts_each_factor_once(monkeypatch):
+    """At plain factors (the bracket terms of d sigma) and at Dual ones (its
+    derivative terms), on a site with inverse letters and class terms."""
+    model, pairing = models.sl2()
+    reps = [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]
+    site, _, qh = assemble_surface_site(model, pairing, 1, reps)
+    form = qh.form
+    words = ({t.word_u for t in form.pair_terms}
+             | {t.word_v for t in form.pair_terms})
+    inverted = ({f for w in words for f, p in w if p == -1}
+                | {t.factor for t in form.tau_terms})
+    real_inv, real_evaluate = np.linalg.inv, fields.FormField.evaluate
+    counts = []             # per evaluation: its np.linalg.inv calls
+
+    def evaluate(self, mats, t1, t2):
+        counts.append(0)
+        return real_evaluate(self, mats, t1, t2)
+
+    def inv(a):
+        counts[-1] += 1
+        return real_inv(a)
+
+    rng = np.random.default_rng(4)
+    point = random_point(site, rng)
+    monkeypatch.setattr(fields.FormField, "evaluate", evaluate)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    secs = [Section(f, "left" if fac.kind == "group" else "fund",
+                    rng.standard_normal(model.d))
+            for f, fac in enumerate(site.factors)]
+    triples = [(secs[0], secs[1], secs[2]), (secs[3], secs[0], secs[0]),
+               (secs[1], secs[1], secs[3])]
+    exterior_d3(site, form, point, triples)
+    # at most one inversion per factor read inverted, and one per word value
+    assert len(counts) == 2
+    assert max(counts) <= len(inverted) + len(words), counts

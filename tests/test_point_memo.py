@@ -147,27 +147,28 @@ def test_closedness_residuals_make_two_evaluations_per_point(monkeypatch):
 
 
 def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
+    """One letter list per word, and one recurrence per word and tangent."""
     model, pairing = models.sl2_abelian()
     site, _, qh = assemble_surface_site(model, pairing, 3, [])
     words = ({t.word_u for t in qh.form.pair_terms}
              | {t.word_v for t in qh.form.pair_terms})
-    values, tangents = Counter(), Counter()
-    orig_eval, orig_tangent = fields.word_eval, fields.word_tangent
+    letter_lists, tangents = Counter(), Counter()
+    orig_letters, orig_tangent = fields._letters, fields.word_tangent
 
-    def counted_eval(word, mats):
-        values[word] += 1
-        return orig_eval(word, mats)
+    def counted_letters(word, mats, inverses):
+        letter_lists[word] += 1
+        return orig_letters(word, mats, inverses)
 
-    def counted_tangent(word, mats, tangent):
+    def counted_tangent(word, letters, tangent):
         tangents[word] += 1
-        return orig_tangent(word, mats, tangent)
+        return orig_tangent(word, letters, tangent)
 
-    monkeypatch.setattr(fields, "word_eval", counted_eval)
+    monkeypatch.setattr(fields, "_letters", counted_letters)
     monkeypatch.setattr(fields, "word_tangent", counted_tangent)
     p = random_point(site, np.random.default_rng(6))
     frame = p.frame()
     probes = Tangent(frame.stacked)
     qh.form.evaluate(p.mats, probes, probes)
-    assert set(values) == set(tangents) == words
-    assert set(values.values()) == {1}
+    assert set(letter_lists) == set(tangents) == words
+    assert set(letter_lists.values()) == {1}
     assert set(tangents.values()) == {2}

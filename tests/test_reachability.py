@@ -25,7 +25,8 @@ NOT_REACHED = {
     "models.sl2": "library shorthand, used by the README example and tests",
     "models.sl2_abelian": "library shorthand, used by tests",
     "quasi.pg_descriptor": "the one-factor structure, built by tests",
-    "duals.Dual.__mul__": "the scaling step of dexpm on Dual input",
+    "duals.Dual.__mul__": "products of functions, plain compositions "
+                          "(charvar), built by tests",
     "duals.Dual.__repr__": "debugging aid",
     "charvar.TraceFunction.__repr__": "debugging aid",
     "charvar.solve_relator": "library shorthand, a batch of one; commands "
