@@ -55,7 +55,7 @@ from .errors import (
     expect,
     is_finite_number,
 )
-from .groupgeom import Factor, Site, parse_word, random_point
+from .groupgeom import Factor, Site, parse_word, random_points
 from .liealg import (
     _AD_SAMPLES,
     ad_invariance_residual,
@@ -449,8 +449,7 @@ def _chk_class_tangency(s, rng):
         qp, _ = class_descriptors(site)
         factor = 0
     resid = []
-    for _ in range(min(s.samples, 4)):
-        p = random_point(site, rng)
+    for p in random_points(site, rng, min(s.samples, 4)):
         try:
             resid.append(restrict_to_class(qp.bivector, p, factor))
         except NotTangent as exc:
@@ -459,13 +458,13 @@ def _chk_class_tangency(s, rng):
 
 
 def _chk_quasi_closed(s, rng):
-    pts = [random_point(s.site, rng) for _ in range(min(s.samples, 4))]
+    pts = random_points(s.site, rng, min(s.samples, 4))
     sub = int(rng.integers(2 ** 31))
     return float(quasi_closed_residual(s.qh, pts, seed=sub)), len(pts)
 
 
 def _chk_cn1(s, rng):
-    pts = [random_point(s.site, rng) for _ in range(min(s.samples, 4))]
+    pts = random_points(s.site, rng, min(s.samples, 4))
     sub = int(rng.integers(2 ** 31))
     return float(cn1_residual(s.site, pts, seed=sub)), len(pts)
 
@@ -507,7 +506,7 @@ def _chk_fibers(s, p, rng):
 
 def _chk_boolean_agreement(s, rng):
     disagreements = 0
-    pts = [random_point(s.site, rng) for _ in range(s.samples)]
+    pts = random_points(s.site, rng, s.samples)
     for p in pts:
         for ci in range(len(s.qh.momentum)):
             out = dirac_booleans(s.qh, p, component=ci)
@@ -665,8 +664,7 @@ def _run_one(setup, chk):
         if chk.points is None:
             residual, nsamp = chk.fn(setup, rng)
         else:
-            pts = [random_point(setup.site, rng)
-                   for _ in range(min(setup.samples, chk.points))]
+            pts = random_points(setup.site, rng, min(setup.samples, chk.points))
             # np.max, not max(): a NaN at any point must fail the check
             residual = np.max([chk.fn(setup, p, rng) for p in pts])
             nsamp = len(pts)

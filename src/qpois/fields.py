@@ -13,15 +13,13 @@ makes exact exterior derivatives and Jacobiators cheap.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .duals import Dual, apply_linear, dinv, matmul
 from .errors import BadSignature, LiftFailed
-from .groupgeom import Tangent, _letters, word_tangent
+from .groupgeom import Tangent, _fold, _letters, word_tangent
 
 __all__ = [
     "op_L",
@@ -130,14 +128,22 @@ class Bivector:
 
     def frame_matrix(self, point):
         """Antisymmetric coefficient matrix P^{ab} in the frame at the point,
-        built once per point (read-only)."""
-        return point.memo(self, lambda: self._frame_matrix(point))
+        built once per batch of points (read-only)."""
+        return point.memo(self, self._frame_matrix)
 
-    def _frame_matrix(self, point):
-        # rows: frame components of every atom direction, (2 nfac d, N)
-        b = point.frame().components([_atom_dirs(self.site, f, q)
-                                      for f, q in enumerate(point.mats)])
-        return b.T @ self._atom_tensor() @ b
+    def _frame_matrix(self, batch):
+        frame, basis = batch.frame(), self.site.model.basis
+        d = len(basis)
+        # rows: frame components of every atom direction, (S, 2 nfac d, N);
+        # factor f's atoms have components on f's frame rows only
+        b = np.zeros((len(batch.mats), 2 * self.site.nfac * d, frame.dim),
+                     dtype=complex)
+        for f, q in enumerate(batch.mats.swapaxes(0, 1)):
+            q = q[:, None]
+            dirs = [None] * self.site.nfac
+            dirs[f] = np.concatenate([q @ basis, basis @ q], axis=1)
+            b[:, 2 * f * d:(2 * f + 2) * d] = frame.components(dirs)
+        return b.swapaxes(-1, -2) @ self._atom_tensor() @ b
 
     def ambient_matrix(self, point):
         """The 2-tensor on vec'd ambient tangents, (nfac n^2, nfac n^2)."""
@@ -232,7 +238,7 @@ class FormField:
             if key not in thetas:
                 if word not in words:
                     letters = _letters(word, mats, inverses)
-                    words[word] = letters, dinv(reduce(operator.matmul, letters))
+                    words[word] = letters, _fold(word, letters, inverses, dinv)[1]
                 letters, gi = words[word]
                 if (word, i) not in derivs:
                     derivs[word, i] = word_tangent(word, letters, tangents[i])
@@ -269,30 +275,31 @@ class FormField:
 
     def frame_matrix(self, point):
         """Antisymmetric coefficient matrix sigma_{ab} in the frame at the
-        point, from the point's trivialized word differentials of all frame
-        vectors; built once per point (read-only)."""
-        return point.memo(self, lambda: self._frame_matrix(point))
+        point, from the trivialized word differentials of all frame vectors;
+        built once per batch of points (read-only)."""
+        return point.memo(self, self._frame_matrix)
 
-    def _frame_matrix(self, point):
-        frame = point.frame()
+    def _frame_matrix(self, batch):
+        frame = batch.frame()
         model = self.site.model
         smat = self.site.pairing.eta_lower
-        full = np.zeros((frame.dim, frame.dim), dtype=complex)
+        full = np.zeros((len(batch.mats), frame.dim, frame.dim), dtype=complex)
         for term in self.pair_terms:
-            tu = point.word_differentials(term.word_u)[0]
-            tv = point.word_differentials(term.word_v)[1]
-            cross = tu @ smat @ tv.T
-            full += term.coef * (cross - cross.T)
+            tu = batch.word_differentials(term.word_u)[0]
+            tv = batch.word_differentials(term.word_v)[1]
+            cross = tu @ smat @ tv.swapaxes(-1, -2)
+            full += term.coef * (cross - cross.swapaxes(-1, -2))
         for term in self.tau_terms:
             f = term.factor
             vecs, rows = frame.per_factor[f], frame.rows[f]
-            qi = point.inverses()[f]
+            qi = batch.inverses()[:, f, None]
             # both trivializations of every class frame vector, summed
             w = apply_linear(model.basis_pinv, qi @ vecs + vecs @ qi)
-            full[rows, rows] += term.coef * 0.5 * (frame.lifts[f] @ smat @ w.T)
+            full[:, rows, rows] += term.coef * 0.5 * (
+                frame.lifts[f] @ smat @ w.swapaxes(-1, -2))
         # the pairs a < b, as a pairwise evaluation would visit them
         upper = np.triu(full, 1)
-        return upper - upper.T
+        return upper - upper.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

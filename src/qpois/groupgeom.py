@@ -9,15 +9,27 @@ vectors, (k_f, n, n), their algebra lifts on class factors, (k_f, d), and
 the slice of its rows in the frame; a central class has k_f = 0, and its
 empty arrays pass through every frame computation.
 
-Data that depends only on a point is built once and kept behind it, and
-`SitePoint.memo` hands its arrays out read-only.  Besides the frame, each
+Points come in batches.  A `PointBatch` holds S points of one site as one
+read-only (S, nfac, n, n) stack; a check draws its points with
+`random_points`, in the order of S `random_point` calls and in batches of at
+most _BATCH_POINTS, so memory does not grow with the sample count.  Data
+that depends only on a point is built once per batch: a memo miss at any
+point builds the entry for every point of the batch at once, from (S, ...)
+stacks, and the batch keeps it.  A `SitePoint` holds only its batch and its
+index, and reads its slice of each entry; the batch never refers back to
+its points.  A lone point (`SitePoint(site, mats)`, `random_point`,
+`conjugate_point`, a solved point) is a batch of one, with the same
+builders.  Stacked products and inversions give each slice the bits of the
+one-point computation, so a point's data does not depend on its batch.
+`SitePoint.memo` hands the arrays out read-only.  Besides the frame, each
 tensor's frame matrix and each momentum component's linearization, it keeps
 the factor inverses, one batched inversion that every inverse letter, the
 frame's coefficient extractors and the 2-form's class terms read, and three
 entries per word, keyed by the word and built on first request:
 
 - the value g and its inverse, evaluated from the letters and inverted
-  once (no frame);
+  once (no frame; a positive one-letter word reads its inverse from the
+  factor inverses);
 - Ad_g and Ad_g^-1, from that entry (no frame);
 - the trivialized differentials L, R over the frame vectors, which read
   g^-1 from the first entry and the derivative of g along every frame
@@ -31,12 +43,13 @@ holds them: a point's are its factors and `inverses()` (`SitePoint.letters`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .duals import dexpm, dinv, value
+from .duals import _one_norm, _squarings, dexpm, dinv, value
 from .errors import BadSignature, LiftFailed
 from .liealg import _rank, adjoint_matrix, random_algebra_element
 
@@ -52,6 +65,8 @@ __all__ = [
     "class_tangent_frame",
     "site_frame",
     "random_point",
+    "random_points",
+    "PointBatch",
     "conjugate_point",
 ]
 
@@ -95,19 +110,66 @@ class Site:
         return [i for i, f in enumerate(self.factors) if f.kind == "class"]
 
 
-class SitePoint:
+class _Entries:
+    """The entries of a point's data that `PointBatch` and `SitePoint`
+    share: through `memo`, each is built for the whole batch on its first
+    request; a batch returns the (S, ...) stacks, a point its slice."""
+
+    def inverses(self):
+        """(nfac, n, n): every factor's inverse, from one batched inversion
+        over the batch's (S, nfac, n, n) stack."""
+        return self.memo("inverses", lambda batch: np.linalg.inv(batch.mats))
+
+    def word_value(self, word):
+        """(g, g^-1): the word's value at the point, folded from its
+        `letters`, and the inverse of that value (a one-letter word with a
+        positive letter reads it from `inverses()`)."""
+        return self.memo(("value", word), lambda batch: _word_value(batch, word))
+
+    def word_ad(self, word):
+        """(Ad_g, Ad_g^-1) for g the word's value; Ad_g reads the g^-1 of
+        `word_value`."""
+        return self.memo(("ad", word), lambda batch: _word_ad(batch, word))
+
+    def word_differentials(self, word):
+        """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
+        dW(v_a) g^-1 over the frame vectors v_a, dW from one `word_tangent`
+        pass over the batch's letters along all frame vectors at once.
+        NotInSpan when a row leaves the algebra."""
+        return self.memo(("differentials", word),
+                         lambda batch: _word_differentials(batch, word))
+
+
+def _frame(batch):
+    return site_frame(batch.site, batch)
+
+
+class PointBatch(_Entries):
+    """Points of one site as one read-only (S, nfac, n, n) stack, whose data
+    is built for all S points at once and kept here as (S, ...) stacks.
+
+    The batch never refers to its points, so no reference cycle forms.
+    """
+
     def __init__(self, site, mats):
         self.site = site
-        self.mats = np.array(mats, dtype=complex)      # (nfac, n, n)
+        self.mats = np.array(mats, dtype=complex)      # (S, nfac, n, n)
         self.mats.setflags(write=False)
         self._memo = {}
 
+    def points(self):
+        return [SitePoint._at(self, i) for i in range(len(self.mats))]
+
+    def letters(self, word):
+        """The word's letters as (S, n, n) stacks (`SitePoint.letters`)."""
+        return _letters(word, self.mats.swapaxes(0, 1),
+                        self.inverses().swapaxes(0, 1))
+
     def memo(self, key, build):
-        """build(), computed on the first request for key at this point and
-        shared afterwards; an array result, or each array of a tuple result,
-        is handed out read-only."""
+        """build(batch), computed on the first request for key and kept; an
+        array result, or each array of a tuple result, is read-only."""
         if key not in self._memo:
-            out = build()
+            out = build(self)
             for arr in out if isinstance(out, tuple) else (out,):
                 if isinstance(arr, np.ndarray):
                     arr.setflags(write=False)
@@ -115,34 +177,56 @@ class SitePoint:
         return self._memo[key]
 
     def frame(self):
-        return self.memo("frame", lambda: site_frame(self.site, self))
+        return self.memo("frame", _frame)
 
-    def inverses(self):
-        """(nfac, n, n): every factor's inverse, from one batched inversion."""
-        return self.memo("inverses", lambda: np.linalg.inv(self.mats))
+
+class SitePoint(_Entries):
+    """One point: its factor matrices, a read-only (nfac, n, n) array, and
+    its index in the batch that builds its data.  `SitePoint(site, mats)`
+    is a batch of one."""
+
+    def __init__(self, site, mats):
+        self._bind(PointBatch(site, [mats]), 0)
+
+    @classmethod
+    def _at(cls, batch, index):
+        point = cls.__new__(cls)
+        point._bind(batch, index)
+        return point
+
+    def _bind(self, batch, index):
+        self.site = batch.site
+        self.mats = batch.mats[index]
+        self._batch, self._index = batch, index
+        self._memo = {}         # key -> this point's slice of the entry
+        self._views = {}        # id of a batch stack -> this point's slice
+
+    def memo(self, key, build):
+        """This point's slice of the batch's entry for key, which build(batch)
+        makes for every point of the batch at once (`PointBatch.memo`).  A
+        stack that several entries hold, such as a word's differentials in a
+        component's linearization, is one array at the point too."""
+        if key not in self._memo:
+            self._memo[key] = self._slice(self._batch.memo(key, build))
+        return self._memo[key]
+
+    def _slice(self, entry):
+        if isinstance(entry, np.ndarray):
+            if id(entry) not in self._views:
+                self._views[id(entry)] = entry[self._index]
+            return self._views[id(entry)]
+        if isinstance(entry, tuple):
+            parts = [self._slice(part) for part in entry]
+            return entry._make(parts) if hasattr(entry, "_make") else tuple(parts)
+        return entry.at(self._index)
+
+    def frame(self):
+        return self.memo("frame", _frame)
 
     def letters(self, word):
         """The word's letters as matrices: a factor, or its inverse read
         from `inverses()`."""
         return _letters(word, self.mats, self.inverses())
-
-    def word_value(self, word):
-        """(g, g^-1): the word's value at the point, folded from its
-        `letters`, and the inverse of that value."""
-        return self.memo(("value", word), lambda: _word_value(self, word))
-
-    def word_ad(self, word):
-        """(Ad_g, Ad_g^-1) for g the word's value; Ad_g reads the g^-1 of
-        `word_value`."""
-        return self.memo(("ad", word), lambda: _word_ad(self, word))
-
-    def word_differentials(self, word):
-        """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
-        dW(v_a) g^-1 over the frame vectors v_a, dW from one `word_tangent`
-        pass over the point's letters along all frame vectors at once.
-        NotInSpan when a row leaves the algebra."""
-        return self.memo(("differentials", word),
-                         lambda: _word_differentials(self, word))
 
 
 @dataclass
@@ -211,142 +295,199 @@ def _letters(word, mats, inverses):
     return [mats[f] if p == 1 else inverses[f] for f, p in word]
 
 
-def _word_value(point, word):
-    letters = point.letters(word)
-    g = (reduce(np.matmul, letters) if letters
-         else np.eye(point.site.model.n, dtype=complex))
-    return g, np.linalg.inv(g)
+def _fold(word, letters, inverses, inv):
+    """(g, g^-1) for a non-empty word, g its letters' product.  A one-letter
+    word with a positive letter reads g^-1 from the factor inverses; any
+    other word inverts g with inv."""
+    g = reduce(operator.matmul, letters)
+    if len(word) == 1 and word[0][1] == 1:
+        return g, inverses[word[0][0]]
+    return g, inv(g)
 
 
-def _word_ad(point, word):
-    g, gi = point.word_value(word)
-    model = point.site.model
+def _word_value(batch, word):
+    if not word:
+        n = batch.site.model.n
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(batch.mats), n, n))
+        return eye, eye
+    return _fold(word, batch.letters(word), batch.inverses().swapaxes(0, 1),
+                 np.linalg.inv)
+
+
+def _word_ad(batch, word):
+    g, gi = batch.word_value(word)
+    model = batch.site.model
     # the inverse of g^-1 is recomputed, not read as g: keeps the last bits
     return (adjoint_matrix(model, g, gi),
             adjoint_matrix(model, gi, np.linalg.inv(gi)))
 
 
-def _word_differentials(point, word):
-    _, gi = point.word_value(word)
-    stacked = point.frame().stacked
+def _word_differentials(batch, word):
+    gi = batch.word_value(word)[1][:, None]
+    stacked = batch.frame().stacked                    # (S, nfac, dim, n, n)
     # the empty word is constant
-    dv = (word_tangent(word, point.letters(word), stacked) if word
-          else np.zeros_like(stacked[0]))
-    model = point.site.model
+    dv = (word_tangent(word, [t[:, None] for t in batch.letters(word)],
+                       stacked.swapaxes(0, 1)) if word
+          else np.zeros_like(stacked[:, 0]))
+    model = batch.site.model
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 
 def _conjugation_map(model, q):
-    """(n^2, d): the columns qX - Xq over the basis elements X."""
-    return (q @ model.basis - model.basis @ q).reshape(model.d, -1).T
+    """(..., n^2, d): the columns qX - Xq over the basis elements X, at q
+    with any leading axes."""
+    q = q[..., None, :, :]
+    mat = q @ model.basis - model.basis @ q
+    return np.swapaxes(mat.reshape(mat.shape[:-2] + (-1,)), -1, -2)
 
 
 def class_tangent_frame(model, q, r):
     """Orthonormal ambient basis of {qX - Xq}, the class of dimension r
-    through q, with algebra lifts.
+    through q, with algebra lifts; q may carry leading axes, which the
+    results keep.
 
     Returns (vectors, lifts): vectors is the (r, n, n) array of the leading
     left singular vectors of the conjugation map at q, and lifts the (r, d)
     array of matching coefficient vectors X (least-squares, one valid
-    choice).
+    choice), from one batched SVD and a least-squares solve per q.
     """
     fmat = _conjugation_map(model, q)
-    u = np.linalg.svd(fmat, full_matrices=False)[0][:, :r]
-    lift_mat, *_ = np.linalg.lstsq(fmat, u, rcond=None)
-    resid = np.linalg.norm(fmat @ lift_mat - u, axis=0)
-    if np.any(resid > 1e-8):
-        raise LiftFailed(f"no algebra lift for frame vector "
-                         f"(residual {resid.max():.3e})")
-    return u.T.reshape(r, model.n, model.n), lift_mat.T
+    u = np.linalg.svd(fmat, full_matrices=False)[0][..., :r]
+    lift_mat = np.empty(fmat.shape[:-2] + (model.d, r), dtype=complex)
+    for idx in np.ndindex(fmat.shape[:-2]):
+        lift_mat[idx] = np.linalg.lstsq(fmat[idx], u[idx], rcond=None)[0]
+        resid = np.linalg.norm(fmat[idx] @ lift_mat[idx] - u[idx], axis=0)
+        if np.any(resid > 1e-8):
+            raise LiftFailed(f"no algebra lift for frame vector "
+                             f"(residual {resid.max():.3e})")
+    vecs = np.swapaxes(u, -1, -2).reshape(u.shape[:-2] + (r, model.n, model.n))
+    return vecs, np.swapaxes(lift_mat, -1, -2)
 
 
 class TangentFrame:
-    """Concatenated frame over all factors with coefficient extraction.
+    """Concatenated frame over all factors with coefficient extraction, at
+    one point or, with a leading point axis on every array, at every point
+    of a batch (`at` gives one point's).
 
     Group factors use the left-trivialized frame q e_i; class factors the
     orthonormalized image of the conjugation map, with lifts recorded.
     """
 
-    def __init__(self, site, point, per_factor, lifts):
+    def __init__(self, site, per_factor, lifts, extract, stacked):
         self.site = site
         self.per_factor = per_factor    # per factor a (k_f, n, n) array
         self.lifts = lifts              # per factor a (k_f, d) array, None on groups
+        # per factor its coefficient extractor, rows acting on vec'd ambient
+        # tangents
+        self._extract = extract
+        # all frame vectors as one batched tangent, (nfac, dim, n, n): factor
+        # f's entry is zero on the rows of the other factors' vectors
+        self.stacked = stacked
         self.rows = []                  # per factor its slice of frame rows
         off = 0
         for vecs in per_factor:
-            self.rows.append(slice(off, off + len(vecs)))
-            off += len(vecs)
+            self.rows.append(slice(off, off + vecs.shape[-3]))
+            off += vecs.shape[-3]
         self.dim = off
-        n = site.model.n
-        # per-factor coefficient extractors (rows act on vec'd ambient
-        # tangents): v -> coeffs(q^-1 v) on a group factor, the conjugate
-        # frame vectors on a class factor
-        self._extract = [
-            site.model.basis_pinv @ np.kron(qi, np.eye(n))
-            if fac.kind == "group" else vecs.reshape(-1, n * n).conj()
-            for fac, qi, vecs in zip(site.factors, point.inverses(), per_factor)]
-        # all frame vectors as one batched tangent, (nfac, dim, n, n): factor
-        # f's entry is zero on the rows of the other factors' vectors
-        self.stacked = np.zeros((site.nfac, self.dim, n, n), dtype=complex)
-        for f, vecs in enumerate(per_factor):
-            self.stacked[f, self.rows[f]] = vecs
+
+    def at(self, i):
+        """The frame at point i of a batch's frame."""
+        return TangentFrame(self.site, [vecs[i] for vecs in self.per_factor],
+                            [None if lf is None else lf[i] for lf in self.lifts],
+                            [ex[i] for ex in self._extract], self.stacked[i])
 
     def components(self, tangent):
         """Frame components of an ambient tangent (list, array or Tangent).
 
         Factor matrices may carry leading batch axes, the same on every
-        factor; the result keeps them, shape (..., dim).
+        factor; the result keeps them, shape (..., dim).  On a batch's frame
+        the first of them is the point axis.
         """
         comps = tangent.comps if isinstance(tangent, Tangent) else tangent
         batch = next((np.shape(v)[:-2] for v in comps if v is not None), ())
+        npoint = self.stacked.ndim - 4
         out = np.zeros(batch + (self.dim,), dtype=complex)
         for v, extract, rows in zip(comps, self._extract, self.rows):
             if v is None:
                 continue
             v = np.asarray(v, dtype=complex)
             flat = v.reshape(v.shape[:-2] + (-1,))
+            extract = extract.reshape(extract.shape[:npoint]
+                                      + (1,) * (len(batch) - npoint)
+                                      + extract.shape[npoint:])
             out[..., rows] += (extract @ flat[..., None])[..., 0]
         return out
 
 
-def site_frame(site, point):
-    per_factor, lifts = [], []
-    for i, (fac, q) in enumerate(zip(site.factors, point.mats)):
+def site_frame(site, points):
+    """The frame at a SitePoint, or at every point of a PointBatch, from its
+    factor matrices and inverses."""
+    model, mats = site.model, points.mats
+    n = model.n
+    per_factor, lifts, extract = [], [], []
+    for i, (fac, qi) in enumerate(zip(site.factors,
+                                      np.moveaxis(points.inverses(), -3, 0))):
+        q = mats[..., i, :, :]
         if fac.kind == "group":
-            per_factor.append(q @ site.model.basis)
+            vecs = q[..., None, :, :] @ model.basis
             lifts.append(None)
+            # v -> coeffs(q^-1 v)
+            extract.append(model.basis_pinv @ np.kron(qi, np.eye(n)))
         else:
-            vecs, lf = class_tangent_frame(site.model, q, site.class_dims[i])
-            per_factor.append(vecs)
+            vecs, lf = class_tangent_frame(model, q, site.class_dims[i])
             lifts.append(lf)
-    return TangentFrame(site, point, per_factor, lifts)
+            # the conjugate frame vectors
+            extract.append(vecs.reshape(vecs.shape[:-2] + (n * n,)).conj())
+        per_factor.append(vecs)
+    dim = sum(vecs.shape[-3] for vecs in per_factor)
+    stacked = np.zeros(mats.shape[:-3] + (site.nfac, dim, n, n), dtype=complex)
+    off = 0
+    for f, vecs in enumerate(per_factor):
+        stacked[..., f, off:off + vecs.shape[-3], :, :] = vecs
+        off += vecs.shape[-3]
+    return TangentFrame(site, per_factor, lifts, extract, stacked)
 
 
 def _retract(site, q):
     if site.sl_like:
         n = site.model.n
-        det = np.linalg.det(q)
-        return q / det ** (1.0 / n)
+        return q / np.power(np.linalg.det(q), 1.0 / n)[..., None, None]
     return q
+
+
+_BATCH_POINTS = 64          # points per batch: memory does not grow with samples
+
+
+def random_points(site, rng, count):
+    """count random site points, in batches of at most _BATCH_POINTS: the
+    draws and values of count `random_point` calls, in order."""
+    # every point's factor coefficients, point after point in factor order
+    xi = site.model.from_coeffs(np.reshape(
+        [random_algebra_element(site.model, rng)
+         for _ in range(count * site.nfac)], (count, site.nfac, -1)))
+    # dexpm scales a stack by its largest norm, and each point's factors
+    # scale as one: the points that square alike are exponentiated together
+    squarings = [_squarings(_one_norm(x)) for x in xi]
+    g = np.empty_like(xi)
+    for s in set(squarings):
+        alike = [k for k, t in enumerate(squarings) if t == s]
+        g[alike] = dexpm(xi[alike])
+    cls = site.class_indices()
+    g_inv = dict(zip(cls, np.linalg.inv(g[:, cls]).swapaxes(0, 1))) if cls else {}
+    mats = np.stack([_retract(site, g[:, i]) if fac.kind == "group"
+                     else g[:, i] @ fac.class_rep @ g_inv[i]
+                     for i, fac in enumerate(site.factors)], axis=1)
+    return [point for start in range(0, count, _BATCH_POINTS)
+            for point in PointBatch(site, mats[start:start + _BATCH_POINTS]).points()]
 
 
 def random_point(site, rng):
     """Random site point: exponentials over group factors, conjugated reps on
-    class factors; SL-like models are retracted by a principal determinant root.
-    The factors' coefficients are drawn in factor order and exponentiated as
-    one batch."""
-    model = site.model
-    g = dexpm(model.from_coeffs(np.stack(
-        [random_algebra_element(model, rng) for _ in site.factors])))
-    cls = site.class_indices()
-    g_inv = dict(zip(cls, np.linalg.inv(g[cls]))) if cls else {}
-    mats = [_retract(site, g[i]) if fac.kind == "group"
-            else g[i] @ fac.class_rep @ g_inv[i]
-            for i, fac in enumerate(site.factors)]
-    return SitePoint(site, mats)
+    class factors; SL-like models are retracted by a principal determinant
+    root.  A batch of one (`random_points`)."""
+    return random_points(site, rng, 1)[0]
 
 
 def conjugate_point(point, g):
     """Simultaneous conjugation of every factor by one group element."""
     return SitePoint(point.site, g @ point.mats @ np.linalg.inv(g))
-

@@ -182,8 +182,10 @@ def _rank(sv):
 
 
 def adjoint_matrix(model, q, q_inv):
-    """d-by-d matrix of Ad_q in the model basis, given q's inverse."""
-    return model.coeffs(q @ model.basis @ q_inv).T
+    """d-by-d matrix of Ad_q in the model basis, given q's inverse; q may
+    carry leading axes, which the result keeps."""
+    return np.swapaxes(model.coeffs(q[..., None, :, :] @ model.basis
+                                    @ q_inv[..., None, :, :]), -1, -2)
 
 
 def random_algebra_element(model, rng):

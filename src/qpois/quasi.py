@@ -23,9 +23,10 @@ this data: 2 P^T L = A H (I + Ad^-T) and A^T Sigma = (1/2) S (L + R)^T for
 the momentum laws, rho = sum A (L - R)^T, and reconstruction as (M pinv)^T
 for one matrix M of the same blocks.  Equivariance compares P and Sigma with
 their values at the conjugated point through the frame matrix T of the
-conjugation map.  The linearizations, P and Sigma are built once per point,
-in the point's memo keyed by the component and the tensor; components are
-frozen (word, action) values, so equal components of a dual pair share one.
+conjugation map.  The linearizations, P and Sigma are built once per batch
+of points (`groupgeom.PointBatch`), in its memo keyed by the component and
+the tensor, and each point reads its slice; components are frozen (word,
+action) values, so equal components of a dual pair share one.
 """
 
 from __future__ import annotations
@@ -318,16 +319,18 @@ class ComponentLinear(NamedTuple):
 
 def component_linear(point, comp):
     """The word's differentials and adjoints at a point plus the component's
-    action columns; built once per point and component, with read-only
-    arrays."""
-    return point.memo(comp, lambda: _component_linear(point, comp))
+    action columns; built once per batch of points and component, with
+    read-only arrays."""
+    return point.memo(comp, lambda batch: _component_linear(batch, comp))
 
 
-def _component_linear(point, comp):
-    action = point.frame().components(
-        op_apply(comp.action, point.mats, point.site.model.basis)).T
-    return ComponentLinear(*point.word_differentials(comp.word),
-                           *point.word_ad(comp.word), action)
+def _component_linear(batch, comp):
+    # per factor its (S, 1, n, n) stack, so each point acts on the basis
+    mats = batch.mats.swapaxes(0, 1)[:, :, None]
+    action = batch.frame().components(
+        op_apply(comp.action, mats, batch.site.model.basis)).swapaxes(-1, -2)
+    return ComponentLinear(*batch.word_differentials(comp.word),
+                           *batch.word_ad(comp.word), action)
 
 
 def _linears(desc, point):

@@ -332,10 +332,11 @@ def test_retraction_carries_the_factor_inverses(build, genus, reps):
 @JACOBIAN_SITES
 def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     """Besides the target, every inversion in a solve is of a stack of
-    factors: the start point's (nfac, n, n) factor exponentials and its
-    class factors, and the batch of one's (1, nfac, n, n) start factors and
-    step exponentials.  A letter inverted alone, (n, n), or across the
-    batch, (1, n, n), is none of these."""
+    factors: the start point's (1, nfac, n, n) factor exponentials and its
+    (1, ncls, n, n) class factors, a batch of one in `random_points`, and
+    the batch of one's (1, nfac, n, n) start factors and step exponentials.
+    A letter inverted alone, (n, n), or across the batch, (1, n, n), is none
+    of these."""
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
     word = relator_word(site, genus, len(reps))
@@ -349,9 +350,9 @@ def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", recorded)
     solve_relator(site, word, np.eye(model.n), seed=1)
     n, cls = model.n, site.class_indices()
-    start = [(site.nfac, n, n)] + ([(len(cls), n, n)] if cls else [])
+    start = [(1, len(cls), n, n)] if cls else []
     assert shapes.count((n, n)) == 1
-    assert shapes.count((1, site.nfac, n, n)) >= 2
+    assert shapes.count((1, site.nfac, n, n)) >= 3
     assert sorted(s for s in shapes
                   if s not in ((n, n), (1, site.nfac, n, n))) == sorted(start)
 

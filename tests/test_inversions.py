@@ -1,10 +1,12 @@
 """No letter is inverted twice.
 
-A point inverts its factors once (`SitePoint.inverses`), and `word_tangent`
-reads the letters its caller holds, so `verify all` on SL(2) genus 2 at seed
-0 stays within 1,170 `np.linalg.inv` calls.  `FormField.evaluate` inverts
-each factor it reads inverted with one `dinv`, so one `np.linalg.inv`, per
-call, and each word's value with one more.
+A batch of points inverts its factors once (`SitePoint.inverses`), a
+one-letter word with a positive letter reads its inverse from there, and
+`word_tangent` reads the letters its caller holds, so `verify all` on SL(2)
+genus 2 at seed 0 stays within 418 `np.linalg.inv` calls.
+`FormField.evaluate` inverts each factor it reads inverted with one `dinv`,
+so one `np.linalg.inv`, per call, and the value of each word other than a
+positive letter with one more.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from qpois.fields import Section, exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
-_VERIFY_INV_CALLS = 1170
+_VERIFY_INV_CALLS = 418
 
 
 def test_verify_all_inverts_within_its_count(monkeypatch):
@@ -66,5 +68,8 @@ def test_form_evaluation_inverts_each_factor_once(monkeypatch):
                (secs[1], secs[1], secs[3])]
     exterior_d3(site, form, point, triples)
     # at most one inversion per factor read inverted, and one per word value
+    # that is not a positive letter's
+    folded = [w for w in words if not (len(w) == 1 and w[0][1] == 1)]
     assert len(counts) == 2
-    assert max(counts) <= len(inverted) + len(words), counts
+    assert len(folded) < len(words)
+    assert max(counts) <= len(inverted) + len(folded), counts

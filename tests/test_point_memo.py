@@ -1,10 +1,11 @@
-"""Per-point data is built once and shared read-only.
+"""Per-point data is built once per batch and shared read-only.
 
 Frame matrices, component linearizations and the per-word entries (value
-and inverse, adjoints, frame differentials) live in the point's memo, so
-residuals that read the same data at one point -- directly, through another
-residual, or through both tensors of a dual pair -- differentiate each word
-once, and no caller can change what another caller reads.
+and inverse, adjoints, frame differentials) live in the memo of the point's
+batch, so residuals that read the same data at the points of one batch --
+directly, through another residual, or through both tensors of a dual pair
+-- differentiate each word once, and no caller can change what another
+caller reads.
 """
 
 import gc
@@ -19,7 +20,7 @@ import qpois.groupgeom as groupgeom
 import qpois.quasi as quasi
 from qpois import models
 from qpois.dirac import cartan_dirac_fibers, dirac_booleans, projections_pq
-from qpois.groupgeom import Factor, Site, Tangent, random_point
+from qpois.groupgeom import Factor, Site, Tangent, random_point, random_points
 from qpois.quasi import (
     assemble_surface_site,
     component_linear,
@@ -37,23 +38,45 @@ def _two_puncture(seed=15):
     return site, qp, qh, random_point(site, np.random.default_rng(seed))
 
 
-def test_each_word_is_differentiated_once_per_point(monkeypatch):
-    _, qp, qh, p = _two_puncture()
-    counts = Counter()
-    orig = groupgeom._word_differentials
+def test_each_word_is_differentiated_once_per_batch(monkeypatch):
+    """Residuals at every point of a batch build each entry once, for the
+    whole batch: one `word_tangent` call per word, and no point builds its
+    own entry."""
+    site, qp, qh, _ = _two_puncture()
+    points = random_points(site, np.random.default_rng(16), 3)
+    batch = points[0]._batch
+    counts, tangents, builds = Counter(), Counter(), Counter()
+    orig_diff, orig_tangent = groupgeom._word_differentials, groupgeom.word_tangent
+    orig_memo = groupgeom.PointBatch.memo
 
-    def counted(point, word):
+    def counted(batch, word):
         counts[word] += 1
-        return orig(point, word)
+        return orig_diff(batch, word)
+
+    def counted_tangent(word, letters, tangent):
+        tangents[word] += 1
+        return orig_tangent(word, letters, tangent)
+
+    def memo(self, key, build):
+        if key not in self._memo:
+            builds[id(self), key] += 1
+        return orig_memo(self, key, build)
 
     monkeypatch.setattr(groupgeom, "_word_differentials", counted)
-    momentum_residual(qh, p)
-    duality_residual(qp, qh, p)
-    reconstruct_dual(qh, p)
-    reconstruct_dual(qp, p)
-    dirac_booleans(qh, p)
+    monkeypatch.setattr(groupgeom, "word_tangent", counted_tangent)
+    monkeypatch.setattr(groupgeom.PointBatch, "memo", memo)
+    for p in points:
+        momentum_residual(qh, p)
+        duality_residual(qp, qh, p)
+        reconstruct_dual(qh, p)
+        reconstruct_dual(qp, p)
+        dirac_booleans(qh, p)
     assert qh.momentum[0].word in counts
     assert counts and set(counts.values()) == {1}, counts
+    assert tangents == {w: 1 for w in counts if w}, tangents
+    assert {owner for owner, _ in builds} == {id(batch)}
+    assert set(builds.values()) == {1}
+    assert qp.bivector in batch._memo and qh.form in batch._memo
 
 
 def test_dirac_fibers_read_word_entries_without_a_frame():
@@ -117,6 +140,27 @@ def test_point_with_built_memo_is_freed_without_the_collector():
         del p
         # no reference cycle through the memo: freed by reference counting
         assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_batch_points_are_freed_without_the_collector():
+    site, qp, qh, _ = _two_puncture()
+    points = random_points(site, np.random.default_rng(17), 3)
+    for p in points:
+        qp.bivector.frame_matrix(p)
+        component_linear(p, qh.momentum[0])
+    refs = [weakref.ref(p) for p in points]
+    batch = weakref.ref(points[0]._batch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del p, points
+        # the batch refers to no point: all are freed by reference counting,
+        # and the batch with them
+        assert [ref() for ref in refs] == [None] * 3
+        assert batch() is None
     finally:
         if enabled:
             gc.enable()
