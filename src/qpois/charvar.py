@@ -23,13 +23,13 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import _one_norm, _squarings, dexpm, dtrace
+from .duals import _dexpm_rows, dexpm, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
+    PointBatch,
     SitePoint,
     _letters,
-    conjugate_point,
     parse_word,
     random_point,
     word_eval,
@@ -78,9 +78,8 @@ def invariance_residual(fn, point, rng):
     base = complex(fn(point.mats))
     gaps = []
     for _ in range(_INVARIANCE_PROBES):
-        xi = site.model.from_coeffs(random_algebra_element(site.model, rng))
-        moved = conjugate_point(point, dexpm(xi))
-        gaps.append(abs(complex(fn(moved.mats)) - base))
+        g = dexpm(site.model.from_coeffs(random_algebra_element(site.model, rng)))
+        gaps.append(abs(complex(fn(g @ point.mats @ np.linalg.inv(g))) - base))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -181,16 +180,10 @@ def _apply_step(site, mats, invs, steps):
     inverses): right-translate group factors by g = exp(xi), so
     (q g)^-1 = g^-1 q^-1, and conjugate class factors by g = exp(theta), so
     (g q g^-1)^-1 = g q^-1 g^-1.  A row's factors are exponentiated with the
-    scaling power of their own largest norm, as in a one-row batch: the rows
-    that share a power go through one dexpm call."""
+    scaling power of their own largest norm, as in a one-row batch."""
     model = site.model
     seg = steps.reshape(len(steps), site.nfac, model.d, 2)
-    xi = model.from_coeffs(seg[..., 0] + 1j * seg[..., 1])
-    powers = [_squarings(_one_norm(row)) for row in xi]
-    g = np.empty_like(xi)
-    for s in set(powers):
-        rows = [b for b, p in enumerate(powers) if p == s]
-        g[rows] = dexpm(xi[rows])
+    g = _dexpm_rows(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
     g_inv = np.linalg.inv(g)
     moved, moved_inv = mats @ g, g_inv @ invs
     cls = site.class_indices()
@@ -289,7 +282,8 @@ def solve_relators(site, word, target, seeds):
     of factors, gaps, Jacobians, SVDs, steps and retractions, and rebuilds
     the Jacobian and SVD only of the rows that accepted their last trial.
     Each row keeps its own mu, nu, iteration count and outcome, and its
-    result equals its one-row solve bit for bit.
+    result equals its one-row solve bit for bit.  The solved rows of a chunk
+    are the points of one PointBatch, built when the chunk returns.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
@@ -321,7 +315,8 @@ def _solve_lockstep(site, word, target_inv, seeds):
     while True:
         for b in fresh:
             if current[b] <= _TOL:
-                outs[b] = RepSample(SitePoint(site, mats[b]), current[b], iters[b])
+                # its point comes with the chunk's other solved rows
+                outs[b] = RepSample(None, current[b], iters[b])
             elif iters[b] == _MAX_ITERS:
                 outs[b] = MaxIters(
                     f"no convergence in {_MAX_ITERS} iterations "
@@ -337,6 +332,9 @@ def _solve_lockstep(site, word, target_inv, seeds):
                 cost[b] = float(rvec[b] @ rvec[b])
         active = [b for b in range(rows) if outs[b] is None]
         if not active:
+            solved = [b for b, out in enumerate(outs) if isinstance(out, RepSample)]
+            for b, point in zip(solved, PointBatch(site, mats[solved]).points()):
+                outs[b].point = point
             return outs
         x = _damped_steps(s[active], vt[active], ur[active], mu[active])
         trial, trial_invs = _apply_step(site, mats[active], invs[active], x)

@@ -161,11 +161,8 @@ def transport_image(subspace, dphi, smat, direction):
 
 def kernel_phi_sigma(dphi, smat):
     """Orthonormal columns spanning {(v, -sigma-flat v): dphi v = 0}."""
-    dphi = np.asarray(dphi, dtype=complex)
-    n1 = dphi.shape[1]
-    sflat = (np.zeros((n1, n1), dtype=complex) if smat is None
-             else np.asarray(smat, dtype=complex).T)
-    null = nullspace(dphi)
+    null = nullspace(np.asarray(dphi, dtype=complex))
+    sflat = np.asarray(smat, dtype=complex).T
     cols = np.concatenate([null, -sflat @ null], axis=0)
     return orthonormal_columns(cols)
 

@@ -226,3 +226,15 @@ def dexpm(a):
     for _ in range(s):
         r = r @ r
     return r
+
+
+def _dexpm_rows(a):
+    """dexpm of every row of a (B, ..., n, n) stack, each row scaled by the
+    power of its own largest 1-norm, as in a one-row call: the rows that
+    share a power are exponentiated together."""
+    powers = [_squarings(_one_norm(row)) for row in a]
+    out = np.empty_like(a)
+    for s in set(powers):
+        rows = [b for b, p in enumerate(powers) if p == s]
+        out[rows] = dexpm(a[rows])
+    return out

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, apply_linear, dinv, matmul
+from .duals import Dual, apply_linear, matmul
 from .errors import BadSignature, LiftFailed
-from .groupgeom import Tangent, _fold, _letters, word_tangent
+from .groupgeom import Tangent, _fold, _Inverses, _letters, word_tangent
 
 __all__ = [
     "op_L",
@@ -187,19 +187,6 @@ def dual_vdot(smat, a, b):
     return np.einsum("...j,jk,...k->...", a, smat, b)
 
 
-class _Inverses(dict):
-    """Factor index -> the factor's inverse at the given (possibly Dual)
-    factor matrices, from one dinv on its first request."""
-
-    def __init__(self, mats):
-        super().__init__()
-        self.mats = mats
-
-    def __missing__(self, f):
-        self[f] = inv = dinv(self.mats[f])
-        return inv
-
-
 class FormField:
     """2-form as pullback-pairing terms plus class-factor terms."""
 
@@ -238,7 +225,7 @@ class FormField:
             if key not in thetas:
                 if word not in words:
                     letters = _letters(word, mats, inverses)
-                    words[word] = letters, _fold(word, letters, inverses, dinv)[1]
+                    words[word] = letters, _fold(word, letters, inverses)[1]
                 letters, gi = words[word]
                 if (word, i) not in derivs:
                     derivs[word, i] = word_tangent(word, letters, tangents[i])
@@ -321,29 +308,25 @@ class Section:
 
 
 def section_value(site, secs, mats):
-    """Tangent of a section, or of a sequence of sections as one batched
-    Tangent (entry k zero on the factors section k does not touch), at the
-    (possibly Dual) factor matrices.  Conjugation directions carry their
-    lifts, stacked per factor when every section there has one."""
-    single = isinstance(secs, Section)
-    batch = [secs] if single else list(secs)
+    """Tangent of a sequence of sections as one batched Tangent (entry k
+    zero on the factors section k does not touch), at the (possibly Dual)
+    factor matrices.  Conjugation directions carry their lifts, stacked per
+    factor when every section there has one."""
     model = site.model
-    shape = () if single else (len(batch),)
     comps = [None] * site.nfac
     lifts = {}
-    for f in sorted({s.factor for s in batch}):
-        left = np.zeros(shape + (model.n, model.n), dtype=complex)
+    for f in sorted({s.factor for s in secs}):
+        left = np.zeros((len(secs), model.n, model.n), dtype=complex)
         right = np.zeros_like(left)
-        lift = np.zeros(shape + (model.d,), dtype=complex)
+        lift = np.zeros((len(secs), model.d), dtype=complex)
         lifted = True
-        for k, s in enumerate(batch):
+        for k, s in enumerate(secs):
             if s.factor != f:
                 continue
-            entry = () if single else k
-            left[entry] = model.from_coeffs(s.x)
+            left[k] = model.from_coeffs(s.x)
             if s.kind == "fund":
-                right[entry] = left[entry]
-                lift[entry] = s.x
+                right[k] = left[k]
+                lift[k] = s.x
             else:
                 lifted = False
         q = mats[f]

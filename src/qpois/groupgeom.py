@@ -17,10 +17,12 @@ that depends only on a point is built once per batch: a memo miss at any
 point builds the entry for every point of the batch at once, from (S, ...)
 stacks, and the batch keeps it.  A `SitePoint` holds only its batch and its
 index, and reads its slice of each entry; the batch never refers back to
-its points.  A lone point (`SitePoint(site, mats)`, `random_point`,
-`conjugate_point`, a solved point) is a batch of one, with the same
-builders.  Stacked products and inversions give each slice the bits of the
-one-point computation, so a point's data does not depend on its batch.
+its points.  Every point comes from a batch (`PointBatch.points`): a check's
+drawn points, the conjugated points of the equivariance check and the
+solved rows of a relator-solver chunk are each one batch, and
+`random_point` is a batch of one.  Stacked products and inversions give
+each slice the bits of the one-point computation, so a point's data does
+not depend on its batch.
 `SitePoint.memo` hands the arrays out read-only.  Besides the frame, each
 tensor's frame matrix and each momentum component's linearization, it keeps
 the factor inverses, one batched inversion that every inverse letter, the
@@ -49,7 +51,7 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import _one_norm, _squarings, dexpm, dinv, value
+from .duals import _dexpm_rows, dinv, value
 from .errors import BadSignature, LiftFailed
 from .liealg import _rank, adjoint_matrix, random_algebra_element
 
@@ -67,7 +69,6 @@ __all__ = [
     "random_point",
     "random_points",
     "PointBatch",
-    "conjugate_point",
 ]
 
 
@@ -158,7 +159,7 @@ class PointBatch(_Entries):
         self._memo = {}
 
     def points(self):
-        return [SitePoint._at(self, i) for i in range(len(self.mats))]
+        return [SitePoint(self, i) for i in range(len(self.mats))]
 
     def letters(self, word):
         """The word's letters as (S, n, n) stacks (`SitePoint.letters`)."""
@@ -182,19 +183,9 @@ class PointBatch(_Entries):
 
 class SitePoint(_Entries):
     """One point: its factor matrices, a read-only (nfac, n, n) array, and
-    its index in the batch that builds its data.  `SitePoint(site, mats)`
-    is a batch of one."""
+    its index in the batch that builds its data (`PointBatch.points`)."""
 
-    def __init__(self, site, mats):
-        self._bind(PointBatch(site, [mats]), 0)
-
-    @classmethod
-    def _at(cls, batch, index):
-        point = cls.__new__(cls)
-        point._bind(batch, index)
-        return point
-
-    def _bind(self, batch, index):
+    def __init__(self, batch, index):
         self.site = batch.site
         self.mats = batch.mats[index]
         self._batch, self._index = batch, index
@@ -250,16 +241,12 @@ def parse_word(site, text):
 
 
 def word_eval(word, mats):
-    """Evaluate a word at per-factor matrices (Dual-transparent)."""
-    out = None
-    for f, p in word:
-        term = mats[f] if p == 1 else dinv(mats[f])
-        out = term if out is None else out @ term
-    if out is None:
+    """Evaluate a word at per-factor matrices (Dual-transparent); each
+    factor read inverted is inverted once."""
+    if not word:
         # empty word: identity of the right size
-        size = value(mats[0]).shape[-1]
-        return np.eye(size, dtype=complex)
-    return out
+        return np.eye(value(mats[0]).shape[-1], dtype=complex)
+    return reduce(operator.matmul, _letters(word, mats, _Inverses(mats)))
 
 
 def word_tangent(word, letters, tangent):
@@ -290,19 +277,32 @@ def word_tangent(word, letters, tangent):
     return out
 
 
+class _Inverses(dict):
+    """Factor index -> the factor's inverse at the given (possibly Dual)
+    factor matrices, from one dinv on its first request."""
+
+    def __init__(self, mats):
+        super().__init__()
+        self.mats = mats
+
+    def __missing__(self, f):
+        self[f] = inv = dinv(self.mats[f])
+        return inv
+
+
 def _letters(word, mats, inverses):
     """The word's letters as matrices: a factor's, or its given inverse."""
     return [mats[f] if p == 1 else inverses[f] for f, p in word]
 
 
-def _fold(word, letters, inverses, inv):
+def _fold(word, letters, inverses):
     """(g, g^-1) for a non-empty word, g its letters' product.  A one-letter
     word with a positive letter reads g^-1 from the factor inverses; any
-    other word inverts g with inv."""
+    other word inverts g with dinv."""
     g = reduce(operator.matmul, letters)
     if len(word) == 1 and word[0][1] == 1:
         return g, inverses[word[0][0]]
-    return g, inv(g)
+    return g, dinv(g)
 
 
 def _word_value(batch, word):
@@ -310,8 +310,7 @@ def _word_value(batch, word):
         n = batch.site.model.n
         eye = np.broadcast_to(np.eye(n, dtype=complex), (len(batch.mats), n, n))
         return eye, eye
-    return _fold(word, batch.letters(word), batch.inverses().swapaxes(0, 1),
-                 np.linalg.inv)
+    return _fold(word, batch.letters(word), batch.inverses().swapaxes(0, 1))
 
 
 def _word_ad(batch, word):
@@ -465,13 +464,8 @@ def random_points(site, rng, count):
     xi = site.model.from_coeffs(np.reshape(
         [random_algebra_element(site.model, rng)
          for _ in range(count * site.nfac)], (count, site.nfac, -1)))
-    # dexpm scales a stack by its largest norm, and each point's factors
-    # scale as one: the points that square alike are exponentiated together
-    squarings = [_squarings(_one_norm(x)) for x in xi]
-    g = np.empty_like(xi)
-    for s in set(squarings):
-        alike = [k for k, t in enumerate(squarings) if t == s]
-        g[alike] = dexpm(xi[alike])
+    # each point's factors scale as one, as in a one-point call
+    g = _dexpm_rows(xi)
     cls = site.class_indices()
     g_inv = dict(zip(cls, np.linalg.inv(g[:, cls]).swapaxes(0, 1))) if cls else {}
     mats = np.stack([_retract(site, g[:, i]) if fac.kind == "group"
@@ -486,8 +480,3 @@ def random_point(site, rng):
     class factors; SL-like models are retracted by a principal determinant
     root.  A batch of one (`random_points`)."""
     return random_points(site, rng, 1)[0]
-
-
-def conjugate_point(point, g):
-    """Simultaneous conjugation of every factor by one group element."""
-    return SitePoint(point.site, g @ point.mats @ np.linalg.inv(g))

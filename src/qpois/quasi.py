@@ -59,7 +59,7 @@ from .fields import (
     section_value,
     wedge,
 )
-from .groupgeom import Factor, Site, conjugate_point, parse_word, word_tangent
+from .groupgeom import Factor, Site, parse_word, word_tangent
 from .liealg import _rank
 
 __all__ = [
@@ -542,16 +542,16 @@ def jacobiator_vs_phi(desc, point, fns, phi):
     return float(abs(jac - rhs))
 
 
-def equivariance_residual(qp, qh, point, g):
+def equivariance_residual(qp, qh, point, cpoint, g):
     """Invariance of the tensors under simultaneous conjugation by g, as
-    matrix identities on the frame matrices.
+    matrix identities on the frame matrices; cpoint is the conjugated point,
+    whose factors are g q g^-1.
 
-    With c the conjugated point and T the (N, N) matrix whose row a holds the
-    frame components at c of g v_a g^-1, this is the max of
-    |P(c) - T^T P(p) T| and |Sigma(p) - T Sigma(c) T^T|; the Sigma term is
-    left out when qh is None.
+    With T the (N, N) matrix whose row a holds the frame components at
+    cpoint of g v_a g^-1, this is the max of |P(cpoint) - T^T P(point) T| and
+    |Sigma(point) - T Sigma(cpoint) T^T|; the Sigma term is left out when qh
+    is None.
     """
-    cpoint = conjugate_point(point, g)
     tmat = cpoint.frame().components(g @ point.frame().stacked @ np.linalg.inv(g))
     biv = qp.bivector
     gaps = [np.abs(biv.frame_matrix(cpoint)

@@ -23,7 +23,7 @@ from qpois.charvar import (
 from qpois.duals import Dual
 from qpois.errors import MaxIters, NotInvariant, SolverStopped, Stalled
 from qpois.fields import Bivector, differential
-from qpois.groupgeom import Factor, Site, SitePoint, random_point, word_tangent
+from qpois.groupgeom import Factor, PointBatch, Site, random_point, word_tangent
 from qpois.quasi import (
     assemble_surface_site,
     internally_fused,
@@ -227,7 +227,7 @@ def test_solver_commuting_start_already_solved(monkeypatch):
     site, _, _ = fused_sl2()
     a = np.diag([2.0, 0.5]).astype(complex)
     b = np.diag([3.0, 1 / 3.0]).astype(complex)
-    start = SitePoint(site, [a, b])
+    start = PointBatch(site, [[a, b]]).points()[0]
     monkeypatch.setattr(charvar, "random_point", lambda site, rng: start)
     out = solve_relator(site, "abAB", np.eye(2))
     assert isinstance(out, RepSample)

@@ -21,7 +21,7 @@ from qpois.cli import (
     write_report,
 )
 from qpois.errors import ConfigError, IoError, Stalled
-from qpois.groupgeom import SitePoint, conjugate_point, parse_word, word_eval
+from qpois.groupgeom import PointBatch, parse_word, word_eval
 
 
 def torus_cfg(**over):
@@ -222,8 +222,9 @@ def test_per_point_records_alone_match_suite(cfg):
     cfg = dict(cfg, seed=3, samples=3)
     together = by_id(run_suite(cfg, "all"))
     per_point = [c.check_id for c in cli._ALL_CHECKS if c.points is not None]
-    assert len(per_point) == 12
-    for cid in per_point:
+    assert len(per_point) == 11
+    # equivariance draws its own points, and then one g per point
+    for cid in per_point + ["equivariance"]:
         alone = run_suite(dict(cfg, checks=[cid]), "all")["checks"]
         assert canonical_json(alone) == canonical_json([together[cid]]), cid
 
@@ -744,15 +745,15 @@ def test_bracket_values_conjugation_invariant():
     fu = TraceFunction(setup.site, "a")
     fv = TraceFunction(setup.site, "ab")
     for row in sampled["rows"]:
-        mats = [np.array([[complex(*e) for e in r] for r in lit])
-                for lit in row["mats"]]
-        point = SitePoint(setup.site, mats)
-        base = bracket_value(setup.qp.bivector, fu, fv, point)
+        mats = np.array([[[complex(*e) for e in r] for r in lit]
+                         for lit in row["mats"]])
         g = np.linalg.qr(rng.standard_normal((2, 2))
                          + 1j * rng.standard_normal((2, 2)))[0]
         g = g / np.sqrt(np.linalg.det(g))
-        moved = bracket_value(setup.qp.bivector, fu, fv,
-                              conjugate_point(point, g))
+        point, conj = PointBatch(setup.site,
+                                 [mats, g @ mats @ np.linalg.inv(g)]).points()
+        base = bracket_value(setup.qp.bivector, fu, fv, point)
+        moved = bracket_value(setup.qp.bivector, fu, fv, conj)
         assert abs(complex(base) - complex(moved)) <= 1e-8
 
 

@@ -18,7 +18,7 @@ from qpois.dirac import (
 )
 from qpois.errors import BadSignature, DegeneratePairing, RankDeficient
 from qpois.fields import op_fund
-from qpois.groupgeom import Factor, Site, SitePoint, parse_word, random_point, word_eval
+from qpois.groupgeom import Factor, PointBatch, Site, parse_word, random_point, word_eval
 from qpois.liealg import adjoint_matrix
 from qpois.quasi import (
     MomentumComponent,
@@ -84,7 +84,7 @@ def test_lagrangian_guards():
 
 def test_cartan_fibers_identity_point():
     site = sl2_site(1)
-    p = SitePoint(site, [np.eye(2)])
+    p = PointBatch(site, [[np.eye(2)]]).points()[0]
     e_sub, f_sub = cartan_dirac_fibers(p, component_a(site))
     # tangent part of E vanishes, covector part of F vanishes
     assert np.abs(e_sub.basis[:3, :]).max() < 1e-12
@@ -133,7 +133,7 @@ def test_projections_block_identities():
 
 def test_projection_p11_zero_at_identity():
     site = sl2_site(1)
-    p = SitePoint(site, [np.eye(2)])
+    p = PointBatch(site, [[np.eye(2)]]).points()[0]
     pp, _ = projections_pq(p, component_a(site))
     assert np.abs(pp[:3, :3]).max() < 1e-14
 
@@ -194,8 +194,9 @@ def test_strongness_trivial_group():
                             compute_uv=False)
     assert np.arccos(min(1.0, overlap.max())) > 0.1
 
-    assert not strongness_check(tm_cols, dphi, None)
-    assert intersection_dim(kernel_phi_sigma(dphi, None), tm_cols) == 4
+    zero = np.zeros((4, 4))
+    assert not strongness_check(tm_cols, dphi, zero)
+    assert intersection_dim(kernel_phi_sigma(dphi, zero), tm_cols) == 4
 
 
 @pytest.mark.parametrize("make", ["class", "double", "fused", "surface11"])
@@ -262,7 +263,7 @@ def test_prop_tech_traceless_word_value():
     q2p = q2p / np.sqrt(np.linalg.det(q2p))
     prod = q1 @ q2p
     assert abs(np.trace(prod)) < 1e-12
-    p = SitePoint(site, [q1, q2p])
+    p = PointBatch(site, [[q1, q2p]]).points()[0]
     rep = prop_tech_chain(qh, p)
     algebra_kernel, target_kernel, form_kernel = _kernel_dims(qh, p)
     assert algebra_kernel == target_kernel == 2

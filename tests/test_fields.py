@@ -25,8 +25,8 @@ from qpois.fields import (
 )
 from qpois.groupgeom import (
     Factor,
+    PointBatch,
     Site,
-    SitePoint,
     Tangent,
     parse_word,
     random_point,
@@ -171,11 +171,11 @@ def test_section_bracket_and_value():
     assert section_bracket(site, s1, Section(1, "left", y)) is None
     rng = np.random.default_rng(6)
     p = random_point(site, rng)
-    t = section_value(site, Section(1, "fund", x), p.mats)
+    t = section_value(site, [Section(1, "fund", x)], p.mats)
     ref = fund_tangent(site, p, x, factors=[1])
-    assert np.abs(t.comps[1] - ref.comps[1]).max() < 1e-12
+    assert np.abs(t.comps[1][0] - ref.comps[1]).max() < 1e-12
     assert t.comps[0] is None
-    assert np.allclose(t.lifts[1], x)
+    assert np.allclose(t.lifts[1][0], x)
 
 
 def test_exterior_d3_fd_oracle():
@@ -194,15 +194,15 @@ def test_exterior_d3_fd_oracle():
     exact = exterior_d3(site, form, p, [secs])[0]
 
     def ev(mats, sa, sb):
-        return form.evaluate(mats, section_value(site, sa, mats),
-                             section_value(site, sb, mats))
+        return form.evaluate(mats, section_value(site, [sa], mats),
+                             section_value(site, [sb], mats))[0]
 
     h = 1e-6
 
     def deriv(dsec, sa, sb):
-        base = section_value(site, dsec, p.mats)
-        plus = [q + h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        minus = [q - h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        base = section_value(site, [dsec], p.mats)
+        plus = [q + h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        minus = [q - h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
         return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
 
     fd = deriv(secs[0], secs[1], secs[2]) - deriv(secs[1], secs[0], secs[2]) \
@@ -220,7 +220,7 @@ def test_bivector_frame_matrix_antisymmetric():
     pm = biv.frame_matrix(p)
     assert np.abs(pm + pm.T).max() < 1e-12
     # at the identity the left and right ops agree and eta is symmetric: zero
-    ip = SitePoint(site, [np.eye(2), np.eye(2)])
+    ip = PointBatch(site, [[np.eye(2), np.eye(2)]]).points()[0]
     assert np.abs(biv.frame_matrix(ip)).max() < 1e-13
 
 
@@ -384,7 +384,7 @@ def test_jacobiator_against_finite_differences():
     step = 1e-6
 
     def bracket_at(mats, fa, fb):
-        pt = SitePoint(site, mats)
+        pt = PointBatch(site, [mats]).points()[0]
         return bracket_funcs(biv, pt, fa, fb)
 
     def double(fa, fb, fc):
@@ -493,8 +493,8 @@ def test_batched_evaluate_matches_unbatched_plain(name):
     s1, s2 = _spread_sections(site, rng, count), _spread_sections(site, rng, count)
     got = form.evaluate(p.mats, section_value(site, s1, p.mats),
                         section_value(site, s2, p.mats))
-    ref = [form.evaluate(p.mats, section_value(site, a, p.mats),
-                         section_value(site, b, p.mats)) for a, b in zip(s1, s2)]
+    ref = [form.evaluate(p.mats, section_value(site, [a], p.mats),
+                         section_value(site, [b], p.mats))[0] for a, b in zip(s1, s2)]
     assert got.shape == (count,)
     assert np.abs(ref).max() > 1e-3
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
@@ -511,8 +511,8 @@ def test_batched_evaluate_matches_unbatched_dual(name):
     assert got.re.shape == got.eps.shape == (count,)
     for k in range(count):
         mats = [Dual(q.re, q.eps[k]) for q in dmats]
-        one = form.evaluate(mats, section_value(site, s1[k], mats),
-                            section_value(site, s2[k], mats))
+        one = form.evaluate(mats, section_value(site, [s1[k]], mats),
+                            section_value(site, [s2[k]], mats))
         np.testing.assert_allclose(got.re[k], one.re, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(got.eps[k], one.eps, rtol=1e-13, atol=1e-13)
 
@@ -553,15 +553,15 @@ def test_exterior_d3_fd_oracle_with_class_factors():
     exact = exterior_d3(site, form, p, triples)
 
     def ev(mats, sa, sb):
-        return form.evaluate(mats, section_value(site, sa, mats),
-                             section_value(site, sb, mats))
+        return form.evaluate(mats, section_value(site, [sa], mats),
+                             section_value(site, [sb], mats))[0]
 
     h = 1e-6
 
     def deriv(dsec, sa, sb):
-        base = section_value(site, dsec, p.mats)
-        plus = [q + h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        minus = [q - h * (c if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        base = section_value(site, [dsec], p.mats)
+        plus = [q + h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        minus = [q - h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
         return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
 
     for value, (s1, s2, s3) in zip(exact, triples):

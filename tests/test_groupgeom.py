@@ -7,11 +7,10 @@ from qpois.errors import BadSignature, LiftFailed, NotTangent
 from qpois.fields import op_apply, op_fund
 from qpois.groupgeom import (
     Factor,
+    PointBatch,
     Site,
-    SitePoint,
     Tangent,
     class_tangent_frame,
-    conjugate_point,
     parse_word,
     random_point,
     site_frame,
@@ -102,7 +101,7 @@ def test_word_tangent_product_rule_fd():
 def test_fund_tangent_example():
     site = sl2_site([Factor("group")])
     q = np.diag([2.0, 0.5]).astype(complex)
-    p = SitePoint(site, [q])
+    p = PointBatch(site, [[q]]).points()[0]
     e = site.model.from_coeffs(np.array([0.0, 1.0, 0.0]))
     out = op_apply(op_fund(site, [0]), p.mats, e)
     assert np.allclose(out[0], [[0.0, 1.5], [0.0, 0.0]])
@@ -165,19 +164,6 @@ def test_random_point_contracts():
     # determinism
     p2 = random_point(csite, np.random.default_rng(8))
     assert np.abs(p.mats[0] - p2.mats[0]).max() == 0.0
-
-
-def test_conjugate_point():
-    site = two_group_site()
-    rng = np.random.default_rng(9)
-    p = random_point(site, rng)
-    from qpois.duals import dexpm
-    g = dexpm(site.model.from_coeffs([0.3, 0.1 - 0.2j, -0.4]))
-    cp = conjugate_point(p, g)
-    w = parse_word(site, "abAB")
-    lhs = word_eval(w, cp.mats)
-    rhs = g @ word_eval(w, p.mats) @ np.linalg.inv(g)
-    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_dual_lift_trace():

@@ -3,19 +3,29 @@
 `random_points` draws a check's points as batches, and every entry of the
 memo is built for the whole batch from (S, ...) stacks.  At every point of a
 batch each entry equals, by `np.array_equal`, the entry built at
-`SitePoint(site, p.mats)`, a batch of one: the frame's arrays and
+`PointBatch(site, [p.mats])`, a batch of one: the frame's arrays and
 extractors, the factor inverses, each word's value, adjoints and
 differentials, the frame matrices P and Sigma, and each component's
 linearization.  The draws themselves are those of one `random_point` call
-per point.
+per point.  The equivariance check's conjugated points and the solved rows
+of a relator solve are batches too, with the bits of their batches of one.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qpois.cli as cli
 from qpois import models
-from qpois.groupgeom import SitePoint, random_point, random_points
-from qpois.quasi import assemble_surface_site, component_linear, relator_word
+from qpois.charvar import RepSample, solve_relator, solve_relators
+from qpois.groupgeom import PointBatch, SitePoint, random_point, random_points
+from qpois.quasi import (
+    assemble_surface_site,
+    component_linear,
+    equivariance_residual,
+    relator_word,
+)
 
 SITES = pytest.mark.parametrize("build,genus,reps", [
     (models.sl2, 2, []),
@@ -44,6 +54,11 @@ def _equal(a, b):
     return a.shape == b.shape and np.array_equal(a, b)
 
 
+def _alone(point):
+    """The point as a batch of one."""
+    return PointBatch(point.site, [point.mats]).points()[0]
+
+
 def _frame_arrays(frame):
     return ([frame.stacked, *frame.per_factor, *frame._extract]
             + [lf for lf in frame.lifts if lf is not None])
@@ -58,7 +73,7 @@ def test_every_entry_equals_its_batch_of_one(build, genus, reps):
     probe = np.random.default_rng(22).standard_normal(
         (site.nfac, 2, site.model.n, site.model.n))
     for p in points:
-        lone = SitePoint(site, p.mats)
+        lone = _alone(p)
         frame, ref = p.frame(), lone.frame()
         assert frame.dim == ref.dim and frame.rows == ref.rows
         assert all(map(_equal, _frame_arrays(frame), _frame_arrays(ref)))
@@ -96,3 +111,44 @@ def test_batches_hold_at_most_64_points():
     assert sizes == [64] * 128 + [2] * 2
     assert points[63]._batch is points[0]._batch
     assert points[64]._batch is not points[0]._batch
+
+
+@SITES
+def test_conjugated_points_share_one_batch(build, genus, reps, monkeypatch):
+    """The equivariance check conjugates all its points into one batch, and
+    each residual is the one at the points' batches of one."""
+    site, qp, qh, _ = _site(build, genus, reps)
+    seen = []
+
+    def spy(*args):
+        seen.append((args, equivariance_residual(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "equivariance_residual", spy)
+    setup = SimpleNamespace(site=site, model=site.model, qp=qp, qh=qh,
+                            samples=8)
+    cli._chk_equivariance(setup, np.random.default_rng(23))
+    assert len(seen) == 4
+    assert len({id(args[3]._batch) for args, _ in seen}) == 1
+    for (_, _, p, cp, g), got in seen:
+        assert _equal(cp.mats, g @ p.mats @ np.linalg.inv(g))
+        assert got == equivariance_residual(qp, qh, _alone(p), _alone(cp), g)
+
+
+@SITES
+def test_solved_points_share_one_batch(build, genus, reps):
+    """The solved rows of one solve_relators call are one PointBatch whose
+    matrices are each row's one-row solve, bit for bit."""
+    site, _, _, relator = _site(build, genus, reps)
+    eye = np.eye(site.model.n)
+    seeds = list(range(5))
+    solved = [(seed, out) for seed, out in
+              zip(seeds, solve_relators(site, relator, eye, seeds))
+              if isinstance(out, RepSample)]
+    assert len(solved) >= 2
+    batch = solved[0][1].point._batch
+    assert all(out.point._batch is batch for _, out in solved)
+    assert len(batch.mats) == len(solved)
+    for seed, out in solved:
+        assert _equal(out.point.mats,
+                      solve_relator(site, relator, eye, seed=seed).point.mats)

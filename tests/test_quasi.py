@@ -7,8 +7,8 @@ from qpois.errors import BadSignature, NotTangent
 from qpois.fields import Bivector, op_L, op_R, op_fund
 from qpois.groupgeom import (
     Factor,
+    PointBatch,
     Site,
-    SitePoint,
     parse_word,
     random_point,
     word_eval,
@@ -58,7 +58,7 @@ def entry_fn(rng, i, n=2):
 def test_pg_zero_at_identity():
     site = group_site(1)
     desc = pg_descriptor(site)
-    p = SitePoint(site, [np.eye(2)])
+    p = PointBatch(site, [[np.eye(2)]]).points()[0]
     assert np.abs(desc.bivector.frame_matrix(p)).max() < 1e-13
 
 
@@ -103,7 +103,7 @@ def test_eval_phi_actions_identity_zero_and_linear():
     site = group_site(1)
     desc = pg_descriptor(site)
     phi = cartan3(site.model, site.pairing)
-    ip = SitePoint(site, [np.eye(2)])
+    ip = PointBatch(site, [[np.eye(2)]]).points()[0]
     rng = np.random.default_rng(12)
     a, b, c = (rng.standard_normal(3) for _ in range(3))
     assert abs(eval_phi_actions(desc, ip, phi, a, b, c)) < 1e-13
@@ -258,7 +258,7 @@ def test_surface_10_matches_internally_fused():
     ref_site = group_site(2)
     ref_qp, ref_qh = internally_fused(ref_site)
     p = random_point(site, np.random.default_rng(8))
-    ref_p = SitePoint(ref_site, p.mats)
+    ref_p = PointBatch(ref_site, [p.mats]).points()[0]
     assert np.abs(qp.bivector.frame_matrix(p)
                   - ref_qp.bivector.frame_matrix(ref_p)).max() < 1e-12
     assert qh is not None
@@ -297,14 +297,21 @@ def test_surface_fullgroups_jacobiator(sig):
         assert jacobiator_vs_phi(qp, p, fns, phi) <= 1e-8
 
 
+def _conjugated(site, seed):
+    """A random point, its conjugate by a fixed g, and g."""
+    from qpois.duals import dexpm
+    p = random_point(site, np.random.default_rng(seed))
+    g = dexpm(site.model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
+    cp = PointBatch(site, [g @ p.mats @ np.linalg.inv(g)]).points()[0]
+    return p, cp, g
+
+
 def test_equivariance_bivector_and_form():
     model, pairing = models.sl2()
     site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
-    p = random_point(site, np.random.default_rng(10))
-    from qpois.duals import dexpm
-    g = dexpm(model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
-    assert equivariance_residual(qp, None, p, g) <= 1e-9
-    assert equivariance_residual(qp, qh, p, g) <= 1e-9
+    p, cp, g = _conjugated(site, 10)
+    assert equivariance_residual(qp, None, p, cp, g) <= 1e-9
+    assert equivariance_residual(qp, qh, p, cp, g) <= 1e-9
 
 
 def test_equivariance_detects_noninvariant_pairing():
@@ -312,15 +319,13 @@ def test_equivariance_detects_noninvariant_pairing():
     lower = np.diag([1.0, 2.0, 3.0]).astype(complex)
     pairing = PairingData(eta_lower=lower, eta_upper=np.linalg.inv(lower))
     site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
-    p = random_point(site, np.random.default_rng(10))
-    from qpois.duals import dexpm
-    g = dexpm(model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
-    assert equivariance_residual(qp, None, p, g) > 1e-3
+    p, cp, g = _conjugated(site, 10)
+    assert equivariance_residual(qp, None, p, cp, g) > 1e-3
     # a zero bivector leaves the 2-form term alone
     zero = QuasiPoissonDescriptor(site, Bivector(site, 0 * qp.bivector.kmat),
                                   qp.momentum)
-    assert equivariance_residual(zero, None, p, g) == 0.0
-    assert equivariance_residual(zero, qh, p, g) > 1e-3
+    assert equivariance_residual(zero, None, p, cp, g) == 0.0
+    assert equivariance_residual(zero, qh, p, cp, g) > 1e-3
 
 
 def test_momentum_pullback_consistency():

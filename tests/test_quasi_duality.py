@@ -37,8 +37,8 @@ def test_rho_vanishes_where_word_is_central():
     # commuting matrices: [x, y] = identity
     x = np.diag([2.0, 0.5]).astype(complex)
     y = np.diag([3.0, 1 / 3.0]).astype(complex)
-    from qpois.groupgeom import SitePoint
-    p = SitePoint(site, [x, y])
+    from qpois.groupgeom import PointBatch
+    p = PointBatch(site, [[x, y]]).points()[0]
     assert np.abs(rho_matrix(qp, p)).max() < 1e-12
 
 
@@ -134,8 +134,8 @@ def test_reconstruct_not_epimorphism_guard():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group")])
     desc = pg_descriptor(site)
-    from qpois.groupgeom import SitePoint
-    p = SitePoint(site, [np.eye(2)])  # everything degenerates at the identity
+    from qpois.groupgeom import PointBatch
+    p = PointBatch(site, [[np.eye(2)]]).points()[0]  # everything degenerates at the identity
     with pytest.raises(NotEpimorphism):
         reconstruct_dual(desc, p)
 
