@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import _dexpm_rows, dexpm, dtrace
+from .duals import _dexpm_rows, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
@@ -35,7 +35,7 @@ from .groupgeom import (
     word_eval,
     word_tangent,
 )
-from .liealg import random_algebra_element
+from .liealg import random_group_elements
 
 __all__ = [
     "TraceFunction",
@@ -74,12 +74,10 @@ _INVARIANCE_PROBES = 4
 def invariance_residual(fn, point, rng):
     """Max |f(g p g^-1) - f(p)| over sampled group elements g; NaN if any
     probe is NaN."""
-    site = point.site
+    g = random_group_elements(point.site.model, rng, (_INVARIANCE_PROBES,))
+    moved = g[:, None] @ point.mats @ np.linalg.inv(g)[:, None]
     base = complex(fn(point.mats))
-    gaps = []
-    for _ in range(_INVARIANCE_PROBES):
-        g = dexpm(site.model.from_coeffs(random_algebra_element(site.model, rng)))
-        gaps.append(abs(complex(fn(g @ point.mats @ np.linalg.inv(g))) - base))
+    gaps = [abs(complex(fn(mats)) - base) for mats in moved]
     return float(np.max(gaps, initial=0.0))
 
 

@@ -61,7 +61,7 @@ from .liealg import (
     ad_invariance_residual,
     cartan3,
     cubic_alternation,
-    random_algebra_element,
+    random_group_elements,
     verify_chi_identity,
 )
 from .models import DEFAULT_GROUP, model_from_config
@@ -438,12 +438,12 @@ def _chk_equivariance(s, rng):
     # the points, then one conjugating g per point: the stream of a points
     # check; the conjugated points are one batch
     pts = random_points(s.site, rng, min(s.samples, 4))
-    gs = np.stack([dexpm(s.model.from_coeffs(random_algebra_element(s.model, rng)))
-                   for _ in pts])
+    gs = random_group_elements(s.model, rng, (len(pts),))
+    gis = np.linalg.inv(gs)
     moved = PointBatch(s.site, gs[:, None] @ np.stack([p.mats for p in pts])
-                       @ np.linalg.inv(gs)[:, None]).points()
-    return float(np.max([equivariance_residual(s.qp, s.qh, p, c, g)
-                         for p, c, g in zip(pts, moved, gs)])), len(pts)
+                       @ gis[:, None]).points()
+    return float(np.max([equivariance_residual(s.qp, s.qh, p, c, g, gi)
+                         for p, c, g, gi in zip(pts, moved, gs, gis)])), len(pts)
 
 
 def _chk_class_tangency(s, rng):

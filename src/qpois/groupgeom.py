@@ -12,7 +12,8 @@ empty arrays pass through every frame computation.
 Points come in batches.  A `PointBatch` holds S points of one site as one
 read-only (S, nfac, n, n) stack; a check draws its points with
 `random_points`, in the order of S `random_point` calls and in batches of at
-most _BATCH_POINTS, so memory does not grow with the sample count.  Data
+most _BATCH_POINTS, so memory does not grow with the sample count; their
+factor exponentials are one stack of `liealg.random_group_elements`.  Data
 that depends only on a point is built once per batch: a memo miss at any
 point builds the entry for every point of the batch at once, from (S, ...)
 stacks, and the batch keeps it.  A `SitePoint` holds only its batch and its
@@ -51,9 +52,9 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import _dexpm_rows, dinv, value
+from .duals import dinv, value
 from .errors import BadSignature, LiftFailed
-from .liealg import _rank, adjoint_matrix, random_algebra_element
+from .liealg import _rank, adjoint_matrix, random_group_elements
 
 __all__ = [
     "Factor",
@@ -460,12 +461,7 @@ _BATCH_POINTS = 64          # points per batch: memory does not grow with sample
 def random_points(site, rng, count):
     """count random site points, in batches of at most _BATCH_POINTS: the
     draws and values of count `random_point` calls, in order."""
-    # every point's factor coefficients, point after point in factor order
-    xi = site.model.from_coeffs(np.reshape(
-        [random_algebra_element(site.model, rng)
-         for _ in range(count * site.nfac)], (count, site.nfac, -1)))
-    # each point's factors scale as one, as in a one-point call
-    g = _dexpm_rows(xi)
+    g = random_group_elements(site.model, rng, (count, site.nfac))
     cls = site.class_indices()
     g_inv = dict(zip(cls, np.linalg.inv(g[:, cls]).swapaxes(0, 1))) if cls else {}
     mats = np.stack([_retract(site, g[:, i]) if fac.kind == "group"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import dexpm
+from .duals import _dexpm_rows
 from .errors import (
     DegeneratePairing,
     NotClosed,
@@ -27,6 +27,7 @@ __all__ = [
     "build_lie_algebra",
     "trace_pairing",
     "adjoint_matrix",
+    "random_group_elements",
     "ad_invariance_residual",
     "cubic_alternation",
     "cartan3",
@@ -194,22 +195,25 @@ def random_algebra_element(model, rng):
                            + 1j * rng.standard_normal(model.d))
 
 
-def ad_invariance_residual(model, pairing, seed=0):
-    """Max deviation of eta_lower / eta_upper under _AD_SAMPLES sampled
-    adjoint actions.
+def random_group_elements(model, rng, shape):
+    """The one draw of random group elements: exponentials of prod(shape)
+    `random_algebra_element` draws, taken in order, as one (*shape, n, n)
+    stack, each row (first index) scaled as in a one-row call."""
+    xi = [random_algebra_element(model, rng) for _ in range(int(np.prod(shape)))]
+    return _dexpm_rows(model.from_coeffs(np.reshape(xi, (*shape, model.d))))
 
-    Group elements are exponentials of random algebra elements; the seed is the
-    caller's to record.  NaN if any deviation is NaN.
-    """
+
+def ad_invariance_residual(model, pairing, seed):
+    """Max deviation of eta_lower / eta_upper under the adjoint actions of
+    _AD_SAMPLES `random_group_elements`, drawn from the seed (the caller's
+    to record); NaN if any deviation is NaN."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    gaps = []
-    for _ in range(_AD_SAMPLES):
-        g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
-        a = adjoint_matrix(model, g, np.linalg.inv(g))
-        s, h = pairing.eta_lower, pairing.eta_upper
-        gaps += [np.abs(a.T @ s @ a - s).max(), np.abs(a @ h @ a.T - h).max()]
+    g = random_group_elements(model, rng, (_AD_SAMPLES,))
+    a = adjoint_matrix(model, g, np.linalg.inv(g))
+    at, s, h = a.swapaxes(-1, -2), pairing.eta_lower, pairing.eta_upper
     # np.max, not max(): a NaN at any sample must show
-    return float(np.max(gaps, initial=0.0))
+    return float(np.max([np.abs(at @ s @ a - s), np.abs(a @ h @ at - h)],
+                        initial=0.0))
 
 
 def cubic_alternation(model, pairing):

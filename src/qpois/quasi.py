@@ -542,17 +542,17 @@ def jacobiator_vs_phi(desc, point, fns, phi):
     return float(abs(jac - rhs))
 
 
-def equivariance_residual(qp, qh, point, cpoint, g):
+def equivariance_residual(qp, qh, point, cpoint, g, gi):
     """Invariance of the tensors under simultaneous conjugation by g, as
-    matrix identities on the frame matrices; cpoint is the conjugated point,
-    whose factors are g q g^-1.
+    matrix identities on the frame matrices; gi is g^-1 and cpoint the
+    conjugated point, whose factors are g q g^-1.
 
     With T the (N, N) matrix whose row a holds the frame components at
     cpoint of g v_a g^-1, this is the max of |P(cpoint) - T^T P(point) T| and
     |Sigma(point) - T Sigma(cpoint) T^T|; the Sigma term is left out when qh
     is None.
     """
-    tmat = cpoint.frame().components(g @ point.frame().stacked @ np.linalg.inv(g))
+    tmat = cpoint.frame().components(g @ point.frame().stacked @ gi)
     biv = qp.bivector
     gaps = [np.abs(biv.frame_matrix(cpoint)
                    - tmat.T @ biv.frame_matrix(point) @ tmat).max()]

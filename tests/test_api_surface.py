@@ -25,7 +25,6 @@ DEFAULTED = {
     "dirac.dirac_booleans(component)",
     "fields.FormField.__init__(pair_terms)",
     "fields.FormField.__init__(tau_terms)",
-    "liealg.ad_invariance_residual(seed)",
     "liealg.trace_pairing(mask)",
     "liealg.trace_pairing(scale)",
     "models.model_from_config(pairing)",

@@ -3,9 +3,12 @@
 A batch of points inverts its factors once (`SitePoint.inverses`), a
 one-letter word with a positive letter reads its inverse from there, and
 `word_tangent` reads the letters its caller holds, the equivariance check's
-conjugated points are one batch and `word_eval` inverts each factor once, so
-`verify all` on SL(2) genus 2 at seed 0 stays within 392 `np.linalg.inv`
-calls.
+conjugated points are one batch and `word_eval` inverts each factor once.
+Random group elements come from one grouped exponential per stack
+(`liealg.random_group_elements`), and each caller that needs their inverses,
+the invariance probes, the pairing's invariance gate and the equivariance
+check, inverts its stack once and hands g^-1 on.  So `verify all` on SL(2)
+genus 2 at seed 0 stays within 283 `np.linalg.inv` calls.
 `FormField.evaluate` inverts each factor it reads inverted with one `dinv`,
 so one `np.linalg.inv`, per call, and the value of each word other than a
 positive letter with one more.
@@ -20,7 +23,7 @@ from qpois.fields import Section, exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
-_VERIFY_INV_CALLS = 392
+_VERIFY_INV_CALLS = 283
 
 
 def test_verify_all_inverts_within_its_count(monkeypatch):

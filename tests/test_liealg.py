@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 
 from qpois import models
+from qpois.charvar import _INVARIANCE_PROBES, TraceFunction, invariance_residual
+from qpois.duals import dexpm
 from qpois.errors import DegeneratePairing, NotClosed, NotConvenient, NotInSpan, RankDeficient
+from qpois.groupgeom import random_point
 from qpois.liealg import (
+    _AD_SAMPLES,
     PairingData,
     ad_invariance_residual,
     adjoint_matrix,
     build_lie_algebra,
     cartan3,
+    random_algebra_element,
+    random_group_elements,
     trace_pairing,
     verify_chi_identity,
 )
+from qpois.quasi import assemble_surface_site
 
 GROUPS = [{"family": "SL", "n": 2}, {"family": "GL", "n": 2},
           {"family": "SL", "n": 3}, {"family": "sl2_abelian"},
@@ -115,14 +122,84 @@ def test_ad_invariance_nan_at_a_later_sample_shows(monkeypatch):
     model, pairing = models.sl2()
     real, calls = liealg.adjoint_matrix, []
 
-    def third_call_nan(*args):
+    def third_sample_nan(*args):
         calls.append(1)
         out = real(*args)
-        return np.full_like(out, np.nan) if len(calls) == 3 else out
+        out[2] = np.nan
+        return out
 
-    monkeypatch.setattr(liealg, "adjoint_matrix", third_call_nan)
+    monkeypatch.setattr(liealg, "adjoint_matrix", third_sample_nan)
     assert np.isnan(ad_invariance_residual(model, pairing, seed=3))
-    assert len(calls) == 16
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: models.model_from_config({"family": "SL", "n": 2})[0],
+    lambda: models.model_from_config({"family": "SL", "n": 3})[0],
+    lambda: models.model_from_config({"family": "sl2_abelian"})[0],
+    # large draws: the rows need different numbers of squarings
+    lambda: build_lie_algebra(40 * models.sl2()[0].basis),
+], ids=["sl2", "sl3", "sl2ab", "sl2-x40"])
+@pytest.mark.parametrize("shape", [(6,), (6, 3)], ids=["elements", "points"])
+def test_random_group_elements_are_one_dexpm_per_row(build, shape):
+    """Each row is the dexpm of its own draws: one element, or one point's
+    stack of factors; the generator ends where prod(shape) draws leave it."""
+    model = build()
+    per_row = shape[1:]
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_group_elements(model, rng, shape)
+        assert got.shape == shape + (model.n, model.n)
+        for row in got:
+            xi = np.reshape([random_algebra_element(model, ref)
+                             for _ in range(int(np.prod(per_row)))],
+                            per_row + (model.d,))
+            assert np.array_equal(row, dexpm(model.from_coeffs(xi))), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _ad_invariance_loop(model, pairing, seed):
+    """The pairing's invariance gate, one sample at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    gaps = []
+    for _ in range(_AD_SAMPLES):
+        g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
+        a = adjoint_matrix(model, g, np.linalg.inv(g))
+        s, h = pairing.eta_lower, pairing.eta_upper
+        gaps += [np.abs(a.T @ s @ a - s).max(), np.abs(a @ h @ a.T - h).max()]
+    return float(np.max(gaps, initial=0.0))
+
+
+def _invariance_loop(fn, point, rng):
+    """The invariance probes of a function, one probe at a time."""
+    model = point.site.model
+    base = complex(fn(point.mats))
+    gaps = []
+    for _ in range(_INVARIANCE_PROBES):
+        g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
+        gaps.append(abs(complex(fn(g @ point.mats @ np.linalg.inv(g))) - base))
+    return float(np.max(gaps, initial=0.0))
+
+
+@pytest.mark.parametrize("group", [
+    {"family": "SL", "n": 2}, {"family": "SL", "n": 3},
+    {"family": "sl2_abelian"}], ids=["sl2", "sl3", "sl2ab"])
+def test_batched_probes_equal_the_per_sample_loops(group):
+    model, pairing = models.model_from_config(group)
+    bad = np.array(pairing.eta_lower)
+    bad[0, 1] += 1e-3
+    bad[1, 0] += 1e-3
+    broken = PairingData(bad, np.linalg.pinv(bad))
+    site, _, _ = assemble_surface_site(model, pairing, 1, [])
+    fns = [TraceFunction(site, "abAB"), lambda mats: mats[0][0, 1]]
+    for seed in range(6):
+        for pair in (pairing, broken):
+            assert (ad_invariance_residual(model, pair, seed)
+                    == _ad_invariance_loop(model, pair, seed)), seed
+        p = random_point(site, np.random.default_rng(seed))
+        for fn in fns:
+            got = invariance_residual(fn, p, np.random.default_rng(seed + 10))
+            assert got == _invariance_loop(fn, p, np.random.default_rng(seed + 10))
 
 
 def test_cartan3_sl2_oracle():

@@ -130,9 +130,10 @@ def test_conjugated_points_share_one_batch(build, genus, reps, monkeypatch):
     cli._chk_equivariance(setup, np.random.default_rng(23))
     assert len(seen) == 4
     assert len({id(args[3]._batch) for args, _ in seen}) == 1
-    for (_, _, p, cp, g), got in seen:
-        assert _equal(cp.mats, g @ p.mats @ np.linalg.inv(g))
-        assert got == equivariance_residual(qp, qh, _alone(p), _alone(cp), g)
+    for (_, _, p, cp, g, gi), got in seen:
+        assert _equal(cp.mats, g @ p.mats @ gi)
+        assert got == equivariance_residual(qp, qh, _alone(p), _alone(cp),
+                                            g, gi)
 
 
 @SITES

@@ -298,20 +298,21 @@ def test_surface_fullgroups_jacobiator(sig):
 
 
 def _conjugated(site, seed):
-    """A random point, its conjugate by a fixed g, and g."""
+    """A random point, its conjugate by a fixed g, g and g^-1."""
     from qpois.duals import dexpm
     p = random_point(site, np.random.default_rng(seed))
     g = dexpm(site.model.from_coeffs([0.2, -0.3 + 0.1j, 0.4]))
-    cp = PointBatch(site, [g @ p.mats @ np.linalg.inv(g)]).points()[0]
-    return p, cp, g
+    gi = np.linalg.inv(g)
+    cp = PointBatch(site, [g @ p.mats @ gi]).points()[0]
+    return p, cp, g, gi
 
 
 def test_equivariance_bivector_and_form():
     model, pairing = models.sl2()
     site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
-    p, cp, g = _conjugated(site, 10)
-    assert equivariance_residual(qp, None, p, cp, g) <= 1e-9
-    assert equivariance_residual(qp, qh, p, cp, g) <= 1e-9
+    p, cp, g, gi = _conjugated(site, 10)
+    assert equivariance_residual(qp, None, p, cp, g, gi) <= 1e-9
+    assert equivariance_residual(qp, qh, p, cp, g, gi) <= 1e-9
 
 
 def test_equivariance_detects_noninvariant_pairing():
@@ -319,13 +320,13 @@ def test_equivariance_detects_noninvariant_pairing():
     lower = np.diag([1.0, 2.0, 3.0]).astype(complex)
     pairing = PairingData(eta_lower=lower, eta_upper=np.linalg.inv(lower))
     site, qp, qh = assemble_surface_site(model, pairing, 1, [REP])
-    p, cp, g = _conjugated(site, 10)
-    assert equivariance_residual(qp, None, p, cp, g) > 1e-3
+    p, cp, g, gi = _conjugated(site, 10)
+    assert equivariance_residual(qp, None, p, cp, g, gi) > 1e-3
     # a zero bivector leaves the 2-form term alone
     zero = QuasiPoissonDescriptor(site, Bivector(site, 0 * qp.bivector.kmat),
                                   qp.momentum)
-    assert equivariance_residual(zero, None, p, cp, g) == 0.0
-    assert equivariance_residual(zero, qh, p, cp, g) > 1e-3
+    assert equivariance_residual(zero, None, p, cp, g, gi) == 0.0
+    assert equivariance_residual(zero, qh, p, cp, g, gi) > 1e-3
 
 
 def test_momentum_pullback_consistency():
