@@ -89,20 +89,20 @@ def wedge(a, b):
 # bivector fields
 # ---------------------------------------------------------------------------
 
-def _atom_dirs(site, f, x):
-    """op_alpha(e_j) on factor f at factor value x, for every atom alpha and
-    basis index j (alpha-major rows, matching kron(K, H)).
+def _atom_dirs(basis, k, nlift, x):
+    """op_alpha(e_j) on the k-th of nlift lifted factors, at its factor value
+    x, for every atom alpha of those factors and basis index j (alpha-major
+    rows, matching kron(K, H) on their atoms).
 
-    x may carry leading batch axes: the result has shape (2 nfac d, ..., n, n)
-    and is zero on the rows of the other factors' atoms.  Linear in x.  On a
-    stack of matrices x each side is one GEMM (`duals.matmul`).
+    x may carry leading batch axes: the result has shape (2 nlift d, ..., n,
+    n) and is zero on the rows of the other factors' atoms.  Linear in x.  On
+    a stack of matrices x each side is one GEMM (`duals.matmul`).
     """
-    basis = site.model.basis
     d = len(basis)
     basis = basis.reshape((d,) + (1,) * (np.ndim(x) - 2) + basis.shape[1:])
-    out = np.zeros((2 * site.nfac * d,) + np.shape(x), dtype=complex)
-    out[2 * f * d:(2 * f + 1) * d] = matmul(x, basis)
-    out[(2 * f + 1) * d:(2 * f + 2) * d] = matmul(basis, x)
+    out = np.zeros((2 * nlift * d,) + np.shape(x), dtype=complex)
+    out[2 * k * d:(2 * k + 1) * d] = matmul(x, basis)
+    out[(2 * k + 1) * d:(2 * k + 2) * d] = matmul(basis, x)
     return out
 
 
@@ -147,8 +147,8 @@ class Bivector:
 
     def ambient_matrix(self, point):
         """The 2-tensor on vec'd ambient tangents, (nfac n^2, nfac n^2)."""
-        nrows = 2 * self.site.nfac * self.site.model.d
-        v = np.concatenate([_atom_dirs(self.site, f, q).reshape(nrows, -1)
+        nfac, basis = self.site.nfac, self.site.model.basis
+        v = np.concatenate([_atom_dirs(basis, f, nfac, q).reshape(-1, q.size)
                             for f, q in enumerate(point.mats)], axis=1)
         return v.T @ self._atom_tensor() @ v
 
@@ -346,22 +346,28 @@ def section_bracket(site, s1, s2):
     return Section(s1.factor, s1.kind, x)
 
 
-def exterior_d3(site, form, point, triples):
+def exterior_d3(site, form, mats, triples):
     """Pointwise d(form) on triples (X, Y, Z) of constant sections:
 
     X s(Y,Z) - Y s(X,Z) + Z s(X,Y) - s([X,Y],Z) + s([X,Z],Y) - s([Y,Z],X),
 
-    one value per triple.  All derivative terms come from one Dual
-    evaluation, whose entry k perturbs the point along its own derivative
-    section only; all bracket terms come from one plain evaluation.
+    one value per triple, at the factor matrices mats: one (nfac, n, n) stack
+    for every triple, or one per triple, so that the triples of many points
+    are rows of one evaluation.  All derivative terms come from one Dual
+    evaluation, whose row k perturbs its triple's point along its own
+    derivative section only; all bracket terms come from one plain
+    evaluation.  The rows form one flat axis, so every product is a
+    slice-by-slice ``@``.
     """
+    rows = np.broadcast_to(mats, (len(triples),) + np.shape(mats)[-3:])
     derivs = [term for s1, s2, s3 in triples
               for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
     dsecs, firsts, seconds = ([term[i] for term in derivs] for i in range(3))
-    base = section_value(site, dsecs, point.mats)
-    mats = [q if v is None else Dual(q, v) for q, v in zip(point.mats, base.comps)]
-    out = form.evaluate(mats, section_value(site, firsts, mats),
-                        section_value(site, seconds, mats))
+    at = np.repeat(rows, 3, axis=0).swapaxes(0, 1)
+    base = section_value(site, dsecs, at)
+    dmats = [q if v is None else Dual(q, v) for q, v in zip(at, base.comps)]
+    out = form.evaluate(dmats, section_value(site, firsts, dmats),
+                        section_value(site, seconds, dmats))
     d = np.broadcast_to(out.eps if isinstance(out, Dual) else 0.0,
                         (len(derivs),)).reshape(-1, 3)
     total = np.array(d[:, 0] - d[:, 1] + d[:, 2], dtype=complex)
@@ -373,12 +379,13 @@ def exterior_d3(site, form, point, triples):
             if br is not None:
                 brackets.append((t, sign, br, other))
     if brackets:
-        rows, signs, brs, others = zip(*brackets)
-        vals = np.broadcast_to(form.evaluate(point.mats, section_value(site, brs, point.mats),
-                                             section_value(site, others, point.mats)),
+        ts, signs, brs, others = zip(*brackets)
+        at = rows[list(ts)].swapaxes(0, 1)
+        vals = np.broadcast_to(form.evaluate(at, section_value(site, brs, at),
+                                             section_value(site, others, at)),
                                (len(brackets),))
         # in order per triple, as the terms are written above
-        np.add.at(total, list(rows), np.where(np.array(signs) < 0, -vals, vals))
+        np.add.at(total, list(ts), np.where(np.array(signs) < 0, -vals, vals))
     return total
 
 
@@ -417,35 +424,58 @@ def differential(point, fn):
     return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)
 
 
-def _atom_lift(site, mats):
-    """The factor matrices as nested Duals: the outer perturbation runs over
-    the atom directions s, the inner over the atom direction fields r, moved
-    along s (axes (r, s, n, n))."""
-    lifted = []
-    for f, q in enumerate(mats):
-        e = _atom_dirs(site, f, q)
-        lifted.append(Dual(Dual(q, e), Dual(e[:, None], _atom_dirs(site, f, e))))
-    return lifted
+class _FactorReads:
+    """Factor matrices by index, as a function reads them (indexing or
+    iteration): records every index read, and raises LiftFailed on an index
+    it does not hold."""
+
+    def __init__(self, mats, nfac):
+        self.mats, self.nfac, self.read = mats, nfac, set()
+
+    def __getitem__(self, f):
+        f = range(self.nfac)[f]
+        if f not in self.mats:
+            raise LiftFailed(f"the function read factor {f}, which its probe "
+                             f"evaluation did not read")
+        self.read.add(f)
+        return self.mats[f]
 
 
-def _atom_hessian(site, lifted, fn):
+def _atom_hessian(site, mats, fn):
     """fn's gradient g along the atom direction fields and its derivative
-    W[r, s] along the atom direction s, by one nested-dual evaluation at the
-    lift from `_atom_lift`.
+    W[r, s] along the atom direction s, by one nested-dual evaluation.
 
+    A plain probe evaluation finds the factors fn reads, and only those are
+    lifted, on their own atom rows: the outer perturbation runs over the atom
+    directions s, the inner over the atom direction fields r, moved along s
+    (axes (r, s, n, n)).  The rows of the other factors' atoms are zero in g
+    and W; a lifted evaluation that reads another factor raises LiftFailed.
     W includes the change of the direction field r itself (q e_j moves with
     q), so D_s {fa, fb} = 2 (W_a^T M g_b + W_b^T M^T g_a)[s] for M the atom
     tensor.  Returns (g (B,), W (B, B)), B = 2 nfac d.
     """
-    nrows = 2 * site.nfac * site.model.d
-    out = fn(lifted)
+    basis, d = site.model.basis, site.model.d
+    probe = _FactorReads(dict(enumerate(mats)), site.nfac)
+    fn(probe)
+    read = sorted(probe.read)
+    lifted = {}
+    for k, f in enumerate(read):
+        e = _atom_dirs(basis, k, len(read), mats[f])
+        lifted[f] = Dual(Dual(mats[f], e),
+                         Dual(e[:, None], _atom_dirs(basis, k, len(read), e)))
+    out = fn(_FactorReads(lifted, site.nfac))
+    nrows = 2 * site.nfac * d
+    at_base = np.zeros(nrows, dtype=complex)
+    mixed = np.zeros((nrows, nrows), dtype=complex)
     if not isinstance(out, Dual):
-        return np.zeros(nrows, dtype=complex), np.zeros((nrows, nrows), dtype=complex)
+        return at_base, mixed
     grad = out.eps
     if not isinstance(grad, Dual):
         raise AssertionError("nested dual structure was lost")
-    at_base = np.broadcast_to(np.asarray(grad.re), (nrows, 1))[:, 0].copy()
-    mixed = np.broadcast_to(np.asarray(grad.eps), (nrows, nrows)).copy()
+    rows = np.concatenate([np.arange(2 * f * d, 2 * (f + 1) * d) for f in read])
+    at_base[rows] = np.broadcast_to(np.asarray(grad.re), (len(rows), 1))[:, 0]
+    mixed[np.ix_(rows, rows)] = np.broadcast_to(np.asarray(grad.eps),
+                                                (len(rows), len(rows)))
     return at_base, mixed
 
 
@@ -473,13 +503,14 @@ def jacobiator(biv, point, f1, f2, f3):
     """Cyclic sum {{f1,f2},f3} + {{f2,f3},f1} + {{f3,f1},f2}.
 
     Each function is differentiated once, to second order along the atom
-    directions; the outer derivative of each inner bracket is exact.  It reads
+    directions of the factors it reads (`_atom_hessian`); the outer
+    derivative of each inner bracket is exact.  It reads
     the atom tensor, not the frame matrix P, since it needs the derivative of
     the atom direction fields, and so stays independent of P.
     """
     m = biv._atom_tensor()
-    lifted = _atom_lift(biv.site, point.mats)
-    grads, mixed = zip(*(_atom_hessian(biv.site, lifted, fn) for fn in (f1, f2, f3)))
+    grads, mixed = zip(*(_atom_hessian(biv.site, point.mats, fn)
+                         for fn in (f1, f2, f3)))
     total = 0.0
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         d_inner = mixed[a].T @ m @ grads[b] + mixed[b].T @ m.T @ grads[a]

@@ -35,8 +35,9 @@ entries per word, keyed by the word and built on first request:
   factor inverses);
 - Ad_g and Ad_g^-1, from that entry (no frame);
 - the trivialized differentials L, R over the frame vectors, which read
-  g^-1 from the first entry and the derivative of g along every frame
-  vector at once from `word_tangent`.
+  g^-1 from the first entry and the derivative of g from one `word_tangent`
+  pass per factor of the word, along that factor's frame vectors (the
+  other factors' rows are zero).
 
 One recurrence differentiates every word outside the relator solver:
 `word_tangent` carries the running product W and its derivative D through
@@ -136,8 +137,8 @@ class _Entries:
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
         dW(v_a) g^-1 over the frame vectors v_a, dW from one `word_tangent`
-        pass over the batch's letters along all frame vectors at once.
-        NotInSpan when a row leaves the algebra."""
+        pass over the batch's letters per factor of the word, along that
+        factor's frame vectors.  NotInSpan when a row leaves the algebra."""
         return self.memo(("differentials", word),
                          lambda batch: _word_differentials(batch, word))
 
@@ -260,6 +261,8 @@ def word_tangent(word, letters, tangent):
     running product W and its derivative D: a letter t with derivative dt,
     which is -t v t for an inverse letter, gives D <- D t + W dt, the
     recurrence a Dual evaluation of word_eval performs.  Dual-transparent.
+    The derivative is a zero of the letters' shape when no component moves a
+    letter.
     """
     comps = tangent.comps if isinstance(tangent, Tangent) else tangent
     prod = out = None
@@ -273,8 +276,7 @@ def word_tangent(word, letters, tangent):
             out = piece if out is None else piece + out
         prod = t if prod is None else prod @ t
     if out is None:
-        size = value(letters[0]).shape[-1]
-        return np.zeros((size, size), dtype=complex)
+        return np.zeros(np.shape(value(letters[0])), dtype=complex)
     return out
 
 
@@ -324,12 +326,15 @@ def _word_ad(batch, word):
 
 def _word_differentials(batch, word):
     gi = batch.word_value(word)[1][:, None]
-    stacked = batch.frame().stacked                    # (S, nfac, dim, n, n)
-    # the empty word is constant
-    dv = (word_tangent(word, [t[:, None] for t in batch.letters(word)],
-                       stacked.swapaxes(0, 1)) if word
-          else np.zeros_like(stacked[:, 0]))
-    model = batch.site.model
+    frame, model = batch.frame(), batch.site.model
+    dv = np.zeros((len(batch.mats), frame.dim, model.n, model.n), dtype=complex)
+    letters = [t[:, None] for t in batch.letters(word)]
+    # one pass per factor of the word, along that factor's frame vectors:
+    # every other row is zero (all of them for the empty word)
+    for f in sorted({f for f, _ in word}):
+        comps = [None] * batch.site.nfac
+        comps[f] = frame.per_factor[f]
+        dv[:, frame.rows[f]] = word_tangent(word, letters, comps)
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 

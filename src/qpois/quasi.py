@@ -59,7 +59,7 @@ from .fields import (
     section_value,
     wedge,
 )
-from .groupgeom import Factor, Site, parse_word, word_tangent
+from .groupgeom import Factor, Site, _letters, parse_word, word_tangent
 from .liealg import _rank
 
 __all__ = [
@@ -469,37 +469,36 @@ def _worst(worst, values):
     return float(np.max([worst] + [abs(v) for v in np.ravel(values)]))
 
 
-def _by_slot(v, count, shape):
-    """The three slots of `count` triples from a (3 count, ...) stack of
-    section-wise values (an unbatched zero broadcasts)."""
-    v = np.broadcast_to(v, (3 * count,) + shape)
-    return v[0::3], v[1::3], v[2::3]
-
-
 _TRIPLES = 4                # random section triples drawn per point
 
 
 def _closure_residual(site, form, pullbacks, points, seed):
     """max |d form (S1,S2,S3) - sum_c c lambda(dW S1, dW S2, dW S3)| over
     _TRIPLES random section triples at each point, the sum over the
-    (coefficient c, word W) pullbacks of the cubic form."""
+    (coefficient c, word W) pullbacks of the cubic form.
+
+    Every point's triples are drawn first, in point order; then all triples
+    of all points are rows of one `exterior_d3` and, per pullback word, of
+    one `word_tangent` and one `eval_lambda`."""
     model = site.model
-    shape = (model.n, model.n)
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    for point in points:
-        drawn = [_random_sections(site, rng) for _ in range(_TRIPLES)]
-        lhs = exterior_d3(site, form, point, drawn)
-        # triple t in entries 3t, 3t + 1, 3t + 2
-        ts = section_value(site, [s for t in drawn for s in t], point.mats)
-        rhs = 0.0
-        for coef, word in pullbacks:
-            dv = _by_slot(word_tangent(word, point.letters(word), ts),
-                          _TRIPLES, shape)
-            rhs = rhs + coef * eval_lambda(model, site.pairing,
-                                           point.word_value(word)[1], *dv)
-        worst = _worst(worst, lhs - rhs)
-    return worst
+    drawn = [_random_sections(site, rng) for _ in range(_TRIPLES * len(points))]
+    # triple t at point t // _TRIPLES, its sections in entries 3t, 3t + 1, 3t + 2
+    mats = np.repeat(np.stack([p.mats for p in points]), _TRIPLES, axis=0)
+    lhs = exterior_d3(site, form, mats, drawn)
+    at = np.repeat(mats, 3, axis=0).swapaxes(0, 1)
+    inverses = np.repeat(np.stack([p.inverses() for p in points]),
+                         3 * _TRIPLES, axis=0).swapaxes(0, 1)
+    ts = section_value(site, [s for t in drawn for s in t], at)
+    rhs = 0.0
+    for coef, word in pullbacks:
+        gi = np.repeat(np.stack([p.word_value(word)[1] for p in points]),
+                       _TRIPLES, axis=0)
+        dv = word_tangent(word, _letters(word, at, inverses), ts).reshape(
+            len(drawn), 3, model.n, model.n)
+        rhs = rhs + coef * eval_lambda(model, site.pairing, gi,
+                                       dv[:, 0], dv[:, 1], dv[:, 2])
+    return _worst(0.0, lhs - rhs)
 
 
 def quasi_closed_residual(desc, points, seed=0):

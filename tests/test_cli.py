@@ -229,37 +229,49 @@ def test_per_point_records_alone_match_suite(cfg):
         assert canonical_json(alone) == canonical_json([together[cid]]), cid
 
 
-@pytest.mark.parametrize("module, name, check_id, poison", [
-    ("cli", "momentum_residual", "momentum_bivector_law",
+def _last_point_rows_nan(out):
+    """The closure check's one batched d-sigma result, with the rows of its
+    last point's triples NaN and the earlier points' rows finite."""
+    from qpois.quasi import _TRIPLES
+
+    assert len(out) > _TRIPLES
+    out = np.array(out)
+    out[-_TRIPLES:] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("module, name, check_id, call, poison", [
+    ("cli", "momentum_residual", "momentum_bivector_law", 2,
      lambda out: float("nan")),
-    ("cli", "restrict_to_class", "class_restriction_tangency",
+    ("cli", "restrict_to_class", "class_restriction_tangency", 2,
      lambda out: float("nan")),
-    ("quasi", "exterior_d3", "quasi_closedness",
+    # every point's triples are rows of one evaluation
+    ("quasi", "exterior_d3", "quasi_closedness", 1, _last_point_rows_nan),
+    ("charvar", "word_tangent", "invariant_level_tangency", 2,
      lambda out: np.full_like(out, np.nan)),
-    ("charvar", "word_tangent", "invariant_level_tangency",
-     lambda out: np.full_like(out, np.nan)),
-    ("charvar", "jacobiator", "jacobi_at_level", lambda out: complex("nan")),
-    ("charvar", "bracket_funcs", "poisson_ideal", lambda out: complex("nan")),
+    ("charvar", "jacobiator", "jacobi_at_level", 2, lambda out: complex("nan")),
+    ("charvar", "bracket_funcs", "poisson_ideal", 2, lambda out: complex("nan")),
 ], ids=["runner", "class_tangency", "quasi_worst", "level_tangency",
         "jacobi_invariants", "poisson_ideal"])
 def test_nan_at_a_later_sample_fails_the_check(monkeypatch, module, name,
-                                               check_id, poison):
+                                               check_id, call, poison):
     import importlib
 
     mod = importlib.import_module(f"qpois.{module}")
     real = getattr(mod, name)
     calls = []
 
-    def second_call_nan(*args, **kwargs):
+    def later_call_nan(*args, **kwargs):
         out = real(*args, **kwargs)
         calls.append(name)
-        return poison(out) if len(calls) == 2 else out
+        return poison(out) if len(calls) == call else out
 
-    monkeypatch.setattr(mod, name, second_call_nan)
+    monkeypatch.setattr(mod, name, later_call_nan)
     report = run_suite(torus_cfg(site={"genus": 1, "class_reps": []},
                                  checks=[check_id]), "all")
     (record,) = report["checks"]
-    assert len(calls) > 2
+    # a later call of several, or a later point's rows of the one call
+    assert len(calls) > 2 if call == 2 else len(calls) == 1
     assert record["status"] == "failed", record
     assert np.isnan(record["max_residual"])
     assert not report["overall_pass"]

@@ -1,11 +1,12 @@
 """The per-point word data is bit for bit what the plain constructions give.
 
-`SitePoint.word_differentials` is one `word_tangent` pass along every frame
-vector at once, `SitePoint.inverses` inverts the factors in one batch,
-`adjoint_matrix` expands the whole conjugated basis in one call, and
-`random_point` exponentiates the factors as one batch.  Each is compared with
-`np.array_equal` against a construction written out here: `word_tangent`
-over the stacked frame at letters inverted one factor at a time, per-factor
+`SitePoint.word_differentials` is one `word_tangent` pass per factor of the
+word, along that factor's frame vectors, `SitePoint.inverses` inverts the
+factors in one batch, `adjoint_matrix` expands the whole conjugated basis in
+one call, and `random_point` exponentiates the factors as one batch.  Each is compared with
+`np.array_equal` against a construction written out here: one `word_tangent`
+pass over the stacked frame, `frame.stacked`, whose factor entries are zero
+outside their own rows, at letters inverted one factor at a time, per-factor
 inversion, a column loop and a per-factor loop.
 """
 
@@ -24,7 +25,8 @@ SITES = pytest.mark.parametrize("build,genus,reps", [
     (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
     (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, []),
     (models.sl2_abelian, 3, []),
-], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g3"])
+    (models.sl2, 1, [-np.eye(2)]),
+], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g3", "sl2-g1-central"])
 
 
 def _site(build, genus, reps):
