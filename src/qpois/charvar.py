@@ -11,9 +11,10 @@ inverse along with the factor, so no letter is inverted again: each
 iteration sweeps the relator once for its Jacobian (prefix and suffix
 products), takes one SVD of it for the steps of all damping trials, and
 retracts every factor of a trial, and its inverse, from one batched matrix
-exponential and one batched inversion.  The solves of a batch of seeds run
-in lockstep, with the (B, ...) stacks of all rows in each of these steps,
-and each row gets the bits of its one-row solve.
+exponential and one batched inversion.  The solves of a chunk of seeds, at
+most a batch of points (`groupgeom._BATCH_POINTS`), run in lockstep, with
+the (B, ...) stacks of all rows in each of these steps, and each row gets
+the bits of its one-row solve.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .duals import _dexpm_rows, dtrace
 from .errors import MaxIters, NotInvariant, Stalled
 from .fields import bracket_funcs, differential, jacobiator
 from .groupgeom import (
+    _BATCH_POINTS,
     PointBatch,
     SitePoint,
     _letters,
@@ -89,7 +91,7 @@ def bracket(biv, f, h, point):
 _INVARIANCE_TOL = 1e-8
 
 
-def hamiltonian_field(biv, f, point, seed=0):
+def hamiltonian_field(biv, f, point, seed):
     """Tangent P-sharp(df) of an invariant function, as one (nfac, n, n)
     array of factor components.
 
@@ -105,12 +107,12 @@ def hamiltonian_field(biv, f, point, seed=0):
                         point.frame().stacked, axes=(0, 1))
 
 
-def level_tangency_residual(desc, f, point, seed=0):
+def level_tangency_residual(desc, f, point, seed):
     """Max |d(word)(X_f)| over the descriptor's momentum words.
 
     The field of an invariant function is tangent to every momentum level.
     """
-    xf = hamiltonian_field(desc.bivector, f, point, seed=seed)
+    xf = hamiltonian_field(desc.bivector, f, point, seed)
     return float(np.max([np.abs(word_tangent(comp.word, point.letters(comp.word),
                                              xf)).max()
                          for comp in desc.momentum], initial=0.0))
@@ -249,7 +251,6 @@ def _damped_steps(s, vt, ur, mu):
 
 _MAX_ITERS = 200
 _TOL = 1e-10                # sup-norm of the relator gap that counts as solved
-_CHUNK_ROWS = 64            # rows solved together by one lockstep batch
 
 
 def solve_relators(site, word, target, seeds):
@@ -274,22 +275,23 @@ def solve_relators(site, word, target, seeds):
     tries at least one step; it stalls when mu reaches 1e14 without a drop.
     The returned residual is the sup-norm of the gap.
 
-    The rows solve in lockstep, in chunks of at most _CHUNK_ROWS seeds so
-    that memory does not grow with the number of seeds: each sweep tries
-    one step for every row of the chunk still solving, as (B, ...) stacks
-    of factors, gaps, Jacobians, SVDs, steps and retractions, and rebuilds
-    the Jacobian and SVD only of the rows that accepted their last trial.
-    Each row keeps its own mu, nu, iteration count and outcome, and its
-    result equals its one-row solve bit for bit.  The solved rows of a chunk
-    are the points of one PointBatch, built when the chunk returns.
+    The rows solve in lockstep, in chunks of at most _BATCH_POINTS seeds,
+    the size of a batch of points, so that memory does not grow with the
+    seeds: each sweep tries one step for every row of the chunk still
+    solving, as (B, ...) stacks of factors, gaps, Jacobians, SVDs, steps and
+    retractions, and rebuilds the Jacobian and SVD only of the rows that
+    accepted their last trial.  Each row keeps its own mu, nu, iteration
+    count and outcome, and its result equals its one-row solve bit for bit.
+    The solved rows of a chunk are the points of one PointBatch, built when
+    the chunk returns.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
     target_inv = np.linalg.inv(np.asarray(target, dtype=complex))
     seeds = list(seeds)
-    return [out for start in range(0, len(seeds), _CHUNK_ROWS)
+    return [out for start in range(0, len(seeds), _BATCH_POINTS)
             for out in _solve_lockstep(site, word, target_inv,
-                                       seeds[start:start + _CHUNK_ROWS])]
+                                       seeds[start:start + _BATCH_POINTS])]
 
 
 def _solve_lockstep(site, word, target_inv, seeds):

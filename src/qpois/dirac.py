@@ -184,7 +184,7 @@ def _tm_subspace(nfr):
     return LagrangianSubspace.from_columns(cols, nfr)
 
 
-def dirac_booleans(qh, point, component=0):
+def dirac_booleans(qh, point, component):
     """The four independently computed equivalence clauses for one momentum
     component of a 2-form descriptor.
 

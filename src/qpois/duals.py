@@ -230,9 +230,10 @@ def dexpm(a):
 
 def _dexpm_rows(a):
     """dexpm of every row of a (B, ..., n, n) stack, each row scaled by the
-    power of its own largest 1-norm, as in a one-row call: the rows that
-    share a power are exponentiated together."""
-    powers = [_squarings(_one_norm(row)) for row in a]
+    power of its own largest 1-norm (all from one column-sum reduction), as
+    in a one-row call: the rows that share a power go together."""
+    powers = [_squarings(nrm) for nrm in np.abs(a).sum(axis=-2).max(
+        axis=tuple(range(1, a.ndim - 1)), initial=0.0).tolist()]
     out = np.empty_like(a)
     for s in set(powers):
         rows = [b for b, p in enumerate(powers) if p == s]

@@ -5,7 +5,8 @@ right translations L_f, R_f of every factor f, in the order L_0, R_0, L_1,
 R_1, ... -- and one notation serves actions and bivector slots alike.  A
 bivector is one coefficient matrix K over the same atoms, contracted through
 the invariant 2-tensor H, so that P = sum K[alpha, beta] (op_alpha (x)
-op_beta)(H); `wedge` builds K from operators and fusion only updates it.
+op_beta)(H); `wedge` builds K from operators and fusion only updates it,
+and each bivector builds its atom tensor kron(K, H) once.
 A 2-form is a list of pullback pairings of trivialization forms plus class
 terms.  Both evaluate transparently at Dual-perturbed points, which is what
 makes exact exterior derivatives and Jacobiators cheap.
@@ -110,21 +111,19 @@ class Bivector:
     """sum K[alpha, beta] (op_alpha (x) op_beta)(H), H the invariant 2-tensor.
 
     kmat is the atom coefficient matrix K, of the shape (2 nfac, 2 nfac)
-    fixed by the site; sums of `wedge` terms build it.
+    fixed by the site; sums of `wedge` terms build it.  atom_tensor is
+    kron(K, H), the tensor on the atom directions op_alpha(e_j).
     """
 
     def __init__(self, site, kmat):
         self.site = site
         self.kmat = np.asarray(kmat, dtype=complex)
+        self.atom_tensor = np.kron(self.kmat, site.pairing.eta_upper)
 
     def __add__(self, other):
         if other.site is not self.site:
             raise BadSignature("bivectors live on different sites")
         return Bivector(self.site, self.kmat + other.kmat)
-
-    def _atom_tensor(self):
-        """kron(K, H): the tensor on the atom directions op_alpha(e_j)."""
-        return np.kron(self.kmat, self.site.pairing.eta_upper)
 
     def frame_matrix(self, point):
         """Antisymmetric coefficient matrix P^{ab} in the frame at the point,
@@ -143,14 +142,14 @@ class Bivector:
             dirs = [None] * self.site.nfac
             dirs[f] = np.concatenate([q @ basis, basis @ q], axis=1)
             b[:, 2 * f * d:(2 * f + 2) * d] = frame.components(dirs)
-        return b.swapaxes(-1, -2) @ self._atom_tensor() @ b
+        return b.swapaxes(-1, -2) @ self.atom_tensor @ b
 
     def ambient_matrix(self, point):
         """The 2-tensor on vec'd ambient tangents, (nfac n^2, nfac n^2)."""
         nfac, basis = self.site.nfac, self.site.model.basis
         v = np.concatenate([_atom_dirs(basis, f, nfac, q).reshape(-1, q.size)
                             for f, q in enumerate(point.mats)], axis=1)
-        return v.T @ self._atom_tensor() @ v
+        return v.T @ self.atom_tensor @ v
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def jacobiator(biv, point, f1, f2, f3):
     the atom tensor, not the frame matrix P, since it needs the derivative of
     the atom direction fields, and so stays independent of P.
     """
-    m = biv._atom_tensor()
+    m = biv.atom_tensor
     grads, mixed = zip(*(_atom_hessian(biv.site, point.mats, fn)
                          for fn in (f1, f2, f3)))
     total = 0.0

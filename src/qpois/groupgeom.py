@@ -12,12 +12,13 @@ empty arrays pass through every frame computation.
 Points come in batches.  A `PointBatch` holds S points of one site as one
 read-only (S, nfac, n, n) stack; a check draws its points with
 `random_points`, in the order of S `random_point` calls and in batches of at
-most _BATCH_POINTS, so memory does not grow with the sample count; their
-factor exponentials are one stack of `liealg.random_group_elements`.  Data
-that depends only on a point is built once per batch: a memo miss at any
-point builds the entry for every point of the batch at once, from (S, ...)
-stacks, and the batch keeps it.  A `SitePoint` holds only its batch and its
-index, and reads its slice of each entry; the batch never refers back to
+most _BATCH_POINTS, so memory does not grow with the sample count (the
+relator solver's chunks share that cap); their factor exponentials are one
+stack of `liealg.random_group_elements`.  Data that depends only on a point
+is built once per batch: a memo miss at any point builds the entry for every
+point of the batch at once, from (S, ...) stacks, and the batch keeps it.  A
+`SitePoint` holds only its batch and its index, and keeps per key its slice
+of each entry, a view of the batch's stack; the batch never refers back to
 its points.  Every point comes from a batch (`PointBatch.points`): a check's
 drawn points, the conjugated points of the equivariance check and the
 solved rows of a relator-solver chunk are each one batch, and
@@ -192,22 +193,20 @@ class SitePoint(_Entries):
         self.mats = batch.mats[index]
         self._batch, self._index = batch, index
         self._memo = {}         # key -> this point's slice of the entry
-        self._views = {}        # id of a batch stack -> this point's slice
 
     def memo(self, key, build):
         """This point's slice of the batch's entry for key, which build(batch)
-        makes for every point of the batch at once (`PointBatch.memo`).  A
-        stack that several entries hold, such as a word's differentials in a
-        component's linearization, is one array at the point too."""
+        makes for every point of the batch at once (`PointBatch.memo`); a
+        slice is a view of the batch's stack, so entries that hold one stack,
+        such as a word's differentials in a component's linearization, share
+        its memory at the point too."""
         if key not in self._memo:
             self._memo[key] = self._slice(self._batch.memo(key, build))
         return self._memo[key]
 
     def _slice(self, entry):
         if isinstance(entry, np.ndarray):
-            if id(entry) not in self._views:
-                self._views[id(entry)] = entry[self._index]
-            return self._views[id(entry)]
+            return entry[self._index]
         if isinstance(entry, tuple):
             parts = [self._slice(part) for part in entry]
             return entry._make(parts) if hasattr(entry, "_make") else tuple(parts)

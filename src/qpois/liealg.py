@@ -3,7 +3,9 @@
 A model is a concrete basis of n-by-n complex matrices closed under the
 commutator; everything downstream (coefficients, adjoint matrices, the cubic
 tensor phi) is computed against that basis by exact linear algebra with
-explicit residual guards.
+explicit residual guards.  Random group elements come from one draw,
+`random_group_elements`: one block of normals for all their coefficients,
+exponentiated as one grouped exponential.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class PairingData:
         return self.eta_lower, self.eta_upper
 
 
-def trace_pairing(model, scale=1.0, mask=None):
+def trace_pairing(model, scale, mask):
     """eta_lower[j,k] = scale * tr(e_j e_k) * m_j * m_k, with m the mask (all
     ones when None); eta_upper is its inverse, or its pseudo-inverse when
     eta_lower is singular."""
@@ -189,18 +191,13 @@ def adjoint_matrix(model, q, q_inv):
                                     @ q_inv[..., None, :, :]), -1, -2)
 
 
-def random_algebra_element(model, rng):
-    """Coefficients with real and imaginary parts drawn at _SAMPLE_SCALE."""
-    return _SAMPLE_SCALE * (rng.standard_normal(model.d)
-                           + 1j * rng.standard_normal(model.d))
-
-
 def random_group_elements(model, rng, shape):
-    """The one draw of random group elements: exponentials of prod(shape)
-    `random_algebra_element` draws, taken in order, as one (*shape, n, n)
-    stack, each row (first index) scaled as in a one-row call."""
-    xi = [random_algebra_element(model, rng) for _ in range(int(np.prod(shape)))]
-    return _dexpm_rows(model.from_coeffs(np.reshape(xi, (*shape, model.d))))
+    """The one draw of random group elements: a (*shape, n, n) stack of
+    exponentials of algebra elements, each row (first index) scaled as in a
+    one-row call.  One normal block gives every element, in order, d real
+    parts and then d imaginary parts, each drawn at _SAMPLE_SCALE."""
+    x = _SAMPLE_SCALE * rng.standard_normal((*shape, 2, model.d))
+    return _dexpm_rows(model.from_coeffs(x[..., 0, :] + 1j * x[..., 1, :]))
 
 
 def ad_invariance_residual(model, pairing, seed):

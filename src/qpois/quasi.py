@@ -501,14 +501,14 @@ def _closure_residual(site, form, pullbacks, points, seed):
     return _worst(0.0, lhs - rhs)
 
 
-def quasi_closed_residual(desc, points, seed=0):
+def quasi_closed_residual(desc, points, seed):
     """max |d sigma (S1,S2,S3) - sum_i lambda(dPhi_i S1, dPhi_i S2, dPhi_i S3)|."""
     return _closure_residual(desc.site, desc.form,
                              [(1.0, comp.word) for comp in desc.momentum],
                              points, seed)
 
 
-def cn1_residual(site, points, seed=0):
+def cn1_residual(site, points, seed):
     """Calibration: half the exterior derivative of the mixed pairing equals
     the two factor pullbacks of the cubic form minus its product pullback."""
     if site.nfac < 2:

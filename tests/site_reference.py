@@ -1,5 +1,6 @@
-"""Test-only references for site data: frame vectors one at a time, the
-fundamental tangent of the conjugation action, the 2-form of a chain of word pairs, and two
+"""Test-only references for site data: one random algebra element at a
+time, frame vectors one at a time, the fundamental tangent of the
+conjugation action, the 2-form of a chain of word pairs, and two
 consistency residuals of a momentum word and of a dual bivector/2-form
 pair."""
 
@@ -8,7 +9,16 @@ import numpy as np
 from qpois.duals import Dual
 from qpois.fields import FormField, PairTerm, differential
 from qpois.groupgeom import Tangent, parse_word, word_eval
+from qpois.liealg import _SAMPLE_SCALE
 from qpois.quasi import component_linear
+
+
+def algebra_element(model, rng):
+    """One random element's coefficients, as `random_group_elements` draws
+    them: d normals for the real parts, then d for the imaginary parts,
+    each at _SAMPLE_SCALE."""
+    return _SAMPLE_SCALE * (rng.standard_normal(model.d)
+                            + 1j * rng.standard_normal(model.d))
 
 
 def frame_vector(frame, a):

@@ -12,8 +12,6 @@ from pathlib import Path
 import qpois
 
 DEFAULTED = {
-    "charvar.hamiltonian_field(seed)",
-    "charvar.level_tangency_residual(seed)",
     "charvar.poisson_ideal_residual.vanishing(_c)",
     "charvar.poisson_ideal_residual.vanishing(_m)",
     "charvar.solve_relator(seed)",
@@ -22,19 +20,14 @@ DEFAULTED = {
     "cli.run_suite(jobs)",
     "cli.run_suite(seed)",
     "cli.sample_points(seed)",
-    "dirac.dirac_booleans(component)",
     "fields.FormField.__init__(pair_terms)",
     "fields.FormField.__init__(tau_terms)",
-    "liealg.trace_pairing(mask)",
-    "liealg.trace_pairing(scale)",
     "models.model_from_config(pairing)",
     "quasi.assemble_surface_site(variant)",
-    "quasi.cn1_residual(seed)",
     "quasi.double_descriptors(i)",
     "quasi.double_descriptors(j)",
     "quasi.internally_fused(i)",
     "quasi.internally_fused(j)",
-    "quasi.quasi_closed_residual(seed)",
 }
 
 

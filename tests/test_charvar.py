@@ -66,7 +66,7 @@ def test_entry_function_not_invariant():
     g = entry_fn(0, 1)
     assert invariance_residual(g, p, np.random.default_rng(1)) > 1e-3
     with pytest.raises(NotInvariant):
-        hamiltonian_field(qp.bivector, g, p)
+        hamiltonian_field(qp.bivector, g, p, 0)
 
 
 def test_nan_probe_fails_invariance_and_hamiltonian_field():
@@ -82,7 +82,7 @@ def test_nan_probe_fails_invariance_and_hamiltonian_field():
     assert np.isnan(invariance_residual(third_call_nan, p, np.random.default_rng(1)))
     calls.clear()
     with pytest.raises(NotInvariant):
-        hamiltonian_field(qp.bivector, third_call_nan, p)
+        hamiltonian_field(qp.bivector, third_call_nan, p, 0)
 
 
 def test_bracket_antisymmetry_and_zero_field():
@@ -122,7 +122,7 @@ def test_single_factor_invariant_field_vanishes():
     f = TraceFunction(site, "a")
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        xf = hamiltonian_field(qp.bivector, f, p)
+        xf = hamiltonian_field(qp.bivector, f, p, 0)
         assert xf.shape == (1, 2, 2)
         assert np.abs(xf).max() <= 1e-10
         h = TraceFunction(site, "aa")
@@ -132,7 +132,7 @@ def test_single_factor_invariant_field_vanishes():
 def test_constant_function_zero_field():
     site, qp, _ = fused_sl2()
     p = random_point(site, np.random.default_rng(5))
-    xf = hamiltonian_field(qp.bivector, lambda mats: 3.5, p)
+    xf = hamiltonian_field(qp.bivector, lambda mats: 3.5, p, 0)
     assert xf.shape == (site.nfac, 2, 2)
     assert np.abs(xf).max() <= 1e-14
 
@@ -143,7 +143,7 @@ def test_level_tangency_fused():
         p = random_point(site, np.random.default_rng(seed))
         for text in ("a", "ab", "abAB"):
             f = TraceFunction(site, text)
-            assert level_tangency_residual(qp, f, p) <= 1e-9
+            assert level_tangency_residual(qp, f, p, 0) <= 1e-9
 
 
 def test_level_tangency_surface():
@@ -152,7 +152,7 @@ def test_level_tangency_surface():
     for seed in range(3):
         p = random_point(site, np.random.default_rng(seed))
         f = TraceFunction(site, "ab")
-        assert level_tangency_residual(qp, f, p) <= 1e-9
+        assert level_tangency_residual(qp, f, p, 0) <= 1e-9
 
 
 def test_dual_pair_identities():
@@ -491,8 +491,8 @@ def test_solver_batch_rows_equal_one_row_solves(make, seeds, stops):
 
 def test_solver_chunks_keep_every_row(monkeypatch):
     """Seeds beyond one chunk solve in further lockstep batches of at most
-    _CHUNK_ROWS rows, and every row, stops included, ends as it does in one
-    batch."""
+    `groupgeom._BATCH_POINTS` rows, and every row, stops included, ends as
+    it does in one batch."""
     import qpois.charvar as charvar
     site, word, target = _surface(models.sl2, 2, -np.eye(2))
     seeds = list(range(14, 22))
@@ -504,7 +504,7 @@ def test_solver_chunks_keep_every_row(monkeypatch):
         sizes.append(len(chunk))
         return lockstep(site, word, target_inv, chunk)
 
-    monkeypatch.setattr(charvar, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(charvar, "_BATCH_POINTS", 3)
     monkeypatch.setattr(charvar, "_solve_lockstep", recorded)
     chunked = solve_relators(site, word, target, seeds)
     assert sizes == [3, 3, 2]

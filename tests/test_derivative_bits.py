@@ -85,7 +85,7 @@ def _full_hessian(site, mats, fn):
 
 
 def _full_jacobiator(biv, point, *fns):
-    m = biv._atom_tensor()
+    m = biv.atom_tensor
     grads, mixed = zip(*(_full_hessian(biv.site, point.mats, fn) for fn in fns))
     total = 0.0
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qpois import models
+from qpois import liealg, models
 from qpois.charvar import _INVARIANCE_PROBES, TraceFunction, invariance_residual
-from qpois.duals import dexpm
+from qpois.duals import _dexpm_rows, dexpm
 from qpois.errors import DegeneratePairing, NotClosed, NotConvenient, NotInSpan, RankDeficient
 from qpois.groupgeom import random_point
 from qpois.liealg import (
@@ -13,12 +13,12 @@ from qpois.liealg import (
     adjoint_matrix,
     build_lie_algebra,
     cartan3,
-    random_algebra_element,
     random_group_elements,
     trace_pairing,
     verify_chi_identity,
 )
 from qpois.quasi import assemble_surface_site
+from site_reference import algebra_element
 
 GROUPS = [{"family": "SL", "n": 2}, {"family": "GL", "n": 2},
           {"family": "SL", "n": 3}, {"family": "sl2_abelian"},
@@ -141,20 +141,30 @@ def test_ad_invariance_nan_at_a_later_sample_shows(monkeypatch):
     lambda: build_lie_algebra(40 * models.sl2()[0].basis),
 ], ids=["sl2", "sl3", "sl2ab", "sl2-x40"])
 @pytest.mark.parametrize("shape", [(6,), (6, 3)], ids=["elements", "points"])
-def test_random_group_elements_are_one_dexpm_per_row(build, shape):
-    """Each row is the dexpm of its own draws: one element, or one point's
-    stack of factors; the generator ends where prod(shape) draws leave it."""
+def test_random_group_elements_are_one_dexpm_per_row(build, shape,
+                                                     monkeypatch):
+    """The one normal block gives the algebra elements of prod(shape)
+    per-element draws bit for bit, and each row is the dexpm of its own:
+    one element, or one point's stack of factors; the generator ends where
+    those per-element draws leave it."""
     model = build()
-    per_row = shape[1:]
+    drawn = []
+
+    def recorded(a):
+        drawn.append(a)
+        return _dexpm_rows(a)
+
+    monkeypatch.setattr(liealg, "_dexpm_rows", recorded)
     for seed in range(4):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_group_elements(model, rng, shape)
         assert got.shape == shape + (model.n, model.n)
-        for row in got:
-            xi = np.reshape([random_algebra_element(model, ref)
-                             for _ in range(int(np.prod(per_row)))],
-                            per_row + (model.d,))
-            assert np.array_equal(row, dexpm(model.from_coeffs(xi))), seed
+        xi = np.reshape([algebra_element(model, ref)
+                         for _ in range(int(np.prod(shape)))],
+                        shape + (model.d,))
+        assert np.array_equal(drawn.pop(), model.from_coeffs(xi)), seed
+        for row, row_xi in zip(got, xi):
+            assert np.array_equal(row, dexpm(model.from_coeffs(row_xi))), seed
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -163,7 +173,7 @@ def _ad_invariance_loop(model, pairing, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     gaps = []
     for _ in range(_AD_SAMPLES):
-        g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
+        g = dexpm(model.from_coeffs(algebra_element(model, rng)))
         a = adjoint_matrix(model, g, np.linalg.inv(g))
         s, h = pairing.eta_lower, pairing.eta_upper
         gaps += [np.abs(a.T @ s @ a - s).max(), np.abs(a @ h @ a.T - h).max()]
@@ -176,7 +186,7 @@ def _invariance_loop(fn, point, rng):
     base = complex(fn(point.mats))
     gaps = []
     for _ in range(_INVARIANCE_PROBES):
-        g = dexpm(model.from_coeffs(random_algebra_element(model, rng)))
+        g = dexpm(model.from_coeffs(algebra_element(model, rng)))
         gaps.append(abs(complex(fn(g @ point.mats @ np.linalg.inv(g))) - base))
     return float(np.max(gaps, initial=0.0))
 
