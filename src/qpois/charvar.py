@@ -8,25 +8,31 @@ Gauss-Newton over per-factor retractions, so class factors keep their
 spectrum exactly; it accepts a step when the 2-norm of the gap drops, and
 sets the damping from the gain ratio.  The solver carries every factor's
 inverse along with the factor, so no letter is inverted again: each
-iteration sweeps the relator once for its Jacobian (prefix and suffix
-products), takes one SVD of it for the steps of all damping trials, and
-retracts every factor of a trial, and its inverse, from one batched matrix
-exponential and one batched inversion.  The solves of a chunk of seeds, at
-most a batch of points (`groupgeom._BATCH_POINTS`), run in lockstep, with
-the (B, ...) stacks of all rows in each of these steps, and each row gets
-the bits of its one-row solve.
+iteration's Jacobian reads the prefix products that its gap folded and
+sweeps the relator once for the suffix products, one SVD of it gives the
+steps of all damping trials, and a trial retracts every factor, and its
+inverse, from one batched matrix exponential and one batched inversion.
+The solves of a chunk of seeds, at most a batch of points
+(`groupgeom._BATCH_POINTS`), run in lockstep, with the (B, ...) stacks of
+all rows in each of these steps, and each row gets the bits of its one-row
+solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .duals import _dexpm_rows, dtrace
+from .duals import _dexpm_rows, dtrace, matmul
 from .errors import MaxIters, NotInvariant, Stalled
-from .fields import bracket_funcs, differential, jacobiator
+from .fields import (
+    PAIR_WEIGHT,
+    _frame_duals,
+    bracket_funcs,
+    differential,
+    jacobiator,
+)
 from .groupgeom import (
     _BATCH_POINTS,
     PointBatch,
@@ -114,7 +120,7 @@ def level_tangency_residual(desc, f, point, seed):
     """
     xf = hamiltonian_field(desc.bivector, f, point, seed)
     return float(np.max([np.abs(word_tangent(comp.word, point.letters(comp.word),
-                                             xf)).max()
+                                             [xf])[-1][1]).max()
                          for comp in desc.momentum], initial=0.0))
 
 
@@ -125,28 +131,29 @@ def jacobi_invariants(biv, f, h, k, points):
 
 
 def poisson_ideal_residual(biv, phi_word, target, f, points):
-    """Max |{f, chi o word - chi(target)}| over level-set points.
+    """Max |{f, chi o word - chi(target)}| over points of the target's level
+    set.
 
     chi runs over traces of the first n matrix powers; these pullbacks cut
     out the conjugacy-class level set, and their brackets with invariants
-    vanish along it.
+    vanish along it.  The constant chi(target) drops out of every bracket,
+    so target only names the level.  Per point, df and the word's value as
+    a Dual along every frame vector are evaluated once, and each power is
+    the previous one times that value; a bracket is 2 df . P . dchi, as
+    `bracket_funcs` forms it.
     """
     site = biv.site
     if isinstance(phi_word, str):
         phi_word = parse_word(site, phi_word)
-    target = np.asarray(target, dtype=complex)
     resid = []
-    for m in range(1, site.model.n + 1):
-        cval = complex(np.trace(np.linalg.matrix_power(target, m)))
-
-        def vanishing(mats, _m=m, _c=cval):
-            w = word_eval(phi_word, mats)
-            acc = w
-            for _ in range(_m - 1):
-                acc = acc @ w
-            return dtrace(acc) - _c
-
-        resid += [abs(bracket_funcs(biv, pt, f, vanishing)) for pt in points]
+    for pt in points:
+        pmat, df = biv.frame_matrix(pt), differential(pt, f)
+        w = word_eval(phi_word, _frame_duals(pt))
+        power = w
+        for m in range(site.model.n):
+            if m:
+                power = power @ w
+            resid.append(abs(PAIR_WEIGHT * (df @ pmat @ dtrace(power).eps)))
     return float(np.max(resid, initial=0.0))
 
 
@@ -162,11 +169,17 @@ class RepSample:
 
 
 def _relator_gap(word, mats, invs, target_inv):
-    """(B, n, n): every row's gap word(p) target^-1 - I, from the rows'
-    (B, nfac, n, n) factors and factor inverses."""
+    """Every row's gap word(p) target^-1 - I, (B, n, n), from the rows'
+    (B, nfac, n, n) factors and factor inverses, and the products of the
+    word's first 1, ..., L letters that its fold passes through, as one
+    (L, B, n, n) stack (`_relator_jacobian` reads them)."""
     n = target_inv.shape[0]
     letters = _letters(word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
-    return reduce(np.matmul, letters) @ target_inv - np.eye(n)
+    prefixes = np.empty((len(word),) + letters[0].shape, dtype=complex)
+    prefixes[0] = letters[0]
+    for k, t in enumerate(letters[1:], 1):
+        np.matmul(prefixes[k - 1], t, out=prefixes[k])
+    return prefixes[-1] @ target_inv - np.eye(n), prefixes
 
 
 def _real_stack(m):
@@ -193,40 +206,50 @@ def _apply_step(site, mats, invs, steps):
     return moved, moved_inv
 
 
-def _relator_jacobian(site, word, mats, invs, target_inv):
+def _relator_jacobian(site, word, mats, invs, prefixes, target_inv):
     """(B, 2 n n, 2 nfac d): every row's real Jacobian of the stacked
-    relator gap in the step parameters, from one sweep over the relator; an
-    inverse letter reads invs, the factor inverses.
+    relator gap in the step parameters, from the prefix products of its gap
+    (`_relator_gap`) and one sweep of suffix products; an inverse letter
+    reads invs, the factor inverses.
 
-    With prefix products P_i of the first i letters and suffix products S_i
-    of the letters from i on, target_inv folded in, letter i of factor f
-    moves the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the letter is
+    With P_i the product of the first i letters (P_0 = I) and S_i that of
+    the letters from i on, target_inv folded in, letter i of factor f moves
+    the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the letter is
     inverted, for each of f's d step directions V (q e_j on a group factor,
-    e_j q - q e_j on a class factor).  Columns f*d..(f+1)*d hold factor f's
-    directions, as the rows of TangentFrame.stacked, and each direction
-    fills a real and an imaginary column."""
+    e_j q - q e_j on a class factor).  All letters' terms come from two
+    stacked products, (P V) S, and each factor sums its letters' terms in
+    letter order.  Columns f*d..(f+1)*d hold factor f's directions, as the
+    rows of TangentFrame.stacked, and each direction fills a real and an
+    imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
-    rows = len(mats)
-    basis = site.model.basis
-    terms = [t[:, None] for t in _letters(word, mats.swapaxes(0, 1),
-                                          invs.swapaxes(0, 1))]
-    prefix = [np.eye(n, dtype=complex)]
-    for t in terms:
-        prefix.append(prefix[-1] @ t)
-    suffix = [target_inv]
-    for t in reversed(terms):
-        suffix.append(t @ suffix[-1])
-    suffix.reverse()
+    rows, basis = len(mats), site.model.basis
+    letters = _letters(word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
+    # P_0 .. P_L and S_0 .. S_L as (L + 1, B, n, n) stacks
+    prefix = np.empty((len(word) + 1, rows, n, n), dtype=complex)
+    prefix[0], prefix[1:] = np.eye(n), prefixes
+    suffix = np.empty_like(prefix)
+    suffix[-1] = target_inv
+    for i in reversed(range(len(word))):
+        np.matmul(letters[i], suffix[i + 1], out=suffix[i])
+    # every factor's step directions, (B, nfac, d, n, n)
     qs = mats[:, :, None]
-    directions = [qs[:, f] @ basis if fac.kind == "group"
-                  else basis @ qs[:, f] - qs[:, f] @ basis
-                  for f, fac in enumerate(site.factors)]
+    directions = qs @ basis
+    for f in site.class_indices():
+        directions[:, f] = basis @ qs[:, f] - directions[:, f]
+    # letter i's term, P_i V S_(i+1), or -P_(i+1) V S_i when inverted, as
+    # a (B, L, d, n, n) stack
+    fs, inverted = zip(*((f, p == -1) for f, p in word))
+    left = np.arange(len(word)) + inverted
+    right = np.arange(len(word)) + np.logical_not(inverted)
+    terms = matmul(prefix[left].swapaxes(0, 1)[:, :, None] @ directions[:, fs],
+                   suffix[right].swapaxes(0, 1)[:, :, None])
+    # each factor's terms, added in letter order
     delta = np.zeros((rows, nfac, d, n, n), dtype=complex)
-    for i, (f, p) in enumerate(word):
+    for k, (f, p) in enumerate(word):
         if p == 1:
-            delta[:, f] += prefix[i] @ directions[f] @ suffix[i + 1]
+            delta[:, f] += terms[:, k]
         else:
-            delta[:, f] -= prefix[i + 1] @ directions[f] @ suffix[i]
+            delta[:, f] -= terms[:, k]
     delta = delta.reshape(rows, nfac * d, -1)
     jmat = np.empty((rows, 2 * n * n, 2 * nfac * d))
     jmat[..., 0::2] = np.concatenate([delta.real, delta.imag], axis=2).swapaxes(1, 2)
@@ -262,9 +285,10 @@ def solve_relators(site, word, target, seeds):
     real pairs; the residual r is the stacked real/imaginary part of
     word(p) target^-1 - I.  The factor inverses are inverted once at the
     start and then carried along with the point.  Each iteration takes the
-    Jacobian J from one sweep over the relator and one SVD of it, which
-    gives the step x for every damping trial; a trial is accepted when
-    |r|^2 drops, and its gap is the next iteration's residual.  The damping
+    Jacobian J from the prefix products of its gap and one suffix sweep
+    over the relator, and one SVD of J, which gives the step x for every
+    damping trial; a trial is accepted when |r|^2 drops, and its gap and
+    prefix products are the next iteration's.  The damping
     mu follows the gain ratio rho, the actual drop of |r|^2 over the drop
     |r|^2 - |r + J x|^2 the linear model predicts (Nielsen's rule, as in
     Madsen-Nielsen-Tingleff 2004): an accepted step scales mu by
@@ -299,7 +323,7 @@ def _solve_lockstep(site, word, target_inv, seeds):
     mats = np.stack([random_point(site, np.random.default_rng(seed)).mats
                      for seed in seeds])
     invs = np.linalg.inv(mats)
-    gap = _relator_gap(word, mats, invs, target_inv)
+    gap, prefixes = _relator_gap(word, mats, invs, target_inv)
     rvec = _real_stack(gap)
     current = [float(np.abs(g).max()) for g in gap]
     rows, m, p = len(mats), rvec.shape[1], 2 * site.nfac * site.model.d
@@ -325,7 +349,8 @@ def _solve_lockstep(site, word, target_inv, seeds):
         fresh = [b for b in fresh if outs[b] is None]
         if fresh:
             jmat[fresh] = _relator_jacobian(site, word, mats[fresh],
-                                            invs[fresh], target_inv)
+                                            invs[fresh], prefixes[:, fresh],
+                                            target_inv)
             s[fresh], vt[fresh], ur[fresh] = _step_parts(jmat[fresh],
                                                          rvec[fresh])
             for b in fresh:
@@ -338,7 +363,8 @@ def _solve_lockstep(site, word, target_inv, seeds):
             return outs
         x = _damped_steps(s[active], vt[active], ur[active], mu[active])
         trial, trial_invs = _apply_step(site, mats[active], invs[active], x)
-        trial_gap = _relator_gap(word, trial, trial_invs, target_inv)
+        trial_gap, trial_prefixes = _relator_gap(word, trial, trial_invs,
+                                                 target_inv)
         trial_rvec = _real_stack(trial_gap)
         fresh = []
         for i, b in enumerate(active):
@@ -348,6 +374,7 @@ def _solve_lockstep(site, word, target_inv, seeds):
                 rho = (cost[b] - trial_cost) / float(
                     jx @ jx + 2.0 * mu[b] * (x[i] @ x[i]))
                 mats[b], invs[b], rvec[b] = trial[i], trial_invs[i], trial_rvec[i]
+                prefixes[:, b] = trial_prefixes[:, i]
                 current[b] = float(np.abs(trial_gap[i]).max())
                 mu[b] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu[b] = 2.0

@@ -7,14 +7,19 @@ the matrix axes; any leading axes are broadcast batch axes, so a single
 evaluation can push many directions (or direction pairs, when nested) through a
 word at once.
 
-A nested Dual over direction pairs carries parts with two batch axes, and a
-product of such a part has as many tiny matrix slices as direction pairs.
-:func:`matmul` runs the products of those parts that have one GEMM form as
-one GEMM: a plain matrix times a two-axis stack, with the stack folded into
-the GEMM's rows or columns, and the outer product of two one-axis stacks,
-(K, n, k) @ (M, 1, k, m), or its mirror.  Products whose broadcast batch has
-at most one axis, which every first-order evaluation makes, stay on
-``np.matmul`` and keep its bits.
+A product of stacks costs numpy one tiny GEMM per matrix slice.
+:func:`matmul` runs the products that have one GEMM form as one GEMM per
+batch row.  A row fold, where the right factor is one matrix per batch row
+and the left stack is folded into the GEMM's rows, (..., n, k) @ (k, m) or
+(S, R, n, k) @ (S, 1, k, m), gives every slice the bits of ``np.matmul``:
+the GEMM forms each output row from its own left row and the one right
+matrix.  A column fold, where a single left matrix meets a stack laid side
+by side in the GEMM's columns, agrees with ``np.matmul`` only to roundoff;
+only the Jacobiator's nested parts, whose batch has two direction axes, take
+column folds (a matrix times a two-axis stack, and the outer product of two
+one-axis stacks, (K, n, k) @ (M, 1, k, m), or its mirror).  A shared left
+factor over one batch axis, (S, 1, n, k) @ (S, R, k, m), stays on
+``np.matmul``.
 
 All derivative evaluation in this package is exact forward-mode differentiation
 of polynomial/inverse matrix expressions; finite differences appear only in
@@ -55,22 +60,32 @@ def _as_columns(b):
 
 
 def matmul(a, b):
-    """a @ b.  For plain arrays whose broadcast batch has two or more axes,
-    one GEMM when a is a single matrix (b's batch folded into the columns),
-    when b is one (a's batch folded into the rows), or for the outer product
-    (K, n, k) @ (M, 1, k, m) -> (M, K, n, m) and its mirror
-    (M, 1, n, k) @ (K, k, m); anything else, Duals included, is ``@``.
-    A folded product agrees with ``np.matmul`` to roundoff, not to the
-    bit."""
-    if _is_dual(a) or _is_dual(b) or max(np.ndim(a), np.ndim(b)) < 4:
+    """a @ b, with one GEMM per batch row where the product has that form.
+
+    Row folds, which keep the bits of ``np.matmul``: (..., n, k) @ (k, m),
+    every leading axis of a folded into the rows, and (..., R, n, k) @
+    (..., 1, k, m), a's R slices folded into the rows of one GEMM per entry
+    of the leading axes, which the operands share.  Column folds, which
+    agree with ``np.matmul`` to roundoff only, for plain arrays whose
+    broadcast batch has two axes: a single matrix times a two-axis stack,
+    and the outer product (K, n, k) @ (M, 1, k, m) -> (M, K, n, m) and its
+    mirror (M, 1, n, k) @ (K, k, m).  Anything else, Duals included (their
+    parts come back here), is ``@``."""
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        return a @ b
+    if b.ndim == 2:
+        return _gemm_rows(a, b) if a.ndim > 2 else a @ b
+    if a.ndim == b.ndim and b.shape[-3] == 1 and a.shape[:-3] == b.shape[:-3]:
+        n, k = a.shape[-2:]
+        out = a.reshape(a.shape[:-3] + (-1, k)) @ b[..., 0, :, :]
+        return out.reshape(a.shape[:-2] + (n, b.shape[-1]))
+    if max(a.ndim, b.ndim) < 4:
         return a @ b
     if a.ndim == 2:
         # (n, k) @ (k, P m)
         out = (a @ _as_columns(b)).reshape(a.shape[:1] + b.shape[:-2]
                                            + b.shape[-1:])
         return np.moveaxis(out, 0, -2)
-    if b.ndim == 2:
-        return _gemm_rows(a, b)
     if a.ndim == 3 and b.ndim == 4 and b.shape[1] == 1:
         # out[i, j] = a[j] @ b[i, 0], from (K n, k) @ (k, M m)
         out = _gemm_rows(a, _as_columns(b)).reshape(
@@ -153,7 +168,7 @@ def dinv(x):
     """Matrix inverse, Dual-transparent: (a + t b)^-1 = a^-1 - t a^-1 b a^-1."""
     if _is_dual(x):
         ai = dinv(x.re)
-        return Dual(ai, -(ai @ x.eps @ ai))
+        return Dual(ai, -matmul(ai @ x.eps, ai))
     return np.linalg.inv(x)
 
 
@@ -210,8 +225,12 @@ def dexpm(a):
     from the largest 1-norm of the stack, so every member is squared the same
     number of times.
     """
+    return _scaled_pade(a, _squarings(_one_norm(a)))
+
+
+def _scaled_pade(a, s):
+    """exp(a) as the Pade step at a / 2^s, squared s times."""
     eye = np.eye(a.shape[-1], dtype=complex)
-    s = _squarings(_one_norm(a))
     if s:
         a = a * (0.5**s)
     b = _PADE13
@@ -231,11 +250,12 @@ def dexpm(a):
 def _dexpm_rows(a):
     """dexpm of every row of a (B, ..., n, n) stack, each row scaled by the
     power of its own largest 1-norm (all from one column-sum reduction), as
-    in a one-row call: the rows that share a power go together."""
+    in a one-row call: the rows that share a power go together, and their
+    power goes to the Pade step as it is."""
     powers = [_squarings(nrm) for nrm in np.abs(a).sum(axis=-2).max(
         axis=tuple(range(1, a.ndim - 1)), initial=0.0).tolist()]
     out = np.empty_like(a)
     for s in set(powers):
         rows = [b for b, p in enumerate(powers) if p == s]
-        out[rows] = dexpm(a[rows])
+        out[rows] = _scaled_pade(a[rows], s)
     return out

@@ -20,7 +20,13 @@ import numpy as np
 
 from .duals import Dual, apply_linear, matmul
 from .errors import BadSignature, LiftFailed
-from .groupgeom import Tangent, _fold, _Inverses, _letters, word_tangent
+from .groupgeom import (
+    Tangent,
+    _Inverses,
+    _letters,
+    _with_inverse,
+    word_tangent,
+)
 
 __all__ = [
     "op_L",
@@ -200,36 +206,47 @@ class FormField:
         return FormField(self.site, self.pair_terms + other.pair_terms,
                          self.tau_terms + other.tau_terms)
 
+    def _words(self):
+        """The distinct words of the pair terms, longest first."""
+        return sorted({w for term in self.pair_terms
+                       for w in (term.word_u, term.word_v)},
+                      key=len, reverse=True)
+
     def evaluate(self, mats, t1, t2):
         """Value on two Tangents; Dual-transparent.  A class term reads the
         first tangent's lift on its factor (LiftFailed when it has none).
 
-        Tangent components and lifts may carry one leading batch axis, the
-        same on both tangents (Dual factor matrices may carry it in their
-        perturbation); the value then has one entry per batch entry.  Per
-        call, each factor read inverted is inverted once, and each distinct
-        word's letters are listed once, folded for its value, which is
-        inverted once, and differentiated along each tangent once.
+        Tangent components and lifts may carry leading batch axes, the same
+        on both tangents, against which the factor matrices (and a Dual
+        factor's perturbation) broadcast; the value then has one entry per
+        batch entry.  Per call, each factor read inverted is inverted once,
+        and the words are swept longest first, each along both tangents at
+        once (`word_tangent`): a word that begins one already swept reads
+        its value and derivatives there, and each word's value is inverted
+        once.
         """
         model = self.site.model
         smat = self.site.pairing.eta_lower
-        tangents = (t1, t2)
         inverses = _Inverses(mats)
-        words, derivs, thetas = {}, {}, {}
+        states = {}
+        for word in self._words():
+            if word not in states:
+                sweep = word_tangent(word, _letters(word, mats, inverses),
+                                     (t1, t2))
+                for k, state in enumerate(sweep, 1):
+                    states.setdefault(word[:k], state)
+        inverted, thetas = {}, {}
 
         def theta(word, side, i):
             """Trivialized coefficients of the word-derivative of tangent i,
             left (side 0, omega) or right (side 1, omegabar)."""
             key = (word, side, i)
             if key not in thetas:
-                if word not in words:
-                    letters = _letters(word, mats, inverses)
-                    words[word] = letters, _fold(word, letters, inverses)[1]
-                letters, gi = words[word]
-                if (word, i) not in derivs:
-                    derivs[word, i] = word_tangent(word, letters, tangents[i])
-                dv = derivs[word, i]
-                m = gi @ dv if side == 0 else dv @ gi
+                if word not in inverted:
+                    inverted[word] = _with_inverse(word, states[word][0],
+                                                   inverses)[1]
+                gi, dv = inverted[word], states[word][1 + i]
+                m = matmul(gi, dv) if side == 0 else matmul(dv, gi)
                 thetas[key] = apply_linear(model.basis_pinv, m)
             return thetas[key]
 
@@ -270,6 +287,10 @@ class FormField:
         model = self.site.model
         smat = self.site.pairing.eta_lower
         full = np.zeros((len(batch.mats), frame.dim, frame.dim), dtype=complex)
+        # longest words first, so that a word which begins one already swept
+        # reads its sweep (`SitePoint.word_differentials`)
+        for word in self._words():
+            batch.word_differentials(word)
         for term in self.pair_terms:
             tu = batch.word_differentials(term.word_u)[0]
             tv = batch.word_differentials(term.word_v)[1]
@@ -307,31 +328,32 @@ class Section:
 
 
 def section_value(site, secs, mats):
-    """Tangent of a sequence of sections as one batched Tangent (entry k
+    """Tangent of an array of sections, a sequence or a sequence of equally
+    long sequences, as one batched Tangent with the array's axes (entry k
     zero on the factors section k does not touch), at the (possibly Dual)
-    factor matrices.  Conjugation directions carry their lifts, stacked per
-    factor when every section there has one."""
+    factor matrices, which broadcast against those axes.  Conjugation
+    directions carry their lifts, stacked per factor when every section
+    there has one."""
     model = site.model
+    secs = np.array(secs, dtype=object)
+    by_factor = {}
+    for k, s in np.ndenumerate(secs):
+        by_factor.setdefault(s.factor, []).append((k, s))
     comps = [None] * site.nfac
     lifts = {}
-    for f in sorted({s.factor for s in secs}):
-        left = np.zeros((len(secs), model.n, model.n), dtype=complex)
+    for f, entries in sorted(by_factor.items()):
+        at = tuple(np.array([k for k, _ in entries]).T)
+        x = np.array([s.x for _, s in entries])
+        fund = np.array([s.kind == "fund" for _, s in entries])
+        left = np.zeros(secs.shape + (model.n, model.n), dtype=complex)
         right = np.zeros_like(left)
-        lift = np.zeros((len(secs), model.d), dtype=complex)
-        lifted = True
-        for k, s in enumerate(secs):
-            if s.factor != f:
-                continue
-            left[k] = model.from_coeffs(s.x)
-            if s.kind == "fund":
-                right[k] = left[k]
-                lift[k] = s.x
-            else:
-                lifted = False
+        left[at] = model.from_coeffs(x)
+        right[tuple(i[fund] for i in at)] = left[at][fund]
         q = mats[f]
-        comps[f] = q @ left - right @ q
-        if lifted:
-            lifts[f] = lift
+        comps[f] = q @ left - matmul(right, q)
+        if fund.all():
+            lifts[f] = np.zeros(secs.shape + (model.d,), dtype=complex)
+            lifts[f][at] = x
     return Tangent(comps, lifts)
 
 
@@ -350,39 +372,54 @@ def exterior_d3(site, form, mats, triples):
 
     X s(Y,Z) - Y s(X,Z) + Z s(X,Y) - s([X,Y],Z) + s([X,Z],Y) - s([Y,Z],X),
 
-    one value per triple, at the factor matrices mats: one (nfac, n, n) stack
-    for every triple, or one per triple, so that the triples of many points
-    are rows of one evaluation.  All derivative terms come from one Dual
-    evaluation, whose row k perturbs its triple's point along its own
-    derivative section only; all bracket terms come from one plain
-    evaluation.  The rows form one flat axis, so every product is a
-    slice-by-slice ``@``.
+    at P points at once: mats is the (P, nfac, n, n) stack of their factor
+    matrices and triples holds per point its list of triples, the same
+    number at every point.  Returns one value per triple, point by point.
+
+    The terms are the rows of two evaluations laid out as (point, row):
+    each factor, its inverse, each word's value and its running product
+    once per point, as (P, 1, n, n) stacks, and the perturbations and
+    section tangents per row, as (P, R, n, n) stacks.  All derivative terms
+    come from one Dual evaluation, whose row perturbs its point along its
+    own derivative section only; all bracket terms come from one plain
+    evaluation, whose rows a point without that many brackets fills with
+    copies of a bracket term, read nowhere.
     """
-    rows = np.broadcast_to(mats, (len(triples),) + np.shape(mats)[-3:])
-    derivs = [term for s1, s2, s3 in triples
-              for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
-    dsecs, firsts, seconds = ([term[i] for term in derivs] for i in range(3))
-    at = np.repeat(rows, 3, axis=0).swapaxes(0, 1)
+    at = np.swapaxes(mats, 0, 1)[:, :, None]
+    derivs = [[term for s1, s2, s3 in per
+               for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
+              for per in triples]
+    dsecs, firsts, seconds = ([[term[i] for term in per] for per in derivs]
+                              for i in range(3))
     base = section_value(site, dsecs, at)
     dmats = [q if v is None else Dual(q, v) for q, v in zip(at, base.comps)]
     out = form.evaluate(dmats, section_value(site, firsts, dmats),
                         section_value(site, seconds, dmats))
     d = np.broadcast_to(out.eps if isinstance(out, Dual) else 0.0,
-                        (len(derivs),)).reshape(-1, 3)
+                        (len(derivs), len(derivs[0]))).reshape(-1, 3)
     total = np.array(d[:, 0] - d[:, 1] + d[:, 2], dtype=complex)
 
-    brackets = []               # (triple, sign, bracket section, other section)
-    for t, (s1, s2, s3) in enumerate(triples):
-        for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2), (-1, s2, s3, s1)):
-            br = section_bracket(site, sa, sb)
-            if br is not None:
-                brackets.append((t, sign, br, other))
-    if brackets:
-        ts, signs, brs, others = zip(*brackets)
-        at = rows[list(ts)].swapaxes(0, 1)
+    # per point: (triple, sign, bracket section, other section)
+    brackets = [[] for _ in triples]
+    for p, per in enumerate(triples):
+        for t, (s1, s2, s3) in enumerate(per):
+            for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2),
+                                        (-1, s2, s3, s1)):
+                br = section_bracket(site, sa, sb)
+                if br is not None:
+                    brackets[p].append((p * len(per) + t, sign, br, other))
+    width = max(map(len, brackets))
+    if width:
+        filler = next(rows[0] for rows in brackets if rows)
+        grid = [rows + [filler] * (width - len(rows)) for rows in brackets]
+        brs, others = ([[row[i] for row in rows] for rows in grid]
+                       for i in (2, 3))
         vals = np.broadcast_to(form.evaluate(at, section_value(site, brs, at),
                                              section_value(site, others, at)),
-                               (len(brackets),))
+                               (len(grid), width))
+        vals = np.concatenate([v[:len(rows)]
+                               for v, rows in zip(vals, brackets)])
+        ts, signs, _, _ = zip(*(row for rows in brackets for row in rows))
         # in order per triple, as the terms are written above
         np.add.at(total, list(ts), np.where(np.array(signs) < 0, -vals, vals))
     return total
@@ -413,11 +450,17 @@ def eval_lambda(model, pairing, gi, v1, v2, v3):
 # differentials, brackets and the Jacobiator
 # ---------------------------------------------------------------------------
 
+def _frame_duals(point):
+    """The point's factor matrices as Duals that carry every frame vector as
+    a batch of perturbations."""
+    return [Dual(q, v) for q, v in zip(point.mats, point.frame().stacked)]
+
+
 def differential(point, fn):
     """Frame components of df at the point, from one Dual evaluation that
     carries every frame vector as a batch of perturbations."""
     frame = point.frame()
-    out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
+    out = fn(_frame_duals(point))
     if not isinstance(out, Dual):
         return np.zeros(frame.dim, dtype=complex)
     return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)

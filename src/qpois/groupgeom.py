@@ -36,14 +36,19 @@ entries per word, keyed by the word and built on first request:
   factor inverses);
 - Ad_g and Ad_g^-1, from that entry (no frame);
 - the trivialized differentials L, R over the frame vectors, which read
-  g^-1 from the first entry and the derivative of g from one `word_tangent`
-  pass per factor of the word, along that factor's frame vectors (the
-  other factors' rows are zero).
+  g^-1 from the first entry and the derivative of g along every frame
+  vector of the word's factors, formed on those factors' frame rows only
+  (the other rows are zero).
 
 One recurrence differentiates every word outside the relator solver:
-`word_tangent` carries the running product W and its derivative D through
-the letters, D <- D t + W dt, and reads the letters from its caller, who
+`word_tangent` carries the running product W through the letters once and,
+for each of several tangents, its derivative D, D <- D t + W dt, and hands
+out (W, D, ...) at every prefix.  It reads the letters from its caller, who
 holds them: a point's are its factors and `inverses()` (`SitePoint.letters`).
+A batch sweeps a word once, along every factor of it at once, and keeps
+the state at each prefix, so a word that begins one already swept costs no
+letter: its value and derivatives are read there.  Callers that need many
+words (the 2-form's frame matrix) ask for the longest first.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from functools import reduce
 
 import numpy as np
 
-from .duals import dinv, value
+from .duals import dinv, matmul, value
 from .errors import BadSignature, LiftFailed
 from .liealg import _rank, adjoint_matrix, random_group_elements
 
@@ -125,7 +130,8 @@ class _Entries:
         return self.memo("inverses", lambda batch: np.linalg.inv(batch.mats))
 
     def word_value(self, word):
-        """(g, g^-1): the word's value at the point, folded from its
+        """(g, g^-1): the word's value at the point, the running product of
+        the batch's sweep of a word it begins, or else folded from its
         `letters`, and the inverse of that value (a one-letter word with a
         positive letter reads it from `inverses()`)."""
         return self.memo(("value", word), lambda batch: _word_value(batch, word))
@@ -137,9 +143,10 @@ class _Entries:
 
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
-        dW(v_a) g^-1 over the frame vectors v_a, dW from one `word_tangent`
-        pass over the batch's letters per factor of the word, along that
-        factor's frame vectors.  NotInSpan when a row leaves the algebra."""
+        dW(v_a) g^-1 over the frame vectors v_a, dW read from the batch's
+        sweep of a word this one begins, or from one `word_tangent` sweep of
+        this word along every factor of it at once; zero on the rows of the
+        other factors.  NotInSpan when a row leaves the algebra."""
         return self.memo(("differentials", word),
                          lambda batch: _word_differentials(batch, word))
 
@@ -160,6 +167,8 @@ class PointBatch(_Entries):
         self.mats = np.array(mats, dtype=complex)      # (S, nfac, n, n)
         self.mats.setflags(write=False)
         self._memo = {}
+        # word prefix -> its state in a word_tangent sweep (_prefix_state)
+        self._prefixes = {}
 
     def points(self):
         return [SitePoint(self, i) for i in range(len(self.mats))]
@@ -250,33 +259,43 @@ def word_eval(word, mats):
     return reduce(operator.matmul, _letters(word, mats, _Inverses(mats)))
 
 
-def word_tangent(word, letters, tangent):
-    """Derivative of the value of a non-empty word in the direction of an
-    ambient tangent, from the word's letters as matrices (a factor, or its
-    inverse), which the caller holds, so nothing is inverted here.
+def word_tangent(word, letters, tangents):
+    """The value of a non-empty word and its derivatives in the directions of
+    several ambient tangents at once, at every prefix of the word, from the
+    word's letters as matrices (a factor, or its inverse), which the caller
+    holds, so nothing is inverted here.
 
-    tangent may be a Tangent, a plain list or an (nfac, ...) array; None
+    A tangent may be a Tangent, a plain list or an (nfac, ...) array; None
     components contribute zero.  One pass over the letters carries the
-    running product W and its derivative D: a letter t with derivative dt,
-    which is -t v t for an inverse letter, gives D <- D t + W dt, the
-    recurrence a Dual evaluation of word_eval performs.  Dual-transparent.
-    The derivative is a zero of the letters' shape when no component moves a
-    letter.
+    running product W, once for all tangents, and per tangent its derivative
+    D: a letter t with derivative dt, which is -t v t for an inverse letter,
+    gives D <- D t + W dt, the recurrence a Dual evaluation of word_eval
+    performs.  Every product is a `duals.matmul`, so a stack of directions
+    times a letter is one GEMM per batch row.  Dual-transparent.
+
+    Returns per prefix, shortest first, the tuple (W, D_1, ..., D_m) of its
+    value and its derivative along each tangent; a derivative is a zero of
+    the letters' shape while no component has moved a letter.  A word that
+    begins another reads its state there.
     """
-    comps = tangent.comps if isinstance(tangent, Tangent) else tangent
-    prod = out = None
+    comps = [t.comps if isinstance(t, Tangent) else t for t in tangents]
+    prod, outs, zero = None, [None] * len(comps), None
+    states = []
     for (f, p), t in zip(word, letters):
-        v = comps[f]
-        if out is not None:
-            out = out @ t
-        if v is not None:
-            dt = v if p == 1 else -(t @ v @ t)
-            piece = dt if prod is None else prod @ dt
-            out = piece if out is None else piece + out
-        prod = t if prod is None else prod @ t
-    if out is None:
-        return np.zeros(np.shape(value(letters[0])), dtype=complex)
-    return out
+        for i, comp in enumerate(comps):
+            out, v = outs[i], comp[f]
+            if out is not None:
+                out = matmul(out, t)
+            if v is not None:
+                dt = v if p == 1 else -matmul(matmul(t, v), t)
+                piece = dt if prod is None else matmul(prod, dt)
+                out = piece if out is None else piece + out
+            outs[i] = out
+        prod = t if prod is None else matmul(prod, t)
+        if zero is None and any(out is None for out in outs):
+            zero = np.zeros(np.shape(value(letters[0])), dtype=complex)
+        states.append((prod, *(zero if out is None else out for out in outs)))
+    return states
 
 
 class _Inverses(dict):
@@ -297,11 +316,10 @@ def _letters(word, mats, inverses):
     return [mats[f] if p == 1 else inverses[f] for f, p in word]
 
 
-def _fold(word, letters, inverses):
-    """(g, g^-1) for a non-empty word, g its letters' product.  A one-letter
-    word with a positive letter reads g^-1 from the factor inverses; any
-    other word inverts g with dinv."""
-    g = reduce(operator.matmul, letters)
+def _with_inverse(word, g, inverses):
+    """(g, g^-1) for the value g of a non-empty word.  A one-letter word
+    with a positive letter reads g^-1 from the factor inverses; any other
+    word inverts g with dinv."""
     if len(word) == 1 and word[0][1] == 1:
         return g, inverses[word[0][0]]
     return g, dinv(g)
@@ -312,7 +330,11 @@ def _word_value(batch, word):
         n = batch.site.model.n
         eye = np.broadcast_to(np.eye(n, dtype=complex), (len(batch.mats), n, n))
         return eye, eye
-    return _fold(word, batch.letters(word), batch.inverses().swapaxes(0, 1))
+    if word in batch._prefixes:
+        g = batch._prefixes[word][0][:, 0]
+    else:
+        g = reduce(operator.matmul, batch.letters(word))
+    return _with_inverse(word, g, batch.inverses().swapaxes(0, 1))
 
 
 def _word_ad(batch, word):
@@ -323,18 +345,41 @@ def _word_ad(batch, word):
             adjoint_matrix(model, gi, np.linalg.inv(gi)))
 
 
+def _prefix_state(batch, word):
+    """(W, {f: D_f}) of a non-empty word at the batch's points: W its value,
+    (S, 1, n, n), and D_f its derivative along factor f's frame vectors,
+    (S, k_f, n, n), for every factor f of the word.  Read from the sweep of
+    a word that it begins, or else from one `word_tangent` sweep of the word
+    itself, along every factor's frame vectors at once, whose every prefix
+    the batch keeps."""
+    if word not in batch._prefixes:
+        factors = sorted({f for f, _ in word})
+        per_factor = batch.frame().per_factor
+        tangents = [[per_factor[f] if g == f else None
+                     for g in range(batch.site.nfac)] for f in factors]
+        letters = [t[:, None] for t in batch.letters(word)]
+        for k, (prod, *derivs) in enumerate(
+                word_tangent(word, letters, tangents), 1):
+            batch._prefixes.setdefault(word[:k],
+                                       (prod, dict(zip(factors, derivs))))
+    return batch._prefixes[word]
+
+
 def _word_differentials(batch, word):
-    gi = batch.word_value(word)[1][:, None]
     frame, model = batch.frame(), batch.site.model
-    dv = np.zeros((len(batch.mats), frame.dim, model.n, model.n), dtype=complex)
-    letters = [t[:, None] for t in batch.letters(word)]
-    # one pass per factor of the word, along that factor's frame vectors:
-    # every other row is zero (all of them for the empty word)
-    for f in sorted({f for f, _ in word}):
-        comps = [None] * batch.site.nfac
-        comps[f] = frame.per_factor[f]
-        dv[:, frame.rows[f]] = word_tangent(word, letters, comps)
-    return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
+    left = np.zeros((len(batch.mats), frame.dim, model.d), dtype=complex)
+    right = np.zeros_like(left)
+    if not word:
+        return left, right
+    derivs = _prefix_state(batch, word)[1]
+    gi = batch.word_value(word)[1][:, None]
+    # the rows of the word's factors; every other row is zero
+    factors = sorted({f for f, _ in word})
+    rows = np.r_[tuple(frame.rows[f] for f in factors)]
+    dv = np.concatenate([derivs[f] for f in factors], axis=1)
+    left[:, rows] = model.coeffs(gi @ dv)
+    right[:, rows] = model.coeffs(matmul(dv, gi))
+    return left, right
 
 
 def _conjugation_map(model, q):

@@ -477,27 +477,30 @@ def _closure_residual(site, form, pullbacks, points, seed):
     _TRIPLES random section triples at each point, the sum over the
     (coefficient c, word W) pullbacks of the cubic form.
 
-    Every point's triples are drawn first, in point order; then all triples
-    of all points are rows of one `exterior_d3` and, per pullback word, of
-    one `word_tangent` and one `eval_lambda`."""
-    model = site.model
+    Every point's triples are drawn first, in point order; then the points
+    and their triples go to one `exterior_d3` and, per pullback word, to
+    one `word_tangent` and one `eval_lambda`, with each point's factors,
+    inverses and word value once, (P, 1, n, n), and its sections' tangents
+    as rows, (P, 3 _TRIPLES, n, n)."""
+    model, npts, n = site.model, len(points), site.model.n
     rng = np.random.Generator(np.random.PCG64(seed))
-    drawn = [_random_sections(site, rng) for _ in range(_TRIPLES * len(points))]
-    # triple t at point t // _TRIPLES, its sections in entries 3t, 3t + 1, 3t + 2
-    mats = np.repeat(np.stack([p.mats for p in points]), _TRIPLES, axis=0)
-    lhs = exterior_d3(site, form, mats, drawn)
-    at = np.repeat(mats, 3, axis=0).swapaxes(0, 1)
-    inverses = np.repeat(np.stack([p.inverses() for p in points]),
-                         3 * _TRIPLES, axis=0).swapaxes(0, 1)
-    ts = section_value(site, [s for t in drawn for s in t], at)
+    drawn = [[_random_sections(site, rng) for _ in range(_TRIPLES)]
+             for _ in points]
+    mats = np.stack([p.mats for p in points])
+    lhs = exterior_d3(site, form, mats, drawn).reshape(npts, _TRIPLES)
+    at = mats.swapaxes(0, 1)[:, :, None]
+    inverses = np.stack([p.inverses() for p in points]).swapaxes(0, 1)
+    inverses = inverses[:, :, None]
+    ts = section_value(site, [[s for t in per for s in t] for per in drawn],
+                       at)
     rhs = 0.0
     for coef, word in pullbacks:
-        gi = np.repeat(np.stack([p.word_value(word)[1] for p in points]),
-                       _TRIPLES, axis=0)
-        dv = word_tangent(word, _letters(word, at, inverses), ts).reshape(
-            len(drawn), 3, model.n, model.n)
-        rhs = rhs + coef * eval_lambda(model, site.pairing, gi,
-                                       dv[:, 0], dv[:, 1], dv[:, 2])
+        gi = np.stack([p.word_value(word)[1] for p in points])[:, None]
+        dv = word_tangent(word, _letters(word, at, inverses), [ts])[-1][1]
+        dv = np.broadcast_to(dv, (npts, 3 * _TRIPLES, n, n)).reshape(
+            npts, _TRIPLES, 3, n, n)
+        rhs = rhs + coef * eval_lambda(model, site.pairing, gi, dv[:, :, 0],
+                                       dv[:, :, 1], dv[:, :, 2])
     return _worst(0.0, lhs - rhs)
 
 

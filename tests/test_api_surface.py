@@ -12,8 +12,6 @@ from pathlib import Path
 import qpois
 
 DEFAULTED = {
-    "charvar.poisson_ideal_residual.vanishing(_c)",
-    "charvar.poisson_ideal_residual.vanishing(_m)",
     "charvar.solve_relator(seed)",
     "cli.build_setup(seed)",
     "cli.compute_brackets(seed)",

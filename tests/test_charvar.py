@@ -284,7 +284,7 @@ def _jacobian_loop(site, word, mats, target_inv):
             comps[i] = v
             letters = [mats[f] if p == 1 else np.linalg.inv(mats[f])
                        for f, p in word]
-            delta = (word_tangent(word, letters, comps)
+            delta = (word_tangent(word, letters, [comps])[-1][1]
                      @ target_inv).reshape(-1)
             cols.append(np.concatenate([delta.real, delta.imag]))
             cols.append(np.concatenate([-delta.imag, delta.real]))
@@ -307,11 +307,61 @@ def test_batched_jacobian_matches_direction_loop(build, genus, reps):
     rng = np.random.default_rng(5)
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
     mats = np.stack([random_point(site, rng).mats for _ in range(3)])
-    got = _relator_jacobian(site, word, mats, np.linalg.inv(mats), target_inv)
+    invs = np.linalg.inv(mats)
+    prefixes = _relator_gap(word, mats, invs, target_inv)[1]
+    got = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
     assert got.shape == (3, 2 * model.n ** 2, 2 * model.d * site.nfac)
     for row, row_mats in zip(got, mats):
         ref = _jacobian_loop(site, word, row_mats, target_inv)
         assert np.abs(row - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _prefix_sweep_jacobian(site, word, mats, invs, target_inv):
+    """The complex Jacobian blocks from a sweep of their own prefix
+    products, I t_0 t_1 ..., one letter's term at a time."""
+    n, d = site.model.n, site.model.d
+    terms = [t[:, None] for t in (mats[:, f] if p == 1 else invs[:, f]
+                                  for f, p in word)]
+    prefix = [np.eye(n, dtype=complex)]
+    for t in terms:
+        prefix.append(prefix[-1] @ t)
+    suffix = [target_inv]
+    for t in reversed(terms):
+        suffix.append(t @ suffix[-1])
+    suffix.reverse()
+    qs = mats[:, :, None]
+    directions = [qs[:, f] @ site.model.basis if fac.kind == "group"
+                  else site.model.basis @ qs[:, f] - qs[:, f] @ site.model.basis
+                  for f, fac in enumerate(site.factors)]
+    delta = np.zeros((len(mats), site.nfac, d, n, n), dtype=complex)
+    for i, (f, p) in enumerate(word):
+        if p == 1:
+            delta[:, f] += prefix[i] @ directions[f] @ suffix[i + 1]
+        else:
+            delta[:, f] -= prefix[i + 1] @ directions[f] @ suffix[i]
+    return delta.reshape(len(mats), site.nfac * d, -1)
+
+
+@JACOBIAN_SITES
+def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps):
+    """The Jacobian reads the prefix products its gap folded, and forms all
+    letters' terms in two stacked products, with the bits of a sweep of
+    its own prefixes that forms one letter's term at a time."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    word = relator_word(site, genus, len(reps))
+    rng = np.random.default_rng(7)
+    target_inv = np.linalg.inv(random_point(site, rng).mats[0])
+    for rows in (1, 8):
+        mats = np.stack([random_point(site, rng).mats for _ in range(rows)])
+        invs = np.linalg.inv(mats)
+        prefixes = _relator_gap(word, mats, invs, target_inv)[1]
+        got = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
+        delta = _prefix_sweep_jacobian(site, word, mats, invs, target_inv)
+        assert np.array_equal(got[..., 0::2].swapaxes(1, 2),
+                              np.concatenate([delta.real, delta.imag], axis=2))
+        assert np.array_equal(got[..., 1::2].swapaxes(1, 2),
+                              np.concatenate([-delta.imag, delta.real], axis=2))
 
 
 @JACOBIAN_SITES
@@ -369,8 +419,9 @@ def test_damped_step_solves_the_normal_equations(build, genus, reps):
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
     mats = np.stack([random_point(site, rng).mats for _ in range(2)])
     invs = np.linalg.inv(mats)
-    jmats = _relator_jacobian(site, word, mats, invs, target_inv)
-    rvecs = _real_stack(_relator_gap(word, mats, invs, target_inv))
+    gaps, prefixes = _relator_gap(word, mats, invs, target_inv)
+    jmats = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
+    rvecs = _real_stack(gaps)
     parts = _step_parts(jmats, rvecs)
     for mu in 10.0 ** np.arange(-14, 14):
         steps = _damped_steps(*parts, np.full(2, mu))

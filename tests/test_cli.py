@@ -240,6 +240,12 @@ def _last_point_rows_nan(out):
     return out
 
 
+def _last_prefix_nan(states):
+    """A word sweep whose last prefix state, the whole word's value and
+    derivative, is NaN."""
+    return states[:-1] + [tuple(np.full_like(x, np.nan) for x in states[-1])]
+
+
 @pytest.mark.parametrize("module, name, check_id, call, poison", [
     ("cli", "momentum_residual", "momentum_bivector_law", 2,
      lambda out: float("nan")),
@@ -248,9 +254,11 @@ def _last_point_rows_nan(out):
     # every point's triples are rows of one evaluation
     ("quasi", "exterior_d3", "quasi_closedness", 1, _last_point_rows_nan),
     ("charvar", "word_tangent", "invariant_level_tangency", 2,
-     lambda out: np.full_like(out, np.nan)),
+     _last_prefix_nan),
     ("charvar", "jacobiator", "jacobi_at_level", 2, lambda out: complex("nan")),
-    ("charvar", "bracket_funcs", "poisson_ideal", 2, lambda out: complex("nan")),
+    # one df per point; each power's bracket reads it
+    ("charvar", "differential", "poisson_ideal", 2,
+     lambda out: np.full_like(out, np.nan)),
 ], ids=["runner", "class_tangency", "quasi_worst", "level_tangency",
         "jacobi_invariants", "poisson_ideal"])
 def test_nan_at_a_later_sample_fails_the_check(monkeypatch, module, name,

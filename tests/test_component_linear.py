@@ -78,7 +78,7 @@ def _word_diffs(point, word):
     model, frame, mats = point.site.model, point.frame(), point.mats
     gi = np.linalg.inv(word_eval(word, mats))
     letters = [mats[f] if p == 1 else np.linalg.inv(mats[f]) for f, p in word]
-    dvs = [word_tangent(word, letters, v) for v in frame_vectors(frame)]
+    dvs = [word_tangent(word, letters, [v])[-1][1] for v in frame_vectors(frame)]
     return (np.array([model.coeffs(gi @ dv) for dv in dvs]),
             np.array([model.coeffs(dv @ gi) for dv in dvs]))
 

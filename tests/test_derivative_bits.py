@@ -1,18 +1,25 @@
-"""The derivative paths that lift only what a function or word reads are bit
-for bit the full-row paths they replace.
+"""The derivative paths that lift only what a function or word reads, or
+fold a stack into one GEMM per row, are bit for bit the paths they replace.
 
-The Jacobiator lifts each function only on the atom rows of the factors it
-reads, and a closure check's points are rows of one `exterior_d3`.  Each is
-compared with `np.array_equal` against the construction it replaces,
-written out here: the Jacobiator on every factor's atom rows, and
-`exterior_d3` and the closure residuals one point at a time.  (The word
-differentials per factor block are compared in `test_word_data_bits.py`.)
+`duals.matmul` folds a stack into the rows of one GEMM per batch row when
+the right factor is one matrix per row, and leaves a shared left factor to
+``np.matmul``.  The Jacobiator lifts each function only on the atom rows of
+the factors it reads.  A batch sweeps each chain of words (a word and the
+words that begin it) once, along every factor of it at once.  A closure
+check's points and their triples are the (point, row) stacks of one
+`exterior_d3`.  Each is compared with `np.array_equal` against the
+construction it replaces, written out here: ``np.matmul``, the Jacobiator
+on every factor's atom rows, one plain recurrence per word and factor, and
+`exterior_d3` and the closure residuals one point at a time.
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import qpois.fields as fields
+import qpois.groupgeom as groupgeom
 from qpois import models
 from qpois.charvar import TraceFunction
 from qpois.duals import Dual, dtrace, matmul
@@ -27,6 +34,7 @@ from qpois.fields import (
     section_value,
 )
 from qpois.groupgeom import parse_word, random_point, random_points, word_tangent
+from qpois.quasi import relator_word
 from qpois.quasi import (
     _TRIPLES,
     _random_sections,
@@ -52,6 +60,50 @@ def _site(name):
     build, genus, reps = SITES[name]
     model, pairing = build()
     return assemble_surface_site(model, pairing, genus, reps)
+
+
+def _rand(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# ---------------------------------------------------------------------------
+# row folds keep the bits of np.matmul; a shared left factor is not folded
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_row_folds_keep_the_bits_of_matmul(n):
+    """(S, R, n, k) @ (S, 1, k, m), (..., n, k) @ (k, m) and their one-axis
+    forms, on plain arrays and on the parts of Dual products whose value is
+    one matrix per row and whose perturbation is one per (row, R) entry."""
+    rng = np.random.default_rng(50 + n)
+    for s in (1, 8, 64):
+        for r in (1, 2, 3, 17, 128):
+            a, b = _rand(rng, s, r, n, n + 1), _rand(rng, s, 1, n + 1, n - 1)
+            one = _rand(rng, n + 1, n - 1)
+            for x, y in ((a, b), (a, one), (a[0], one), (a[0], b[0])):
+                assert np.array_equal(matmul(x, y), np.matmul(x, y)), (s, r)
+            x = Dual(_rand(rng, s, 1, n, n), _rand(rng, s, r, n, n))
+            y = Dual(_rand(rng, s, 1, n, n), _rand(rng, s, r, n, n))
+            z = x @ y
+            assert np.array_equal(z.re, np.matmul(x.re, y.re))
+            assert np.array_equal(z.eps, np.matmul(x.re, y.eps)
+                                  + np.matmul(x.eps, y.re)), (s, r)
+
+
+def test_a_shared_left_factor_is_not_folded():
+    """(S, 1, n, k) @ (S, R, k, m) is np.matmul.  Laying the R matrices side
+    by side in the columns of one GEMM per row would round differently."""
+    rng = np.random.default_rng(55)
+    column_fold_differs = 0
+    for n in range(2, 6):
+        for r in (8, 64, 128):
+            a, b = _rand(rng, 8, 1, n, n), _rand(rng, 8, r, n, n)
+            ref = np.matmul(a, b)
+            assert np.array_equal(matmul(a, b), ref)
+            cols = a[:, 0] @ np.moveaxis(b, 1, -2).reshape(8, n, r * n)
+            cols = cols.reshape(8, n, r, n).swapaxes(1, 2)
+            column_fold_differs += not np.array_equal(cols, ref)
+    assert column_fold_differs
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +212,74 @@ def test_a_factor_read_only_by_the_lifted_evaluation_raises():
 
 
 # ---------------------------------------------------------------------------
+# one sweep per chain of words
+# ---------------------------------------------------------------------------
+
+def _plain_word_tangent(word, letters, comps):
+    """The derivative of a word along one tangent, with a plain ``@`` for
+    every product."""
+    prod = out = None
+    for (f, p), t in zip(word, letters):
+        v = comps[f]
+        if out is not None:
+            out = out @ t
+        if v is not None:
+            dt = v if p == 1 else -(t @ v @ t)
+            piece = dt if prod is None else prod @ dt
+            out = piece if out is None else piece + out
+        prod = t if prod is None else prod @ t
+    return out
+
+
+def _per_factor_differentials(batch, word):
+    """(L, R) of a word at a batch, from its own letters: one plain
+    recurrence per factor of the word, along that factor's frame vectors,
+    over every frame row."""
+    frame, model = batch.frame(), batch.site.model
+    letters = batch.letters(word)
+    g = reduce(np.matmul, letters)
+    gi = (batch.inverses()[:, word[0][0]] if len(word) == 1 and word[0][1] == 1
+          else np.linalg.inv(g))[:, None]
+    dv = np.zeros((len(batch.mats), frame.dim, model.n, model.n), dtype=complex)
+    for f in sorted({f for f, _ in word}):
+        comps = [None] * batch.site.nfac
+        comps[f] = frame.per_factor[f]
+        dv[:, frame.rows[f]] = _plain_word_tangent(
+            word, [t[:, None] for t in letters], comps)
+    return g, model.coeffs(gi @ dv), model.coeffs(dv @ gi)
+
+
+@BY_SITE
+def test_chain_sweeps_equal_one_recurrence_per_word_and_factor(name, monkeypatch):
+    """Asked for longest first, the 2-form's words, the momentum words and
+    every prefix of the relator come from one sweep per chain, yet each
+    word's value and differentials keep the bits of its own recurrences."""
+    site, _, qh = _site(name)
+    build, genus, reps = SITES[name]
+    relator = relator_word(site, genus, len(reps))
+    words = ({w for t in qh.form.pair_terms for w in (t.word_u, t.word_v)}
+             | {c.word for c in qh.momentum}
+             | {relator[:k] for k in range(1, len(relator) + 1)})
+    sweeps = []
+
+    def counted(word, letters, tangents):
+        sweeps.append(word)
+        return word_tangent(word, letters, tangents)
+
+    monkeypatch.setattr(groupgeom, "word_tangent", counted)
+    batch = random_points(site, np.random.default_rng(47), 5)[0]._batch
+    for w in sorted(words, key=len, reverse=True):
+        batch.word_differentials(w)
+    monkeypatch.undo()
+    assert len(sweeps) < len(words) and relator in sweeps
+    for w in words:
+        g, left, right = _per_factor_differentials(batch, w)
+        assert np.array_equal(batch.word_value(w)[0], g), w
+        got = batch.word_differentials(w)
+        assert np.array_equal(got[0], left) and np.array_equal(got[1], right), w
+
+
+# ---------------------------------------------------------------------------
 # exterior_d3 and the closure residuals one point at a time
 # ---------------------------------------------------------------------------
 
@@ -204,7 +324,7 @@ def _point_closure_residual(site, form, pullbacks, points, seed):
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
-            dv = np.broadcast_to(word_tangent(word, point.letters(word), ts),
+            dv = np.broadcast_to(word_tangent(word, point.letters(word), [ts])[-1][1],
                                  (3 * _TRIPLES, model.n, model.n))
             rhs = rhs + coef * eval_lambda(model, site.pairing,
                                            point.word_value(word)[1],
@@ -231,9 +351,8 @@ def test_exterior_d3_on_rows_equals_one_call_per_point(name):
     rng = np.random.default_rng(44)
     points = _points(site, rng)
     per_point = [_triples(site, rng, 5) for _ in points]
-    got = exterior_d3(site, qh.form,
-                      np.repeat(np.stack([p.mats for p in points]), 5, axis=0),
-                      [t for triples in per_point for t in triples])
+    got = exterior_d3(site, qh.form, np.stack([p.mats for p in points]),
+                      per_point)
     ref = np.concatenate([_point_exterior_d3(site, qh.form, p, triples)
                           for p, triples in zip(points, per_point)])
     assert np.array_equal(got, ref)
@@ -244,7 +363,7 @@ def test_a_word_no_tangent_moves_has_a_zero_of_the_letters_shape():
     point = random_point(site, np.random.default_rng(46))
     word = parse_word(site, "aB")
     letters = [np.repeat(t[None], 5, axis=0) for t in point.letters(word)]
-    zero = word_tangent(word, letters, [None] * site.nfac)
+    zero = word_tangent(word, letters, [[None] * site.nfac])[-1][1]
     assert zero.shape == (5, site.model.n, site.model.n) and not zero.any()
 
 

@@ -191,7 +191,7 @@ def test_exterior_d3_fd_oracle():
     secs = [Section(0, "left", np.array([1.0, 0, 0])),
             Section(0, "left", np.array([0, 1.0, 0])),
             Section(1, "left", np.array([0, 0, 1.0]))]
-    exact = exterior_d3(site, form, p.mats, [secs])[0]
+    exact = exterior_d3(site, form, p.mats[None], [[secs]])[0]
 
     def ev(mats, sa, sb):
         return form.evaluate(mats, section_value(site, [sa], mats),
@@ -525,8 +525,8 @@ def test_exterior_d3_on_triples_matches_one_call_per_triple(name):
     # two triples on one factor each, so that every bracket term is present
     picks += [[0, 0, 0], [last, last, 0]]
     triples = [[_section(site, rng, int(f)) for f in fs] for fs in picks]
-    got = exterior_d3(site, form, p.mats, triples)
-    ref = [exterior_d3(site, form, p.mats, [t])[0] for t in triples]
+    got = exterior_d3(site, form, p.mats[None], [triples])
+    ref = [exterior_d3(site, form, p.mats[None], [[t]])[0] for t in triples]
     assert got.shape == (len(triples),)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
@@ -550,7 +550,7 @@ def test_exterior_d3_fd_oracle_with_class_factors():
     assert form.tau_terms and site.class_indices() == [2, 3]
     picks = [[2, 2, 3], [0, 2, 2], [1, 3, 0], [3, 3, 3], [0, 0, 2]]
     triples = [[_section(site, rng, f) for f in fs] for fs in picks]
-    exact = exterior_d3(site, form, p.mats, triples)
+    exact = exterior_d3(site, form, p.mats[None], [triples])
 
     def ev(mats, sa, sb):
         return form.evaluate(mats, section_value(site, [sa], mats),

@@ -9,8 +9,9 @@ Random group elements come from one grouped exponential per stack
 the invariance probes, the pairing's invariance gate and the equivariance
 check, inverts its stack once and hands g^-1 on.  A closure check's points
 are rows of one `exterior_d3`, so its form evaluations invert once per
-check, not once per point.  So `verify all` on SL(2) genus 2 at seed 0
-stays within 211 `np.linalg.inv` calls.
+check, not once per point, and `poisson_ideal_residual` evaluates the
+relator once per point, not once per matrix power.  So `verify all` on
+SL(2) genus 2 at seed 0 stays within 199 `np.linalg.inv` calls.
 `FormField.evaluate` inverts each factor it reads inverted with one `dinv`,
 so one `np.linalg.inv`, per call, and the value of each word other than a
 positive letter with one more.
@@ -25,7 +26,7 @@ from qpois.fields import Section, exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
-_VERIFY_INV_CALLS = 211
+_VERIFY_INV_CALLS = 199
 
 
 def test_verify_all_inverts_within_its_count(monkeypatch):
@@ -73,7 +74,7 @@ def test_form_evaluation_inverts_each_factor_once(monkeypatch):
             for f, fac in enumerate(site.factors)]
     triples = [(secs[0], secs[1], secs[2]), (secs[3], secs[0], secs[0]),
                (secs[1], secs[1], secs[3])]
-    exterior_d3(site, form, point.mats, triples)
+    exterior_d3(site, form, point.mats[None], [triples])
     # at most one inversion per factor read inverted, and one per word value
     # that is not a positive letter's
     folded = [w for w in words if not (len(w) == 1 and w[0][1] == 1)]

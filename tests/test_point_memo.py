@@ -38,14 +38,23 @@ def _two_puncture(seed=15):
     return site, qp, qh, random_point(site, np.random.default_rng(seed))
 
 
+def _chains(words):
+    """The words that begin no other word of the set: every word of the set
+    is a prefix of one of them."""
+    return {w for w in words
+            if not any(len(v) > len(w) and v[:len(w)] == w for v in words)}
+
+
 def test_each_word_is_differentiated_once_per_batch(monkeypatch):
     """Residuals at every point of a batch build each entry once, for the
-    whole batch: one `word_tangent` call per word and factor of the word,
-    along that factor's frame vectors, and no point builds its own entry."""
+    whole batch, and step each chain's letters once per factor: one
+    `word_tangent` sweep per chain, the longest word of the chain, along
+    every factor of it at once, whose prefix states give the chain's other
+    words; no point builds its own entry."""
     site, qp, qh, _ = _two_puncture()
     points = random_points(site, np.random.default_rng(16), 3)
     batch = points[0]._batch
-    counts, tangents, builds = Counter(), Counter(), Counter()
+    counts, sweeps, builds = Counter(), Counter(), Counter()
     orig_diff, orig_tangent = groupgeom._word_differentials, groupgeom.word_tangent
     orig_memo = groupgeom.PointBatch.memo
 
@@ -53,9 +62,9 @@ def test_each_word_is_differentiated_once_per_batch(monkeypatch):
         counts[word] += 1
         return orig_diff(batch, word)
 
-    def counted_tangent(word, letters, tangent):
-        tangents[word] += 1
-        return orig_tangent(word, letters, tangent)
+    def counted_tangent(word, letters, tangents):
+        sweeps[word, len(tangents)] += 1
+        return orig_tangent(word, letters, tangents)
 
     def memo(self, key, build):
         if key not in self._memo:
@@ -73,7 +82,10 @@ def test_each_word_is_differentiated_once_per_batch(monkeypatch):
         dirac_booleans(qh, p, 0)
     assert qh.momentum[0].word in counts
     assert counts and set(counts.values()) == {1}, counts
-    assert tangents == {w: len({f for f, _ in w}) for w in counts if w}, tangents
+    words = {w for w in counts if w}
+    # one sweep per chain, once, along each factor of its word
+    assert sweeps == {(w, len({f for f, _ in w})): 1 for w in _chains(words)}, sweeps
+    assert len(sweeps) < len(words)
     assert {owner for owner, _ in builds} == {id(batch)}
     assert set(builds.values()) == {1}
     assert qp.bivector in batch._memo and qh.form in batch._memo
@@ -193,21 +205,23 @@ def test_closedness_residuals_make_two_evaluations_per_point(monkeypatch):
 
 
 def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
-    """One letter list per word, and one recurrence per word and tangent."""
+    """One evaluation steps each chain's letters once per tangent: one
+    letter list and one `word_tangent` sweep along both tangents per chain,
+    whose prefix states give the chain's other words."""
     model, pairing = models.sl2_abelian()
     site, _, qh = assemble_surface_site(model, pairing, 3, [])
     words = ({t.word_u for t in qh.form.pair_terms}
              | {t.word_v for t in qh.form.pair_terms})
-    letter_lists, tangents = Counter(), Counter()
+    letter_lists, sweeps = Counter(), Counter()
     orig_letters, orig_tangent = fields._letters, fields.word_tangent
 
     def counted_letters(word, mats, inverses):
         letter_lists[word] += 1
         return orig_letters(word, mats, inverses)
 
-    def counted_tangent(word, letters, tangent):
-        tangents[word] += 1
-        return orig_tangent(word, letters, tangent)
+    def counted_tangent(word, letters, tangents):
+        sweeps[word, len(tangents)] += 1
+        return orig_tangent(word, letters, tangents)
 
     monkeypatch.setattr(fields, "_letters", counted_letters)
     monkeypatch.setattr(fields, "word_tangent", counted_tangent)
@@ -215,6 +229,8 @@ def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
     frame = p.frame()
     probes = Tangent(frame.stacked)
     qh.form.evaluate(p.mats, probes, probes)
-    assert set(letter_lists) == set(tangents) == words
-    assert set(letter_lists.values()) == {1}
-    assert set(tangents.values()) == {2}
+    chains = _chains(words)
+    # abABcdCD carries abAB, ab and a; cdCD carries cd and c; efEF ef and e
+    assert len(chains) == len(words) - 7
+    assert letter_lists == {w: 1 for w in chains}
+    assert sweeps == {(w, 2): 1 for w in chains}

@@ -35,10 +35,6 @@ NOT_REACHED = {
                                      "and a stall, which no config here "
                                      "reaches",
     "cli._common": "decorator applied at import, before the scan",
-    "duals.value": "the shape of an empty word's value and of a zero word "
-                   "derivative, when no section of a closure check moves a "
-                   "letter of a pullback word; the scanned configs reach "
-                   "neither",
 }
 
 _DIAG = [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]

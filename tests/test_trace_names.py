@@ -81,9 +81,9 @@ def test_solver_makes_one_jacobian_per_iteration(monkeypatch):
     sweeps = []
     sweep = charvar._relator_jacobian
 
-    def counted(site, word, mats, invs, target_inv):
+    def counted(site, word, mats, invs, prefixes, target_inv):
         sweeps.append(len(mats))
-        return sweep(site, word, mats, invs, target_inv)
+        return sweep(site, word, mats, invs, prefixes, target_inv)
 
     monkeypatch.setattr(charvar, "_relator_jacobian", counted)
     tracer = tracing.Tracer()

@@ -1,7 +1,8 @@
 """The per-point word data is bit for bit what the plain constructions give.
 
-`SitePoint.word_differentials` is one `word_tangent` pass per factor of the
-word, along that factor's frame vectors, `SitePoint.inverses` inverts the
+`SitePoint.word_differentials` is one `word_tangent` sweep of the word along
+every factor of it at once, formed on those factors' frame rows,
+`SitePoint.inverses` inverts the
 factors in one batch, `adjoint_matrix` expands the whole conjugated basis in
 one call, and `random_point` exponentiates the factors as one batch.  Each is compared with
 `np.array_equal` against a construction written out here: one `word_tangent`
@@ -51,7 +52,7 @@ def _reference_differentials(point, word):
     gi = np.linalg.inv(word_eval(word, point.mats))
     letters = [point.mats[f] if p == 1 else np.linalg.inv(point.mats[f])
                for f, p in word]
-    dv = (word_tangent(word, letters, frame.stacked) if word
+    dv = (word_tangent(word, letters, [frame.stacked])[-1][1] if word
           else np.zeros((frame.dim, model.n, model.n), dtype=complex))
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
