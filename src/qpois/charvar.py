@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import _dexpm_rows, dtrace, matmul
+from .duals import Dual, _dexpm_rows, dtrace, matmul
 from .errors import MaxIters, NotInvariant, Stalled
-from .fields import (
-    PAIR_WEIGHT,
-    _frame_duals,
-    bracket_funcs,
-    differential,
-    jacobiator,
-)
+from .fields import PAIR_WEIGHT, bracket_funcs, differential, jacobiator
 from .groupgeom import (
     _BATCH_POINTS,
     PointBatch,
@@ -120,7 +114,7 @@ def level_tangency_residual(desc, f, point, seed):
     """
     xf = hamiltonian_field(desc.bivector, f, point, seed)
     return float(np.max([np.abs(word_tangent(comp.word, point.letters(comp.word),
-                                             [xf])[-1][1]).max()
+                                             [xf], None)[-1][1]).max()
                          for comp in desc.momentum], initial=0.0))
 
 
@@ -130,17 +124,15 @@ def jacobi_invariants(biv, f, h, k, points):
                         initial=0.0))
 
 
-def poisson_ideal_residual(biv, phi_word, target, f, points):
-    """Max |{f, chi o word - chi(target)}| over points of the target's level
-    set.
+def poisson_ideal_residual(biv, phi_word, f, points):
+    """Max |{f, chi o word}| over points of a level set of the word.
 
     chi runs over traces of the first n matrix powers; these pullbacks cut
     out the conjugacy-class level set, and their brackets with invariants
-    vanish along it.  The constant chi(target) drops out of every bracket,
-    so target only names the level.  Per point, df and the word's value as
-    a Dual along every frame vector are evaluated once, and each power is
-    the previous one times that value; a bracket is 2 df . P . dchi, as
-    `bracket_funcs` forms it.
+    vanish along it.  Per point, df is evaluated once, and the word's value
+    and derivative along every frame vector, from the sweep of the point's
+    batch (`SitePoint.word_derivative`), form one Dual; each power is the
+    previous one times it, and a bracket is 2 df . P . dchi.
     """
     site = biv.site
     if isinstance(phi_word, str):
@@ -148,7 +140,7 @@ def poisson_ideal_residual(biv, phi_word, target, f, points):
     resid = []
     for pt in points:
         pmat, df = biv.frame_matrix(pt), differential(pt, f)
-        w = word_eval(phi_word, _frame_duals(pt))
+        w = Dual(*pt.word_derivative(phi_word))
         power = w
         for m in range(site.model.n):
             if m:

@@ -562,9 +562,8 @@ def _chk_jacobi_level(s, rng):
 def _chk_poisson_ideal(s, rng):
     f = TraceFunction(s.site, s.words[0])
     points = _converged_points(s)
-    worst = np.max([poisson_ideal_residual(s.qp.bivector, s.relator, target, f,
-                                           pts)
-                    for (_, target), pts in zip(s.targets, points)])
+    worst = np.max([poisson_ideal_residual(s.qp.bivector, s.relator, f, pts)
+                    for pts in points])
     return float(worst), sum(map(len, points))
 
 

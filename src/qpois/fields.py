@@ -20,13 +20,7 @@ import numpy as np
 
 from .duals import Dual, apply_linear, matmul
 from .errors import BadSignature, LiftFailed
-from .groupgeom import (
-    Tangent,
-    _Inverses,
-    _letters,
-    _with_inverse,
-    word_tangent,
-)
+from .groupgeom import Tangent, Words
 
 __all__ = [
     "op_L",
@@ -206,12 +200,6 @@ class FormField:
         return FormField(self.site, self.pair_terms + other.pair_terms,
                          self.tau_terms + other.tau_terms)
 
-    def _words(self):
-        """The distinct words of the pair terms, longest first."""
-        return sorted({w for term in self.pair_terms
-                       for w in (term.word_u, term.word_v)},
-                      key=len, reverse=True)
-
     def evaluate(self, mats, t1, t2):
         """Value on two Tangents; Dual-transparent.  A class term reads the
         first tangent's lift on its factor (LiftFailed when it has none).
@@ -219,33 +207,22 @@ class FormField:
         Tangent components and lifts may carry leading batch axes, the same
         on both tangents, against which the factor matrices (and a Dual
         factor's perturbation) broadcast; the value then has one entry per
-        batch entry.  Per call, each factor read inverted is inverted once,
-        and the words are swept longest first, each along both tangents at
-        once (`word_tangent`): a word that begins one already swept reads
-        its value and derivatives there, and each word's value is inverted
-        once.
+        batch entry.  One `Words` store per call inverts each factor read
+        inverted and each word's value once and sweeps the words along both
+        tangents at once.
         """
         model = self.site.model
         smat = self.site.pairing.eta_lower
-        inverses = _Inverses(mats)
-        states = {}
-        for word in self._words():
-            if word not in states:
-                sweep = word_tangent(word, _letters(word, mats, inverses),
-                                     (t1, t2))
-                for k, state in enumerate(sweep, 1):
-                    states.setdefault(word[:k], state)
-        inverted, thetas = {}, {}
+        words, pair = Words(mats, None), {0: t1, 1: t2}
+        thetas = {}
 
         def theta(word, side, i):
             """Trivialized coefficients of the word-derivative of tangent i,
             left (side 0, omega) or right (side 1, omegabar)."""
             key = (word, side, i)
             if key not in thetas:
-                if word not in inverted:
-                    inverted[word] = _with_inverse(word, states[word][0],
-                                                   inverses)[1]
-                gi, dv = inverted[word], states[word][1 + i]
+                dv = words.derivative(word, pair, i)
+                gi = words.inverse(word)
                 m = matmul(gi, dv) if side == 0 else matmul(dv, gi)
                 thetas[key] = apply_linear(model.basis_pinv, m)
             return thetas[key]
@@ -258,8 +235,8 @@ class FormField:
             b1 = theta(term.word_v, 1, 0)
             total = total + term.coef * (dual_vdot(smat, a1, b2) - dual_vdot(smat, a2, b1))
         for term in self.tau_terms:
-            f = term.factor
-            total = total + term.coef * self._tau_value(f, inverses, t1, t2)
+            total = total + term.coef * self._tau_value(
+                term.factor, words.inverses, t1, t2)
         return total
 
     def _tau_value(self, f, inverses, t1, t2):
@@ -287,10 +264,6 @@ class FormField:
         model = self.site.model
         smat = self.site.pairing.eta_lower
         full = np.zeros((len(batch.mats), frame.dim, frame.dim), dtype=complex)
-        # longest words first, so that a word which begins one already swept
-        # reads its sweep (`SitePoint.word_differentials`)
-        for word in self._words():
-            batch.word_differentials(word)
         for term in self.pair_terms:
             tu = batch.word_differentials(term.word_u)[0]
             tv = batch.word_differentials(term.word_v)[1]
@@ -450,17 +423,11 @@ def eval_lambda(model, pairing, gi, v1, v2, v3):
 # differentials, brackets and the Jacobiator
 # ---------------------------------------------------------------------------
 
-def _frame_duals(point):
-    """The point's factor matrices as Duals that carry every frame vector as
-    a batch of perturbations."""
-    return [Dual(q, v) for q, v in zip(point.mats, point.frame().stacked)]
-
-
 def differential(point, fn):
     """Frame components of df at the point, from one Dual evaluation that
     carries every frame vector as a batch of perturbations."""
     frame = point.frame()
-    out = fn(_frame_duals(point))
+    out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
     if not isinstance(out, Dual):
         return np.zeros(frame.dim, dtype=complex)
     return np.broadcast_to(np.asarray(out.eps), (frame.dim,)).astype(complex)

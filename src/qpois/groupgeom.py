@@ -28,27 +28,22 @@ not depend on its batch.
 `SitePoint.memo` hands the arrays out read-only.  Besides the frame, each
 tensor's frame matrix and each momentum component's linearization, it keeps
 the factor inverses, one batched inversion that every inverse letter, the
-frame's coefficient extractors and the 2-form's class terms read, and three
+frame's coefficient extractors and the 2-form's class terms read, and four
 entries per word, keyed by the word and built on first request:
 
-- the value g and its inverse, evaluated from the letters and inverted
-  once (no frame; a positive one-letter word reads its inverse from the
-  factor inverses);
-- Ad_g and Ad_g^-1, from that entry (no frame);
-- the trivialized differentials L, R over the frame vectors, which read
-  g^-1 from the first entry and the derivative of g along every frame
-  vector of the word's factors, formed on those factors' frame rows only
-  (the other rows are zero).
+- the value g and its inverse, and Ad_g and Ad_g^-1 (no frame);
+- g with its derivative along every frame vector, zero on the rows of the
+  factors the word does not read, and from it the trivialized
+  differentials L, R, formed on the rows of the word's factors only.
 
 One recurrence differentiates every word outside the relator solver:
-`word_tangent` carries the running product W through the letters once and,
-for each of several tangents, its derivative D, D <- D t + W dt, and hands
-out (W, D, ...) at every prefix.  It reads the letters from its caller, who
-holds them: a point's are its factors and `inverses()` (`SitePoint.letters`).
-A batch sweeps a word once, along every factor of it at once, and keeps
-the state at each prefix, so a word that begins one already swept costs no
-letter: its value and derivatives are read there.  Callers that need many
-words (the 2-form's frame matrix) ask for the longest first.
+`word_tangent` carries the running product W and, per tangent, its
+derivative D, D <- D t + W dt, from a given start state through the
+letters once, and hands out (W, D, ...) at every prefix.  One `Words` store
+per set of factor matrices keeps the letters, the inverses and every swept
+prefix's state, and continues a word from its longest swept prefix, so no
+prefix's letter is stepped twice along one tangent, whatever the order of
+requests; a batch keeps one over its (S, 1, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -77,6 +72,7 @@ __all__ = [
     "random_point",
     "random_points",
     "PointBatch",
+    "Words",
 ]
 
 
@@ -130,10 +126,8 @@ class _Entries:
         return self.memo("inverses", lambda batch: np.linalg.inv(batch.mats))
 
     def word_value(self, word):
-        """(g, g^-1): the word's value at the point, the running product of
-        the batch's sweep of a word it begins, or else folded from its
-        `letters`, and the inverse of that value (a one-letter word with a
-        positive letter reads it from `inverses()`)."""
+        """(g, g^-1): the word's value at the point and its inverse, both
+        read from the batch's `Words`."""
         return self.memo(("value", word), lambda batch: _word_value(batch, word))
 
     def word_ad(self, word):
@@ -143,12 +137,17 @@ class _Entries:
 
     def word_differentials(self, word):
         """(L, R): the (frame.dim, d) algebra coefficients of g^-1 dW(v_a) and
-        dW(v_a) g^-1 over the frame vectors v_a, dW read from the batch's
-        sweep of a word this one begins, or from one `word_tangent` sweep of
-        this word along every factor of it at once; zero on the rows of the
-        other factors.  NotInSpan when a row leaves the algebra."""
+        dW(v_a) g^-1 over the frame vectors v_a, dW from the batch's sweep of
+        the word along every factor of it; zero on the rows of the other
+        factors.  NotInSpan when a row leaves the algebra."""
         return self.memo(("differentials", word),
                          lambda batch: _word_differentials(batch, word))
+
+    def word_derivative(self, word):
+        """(g, dg): a non-empty word's value and its (frame.dim, n, n)
+        derivative along every frame vector, from the batch's sweep."""
+        return self.memo(("derivative", word),
+                         lambda batch: _word_derivative(batch, word))
 
 
 def _frame(batch):
@@ -167,16 +166,9 @@ class PointBatch(_Entries):
         self.mats = np.array(mats, dtype=complex)      # (S, nfac, n, n)
         self.mats.setflags(write=False)
         self._memo = {}
-        # word prefix -> its state in a word_tangent sweep (_prefix_state)
-        self._prefixes = {}
 
     def points(self):
         return [SitePoint(self, i) for i in range(len(self.mats))]
-
-    def letters(self, word):
-        """The word's letters as (S, n, n) stacks (`SitePoint.letters`)."""
-        return _letters(word, self.mats.swapaxes(0, 1),
-                        self.inverses().swapaxes(0, 1))
 
     def memo(self, key, build):
         """build(batch), computed on the first request for key and kept; an
@@ -191,6 +183,12 @@ class PointBatch(_Entries):
 
     def frame(self):
         return self.memo("frame", _frame)
+
+    def words(self):
+        """The batch's `Words` over its (S, 1, n, n) stacks; no batch in it."""
+        return self.memo("words", lambda batch: Words(
+            batch.mats.swapaxes(0, 1)[:, :, None],
+            batch.inverses().swapaxes(0, 1)[:, :, None]))
 
 
 class SitePoint(_Entries):
@@ -259,7 +257,7 @@ def word_eval(word, mats):
     return reduce(operator.matmul, _letters(word, mats, _Inverses(mats)))
 
 
-def word_tangent(word, letters, tangents):
+def word_tangent(word, letters, tangents, start):
     """The value of a non-empty word and its derivatives in the directions of
     several ambient tangents at once, at every prefix of the word, from the
     word's letters as matrices (a factor, or its inverse), which the caller
@@ -273,13 +271,12 @@ def word_tangent(word, letters, tangents):
     performs.  Every product is a `duals.matmul`, so a stack of directions
     times a letter is one GEMM per batch row.  Dual-transparent.
 
-    Returns per prefix, shortest first, the tuple (W, D_1, ..., D_m) of its
-    value and its derivative along each tangent; a derivative is a zero of
-    the letters' shape while no component has moved a letter.  A word that
-    begins another reads its state there.
+    Returns per prefix, shortest first, its state (W, D_1, ..., D_m), where
+    a derivative is None while no component has moved a letter; the sweep
+    continues start, the state of the prefix the word follows (None: none).
     """
     comps = [t.comps if isinstance(t, Tangent) else t for t in tangents]
-    prod, outs, zero = None, [None] * len(comps), None
+    prod, *outs = start or (None,) * (len(comps) + 1)
     states = []
     for (f, p), t in zip(word, letters):
         for i, comp in enumerate(comps):
@@ -292,9 +289,7 @@ def word_tangent(word, letters, tangents):
                 out = piece if out is None else piece + out
             outs[i] = out
         prod = t if prod is None else matmul(prod, t)
-        if zero is None and any(out is None for out in outs):
-            zero = np.zeros(np.shape(value(letters[0])), dtype=complex)
-        states.append((prod, *(zero if out is None else out for out in outs)))
+        states.append((prod, *outs))
     return states
 
 
@@ -316,13 +311,71 @@ def _letters(word, mats, inverses):
     return [mats[f] if p == 1 else inverses[f] for f, p in word]
 
 
-def _with_inverse(word, g, inverses):
-    """(g, g^-1) for the value g of a non-empty word.  A one-letter word
-    with a positive letter reads g^-1 from the factor inverses; any other
-    word inverts g with dinv."""
-    if len(word) == 1 and word[0][1] == 1:
-        return g, inverses[word[0][0]]
-    return g, dinv(g)
+class Words:
+    """Words in per-factor matrices (plain or Dual, any leading axes): their
+    letters, the factor inverses (given, or None: one dinv per factor read
+    inverted), each word value's inverse and every swept prefix's state.  A
+    word continues the sweep of its longest swept prefix, in any order of
+    requests; a tangent key that the prefix's state lacks enters as None, so
+    a store sweeps every word along the same keys, or (a batch) each word
+    along key f, a tangent that moves factor f only, per factor f of it."""
+
+    def __init__(self, mats, inverses):
+        self.mats = mats
+        self.inverses = _Inverses(mats) if inverses is None else inverses
+        self._inverted = {}         # word -> the inverse of its value
+        self._states = {}           # swept prefix -> (W, {key: D})
+        self._zero = np.zeros(np.shape(value(mats[0])), dtype=complex)
+
+    def letters(self, word):
+        return _letters(word, self.mats, self.inverses)
+
+    def _longest_swept(self, word):
+        """(k, state) of the longest swept prefix, of k letters, or (0, None)."""
+        for k in range(len(word), 0, -1):
+            state = self._states.get(word[:k])
+            if state is not None:
+                return k, state
+        return 0, None
+
+    def sweep(self, word, tangents):
+        """(W, {key: D}): a non-empty word's value W and its derivative D
+        along each tangent of the dict tangents, None while no component has
+        moved a letter."""
+        state = self._states.get(word)
+        if state is None:
+            k, state = self._longest_swept(word)
+            start = state and (state[0], *map(state[1].get, tangents))
+            for j, (prod, *derivs) in enumerate(word_tangent(
+                    word[k:], self.letters(word[k:]), list(tangents.values()),
+                    start), k + 1):
+                self._states[word[:j]] = (prod, dict(zip(tangents, derivs)))
+            state = self._states[word]
+        return state
+
+    def derivative(self, word, tangents, key):
+        """The word's derivative along tangents[key], or a zero of the
+        letters' shape where no component has moved a letter."""
+        out = self.sweep(word, tangents)[1][key]
+        return self._zero if out is None else out
+
+    def value(self, word):
+        """A non-empty word's value, the running product of its longest
+        swept prefix folded on through the remaining letters."""
+        k, state = self._longest_swept(word)
+        prod = state and state[0]
+        for t in self.letters(word[k:]):
+            prod = t if prod is None else matmul(prod, t)
+        return prod
+
+    def inverse(self, word):
+        """The inverse of a non-empty word's value, inverted once; a
+        one-letter word with a positive letter reads its factor's."""
+        if word not in self._inverted:
+            (f, p), *rest = word
+            self._inverted[word] = (self.inverses[f] if p == 1 and not rest
+                                    else dinv(self.value(word)))
+        return self._inverted[word]
 
 
 def _word_value(batch, word):
@@ -330,11 +383,8 @@ def _word_value(batch, word):
         n = batch.site.model.n
         eye = np.broadcast_to(np.eye(n, dtype=complex), (len(batch.mats), n, n))
         return eye, eye
-    if word in batch._prefixes:
-        g = batch._prefixes[word][0][:, 0]
-    else:
-        g = reduce(operator.matmul, batch.letters(word))
-    return _with_inverse(word, g, batch.inverses().swapaxes(0, 1))
+    words = batch.words()
+    return words.value(word)[:, 0], words.inverse(word)[:, 0]
 
 
 def _word_ad(batch, word):
@@ -345,41 +395,32 @@ def _word_ad(batch, word):
             adjoint_matrix(model, gi, np.linalg.inv(gi)))
 
 
-def _prefix_state(batch, word):
-    """(W, {f: D_f}) of a non-empty word at the batch's points: W its value,
-    (S, 1, n, n), and D_f its derivative along factor f's frame vectors,
-    (S, k_f, n, n), for every factor f of the word.  Read from the sweep of
-    a word that it begins, or else from one `word_tangent` sweep of the word
-    itself, along every factor's frame vectors at once, whose every prefix
-    the batch keeps."""
-    if word not in batch._prefixes:
-        factors = sorted({f for f, _ in word})
-        per_factor = batch.frame().per_factor
-        tangents = [[per_factor[f] if g == f else None
-                     for g in range(batch.site.nfac)] for f in factors]
-        letters = [t[:, None] for t in batch.letters(word)]
-        for k, (prod, *derivs) in enumerate(
-                word_tangent(word, letters, tangents), 1):
-            batch._prefixes.setdefault(word[:k],
-                                       (prod, dict(zip(factors, derivs))))
-    return batch._prefixes[word]
-
-
 def _word_differentials(batch, word):
     frame, model = batch.frame(), batch.site.model
     left = np.zeros((len(batch.mats), frame.dim, model.d), dtype=complex)
     right = np.zeros_like(left)
     if not word:
         return left, right
-    derivs = _prefix_state(batch, word)[1]
-    gi = batch.word_value(word)[1][:, None]
     # the rows of the word's factors; every other row is zero
-    factors = sorted({f for f, _ in word})
-    rows = np.r_[tuple(frame.rows[f] for f in factors)]
-    dv = np.concatenate([derivs[f] for f in factors], axis=1)
+    rows = np.r_[tuple(frame.rows[f] for f in sorted({f for f, _ in word}))]
+    dv = batch.word_derivative(word)[1][:, rows]
+    gi = batch.words().inverse(word)
     left[:, rows] = model.coeffs(gi @ dv)
     right[:, rows] = model.coeffs(matmul(dv, gi))
     return left, right
+
+
+def _word_derivative(batch, word):
+    """(g, dg) from the batch's sweep along key f, f's frame vectors, per f."""
+    frame, nfac = batch.frame(), batch.site.nfac
+    factors = sorted({f for f, _ in word})
+    prod, derivs = batch.words().sweep(word, {
+        f: [frame.per_factor[f] if g == f else None for g in range(nfac)]
+        for f in factors})
+    dv = np.zeros((len(prod), frame.dim) + prod.shape[2:], dtype=complex)
+    for f in factors:
+        dv[:, frame.rows[f]] = derivs[f]
+    return prod[:, 0], dv
 
 
 def _conjugation_map(model, q):

@@ -59,7 +59,7 @@ from .fields import (
     section_value,
     wedge,
 )
-from .groupgeom import Factor, Site, _letters, parse_word, word_tangent
+from .groupgeom import Factor, Site, Words, parse_word
 from .liealg import _rank
 
 __all__ = [
@@ -163,7 +163,7 @@ def _double_momentum(site, i, j):
             MomentumComponent(parse_word(site, a.upper() + b.upper()), act2)]
 
 
-def double_descriptors(site, i=0, j=1):
+def double_descriptors(site, i, j):
     """The two-factor double: bivector (1/2)(L1^R2 + R1^L2) and 2-form
     -(1/2)(omega1 . omegabar2 + omegabar1 . omega2), with the product and the
     inverse-product words as momentum pair."""
@@ -202,7 +202,7 @@ def fuse_form(site, form, comp1, comp2):
     return form + corr, _merged_component(comp1, comp2)
 
 
-def internally_fused(site, i=0, j=1):
+def internally_fused(site, i, j):
     """Fuse the double's two action components into one conjugation action."""
     qp, qh = double_descriptors(site, i, j)
     biv, merged = fuse_bivector(site, qp.bivector, qp.momentum[0], qp.momentum[1])
@@ -478,10 +478,10 @@ def _closure_residual(site, form, pullbacks, points, seed):
     (coefficient c, word W) pullbacks of the cubic form.
 
     Every point's triples are drawn first, in point order; then the points
-    and their triples go to one `exterior_d3` and, per pullback word, to
-    one `word_tangent` and one `eval_lambda`, with each point's factors,
-    inverses and word value once, (P, 1, n, n), and its sections' tangents
-    as rows, (P, 3 _TRIPLES, n, n)."""
+    and their triples go to one `exterior_d3` and to one `Words` store over
+    each point's factors and inverses, (P, 1, n, n), which sweeps every
+    pullback word along the sections' tangents as rows, (P, 3 _TRIPLES, n,
+    n), and inverts its value once for one `eval_lambda` per word."""
     model, npts, n = site.model, len(points), site.model.n
     rng = np.random.Generator(np.random.PCG64(seed))
     drawn = [[_random_sections(site, rng) for _ in range(_TRIPLES)]
@@ -490,17 +490,16 @@ def _closure_residual(site, form, pullbacks, points, seed):
     lhs = exterior_d3(site, form, mats, drawn).reshape(npts, _TRIPLES)
     at = mats.swapaxes(0, 1)[:, :, None]
     inverses = np.stack([p.inverses() for p in points]).swapaxes(0, 1)
-    inverses = inverses[:, :, None]
-    ts = section_value(site, [[s for t in per for s in t] for per in drawn],
-                       at)
+    words = Words(at, inverses[:, :, None])
+    ts = {0: section_value(site, [[s for t in per for s in t] for per in drawn],
+                           at)}
     rhs = 0.0
     for coef, word in pullbacks:
-        gi = np.stack([p.word_value(word)[1] for p in points])[:, None]
-        dv = word_tangent(word, _letters(word, at, inverses), [ts])[-1][1]
-        dv = np.broadcast_to(dv, (npts, 3 * _TRIPLES, n, n)).reshape(
+        dv = np.broadcast_to(words.derivative(word, ts, 0),
+                             (npts, 3 * _TRIPLES, n, n)).reshape(
             npts, _TRIPLES, 3, n, n)
-        rhs = rhs + coef * eval_lambda(model, site.pairing, gi, dv[:, :, 0],
-                                       dv[:, :, 1], dv[:, :, 2])
+        rhs = rhs + coef * eval_lambda(model, site.pairing, words.inverse(word),
+                                       dv[:, :, 0], dv[:, :, 1], dv[:, :, 2])
     return _worst(0.0, lhs - rhs)
 
 

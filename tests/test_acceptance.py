@@ -136,7 +136,7 @@ def test_03_jacobiator_vs_cubic_tensor():
     cases.append(("one-factor (3x3)", s_one3, pg_descriptor(s_one3), ["a"]))
 
     s_two = _group_site(models.sl2, 2)
-    qp_two, _ = double_descriptors(s_two)
+    qp_two, _ = double_descriptors(s_two, 0, 1)
     cases.append(("two-factor", s_two, qp_two, ["a", "b", "ab"]))
 
     s_f10, qp_f10, _ = assemble_surface_site(m2, p2, 1, [])
@@ -174,7 +174,7 @@ def test_04_momentum_laws():
         biv_cases.append(("one-factor", s, pg_descriptor(s)))
 
     s_two = _group_site(models.sl2, 2)
-    qp_two, qh_two = double_descriptors(s_two)
+    qp_two, qh_two = double_descriptors(s_two, 0, 1)
     biv_cases.append(("two-factor", s_two, qp_two))
     form_cases.append(("two-factor", s_two, qh_two))
 
@@ -209,7 +209,7 @@ def test_05_quasi_closedness():
     s_two = _group_site(models.sl2, 2)
     calib = float(cn1_residual(s_two, _points(s_two, 50, 16), seed=5))
 
-    _, qh_two = double_descriptors(s_two)
+    _, qh_two = double_descriptors(s_two, 0, 1)
     s_cls = Site(m2, p2, [Factor("class", REP2)])
     _, qh_cls = class_descriptors(s_cls)
     s_11, _, qh_11 = assemble_surface_site(m2, p2, 1, [REP2])
@@ -232,7 +232,7 @@ def _shipped_pairs():
     s_cls = Site(m2, p2, [Factor("class", REP2)])
     qp_cls, qh_cls = class_descriptors(s_cls)
     s_two = _group_site(models.sl2, 2)
-    qp_two, qh_two = double_descriptors(s_two)
+    qp_two, qh_two = double_descriptors(s_two, 0, 1)
     s_11, qp_11, qh_11 = assemble_surface_site(m2, p2, 1, [REP2])
     return (
         ("class", s_cls, qp_cls, qh_cls),
@@ -332,7 +332,7 @@ def test_09_reduction_on_relator_levels():
                         float(jacobi_invariants(qp.bivector, f, h, kf, pts)))
         for g in (f, kf):
             worst_ideal = max(worst_ideal, float(poisson_ideal_residual(
-                qp.bivector, "abAB", target, g, pts)))
+                qp.bivector, "abAB", g, pts)))
     worst = max(worst_jac, worst_ideal)
     _report(9, "reduction at relator levels", worst, 1e-7, t0, 120.0,
             ok=(worst_solver <= 1e-10 and iters_ok),
@@ -363,7 +363,7 @@ def test_10_degenerate_pairing_regression():
     s_one = Site(model, pairing, [Factor("group")])
     s_two = Site(model, pairing, [Factor("group"), Factor("group")])
     s_f, qp_f, qh_f = assemble_surface_site(model, pairing, 1, [])
-    qp_two, qh_two = double_descriptors(s_two)
+    qp_two, qh_two = double_descriptors(s_two, 0, 1)
     s_cls = Site(model, pairing, [Factor("class", REP3)])
     qp_cls, qh_cls = class_descriptors(s_cls)
     jac_worst = 0.0
@@ -406,8 +406,7 @@ def test_10_degenerate_pairing_regression():
         red_worst = max(
             red_worst,
             float(jacobi_invariants(qp_f.bivector, f, hf, kf, pts)),
-            float(poisson_ideal_residual(qp_f.bivector, "abAB", target, f,
-                                         pts)))
+            float(poisson_ideal_residual(qp_f.bivector, "abAB", f, pts)))
     ok = ok and red_worst <= 1e-7 and solver_worst <= 1e-10
 
     # inverse-dependent machinery must refuse, not silently degrade

@@ -1,9 +1,12 @@
-"""Every defaulted parameter in the package, listed.
+"""Every defaulted parameter in the package, listed, and no private name
+shared between modules beyond the listed ones.
 
 Each default is a setting a caller can change.  This test walks the package
 source with `ast` and compares the defaulted parameters of every function,
 method and lambda with the list below, so a new option has to show up here,
-next to the caller that needs it.
+next to the caller that needs it.  A private name that one module imports
+from another is a decision two modules must know; only the shared rules and
+constants below may cross.
 """
 
 import ast
@@ -22,10 +25,6 @@ DEFAULTED = {
     "fields.FormField.__init__(tau_terms)",
     "models.model_from_config(pairing)",
     "quasi.assemble_surface_site(variant)",
-    "quasi.double_descriptors(i)",
-    "quasi.double_descriptors(j)",
-    "quasi.internally_fused(i)",
-    "quasi.internally_fused(j)",
 }
 
 
@@ -73,3 +72,32 @@ def test_defaulted_parameters_are_the_listed_ones():
         "unlisted": sorted(set(found) - DEFAULTED),
         "gone": sorted(DEFAULTED - set(found)),
     }
+
+
+# The private names one module may import from another: the rules and
+# constants that several modules share, and the letters of the relator
+# solver, which keeps its own folds.
+SHARED_PRIVATE = {
+    "_BATCH_POINTS": None,      # the batch size of points
+    "_rank": None,              # the one rank rule
+    "_AD_SAMPLES": None,        # the pairing's invariance samples
+    "_dexpm_rows": None,        # the grouped exponential
+    "_letters": "charvar",
+}
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = []
+    for path in sorted(Path(qpois.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                name = alias.name
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if name in SHARED_PRIVATE and SHARED_PRIVATE[name] in (
+                        None, path.stem):
+                    continue
+                found.append(f"{path.stem}: {name} from {node.module}")
+    assert not found, found

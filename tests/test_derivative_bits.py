@@ -4,13 +4,15 @@ fold a stack into one GEMM per row, are bit for bit the paths they replace.
 `duals.matmul` folds a stack into the rows of one GEMM per batch row when
 the right factor is one matrix per row, and leaves a shared left factor to
 ``np.matmul``.  The Jacobiator lifts each function only on the atom rows of
-the factors it reads.  A batch sweeps each chain of words (a word and the
-words that begin it) once, along every factor of it at once.  A closure
-check's points and their triples are the (point, row) stacks of one
+the factors it reads.  A batch, and a form's evaluation, sweep each word
+from its longest swept prefix, in whatever order the words are asked for,
+and the Poisson-ideal check reads the relator from its batch's sweep.  A
+closure check's points and their triples are the (point, row) stacks of one
 `exterior_d3`.  Each is compared with `np.array_equal` against the
 construction it replaces, written out here: ``np.matmul``, the Jacobiator
-on every factor's atom rows, one plain recurrence per word and factor, and
-`exterior_d3` and the closure residuals one point at a time.
+on every factor's atom rows, one plain recurrence per word and factor (or
+tangent), a Dual evaluation of the relator per point, and `exterior_d3` and
+the closure residuals one point at a time.
 """
 
 from functools import reduce
@@ -21,8 +23,8 @@ import pytest
 import qpois.fields as fields
 import qpois.groupgeom as groupgeom
 from qpois import models
-from qpois.charvar import TraceFunction
-from qpois.duals import Dual, dtrace, matmul
+from qpois.charvar import TraceFunction, poisson_ideal_residual
+from qpois.duals import Dual, apply_linear, dtrace, matmul
 from qpois.errors import LiftFailed
 from qpois.fields import (
     PAIR_WEIGHT,
@@ -33,7 +35,14 @@ from qpois.fields import (
     section_bracket,
     section_value,
 )
-from qpois.groupgeom import parse_word, random_point, random_points, word_tangent
+from qpois.groupgeom import (
+    Words,
+    parse_word,
+    random_point,
+    random_points,
+    word_eval,
+    word_tangent,
+)
 from qpois.quasi import relator_word
 from qpois.quasi import (
     _TRIPLES,
@@ -212,12 +221,12 @@ def test_a_factor_read_only_by_the_lifted_evaluation_raises():
 
 
 # ---------------------------------------------------------------------------
-# one sweep per chain of words
+# words swept in any order, each prefix's letter once per tangent
 # ---------------------------------------------------------------------------
 
 def _plain_word_tangent(word, letters, comps):
     """The derivative of a word along one tangent, with a plain ``@`` for
-    every product."""
+    every product; None where no component moves a letter."""
     prod = out = None
     for (f, p), t in zip(word, letters):
         v = comps[f]
@@ -231,15 +240,21 @@ def _plain_word_tangent(word, letters, comps):
     return out
 
 
+def _plain_inverse(word, mats, g):
+    """A positive letter's inverse, or the word value inverted."""
+    (f, p), *rest = word
+    return np.linalg.inv(mats[f] if p == 1 and not rest else g)
+
+
 def _per_factor_differentials(batch, word):
-    """(L, R) of a word at a batch, from its own letters: one plain
+    """(g, L, R) of a word at a batch, from its own letters: one plain
     recurrence per factor of the word, along that factor's frame vectors,
     over every frame row."""
     frame, model = batch.frame(), batch.site.model
-    letters = batch.letters(word)
+    mats = batch.mats.swapaxes(0, 1)
+    letters = [mats[f] if p == 1 else np.linalg.inv(mats[f]) for f, p in word]
     g = reduce(np.matmul, letters)
-    gi = (batch.inverses()[:, word[0][0]] if len(word) == 1 and word[0][1] == 1
-          else np.linalg.inv(g))[:, None]
+    gi = _plain_inverse(word, mats, g)[:, None]
     dv = np.zeros((len(batch.mats), frame.dim, model.n, model.n), dtype=complex)
     for f in sorted({f for f, _ in word}):
         comps = [None] * batch.site.nfac
@@ -249,34 +264,157 @@ def _per_factor_differentials(batch, word):
     return g, model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
 
-@BY_SITE
-def test_chain_sweeps_equal_one_recurrence_per_word_and_factor(name, monkeypatch):
-    """Asked for longest first, the 2-form's words, the momentum words and
-    every prefix of the relator come from one sweep per chain, yet each
-    word's value and differentials keep the bits of its own recurrences."""
-    site, _, qh = _site(name)
-    build, genus, reps = SITES[name]
-    relator = relator_word(site, genus, len(reps))
+def _prefixes(words):
+    return {w[:k] for w in words for k in range(1, len(w) + 1)}
+
+
+def _counting_steps(monkeypatch):
+    """Wraps `groupgeom.word_tangent`; the returned list counts each
+    letter step that moves a derivative, one per prefix and tangent whose
+    derivative is set there."""
+    steps = [0]
+
+    def counted(word, letters, tangents, start):
+        states = word_tangent(word, letters, tangents, start)
+        steps[0] += sum(d is not None for _, *derivs in states for d in derivs)
+        return states
+
+    monkeypatch.setattr(groupgeom, "word_tangent", counted)
+    return steps
+
+
+def _orders(words):
+    """The words longest first, shortest first and in a fixed shuffle."""
+    ordered = sorted(words, key=lambda w: (len(w), w))
+    shuffled = [ordered[i] for i in np.random.default_rng(48).permutation(
+        len(ordered))]
+    return {"longest": ordered[::-1], "shortest": ordered, "shuffled": shuffled}
+
+
+def _sweep_words(site, qh, genus, npunct):
+    """The 2-form's words, the momentum words, every prefix of the relator,
+    and, on three or more factors, ab and abc: abc adds a factor to the
+    sweep of ab."""
+    relator = relator_word(site, genus, npunct)
     words = ({w for t in qh.form.pair_terms for w in (t.word_u, t.word_v)}
              | {c.word for c in qh.momentum}
              | {relator[:k] for k in range(1, len(relator) + 1)})
-    sweeps = []
+    if site.nfac >= 3:
+        words |= {parse_word(site, "ab"), parse_word(site, "abc")}
+    return words
 
-    def counted(word, letters, tangents):
-        sweeps.append(word)
-        return word_tangent(word, letters, tangents)
 
-    monkeypatch.setattr(groupgeom, "word_tangent", counted)
-    batch = random_points(site, np.random.default_rng(47), 5)[0]._batch
-    for w in sorted(words, key=len, reverse=True):
-        batch.word_differentials(w)
+@BY_SITE
+def test_chain_sweeps_equal_one_recurrence_per_word_and_factor(name,
+                                                               monkeypatch):
+    """Asked for longest first, shortest first or shuffled, at a fresh batch
+    each time, the words step the letter of each prefix once along each
+    factor it reads, and each word's value and differentials keep the bits
+    of its own plain recurrences."""
+    site, _, qh = _site(name)
+    build, genus, reps = SITES[name]
+    words = _sweep_words(site, qh, genus, len(reps))
+    for order, asked in _orders(words).items():
+        steps = _counting_steps(monkeypatch)
+        batch = random_points(site, np.random.default_rng(47), 5)[0]._batch
+        for w in asked:
+            batch.word_differentials(w)
+        monkeypatch.undo()
+        assert steps[0] == sum(len({f for f, _ in p})
+                               for p in _prefixes(words)), order
+        for w in words:
+            g, left, right = _per_factor_differentials(batch, w)
+            assert np.array_equal(batch.word_value(w)[0], g), (order, w)
+            got = batch.word_differentials(w)
+            assert np.array_equal(got[0], left), (order, w)
+            assert np.array_equal(got[1], right), (order, w)
+
+
+def _plain_evaluate(form, mats, t1, t2):
+    """The form on two tangents at plain factor matrices, each word from its
+    own plain recurrence along each tangent."""
+    site = form.site
+    model, smat = site.model, site.pairing.eta_lower
+
+    def theta(word, side, tangent):
+        letters = [mats[f] if p == 1 else np.linalg.inv(mats[f]) for f, p in word]
+        g = reduce(np.matmul, letters)
+        gi = _plain_inverse(word, mats, g)
+        dv = _plain_word_tangent(word, letters, tangent.comps)
+        if dv is None:
+            dv = np.zeros_like(g)
+        m = gi @ dv if side == 0 else dv @ gi
+        return apply_linear(model.basis_pinv, m)
+
+    total = 0.0
+    for term in form.pair_terms:
+        a1, b2 = theta(term.word_u, 0, t1), theta(term.word_v, 1, t2)
+        a2, b1 = theta(term.word_u, 0, t2), theta(term.word_v, 1, t1)
+        total = total + term.coef * (fields.dual_vdot(smat, a1, b2)
+                                     - fields.dual_vdot(smat, a2, b1))
+    inverses = {f: np.linalg.inv(q) for f, q in enumerate(mats)}
+    for term in form.tau_terms:
+        total = total + term.coef * form._tau_value(term.factor, inverses, t1, t2)
+    return total
+
+
+@BY_SITE
+@pytest.mark.parametrize("order", ["longest", "shortest", "shuffled"])
+def test_form_evaluation_in_any_order_equals_plain_recurrences(name, order,
+                                                               monkeypatch):
+    """With its terms reordered so that it asks for its words longest first,
+    shortest first or shuffled, one evaluation steps the letter of each
+    prefix once along each tangent that moves it, and its value keeps the
+    bits of one plain recurrence per word and tangent.  The sections miss
+    some factors, so some derivatives are zero."""
+    site, _, qh = _site(name)
+    rng = np.random.default_rng(49)
+    point = random_point(site, rng)
+    first, second = (section_value(site, [t[i] for t in _triples(site, rng, 4)],
+                                   point.mats) for i in (0, 1))
+    rank = {w: k for k, w in enumerate(_orders(
+        {w for t in qh.form.pair_terms for w in (t.word_u, t.word_v)})[order])}
+    form = fields.FormField(site, sorted(qh.form.pair_terms,
+                                         key=lambda t: rank[t.word_u]),
+                            qh.form.tau_terms)
+    words = {w for t in form.pair_terms for w in (t.word_u, t.word_v)}
+    steps = _counting_steps(monkeypatch)
+    got = form.evaluate(point.mats, first, second)
     monkeypatch.undo()
-    assert len(sweeps) < len(words) and relator in sweeps
-    for w in words:
-        g, left, right = _per_factor_differentials(batch, w)
-        assert np.array_equal(batch.word_value(w)[0], g), w
-        got = batch.word_differentials(w)
-        assert np.array_equal(got[0], left) and np.array_equal(got[1], right), w
+    assert steps[0] == sum(any(t.comps[f] is not None for f, _ in p)
+                           for p in _prefixes(words) for t in (first, second))
+    assert np.array_equal(got, _plain_evaluate(form, point.mats, first, second))
+
+
+def _dual_poisson_ideal(biv, word, f, points):
+    """The Poisson-ideal residual from a Dual evaluation of the word at
+    each point along every frame vector."""
+    resid = []
+    for pt in points:
+        pmat, df = biv.frame_matrix(pt), fields.differential(pt, f)
+        w = word_eval(word, [Dual(q, v) for q, v in zip(pt.mats, pt.frame().stacked)])
+        power = w
+        for m in range(biv.site.model.n):
+            if m:
+                power = power @ w
+            resid.append(abs(PAIR_WEIGHT * (df @ pmat @ dtrace(power).eps)))
+    return float(np.max(resid, initial=0.0))
+
+
+@BY_SITE
+def test_poisson_ideal_reads_the_batch_sweep_bit_for_bit(name):
+    """At points of two batches, off the level set so that the brackets are
+    not zero, and with the relator's prefixes swept before."""
+    site, qp, _ = _site(name)
+    build, genus, reps = SITES[name]
+    relator = relator_word(site, genus, len(reps))
+    rng = np.random.default_rng(50)
+    points = _points(site, rng)
+    points[0].word_differentials(relator[:2])
+    fn = TraceFunction(site, relator[:3])
+    got = poisson_ideal_residual(qp.bivector, relator, fn, points)
+    assert got > 0
+    assert got == _dual_poisson_ideal(qp.bivector, relator, fn, points)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +462,9 @@ def _point_closure_residual(site, form, pullbacks, points, seed):
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
-            dv = np.broadcast_to(word_tangent(word, point.letters(word), [ts])[-1][1],
+            dv = word_tangent(word, point.letters(word), [ts], None)[-1][1]
+            # None: no section moves a letter of the word
+            dv = np.broadcast_to(0.0 if dv is None else dv,
                                  (3 * _TRIPLES, model.n, model.n))
             rhs = rhs + coef * eval_lambda(model, site.pairing,
                                            point.word_value(word)[1],
@@ -362,8 +502,10 @@ def test_a_word_no_tangent_moves_has_a_zero_of_the_letters_shape():
     site, _, _ = _site("sl2ab-g3")
     point = random_point(site, np.random.default_rng(46))
     word = parse_word(site, "aB")
-    letters = [np.repeat(t[None], 5, axis=0) for t in point.letters(word)]
-    zero = word_tangent(word, letters, [[None] * site.nfac])[-1][1]
+    words = Words(np.repeat(point.mats[:, None], 5, axis=1), None)
+    tangents = {0: [None] * site.nfac}
+    assert words.sweep(word, tangents)[1][0] is None
+    zero = words.derivative(word, tangents, 0)
     assert zero.shape == (5, site.model.n, site.model.n) and not zero.any()
 
 

@@ -207,10 +207,10 @@ def test_dirac_booleans_agree_and_hold(make):
         _, qh = class_descriptors(site)
     elif make == "double":
         site = Site(model, pairing, [Factor("group"), Factor("group")])
-        _, qh = double_descriptors(site)
+        _, qh = double_descriptors(site, 0, 1)
     elif make == "fused":
         site = Site(model, pairing, [Factor("group"), Factor("group")])
-        _, qh = internally_fused(site)
+        _, qh = internally_fused(site, 0, 1)
     else:
         site, _, qh = assemble_surface_site(model, pairing, 1, [REP])
     for seed in range(4):
@@ -238,7 +238,7 @@ def _kernel_dims(qh, p):
 def test_prop_tech_generic_point():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    _, qh = double_descriptors(site)
+    _, qh = double_descriptors(site, 0, 1)
     p = random_point(site, np.random.default_rng(7))
     rep = prop_tech_chain(qh, p)
     assert rep["mono_ok"] and rep["onto_ok"]
@@ -250,7 +250,7 @@ def test_prop_tech_traceless_word_value():
     algebra-side kernel; the chain ranks must still certify."""
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    _, qh = double_descriptors(site)
+    _, qh = double_descriptors(site, 0, 1)
     # q1 q2 has trace zero
     q1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     q2 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex) / 1.0

@@ -75,11 +75,11 @@ def test_word_tangent_matches_dual():
         v = [_cmat(rng) if site.letter(f) in by_v else None for f in range(nfac)]
         vz = [zero if c is None else c for c in v]
         first = word_eval(w, [Dual(q, c) for q, c in zip(p.mats, vz)]).eps
-        assert np.array_equal(word_tangent(w, p.letters(w), [Tangent(v)])[-1][1],
+        assert np.array_equal(word_tangent(w, p.letters(w), [Tangent(v)], None)[-1][1],
                               first), text
         moved = [Dual(q, a) for q, a in zip(p.mats, u)]
         letters = [moved[f] if e == 1 else dinv(moved[f]) for f, e in w]
-        direct = word_tangent(w, letters, [Tangent(v)])[-1][1]
+        direct = word_tangent(w, letters, [Tangent(v)], None)[-1][1]
         nested = word_eval(w, [Dual(Dual(q, a), Dual(c, zero))
                                for q, a, c in zip(p.mats, u, vz)]).eps
         assert np.array_equal(direct.re, nested.re), text
@@ -95,7 +95,7 @@ def test_word_tangent_product_rule_fd():
     t = 1e-7
     shifted = [p.mats[0] + t * v.comps[0], p.mats[1]]
     fd = (word_eval(w, shifted) - word_eval(w, p.mats)) / t
-    assert np.abs(word_tangent(w, p.letters(w), [v])[-1][1] - fd).max() < 1e-5
+    assert np.abs(word_tangent(w, p.letters(w), [v], None)[-1][1] - fd).max() < 1e-5
 
 
 def test_fund_tangent_example():

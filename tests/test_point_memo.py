@@ -38,33 +38,41 @@ def _two_puncture(seed=15):
     return site, qp, qh, random_point(site, np.random.default_rng(seed))
 
 
-def _chains(words):
-    """The words that begin no other word of the set: every word of the set
-    is a prefix of one of them."""
-    return {w for w in words
-            if not any(len(v) > len(w) and v[:len(w)] == w for v in words)}
+def _prefixes(words):
+    return {w[:k] for w in words for k in range(1, len(w) + 1)}
+
+
+def _counting_steps(monkeypatch):
+    """Wraps `groupgeom.word_tangent`; the returned list counts each
+    letter step that moves a derivative, one per prefix and tangent whose
+    derivative is set there."""
+    steps = [0]
+    orig = groupgeom.word_tangent
+
+    def counted(word, letters, tangents, start):
+        states = orig(word, letters, tangents, start)
+        steps[0] += sum(d is not None for _, *derivs in states for d in derivs)
+        return states
+
+    monkeypatch.setattr(groupgeom, "word_tangent", counted)
+    return steps
 
 
 def test_each_word_is_differentiated_once_per_batch(monkeypatch):
     """Residuals at every point of a batch build each entry once, for the
-    whole batch, and step each chain's letters once per factor: one
-    `word_tangent` sweep per chain, the longest word of the chain, along
-    every factor of it at once, whose prefix states give the chain's other
-    words; no point builds its own entry."""
+    whole batch, and step the letter of each prefix of the words they
+    differentiate once along each factor it reads, in whatever order they
+    ask for the words; no point builds its own entry."""
     site, qp, qh, _ = _two_puncture()
     points = random_points(site, np.random.default_rng(16), 3)
     batch = points[0]._batch
-    counts, sweeps, builds = Counter(), Counter(), Counter()
-    orig_diff, orig_tangent = groupgeom._word_differentials, groupgeom.word_tangent
+    counts, builds = Counter(), Counter()
+    orig_diff = groupgeom._word_differentials
     orig_memo = groupgeom.PointBatch.memo
 
     def counted(batch, word):
         counts[word] += 1
         return orig_diff(batch, word)
-
-    def counted_tangent(word, letters, tangents):
-        sweeps[word, len(tangents)] += 1
-        return orig_tangent(word, letters, tangents)
 
     def memo(self, key, build):
         if key not in self._memo:
@@ -72,7 +80,7 @@ def test_each_word_is_differentiated_once_per_batch(monkeypatch):
         return orig_memo(self, key, build)
 
     monkeypatch.setattr(groupgeom, "_word_differentials", counted)
-    monkeypatch.setattr(groupgeom, "word_tangent", counted_tangent)
+    steps = _counting_steps(monkeypatch)
     monkeypatch.setattr(groupgeom.PointBatch, "memo", memo)
     for p in points:
         momentum_residual(qh, p)
@@ -83,9 +91,11 @@ def test_each_word_is_differentiated_once_per_batch(monkeypatch):
     assert qh.momentum[0].word in counts
     assert counts and set(counts.values()) == {1}, counts
     words = {w for w in counts if w}
-    # one sweep per chain, once, along each factor of its word
-    assert sweeps == {(w, len({f for f, _ in w})): 1 for w in _chains(words)}, sweeps
-    assert len(sweeps) < len(words)
+    prefixes = _prefixes(words)
+    assert steps[0] == sum(len({f for f, _ in p}) for p in prefixes)
+    # fewer steps than one sweep per word from its first letter
+    assert steps[0] < sum(len({f for f, _ in w[:k]}) for w in words
+                          for k in range(1, len(w) + 1))
     assert {owner for owner, _ in builds} == {id(batch)}
     assert set(builds.values()) == {1}
     assert qp.bivector in batch._memo and qh.form in batch._memo
@@ -133,7 +143,7 @@ def test_dual_descriptors_share_one_linearization():
     # equal values, so they key the same linearization
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    fqp, fqh = internally_fused(site)
+    fqp, fqh = internally_fused(site, 0, 1)
     assert fqp.momentum[0] is not fqh.momentum[0]
     assert fqp.momentum[0] == fqh.momentum[0]
     q = random_point(site, np.random.default_rng(3))
@@ -205,32 +215,18 @@ def test_closedness_residuals_make_two_evaluations_per_point(monkeypatch):
 
 
 def test_one_evaluation_differentiates_each_word_once_per_tangent(monkeypatch):
-    """One evaluation steps each chain's letters once per tangent: one
-    letter list and one `word_tangent` sweep along both tangents per chain,
-    whose prefix states give the chain's other words."""
+    """One evaluation steps the letter of each prefix of its words once
+    along each tangent: a word continues the sweep of its longest swept
+    prefix, whatever the order of the terms."""
     model, pairing = models.sl2_abelian()
     site, _, qh = assemble_surface_site(model, pairing, 3, [])
     words = ({t.word_u for t in qh.form.pair_terms}
              | {t.word_v for t in qh.form.pair_terms})
-    letter_lists, sweeps = Counter(), Counter()
-    orig_letters, orig_tangent = fields._letters, fields.word_tangent
-
-    def counted_letters(word, mats, inverses):
-        letter_lists[word] += 1
-        return orig_letters(word, mats, inverses)
-
-    def counted_tangent(word, letters, tangents):
-        sweeps[word, len(tangents)] += 1
-        return orig_tangent(word, letters, tangents)
-
-    monkeypatch.setattr(fields, "_letters", counted_letters)
-    monkeypatch.setattr(fields, "word_tangent", counted_tangent)
+    steps = _counting_steps(monkeypatch)
     p = random_point(site, np.random.default_rng(6))
     frame = p.frame()
     probes = Tangent(frame.stacked)
     qh.form.evaluate(p.mats, probes, probes)
-    chains = _chains(words)
-    # abABcdCD carries abAB, ab and a; cdCD carries cd and c; efEF ef and e
-    assert len(chains) == len(words) - 7
-    assert letter_lists == {w: 1 for w in chains}
-    assert sweeps == {(w, 2): 1 for w in chains}
+    # a, ab and abAB begin abABcdCD, c and cd begin cdCD, e and ef begin efEF
+    assert steps[0] == 2 * len(_prefixes(words))
+    assert steps[0] < 2 * sum(map(len, words))

@@ -115,7 +115,7 @@ def test_eval_phi_actions_identity_zero_and_linear():
 
 def test_double_momentum_both_components():
     site = group_site(2)
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
         assert momentum_residual(qp, p) <= 1e-10
@@ -124,7 +124,7 @@ def test_double_momentum_both_components():
 
 def test_double_jacobiator():
     site = group_site(2)
-    qp, _ = double_descriptors(site)
+    qp, _ = double_descriptors(site, 0, 1)
     rng = np.random.default_rng(2)
     fns = [entry_fn(rng, 0), entry_fn(rng, 1), trace_fn(site, "ab")]
     phi = cartan3(site.model, site.pairing)
@@ -135,7 +135,7 @@ def test_double_jacobiator():
 
 def test_internally_fused_word_and_momentum():
     site = group_site(2)
-    qp, qh = internally_fused(site)
+    qp, qh = internally_fused(site, 0, 1)
     assert qp.momentum[0].word == parse_word(site, "abAB")
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
@@ -145,7 +145,7 @@ def test_internally_fused_word_and_momentum():
 
 def test_internally_fused_jacobiator():
     site = group_site(2)
-    qp, _ = internally_fused(site)
+    qp, _ = internally_fused(site, 0, 1)
     rng = np.random.default_rng(3)
     fns = [entry_fn(rng, 0), entry_fn(rng, 1), trace_fn(site, "aB")]
     phi = cartan3(site.model, site.pairing)
@@ -256,7 +256,7 @@ def test_surface_10_matches_internally_fused():
     model, pairing = models.sl2()
     site, qp, qh = assemble_surface_site(model, pairing, 1, [])
     ref_site = group_site(2)
-    ref_qp, ref_qh = internally_fused(ref_site)
+    ref_qp, ref_qh = internally_fused(ref_site, 0, 1)
     p = random_point(site, np.random.default_rng(8))
     ref_p = PointBatch(ref_site, [p.mats]).points()[0]
     assert np.abs(qp.bivector.frame_matrix(p)
@@ -331,7 +331,7 @@ def test_equivariance_detects_noninvariant_pairing():
 
 def test_momentum_pullback_consistency():
     site = group_site(2)
-    qp, _ = internally_fused(site)
+    qp, _ = internally_fused(site, 0, 1)
     p = random_point(site, np.random.default_rng(11))
 
     def fn(m):

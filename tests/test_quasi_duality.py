@@ -33,7 +33,7 @@ def test_rho_vanishes_where_word_is_central():
     """At a point whose momentum value is the identity the defect rho is 0."""
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, _ = internally_fused(site)
+    qp, _ = internally_fused(site, 0, 1)
     # commuting matrices: [x, y] = identity
     x = np.diag([2.0, 0.5]).astype(complex)
     y = np.diag([3.0, 1 / 3.0]).astype(complex)
@@ -45,7 +45,7 @@ def test_rho_vanishes_where_word_is_central():
 def test_duality_double():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     for p in _points(site, 4):
         assert duality_residual(qp, qh, p) <= 1e-9
 
@@ -61,7 +61,7 @@ def test_duality_class_pair():
 def test_duality_internally_fused():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = internally_fused(site)
+    qp, qh = internally_fused(site, 0, 1)
     for p in _points(site, 4):
         assert duality_residual(qp, qh, p) <= 1e-9
 
@@ -79,7 +79,7 @@ def test_duality_gl2_and_sl3():
     for group in ({"family": "GL", "n": 2}, {"family": "SL", "n": 3}):
         model, pairing = models.model_from_config(group)
         site = Site(model, pairing, [Factor("group"), Factor("group")])
-        qp, qh = internally_fused(site)
+        qp, qh = internally_fused(site, 0, 1)
         for p in _points(site, 2):
             assert duality_residual(qp, qh, p) <= 1e-8
 
@@ -87,7 +87,7 @@ def test_duality_gl2_and_sl3():
 def test_duality_refuses_degenerate():
     model, pairing = models.sl2_abelian()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     p = random_point(site, np.random.default_rng(0))
     with pytest.raises(DegeneratePairing):
         duality_residual(qp, qh, p)
@@ -96,7 +96,7 @@ def test_duality_refuses_degenerate():
 def test_reconstruct_bivector_from_form():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     for p in _points(site, 3):
         rec, kr = reconstruct_dual(qh, p)
         ref = qp.bivector.frame_matrix(p)
@@ -107,7 +107,7 @@ def test_reconstruct_bivector_from_form():
 def test_reconstruct_form_from_bivector():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     for p in _points(site, 3):
         rec, kr = reconstruct_dual(qp, p)
         ref = qh.form.frame_matrix(p)
@@ -143,7 +143,7 @@ def test_reconstruct_not_epimorphism_guard():
 def test_nondegeneracy_double_full_rank():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     p = random_point(site, np.random.default_rng(3))
     assert nondegeneracy_check(qp, p) == 0
     assert nondegeneracy_check(qh, p) == 0
@@ -155,7 +155,7 @@ def test_nondegeneracy_degenerate_double_deficit():
     line: exactly one tangent direction stays unreachable."""
     model, pairing = models.sl2_abelian()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, _ = double_descriptors(site)
+    qp, _ = double_descriptors(site, 0, 1)
     for seed in (4, 5):
         p = random_point(site, np.random.default_rng(seed))
         assert nondegeneracy_check(qp, p) == 1
@@ -164,7 +164,7 @@ def test_nondegeneracy_degenerate_double_deficit():
 def test_quasi_closed_double():
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    _, qh = double_descriptors(site)
+    _, qh = double_descriptors(site, 0, 1)
     pts = _points(site, 3)
     assert quasi_closed_residual(qh, pts, seed=11) <= 1e-7
 
@@ -203,7 +203,7 @@ def test_torus_chain_reproduces_fused_form():
     evaluates to the internally fused 2-form."""
     model, pairing = models.sl2()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    _, qh = internally_fused(site)
+    _, qh = internally_fused(site, 0, 1)
     chain = [
         (-1.0, "a", "b"),
         (-1.0, "A", "B"),
@@ -232,7 +232,7 @@ def test_inverse_pair_chains_vanish():
 def test_degenerate_model_momentum_still_holds():
     model, pairing = models.sl2_abelian()
     site = Site(model, pairing, [Factor("group"), Factor("group")])
-    qp, qh = double_descriptors(site)
+    qp, qh = double_descriptors(site, 0, 1)
     for p in _points(site, 2):
         assert momentum_residual(qp, p) <= 1e-9
         assert momentum_residual(qh, p) <= 1e-9

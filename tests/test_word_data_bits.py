@@ -52,7 +52,7 @@ def _reference_differentials(point, word):
     gi = np.linalg.inv(word_eval(word, point.mats))
     letters = [point.mats[f] if p == 1 else np.linalg.inv(point.mats[f])
                for f, p in word]
-    dv = (word_tangent(word, letters, [frame.stacked])[-1][1] if word
+    dv = (word_tangent(word, letters, [frame.stacked], None)[-1][1] if word
           else np.zeros((frame.dim, model.n, model.n), dtype=complex))
     return model.coeffs(gi @ dv), model.coeffs(dv @ gi)
 
