@@ -13,9 +13,10 @@ sweeps the relator once for the suffix products, one SVD of it gives the
 steps of all damping trials, and a trial retracts every factor, and its
 inverse, from one batched matrix exponential and one batched inversion.
 The solves of a chunk of seeds, at most a batch of points
-(`groupgeom._BATCH_POINTS`), run in lockstep, with the (B, ...) stacks of
-all rows in each of these steps, and each row gets the bits of its one-row
-solve.
+(`groupgeom._BATCH_POINTS`), run in lockstep whatever their targets, from
+one stacked draw of their starts, with the (B, ...) stacks of the rows
+still solving in each of these steps, and each row gets the bits of its
+one-row solve.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .groupgeom import (
     SitePoint,
     _letters,
     parse_word,
-    random_point,
+    seeded_factors,
     word_eval,
     word_tangent,
 )
@@ -160,18 +161,63 @@ class RepSample:
     iters: int
 
 
-def _relator_gap(word, mats, invs, target_inv):
+@dataclass(frozen=True)
+class _Relator:
+    """What every sweep of one solve_relators call reads of the relator and
+    the site, made once per call: the word, the identity, the indices of
+    the class factors and the letter layout of the Jacobian.
+
+    The Jacobian forms the letters' terms in group order: by position among
+    their factor's letters, then by sign, then by factor.  Term j is one of
+    factor fs[j]'s, and reads the prefix and suffix products left[j] and
+    right[j].  sums lists per group (positive, its factors, the slice of
+    its terms), the factors as a slice where they follow one another;
+    adding the groups in order adds every factor's terms in letter order."""
+
+    word: tuple
+    eye: np.ndarray
+    classes: list
+    fs: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sums: tuple
+
+
+def _relator(site, word):
+    # per factor its letters, in letter order
+    per = [[k for k, (g, _) in enumerate(word) if g == f]
+           for f in range(site.nfac)]
+    order, sums = [], []
+    for pos in range(max(map(len, per))):
+        at = [(f, ks[pos]) for f, ks in enumerate(per) if pos < len(ks)]
+        for positive in (True, False):
+            group = [(f, k) for f, k in at if (word[k][1] == 1) == positive]
+            if not group:
+                continue
+            fs, ks = zip(*group)
+            contiguous = fs == tuple(range(fs[0], fs[-1] + 1))
+            sums.append((positive,
+                         slice(fs[0], fs[-1] + 1) if contiguous else list(fs),
+                         slice(len(order), len(order) + len(ks))))
+            order += ks
+    inverted = np.array([word[k][1] == -1 for k in order])
+    order = np.array(order)
+    return _Relator(word, np.eye(site.model.n), site.class_indices(),
+                    np.array([word[k][0] for k in order]), order + inverted,
+                    order + ~inverted, tuple(sums))
+
+
+def _relator_gap(rel, mats, invs, target_inv):
     """Every row's gap word(p) target^-1 - I, (B, n, n), from the rows'
-    (B, nfac, n, n) factors and factor inverses, and the products of the
-    word's first 1, ..., L letters that its fold passes through, as one
-    (L, B, n, n) stack (`_relator_jacobian` reads them)."""
-    n = target_inv.shape[0]
-    letters = _letters(word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
-    prefixes = np.empty((len(word),) + letters[0].shape, dtype=complex)
+    (B, nfac, n, n) factors, factor inverses and target inverses, and the
+    products of the word's first 1, ..., L letters that its fold passes
+    through, as one (L, B, n, n) stack (`_relator_jacobian` reads them)."""
+    letters = _letters(rel.word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
+    prefixes = np.empty((len(letters),) + letters[0].shape, dtype=complex)
     prefixes[0] = letters[0]
     for k, t in enumerate(letters[1:], 1):
         np.matmul(prefixes[k - 1], t, out=prefixes[k])
-    return prefixes[-1] @ target_inv - np.eye(n), prefixes
+    return prefixes[-1] @ target_inv - rel.eye, prefixes
 
 
 def _real_stack(m):
@@ -180,7 +226,7 @@ def _real_stack(m):
     return np.concatenate([flat.real, flat.imag], axis=1)
 
 
-def _apply_step(site, mats, invs, steps):
+def _apply_step(site, rel, mats, invs, steps):
     """Every row's retraction by its step, as (moved factors, their
     inverses): right-translate group factors by g = exp(xi), so
     (q g)^-1 = g^-1 q^-1, and conjugate class factors by g = exp(theta), so
@@ -191,57 +237,55 @@ def _apply_step(site, mats, invs, steps):
     g = _dexpm_rows(model.from_coeffs(seg[..., 0] + 1j * seg[..., 1]))
     g_inv = np.linalg.inv(g)
     moved, moved_inv = mats @ g, g_inv @ invs
-    cls = site.class_indices()
+    cls = rel.classes
     if cls:
         moved[:, cls] = g[:, cls] @ mats[:, cls] @ g_inv[:, cls]
         moved_inv[:, cls] = g[:, cls] @ invs[:, cls] @ g_inv[:, cls]
     return moved, moved_inv
 
 
-def _relator_jacobian(site, word, mats, invs, prefixes, target_inv):
+def _relator_jacobian(site, rel, mats, invs, prefixes, target_inv):
     """(B, 2 n n, 2 nfac d): every row's real Jacobian of the stacked
     relator gap in the step parameters, from the prefix products of its gap
     (`_relator_gap`) and one sweep of suffix products; an inverse letter
     reads invs, the factor inverses.
 
     With P_i the product of the first i letters (P_0 = I) and S_i that of
-    the letters from i on, target_inv folded in, letter i of factor f moves
-    the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the letter is
-    inverted, for each of f's d step directions V (q e_j on a group factor,
-    e_j q - q e_j on a class factor).  All letters' terms come from two
-    stacked products, (P V) S, and each factor sums its letters' terms in
-    letter order.  Columns f*d..(f+1)*d hold factor f's directions, as the
-    rows of TangentFrame.stacked, and each direction fills a real and an
+    the letters from i on, the row's target_inv folded in, letter i of
+    factor f moves the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the
+    letter is inverted, for each of f's d step directions V (q e_j on a
+    group factor, e_j q - q e_j on a class factor).  All letters' terms come
+    from two stacked products, (P V) S, and each factor sums its letters'
+    terms in letter order, one signed group of factors at a time
+    (`_Relator.sums`).  Columns f*d..(f+1)*d hold factor f's directions, as
+    the rows of TangentFrame.stacked, and each direction fills a real and an
     imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
     rows, basis = len(mats), site.model.basis
-    letters = _letters(word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
+    letters = _letters(rel.word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
     # P_0 .. P_L and S_0 .. S_L as (L + 1, B, n, n) stacks
-    prefix = np.empty((len(word) + 1, rows, n, n), dtype=complex)
-    prefix[0], prefix[1:] = np.eye(n), prefixes
+    prefix = np.empty((len(letters) + 1, rows, n, n), dtype=complex)
+    prefix[0], prefix[1:] = rel.eye, prefixes
     suffix = np.empty_like(prefix)
     suffix[-1] = target_inv
-    for i in reversed(range(len(word))):
+    for i in reversed(range(len(letters))):
         np.matmul(letters[i], suffix[i + 1], out=suffix[i])
     # every factor's step directions, (B, nfac, d, n, n)
     qs = mats[:, :, None]
     directions = qs @ basis
-    for f in site.class_indices():
+    for f in rel.classes:
         directions[:, f] = basis @ qs[:, f] - directions[:, f]
-    # letter i's term, P_i V S_(i+1), or -P_(i+1) V S_i when inverted, as
-    # a (B, L, d, n, n) stack
-    fs, inverted = zip(*((f, p == -1) for f, p in word))
-    left = np.arange(len(word)) + inverted
-    right = np.arange(len(word)) + np.logical_not(inverted)
-    terms = matmul(prefix[left].swapaxes(0, 1)[:, :, None] @ directions[:, fs],
-                   suffix[right].swapaxes(0, 1)[:, :, None])
-    # each factor's terms, added in letter order
+    # letter i's term up to its sign, P_i V S_(i+1) or P_(i+1) V S_i, as a
+    # (B, L, d, n, n) stack in group order
+    terms = matmul(prefix[rel.left].swapaxes(0, 1)[:, :, None]
+                   @ directions[:, rel.fs],
+                   suffix[rel.right].swapaxes(0, 1)[:, :, None])
     delta = np.zeros((rows, nfac, d, n, n), dtype=complex)
-    for k, (f, p) in enumerate(word):
-        if p == 1:
-            delta[:, f] += terms[:, k]
+    for positive, fs, span in rel.sums:
+        if positive:
+            delta[:, fs] += terms[:, span]
         else:
-            delta[:, f] -= terms[:, k]
+            delta[:, fs] -= terms[:, span]
     delta = delta.reshape(rows, nfac * d, -1)
     jmat = np.empty((rows, 2 * n * n, 2 * nfac * d))
     jmat[..., 0::2] = np.concatenate([delta.real, delta.imag], axis=2).swapaxes(1, 2)
@@ -271,12 +315,17 @@ _TOL = 1e-10                # sup-norm of the relator gap that counts as solved
 def solve_relators(site, word, target, seeds):
     """Per seed, a site point solving  word(p) = target  by damped
     Gauss-Newton from the random point of the seed: its RepSample, or the
-    SolverStopped that ended it, in seed order.
+    SolverStopped that ended it, in seed order.  target is one (n, n)
+    matrix for every row, or a (len(seeds), n, n) stack, row b's target at
+    index b; it is inverted once, in one call.
 
     Parameters are per-factor algebra coefficients treated as independent
     real pairs; the residual r is the stacked real/imaginary part of
-    word(p) target^-1 - I.  The factor inverses are inverted once at the
-    start and then carried along with the point.  Each iteration takes the
+    word(p) target^-1 - I.  A row starts at the factors of
+    random_point(site, np.random.default_rng(seed)); the chunk's starts
+    come from one stacked draw (`groupgeom.seeded_factors`), and their
+    inverses from one inversion, carried along with the point from then
+    on.  Each iteration takes the
     Jacobian J from the prefix products of its gap and one suffix sweep
     over the relator, and one SVD of J, which gives the step x for every
     damping trial; a trial is accepted when |r|^2 drops, and its gap and
@@ -291,94 +340,125 @@ def solve_relators(site, word, target, seeds):
     tries at least one step; it stalls when mu reaches 1e14 without a drop.
     The returned residual is the sup-norm of the gap.
 
-    The rows solve in lockstep, in chunks of at most _BATCH_POINTS seeds,
-    the size of a batch of points, so that memory does not grow with the
-    seeds: each sweep tries one step for every row of the chunk still
-    solving, as (B, ...) stacks of factors, gaps, Jacobians, SVDs, steps and
-    retractions, and rebuilds the Jacobian and SVD only of the rows that
-    accepted their last trial.  Each row keeps its own mu, nu, iteration
-    count and outcome, and its result equals its one-row solve bit for bit.
-    The solved rows of a chunk are the points of one PointBatch, built when
-    the chunk returns.
+    The rows solve in lockstep, whatever their targets, in chunks of at
+    most _BATCH_POINTS seeds, the size of a batch of points, so that memory
+    does not grow with the seeds: each sweep tries one step for every row
+    of the chunk still solving, as (B, ...) stacks of factors, target
+    inverses, gaps, Jacobians, SVDs, steps and retractions, and rebuilds
+    the Jacobian and SVD only of the rows that accepted their last trial.
+    What the sweeps read of the word and the site, the letter layout of the
+    Jacobian among it, is made once per call (`_Relator`).  Each row keeps
+    its own mu, nu, iteration count and outcome, and its result equals its
+    one-row solve bit for bit.  The solved rows of a chunk are the points
+    of one PointBatch, built when the chunk returns.
     """
     if isinstance(word, str):
         word = parse_word(site, word)
-    target_inv = np.linalg.inv(np.asarray(target, dtype=complex))
     seeds = list(seeds)
+    n = site.model.n
+    target_inv = np.broadcast_to(
+        np.linalg.inv(np.asarray(target, dtype=complex)), (len(seeds), n, n))
+    rel = _relator(site, word)
     return [out for start in range(0, len(seeds), _BATCH_POINTS)
-            for out in _solve_lockstep(site, word, target_inv,
+            for out in _solve_lockstep(site, rel,
+                                       target_inv[start:start + _BATCH_POINTS],
                                        seeds[start:start + _BATCH_POINTS])]
 
 
-def _solve_lockstep(site, word, target_inv, seeds):
-    """One chunk of solve_relators: every seed's row, solved together."""
-    mats = np.stack([random_point(site, np.random.default_rng(seed)).mats
-                     for seed in seeds])
+def _solve_lockstep(site, rel, target_inv, seeds):
+    """One chunk of solve_relators: every seed's row, with the row's target
+    inverse in the (B, n, n) stack target_inv, solved together.
+
+    The state stacks hold only the rows still solving, so that a sweep in
+    which every one of them starts an iteration, or accepts its trial,
+    slices none of them: a row that ends leaves them at the start of the
+    next sweep, and its last factors are kept for its point."""
+    mats = seeded_factors(site, seeds)
     invs = np.linalg.inv(mats)
-    gap, prefixes = _relator_gap(word, mats, invs, target_inv)
+    target_inv = np.ascontiguousarray(target_inv)
+    gap, prefixes = _relator_gap(rel, mats, invs, target_inv)
     rvec = _real_stack(gap)
-    current = [float(np.abs(g).max()) for g in gap]
     rows, m, p = len(mats), rvec.shape[1], 2 * site.nfac * site.model.d
     k = min(m, p)
-    # per row: its last Jacobian, the SVD parts of its steps, and |r|^2
+    # per row: its last Jacobian, the SVD parts of its steps, its damping,
+    # the sup-norm and |r|^2 of its gap, and its iterations
     jmat, vt = np.empty((rows, m, p)), np.empty((rows, k, p))
     s, ur = np.empty((rows, k)), np.empty((rows, k))
-    cost = [0.0] * rows
     mu, nu = np.full(rows, 1e-3), np.full(rows, 2.0)
-    iters = [0] * rows
+    current = np.abs(gap).max(axis=(1, 2)).tolist()
+    cost, iters = [0.0] * rows, [0] * rows
+    live = list(range(rows))      # the row of each state row
+    ends = np.empty_like(mats)    # the last factors of the rows that ended
     outs = [None] * rows
-    fresh = list(range(rows))     # the rows that start an iteration
+    fresh = list(range(rows))     # the state rows that start an iteration
     while True:
-        for b in fresh:
-            if current[b] <= _TOL:
+        for i in fresh:
+            if current[i] <= _TOL:
                 # its point comes with the chunk's other solved rows
-                outs[b] = RepSample(None, current[b], iters[b])
-            elif iters[b] == _MAX_ITERS:
-                outs[b] = MaxIters(
+                outs[live[i]] = RepSample(None, current[i], iters[i])
+            elif iters[i] == _MAX_ITERS:
+                outs[live[i]] = MaxIters(
                     f"no convergence in {_MAX_ITERS} iterations "
-                    f"(residual {current[b]:.3e})",
-                    best_residual=current[b], iters=_MAX_ITERS)
-        fresh = [b for b in fresh if outs[b] is None]
-        if fresh:
-            jmat[fresh] = _relator_jacobian(site, word, mats[fresh],
-                                            invs[fresh], prefixes[:, fresh],
-                                            target_inv)
-            s[fresh], vt[fresh], ur[fresh] = _step_parts(jmat[fresh],
-                                                         rvec[fresh])
-            for b in fresh:
-                cost[b] = float(rvec[b] @ rvec[b])
-        active = [b for b in range(rows) if outs[b] is None]
-        if not active:
+                    f"(residual {current[i]:.3e})",
+                    best_residual=current[i], iters=_MAX_ITERS)
+        keep = [i for i, b in enumerate(live) if outs[b] is None]
+        if len(keep) < len(live):
+            for i, b in enumerate(live):
+                if outs[b] is not None:
+                    ends[b] = mats[i]
+            where = {i: j for j, i in enumerate(keep)}
+            fresh = [where[i] for i in fresh if i in where]
+            live = [live[i] for i in keep]
+            current, cost, iters = ([a[i] for i in keep]
+                                    for a in (current, cost, iters))
+            mats, invs, target_inv, rvec, jmat, s, vt, ur, mu, nu = (
+                a[keep] for a in (mats, invs, target_inv, rvec, jmat, s, vt,
+                                  ur, mu, nu))
+            prefixes = prefixes[:, keep]
+        if not live:
             solved = [b for b, out in enumerate(outs) if isinstance(out, RepSample)]
-            for b, point in zip(solved, PointBatch(site, mats[solved]).points()):
+            for b, point in zip(solved, PointBatch(site, ends[solved]).points()):
                 outs[b].point = point
             return outs
-        x = _damped_steps(s[active], vt[active], ur[active], mu[active])
-        trial, trial_invs = _apply_step(site, mats[active], invs[active], x)
-        trial_gap, trial_prefixes = _relator_gap(word, trial, trial_invs,
+        if fresh:
+            part = slice(None) if len(fresh) == len(live) else fresh
+            jmat[part] = _relator_jacobian(site, rel, mats[part], invs[part],
+                                           prefixes[:, part], target_inv[part])
+            s[part], vt[part], ur[part] = _step_parts(jmat[part], rvec[part])
+            for i in fresh:
+                cost[i] = float(rvec[i] @ rvec[i])
+        x = _damped_steps(s, vt, ur, mu)
+        trial, trial_invs = _apply_step(site, rel, mats, invs, x)
+        trial_gap, trial_prefixes = _relator_gap(rel, trial, trial_invs,
                                                  target_inv)
         trial_rvec = _real_stack(trial_gap)
+        trial_current = np.abs(trial_gap).max(axis=(1, 2)).tolist()
         fresh = []
-        for i, b in enumerate(active):
+        for i, b in enumerate(live):
             trial_cost = float(trial_rvec[i] @ trial_rvec[i])
-            if trial_cost < cost[b]:
-                jx = jmat[b] @ x[i]
-                rho = (cost[b] - trial_cost) / float(
-                    jx @ jx + 2.0 * mu[b] * (x[i] @ x[i]))
-                mats[b], invs[b], rvec[b] = trial[i], trial_invs[i], trial_rvec[i]
-                prefixes[:, b] = trial_prefixes[:, i]
-                current[b] = float(np.abs(trial_gap[i]).max())
-                mu[b] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu[b] = 2.0
-                iters[b] += 1
-                fresh.append(b)
+            if trial_cost < cost[i]:
+                jx = jmat[i] @ x[i]
+                rho = (cost[i] - trial_cost) / float(
+                    jx @ jx + 2.0 * mu[i] * (x[i] @ x[i]))
+                current[i] = trial_current[i]
+                mu[i] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu[i] = 2.0
+                iters[i] += 1
+                fresh.append(i)
                 continue
-            mu[b] *= nu[b]
-            nu[b] *= 2.0
-            if mu[b] >= 1e14:
+            mu[i] *= nu[i]
+            nu[i] *= 2.0
+            if mu[i] >= 1e14:
                 outs[b] = Stalled(
-                    f"no descent direction (residual {current[b]:.3e})",
-                    best_residual=current[b], iters=iters[b] + 1)
+                    f"no descent direction (residual {current[i]:.3e})",
+                    best_residual=current[i], iters=iters[i] + 1)
+        if len(fresh) == len(live):
+            mats, invs, rvec, prefixes = (trial, trial_invs, trial_rvec,
+                                          trial_prefixes)
+        elif fresh:
+            mats[fresh], invs[fresh] = trial[fresh], trial_invs[fresh]
+            rvec[fresh] = trial_rvec[fresh]
+            prefixes[:, fresh] = trial_prefixes[:, fresh]
 
 
 def solve_relator(site, word, target, seed=0):

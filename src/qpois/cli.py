@@ -234,11 +234,19 @@ class Setup:
     def solved(self):
         """Relator solves shared by the moduli checks and made once per run:
         per target, the outcomes of min(samples, 4) solves."""
-        rng = _check_rng(self, "relator_solver")
-        return [solve_relators(self.site, self.relator, target,
-                               [int(rng.integers(2 ** 31))
-                                for _ in range(min(self.samples, 4))])
-                for _, target in self.targets]
+        return [[out for _, out in per] for per in _solve_targets(
+            self, _check_rng(self, "relator_solver"), min(self.samples, 4))]
+
+
+def _solve_targets(setup, rng, count):
+    """Per target, count (solver seed, outcome) pairs: the seeds drawn from
+    rng target after target, and every target's rows solved in one lockstep
+    `solve_relators` call."""
+    subs = [int(rng.integers(2 ** 31)) for _ in setup.targets for _ in range(count)]
+    targets = np.repeat(np.stack([mat for _, mat in setup.targets]), count, axis=0)
+    pairs = list(zip(subs, solve_relators(setup.site, setup.relator, targets,
+                                          subs)))
+    return [pairs[i:i + count] for i in range(0, len(pairs), count)]
 
 
 def build_setup(raw, seed=None):
@@ -787,10 +795,9 @@ def sample_points(config, seed=None):
     setup = _load_setup(config, seed)
     rng = np.random.default_rng([setup.seed, 0x736d])
     rows = []
-    for label, target in setup.targets:
-        subs = [int(rng.integers(2 ** 31)) for _ in range(setup.samples)]
-        outs = solve_relators(setup.site, setup.relator, target, subs)
-        for k, (sub, out) in enumerate(zip(subs, outs)):
+    for (label, _), per in zip(setup.targets,
+                               _solve_targets(setup, rng, setup.samples)):
+        for k, (sub, out) in enumerate(per):
             row = _solve_row(out, sub, target=label, sample=k, mats=None)
             if isinstance(out, RepSample):
                 row["mats"] = [_matrix_literal(m) for m in out.point.mats]

@@ -250,10 +250,13 @@ def _scaled_pade(a, s):
 def _dexpm_rows(a):
     """dexpm of every row of a (B, ..., n, n) stack, each row scaled by the
     power of its own largest 1-norm (all from one column-sum reduction), as
-    in a one-row call: the rows that share a power go together, and their
-    power goes to the Pade step as it is."""
+    in a one-row call: the rows that share a power go together, the whole
+    stack when all of them do, and their power goes to the Pade step as it
+    is."""
     powers = [_squarings(nrm) for nrm in np.abs(a).sum(axis=-2).max(
         axis=tuple(range(1, a.ndim - 1)), initial=0.0).tolist()]
+    if len(set(powers)) == 1:
+        return _scaled_pade(a, powers[0])
     out = np.empty_like(a)
     for s in set(powers):
         rows = [b for b, p in enumerate(powers) if p == s]

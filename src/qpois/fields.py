@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import Dual, apply_linear, matmul
+from .duals import Dual, apply_linear, dtrace, matmul
 from .errors import BadSignature, LiftFailed
 from .groupgeom import Tangent, Words
 
@@ -424,8 +424,15 @@ def eval_lambda(model, pairing, gi, v1, v2, v3):
 # ---------------------------------------------------------------------------
 
 def differential(point, fn):
-    """Frame components of df at the point, from one Dual evaluation that
-    carries every frame vector as a batch of perturbations."""
+    """Frame components of df at the point.  The trace of a non-empty word
+    (a function with a `word`, as `charvar.TraceFunction`) reads
+    d tr(W) = tr(dW) from the sweep of the point's batch
+    (`SitePoint.word_derivative`); any other function takes one Dual
+    evaluation that carries every frame vector as a batch of
+    perturbations."""
+    word = getattr(fn, "word", None)
+    if word:
+        return dtrace(point.word_derivative(word)[1])
     frame = point.frame()
     out = fn([Dual(q, v) for q, v in zip(point.mats, frame.stacked)])
     if not isinstance(out, Dual):

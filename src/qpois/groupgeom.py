@@ -22,7 +22,10 @@ of each entry, a view of the batch's stack; the batch never refers back to
 its points.  Every point comes from a batch (`PointBatch.points`): a check's
 drawn points, the conjugated points of the equivariance check and the
 solved rows of a relator-solver chunk are each one batch, and
-`random_point` is a batch of one.  Stacked products and inversions give
+`random_point`, library shorthand that no command calls, is a batch of one.
+The relator solver starts a chunk's rows from `seeded_factors`: per seed
+the factors of `random_point` at that seed's generator, every seed's draw
+a row of one exponential, and no batch.  Stacked products and inversions give
 each slice the bits of the one-point computation, so a point's data does
 not depend on its batch.
 `SitePoint.memo` hands the arrays out read-only.  Besides the frame, each
@@ -56,7 +59,12 @@ import numpy as np
 
 from .duals import dinv, matmul, value
 from .errors import BadSignature, LiftFailed
-from .liealg import _rank, adjoint_matrix, random_group_elements
+from .liealg import (
+    _rank,
+    adjoint_matrix,
+    random_group_elements,
+    seeded_group_elements,
+)
 
 __all__ = [
     "Factor",
@@ -71,6 +79,7 @@ __all__ = [
     "site_frame",
     "random_point",
     "random_points",
+    "seeded_factors",
     "PointBatch",
     "Words",
 ]
@@ -548,17 +557,32 @@ def _retract(site, q):
 _BATCH_POINTS = 64          # points per batch: memory does not grow with samples
 
 
+def _site_factors(site, g):
+    """(S, nfac, n, n) factor matrices from (S, nfac, n, n) group elements:
+    each group factor retracted, each class factor its representative
+    conjugated, from one inversion of the class factors' stack."""
+    cls = site.class_indices()
+    g_inv = dict(zip(cls, np.linalg.inv(g[:, cls]).swapaxes(0, 1))) if cls else {}
+    return np.stack([_retract(site, g[:, i]) if fac.kind == "group"
+                     else g[:, i] @ fac.class_rep @ g_inv[i]
+                     for i, fac in enumerate(site.factors)], axis=1)
+
+
 def random_points(site, rng, count):
     """count random site points, in batches of at most _BATCH_POINTS: the
     draws and values of count `random_point` calls, in order."""
-    g = random_group_elements(site.model, rng, (count, site.nfac))
-    cls = site.class_indices()
-    g_inv = dict(zip(cls, np.linalg.inv(g[:, cls]).swapaxes(0, 1))) if cls else {}
-    mats = np.stack([_retract(site, g[:, i]) if fac.kind == "group"
-                     else g[:, i] @ fac.class_rep @ g_inv[i]
-                     for i, fac in enumerate(site.factors)], axis=1)
+    mats = _site_factors(site, random_group_elements(site.model, rng,
+                                                     (count, site.nfac)))
     return [point for start in range(0, count, _BATCH_POINTS)
             for point in PointBatch(site, mats[start:start + _BATCH_POINTS]).points()]
+
+
+def seeded_factors(site, seeds):
+    """(len(seeds), nfac, n, n): per seed, the factor matrices of
+    random_point(site, np.random.default_rng(seed)), every seed's draw a
+    row of one exponential, one retraction and one conjugation."""
+    return _site_factors(site, seeded_group_elements(site.model, seeds,
+                                                     (site.nfac,)))
 
 
 def random_point(site, rng):

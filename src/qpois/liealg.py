@@ -5,7 +5,9 @@ commutator; everything downstream (coefficients, adjoint matrices, the cubic
 tensor phi) is computed against that basis by exact linear algebra with
 explicit residual guards.  Random group elements come from one draw,
 `random_group_elements`: one block of normals for all their coefficients,
-exponentiated as one grouped exponential.
+exponentiated as one grouped exponential; `seeded_group_elements` stacks
+the blocks that several seeds' generators draw, and exponentiates them as
+one.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "trace_pairing",
     "adjoint_matrix",
     "random_group_elements",
+    "seeded_group_elements",
     "ad_invariance_residual",
     "cubic_alternation",
     "cartan3",
@@ -196,7 +199,23 @@ def random_group_elements(model, rng, shape):
     exponentials of algebra elements, each row (first index) scaled as in a
     one-row call.  One normal block gives every element, in order, d real
     parts and then d imaginary parts, each drawn at _SAMPLE_SCALE."""
-    x = _SAMPLE_SCALE * rng.standard_normal((*shape, 2, model.d))
+    return _exponentials(model, _draw(model, rng, shape))
+
+
+def seeded_group_elements(model, seeds, shape):
+    """(len(seeds), *shape, n, n): per seed, the elements that
+    `random_group_elements` draws from np.random.default_rng(seed) with
+    shape (1, *shape), each seed's block a row of one exponential."""
+    return _exponentials(model, np.stack(
+        [_draw(model, np.random.default_rng(seed), shape) for seed in seeds]))
+
+
+def _draw(model, rng, shape):
+    """One normal block: per element d real parts, then d imaginary parts."""
+    return _SAMPLE_SCALE * rng.standard_normal((*shape, 2, model.d))
+
+
+def _exponentials(model, x):
     return _dexpm_rows(model.from_coeffs(x[..., 0, :] + 1j * x[..., 1, :]))
 
 

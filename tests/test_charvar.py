@@ -8,6 +8,7 @@ from qpois.charvar import (
     _apply_step,
     _damped_steps,
     _real_stack,
+    _relator,
     _relator_gap,
     _relator_jacobian,
     _step_parts,
@@ -23,7 +24,14 @@ from qpois.charvar import (
 from qpois.duals import Dual
 from qpois.errors import MaxIters, NotInvariant, SolverStopped, Stalled
 from qpois.fields import Bivector, differential
-from qpois.groupgeom import Factor, PointBatch, Site, random_point, word_tangent
+from qpois.groupgeom import (
+    Factor,
+    Site,
+    parse_word,
+    random_point,
+    seeded_factors,
+    word_tangent,
+)
 from qpois.quasi import (
     assemble_surface_site,
     internally_fused,
@@ -226,8 +234,8 @@ def test_solver_commuting_start_already_solved(monkeypatch):
     site, _, _ = fused_sl2()
     a = np.diag([2.0, 0.5]).astype(complex)
     b = np.diag([3.0, 1 / 3.0]).astype(complex)
-    start = PointBatch(site, [[a, b]]).points()[0]
-    monkeypatch.setattr(charvar, "random_point", lambda site, rng: start)
+    monkeypatch.setattr(charvar, "seeded_factors",
+                        lambda site, seeds: np.array([[a, b]]))
     out = solve_relator(site, "abAB", np.eye(2))
     assert isinstance(out, RepSample)
     assert out.iters == 0
@@ -307,8 +315,9 @@ def test_batched_jacobian_matches_direction_loop(build, genus, reps):
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
     mats = np.stack([random_point(site, rng).mats for _ in range(3)])
     invs = np.linalg.inv(mats)
-    prefixes = _relator_gap(word, mats, invs, target_inv)[1]
-    got = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
+    rel = _relator(site, word)
+    prefixes = _relator_gap(rel, mats, invs, target_inv)[1]
+    got = _relator_jacobian(site, rel, mats, invs, prefixes, target_inv)
     assert got.shape == (3, 2 * model.n ** 2, 2 * model.d * site.nfac)
     for row, row_mats in zip(got, mats):
         ref = _jacobian_loop(site, word, row_mats, target_inv)
@@ -354,8 +363,9 @@ def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps):
     for rows in (1, 8):
         mats = np.stack([random_point(site, rng).mats for _ in range(rows)])
         invs = np.linalg.inv(mats)
-        prefixes = _relator_gap(word, mats, invs, target_inv)[1]
-        got = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
+        rel = _relator(site, word)
+        prefixes = _relator_gap(rel, mats, invs, target_inv)[1]
+        got = _relator_jacobian(site, rel, mats, invs, prefixes, target_inv)
         delta = _prefix_sweep_jacobian(site, word, mats, invs, target_inv)
         assert np.array_equal(got[..., 0::2].swapaxes(1, 2),
                               np.concatenate([delta.real, delta.imag], axis=2))
@@ -363,17 +373,41 @@ def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps):
                               np.concatenate([-delta.imag, delta.real], axis=2))
 
 
+@pytest.mark.parametrize("text", ["cAbaC", "dBadD", "bdBBb", "Ca", "a"])
+def test_jacobian_of_irregular_words_equals_the_prefix_sweep(text):
+    """Signs mixed at one position of the factors' letters, factors that
+    follow no one another, factors in no letter and a factor read three
+    times: the grouped sums still add each factor's terms in letter
+    order."""
+    model, pairing = models.sl2()
+    site, _, _ = assemble_surface_site(model, pairing, 2, [])
+    word = parse_word(site, text)
+    rng = np.random.default_rng(8)
+    target_inv = np.linalg.inv(random_point(site, rng).mats[0])
+    mats = np.stack([random_point(site, rng).mats for _ in range(3)])
+    invs = np.linalg.inv(mats)
+    rel = _relator(site, word)
+    prefixes = _relator_gap(rel, mats, invs, target_inv)[1]
+    got = _relator_jacobian(site, rel, mats, invs, prefixes, target_inv)
+    delta = _prefix_sweep_jacobian(site, word, mats, invs, target_inv)
+    assert np.array_equal(got[..., 0::2].swapaxes(1, 2),
+                          np.concatenate([delta.real, delta.imag], axis=2))
+    assert np.array_equal(got[..., 1::2].swapaxes(1, 2),
+                          np.concatenate([-delta.imag, delta.real], axis=2))
+
+
 @JACOBIAN_SITES
 def test_retraction_carries_the_factor_inverses(build, genus, reps):
     """The carried inverses stay inverses, to roundoff, over many steps."""
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    rel = _relator(site, relator_word(site, genus, len(reps)))
     rng = np.random.default_rng(6)
     mats = np.stack([random_point(site, rng).mats for _ in range(3)])
     invs = np.linalg.inv(mats)
     for _ in range(20):
         steps = 0.1 * rng.standard_normal((3, 2 * site.nfac * model.d))
-        mats, invs = _apply_step(site, mats, invs, steps)
+        mats, invs = _apply_step(site, rel, mats, invs, steps)
     eye = np.eye(model.n)
     assert np.abs(mats @ invs - eye).max() <= 1e-13
 
@@ -381,9 +415,10 @@ def test_retraction_carries_the_factor_inverses(build, genus, reps):
 @JACOBIAN_SITES
 def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     """Besides the target, every inversion in a solve is of a stack of
-    factors: the start point's (1, nfac, n, n) factor exponentials and its
-    (1, ncls, n, n) class factors, a batch of one in `random_points`, and
-    the batch of one's (1, nfac, n, n) start factors and step exponentials.
+    factors: the start's (1, nfac, n, n) factor exponentials and its
+    (1, ncls, n, n) class factors, one row of the stacked draw in
+    `groupgeom.seeded_factors`, and the (1, nfac, n, n) start factors and
+    step exponentials of the batch of one.
     A letter inverted alone, (n, n), or across the batch, (1, n, n), is none
     of these."""
     model, pairing = build()
@@ -418,8 +453,9 @@ def test_damped_step_solves_the_normal_equations(build, genus, reps):
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
     mats = np.stack([random_point(site, rng).mats for _ in range(2)])
     invs = np.linalg.inv(mats)
-    gaps, prefixes = _relator_gap(word, mats, invs, target_inv)
-    jmats = _relator_jacobian(site, word, mats, invs, prefixes, target_inv)
+    rel = _relator(site, word)
+    gaps, prefixes = _relator_gap(rel, mats, invs, target_inv)
+    jmats = _relator_jacobian(site, rel, mats, invs, prefixes, target_inv)
     rvecs = _real_stack(gaps)
     parts = _step_parts(jmats, rvecs)
     for mu in 10.0 ** np.arange(-14, 14):
@@ -512,10 +548,14 @@ def _one_class_factor(target):
 
 OMEGA = np.exp(2j * np.pi / 3)
 
+# -I on the odd seeds and I on the even ones, as the rows of one call
+MIXED = np.stack([(-1) ** s * np.eye(2) for s in range(14, 26)])
+
 
 @pytest.mark.parametrize("make,seeds,stops", [
     (lambda: _surface(models.sl2, 2, -np.eye(2)), range(14, 26),
      {17: MaxIters, 22: MaxIters}),
+    (lambda: _surface(models.sl2, 2, MIXED), range(14, 26), {17: MaxIters}),
     (lambda: _one_class_factor(np.eye(2)), range(6), {s: Stalled for s in range(6)}),
     (lambda: _one_class_factor(np.diag([3.0, 1.0 / 3.0])), range(6),
      {s: Stalled for s in range(6)}),
@@ -523,16 +563,18 @@ OMEGA = np.exp(2j * np.pi / 3)
     (lambda: _surface(models.sl2_abelian, 2, np.eye(3)), range(8), {}),
     (lambda: _surface(lambda: models.model_from_config({"family": "SL", "n": 3}),
                       1, OMEGA * np.eye(3)), range(8), {}),
-], ids=["sl2-g2-minus-I", "class-identity", "class-diag", "sl2-g1-2punct",
-        "sl2ab-g2", "sl3-g1-omega"])
+], ids=["sl2-g2-minus-I", "sl2-g2-mixed", "class-identity", "class-diag",
+        "sl2-g1-2punct", "sl2ab-g2", "sl3-g1-omega"])
 def test_solver_batch_rows_equal_one_row_solves(make, seeds, stops):
-    """Each row of a lockstep batch ends as the one-row solve of its seed:
-    the same factors, residual and iterations, or the same stop."""
+    """Each row of a lockstep batch ends as the one-row solve of its seed
+    and its target: the same factors, residual and iterations, or the same
+    stop.  A target is one matrix for every row, or one per row."""
     site, word, target = make()
     outs = solve_relators(site, word, target, list(seeds))
     assert len(outs) == len(seeds)
-    for seed, out in zip(seeds, outs):
-        one = _one_row(site, word, target, seed)
+    targets = np.broadcast_to(target, (len(seeds),) + target.shape[-2:])
+    for seed, row_target, out in zip(seeds, targets, outs):
+        one = _one_row(site, word, row_target, seed)
         assert type(out) is type(one) is stops.get(seed, RepSample), seed
         _assert_same_outcome(out, one)
     if MaxIters in stops.values():
@@ -550,9 +592,10 @@ def test_solver_chunks_keep_every_row(monkeypatch):
     sizes = []
     lockstep = charvar._solve_lockstep
 
-    def recorded(site, word, target_inv, chunk):
+    def recorded(site, rel, target_inv, chunk):
         sizes.append(len(chunk))
-        return lockstep(site, word, target_inv, chunk)
+        assert target_inv.shape == (len(chunk), 2, 2)
+        return lockstep(site, rel, target_inv, chunk)
 
     monkeypatch.setattr(charvar, "_BATCH_POINTS", 3)
     monkeypatch.setattr(charvar, "_solve_lockstep", recorded)
@@ -564,20 +607,47 @@ def test_solver_chunks_keep_every_row(monkeypatch):
         _assert_same_outcome(out, ref)
 
 
+@pytest.mark.parametrize("build,genus,reps", [
+    (models.sl2, 2, []),
+    (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
+    (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, []),
+    (models.sl2_abelian, 2, []),
+    (models.sl2, 1, [-np.eye(2)]),
+    (lambda: models.model_from_config({"family": "GL", "n": 2}), 1,
+     [np.diag([2.0, 3.0])]),
+], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2", "sl2-g1-central",
+        "gl2-g1-class"])
+def test_stacked_start_factors_equal_one_random_point_per_seed(build, genus,
+                                                               reps):
+    """The solver's starts, one stacked draw per chunk of seeds, are per
+    seed the factors of random_point(site, np.random.default_rng(seed)),
+    wherever the seed's row sits in the stack."""
+    model, pairing = build()
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    seeds = list(range(64)) + [2 ** 31 - 1]
+    got = seeded_factors(site, seeds)
+    assert got.shape == (len(seeds), site.nfac, model.n, model.n)
+    for seed, mats in zip(seeds, got):
+        ref = random_point(site, np.random.default_rng(seed)).mats
+        assert np.array_equal(mats, ref), seed
+    assert np.array_equal(seeded_factors(site, seeds[::-1]), got[::-1])
+
+
 @JACOBIAN_SITES
 def test_batched_retraction_rows_equal_one_row_retractions(build, genus, reps):
     """Rows whose steps need different scaling powers in the exponential
     retract as they do alone."""
     model, pairing = build()
     site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    rel = _relator(site, relator_word(site, genus, len(reps)))
     rng = np.random.default_rng(7)
     mats = np.stack([random_point(site, rng).mats for _ in range(4)])
     invs = np.linalg.inv(mats)
     steps = (np.array([[0.1], [20.0], [0.5], [200.0]])
              * rng.standard_normal((4, 2 * site.nfac * model.d)))
-    moved, moved_inv = _apply_step(site, mats, invs, steps)
+    moved, moved_inv = _apply_step(site, rel, mats, invs, steps)
     for b in range(4):
-        one, one_inv = _apply_step(site, mats[b:b + 1], invs[b:b + 1],
+        one, one_inv = _apply_step(site, rel, mats[b:b + 1], invs[b:b + 1],
                                    steps[b:b + 1])
         assert np.array_equal(moved[b], one[0])
         assert np.array_equal(moved_inv[b], one_inv[0])

@@ -676,9 +676,9 @@ def test_moduli_checks_share_one_solved_set(monkeypatch):
         targets=["identity", [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]]]),
         "moduli")
     assert report["overall_pass"], report["checks"]
-    # one batch of min(samples, 4) solves per target, read by
+    # one lockstep call of min(samples, 4) solves per target, read by
     # relator_solver, jacobi_at_level and poisson_ideal alike
-    assert [len(seeds) for seeds in calls] == [4, 4]
+    assert [len(seeds) for seeds in calls] == [8]
     assert len({seed for seeds in calls for seed in seeds}) == 8
     checks = by_id(report)
     assert checks["relator_solver"]["samples"] == 8

@@ -6,13 +6,14 @@ the right factor is one matrix per row, and leaves a shared left factor to
 ``np.matmul``.  The Jacobiator lifts each function only on the atom rows of
 the factors it reads.  A batch, and a form's evaluation, sweep each word
 from its longest swept prefix, in whatever order the words are asked for,
-and the Poisson-ideal check reads the relator from its batch's sweep.  A
-closure check's points and their triples are the (point, row) stacks of one
-`exterior_d3`.  Each is compared with `np.array_equal` against the
-construction it replaces, written out here: ``np.matmul``, the Jacobiator
-on every factor's atom rows, one plain recurrence per word and factor (or
-tangent), a Dual evaluation of the relator per point, and `exterior_d3` and
-the closure residuals one point at a time.
+and the Poisson-ideal check and the differential of a trace function read
+the word from its batch's sweep.  A closure check's points and their
+triples are the (point, row) stacks of one `exterior_d3`.  Each is compared
+with `np.array_equal` against the construction it replaces, written out
+here: ``np.matmul``, the Jacobiator on every factor's atom rows, one plain
+recurrence per word and factor (or tangent), a Dual evaluation of the
+relator or the function per point, and `exterior_d3` and the closure
+residuals one point at a time.
 """
 
 from functools import reduce
@@ -386,12 +387,40 @@ def test_form_evaluation_in_any_order_equals_plain_recurrences(name, order,
     assert np.array_equal(got, _plain_evaluate(form, point.mats, first, second))
 
 
+def _dual_differential(point, fn):
+    """df from one Dual evaluation of fn along every frame vector: the path
+    of a function that has no `word`."""
+    return fields.differential(point, lambda mats: fn(mats))
+
+
+@BY_SITE
+def test_trace_differentials_read_the_batch_sweep_bit_for_bit(name):
+    """d tr(W) = tr(dW) from the sweep of the point's batch, for the
+    relator, two of its segments, an inverse letter, a non-reduced word and
+    a commutator, at points of two batches, with the words asked for in
+    two orders; the empty word takes the Dual path, and gives zero."""
+    site, _, _ = _site(name)
+    build, genus, reps = SITES[name]
+    relator = relator_word(site, genus, len(reps))
+    words = [relator, relator[:3], relator[2:], ((0, -1),), ((0, 1), (0, -1)),
+             ((1, 1), (0, 1), (1, -1), (0, -1)), ()]
+    rng = np.random.default_rng(51)
+    for order in (words, words[::-1]):
+        for point in _points(site, rng):
+            for word in order:
+                fn = TraceFunction(site, word)
+                got = fields.differential(point, fn)
+                assert got.shape == (point.frame().dim,)
+                assert np.array_equal(got, _dual_differential(point, fn)), word
+                assert word or not got.any()
+
+
 def _dual_poisson_ideal(biv, word, f, points):
-    """The Poisson-ideal residual from a Dual evaluation of the word at
-    each point along every frame vector."""
+    """The Poisson-ideal residual from a Dual evaluation of the word, and
+    of f, at each point along every frame vector."""
     resid = []
     for pt in points:
-        pmat, df = biv.frame_matrix(pt), fields.differential(pt, f)
+        pmat, df = biv.frame_matrix(pt), _dual_differential(pt, f)
         w = word_eval(word, [Dual(q, v) for q, v in zip(pt.mats, pt.frame().stacked)])
         power = w
         for m in range(biv.site.model.n):

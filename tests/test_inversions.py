@@ -5,14 +5,17 @@ one-letter word with a positive letter reads its inverse from there, and
 `word_tangent` reads the letters its caller holds, the equivariance check's
 conjugated points are one batch and `word_eval` inverts each factor once.
 Random group elements come from one grouped exponential per stack
-(`liealg.random_group_elements`), and each caller that needs their inverses,
-the invariance probes, the pairing's invariance gate and the equivariance
-check, inverts its stack once and hands g^-1 on.  A closure check's points
-are rows of one `exterior_d3`, so its form evaluations invert once per
-check, not once per point, and `poisson_ideal_residual` reads the relator
-and its derivative from the sweep of its solved batch, whose letters are
-the batch's factor inverses.  So `verify all` on SL(2) genus 2 at seed 0
-stays within 187 `np.linalg.inv` calls.
+(`liealg.random_group_elements`; the relator solver's starts, from
+`seeded_group_elements`, are the rows of one, so it inverts one Pade
+denominator per scaling power, not one per row), and each caller that needs
+their inverses, the invariance probes, the pairing's invariance gate and
+the equivariance check, inverts its stack once and hands g^-1 on.  A
+closure check's points are rows of one `exterior_d3`, so its form
+evaluations invert once per check, not once per point, and
+`poisson_ideal_residual` reads the relator and its derivative from the
+sweep of its solved batch, whose letters are the batch's factor inverses.
+So `verify all` on SL(2) genus 2 at seed 0 stays within 184
+`np.linalg.inv` calls.
 `FormField.evaluate` inverts each factor it reads inverted with one `dinv`,
 so one `np.linalg.inv`, per call, and the value of each word other than a
 positive letter with one more.
@@ -27,7 +30,7 @@ from qpois.fields import Section, exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
-_VERIFY_INV_CALLS = 187
+_VERIFY_INV_CALLS = 184
 
 
 def test_verify_all_inverts_within_its_count(monkeypatch):

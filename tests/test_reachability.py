@@ -31,6 +31,9 @@ NOT_REACHED = {
     "charvar.TraceFunction.__repr__": "debugging aid",
     "charvar.solve_relator": "library shorthand, a batch of one; commands "
                              "solve their rows as one batch",
+    "groupgeom.random_point": "library shorthand, a batch of one; commands "
+                              "draw their points as batches, and the "
+                              "benchmark's tracer wraps it",
     "errors.SolverStopped.__init__": "the solver's stops, its iteration cap "
                                      "and a stall, which no config here "
                                      "reaches",

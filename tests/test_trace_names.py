@@ -70,7 +70,7 @@ def test_solver_makes_one_jacobian_per_iteration(monkeypatch):
     """Per lockstep sweep one relator sweep over the rows that start an
     iteration, and one SVD; no least-squares call: the SVD gives every
     damping trial's step.  The rows of the sweeps add up to the rows'
-    iterations."""
+    iterations, and both targets' rows sweep together."""
     config = {
         "group": {"family": "SL", "n": 2},
         "site": {"genus": 2, "class_reps": []},
@@ -81,9 +81,9 @@ def test_solver_makes_one_jacobian_per_iteration(monkeypatch):
     sweeps = []
     sweep = charvar._relator_jacobian
 
-    def counted(site, word, mats, invs, prefixes, target_inv):
+    def counted(site, rel, mats, invs, prefixes, target_inv):
         sweeps.append(len(mats))
-        return sweep(site, word, mats, invs, prefixes, target_inv)
+        return sweep(site, rel, mats, invs, prefixes, target_inv)
 
     monkeypatch.setattr(charvar, "_relator_jacobian", counted)
     tracer = tracing.Tracer()
@@ -100,7 +100,7 @@ def test_solver_makes_one_jacobian_per_iteration(monkeypatch):
     assert len(report["rows"]) == 6
     assert iters > 0
     assert sum(sweeps) == iters
-    assert max(sweeps) == 3 and len(sweeps) < iters
+    assert max(sweeps) == 6 and len(sweeps) < iters
     # building the setup takes the same SVDs and least squares before solving
     svd, lstsq = "numpy.linalg.svd.calls", "numpy.linalg.lstsq.calls"
     assert snap[svd] - setup[svd] == len(sweeps)
