@@ -36,7 +36,6 @@ from .groupgeom import (
     parse_word,
     seeded_factors,
     word_eval,
-    word_tangent,
 )
 from .liealg import random_group_elements
 
@@ -65,10 +64,7 @@ class TraceFunction:
         return dtrace(word_eval(self.word, mats))
 
     def __repr__(self):
-        letters = "".join(
-            self.site.letter(f) if p == 1 else self.site.letter(f).upper()
-            for f, p in self.word)
-        return f"TraceFunction({letters!r})"
+        return f"TraceFunction({self.site.spell(self.word)!r})"
 
 
 _INVARIANCE_PROBES = 4
@@ -93,8 +89,9 @@ _INVARIANCE_TOL = 1e-8
 
 
 def hamiltonian_field(biv, f, point, seed):
-    """Tangent P-sharp(df) of an invariant function, as one (nfac, n, n)
-    array of factor components.
+    """The (N,) frame coefficients P^T df of the tangent P-sharp(df) of an
+    invariant function; `TangentFrame.stacked` expands them into factor
+    components.
 
     The invariance precondition is sampled; a function that visibly varies
     under simultaneous conjugation, or gives NaN, is refused.
@@ -103,20 +100,20 @@ def hamiltonian_field(biv, f, point, seed):
     if not resid <= _INVARIANCE_TOL:
         raise NotInvariant(
             f"function varies under conjugation (residual {resid:.3e})")
-    df = differential(point, f)
-    return np.tensordot(biv.frame_matrix(point).T @ df,
-                        point.frame().stacked, axes=(0, 1))
+    return biv.frame_matrix(point).T @ differential(point, f)
 
 
 def level_tangency_residual(desc, f, point, seed):
-    """Max |d(word)(X_f)| over the descriptor's momentum words.
+    """Max |d(word)(X_f)| over the descriptor's momentum words, each the
+    field's coefficients contracted with the word's derivative along the
+    frame vectors (`SitePoint.word_derivative`).
 
     The field of an invariant function is tangent to every momentum level.
     """
-    xf = hamiltonian_field(desc.bivector, f, point, seed)
-    return float(np.max([np.abs(word_tangent(comp.word, point.letters(comp.word),
-                                             [xf], None)[-1][1]).max()
-                         for comp in desc.momentum], initial=0.0))
+    coeffs = hamiltonian_field(desc.bivector, f, point, seed)
+    return float(np.max([np.abs(np.tensordot(
+        coeffs, point.word_derivative(comp.word)[1], axes=1)).max()
+        for comp in desc.momentum], initial=0.0))
 
 
 def jacobi_invariants(biv, f, h, k, points):

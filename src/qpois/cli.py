@@ -784,9 +784,8 @@ def compute_brackets(config, seed=None):
                 values[f"tr[{u}],tr[{v}]"] = [float(val.real), float(val.imag)]
             row["values"] = values
         rows.append(row)
-    relator = "".join(setup.site.letter(f) if p == 1 else setup.site.letter(f).upper()
-                      for f, p in setup.relator)
-    return _report("bracket", setup, target=label, relator=relator, rows=rows,
+    return _report("bracket", setup, target=label,
+                   relator=setup.site.spell(setup.relator), rows=rows,
                    overall_pass=not any(r["solver_failed"] for r in rows))
 
 

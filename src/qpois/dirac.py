@@ -4,6 +4,14 @@ Everything here works at one site point at a time, in frame coordinates:
 tangent components in the point's frame, cotangent components in the dual
 frame, stacked as vectors of length 2N.  Pulled-back group-side fibers use
 left-trivialized algebra coordinates of length 2d.
+
+The Dirac clauses build no basis of TM = [I; 0] or of the graph
+[I; sigma-flat] of the form: both are eliminated.  The forward image of TM
+is the nullspace of the N x (N + d) block [-sigma-flat | dphi^T], and
+orthonormal columns B meet a graph (TM is the zero form's) in k minus the
+rank of the N x k block B_bot - sigma-flat B_top.  The SVDs left are those
+two, the kernels of dphi and sigma-flat, the backward transport's
+2d x (N + 2d) system, the orthonormalized images and the 2d-space fibers.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadSignature, RankDeficient
+from .liealg import _RANK_TOL
 from .quasi import (
     component_linear,
     intersection_dim,
@@ -21,12 +30,12 @@ from .quasi import (
 
 __all__ = [
     "LagrangianSubspace",
-    "graph_subspace",
     "cartan_dirac_fibers",
     "projections_pq",
-    "transport_image",
+    "forward_image",
+    "backward_image",
+    "graph_meet",
     "kernel_phi_sigma",
-    "strongness_check",
     "subspace_equal",
     "dirac_booleans",
     "prop_tech_chain",
@@ -36,16 +45,19 @@ _ISO_TOL = 1e-10
 _MOM_TOL = 1e-9             # momentum tier of clause (a)
 
 
-def _pairing_gram(cols_a, cols_b, half):
-    """Bilinear (not conjugated) pairing matrix between two column sets."""
-    j_top = cols_b[half:, :]
-    j_bot = cols_b[:half, :]
-    return cols_a[:half, :].T @ j_top + cols_a[half:, :].T @ j_bot
+def _pairing_gram(basis, half):
+    """Bilinear (not conjugated) pairing matrix of a column set with itself."""
+    top, bot = basis[:half, :], basis[half:, :]
+    return top.T @ bot + bot.T @ top
 
 
 class LagrangianSubspace:
     """Orthonormalized column basis of a Lagrangian subspace of the split
-    2N-space; construction verifies isotropy and half-dimension rank."""
+    2N-space; construction verifies isotropy and half-dimension rank.
+
+    The isotropy gate is absolute, _ISO_TOL on the largest entry of the
+    basis's pairing matrix; a backward-error form of it, relative to the
+    sample's conditioning, is open in ROADMAP.md (item 2)."""
 
     def __init__(self, basis, isotropy_residual):
         self.basis = basis
@@ -57,20 +69,11 @@ class LagrangianSubspace:
         if basis.shape[1] != half:
             raise RankDeficient(
                 f"subspace rank {basis.shape[1]} != half-dimension {half}")
-        gram = _pairing_gram(basis, basis, half)
+        gram = _pairing_gram(basis, half)
         resid = float(np.abs(gram).max()) if gram.size else 0.0
-        if resid > _ISO_TOL * max(1.0, float(np.abs(basis).max())):
+        if resid > _ISO_TOL:
             raise BadSignature(f"subspace not isotropic (residual {resid:.3e})")
         return cls(basis, resid)
-
-
-def graph_subspace(smat):
-    """Graph {(v, sigma-flat v)} of a 2-form, given by its frame matrix, as a
-    Lagrangian subspace."""
-    smat = np.asarray(smat, dtype=complex)
-    n = smat.shape[0]
-    return LagrangianSubspace.from_columns(
-        np.concatenate([np.eye(n), smat.T], axis=0), n)
 
 
 def cartan_dirac_fibers(point, comp):
@@ -113,50 +116,52 @@ def projections_pq(point, comp):
     return p, q
 
 
-def transport_image(subspace, dphi, smat, direction):
-    """Forward or backward image of a Lagrangian subspace along a linear map
-    with a correcting 2-form on the source of the map.
+def forward_image(dphi, smat):
+    """Forward image {(dphi v, alpha) : dphi^T alpha = sigma-flat v} of TM
+    along the (d x N) map dphi, corrected by the form with frame matrix smat;
+    (v, alpha) is the nullspace of the block [-sigma-flat | dphi^T]."""
+    n = dphi.shape[1]
+    sols = nullspace(np.concatenate([-smat.T, dphi.T], axis=1))
+    cols = np.concatenate([dphi @ sols[:n, :], sols[n:, :]], axis=0)
+    return LagrangianSubspace.from_columns(cols, dphi.shape[0])
 
-    dphi: (n2 x n1) matrix of the map; smat: (n1 x n1) frame matrix of the
-    form (None for zero); the subspace lives on the source side for
-    "forward" and on the target side for "backward"; the result lives on the
-    other side.
-    """
+
+def backward_image(fib, dphi, smat):
+    """Backward image {(v, dphi^T beta - sigma-flat v) : (dphi v, beta) in
+    fib} of a target-side Lagrangian subspace along the (d x N) map dphi,
+    corrected by the form with frame matrix smat (None for the plain image);
+    the system has 2d rows."""
     dphi = np.asarray(dphi, dtype=complex)
     n2, n1 = dphi.shape
     sflat = (np.zeros((n1, n1), dtype=complex) if smat is None
              else np.asarray(smat, dtype=complex).T)   # component matrix of v -> sigma(v, .)
-    basis = subspace.basis
-    k = basis.shape[1]
-    if direction == "forward":
-        if subspace.basis.shape[0] != 2 * n1:
-            raise BadSignature("forward image needs a source-side subspace")
-        # unknowns (v, alpha, c): v = B_top c ; dphi^T alpha - sflat v = B_bot c
-        sys = np.block([
-            [np.eye(n1), np.zeros((n1, n2)), -basis[:n1, :]],
-            [-sflat, dphi.T, -basis[n1:, :]],
-        ])
-        sols = nullspace(sys)
-        vs = sols[:n1, :]
-        als = sols[n1:n1 + n2, :]
-        cols = np.concatenate([dphi @ vs, als], axis=0)
-        half = n2
-    elif direction == "backward":
-        if subspace.basis.shape[0] != 2 * n2:
-            raise BadSignature("backward image needs a target-side subspace")
-        # unknowns (v, beta, c): dphi v = B_top c ; beta = B_bot c
-        sys = np.block([
-            [dphi, np.zeros((n2, n2)), -basis[:n2, :]],
-            [np.zeros((n2, n1)), np.eye(n2), -basis[n2:, :]],
-        ])
-        sols = nullspace(sys)
-        vs = sols[:n1, :]
-        bes = sols[n1:n1 + n2, :]
-        cols = np.concatenate([vs, dphi.T @ bes - sflat @ vs], axis=0)
-        half = n1
-    else:
-        raise BadSignature(f"unknown direction {direction!r}")
-    return LagrangianSubspace.from_columns(cols, half)
+    basis = fib.basis
+    # unknowns (v, beta, c): dphi v = B_top c ; beta = B_bot c
+    sys = np.block([
+        [dphi, np.zeros((n2, n2)), -basis[:n2, :]],
+        [np.zeros((n2, n1)), np.eye(n2), -basis[n2:, :]],
+    ])
+    sols = nullspace(sys)
+    vs = sols[:n1, :]
+    bes = sols[n1:n1 + n2, :]
+    cols = np.concatenate([vs, dphi.T @ bes - sflat @ vs], axis=0)
+    return LagrangianSubspace.from_columns(cols, n1)
+
+
+def graph_meet(basis, smat):
+    """dim(span B cap {(v, sigma-flat v)}) for orthonormal columns B of the
+    split 2N-space and the form with frame matrix smat; None, the zero form,
+    gives TM.  It is k minus the rank of B_bot - sigma-flat B_top =
+    [-sigma-flat | I] B, counted against ||[-sigma-flat | I]||_2 (1 for TM),
+    not the block's own largest singular value: that is roundoff when span B
+    is the graph."""
+    n = basis.shape[0] // 2
+    block, scale = basis[n:, :], 1.0
+    if smat is not None:
+        block = block - smat.T @ basis[:n, :]
+        scale = np.hypot(1.0, np.linalg.norm(smat, 2))
+    sv = np.linalg.svd(block, compute_uv=False)
+    return basis.shape[1] - int(np.sum(sv > _RANK_TOL * scale))
 
 
 def kernel_phi_sigma(dphi, smat):
@@ -174,16 +179,6 @@ def subspace_equal(sub_a, sub_b):
     return intersection_dim(ba, bb) == ba.shape[1]
 
 
-def strongness_check(e_cols, dphi, smat):
-    """Whether ker(map, form) meets the given isotropic subspace trivially."""
-    return intersection_dim(kernel_phi_sigma(dphi, smat), e_cols) == 0
-
-
-def _tm_subspace(nfr):
-    cols = np.concatenate([np.eye(nfr), np.zeros((nfr, nfr))], axis=0)
-    return LagrangianSubspace.from_columns(cols, nfr)
-
-
 def dirac_booleans(qh, point, component):
     """The four independently computed equivalence clauses for one momentum
     component of a 2-form descriptor.
@@ -196,7 +191,6 @@ def dirac_booleans(qh, point, component):
     d: the plain backward image of the complementary fiber is transverse to
        the graph of the form.
     """
-    nfr = point.frame().dim
     comp = qh.momentum[component]
     dphi = component_linear(point, comp).left.T
     smat = qh.form.frame_matrix(point)
@@ -210,27 +204,26 @@ def dirac_booleans(qh, point, component):
     a_bool = bool(resid <= _MOM_TOL
                   and intersection_dim(ker_s, ker_d) == 0)
 
-    # (b) forward image of TM equals the canonical fiber, and strongness
-    tm = _tm_subspace(nfr)
-    strong = strongness_check(tm.basis, dphi, smat)
+    # (b) forward image of TM equals the canonical fiber, and strongness:
+    # ker(dphi, sigma) meets TM trivially
+    strong = graph_meet(kernel_phi_sigma(dphi, smat), None) == 0
     try:
-        fwd = transport_image(tm, dphi, smat, "forward")
+        fwd = forward_image(dphi, smat)
         b_bool = bool(subspace_equal(fwd, e_fib) and strong)
     except RankDeficient:
         b_bool = False
 
     # (c) backward image of the complementary fiber transverse to TM
     try:
-        back_s = transport_image(f_fib, dphi, smat, "backward")
-        c_bool = bool(intersection_dim(back_s.basis, tm.basis) == 0)
+        back_s = backward_image(f_fib, dphi, smat)
+        c_bool = graph_meet(back_s.basis, None) == 0
     except RankDeficient:
         c_bool = False
 
     # (d) plain backward image transverse to the graph of the form
     try:
-        back_0 = transport_image(f_fib, dphi, None, "backward")
-        gr = graph_subspace(smat)
-        d_bool = bool(intersection_dim(back_0.basis, gr.basis) == 0)
+        back_0 = backward_image(f_fib, dphi, None)
+        d_bool = graph_meet(back_0.basis, smat) == 0
     except RankDeficient:
         d_bool = False
 

@@ -120,6 +120,12 @@ class Site:
     def letter(self, i):
         return chr(ord("a") + i)
 
+    def spell(self, word):
+        """The word as text: each factor's letter, upper case for its
+        inverse (`parse_word` reads it back)."""
+        return "".join(self.letter(f) if p == 1 else self.letter(f).upper()
+                       for f, p in word)
+
     def class_indices(self):
         return [i for i, f in enumerate(self.factors) if f.kind == "class"]
 
@@ -230,11 +236,6 @@ class SitePoint(_Entries):
 
     def frame(self):
         return self.memo("frame", _frame)
-
-    def letters(self, word):
-        """The word's letters as matrices: a factor, or its inverse read
-        from `inverses()`."""
-        return _letters(word, self.mats, self.inverses())
 
 
 @dataclass

@@ -80,6 +80,7 @@ def test_defaulted_parameters_are_the_listed_ones():
 SHARED_PRIVATE = {
     "_BATCH_POINTS": None,      # the batch size of points
     "_rank": None,              # the one rank rule
+    "_RANK_TOL": None,          # its cut, for a rank against a known scale
     "_AD_SAMPLES": None,        # the pairing's invariance samples
     "_dexpm_rows": None,        # the grouped exponential
     "_letters": "charvar",

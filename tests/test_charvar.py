@@ -130,7 +130,8 @@ def test_single_factor_invariant_field_vanishes():
     f = TraceFunction(site, "a")
     for seed in range(4):
         p = random_point(site, np.random.default_rng(seed))
-        xf = hamiltonian_field(qp.bivector, f, p, 0)
+        xf = np.tensordot(hamiltonian_field(qp.bivector, f, p, 0),
+                          p.frame().stacked, axes=(0, 1))
         assert xf.shape == (1, 2, 2)
         assert np.abs(xf).max() <= 1e-10
         h = TraceFunction(site, "aa")
@@ -140,7 +141,8 @@ def test_single_factor_invariant_field_vanishes():
 def test_constant_function_zero_field():
     site, qp, _ = fused_sl2()
     p = random_point(site, np.random.default_rng(5))
-    xf = hamiltonian_field(qp.bivector, lambda mats: 3.5, p, 0)
+    xf = np.tensordot(hamiltonian_field(qp.bivector, lambda mats: 3.5, p, 0),
+                      p.frame().stacked, axes=(0, 1))
     assert xf.shape == (site.nfac, 2, 2)
     assert np.abs(xf).max() <= 1e-14
 

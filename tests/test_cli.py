@@ -240,12 +240,6 @@ def _last_point_rows_nan(out):
     return out
 
 
-def _last_prefix_nan(states):
-    """A word sweep whose last prefix state, the whole word's value and
-    derivative, is NaN."""
-    return states[:-1] + [tuple(np.full_like(x, np.nan) for x in states[-1])]
-
-
 @pytest.mark.parametrize("module, name, check_id, call, poison", [
     ("cli", "momentum_residual", "momentum_bivector_law", 2,
      lambda out: float("nan")),
@@ -253,8 +247,8 @@ def _last_prefix_nan(states):
      lambda out: float("nan")),
     # every point's triples are rows of one evaluation
     ("quasi", "exterior_d3", "quasi_closedness", 1, _last_point_rows_nan),
-    ("charvar", "word_tangent", "invariant_level_tangency", 2,
-     _last_prefix_nan),
+    ("charvar", "hamiltonian_field", "invariant_level_tangency", 2,
+     lambda out: np.full_like(out, np.nan)),
     ("charvar", "jacobiator", "jacobi_at_level", 2, lambda out: complex("nan")),
     # one df per point; each power's bracket reads it
     ("charvar", "differential", "poisson_ideal", 2,

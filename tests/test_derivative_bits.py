@@ -491,7 +491,8 @@ def _point_closure_residual(site, form, pullbacks, points, seed):
         ts = section_value(site, [s for t in drawn for s in t], point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
-            dv = word_tangent(word, point.letters(word), [ts], None)[-1][1]
+            dv = word_tangent(word, groupgeom._letters(
+                word, point.mats, point.inverses()), [ts], None)[-1][1]
             # None: no section moves a letter of the word
             dv = np.broadcast_to(0.0 if dv is None else dv,
                                  (3 * _TRIPLES, model.n, model.n))

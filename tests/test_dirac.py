@@ -6,15 +6,15 @@ from qpois.charvar import solve_relator
 from qpois.cli import build_setup
 from qpois.dirac import (
     LagrangianSubspace,
+    backward_image,
     cartan_dirac_fibers,
     dirac_booleans,
-    graph_subspace,
+    forward_image,
+    graph_meet,
     kernel_phi_sigma,
     projections_pq,
     prop_tech_chain,
-    strongness_check,
     subspace_equal,
-    transport_image,
 )
 from qpois.errors import BadSignature, DegeneratePairing, RankDeficient
 from qpois.fields import op_fund
@@ -27,8 +27,12 @@ from qpois.quasi import (
     double_descriptors,
     intersection_dim,
     internally_fused,
+    orthonormal_columns,
     pg_descriptor,
 )
+
+import dirac_reference
+from dirac_reference import graph_subspace, tm_subspace, transport_image
 
 REP = np.diag([2.0, 0.5]).astype(complex)
 
@@ -154,9 +158,7 @@ def test_forward_image_of_tangent_is_graph():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((4, 4))
     smat = m - m.T
-    tm_cols = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=0)
-    tm = LagrangianSubspace.from_columns(tm_cols, 4)
-    img = transport_image(tm, np.eye(4), smat, "forward")
+    img = forward_image(np.eye(4), smat)
     assert subspace_equal(img, graph_subspace(smat))
 
 
@@ -165,7 +167,7 @@ def test_backward_image_identity_unchanged():
     m = rng.standard_normal((4, 4))
     smat = m - m.T
     gr = graph_subspace(smat)
-    back = transport_image(gr, np.eye(4), None, "backward")
+    back = backward_image(gr, np.eye(4), None)
     assert subspace_equal(back, gr)
 
 
@@ -175,7 +177,7 @@ def test_backward_image_zero_map_gives_kernel():
     smat = m - m.T
     zero_target = LagrangianSubspace(np.zeros((0, 0)), 0.0)
     dphi = np.zeros((0, 4))
-    back = transport_image(zero_target, dphi, smat, "backward")
+    back = backward_image(zero_target, dphi, smat)
     ker = kernel_phi_sigma(dphi, smat)
     assert back.basis.shape[1] == 4
     assert intersection_dim(back.basis, ker) == 4
@@ -186,8 +188,8 @@ def test_strongness_trivial_group():
     m = rng.standard_normal((4, 4))
     smat = m - m.T          # generically non-degenerate (even dimension)
     dphi = np.zeros((0, 4))
-    tm_cols = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=0)
-    assert strongness_check(tm_cols, dphi, smat)
+    tm_cols = tm_subspace(4).basis
+    assert graph_meet(kernel_phi_sigma(dphi, smat), None) == 0
     assert intersection_dim(kernel_phi_sigma(dphi, smat), tm_cols) == 0
     # the principal angles between the kernel and TM stay away from zero
     overlap = np.linalg.svd(kernel_phi_sigma(dphi, smat).conj().T @ tm_cols,
@@ -195,8 +197,177 @@ def test_strongness_trivial_group():
     assert np.arccos(min(1.0, overlap.max())) > 0.1
 
     zero = np.zeros((4, 4))
-    assert not strongness_check(tm_cols, dphi, zero)
+    assert graph_meet(kernel_phi_sigma(dphi, zero), None) == 4
     assert intersection_dim(kernel_phi_sigma(dphi, zero), tm_cols) == 4
+
+
+def _antisymmetric(rng, n, scale):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (m - m.T)
+
+
+def _maps(rng, n):
+    """(d x n) maps: none (d = 0), full rank, and rank deficient."""
+    yield np.zeros((0, n))
+    for d in (1, 2, 3):
+        yield rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+    # rank 1 into a 3-dimensional target, and the zero map
+    yield np.outer(rng.standard_normal(3), rng.standard_normal(n))
+    yield np.zeros((2, n))
+
+
+def _forms(rng, n):
+    """Frame matrices: random antisymmetric ones, of two scales, and zero."""
+    return [_antisymmetric(rng, n, 1.0), _antisymmetric(rng, n, 30.0),
+            np.zeros((n, n))]
+
+
+def _outcome(build):
+    """The subspace build() makes, or the type of the error it raises."""
+    try:
+        return build()
+    except (RankDeficient, BadSignature) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_forward_image_matches_the_doubled_space_transport(n):
+    rng = np.random.default_rng(10 + n)
+    for dphi in _maps(rng, n):
+        for smat in _forms(rng, n):
+            new = forward_image(dphi, smat)
+            ref = transport_image(tm_subspace(n), dphi, smat, "forward")
+            assert new.basis.shape == (2 * len(dphi), len(dphi))
+            assert subspace_equal(new, ref)
+
+
+def _target_subspaces(rng, d):
+    """Lagrangian subspaces of the 2d-space: the graph of a random form, its
+    transpose side (the graph of a random bivector) and the tangent space."""
+    if d == 0:
+        return [LagrangianSubspace(np.zeros((0, 0)), 0.0)]
+    biv = _antisymmetric(rng, d, 1.0)
+    return [graph_subspace(_antisymmetric(rng, d, 1.0)),
+            LagrangianSubspace.from_columns(
+                np.concatenate([biv.T, np.eye(d)], axis=0), d),
+            tm_subspace(d)]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_backward_image_is_the_doubled_space_transport_bit_for_bit(n):
+    rng = np.random.default_rng(20 + n)
+    for dphi in _maps(rng, n):
+        for fib in _target_subspaces(rng, len(dphi)):
+            for smat in _forms(rng, n) + [None]:
+                new = _outcome(lambda: backward_image(fib, dphi, smat))
+                ref = _outcome(lambda: transport_image(fib, dphi, smat,
+                                                       "backward"))
+                if isinstance(ref, type):
+                    assert new is ref
+                    continue
+                assert np.array_equal(new.basis, ref.basis)
+                assert new.isotropy_residual == ref.isotropy_residual
+
+
+def _with_overlap(rng, sub, j, n):
+    """Orthonormal columns of k = n columns in the 2n-space that meet the
+    Lagrangian subspace sub in exactly j dimensions (generic otherwise)."""
+    inside = sub.basis @ (rng.standard_normal((n, j))
+                          + 1j * rng.standard_normal((n, j)))
+    outside = (rng.standard_normal((2 * n, n - j))
+               + 1j * rng.standard_normal((2 * n, n - j)))
+    return orthonormal_columns(np.concatenate([inside, outside], axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_graph_meet_matches_intersection_dim(n):
+    rng = np.random.default_rng(30 + n)
+    for smat in _forms(rng, n):
+        graph = graph_subspace(smat)
+        tm = tm_subspace(n)
+        for j in range(n + 1):
+            basis = _with_overlap(rng, graph, j, n)
+            assert graph_meet(basis, smat) == j
+            assert intersection_dim(basis, graph.basis) == j
+            basis = _with_overlap(rng, tm, j, n)
+            assert graph_meet(basis, None) == j
+            assert intersection_dim(basis, tm.basis) == j
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_graph_meet_full_overlap(n):
+    """B = TM and B = the graph, each as floats make it, meet it in all k
+    dimensions: the rank of the N x k block is counted against the scale of
+    what B came from, never against the block's own largest singular value,
+    which is roundoff here."""
+    rng = np.random.default_rng(40 + n)
+    assert graph_meet(tm_subspace(n).basis, None) == n
+    # TM tilted at roundoff level: the graph of a form of norm 1e-15
+    tilted = graph_subspace(1e-15 * _antisymmetric(rng, n, 1.0)).basis
+    assert 0 < np.abs(tilted[n:]).max() < 1e-12
+    assert graph_meet(tilted, None) == n
+    for smat in _forms(rng, n)[:2]:
+        basis = graph_subspace(smat).basis
+        block = basis[n:] - smat.T @ basis[:n]
+        assert 0 < np.abs(block).max() < 1e-12
+        assert graph_meet(basis, smat) == n
+
+
+def _sl3_g3():
+    return build_setup({"group": {"family": "SL", "n": 3},
+                        "site": {"genus": 3}})
+
+
+def test_dirac_svds_are_at_most_n_on_their_short_side(monkeypatch):
+    """Every SVD of the clauses at SL(3) genus 3 (N = 48, d = 8) has at most
+    N on its short side: no 2N x (2N + d) transport system and no 2N x 2N
+    intersection is left."""
+    setup = _sl3_g3()
+    site, qh = setup.site, setup.qh
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for seed in range(2):
+        p = random_point(site, np.random.default_rng(seed))
+        nfr = p.frame().dim
+        for ci in range(len(qh.momentum)):
+            try:
+                dirac_booleans(qh, p, component=ci)
+            except BadSignature:
+                pass
+    assert nfr == 48
+    assert shapes
+    assert max(min(shape[-2:]) for shape in shapes) <= nfr, sorted(set(shapes))
+
+
+@pytest.mark.parametrize("make", ["two-punct", "sl2-g2", "sl3-g3"])
+def test_dirac_booleans_equal_the_doubled_space_clauses(make):
+    """At sampled points, including the SL(3) genus 3 samples whose
+    backward image fails the isotropy gate, the clauses give the booleans,
+    or the error, of the same clauses computed in the doubled space."""
+    if make == "sl3-g3":
+        setup = _sl3_g3()
+    elif make == "sl2-g2":
+        setup = build_setup({"site": {"genus": 2}})
+    else:
+        setup = build_setup({"site": {"genus": 1, "class_reps": [
+            [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+            [[[3.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1 / 3, 0.0]]]]}})
+    for seed in range(3):
+        p = random_point(setup.site, np.random.default_rng(seed))
+        for ci in range(len(setup.qh.momentum)):
+            outs = []
+            for clauses in (dirac_booleans, dirac_reference.dirac_booleans):
+                try:
+                    outs.append(clauses(setup.qh, p, component=ci))
+                except BadSignature as exc:
+                    outs.append(str(exc))
+            assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("make", ["class", "double", "fused", "surface11"])
