@@ -7,11 +7,13 @@ Subcommands
 
 Every command takes --config/--seed/--out; reports are canonical JSON (sorted
 keys, floats at 17 significant digits, no timestamps) so a rerun with the same
-config and seed is byte-identical.  Checks run one after another, each on its
-own random stream.  A check that cannot run because the input refuses it
-(degenerate pairing, missing 2-form) is reported as skipped with the reason; a
-numerical violation, a NaN residual or an unexpected error is a failure.  Exit
-status is zero exactly when no check failed.
+config and seed is byte-identical.  Checks run one after another.  A run
+draws its points once, and every check that reads drawn points takes a prefix
+of them; each check's other draws come from its own random stream.  A check
+that cannot run because the input refuses it (degenerate pairing, missing
+2-form) is reported as skipped with the reason; a numerical violation, a NaN
+residual or an unexpected error is a failure.  Exit status is zero exactly
+when no check failed.
 """
 
 from __future__ import annotations
@@ -237,6 +239,13 @@ class Setup:
         return [[out for _, out in per] for per in _solve_targets(
             self, _check_rng(self, "relator_solver"), min(self.samples, 4))]
 
+    @cached_property
+    def points(self):
+        """The run's `samples` drawn points, made once from the stream
+        tagged "points": every check that reads drawn points takes a prefix
+        of them, so their batch data is built once per run."""
+        return random_points(self.site, _check_rng(self, "points"), self.samples)
+
 
 def _solve_targets(setup, rng, count):
     """Per target, count (solver seed, outcome) pairs: the seeds drawn from
@@ -377,8 +386,9 @@ class Check:
     """One registered check.
 
     With `points` unset, fn(setup, rng) returns (residual, samples).  With it
-    set, the runner draws min(samples, points) points and fn(setup, point,
-    rng) returns the residual at one of them.
+    set, the runner hands fn the first min(samples, points) of the run's
+    points (`Setup.points`) and fn(setup, point, rng) returns the residual at
+    one of them.  rng is the check's own stream, for its other draws.
     """
 
     check_id: str
@@ -443,9 +453,9 @@ def _chk_momentum_form(s, p, rng):
 
 
 def _chk_equivariance(s, rng):
-    # the points, then one conjugating g per point: the stream of a points
-    # check; the conjugated points are one batch
-    pts = random_points(s.site, rng, min(s.samples, 4))
+    # one conjugating g per point from the check's stream; the conjugated
+    # points are one batch
+    pts = s.points[:min(s.samples, 4)]
     gs = random_group_elements(s.model, rng, (len(pts),))
     gis = np.linalg.inv(gs)
     moved = PointBatch(s.site, gs[:, None] @ np.stack([p.mats for p in pts])
@@ -455,16 +465,17 @@ def _chk_equivariance(s, rng):
 
 
 def _chk_class_tangency(s, rng):
+    count = min(s.samples, 4)
     if s.site.class_indices():
-        site, factor = s.site, s.site.class_indices()[0]
-        qp = s.qp
+        factor, qp, pts = s.site.class_indices()[0], s.qp, s.points[:count]
     else:
+        # a one-class site of its own, with its own draw
         rep = dexpm(0.6 * s.model.basis[0])
         site = Site(s.model, s.pairing, [Factor("class", rep)])
         qp, _ = class_descriptors(site)
-        factor = 0
+        factor, pts = 0, random_points(site, rng, count)
     resid = []
-    for p in random_points(site, rng, min(s.samples, 4)):
+    for p in pts:
         try:
             resid.append(restrict_to_class(qp.bivector, p, factor))
         except NotTangent as exc:
@@ -473,13 +484,13 @@ def _chk_class_tangency(s, rng):
 
 
 def _chk_quasi_closed(s, rng):
-    pts = random_points(s.site, rng, min(s.samples, 4))
+    pts = s.points[:min(s.samples, 4)]
     sub = int(rng.integers(2 ** 31))
     return float(quasi_closed_residual(s.qh, pts, seed=sub)), len(pts)
 
 
 def _chk_cn1(s, rng):
-    pts = random_points(s.site, rng, min(s.samples, 4))
+    pts = s.points[:min(s.samples, 4)]
     sub = int(rng.integers(2 ** 31))
     return float(cn1_residual(s.site, pts, seed=sub)), len(pts)
 
@@ -521,7 +532,7 @@ def _chk_fibers(s, p, rng):
 
 def _chk_boolean_agreement(s, rng):
     disagreements = 0
-    pts = random_points(s.site, rng, s.samples)
+    pts = s.points
     for p in pts:
         for ci in range(len(s.qh.momentum)):
             out = dirac_booleans(s.qh, p, component=ci)
@@ -651,6 +662,10 @@ _ALL_CHECKS = [
 # ---------------------------------------------------------------------------
 
 def _run_one(setup, chk):
+    """The record of one check: skipped when its gates refuse the setup,
+    else its residual against its tier.  A points check reads the first
+    min(samples, chk.points) of the run's points and gets its own stream for
+    its other draws, so its record is the same alone and in its suite."""
     tol = setup.tols[chk.tier]
     record = {
         "check_id": chk.check_id,
@@ -678,7 +693,7 @@ def _run_one(setup, chk):
         if chk.points is None:
             residual, nsamp = chk.fn(setup, rng)
         else:
-            pts = random_points(setup.site, rng, min(setup.samples, chk.points))
+            pts = setup.points[:min(setup.samples, chk.points)]
             # np.max, not max(): a NaN at any point must fail the check
             residual = np.max([chk.fn(setup, p, rng) for p in pts])
             nsamp = len(pts)

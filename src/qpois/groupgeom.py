@@ -10,7 +10,7 @@ the slice of its rows in the frame; a central class has k_f = 0, and its
 empty arrays pass through every frame computation.
 
 Points come in batches.  A `PointBatch` holds S points of one site as one
-read-only (S, nfac, n, n) stack; a check draws its points with
+read-only (S, nfac, n, n) stack; a run draws its points with
 `random_points`, in the order of S `random_point` calls and in batches of at
 most _BATCH_POINTS, so memory does not grow with the sample count (the
 relator solver's chunks share that cap); their factor exponentials are one
@@ -19,10 +19,11 @@ is built once per batch: a memo miss at any point builds the entry for every
 point of the batch at once, from (S, ...) stacks, and the batch keeps it.  A
 `SitePoint` holds only its batch and its index, and keeps per key its slice
 of each entry, a view of the batch's stack; the batch never refers back to
-its points.  Every point comes from a batch (`PointBatch.points`): a check's
-drawn points, the conjugated points of the equivariance check and the
-solved rows of a relator-solver chunk are each one batch, and
-`random_point`, library shorthand that no command calls, is a batch of one.
+its points.  Every point comes from a batch (`PointBatch.points`): a run's
+drawn points, which every check that reads drawn points shares, the
+conjugated points of the equivariance check and the solved rows of a
+relator-solver chunk are each one batch, and `random_point`, library
+shorthand that no command calls, is a batch of one.
 The relator solver starts a chunk's rows from `seeded_factors`: per seed
 the factors of `random_point` at that seed's generator, every seed's draw
 a row of one exponential, and no batch.  Stacked products and inversions give

@@ -1,6 +1,7 @@
 """Write the status of every check over a fixed scan of seeds, one line each.
 
     python tests/status_scan.py OUTFILE
+    python tests/status_scan.py --diff OLD NEW
 
 runs `verify all` on each (config, seed) below and writes one sorted line
 per (config, seed, check_id): the status, `repr` of the max residual and
@@ -14,13 +15,16 @@ the reason, tab-separated.  The configs:
 - SL(2) genus 5, SL(3) genus 3 and SL(4) genus 1 at seeds 0-2.
 
 To check that a change moves no status and no reason, run it from both
-checkouts and `diff` the two files.  Residual digits depend on the numpy
-and BLAS build, so only files written on the same host and installation
-compare.  The package is imported from the `src` directory next to this
+checkouts and compare the two files with `--diff`: it prints every (config,
+seed, check) whose status or reason moved, with both residuals, and then
+the number of failing runs of each check on each side.  Residual digits
+depend on the numpy and BLAS build, so only files written on the same host
+and installation compare.  The package is imported from the `src` directory next to this
 file, and nothing is written but OUTFILE.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,9 +62,46 @@ def runs():
     return out
 
 
+def _read(path):
+    """{(config, seed, check_id): (status, residual, reason)} of a scan file."""
+    out = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        name, seed, cid, status, resid, reason = line.split("\t")
+        out[name, int(seed), cid] = (status, resid, reason)
+    return out
+
+
+def diff_lines(old_path, new_path):
+    """The moved (config, seed, check) lines of two scan files, then per
+    check that fails on either side its failure counts, old -> new."""
+    old, new = _read(old_path), _read(new_path)
+    absent = ("absent", "None", "None")
+    lines, moved = [], 0
+    for key in sorted(old.keys() | new.keys()):
+        was, now = old.get(key, absent), new.get(key, absent)
+        if (was[0], was[2]) != (now[0], now[2]):
+            moved += 1
+            line = (f"{key[0]} {key[1]} {key[2]}: {was[0]} {was[1]} -> "
+                    f"{now[0]} {now[1]}")
+            if was[2] != now[2]:
+                line += f" | reason {was[2]} -> {now[2]}"
+            lines.append(line)
+    was, now = (Counter(cid for (_, _, cid), (status, _, _) in scan.items()
+                        if status == "failed") for scan in (old, new))
+    lines.append(f"{moved} moved; failing runs per check, old -> new:")
+    for cid in sorted(was.keys() | now.keys()):
+        lines.append(f"  {cid}: {was[cid]} -> {now[cid]}")
+    lines.append(f"  total: {sum(was.values())} -> {sum(now.values())}")
+    return lines
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        print("\n".join(diff_lines(argv[1], argv[2])))
+        return
     if len(argv) != 1:
-        sys.exit("usage: python tests/status_scan.py OUTFILE")
+        sys.exit("usage: python tests/status_scan.py OUTFILE\n"
+                 "       python tests/status_scan.py --diff OLD NEW")
     lines = []
     scanned = runs()
     for (name, seed), cfg in scanned.items():

@@ -223,8 +223,11 @@ def test_per_point_records_alone_match_suite(cfg):
     together = by_id(run_suite(cfg, "all"))
     per_point = [c.check_id for c in cli._ALL_CHECKS if c.points is not None]
     assert len(per_point) == 11
-    # equivariance draws its own points, and then one g per point
-    for cid in per_point + ["equivariance"]:
+    # checks that read the run's points themselves, each with its own
+    # stream for its other draws
+    for cid in per_point + ["equivariance", "quasi_closedness",
+                            "mixed_closure_calibration", "strongness_agreement",
+                            "class_restriction_tangency"]:
         alone = run_suite(dict(cfg, checks=[cid]), "all")["checks"]
         assert canonical_json(alone) == canonical_json([together[cid]]), cid
 

@@ -14,8 +14,10 @@ closure check's points are rows of one `exterior_d3`, so its form
 evaluations invert once per check, not once per point, and
 `poisson_ideal_residual` reads the relator and its derivative from the
 sweep of its solved batch, whose letters are the batch's factor inverses.
-So `verify all` on SL(2) genus 2 at seed 0 stays within 184
-`np.linalg.inv` calls.
+A run draws its points once (`Setup.points`) and every check that reads
+drawn points takes a prefix of them, so their factor inverses, word values
+and adjoints are built once per run, not once per check.  So `verify all`
+on SL(2) genus 2 at seed 0 stays within 94 `np.linalg.inv` calls.
 `FormField.evaluate` inverts each factor it reads inverted with one `dinv`,
 so one `np.linalg.inv`, per call, and the value of each word other than a
 positive letter with one more.
@@ -30,7 +32,7 @@ from qpois.fields import Section, exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
-_VERIFY_INV_CALLS = 184
+_VERIFY_INV_CALLS = 94
 
 
 def test_verify_all_inverts_within_its_count(monkeypatch):

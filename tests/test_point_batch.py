@@ -1,6 +1,6 @@
 """A batch's points read the bits of their one-point builds.
 
-`random_points` draws a check's points as batches, and every entry of the
+`random_points` draws a run's points as batches, and every entry of the
 memo is built for the whole batch from (S, ...) stacks.  At every point of a
 batch each entry equals, by `np.array_equal`, the entry built at
 `PointBatch(site, [p.mats])`, a batch of one: the frame's arrays and
@@ -9,6 +9,8 @@ differentials, the frame matrices P and Sigma, and each component's
 linearization.  The draws themselves are those of one `random_point` call
 per point.  The equivariance check's conjugated points and the solved rows
 of a relator solve are batches too, with the bits of their batches of one.
+A `verify all` run draws its points once, and every check that reads drawn
+points takes a prefix of that one batch.
 """
 
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import qpois.cli as cli
+import qpois.groupgeom as groupgeom
 from qpois import models
 from qpois.charvar import RepSample, solve_relator, solve_relators
 from qpois.groupgeom import PointBatch, SitePoint, random_point, random_points
@@ -126,7 +129,8 @@ def test_conjugated_points_share_one_batch(build, genus, reps, monkeypatch):
 
     monkeypatch.setattr(cli, "equivariance_residual", spy)
     setup = SimpleNamespace(site=site, model=site.model, qp=qp, qh=qh,
-                            samples=8)
+                            samples=8, points=random_points(
+                                site, np.random.default_rng(24), 8))
     cli._chk_equivariance(setup, np.random.default_rng(23))
     assert len(seen) == 4
     assert len({id(args[3]._batch) for args, _ in seen}) == 1
@@ -153,3 +157,86 @@ def test_solved_points_share_one_batch(build, genus, reps):
     for seed, out in solved:
         assert _equal(out.point.mats,
                       solve_relator(site, relator, eye, seed=seed).point.mats)
+
+
+def test_verify_all_builds_each_batch_and_frame_once(monkeypatch):
+    """On SL(2) genus 2 at seed 0 the batches are the run's points, the
+    equivariance check's conjugated points, the solved rows and the class
+    tangency check's one-class site (the site has no class factor), each
+    with one frame."""
+    counts = {"batches": 0, "frames": 0}
+    real_init, real_frame = PointBatch.__init__, groupgeom.site_frame
+
+    def init(self, site, mats):
+        counts["batches"] += 1
+        real_init(self, site, mats)
+
+    def frame(site, points):
+        counts["frames"] += 1
+        return real_frame(site, points)
+
+    monkeypatch.setattr(PointBatch, "__init__", init)
+    monkeypatch.setattr(groupgeom, "site_frame", frame)
+    assert cli.run_suite({"site": {"genus": 2}, "seed": 0}, "all")["overall_pass"]
+    assert counts["batches"] <= 4 and counts["frames"] <= 4, counts
+
+
+# per residual that the checks call: the drawn points among its arguments
+# (the equivariance residual's fourth argument is a conjugated point)
+_POINT_ARGS = {
+    "jacobiator_vs_phi": lambda a: [a[1]],
+    "momentum_residual": lambda a: [a[1]],
+    "equivariance_residual": lambda a: [a[2]],
+    "restrict_to_class": lambda a: [a[1]],
+    "quasi_closed_residual": lambda a: list(a[1]),
+    "cn1_residual": lambda a: list(a[1]),
+    "duality_residual": lambda a: [a[2]],
+    "reconstruct_dual": lambda a: [a[1]],
+    "nondegeneracy_check": lambda a: [a[1]],
+    "projections_pq": lambda a: [a[0]],
+    "cartan_dirac_fibers": lambda a: [a[0]],
+    "dirac_booleans": lambda a: [a[1]],
+    "prop_tech_chain": lambda a: [a[1]],
+    "level_tangency_residual": lambda a: [a[2]],
+}
+
+
+def test_every_check_reads_a_prefix_of_the_run_points(monkeypatch):
+    """On the two-puncture site every drawn-points check reads the first k
+    points of one batch, those of random_points on the "points" stream."""
+    cfg = {"site": {"genus": 1, "class_reps": [
+        [[[2, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+        [[[3, 0], [0, 0]], [[0, 0], [1 / 3, 0]]]]}, "seed": 3, "samples": 5}
+    seen = {}
+    current = [None]
+    real_run_one = cli._run_one
+
+    def run_one(setup, chk):
+        current[0] = seen.setdefault(chk.check_id, [])
+        return real_run_one(setup, chk)
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            for p in _POINT_ARGS[name](args):
+                if all(p is not q for q in current[0]):
+                    current[0].append(p)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    for name in _POINT_ARGS:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    cli.run_suite(cfg, "all")
+
+    setup = cli.build_setup(cfg)
+    want = random_points(setup.site, cli._check_rng(setup, "points"), 5)
+    counts = {c.check_id: min(5, c.points) for c in cli._ALL_CHECKS
+              if c.points is not None}
+    counts.update(equivariance=4, class_restriction_tangency=4,
+                  quasi_closedness=4, mixed_closure_calibration=4,
+                  strongness_agreement=5)
+    assert {cid for cid, pts in seen.items() if pts} == set(counts)
+    assert len({id(p._batch) for pts in seen.values() for p in pts}) == 1
+    for cid, k in counts.items():
+        assert len(seen[cid]) == k, cid
+        assert all(_equal(p.mats, q.mats) for p, q in zip(seen[cid], want)), cid
