@@ -79,7 +79,13 @@ class LagrangianSubspace:
 def cartan_dirac_fibers(point, comp):
     """The two generating fibers of the canonical splitting pulled back
     through a momentum component's word, in left-trivialized coordinates at
-    the word value; reads only the word's Ad entry, no frame."""
+    the word value; reads only the word's Ad entry, no frame.  Built once
+    per point and component, at the points that ask
+    (`SitePoint.point_memo`)."""
+    return point.point_memo(("fibers", comp), lambda p: _fibers(p, comp))
+
+
+def _fibers(point, comp):
     s_low, _ = point.site.pairing.require_invertible()
     a_mat, a_inv = point.word_ad(comp.word)
     d = point.site.model.d

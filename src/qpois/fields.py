@@ -10,6 +10,8 @@ and each bivector builds its atom tensor kron(K, H) once.
 A 2-form is a list of pullback pairings of trivialization forms plus class
 terms.  Both evaluate transparently at Dual-perturbed points, which is what
 makes exact exterior derivatives and Jacobiators cheap.
+Constant sections are arrays of factor indices and algebra coefficients, of
+the kind their factor gives them (`section_value`).
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ __all__ = [
     "PairTerm",
     "TauTerm",
     "FormField",
-    "Section",
     "section_value",
-    "section_bracket",
     "exterior_d3",
     "eval_lambda",
     "differential",
@@ -283,118 +283,84 @@ class FormField:
 
 
 # ---------------------------------------------------------------------------
-# sections and the pointwise exterior derivative
+# constant sections and the pointwise exterior derivative
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Section:
-    """Constant-coefficient section: left-invariant or conjugation direction."""
-
-    factor: int
-    kind: str            # "left" | "fund"
-    x: np.ndarray        # algebra coefficients
-
-    def __post_init__(self):
-        if self.kind not in ("left", "fund"):
-            raise BadSignature(f"unknown section kind {self.kind!r}")
-        self.x = np.asarray(self.x, dtype=complex)
-
-
-def section_value(site, secs, mats):
-    """Tangent of an array of sections, a sequence or a sequence of equally
-    long sequences, as one batched Tangent with the array's axes (entry k
-    zero on the factors section k does not touch), at the (possibly Dual)
-    factor matrices, which broadcast against those axes.  Conjugation
-    directions carry their lifts, stacked per factor when every section
-    there has one."""
+def section_value(site, fac, x, mats):
+    """Tangent of a stack of constant sections, given by their factor
+    indices fac (...,) and algebra coefficients x (..., d), as one batched
+    Tangent with fac's axes (entry k zero on the factors other than fac[k]),
+    at the (possibly Dual) factor matrices, which broadcast against those
+    axes.  A section's kind is its factor's: the left-invariant q x on a
+    group factor, the conjugation direction q x - x q on a class factor,
+    whose lifts x are stacked per factor."""
     model = site.model
-    secs = np.array(secs, dtype=object)
-    by_factor = {}
-    for k, s in np.ndenumerate(secs):
-        by_factor.setdefault(s.factor, []).append((k, s))
-    comps = [None] * site.nfac
-    lifts = {}
-    for f, entries in sorted(by_factor.items()):
-        at = tuple(np.array([k for k, _ in entries]).T)
-        x = np.array([s.x for _, s in entries])
-        fund = np.array([s.kind == "fund" for _, s in entries])
-        left = np.zeros(secs.shape + (model.n, model.n), dtype=complex)
-        right = np.zeros_like(left)
-        left[at] = model.from_coeffs(x)
-        right[tuple(i[fund] for i in at)] = left[at][fund]
+    comps, lifts = [None] * site.nfac, {}
+    for f in set(np.ravel(fac).tolist()):
+        on = fac == f
+        left = np.zeros(on.shape + (model.n, model.n), dtype=complex)
+        left[on] = model.from_coeffs(x[on])
         q = mats[f]
-        comps[f] = q @ left - matmul(right, q)
-        if fund.all():
-            lifts[f] = np.zeros(secs.shape + (model.d,), dtype=complex)
-            lifts[f][at] = x
+        if site.factors[f].kind == "class":
+            comps[f] = q @ left - matmul(left, q)
+            lifts[f] = np.where(on[..., None], x, 0j)
+        else:
+            comps[f] = q @ left
     return Tangent(comps, lifts)
 
 
-def section_bracket(site, s1, s2):
-    """Lie bracket of two sections (None when they commute for shape reasons)."""
-    if s1.factor != s2.factor:
-        return None
-    if s1.kind != s2.kind:
-        raise BadSignature("mixed section kinds on one factor are not closed")
-    x = site.model.bracket_coeffs(s1.x, s2.x)
-    return Section(s1.factor, s1.kind, x)
-
-
-def exterior_d3(site, form, mats, triples):
+def exterior_d3(site, form, mats, fac, x):
     """Pointwise d(form) on triples (X, Y, Z) of constant sections:
 
     X s(Y,Z) - Y s(X,Z) + Z s(X,Y) - s([X,Y],Z) + s([X,Z],Y) - s([Y,Z],X),
 
     at P points at once: mats is the (P, nfac, n, n) stack of their factor
-    matrices and triples holds per point its list of triples, the same
-    number at every point.  Returns one value per triple, point by point.
+    matrices, and each point's T triples are the rows of the factor indices
+    fac (P, T, 3) and the coefficients x (P, T, 3, d) (`section_value`).
+    Returns one value per triple, point by point.
 
     The terms are the rows of two evaluations laid out as (point, row):
     each factor, its inverse, each word's value and its running product
     once per point, as (P, 1, n, n) stacks, and the perturbations and
     section tangents per row, as (P, R, n, n) stacks.  All derivative terms
     come from one Dual evaluation, whose row perturbs its point along its
-    own derivative section only; all bracket terms come from one plain
-    evaluation, whose rows a point without that many brackets fills with
-    copies of a bracket term, read nowhere.
+    own derivative section only.  Two sections bracket to zero unless they
+    share a factor, where `bracket_coeffs` gives the bracket; all bracket
+    terms come from one plain evaluation, whose rows a point without that
+    many brackets fills with copies of the first bracket term, read nowhere.
     """
+    npts, ntrip = fac.shape[:2]
     at = np.swapaxes(mats, 0, 1)[:, :, None]
-    derivs = [[term for s1, s2, s3 in per
-               for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
-              for per in triples]
-    dsecs, firsts, seconds = ([[term[i] for term in per] for per in derivs]
-                              for i in range(3))
-    base = section_value(site, dsecs, at)
+
+    def rows(slots):
+        """Per point the sections in these slots of its triples, triple by
+        triple, as (P, 3T) rows."""
+        return (fac[:, :, slots].reshape(npts, 3 * ntrip),
+                x[:, :, slots].reshape(npts, 3 * ntrip, -1))
+
+    base = section_value(site, *rows([0, 1, 2]), at)
     dmats = [q if v is None else Dual(q, v) for q, v in zip(at, base.comps)]
-    out = form.evaluate(dmats, section_value(site, firsts, dmats),
-                        section_value(site, seconds, dmats))
+    out = form.evaluate(dmats, section_value(site, *rows([1, 0, 0]), dmats),
+                        section_value(site, *rows([2, 2, 1]), dmats))
     d = np.broadcast_to(out.eps if isinstance(out, Dual) else 0.0,
-                        (len(derivs), len(derivs[0]))).reshape(-1, 3)
+                        (npts, 3 * ntrip)).reshape(-1, 3)
     total = np.array(d[:, 0] - d[:, 1] + d[:, 2], dtype=complex)
 
-    # per point: (triple, sign, bracket section, other section)
-    brackets = [[] for _ in triples]
-    for p, per in enumerate(triples):
-        for t, (s1, s2, s3) in enumerate(per):
-            for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2),
-                                        (-1, s2, s3, s1)):
-                br = section_bracket(site, sa, sb)
-                if br is not None:
-                    brackets[p].append((p * len(per) + t, sign, br, other))
-    width = max(map(len, brackets))
-    if width:
-        filler = next(rows[0] for rows in brackets if rows)
-        grid = [rows + [filler] * (width - len(rows)) for rows in brackets]
-        brs, others = ([[row[i] for row in rows] for rows in grid]
-                       for i in (2, 3))
-        vals = np.broadcast_to(form.evaluate(at, section_value(site, brs, at),
-                                             section_value(site, others, at)),
-                               (len(grid), width))
-        vals = np.concatenate([v[:len(rows)]
-                               for v, rows in zip(vals, brackets)])
-        ts, signs, _, _ = zip(*(row for rows in brackets for row in rows))
+    # per bracket term: its sign, its two bracketed slots and its other slot
+    sign, a, b, other = np.array([(-1, 0, 1, 2), (1, 0, 2, 1), (-1, 1, 2, 0)]).T
+    # every bracket term that can be nonzero, in (point, triple, term) order
+    p, t, k = np.nonzero(fac[:, :, a] == fac[:, :, b])
+    if len(p):
+        slot = np.arange(len(p)) - np.searchsorted(p, p)
+        grid = np.zeros((npts, slot.max() + 1), dtype=int)
+        grid[p, slot] = np.arange(len(p))
+        brx = site.model.bracket_coeffs(x[p, t, a[k]], x[p, t, b[k]])
+        vals = np.broadcast_to(form.evaluate(
+            at, section_value(site, fac[p, t, a[k]][grid], brx[grid], at),
+            section_value(site, fac[p, t, other[k]][grid],
+                          x[p, t, other[k]][grid], at)), grid.shape)[p, slot]
         # in order per triple, as the terms are written above
-        np.add.at(total, list(ts), np.where(np.array(signs) < 0, -vals, vals))
+        np.add.at(total, p * ntrip + t, np.where(sign[k] < 0, -vals, vals))
     return total
 
 

@@ -40,6 +40,9 @@ entries per word, keyed by the word and built on first request:
   factors the word does not read, and from it the trivialized
   differentials L, R, formed on the rows of the word's factors only.
 
+`SitePoint.point_memo` keeps, read-only too, what is built one point at a
+time, at the points that read it.
+
 One recurrence differentiates every word outside the relator solver:
 `word_tangent` carries the running product W and, per tangent, its
 derivative D, D <- D t + W dt, from a given start state through the
@@ -170,6 +173,14 @@ def _frame(batch):
     return site_frame(batch.site, batch)
 
 
+def _read_only(out):
+    """out, its array or each array of its tuple made read-only."""
+    for arr in out if isinstance(out, tuple) else (out,):
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return out
+
+
 class PointBatch(_Entries):
     """Points of one site as one read-only (S, nfac, n, n) stack, whose data
     is built for all S points at once and kept here as (S, ...) stacks.
@@ -190,11 +201,7 @@ class PointBatch(_Entries):
         """build(batch), computed on the first request for key and kept; an
         array result, or each array of a tuple result, is read-only."""
         if key not in self._memo:
-            out = build(self)
-            for arr in out if isinstance(out, tuple) else (out,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
-            self._memo[key] = out
+            self._memo[key] = _read_only(build(self))
         return self._memo[key]
 
     def frame(self):
@@ -225,6 +232,14 @@ class SitePoint(_Entries):
         its memory at the point too."""
         if key not in self._memo:
             self._memo[key] = self._slice(self._batch.memo(key, build))
+        return self._memo[key]
+
+    def point_memo(self, key, build):
+        """build(point), computed at this point alone on the first request
+        for key and kept with its slices, read-only as a batch's entries:
+        for data built one point at a time, at the points that read it."""
+        if key not in self._memo:
+            self._memo[key] = _read_only(build(self))
         return self._memo[key]
 
     def _slice(self, entry):

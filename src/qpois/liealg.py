@@ -89,8 +89,9 @@ class LieAlgebraModel:
         return np.einsum("...j,jab->...ab", c, self.basis)
 
     def bracket_coeffs(self, x, y):
-        """Structure-constant bracket of two coefficient vectors."""
-        return np.einsum("kuv,u,v->k", self.struct, x, y)
+        """Structure-constant bracket of two coefficient vectors; leading
+        batch axes, the same on both, are kept."""
+        return np.einsum("kuv,...u,...v->...k", self.struct, x, y)
 
 
 def build_lie_algebra(basis):

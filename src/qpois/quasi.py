@@ -46,7 +46,6 @@ from .fields import (
     Bivector,
     FormField,
     PairTerm,
-    Section,
     TauTerm,
     differential,
     eval_lambda,
@@ -398,8 +397,16 @@ def reconstruct_dual(desc, point):
     The momentum laws say that a matrix M vanishes on the kernel of the
     stacked momentum map and that the dual tensor is (M pinv(stacked))^T.
     Returns (frame matrix, kernel residual: the largest column norm of M on
-    that kernel).
+    that kernel), made once per point, tensor and momentum, at the points
+    that ask (`SitePoint.point_memo`).
     """
+    tensor = (desc.form if isinstance(desc, QuasiHamiltonianDescriptor)
+              else desc.bivector)
+    return point.point_memo((tensor, tuple(desc.momentum)),
+                            lambda p: _reconstruct_dual(desc, p))
+
+
+def _reconstruct_dual(desc, point):
     site = desc.site
     s_low, h_up = site.pairing.require_invertible()
     nfr = point.frame().dim
@@ -451,15 +458,17 @@ def nondegeneracy_check(desc, point):
 # quasi-closedness and the structural calibration identity
 # ---------------------------------------------------------------------------
 
-def _random_sections(site, rng):
-    """One random triple of constant sections."""
-    secs = []
-    for _ in range(3):
-        f = int(rng.integers(site.nfac))
-        kind = "left" if site.factors[f].kind == "group" else "fund"
-        x = rng.standard_normal(site.model.d) + 1j * rng.standard_normal(site.model.d)
-        secs.append(Section(f, kind, x))
-    return secs
+def _random_sections(site, rng, shape):
+    """Random constant sections, as factor indices (shape) and algebra
+    coefficients (shape + (d,)), drawn one section after another in C order:
+    its factor, then the real and the imaginary parts of its coefficients."""
+    d = site.model.d
+    fac = np.empty(shape, dtype=int)
+    x = np.empty(shape + (d,), dtype=complex)
+    for k in np.ndindex(shape):
+        fac[k] = rng.integers(site.nfac)
+        x[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return fac, x
 
 
 def _worst(worst, values):
@@ -477,22 +486,22 @@ def _closure_residual(site, form, pullbacks, points, seed):
     _TRIPLES random section triples at each point, the sum over the
     (coefficient c, word W) pullbacks of the cubic form.
 
-    Every point's triples are drawn first, in point order; then the points
-    and their triples go to one `exterior_d3` and to one `Words` store over
-    each point's factors and inverses, (P, 1, n, n), which sweeps every
-    pullback word along the sections' tangents as rows, (P, 3 _TRIPLES, n,
-    n), and inverts its value once for one `eval_lambda` per word."""
+    Every point's triples are drawn first, in point order, as (P, _TRIPLES,
+    3) factor indices and (P, _TRIPLES, 3, d) coefficients; then they go to
+    one `exterior_d3` and to one `Words` store over each point's factors and
+    inverses, (P, 1, n, n), which sweeps every pullback word along the
+    sections' tangents as rows, (P, 3 _TRIPLES, n, n), and inverts its value
+    once for one `eval_lambda` per word."""
     model, npts, n = site.model, len(points), site.model.n
     rng = np.random.Generator(np.random.PCG64(seed))
-    drawn = [[_random_sections(site, rng) for _ in range(_TRIPLES)]
-             for _ in points]
+    fac, x = _random_sections(site, rng, (npts, _TRIPLES, 3))
     mats = np.stack([p.mats for p in points])
-    lhs = exterior_d3(site, form, mats, drawn).reshape(npts, _TRIPLES)
+    lhs = exterior_d3(site, form, mats, fac, x).reshape(npts, _TRIPLES)
     at = mats.swapaxes(0, 1)[:, :, None]
     inverses = np.stack([p.inverses() for p in points]).swapaxes(0, 1)
     words = Words(at, inverses[:, :, None])
-    ts = {0: section_value(site, [[s for t in per for s in t] for per in drawn],
-                           at)}
+    ts = {0: section_value(site, fac.reshape(npts, -1),
+                           x.reshape(npts, 3 * _TRIPLES, -1), at)}
     rhs = 0.0
     for coef, word in pullbacks:
         dv = np.broadcast_to(words.derivative(word, ts, 0),

@@ -29,11 +29,9 @@ from qpois.duals import Dual, apply_linear, dtrace, matmul
 from qpois.errors import LiftFailed
 from qpois.fields import (
     PAIR_WEIGHT,
-    Section,
     eval_lambda,
     exterior_d3,
     jacobiator,
-    section_bracket,
     section_value,
 )
 from qpois.groupgeom import (
@@ -371,8 +369,8 @@ def test_form_evaluation_in_any_order_equals_plain_recurrences(name, order,
     site, _, qh = _site(name)
     rng = np.random.default_rng(49)
     point = random_point(site, rng)
-    first, second = (section_value(site, [t[i] for t in _triples(site, rng, 4)],
-                                   point.mats) for i in (0, 1))
+    first, second = (section_value(site, fac[0, :, i], x[0, :, i], point.mats)
+                     for fac, x in [_triples(site, rng, 1, 4)] for i in (0, 1))
     rank = {w: k for k, w in enumerate(_orders(
         {w for t in qh.form.pair_terms for w in (t.word_u, t.word_v)})[order])}
     form = fields.FormField(site, sorted(qh.form.pair_terms,
@@ -450,16 +448,18 @@ def test_poisson_ideal_reads_the_batch_sweep_bit_for_bit(name):
 # exterior_d3 and the closure residuals one point at a time
 # ---------------------------------------------------------------------------
 
-def _point_exterior_d3(site, form, point, triples):
-    """d(form) on the triples at one point: one Dual evaluation over its
-    derivative terms and one plain evaluation over its bracket terms."""
+def _point_exterior_d3(site, form, point, fac, x):
+    """d(form) on the (T, 3) triples at one point: one Dual evaluation over
+    its derivative terms and one plain evaluation over its bracket terms,
+    the brackets of the sections that share a factor."""
+    triples = [list(zip(f, xs)) for f, xs in zip(fac, x)]
     derivs = [term for s1, s2, s3 in triples
               for term in ((s1, s2, s3), (s2, s1, s3), (s3, s1, s2))]
     dsecs, firsts, seconds = ([term[i] for term in derivs] for i in range(3))
-    base = section_value(site, dsecs, point.mats)
+    base = _value(site, dsecs, point.mats)
     mats = [q if v is None else Dual(q, v) for q, v in zip(point.mats, base.comps)]
-    out = form.evaluate(mats, section_value(site, firsts, mats),
-                        section_value(site, seconds, mats))
+    out = form.evaluate(mats, _value(site, firsts, mats),
+                        _value(site, seconds, mats))
     d = np.broadcast_to(out.eps if isinstance(out, Dual) else 0.0,
                         (len(derivs),)).reshape(-1, 3)
     total = np.array(d[:, 0] - d[:, 1] + d[:, 2], dtype=complex)
@@ -467,16 +467,22 @@ def _point_exterior_d3(site, form, point, triples):
     for t, (s1, s2, s3) in enumerate(triples):
         for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2),
                                     (-1, s2, s3, s1)):
-            br = section_bracket(site, sa, sb)
-            if br is not None:
+            if sa[0] == sb[0]:
+                br = (sa[0], site.model.bracket_coeffs(sa[1], sb[1]))
                 brackets.append((t, sign, br, other))
     if brackets:
         rows, signs, brs, others = zip(*brackets)
         vals = np.broadcast_to(form.evaluate(
-            point.mats, section_value(site, brs, point.mats),
-            section_value(site, others, point.mats)), (len(brackets),))
+            point.mats, _value(site, brs, point.mats),
+            _value(site, others, point.mats)), (len(brackets),))
         np.add.at(total, list(rows), np.where(np.array(signs) < 0, -vals, vals))
     return total
+
+
+def _value(site, secs, mats):
+    """`section_value` of a list of (factor, coefficients) sections."""
+    return section_value(site, np.array([f for f, _ in secs]),
+                         np.array([x for _, x in secs]), mats)
 
 
 def _point_closure_residual(site, form, pullbacks, points, seed):
@@ -486,9 +492,9 @@ def _point_closure_residual(site, form, pullbacks, points, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     for point in points:
-        drawn = [_random_sections(site, rng) for _ in range(_TRIPLES)]
-        lhs = _point_exterior_d3(site, form, point, drawn)
-        ts = section_value(site, [s for t in drawn for s in t], point.mats)
+        fac, x = _random_sections(site, rng, (_TRIPLES, 3))
+        lhs = _point_exterior_d3(site, form, point, fac, x)
+        ts = section_value(site, fac.ravel(), x.reshape(-1, model.d), point.mats)
         rhs = 0.0
         for coef, word in pullbacks:
             dv = word_tangent(word, groupgeom._letters(
@@ -508,11 +514,14 @@ def _points(site, rng):
     return random_points(site, rng, 3) + [random_point(site, rng)]
 
 
-def _triples(site, rng, count):
-    return [[Section(int(f), "left" if site.factors[f].kind == "group" else "fund",
-                     rng.standard_normal(site.model.d)
-                     + 1j * rng.standard_normal(site.model.d))
-             for f in rng.integers(site.nfac, size=3)] for _ in range(count)]
+def _triples(site, rng, npts, count):
+    """count random triples at each of npts points, as `exterior_d3`'s
+    (npts, count, 3) factor indices and (npts, count, 3, d) coefficients."""
+    d = site.model.d
+    fac = rng.integers(site.nfac, size=(npts, count, 3))
+    x = (rng.standard_normal((npts, count, 3, d))
+         + 1j * rng.standard_normal((npts, count, 3, d)))
+    return fac, x
 
 
 @BY_SITE
@@ -520,11 +529,10 @@ def test_exterior_d3_on_rows_equals_one_call_per_point(name):
     site, _, qh = _site(name)
     rng = np.random.default_rng(44)
     points = _points(site, rng)
-    per_point = [_triples(site, rng, 5) for _ in points]
-    got = exterior_d3(site, qh.form, np.stack([p.mats for p in points]),
-                      per_point)
-    ref = np.concatenate([_point_exterior_d3(site, qh.form, p, triples)
-                          for p, triples in zip(points, per_point)])
+    fac, x = _triples(site, rng, len(points), 5)
+    got = exterior_d3(site, qh.form, np.stack([p.mats for p in points]), fac, x)
+    ref = np.concatenate([_point_exterior_d3(site, qh.form, p, f, xs)
+                          for p, f, xs in zip(points, fac, x)])
     assert np.array_equal(got, ref)
 
 

@@ -8,7 +8,6 @@ from qpois.fields import (
     Bivector,
     FormField,
     PairTerm,
-    Section,
     TauTerm,
     bracket_funcs,
     dual_vdot,
@@ -19,7 +18,6 @@ from qpois.fields import (
     op_R,
     op_apply,
     op_fund,
-    section_bracket,
     section_value,
     wedge,
 )
@@ -159,23 +157,62 @@ def test_tau_requires_lift_on_dual():
         form.evaluate(p.mats, Tangent(v.comps), w)
 
 
-def test_section_bracket_and_value():
-    site = sl2_two_group()
-    model = site.model
+def _one(site, section, mats):
+    """The tangent of one (factor, coefficients) section, a batch of one."""
+    f, x = section
+    return section_value(site, np.array([f]), np.asarray(x)[None], mats)
+
+
+def _fd_exterior_d3(site, form, p, triple):
+    """d(form) on one triple of (factor, coefficients) sections by central
+    differences along each derivative section, plus the bracket terms of
+    the sections that share a factor."""
+    def ev(mats, sa, sb):
+        return form.evaluate(mats, _one(site, sa, mats), _one(site, sb, mats))[0]
+
+    h = 1e-6
+
+    def deriv(dsec, sa, sb):
+        base = _one(site, dsec, p.mats)
+        plus = [q + h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        minus = [q - h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
+        return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
+
+    s1, s2, s3 = triple
+    fd = deriv(s1, s2, s3) - deriv(s2, s1, s3) + deriv(s3, s1, s2)
+    for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2), (-1, s2, s3, s1)):
+        if sa[0] == sb[0]:
+            br = (sa[0], site.model.bracket_coeffs(sa[1], sb[1]))
+            fd += sign * ev(p.mats, br, other)
+    return fd
+
+
+def _triple_arrays(triples):
+    """Triples of (factor, coefficients) sections at one point, as the
+    (1, T, 3) and (1, T, 3, d) arrays of `exterior_d3`."""
+    fac = np.array([[f for f, _ in t] for t in triples])
+    x = np.array([[x for _, x in t] for t in triples])
+    return fac[None], x[None]
+
+
+def test_section_value_kind_follows_the_factor():
+    """Left-invariant q x on a group factor, the conjugation direction
+    q x - x q with its lift x on a class factor."""
+    model, pairing = models.sl2()
+    site = Site(model, pairing, [Factor("group"), Factor("class", np.diag([2.0, 0.5]))])
     x = np.array([1.0, 0, 0])
     y = np.array([0, 1.0, 0])
-    s1 = Section(0, "left", x)
-    s2 = Section(0, "left", y)
-    br = section_bracket(site, s1, s2)
-    assert np.allclose(br.x, model.bracket_coeffs(x, y))
-    assert section_bracket(site, s1, Section(1, "left", y)) is None
     rng = np.random.default_rng(6)
     p = random_point(site, rng)
-    t = section_value(site, [Section(1, "fund", x)], p.mats)
+    t = section_value(site, np.array([1, 0]), np.array([x, y]), p.mats)
     ref = fund_tangent(site, p, x, factors=[1])
     assert np.abs(t.comps[1][0] - ref.comps[1]).max() < 1e-12
-    assert t.comps[0] is None
-    assert np.allclose(t.lifts[1][0], x)
+    assert np.abs(t.comps[0][1] - p.mats[0] @ model.from_coeffs(y)).max() < 1e-12
+    assert not t.comps[1][1].any() and not t.comps[0][0].any()
+    assert list(t.lifts) == [1]
+    assert np.allclose(t.lifts[1], [x, 0 * x])
+    left = _one(site, (0, y), p.mats)
+    assert left.comps[1] is None and not left.lifts
 
 
 def test_exterior_d3_fd_oracle():
@@ -188,28 +225,10 @@ def test_exterior_d3_fd_oracle():
     ])
     rng = np.random.default_rng(7)
     p = random_point(site, rng)
-    secs = [Section(0, "left", np.array([1.0, 0, 0])),
-            Section(0, "left", np.array([0, 1.0, 0])),
-            Section(1, "left", np.array([0, 0, 1.0]))]
-    exact = exterior_d3(site, form, p.mats[None], [[secs]])[0]
-
-    def ev(mats, sa, sb):
-        return form.evaluate(mats, section_value(site, [sa], mats),
-                             section_value(site, [sb], mats))[0]
-
-    h = 1e-6
-
-    def deriv(dsec, sa, sb):
-        base = section_value(site, [dsec], p.mats)
-        plus = [q + h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        minus = [q - h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
-
-    fd = deriv(secs[0], secs[1], secs[2]) - deriv(secs[1], secs[0], secs[2]) \
-        + deriv(secs[2], secs[0], secs[1])
-    b01 = section_bracket(site, secs[0], secs[1])
-    fd -= ev(p.mats, b01, secs[2])
-    assert abs(exact - fd) < 1e-7
+    triple = [(0, np.array([1.0, 0, 0])), (0, np.array([0, 1.0, 0])),
+              (1, np.array([0, 0, 1.0]))]
+    exact = exterior_d3(site, form, p.mats[None], *_triple_arrays([triple]))[0]
+    assert abs(exact - _fd_exterior_d3(site, form, p, triple)) < 1e-7
 
 
 def test_bivector_frame_matrix_antisymmetric():
@@ -465,17 +484,17 @@ def _batch_setup(name, seed):
 
 
 def _section(site, rng, f):
-    """Random constant section on factor f: left-invariant on a group factor,
-    a conjugation direction on a class factor."""
-    kind = "left" if site.factors[f].kind == "group" else "fund"
-    return Section(f, kind, rng.standard_normal(site.model.d)
-                   + 1j * rng.standard_normal(site.model.d))
+    """Random constant section on factor f, as (factor, coefficients)."""
+    return f, (rng.standard_normal(site.model.d)
+               + 1j * rng.standard_normal(site.model.d))
 
 
 def _spread_sections(site, rng, count):
-    """count sections over every factor, in random order."""
+    """count sections over every factor, in random order, as (factor,
+    coefficients) pairs and as `section_value`'s arrays."""
     factors = rng.permutation([k % site.nfac for k in range(count)])
-    return [_section(site, rng, int(f)) for f in factors]
+    secs = [_section(site, rng, int(f)) for f in factors]
+    return secs, factors, np.array([x for _, x in secs])
 
 
 def _dual_mats(site, mats, rng, count):
@@ -490,11 +509,11 @@ def _dual_mats(site, mats, rng, count):
 def test_batched_evaluate_matches_unbatched_plain(name):
     site, form, p, rng = _batch_setup(name, 21)
     count = 2 * site.nfac + 1
-    s1, s2 = _spread_sections(site, rng, count), _spread_sections(site, rng, count)
-    got = form.evaluate(p.mats, section_value(site, s1, p.mats),
-                        section_value(site, s2, p.mats))
-    ref = [form.evaluate(p.mats, section_value(site, [a], p.mats),
-                         section_value(site, [b], p.mats))[0] for a, b in zip(s1, s2)]
+    (s1, *a1), (s2, *a2) = (_spread_sections(site, rng, count) for _ in range(2))
+    got = form.evaluate(p.mats, section_value(site, *a1, p.mats),
+                        section_value(site, *a2, p.mats))
+    ref = [form.evaluate(p.mats, _one(site, a, p.mats),
+                         _one(site, b, p.mats))[0] for a, b in zip(s1, s2)]
     assert got.shape == (count,)
     assert np.abs(ref).max() > 1e-3
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
@@ -504,15 +523,14 @@ def test_batched_evaluate_matches_unbatched_plain(name):
 def test_batched_evaluate_matches_unbatched_dual(name):
     site, form, p, rng = _batch_setup(name, 22)
     count = 2 * site.nfac + 1
-    s1, s2 = _spread_sections(site, rng, count), _spread_sections(site, rng, count)
+    (s1, *a1), (s2, *a2) = (_spread_sections(site, rng, count) for _ in range(2))
     dmats = _dual_mats(site, p.mats, rng, count)
-    got = form.evaluate(dmats, section_value(site, s1, dmats),
-                        section_value(site, s2, dmats))
+    got = form.evaluate(dmats, section_value(site, *a1, dmats),
+                        section_value(site, *a2, dmats))
     assert got.re.shape == got.eps.shape == (count,)
     for k in range(count):
         mats = [Dual(q.re, q.eps[k]) for q in dmats]
-        one = form.evaluate(mats, section_value(site, [s1[k]], mats),
-                            section_value(site, [s2[k]], mats))
+        one = form.evaluate(mats, _one(site, s1[k], mats), _one(site, s2[k], mats))
         np.testing.assert_allclose(got.re[k], one.re, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(got.eps[k], one.eps, rtol=1e-13, atol=1e-13)
 
@@ -525,8 +543,9 @@ def test_exterior_d3_on_triples_matches_one_call_per_triple(name):
     # two triples on one factor each, so that every bracket term is present
     picks += [[0, 0, 0], [last, last, 0]]
     triples = [[_section(site, rng, int(f)) for f in fs] for fs in picks]
-    got = exterior_d3(site, form, p.mats[None], [triples])
-    ref = [exterior_d3(site, form, p.mats[None], [[t]])[0] for t in triples]
+    got = exterior_d3(site, form, p.mats[None], *_triple_arrays(triples))
+    ref = [exterior_d3(site, form, p.mats[None], *_triple_arrays([t]))[0]
+           for t in triples]
     assert got.shape == (len(triples),)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
 
@@ -536,7 +555,8 @@ def test_batched_tau_requires_lift_on_dual():
     f = site.class_indices()[0]
     secs = [_section(site, rng, f), _section(site, rng, f)]
     dmats = _dual_mats(site, p.mats, rng, 2)
-    lifted = section_value(site, secs, dmats)
+    lifted = section_value(site, np.array([f, f]), np.array([x for _, x in secs]),
+                           dmats)
     assert f in lifted.lifts
     bare = Tangent(lifted.comps)
     with pytest.raises(LiftFailed):
@@ -545,29 +565,13 @@ def test_batched_tau_requires_lift_on_dual():
 
 def test_exterior_d3_fd_oracle_with_class_factors():
     """The finite-difference build on the two-puncture site's 2-form, with
-    conjugation sections on the class factors (tau terms and brackets)."""
+    conjugation sections on the class factors (tau terms and brackets of
+    two conjugation directions on one class factor)."""
     site, form, p, rng = _batch_setup("sl2-g1-2punct", 25)
     assert form.tau_terms and site.class_indices() == [2, 3]
     picks = [[2, 2, 3], [0, 2, 2], [1, 3, 0], [3, 3, 3], [0, 0, 2]]
     triples = [[_section(site, rng, f) for f in fs] for fs in picks]
-    exact = exterior_d3(site, form, p.mats[None], [triples])
-
-    def ev(mats, sa, sb):
-        return form.evaluate(mats, section_value(site, [sa], mats),
-                             section_value(site, [sb], mats))[0]
-
-    h = 1e-6
-
-    def deriv(dsec, sa, sb):
-        base = section_value(site, [dsec], p.mats)
-        plus = [q + h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        minus = [q - h * (c[0] if c is not None else 0) for q, c in zip(p.mats, base.comps)]
-        return (ev(plus, sa, sb) - ev(minus, sa, sb)) / (2 * h)
-
-    for value, (s1, s2, s3) in zip(exact, triples):
-        fd = deriv(s1, s2, s3) - deriv(s2, s1, s3) + deriv(s3, s1, s2)
-        for sign, sa, sb, other in ((-1, s1, s2, s3), (1, s1, s3, s2), (-1, s2, s3, s1)):
-            br = section_bracket(site, sa, sb)
-            if br is not None:
-                fd += sign * ev(p.mats, br, other)
+    exact = exterior_d3(site, form, p.mats[None], *_triple_arrays(triples))
+    for value, triple in zip(exact, triples):
+        fd = _fd_exterior_d3(site, form, p, triple)
         assert abs(value - fd) < 1e-7 * (1 + abs(fd))

@@ -28,7 +28,7 @@ import numpy as np
 import qpois.fields as fields
 from qpois import models
 from qpois.cli import run_suite
-from qpois.fields import Section, exterior_d3
+from qpois.fields import exterior_d3
 from qpois.groupgeom import random_point
 from qpois.quasi import assemble_surface_site
 
@@ -75,12 +75,10 @@ def test_form_evaluation_inverts_each_factor_once(monkeypatch):
     point = random_point(site, rng)
     monkeypatch.setattr(fields.FormField, "evaluate", evaluate)
     monkeypatch.setattr(np.linalg, "inv", inv)
-    secs = [Section(f, "left" if fac.kind == "group" else "fund",
-                    rng.standard_normal(model.d))
-            for f, fac in enumerate(site.factors)]
-    triples = [(secs[0], secs[1], secs[2]), (secs[3], secs[0], secs[0]),
-               (secs[1], secs[1], secs[3])]
-    exterior_d3(site, form, point.mats[None], [triples])
+    # one section per factor; the triples' factor indices and coefficients
+    x = rng.standard_normal((site.nfac, model.d))
+    fac = np.array([[0, 1, 2], [3, 0, 0], [1, 1, 3]])
+    exterior_d3(site, form, point.mats[None], fac[None], x[fac][None])
     # at most one inversion per factor read inverted, and one per word value
     # that is not a positive letter's
     folded = [w for w in words if not (len(w) == 1 and w[0][1] == 1)]
