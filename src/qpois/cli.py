@@ -210,7 +210,7 @@ class Setup:
     genus: int
     class_reps: list
     relator: tuple           # the parsed relator word of the site
-    words: list
+    words: list              # the parsed words
     pairs: list
     targets: list            # (label, matrix)
     seed: int
@@ -258,6 +258,13 @@ def _solve_targets(setup, rng, count):
     return [pairs[i:i + count] for i in range(0, len(pairs), count)]
 
 
+def _config_word(site, text, where):
+    try:
+        return parse_word(site, text)
+    except QpoisError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def build_setup(raw, seed=None):
     """Construct the models, the site, and the shipped descriptor pair."""
     model, pairing = model_from_config(raw.get("group", DEFAULT_GROUP),
@@ -288,11 +295,7 @@ def build_setup(raw, seed=None):
     expect(isinstance(words, list) and words
            and all(isinstance(w, str) for w in words),
            "words", "must be a non-empty list of word strings")
-    for i, w in enumerate(words):
-        try:
-            parse_word(site, w)
-        except QpoisError as exc:
-            raise ConfigError(f"words[{i}]: {exc}") from exc
+    parsed = [_config_word(site, w, f"words[{i}]") for i, w in enumerate(words)]
 
     pairs = raw.get("bracket_pairs")
     if pairs is None:
@@ -305,10 +308,7 @@ def build_setup(raw, seed=None):
                and all(isinstance(w, str) for w in pair),
                f"bracket_pairs[{i}]", "must be a [word, word] pair")
         for w in pair:
-            try:
-                parse_word(site, w)
-            except QpoisError as exc:
-                raise ConfigError(f"bracket_pairs[{i}]: {exc}") from exc
+            _config_word(site, w, f"bracket_pairs[{i}]")
 
     targets_lit = raw.get("targets", ["identity"])
     expect(isinstance(targets_lit, list) and targets_lit,
@@ -363,7 +363,7 @@ def build_setup(raw, seed=None):
     return Setup(raw=raw, model=model, pairing=pairing, site=site, qp=qp, qh=qh,
                  genus=genus, class_reps=class_reps,
                  relator=relator_word(site, genus, len(class_reps)),
-                 words=list(words), pairs=[list(p) for p in pairs],
+                 words=parsed, pairs=[list(p) for p in pairs],
                  targets=targets,
                  seed=int(seed if seed is not None else cfg_seed),
                  samples=int(samples), tols=tols, check_filter=check_filter)
@@ -571,11 +571,13 @@ def _chk_solver(s, rng):
 
 
 def _chk_jacobi_level(s, rng):
+    # two equal functions make the Jacobiator vanish by antisymmetry
+    words = list(dict.fromkeys(s.words))[:3]
+    if len(words) < 3:
+        raise _Skip(f"needs three distinct words, {len(words)} configured")
     pts = [p for per_target in _converged_points(s) for p in per_target]
-    fns = [TraceFunction(s.site, w) for w in s.words[:3]]
-    while len(fns) < 3:
-        fns.append(fns[-1])
-    return jacobi_invariants(s.qp.bivector, fns[0], fns[1], fns[2], pts), len(pts)
+    fns = [TraceFunction(s.site, w) for w in words]
+    return jacobi_invariants(s.qp.bivector, *fns, pts), len(pts)
 
 
 def _chk_poisson_ideal(s, rng):

@@ -10,8 +10,9 @@ The Dirac clauses build no basis of TM = [I; 0] or of the graph
 is the nullspace of the N x (N + d) block [-sigma-flat | dphi^T], and
 orthonormal columns B meet a graph (TM is the zero form's) in k minus the
 rank of the N x k block B_bot - sigma-flat B_top.  The SVDs left are those
-two, the kernels of dphi and sigma-flat, the backward transport's
-2d x (N + 2d) system, the orthonormalized images and the 2d-space fibers.
+two, ker dphi, ker sigma-flat (once per point), one nullspace of the
+backward transport's 2d x (N + 2d) system for both backward images, the
+orthonormalized images and the 2d-space fibers.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "cartan_dirac_fibers",
     "projections_pq",
     "forward_image",
+    "backward_solutions",
     "backward_image",
     "graph_meet",
     "kernel_phi_sigma",
@@ -90,13 +92,10 @@ def _fibers(point, comp):
     a_mat, a_inv = point.word_ad(comp.word)
     d = point.site.model.d
     eye = np.eye(d)
-    e_cols = np.concatenate([eye - a_inv, 0.5 * (eye + a_mat.T) @ s_low],
-                            axis=0)
-    f_cols = np.concatenate([eye + a_inv, 0.5 * (eye - a_mat.T) @ s_low],
-                            axis=0)
-    e_sub = LagrangianSubspace.from_columns(e_cols, d)
-    f_sub = LagrangianSubspace.from_columns(f_cols, d)
-    return e_sub, f_sub
+    e_cols = np.concatenate([eye - a_inv, 0.5 * (eye + a_mat.T) @ s_low])
+    f_cols = np.concatenate([eye + a_inv, 0.5 * (eye - a_mat.T) @ s_low])
+    return (LagrangianSubspace.from_columns(e_cols, d),
+            LagrangianSubspace.from_columns(f_cols, d))
 
 
 def projections_pq(point, comp):
@@ -132,15 +131,12 @@ def forward_image(dphi, smat):
     return LagrangianSubspace.from_columns(cols, dphi.shape[0])
 
 
-def backward_image(fib, dphi, smat):
-    """Backward image {(v, dphi^T beta - sigma-flat v) : (dphi v, beta) in
-    fib} of a target-side Lagrangian subspace along the (d x N) map dphi,
-    corrected by the form with frame matrix smat (None for the plain image);
-    the system has 2d rows."""
+def backward_solutions(fib, dphi):
+    """Columns (v, dphi^T beta) over {(v, beta) : (dphi v, beta) in fib} for
+    a target-side Lagrangian subspace fib and the (d x N) map dphi: one
+    nullspace of the 2d-row system, which no form enters."""
     dphi = np.asarray(dphi, dtype=complex)
     n2, n1 = dphi.shape
-    sflat = (np.zeros((n1, n1), dtype=complex) if smat is None
-             else np.asarray(smat, dtype=complex).T)   # component matrix of v -> sigma(v, .)
     basis = fib.basis
     # unknowns (v, beta, c): dphi v = B_top c ; beta = B_bot c
     sys = np.block([
@@ -148,9 +144,17 @@ def backward_image(fib, dphi, smat):
         [np.zeros((n2, n1)), np.eye(n2), -basis[n2:, :]],
     ])
     sols = nullspace(sys)
-    vs = sols[:n1, :]
-    bes = sols[n1:n1 + n2, :]
-    cols = np.concatenate([vs, dphi.T @ bes - sflat @ vs], axis=0)
+    return sols[:n1, :], dphi.T @ sols[n1:n1 + n2, :]
+
+
+def backward_image(sols, smat):
+    """Backward image {(v, dphi^T beta - sigma-flat v)} of the solutions
+    (`backward_solutions`), smat the form's frame matrix (None: plain)."""
+    vs, pulled = sols
+    n1 = vs.shape[0]
+    sflat = (np.zeros((n1, n1), dtype=complex) if smat is None
+             else np.asarray(smat, dtype=complex).T)   # component matrix of v -> sigma(v, .)
+    cols = np.concatenate([vs, pulled - sflat @ vs], axis=0)
     return LagrangianSubspace.from_columns(cols, n1)
 
 
@@ -170,12 +174,18 @@ def graph_meet(basis, smat):
     return basis.shape[1] - int(np.sum(sv > _RANK_TOL * scale))
 
 
-def kernel_phi_sigma(dphi, smat):
-    """Orthonormal columns spanning {(v, -sigma-flat v): dphi v = 0}."""
-    null = nullspace(np.asarray(dphi, dtype=complex))
+def kernel_phi_sigma(null, smat):
+    """Orthonormal columns spanning {(v, -sigma-flat v): dphi v = 0}, given
+    orthonormal columns null spanning ker dphi."""
     sflat = np.asarray(smat, dtype=complex).T
-    cols = np.concatenate([null, -sflat @ null], axis=0)
-    return orthonormal_columns(cols)
+    return orthonormal_columns(np.concatenate([null, -sflat @ null]))
+
+
+def _form_kernel(qh, point):
+    """Orthonormal columns spanning ker sigma-flat at the point, once per
+    point and form (`SitePoint.point_memo`)."""
+    return point.point_memo(("kernel", qh.form), lambda p: nullspace(
+        qh.form.frame_matrix(p).T))
 
 
 def subspace_equal(sub_a, sub_b):
@@ -183,6 +193,15 @@ def subspace_equal(sub_a, sub_b):
     if ba.shape[1] != bb.shape[1]:
         return False
     return intersection_dim(ba, bb) == ba.shape[1]
+
+
+def _transverse(build, smat):
+    """Whether the subspace build() makes meets the graph of the form with
+    frame matrix smat (None: TM) trivially; False if it is rank deficient."""
+    try:
+        return graph_meet(build().basis, smat) == 0
+    except RankDeficient:
+        return False
 
 
 def dirac_booleans(qh, point, component):
@@ -200,39 +219,28 @@ def dirac_booleans(qh, point, component):
     comp = qh.momentum[component]
     dphi = component_linear(point, comp).left.T
     smat = qh.form.frame_matrix(point)
-    sflat = smat.T
     e_fib, f_fib = cartan_dirac_fibers(point, comp)
 
     # (a) momentum law + ker(sigma-flat) cap ker(dphi) = 0
     resid = momentum_residual(qh, point)
-    ker_s = nullspace(sflat)
     ker_d = nullspace(dphi)
     a_bool = bool(resid <= _MOM_TOL
-                  and intersection_dim(ker_s, ker_d) == 0)
+                  and intersection_dim(_form_kernel(qh, point), ker_d) == 0)
 
     # (b) forward image of TM equals the canonical fiber, and strongness:
     # ker(dphi, sigma) meets TM trivially
-    strong = graph_meet(kernel_phi_sigma(dphi, smat), None) == 0
+    strong = graph_meet(kernel_phi_sigma(ker_d, smat), None) == 0
     try:
         fwd = forward_image(dphi, smat)
         b_bool = bool(subspace_equal(fwd, e_fib) and strong)
     except RankDeficient:
         b_bool = False
 
-    # (c) backward image of the complementary fiber transverse to TM
-    try:
-        back_s = backward_image(f_fib, dphi, smat)
-        c_bool = graph_meet(back_s.basis, None) == 0
-    except RankDeficient:
-        c_bool = False
-
-    # (d) plain backward image transverse to the graph of the form
-    try:
-        back_0 = backward_image(f_fib, dphi, None)
-        d_bool = graph_meet(back_0.basis, smat) == 0
-    except RankDeficient:
-        d_bool = False
-
+    # (c) backward image of the complementary fiber transverse to TM, and
+    # (d) its plain backward image transverse to the graph of the form
+    sols = backward_solutions(f_fib, dphi)
+    c_bool = _transverse(lambda: backward_image(sols, smat), None)
+    d_bool = _transverse(lambda: backward_image(sols, None), smat)
     return {"a": a_bool, "b": b_bool, "c": c_bool, "d": d_bool}
 
 
@@ -241,24 +249,21 @@ def prop_tech_chain(qh, point):
     component: the action embeds ker(Id + Ad^-1) into ker(sigma-flat), and
     the word differential maps ker(sigma-flat) onto ker(Id + Ad)."""
     lin = component_linear(point, qh.momentum[0])
-    dphi = lin.left.T
     sflat = qh.form.frame_matrix(point).T
     d = qh.site.model.d
 
     k1 = nullspace(np.eye(d) + lin.ad_inv)      # algebra-side kernel
     fund_cols = lin.action @ k1
 
-    ker_sigma = nullspace(sflat)
+    ker_sigma = _form_kernel(qh, point)
     ker_target = nullspace(np.eye(d) + lin.ad)  # ker(L^-1 + R^-1)
 
     # monomorphism into ker(sigma-flat)
     mono_rank = orthonormal_columns(fund_cols).shape[1]
-    inclusion_resid = 0.0
-    if fund_cols.size:
-        inclusion_resid = float(np.abs(sflat @ fund_cols).max())
+    inclusion_resid = float(np.abs(sflat @ fund_cols).max(initial=0.0))
 
     # epimorphism of the word differential onto the algebra-side kernel
-    image_cols = dphi @ ker_sigma if ker_sigma.size else ker_sigma
+    image_cols = lin.left.T @ ker_sigma
     containment_resid = 0.0
     if image_cols.size and ker_target.shape[1] < d:
         proj = ker_target @ (ker_target.conj().T @ image_cols)

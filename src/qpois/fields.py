@@ -319,15 +319,14 @@ def exterior_d3(site, form, mats, fac, x):
     fac (P, T, 3) and the coefficients x (P, T, 3, d) (`section_value`).
     Returns one value per triple, point by point.
 
-    The terms are the rows of two evaluations laid out as (point, row):
-    each factor, its inverse, each word's value and its running product
-    once per point, as (P, 1, n, n) stacks, and the perturbations and
-    section tangents per row, as (P, R, n, n) stacks.  All derivative terms
-    come from one Dual evaluation, whose row perturbs its point along its
-    own derivative section only.  Two sections bracket to zero unless they
-    share a factor, where `bracket_coeffs` gives the bracket; all bracket
-    terms come from one plain evaluation, whose rows a point without that
-    many brackets fills with copies of the first bracket term, read nowhere.
+    The derivative terms are the rows of one Dual evaluation laid out as
+    (point, row): each factor, its inverse, each word's value and its
+    running product once per point, as (P, 1, n, n) stacks, and the
+    perturbations and section tangents per row, as (P, R, n, n) stacks;
+    each row perturbs its point along its own derivative section only.  Two
+    sections bracket to zero unless they share a factor, where
+    `bracket_coeffs` gives the bracket; the bracket terms are the flat rows
+    of one plain evaluation, each at its own point's factors.
     """
     npts, ntrip = fac.shape[:2]
     at = np.swapaxes(mats, 0, 1)[:, :, None]
@@ -351,14 +350,12 @@ def exterior_d3(site, form, mats, fac, x):
     # every bracket term that can be nonzero, in (point, triple, term) order
     p, t, k = np.nonzero(fac[:, :, a] == fac[:, :, b])
     if len(p):
-        slot = np.arange(len(p)) - np.searchsorted(p, p)
-        grid = np.zeros((npts, slot.max() + 1), dtype=int)
-        grid[p, slot] = np.arange(len(p))
+        flat = np.swapaxes(mats[p], 0, 1)
         brx = site.model.bracket_coeffs(x[p, t, a[k]], x[p, t, b[k]])
         vals = np.broadcast_to(form.evaluate(
-            at, section_value(site, fac[p, t, a[k]][grid], brx[grid], at),
-            section_value(site, fac[p, t, other[k]][grid],
-                          x[p, t, other[k]][grid], at)), grid.shape)[p, slot]
+            flat, section_value(site, fac[p, t, a[k]], brx, flat),
+            section_value(site, fac[p, t, other[k]], x[p, t, other[k]], flat)),
+            p.shape)
         # in order per triple, as the terms are written above
         np.add.at(total, p * ntrip + t, np.where(sign[k] < 0, -vals, vals))
     return total

@@ -20,13 +20,14 @@ shared with the 2-form frame matrix and the Dirac layer; the component adds
 only its (N, d) action columns A.  Together with the bivector and 2-form
 frame matrices P and Sigma, the frame-level laws are matrix identities on
 this data: 2 P^T L = A H (I + Ad^-T) and A^T Sigma = (1/2) S (L + R)^T for
-the momentum laws, rho = sum A (L - R)^T, and reconstruction as (M pinv)^T
-for one matrix M of the same blocks.  Equivariance compares P and Sigma with
-their values at the conjugated point through the frame matrix T of the
-conjugation map.  The linearizations, P and Sigma are built once per batch
-of points (`groupgeom.PointBatch`), in its memo keyed by the component and
-the tensor, and each point reads its slice; components are frozen (word,
-action) values, so equal components of a dual pair share one.
+the momentum laws, rho = sum A (L - R)^T, and reconstruction as (M pinv)^T,
+pinv that of the stacked momentum map [L | Sigma^T] or [A | P^T], whose
+corank is the non-degeneracy certificate: one full SVD per point gives
+both.  Equivariance compares P and Sigma with their values at the
+conjugated point through the frame matrix T of the conjugation map.  The
+linearizations, P and Sigma are built once per batch of points
+(`groupgeom.PointBatch`), keyed by the frozen component and the tensor, and
+each point reads its slice, so equal components of a dual pair share one.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ def assemble_surface_site(model, pairing, genus, class_reps, variant="classes"):
 # ---------------------------------------------------------------------------
 
 def nullspace(mat):
-    """Orthonormal columns spanning the kernel."""
+    """Orthonormal columns spanning the kernel, as many as the columns of
+    mat minus its rank."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
@@ -389,69 +391,65 @@ def duality_residual(qp, qh, point):
     return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
 
+def _memo_key(desc):
+    form = isinstance(desc, QuasiHamiltonianDescriptor)
+    return desc.form if form else desc.bivector, tuple(desc.momentum)
+
+
+def _stacked_map(desc, point):
+    """The (N, m d + N) stacked momentum map at a point, [L | Sigma^T] of a
+    QuasiHamiltonianDescriptor or [A | P^T] of a QuasiPoissonDescriptor,
+    with its rank and kernel from one full SVD; once per point and key."""
+    tensor, momentum = _memo_key(desc)
+    form = isinstance(desc, QuasiHamiltonianDescriptor)
+
+    def build(p):
+        cols = [lin.left if form else lin.action for lin in _linears(desc, p)]
+        stacked = np.concatenate([*cols, tensor.frame_matrix(p).T], axis=1)
+        kernel = nullspace(stacked)
+        return stacked, stacked.shape[1] - kernel.shape[1], kernel
+
+    return point.point_memo(("stacked", tensor, momentum), build)
+
+
 def reconstruct_dual(desc, point):
     """Rebuild the dual tensor at a point from the momentum identities: P
     from a QuasiHamiltonianDescriptor's Sigma, Sigma from a
-    QuasiPoissonDescriptor's P.
-
-    The momentum laws say that a matrix M vanishes on the kernel of the
-    stacked momentum map and that the dual tensor is (M pinv(stacked))^T.
-    Returns (frame matrix, kernel residual: the largest column norm of M on
-    that kernel), made once per point, tensor and momentum, at the points
-    that ask (`SitePoint.point_memo`).
-    """
-    tensor = (desc.form if isinstance(desc, QuasiHamiltonianDescriptor)
-              else desc.bivector)
-    return point.point_memo((tensor, tuple(desc.momentum)),
+    QuasiPoissonDescriptor's P.  The laws say that a matrix M vanishes on
+    the kernel of the stacked momentum map (`_stacked_map`, NotEpimorphism
+    unless onto) and that the dual tensor is (M pinv(stacked))^T.  Returns
+    (frame matrix, kernel residual: the largest column norm of M on that
+    kernel), made once per point and key (`SitePoint.point_memo`)."""
+    return point.point_memo(_memo_key(desc),
                             lambda p: _reconstruct_dual(desc, p))
 
 
 def _reconstruct_dual(desc, point):
-    site = desc.site
-    s_low, h_up = site.pairing.require_invertible()
+    s_low, h_up = desc.site.pairing.require_invertible()
+    stacked, rank, kernel = _stacked_map(desc, point)
     nfr = point.frame().dim
+    if rank < nfr:
+        raise NotEpimorphism("stacked momentum map is rank-deficient at this point")
     lins = _linears(desc, point)
     rho = _rho(lins, nfr)
     eye = np.eye(nfr)
-
     if isinstance(desc, QuasiHamiltonianDescriptor):
-        smat = desc.form.frame_matrix(point)
-        stacked = np.concatenate([*(lin.left for lin in lins), smat.T], axis=1)
         m = np.concatenate([*(0.5 * _bivector_momentum_rhs(lin, h_up) for lin in lins),
                             eye - 0.25 * rho], axis=1)
     else:
-        pmat = desc.bivector.frame_matrix(point)
-        stacked = np.concatenate([*(lin.action for lin in lins), pmat.T], axis=1)
         m = np.concatenate([*(0.5 * lin.left @ (np.eye(len(s_low)) + lin.ad.T) @ s_low
                               for lin in lins),
                             eye - 0.25 * rho.T], axis=1)
-
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    if sv.size == 0 or _rank(sv) < nfr:
-        raise NotEpimorphism("stacked momentum map is rank-deficient at this point")
     out = (m @ np.linalg.pinv(stacked)).T     # row/column convention: transpose map
-    kernel = nullspace(stacked)
     kresid = float(np.linalg.norm(m @ kernel, axis=0).max(initial=0.0))
     return out, kresid
 
 
 def nondegeneracy_check(desc, point):
-    """Rank certificate of the momentum-relative non-degeneracy notion of the
-    descriptor, zero when non-degenerate.
-
-    QuasiPoissonDescriptor: the rank deficit of the stacked map (P#, action)
-      onto the tangent space;
-    QuasiHamiltonianDescriptor: dim (ker sigma-flat  cap  ker dPhi), dPhi the
-      stacked left differentials.
-    """
-    lins = _linears(desc, point)
-    if isinstance(desc, QuasiPoissonDescriptor):
-        pmat = desc.bivector.frame_matrix(point)
-        stacked = np.concatenate([pmat.T, *(lin.action for lin in lins)], axis=1)
-        return point.frame().dim - _rank(np.linalg.svd(stacked, compute_uv=False))
-    smat = desc.form.frame_matrix(point)
-    dphi_stack = np.concatenate([lin.left.T for lin in lins], axis=0)  # (md, N)
-    return intersection_dim(nullspace(smat.T), nullspace(dphi_stack))
+    """Rank certificate of momentum-relative non-degeneracy, zero when
+    non-degenerate: the corank of the stacked map that reconstruction
+    inverts, for a 2-form dim (ker sigma-flat cap ker dPhi)."""
+    return point.frame().dim - _stacked_map(desc, point)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def dirac_booleans(qh, point, component):
     a_bool = bool(momentum_residual(qh, point) <= 1e-9
                   and intersection_dim(nullspace(smat.T), nullspace(dphi)) == 0)
     tm = tm_subspace(nfr)
-    strong = intersection_dim(kernel_phi_sigma(dphi, smat), tm.basis) == 0
+    strong = intersection_dim(kernel_phi_sigma(nullspace(dphi), smat),
+                              tm.basis) == 0
     try:
         fwd = transport_image(tm, dphi, smat, "forward")
         b_bool = bool(subspace_equal(fwd, e_fib) and strong)

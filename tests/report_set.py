@@ -1,6 +1,7 @@
 """Write a fixed set of canonical reports, for byte-identity checks.
 
     python tests/report_set.py OUTDIR
+    python tests/report_set.py --diff OLD NEW
 
 writes 90 reports into OUTDIR, each with its `environment` field nulled so
 that two checkouts on one host can be compared file by file:
@@ -14,7 +15,9 @@ that two checkouts on one host can be compared file by file:
   SL(2) genus 1 with `trace_scale` 2.5.
 
 To check that a change keeps every report byte, run it from both
-checkouts and compare the two directories with `diff -r`.  The digits
+checkouts and compare the two directories with `diff -r`, or with `--diff`:
+it prints every report whose bytes moved and, under it, each check record
+or solve row that moved, with both statuses and both residuals.  The digits
 depend on the numpy and BLAS build, so only reports written on the same
 host and installation compare.  The package is imported from the `src`
 directory next to this file, and nothing is written outside OUTDIR.
@@ -74,9 +77,54 @@ def runs():
             yield f"{name}-{kind}", kind, cfg
 
 
+def _records(report):
+    """{label: record} of a report's check records or solve rows."""
+    if "checks" in report:
+        return {rec["check_id"]: rec for rec in report["checks"]}
+    return {f"row {k}": row for k, row in enumerate(report.get("rows", []))}
+
+
+def _outcome(rec):
+    """'status residual' of a check record or a solve row."""
+    if rec is None:
+        return "absent None"
+    if "status" in rec:
+        return f"{rec['status']} {rec['max_residual']}"
+    return f"{'failed' if rec['solver_failed'] else 'solved'} {rec['residual']}"
+
+
+def diff_lines(old_dir, new_dir):
+    """Per report whose bytes moved between two directories its name, then
+    each moved record as 'label: old -> new'; last, the count."""
+    dirs = Path(old_dir), Path(new_dir)
+    names = sorted({p.name for d in dirs for p in d.glob("*.json")})
+    lines, moved = [], 0
+    for name in names:
+        texts = [(d / name).read_bytes() if (d / name).exists() else None
+                 for d in dirs]
+        if texts[0] == texts[1]:
+            continue
+        moved += 1
+        if None in texts:
+            lines.append(f"{name}: only in {'NEW' if texts[0] is None else 'OLD'}")
+            continue
+        lines.append(f"{name}:")
+        was, now = (_records(json.loads(text)) for text in texts)
+        keys = list(dict.fromkeys([*was, *now]))
+        recs = [f"  {key}: {_outcome(was.get(key))} -> {_outcome(now.get(key))}"
+                for key in keys if was.get(key) != now.get(key)]
+        lines.extend(recs or ["  no check or row moved"])
+    lines.append(f"{moved} of {len(names)} reports moved")
+    return lines
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--diff":
+        print("\n".join(diff_lines(argv[1], argv[2])))
+        return
     if len(argv) != 1:
-        sys.exit("usage: python tests/report_set.py OUTDIR")
+        sys.exit("usage: python tests/report_set.py OUTDIR\n"
+                 "       python tests/report_set.py --diff OLD NEW")
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     count = 0

@@ -124,6 +124,25 @@ def test_noninvariant_pairing_level_tangency_fails():
     assert not report["overall_pass"]
 
 
+@pytest.mark.parametrize("words, distinct", [
+    (["a"], 1), (["a", "b"], 2), (["ab", "b"], 2), (["ab", "b", "a b"], 2)])
+def test_jacobi_at_level_skips_fewer_than_three_distinct_words(words, distinct):
+    """Two equal trace functions make the Jacobiator zero by antisymmetry,
+    so the check refuses to read it rather than report 0.0."""
+    checks = by_id(run_suite(torus_cfg(words=words), "moduli"))
+    rec = checks["jacobi_at_level"]
+    assert rec["status"] == "skipped" and rec["max_residual"] is None
+    assert rec["reason"] == (f"needs three distinct words, {distinct} "
+                             "configured")
+
+
+def test_jacobi_at_level_reads_the_first_three_distinct_words():
+    repeated, distinct = (by_id(run_suite(torus_cfg(words=words), "moduli"))
+                          ["jacobi_at_level"]
+                          for words in (["a", "b", "a", "ab"], ["a", "b", "ab"]))
+    assert repeated == distinct and repeated["status"] == "passed"
+
+
 def test_degenerate_pairing_refusals_exit_zero(tmp_path):
     cfg = write_cfg(tmp_path, {
         "group": {"family": "sl2_abelian"},

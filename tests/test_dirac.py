@@ -7,6 +7,7 @@ from qpois.cli import build_setup
 from qpois.dirac import (
     LagrangianSubspace,
     backward_image,
+    backward_solutions,
     cartan_dirac_fibers,
     dirac_booleans,
     forward_image,
@@ -27,6 +28,7 @@ from qpois.quasi import (
     double_descriptors,
     intersection_dim,
     internally_fused,
+    nullspace,
     orthonormal_columns,
     pg_descriptor,
 )
@@ -167,7 +169,7 @@ def test_backward_image_identity_unchanged():
     m = rng.standard_normal((4, 4))
     smat = m - m.T
     gr = graph_subspace(smat)
-    back = backward_image(gr, np.eye(4), None)
+    back = backward_image(backward_solutions(gr, np.eye(4)), None)
     assert subspace_equal(back, gr)
 
 
@@ -177,8 +179,8 @@ def test_backward_image_zero_map_gives_kernel():
     smat = m - m.T
     zero_target = LagrangianSubspace(np.zeros((0, 0)), 0.0)
     dphi = np.zeros((0, 4))
-    back = backward_image(zero_target, dphi, smat)
-    ker = kernel_phi_sigma(dphi, smat)
+    back = backward_image(backward_solutions(zero_target, dphi), smat)
+    ker = kernel_phi_sigma(nullspace(dphi), smat)
     assert back.basis.shape[1] == 4
     assert intersection_dim(back.basis, ker) == 4
 
@@ -187,18 +189,18 @@ def test_strongness_trivial_group():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 4))
     smat = m - m.T          # generically non-degenerate (even dimension)
-    dphi = np.zeros((0, 4))
+    null = nullspace(np.zeros((0, 4)))
     tm_cols = tm_subspace(4).basis
-    assert graph_meet(kernel_phi_sigma(dphi, smat), None) == 0
-    assert intersection_dim(kernel_phi_sigma(dphi, smat), tm_cols) == 0
+    ker = kernel_phi_sigma(null, smat)
+    assert graph_meet(ker, None) == 0
+    assert intersection_dim(ker, tm_cols) == 0
     # the principal angles between the kernel and TM stay away from zero
-    overlap = np.linalg.svd(kernel_phi_sigma(dphi, smat).conj().T @ tm_cols,
-                            compute_uv=False)
+    overlap = np.linalg.svd(ker.conj().T @ tm_cols, compute_uv=False)
     assert np.arccos(min(1.0, overlap.max())) > 0.1
 
-    zero = np.zeros((4, 4))
-    assert graph_meet(kernel_phi_sigma(dphi, zero), None) == 4
-    assert intersection_dim(kernel_phi_sigma(dphi, zero), tm_cols) == 4
+    ker = kernel_phi_sigma(null, np.zeros((4, 4)))
+    assert graph_meet(ker, None) == 4
+    assert intersection_dim(ker, tm_cols) == 4
 
 
 def _antisymmetric(rng, n, scale):
@@ -259,7 +261,8 @@ def test_backward_image_is_the_doubled_space_transport_bit_for_bit(n):
     for dphi in _maps(rng, n):
         for fib in _target_subspaces(rng, len(dphi)):
             for smat in _forms(rng, n) + [None]:
-                new = _outcome(lambda: backward_image(fib, dphi, smat))
+                new = _outcome(lambda: backward_image(
+                    backward_solutions(fib, dphi), smat))
                 ref = _outcome(lambda: transport_image(fib, dphi, smat,
                                                        "backward"))
                 if isinstance(ref, type):
