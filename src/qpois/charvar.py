@@ -7,11 +7,12 @@ compositions.  The sampler solves the relator constraint by damped
 Gauss-Newton over per-factor retractions, so class factors keep their
 spectrum exactly; it accepts a step when the 2-norm of the gap drops, and
 sets the damping from the gain ratio.  The solver carries every factor's
-inverse along with the factor, so no letter is inverted again: each
-iteration's Jacobian reads the prefix products that its gap folded and
-sweeps the relator once for the suffix products, one SVD of it gives the
-steps of all damping trials, and a trial retracts every factor, and its
-inverse, from one batched matrix exponential and one batched inversion.
+inverse along with the factor, so no letter is inverted again.  Each
+iteration's Jacobian reads the prefix products its gap folded and one
+sweep of suffix products, and sums each factor's letter terms with one
+signed factor-by-letter product; one SVD of it gives the steps of all
+damping trials, and a trial retracts every factor, and its inverse, from
+one batched matrix exponential and one batched inversion.
 The solves of a chunk of seeds, at most a batch of points
 (`groupgeom._BATCH_POINTS`), run in lockstep whatever their targets, from
 one stacked draw of their starts, with the (B, ...) stacks of the rows
@@ -162,14 +163,11 @@ class RepSample:
 class _Relator:
     """What every sweep of one solve_relators call reads of the relator and
     the site, made once per call: the word, the identity, the indices of
-    the class factors and the letter layout of the Jacobian.
-
-    The Jacobian forms the letters' terms in group order: by position among
-    their factor's letters, then by sign, then by factor.  Term j is one of
-    factor fs[j]'s, and reads the prefix and suffix products left[j] and
-    right[j].  sums lists per group (positive, its factors, the slice of
-    its terms), the factors as a slice where they follow one another;
-    adding the groups in order adds every factor's terms in letter order."""
+    the class factors and, per letter k in word order, its factor fs[k] and
+    the indices left[k] and right[k] of the prefix and suffix products its
+    Jacobian term reads.  scatter is the complex (nfac, L) matrix with
+    letter k's sign at (fs[k], k) and zeros elsewhere, so that scatter @
+    terms adds each factor's signed terms in letter order."""
 
     word: tuple
     eye: np.ndarray
@@ -177,42 +175,28 @@ class _Relator:
     fs: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    sums: tuple
+    scatter: np.ndarray
 
 
 def _relator(site, word):
-    # per factor its letters, in letter order
-    per = [[k for k, (g, _) in enumerate(word) if g == f]
-           for f in range(site.nfac)]
-    order, sums = [], []
-    for pos in range(max(map(len, per))):
-        at = [(f, ks[pos]) for f, ks in enumerate(per) if pos < len(ks)]
-        for positive in (True, False):
-            group = [(f, k) for f, k in at if (word[k][1] == 1) == positive]
-            if not group:
-                continue
-            fs, ks = zip(*group)
-            contiguous = fs == tuple(range(fs[0], fs[-1] + 1))
-            sums.append((positive,
-                         slice(fs[0], fs[-1] + 1) if contiguous else list(fs),
-                         slice(len(order), len(order) + len(ks))))
-            order += ks
-    inverted = np.array([word[k][1] == -1 for k in order])
-    order = np.array(order)
-    return _Relator(word, np.eye(site.model.n), site.class_indices(),
-                    np.array([word[k][0] for k in order]), order + inverted,
-                    order + ~inverted, tuple(sums))
+    fs, signs = np.array(word).T
+    at = np.arange(len(word))
+    scatter = np.zeros((site.nfac, len(word)), dtype=complex)
+    scatter[fs, at] = signs
+    inverted = signs == -1
+    return _Relator(word, np.eye(site.model.n), site.class_indices(), fs,
+                    at + inverted, at + ~inverted, scatter)
 
 
 def _relator_gap(rel, mats, invs, target_inv):
     """Every row's gap word(p) target^-1 - I, (B, n, n), from the rows'
     (B, nfac, n, n) factors, factor inverses and target inverses, and the
-    products of the word's first 1, ..., L letters that its fold passes
-    through, as one (L, B, n, n) stack (`_relator_jacobian` reads them)."""
+    products P_0 = I, ..., P_L of the word's first letters that its fold
+    passes through, as one (L + 1, B, n, n) stack (`_relator_jacobian`)."""
     letters = _letters(rel.word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
-    prefixes = np.empty((len(letters),) + letters[0].shape, dtype=complex)
-    prefixes[0] = letters[0]
-    for k, t in enumerate(letters[1:], 1):
+    prefixes = np.empty((len(letters) + 1,) + letters[0].shape, dtype=complex)
+    prefixes[0], prefixes[1] = rel.eye, letters[0]
+    for k, t in enumerate(letters[1:], 2):
         np.matmul(prefixes[k - 1], t, out=prefixes[k])
     return prefixes[-1] @ target_inv - rel.eye, prefixes
 
@@ -252,18 +236,16 @@ def _relator_jacobian(site, rel, mats, invs, prefixes, target_inv):
     factor f moves the gap by P_i V S_(i+1), or by -P_(i+1) V S_i when the
     letter is inverted, for each of f's d step directions V (q e_j on a
     group factor, e_j q - q e_j on a class factor).  All letters' terms come
-    from two stacked products, (P V) S, and each factor sums its letters'
-    terms in letter order, one signed group of factors at a time
-    (`_Relator.sums`).  Columns f*d..(f+1)*d hold factor f's directions, as
-    the rows of TangentFrame.stacked, and each direction fills a real and an
-    imaginary column."""
+    from two stacked products, (P V) S, in word order, and one product with
+    the signed factor-by-letter matrix `_Relator.scatter` sums each factor's
+    terms in letter order.  Columns f*d..(f+1)*d hold factor f's directions,
+    as the rows of TangentFrame.stacked, and each direction fills a real and
+    an imaginary column."""
     d, n, nfac = site.model.d, site.model.n, site.nfac
     rows, basis = len(mats), site.model.basis
     letters = _letters(rel.word, mats.swapaxes(0, 1), invs.swapaxes(0, 1))
-    # P_0 .. P_L and S_0 .. S_L as (L + 1, B, n, n) stacks
-    prefix = np.empty((len(letters) + 1, rows, n, n), dtype=complex)
-    prefix[0], prefix[1:] = rel.eye, prefixes
-    suffix = np.empty_like(prefix)
+    # S_0 .. S_L as an (L + 1, B, n, n) stack
+    suffix = np.empty_like(prefixes)
     suffix[-1] = target_inv
     for i in reversed(range(len(letters))):
         np.matmul(letters[i], suffix[i + 1], out=suffix[i])
@@ -273,17 +255,12 @@ def _relator_jacobian(site, rel, mats, invs, prefixes, target_inv):
     for f in rel.classes:
         directions[:, f] = basis @ qs[:, f] - directions[:, f]
     # letter i's term up to its sign, P_i V S_(i+1) or P_(i+1) V S_i, as a
-    # (B, L, d, n, n) stack in group order
-    terms = matmul(prefix[rel.left].swapaxes(0, 1)[:, :, None]
+    # (B, L, d, n, n) stack
+    terms = matmul(prefixes[rel.left].swapaxes(0, 1)[:, :, None]
                    @ directions[:, rel.fs],
                    suffix[rel.right].swapaxes(0, 1)[:, :, None])
-    delta = np.zeros((rows, nfac, d, n, n), dtype=complex)
-    for positive, fs, span in rel.sums:
-        if positive:
-            delta[:, fs] += terms[:, span]
-        else:
-            delta[:, fs] -= terms[:, span]
-    delta = delta.reshape(rows, nfac * d, -1)
+    delta = (rel.scatter @ terms.reshape(rows, len(letters), -1)).reshape(
+        rows, nfac * d, -1)
     jmat = np.empty((rows, 2 * n * n, 2 * nfac * d))
     jmat[..., 0::2] = np.concatenate([delta.real, delta.imag], axis=2).swapaxes(1, 2)
     jmat[..., 1::2] = np.concatenate([-delta.imag, delta.real], axis=2).swapaxes(1, 2)
@@ -343,11 +320,11 @@ def solve_relators(site, word, target, seeds):
     of the chunk still solving, as (B, ...) stacks of factors, target
     inverses, gaps, Jacobians, SVDs, steps and retractions, and rebuilds
     the Jacobian and SVD only of the rows that accepted their last trial.
-    What the sweeps read of the word and the site, the letter layout of the
-    Jacobian among it, is made once per call (`_Relator`).  Each row keeps
-    its own mu, nu, iteration count and outcome, and its result equals its
-    one-row solve bit for bit.  The solved rows of a chunk are the points
-    of one PointBatch, built when the chunk returns.
+    What the sweeps read of the word and the site is made once per call
+    (`_Relator`).  Each row keeps its own mu, nu, iteration count and
+    outcome, and its result equals its one-row solve bit for bit.  The
+    solved rows of a chunk are the points of one PointBatch, built when the
+    chunk returns.
     """
     if isinstance(word, str):
         word = parse_word(site, word)

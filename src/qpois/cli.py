@@ -570,11 +570,32 @@ def _chk_solver(s, rng):
     return float(np.max(residuals)), len(residuals)
 
 
+def _trace_key(word, sl2):
+    """The trace function of a word as a key, empty for a constant: the least
+    rotation of its free and cyclic reduction, on SL(2), where tr w equals
+    tr w^-1, the smaller of that and the key of the inverse word."""
+    red = []
+    for f, p in word:
+        if red and red[-1] == (f, -p):
+            red.pop()
+        else:
+            red.append((f, p))
+    while len(red) > 1 and red[0] == (red[-1][0], -red[-1][1]):
+        red = red[1:-1]
+    key = min((tuple(red[k:] + red[:k]) for k in range(len(red))), default=())
+    if sl2:
+        key = min(key, _trace_key([(f, -p) for f, p in reversed(word)], False))
+    return key
+
+
 def _chk_jacobi_level(s, rng):
-    # two equal functions make the Jacobiator vanish by antisymmetry
-    words = list(dict.fromkeys(s.words))[:3]
+    # equal or constant functions make the Jacobiator vanish identically
+    keys = [_trace_key(w, s.site.sl_like and s.model.n == 2) for w in s.words]
+    words = [w for i, (key, w) in enumerate(zip(keys, s.words))
+             if key and key not in keys[:i]][:3]
     if len(words) < 3:
-        raise _Skip(f"needs three distinct words, {len(words)} configured")
+        raise _Skip("needs three words of distinct trace functions, "
+                    f"{len(words)} configured")
     pts = [p for per_target in _converged_points(s) for p in per_target]
     fns = [TraceFunction(s.site, w) for w in words]
     return jacobi_invariants(s.qp.bivector, *fns, pts), len(pts)

@@ -17,9 +17,10 @@ that two checkouts on one host can be compared file by file:
 To check that a change keeps every report byte, run it from both
 checkouts and compare the two directories with `diff -r`, or with `--diff`:
 it prints every report whose bytes moved and, under it, each check record
-or solve row that moved, with both statuses and both residuals.  The digits
-depend on the numpy and BLAS build, so only reports written on the same
-host and installation compare.  The package is imported from the `src`
+or solve row that moved, with both statuses and both residuals, and exits
+1 when any report moved and 0 otherwise.  The digits depend on the numpy
+and BLAS build, so only reports written on the same host and installation
+compare.  The package is imported from the `src`
 directory next to this file, and nothing is written outside OUTDIR.
 """
 
@@ -120,8 +121,10 @@ def diff_lines(old_dir, new_dir):
 
 def main(argv):
     if len(argv) == 3 and argv[0] == "--diff":
-        print("\n".join(diff_lines(argv[1], argv[2])))
-        return
+        lines = diff_lines(argv[1], argv[2])
+        print("\n".join(lines))
+        # every line but the last, the count, names a moved report
+        sys.exit(int(len(lines) > 1))
     if len(argv) != 1:
         sys.exit("usage: python tests/report_set.py OUTDIR\n"
                  "       python tests/report_set.py --diff OLD NEW")

@@ -300,18 +300,22 @@ def _jacobian_loop(site, word, mats, target_inv):
     return np.stack(cols, axis=1)
 
 
-JACOBIAN_SITES = pytest.mark.parametrize("build,genus,reps", [
-    (models.sl2, 2, []),
-    (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]),
-    (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, []),
-    (models.sl2_abelian, 2, []),
-], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2"])
+JACOBIAN_SITES = pytest.mark.parametrize("build,genus,reps,variant", [
+    (models.sl2, 2, [], "classes"),
+    (models.sl2, 1, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])],
+     "classes"),
+    (lambda: models.model_from_config({"family": "SL", "n": 3}), 1, [],
+     "classes"),
+    (models.sl2_abelian, 2, [], "classes"),
+    (models.sl2, 1, [-np.eye(2)], "fullgroups"),
+], ids=["sl2-g2", "sl2-g1-2punct", "sl3-g1", "sl2ab-g2", "sl2-g1-fullgroups"])
 
 
 @JACOBIAN_SITES
-def test_batched_jacobian_matches_direction_loop(build, genus, reps):
+def test_batched_jacobian_matches_direction_loop(build, genus, reps, variant):
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     word = relator_word(site, genus, len(reps))
     rng = np.random.default_rng(5)
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
@@ -353,12 +357,14 @@ def _prefix_sweep_jacobian(site, word, mats, invs, target_inv):
 
 
 @JACOBIAN_SITES
-def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps):
+def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps,
+                                                            variant):
     """The Jacobian reads the prefix products its gap folded, and forms all
     letters' terms in two stacked products, with the bits of a sweep of
     its own prefixes that forms one letter's term at a time."""
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     word = relator_word(site, genus, len(reps))
     rng = np.random.default_rng(7)
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
@@ -378,9 +384,9 @@ def test_jacobian_from_gap_prefixes_equals_the_prefix_sweep(build, genus, reps):
 @pytest.mark.parametrize("text", ["cAbaC", "dBadD", "bdBBb", "Ca", "a"])
 def test_jacobian_of_irregular_words_equals_the_prefix_sweep(text):
     """Signs mixed at one position of the factors' letters, factors that
-    follow no one another, factors in no letter and a factor read three
-    times: the grouped sums still add each factor's terms in letter
-    order."""
+    follow no one another, factors in no letter and a factor read four
+    times: the signed factor-by-letter product still adds each factor's
+    terms in letter order."""
     model, pairing = models.sl2()
     site, _, _ = assemble_surface_site(model, pairing, 2, [])
     word = parse_word(site, text)
@@ -399,10 +405,11 @@ def test_jacobian_of_irregular_words_equals_the_prefix_sweep(text):
 
 
 @JACOBIAN_SITES
-def test_retraction_carries_the_factor_inverses(build, genus, reps):
+def test_retraction_carries_the_factor_inverses(build, genus, reps, variant):
     """The carried inverses stay inverses, to roundoff, over many steps."""
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     rel = _relator(site, relator_word(site, genus, len(reps)))
     rng = np.random.default_rng(6)
     mats = np.stack([random_point(site, rng).mats for _ in range(3)])
@@ -415,7 +422,7 @@ def test_retraction_carries_the_factor_inverses(build, genus, reps):
 
 
 @JACOBIAN_SITES
-def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
+def test_solver_inverts_no_letter(build, genus, reps, variant, monkeypatch):
     """Besides the target, every inversion in a solve is of a stack of
     factors: the start's (1, nfac, n, n) factor exponentials and its
     (1, ncls, n, n) class factors, one row of the stacked draw in
@@ -424,7 +431,8 @@ def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
     A letter inverted alone, (n, n), or across the batch, (1, n, n), is none
     of these."""
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     word = relator_word(site, genus, len(reps))
     shapes = []
     inv = np.linalg.inv
@@ -444,12 +452,13 @@ def test_solver_inverts_no_letter(build, genus, reps, monkeypatch):
 
 
 @JACOBIAN_SITES
-def test_damped_step_solves_the_normal_equations(build, genus, reps):
+def test_damped_step_solves_the_normal_equations(build, genus, reps, variant):
     """The solver's step x at damping mu solves (J^T J + mu I) x = -J^T r
     with a relative backward error near roundoff, over the whole damping
     range the solver walks."""
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     word = relator_word(site, genus, len(reps))
     rng = np.random.default_rng(5)
     target_inv = np.linalg.inv(random_point(site, rng).mats[0])
@@ -636,11 +645,13 @@ def test_stacked_start_factors_equal_one_random_point_per_seed(build, genus,
 
 
 @JACOBIAN_SITES
-def test_batched_retraction_rows_equal_one_row_retractions(build, genus, reps):
+def test_batched_retraction_rows_equal_one_row_retractions(build, genus, reps,
+                                                           variant):
     """Rows whose steps need different scaling powers in the exponential
     retract as they do alone."""
     model, pairing = build()
-    site, _, _ = assemble_surface_site(model, pairing, genus, reps)
+    site, _, _ = assemble_surface_site(model, pairing, genus, reps,
+                                       variant=variant)
     rel = _relator(site, relator_word(site, genus, len(reps)))
     rng = np.random.default_rng(7)
     mats = np.stack([random_point(site, rng).mats for _ in range(4)])

@@ -132,8 +132,29 @@ def test_jacobi_at_level_skips_fewer_than_three_distinct_words(words, distinct):
     checks = by_id(run_suite(torus_cfg(words=words), "moduli"))
     rec = checks["jacobi_at_level"]
     assert rec["status"] == "skipped" and rec["max_residual"] is None
-    assert rec["reason"] == (f"needs three distinct words, {distinct} "
-                             "configured")
+    assert rec["reason"] == ("needs three words of distinct trace functions, "
+                             f"{distinct} configured")
+
+
+@pytest.mark.parametrize("words", [["a", "A", "b"], ["ab", "ba", "a"],
+                                   ["aA", "a", "b"]])
+def test_jacobi_at_level_counts_trace_functions_not_spellings(words):
+    """On SL(2) a word, its inverse and its rotations give one trace, and a
+    word that reduces to nothing gives a constant one: none of these counts
+    as a third function."""
+    cfg = {"site": {"genus": 2}, "seed": 0, "samples": 3, "words": words}
+    rec = by_id(run_suite(cfg, "moduli"))["jacobi_at_level"]
+    assert rec["status"] == "skipped" and rec["max_residual"] is None
+    assert rec["reason"] == ("needs three words of distinct trace functions, "
+                             "2 configured")
+
+
+def test_jacobi_at_level_reads_a_word_and_its_inverse_apart_on_sl3():
+    """On SL(3) tr(A) is not tr(a), so a, A and b are three functions."""
+    cfg = {"group": {"family": "SL", "n": 3}, "site": {"genus": 1},
+           "seed": 0, "samples": 3, "words": ["a", "A", "b"]}
+    rec = by_id(run_suite(cfg, "moduli"))["jacobi_at_level"]
+    assert rec["status"] == "passed" and rec["max_residual"] is not None
 
 
 def test_jacobi_at_level_reads_the_first_three_distinct_words():

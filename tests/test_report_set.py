@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import report_set
 
 
@@ -49,7 +51,9 @@ def test_diff_names_moved_reports_and_records(tmp_path, capsys):
     old, new = tmp_path / "old", tmp_path / "new"
     _write(old, OLD)
     _write(new, NEW)
-    report_set.main(["--diff", str(old), str(new)])
+    with pytest.raises(SystemExit) as exited:
+        report_set.main(["--diff", str(old), str(new)])
+    assert exited.value.code == 1
     assert capsys.readouterr().out.splitlines() == [
         "added.json: only in NEW",
         "gone.json: only in OLD",
@@ -63,3 +67,13 @@ def test_diff_names_moved_reports_and_records(tmp_path, capsys):
         "  row 2: absent None -> solved 2e-14",
         "5 of 6 reports moved",
     ]
+
+
+def test_diff_of_equal_directories_exits_zero(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    _write(old, OLD)
+    _write(new, OLD)
+    with pytest.raises(SystemExit) as exited:
+        report_set.main(["--diff", str(old), str(new)])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 5 reports moved"]
